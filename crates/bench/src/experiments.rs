@@ -1226,9 +1226,8 @@ pub struct BenchMeta {
     pub lint_clean: bool,
     /// Which population backend fed the measured season: `"object"`
     /// (per-[`Household`] trees, the default) or `"slab"` (the
-    /// struct-of-arrays [`PopulationSlab`](powergrid::slab::PopulationSlab)
-    /// backend). Both are byte-identical in results, but their timings
-    /// are not comparable, so every record states which path ran.
+    /// struct-of-arrays [`PopulationSlab`] backend). Both are
+    /// byte-identical in results, but their timings are not comparable, so every record states which path ran.
     pub population_path: &'static str,
 }
 
@@ -2710,7 +2709,11 @@ pub struct CityScaleResult {
     /// `scratch_demand_us / slab_demand_us` — the honest figure against
     /// the already-allocation-free object path.
     pub speedup_vs_scratch: f64,
-    /// Wall-clock of the sharded Settlement-tier season, microseconds.
+    /// Wall-clock of the sharded Settlement-tier season, microseconds —
+    /// [`FleetRunner::run`](loadbal_core::fleet::FleetRunner::run) from
+    /// built cells to the report, so every cell's whole-horizon demand
+    /// synthesis (deferred out of `CampaignBuilder::build` onto the
+    /// fleet's pool) is inside the timer, next to the negotiations.
     pub season_us: u128,
     /// Peak negotiations the season carried across all shards.
     pub negotiations: usize,
@@ -2736,8 +2739,13 @@ pub struct CityScaleResult {
 /// `days`-day winter season at [`ReportTier::Settlement`] on the shared
 /// worker pool.
 ///
-/// Three things are measured and two asserted:
+/// Four things are measured and two asserted:
 ///
+/// * **Season** — the whole sharded season on the fleet's pool (one
+///   worker per available core, recorded as `meta.threads`): each
+///   cell's demand synthesis plus prediction, detection and
+///   negotiation. Building the cells only validates them, so nothing
+///   of the season runs outside the timer.
 /// * **Throughput** — one day of demand synthesis over the full city
 ///   on the per-object path, the scratch-cached object path and the
 ///   slab kernel, all three asserted equal slot for slot; the slab must
@@ -2915,7 +2923,9 @@ impl fmt::Display for CityScaleResult {
             .unwrap_or_else(|| "high-water n/a (no probe)".into());
         writeln!(
             f,
-            "  season: {} µs, {} negotiations, converged: {}, {retained}, {peak}",
+            "  season (demand synthesis + negotiation, {} threads): {} µs, {} negotiations, \
+             converged: {}, {retained}, {peak}",
+            self.meta.threads,
             self.season_us,
             self.negotiations,
             if self.all_converged { "all" } else { "NOT ALL" }
@@ -2942,7 +2952,7 @@ impl CityScaleResult {
              \"device_entries\":{},\"build_slab_us\":{},\"slab_bytes\":{},\
              \"bytes_per_household\":{:.1},\"object_demand_us\":{},\"scratch_demand_us\":{},\
              \"slab_demand_us\":{},\"speedup_vs_object\":{:.2},\"speedup_vs_scratch\":{:.2},\
-             \"season_us\":{},\"negotiations\":{},\"all_converged\":{},\
+             \"season_us\":{},\"season_includes_synthesis\":true,\"negotiations\":{},\"all_converged\":{},\
              \"season_retained_bytes\":{},\"peak_heap_bytes\":{},\"identity_ok\":{}}}",
             self.meta.to_json(),
             self.households,

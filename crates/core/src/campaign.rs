@@ -376,6 +376,11 @@ impl<'a> CampaignBuilder<'a> {
     /// Normal production capacity as a fraction of the highest per-slot
     /// demand observed during warmup — below 1.0 guarantees that days
     /// like the warmup days peak above the capacity line.
+    ///
+    /// # Panics
+    ///
+    /// [`CampaignBuilder::build`] panics if `factor` is negative or not
+    /// finite.
     pub fn capacity_factor(mut self, factor: f64) -> Self {
         self.capacity_factor = factor;
         self
@@ -437,8 +442,8 @@ impl<'a> CampaignBuilder<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `expensive` is below `normal` (via
-    /// [`ProductionModel::with_costs`] when the campaign is built).
+    /// Panics if `expensive` is below `normal` — checked by
+    /// [`CampaignBuilder::build`], before any production model exists.
     pub fn production_costs(mut self, normal: PricePerKwh, expensive: PricePerKwh) -> Self {
         self.normal_cost = normal;
         self.expensive_cost = expensive;
@@ -475,15 +480,22 @@ impl<'a> CampaignBuilder<'a> {
         self
     }
 
-    /// Validates the configuration, simulates the horizon's demand,
-    /// sizes capacity from the warmup days and prices the stop rule —
-    /// everything deterministic that precedes the first negotiation.
+    /// Validates the configuration and produces the runner. Nothing is
+    /// simulated here: the horizon's demand synthesis, the capacity
+    /// sizing from the warmup days and the stop-rule pricing are
+    /// deferred to the runner's first [`CampaignRunner::progress`] (or
+    /// [`CampaignRunner::production`] / [`CampaignRunner::producer`] /
+    /// [`CampaignRunner::ua_config`]) and memoised there — so a
+    /// [`FleetRunner`](crate::fleet::FleetRunner) synthesises its cells
+    /// in parallel on its shared pool.
     ///
     /// # Panics
     ///
     /// Panics if `households` is empty, `warmup_days` is zero or below
-    /// the predictor policy's minimum, or the horizon is not longer than
-    /// the warmup.
+    /// the predictor policy's minimum, the horizon is not longer than
+    /// the warmup, the capacity factor is negative or not finite, or the
+    /// expensive production cost is below the normal cost. Every
+    /// configuration panic fires here, never in the deferred synthesis.
     pub fn build(self) -> CampaignRunner<'a> {
         assert!(!self.population.is_empty(), "a campaign needs households");
         assert!(self.warmup_days > 0, "prediction needs warmup history");
@@ -500,50 +512,39 @@ impl<'a> CampaignBuilder<'a> {
             self.predictor.min_warmup_days(),
             self.warmup_days
         );
-        let simulated = simulate_horizon_ref(
-            self.population,
-            &self.weather_model,
-            &self.horizon,
-            &self.axis,
+        // The deferred `ProductionModel::with_costs` must not panic:
+        // capacity comes out finite and non-negative, costs ordered.
+        assert!(
+            self.capacity_factor.is_finite() && self.capacity_factor >= 0.0,
+            "capacity factor must be finite and non-negative, got {}",
+            self.capacity_factor
         );
-        let actuals: Vec<Series> = simulated.iter().map(|(c, _)| c.series().clone()).collect();
-        let weathers: Vec<Series> = simulated.into_iter().map(|(_, w)| w).collect();
-
-        // Capacity sized from the warmup days' highest slot demand.
-        let warmup_peak_kwh = actuals[..self.warmup_days]
-            .iter()
-            .map(|s| s.max())
-            .fold(0.0f64, f64::max);
-        let normal = Kilowatts(warmup_peak_kwh / self.axis.slot_hours() * self.capacity_factor);
-        let production = ProductionModel::with_costs(
-            normal,
-            Kilowatts(normal.value() * 2.0),
-            self.normal_cost,
-            self.expensive_cost,
+        assert!(
+            self.expensive_cost >= self.normal_cost,
+            "expensive production should not be cheaper than normal production"
         );
-        let producer = ProducerAgent::new(production);
-        let ua_config = self
-            .ua_config
-            .with_economic_stop(self.stop.economic_stop(&producer));
 
         CampaignRunner {
             population: self.population,
+            weather_model: self.weather_model,
             horizon: self.horizon,
             axis: self.axis,
             warmup_days: self.warmup_days,
+            capacity_factor: self.capacity_factor,
             peak_threshold: self.peak_threshold,
             method: self.method,
-            ua_config,
+            base_ua_config: self.ua_config,
             report_tier: self.report_tier,
             execution: self.execution,
             threads: self.threads,
+            normal_cost: self.normal_cost,
+            expensive_cost: self.expensive_cost,
             pool: OnceLock::new(),
             predictor: self.predictor,
             feedback: self.feedback,
+            stop: self.stop,
             tuning: self.tuning,
-            actuals,
-            weathers,
-            producer,
+            prepared: OnceLock::new(),
         }
     }
 }
@@ -560,45 +561,118 @@ impl<'a> CampaignBuilder<'a> {
 /// points are pure: re-running produces byte-identical
 /// [`CampaignReport`]s, and [`CampaignRunner::run`] equals
 /// [`CampaignRunner::run_sequential`] for any thread count.
+///
+/// The runner is cheap to build: the horizon's simulated demand and
+/// weather, the producer sized from the warmup days and the UA
+/// configuration with its stop rule installed are prepared once, by
+/// whichever of [`CampaignRunner::progress`],
+/// [`CampaignRunner::production`], [`CampaignRunner::producer`] or
+/// [`CampaignRunner::ua_config`] comes first, and memoised for every
+/// later call and run. Each day's curve is a pure function of
+/// (population, weather model, day, axis), so *when* — and on which
+/// thread — preparation happens never changes a byte.
 #[derive(Debug)]
 pub struct CampaignRunner<'a> {
     population: PopulationRef<'a>,
+    weather_model: WeatherModel,
     horizon: Horizon,
     axis: TimeAxis,
     warmup_days: usize,
+    capacity_factor: f64,
     peak_threshold: f64,
     method: AnnouncementMethod,
-    ua_config: UtilityAgentConfig,
+    /// The builder's UA configuration, before the stop policy installs
+    /// its rule (see [`Prepared::ua_config`]).
+    base_ua_config: UtilityAgentConfig,
     report_tier: ReportTier,
     execution: ExecutionMode,
     threads: Option<NonZeroUsize>,
+    normal_cost: PricePerKwh,
+    expensive_cost: PricePerKwh,
     /// The persistent worker pool for [`CampaignRunner::run`]: spawned
     /// on the first parallel run and reused by every day of every
     /// subsequent run — the day loop pays no per-day thread spawn.
     pool: OnceLock<WorkerPool>,
     predictor: Box<dyn PredictorPolicy + 'a>,
     feedback: Box<dyn FeedbackPolicy + 'a>,
+    stop: Box<dyn StopPolicy + 'a>,
     tuning: Box<dyn TuningPolicy + 'a>,
+    /// Everything derived from the simulated horizon, built on first use.
+    prepared: OnceLock<Prepared>,
+}
+
+/// A campaign's simulated horizon and what is sized from it — built
+/// once per runner by [`CampaignRunner::prepared`].
+#[derive(Debug)]
+struct Prepared {
+    /// Simulated demand per horizon day (kWh per slot).
     actuals: Vec<Series>,
+    /// Temperature series per horizon day, aligned with `actuals`.
     weathers: Vec<Series>,
+    /// Producer with capacity sized from the warmup days.
     producer: ProducerAgent,
+    /// The UA configuration with the stop policy's rule installed.
+    ua_config: UtilityAgentConfig,
 }
 
 impl CampaignRunner<'_> {
-    /// The production model capacity was sized against.
+    /// The production model capacity was sized against (prepares the
+    /// campaign on first call).
     pub fn production(&self) -> &ProductionModel {
-        self.producer.production()
+        self.prepared().producer.production()
     }
 
-    /// The producer agent pricing the campaign's economics.
+    /// The producer agent pricing the campaign's economics (prepares
+    /// the campaign on first call).
     pub fn producer(&self) -> &ProducerAgent {
-        &self.producer
+        &self.prepared().producer
     }
 
     /// The Utility Agent configuration each peak is negotiated with
-    /// (stop rule already installed).
+    /// (stop rule already installed; prepares the campaign on first
+    /// call).
     pub fn ua_config(&self) -> &UtilityAgentConfig {
-        &self.ua_config
+        &self.prepared().ua_config
+    }
+
+    /// The memoised preparation: simulates the horizon's demand, sizes
+    /// capacity from the warmup days and prices the stop rule — on the
+    /// first call only, on the calling thread.
+    fn prepared(&self) -> &Prepared {
+        self.prepared.get_or_init(|| {
+            let (actuals, weathers): (Vec<Series>, Vec<Series>) = simulate_horizon_ref(
+                self.population,
+                &self.weather_model,
+                &self.horizon,
+                &self.axis,
+            )
+            .into_iter()
+            .map(|(curve, weather)| (curve.into_series(), weather))
+            .unzip();
+
+            // Capacity sized from the warmup days' highest slot demand.
+            let warmup_peak_kwh = actuals[..self.warmup_days]
+                .iter()
+                .map(|s| s.max())
+                .fold(0.0f64, f64::max);
+            let normal = Kilowatts(warmup_peak_kwh / self.axis.slot_hours() * self.capacity_factor);
+            let producer = ProducerAgent::new(ProductionModel::with_costs(
+                normal,
+                Kilowatts(normal.value() * 2.0),
+                self.normal_cost,
+                self.expensive_cost,
+            ));
+            let ua_config = self
+                .base_ua_config
+                .clone()
+                .with_economic_stop(self.stop.economic_stop(&producer));
+            Prepared {
+                actuals,
+                weathers,
+                producer,
+                ua_config,
+            }
+        })
     }
 
     /// The tier this campaign's reports retain.
@@ -670,18 +744,24 @@ impl CampaignRunner<'_> {
     /// Stepping is pure bookkeeping: any driver that negotiates each
     /// scenario with [`Scenario::run`] produces a report byte-identical
     /// to [`CampaignRunner::run_sequential`].
+    ///
+    /// The first call (of this or a preparing accessor) also runs the
+    /// campaign's deferred preparation — the whole horizon's demand
+    /// synthesis — on the calling thread; later calls reuse it.
     pub fn progress(&self) -> CampaignProgress<'_> {
         let warmup = self.warmup_days;
+        let prepared = self.prepared();
         CampaignProgress {
             runner: self,
+            prepared,
             predictor: self
                 .predictor
-                .choose(&self.actuals[..warmup], &self.weathers[..warmup]),
+                .choose(&prepared.actuals[..warmup], &prepared.weathers[..warmup]),
             detector: PeakDetector::new(self.peak_threshold),
-            history: self.actuals[..warmup].to_vec(),
+            history: prepared.actuals[..warmup].to_vec(),
             scratch: DemandScratch::new(&self.axis),
             next_index: warmup as u64,
-            ua_config: self.ua_config.clone(),
+            ua_config: prepared.ua_config.clone(),
             control: OwnProcessControl::new(),
             pending: None,
             outcomes: Vec::new(),
@@ -849,6 +929,8 @@ impl DayPlan {
 #[derive(Debug)]
 pub struct CampaignProgress<'r> {
     runner: &'r CampaignRunner<'r>,
+    /// The runner's prepared horizon (demand, weather, producer).
+    prepared: &'r Prepared,
     predictor: &'r dyn LoadPredictor,
     detector: PeakDetector,
     history: Vec<Series>,
@@ -910,17 +992,17 @@ impl CampaignProgress<'_> {
         let d = day.index as usize;
         let predicted = self
             .predictor
-            .predict(&self.history, &self.runner.weathers[d]);
+            .predict(&self.history, &self.prepared.weathers[d]);
         let peaks = self
             .detector
-            .detect_all(&predicted, self.runner.producer.production());
+            .detect_all(&predicted, self.prepared.producer.production());
         let scenarios = peaks
             .iter()
             .map(|peak| {
                 let scenario = ScenarioBuilder::from_peak_ref(
                     self.runner.population,
                     &self.runner.axis,
-                    self.runner.weathers[d].mean(),
+                    self.prepared.weathers[d].mean(),
                     peak,
                     day.index,
                     day.day_type.intensity_factor(),
@@ -986,7 +1068,7 @@ impl CampaignProgress<'_> {
             let scenario = ScenarioBuilder::from_peak_ref(
                 self.runner.population,
                 &self.runner.axis,
-                self.runner.weathers[d].mean(),
+                self.prepared.weathers[d].mean(),
                 &peak,
                 day.index,
                 day.day_type.intensity_factor() * scale,
@@ -1088,7 +1170,7 @@ impl CampaignProgress<'_> {
             if pass_shaved && pending.passes_done <= rule.max_passes {
                 let residual = ClosedLoop.history_entry(&pending.predicted, &pending.outcomes);
                 let staged: Vec<(Peak, f64)> = PeakDetector::new(rule.threshold)
-                    .detect_all(&residual, self.runner.producer.production())
+                    .detect_all(&residual, self.prepared.producer.production())
                     .into_iter()
                     .filter_map(|peak| {
                         let before = pending.predicted.energy_over(peak.interval).value();
@@ -1113,8 +1195,9 @@ impl CampaignProgress<'_> {
         let entry = self
             .runner
             .feedback
-            .history_entry(&self.runner.actuals[d], &done.outcomes);
-        let feedback_delta = (self.runner.actuals[d].total() - entry.total()).clamp_non_negative();
+            .history_entry(&self.prepared.actuals[d], &done.outcomes);
+        let feedback_delta =
+            (self.prepared.actuals[d].total() - entry.total()).clamp_non_negative();
         let negotiated = !done.outcomes.is_empty();
         self.history.push(entry);
         self.days.push(DayOutcome {
@@ -1139,7 +1222,7 @@ impl CampaignProgress<'_> {
         if let Some(p) = self.runner.predictor.reselect(
             self.days.len(),
             &self.history,
-            &self.runner.weathers[..self.history.len()],
+            &self.prepared.weathers[..self.history.len()],
         ) {
             self.predictor = p;
         }
@@ -1158,7 +1241,7 @@ impl CampaignProgress<'_> {
     /// earlier yields a report over the days completed so far.
     pub fn finish(self) -> CampaignReport {
         let economics =
-            CampaignEconomics::compute(&self.outcomes, &self.runner.producer, self.runner.axis);
+            CampaignEconomics::compute(&self.outcomes, &self.prepared.producer, self.runner.axis);
         CampaignReport {
             outcomes: self.outcomes,
             days: self.days,
@@ -1612,5 +1695,45 @@ mod tests {
             .warmup_days(1)
             .predictor(BacktestSelected::standard())
             .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "needs warmup history")]
+    fn zero_warmup_panics() {
+        let homes = homes(5, 1);
+        let horizon = Horizon::new(4, 0, Season::Winter);
+        let _ = CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon)
+            .warmup_days(0)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "should not be cheaper")]
+    fn inverted_production_costs_panic_at_build() {
+        let homes = homes(5, 1);
+        let horizon = Horizon::new(6, 0, Season::Winter);
+        let _ = CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon)
+            .production_costs(PricePerKwh(0.30), PricePerKwh(0.10))
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity factor")]
+    fn negative_capacity_factor_panics_at_build() {
+        let homes = homes(5, 1);
+        let horizon = Horizon::new(6, 0, Season::Winter);
+        let _ = CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon)
+            .capacity_factor(-0.5)
+            .build();
+    }
+
+    #[test]
+    fn preparation_runs_once_per_runner() {
+        let homes = homes(40, 11);
+        let runner = small_runner(&homes);
+        let producer = runner.producer();
+        let _ = runner.run();
+        assert!(std::ptr::eq(producer, runner.producer()));
+        assert!(std::ptr::eq(producer, &runner.progress().prepared.producer));
     }
 }

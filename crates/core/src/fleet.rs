@@ -14,7 +14,12 @@
 //! [`WorkerPool`]. While campaign A is between days (its feedback
 //! bookkeeping is sequential), the workers drain campaign B's peaks —
 //! cores never idle as long as any cell anywhere has negotiable work.
-//! The echo of the paper's DESIRE lineage is deliberate: many
+//! Per-cell startup runs on the pool too: the first worker to reach a
+//! cell calls [`CampaignRunner::progress`], which synthesises the
+//! cell's whole-horizon demand (deferred out of
+//! [`CampaignBuilder::build`](crate::campaign::CampaignBuilder::build))
+//! and chooses its predictor, so a city's cells synthesise in parallel
+//! rather than serially before the pool starts. The echo of the paper's DESIRE lineage is deliberate: many
 //! independent agent societies, one execution substrate.
 //!
 //! Scheduling is nondeterministic; results never are. Every
@@ -337,8 +342,10 @@ struct CellExec<'r> {
 struct CellState<'r> {
     runner: &'r CampaignRunner<'r>,
     /// Created lazily by the first worker to reach the cell, so
-    /// per-cell startup work (warmup predictor selection — a full
-    /// backtest under [`BacktestSelected`](crate::campaign::BacktestSelected))
+    /// per-cell startup work — the whole horizon's demand synthesis and
+    /// capacity sizing (the runner's deferred preparation) plus warmup
+    /// predictor selection (a full backtest under
+    /// [`BacktestSelected`](crate::campaign::BacktestSelected)) —
     /// parallelises across cells instead of running serially before the
     /// pool starts.
     progress: Option<CampaignProgress<'r>>,
@@ -423,8 +430,9 @@ impl<'r> CellExec<'r> {
             }
             return Ok(Claim::Busy); // all peaks claimed, day still in flight
         }
-        // No active day: start or advance. `progress()` chooses the
-        // predictor (a full backtest under `BacktestSelected`) and
+        // No active day: start or advance. The first `progress()`
+        // synthesises the cell's horizon demand and chooses the
+        // predictor (a full backtest under `BacktestSelected`), and
         // `next_day` runs prediction, detection and scenario
         // materialisation — real work, done here by a fleet worker
         // rather than some coordinator thread.

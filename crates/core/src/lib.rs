@@ -105,7 +105,12 @@
 //!    ([`campaign::CampaignBuilder::new_ref`],
 //!    [`session::ScenarioBuilder::from_peak_ref`],
 //!    [`powergrid::demand::simulate_horizon_ref`]) is
-//!    backend-agnostic;
+//!    backend-agnostic. Synthesis does not run in
+//!    [`campaign::CampaignBuilder::build`], which only validates: it
+//!    runs once, memoised, on the runner's first
+//!    [`campaign::CampaignRunner::progress`] — in a fleet, on the
+//!    worker that first reaches the cell, so cells synthesise in
+//!    parallel;
 //! 2. **Select** — a [`campaign::PredictorPolicy`] fixes the campaign's
 //!    [`powergrid::prediction::LoadPredictor`]: a given model
 //!    ([`campaign::FixedPredictor`]) or the warmup-backtest winner
@@ -173,9 +178,11 @@
 //!    cells' peak negotiations on **one** shared
 //!    [`sweep::WorkerPool`], aggregating a [`fleet::FleetReport`]
 //!    (per-cell reports + cross-cell economics) that is byte-identical
-//!    for any thread count. One city-scale slab shards across cells
-//!    zero-copy by offset range ([`fleet::FleetRunner::sharded_slab`],
-//!    E20: a ~10⁶-household settlement-tier season);
+//!    for any thread count. Each cell's demand synthesis and predictor
+//!    choice run on that pool as well. One city-scale slab shards
+//!    across cells zero-copy by offset range
+//!    ([`fleet::FleetRunner::sharded_slab`], E20: a ~10⁶-household
+//!    settlement-tier season, synthesis included);
 //! 10. **Report** — how much of all that a season *retains* is a policy,
 //!     not a constant: a [`session::ReportTier`] chosen per campaign
 //!     ([`campaign::CampaignBuilder::report_tier`] /

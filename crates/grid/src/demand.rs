@@ -97,6 +97,11 @@ impl DemandCurve {
         &self.series
     }
 
+    /// Unwraps the underlying series without copying it.
+    pub fn into_series(self) -> Series {
+        self.series
+    }
+
     /// The time axis of the curve.
     pub fn axis(&self) -> TimeAxis {
         self.series.axis()
@@ -246,6 +251,13 @@ mod tests {
             .map(|h| h.demand_profile(&axis, mean, 1).sum())
             .sum();
         assert!((curve.total().value() - by_hand).abs() < 1e-9);
+    }
+
+    #[test]
+    fn into_series_equals_the_borrowed_series() {
+        let c = curve();
+        let copied = c.series().clone();
+        assert_eq!(c.into_series(), copied);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! one shared worker pool is *byte-identical* to running every campaign
 //! sequentially — for arbitrary cell counts, population mixes, policy
 //! combinations and thread counts. Nondeterministic scheduling, fully
-//! deterministic results.
+//! deterministic results. That includes *when* each cell's deferred
+//! demand synthesis runs: before the run or on a fleet worker.
 
 use loadbal::core::campaign::{
     CampaignBuilder, CampaignRunner, ClosedLoop, FixedPredictor, MarginalCostStop,
@@ -13,17 +14,18 @@ use loadbal::prelude::*;
 use powergrid::calendar::Horizon;
 use powergrid::household::Household;
 use powergrid::prediction::MovingAverage;
+use powergrid::slab::{PopulationRef, PopulationSlab};
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
 
 fn build_cell<'a>(
-    homes: &'a [Household],
+    homes: impl Into<PopulationRef<'a>>,
     weather: &WeatherModel,
     closed: bool,
     stop: bool,
 ) -> CampaignRunner<'a> {
     let horizon = Horizon::new(5, 0, Season::Winter);
-    let mut b = CampaignBuilder::new(homes, weather, &horizon)
+    let mut b = CampaignBuilder::new_ref(homes.into(), weather, &horizon)
         .warmup_days(2)
         .predictor(FixedPredictor(MovingAverage::new(2)));
     if closed {
@@ -185,6 +187,80 @@ proptest! {
         for (cell, (label, runner)) in interleaved.cells.iter().zip(fleet.cells()) {
             prop_assert_eq!(&cell.label, label);
             prop_assert_eq!(&cell.report, &runner.run_sequential());
+        }
+    }
+
+    /// Demand synthesis is deferred out of `CampaignBuilder::build` and
+    /// memoised on first use. Whether a caller prepares some cells
+    /// before the fleet runs (by reading `production()`/`ua_config()`)
+    /// or every cell is prepared by the first worker to reach it, over
+    /// object or slab populations, the fleet reports byte-identically
+    /// to the sequential reference, and the accessors read the same
+    /// values before and after a run.
+    #[test]
+    fn preparation_order_never_changes_outcomes(
+        cells in prop::collection::vec(
+            (15usize..40, 0u64..40, any::<bool>(), any::<bool>()),
+            1..5,
+        ),
+        threads in 1usize..5,
+    ) {
+        let weather = WeatherModel::winter();
+        let builders: Vec<PopulationBuilder> = cells
+            .iter()
+            .map(|(n, _, _, _)| PopulationBuilder::new().households(*n))
+            .collect();
+        let objects: Vec<Vec<Household>> = cells
+            .iter()
+            .zip(&builders)
+            .map(|((_, seed, _, _), b)| b.build(*seed))
+            .collect();
+        let slabs: Vec<PopulationSlab> = cells
+            .iter()
+            .zip(&builders)
+            .map(|((_, seed, _, _), b)| b.build_slab(*seed))
+            .collect();
+        let build_fleet = || {
+            let mut fleet = FleetRunner::new()
+                .threads(NonZeroUsize::new(threads).expect("threads ≥ 1"));
+            for (i, (_, _, slab, _)) in cells.iter().enumerate() {
+                let pop = if *slab {
+                    PopulationRef::Slab(slabs[i].view())
+                } else {
+                    PopulationRef::Objects(&objects[i])
+                };
+                // Odd cells price a stop rule into their UA config.
+                fleet = fleet.cell(format!("cell{i}"), build_cell(pop, &weather, true, i % 2 == 1));
+            }
+            fleet
+        };
+        let eager = build_fleet();
+        let lazy = build_fleet();
+        // Prepare some cells of `eager` up front (always the first);
+        // `lazy` is left entirely to the fleet's workers.
+        let before: Vec<_> = eager
+            .cells()
+            .iter()
+            .zip(&cells)
+            .enumerate()
+            .filter(|(i, (_, (_, _, _, early)))| *early || *i == 0)
+            .map(|(i, ((_, runner), _))| {
+                (i, runner.production().clone(), runner.ua_config().clone())
+            })
+            .collect();
+        let reference = build_fleet().run_sequential();
+        prop_assert_eq!(&eager.run(), &reference);
+        prop_assert_eq!(&lazy.run(), &reference);
+        for (i, production, config) in &before {
+            let (_, runner) = &eager.cells()[*i];
+            prop_assert_eq!(runner.production(), production);
+            prop_assert_eq!(runner.ua_config(), config);
+        }
+        for ((_, e), (_, l)) in eager.cells().iter().zip(lazy.cells()) {
+            prop_assert_eq!(e.production(), l.production());
+            prop_assert_eq!(e.ua_config(), l.ua_config());
+            // The accessor reads the configuration the days start from.
+            prop_assert_eq!(l.ua_config(), l.progress().ua_config());
         }
     }
 }
