@@ -1,20 +1,19 @@
-//! E20 bench: struct-of-arrays population vs per-object trees.
+//! E20 bench: the slab kernels against the allocating household
+//! reference folds.
 //!
 //! Two claims under the stopwatch, mirroring the `city_scale`
 //! experiment. First, one day of demand synthesis over a large
 //! population is far cheaper through the batched, register-blocked
-//! slab kernel than through per-object [`Household::demand_profile`]
-//! calls (and measurably cheaper than the scratch-reusing object
-//! path) — byte-identical curves either way. Second, scenario
-//! derivation (interval flexibility over a detected peak) benefits
-//! again from the slab's clipped-interval sweep, which touches only
-//! the peak's slots instead of materialising whole-day profiles.
+//! slab kernel than through the [`Household::demand_profile`] fold —
+//! byte-identical curves either way. Second, scenario derivation
+//! (interval flexibility over a detected peak) benefits again from the
+//! slab's clipped-interval sweep, which touches only the peak's slots
+//! instead of materialising whole-day profiles.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use powergrid::demand::aggregate_demand;
-use powergrid::household::DemandScratch;
 use powergrid::prelude::*;
-use powergrid::slab::{aggregate_demand_slab, saving_potential_slab};
+use powergrid::slab::{aggregate_demand_slab, saving_potential_slab, DemandScratch};
 
 fn bench_demand_synthesis(c: &mut Criterion) {
     let mut group = c.benchmark_group("demand_synthesis");
@@ -24,27 +23,12 @@ fn bench_demand_synthesis(c: &mut Criterion) {
         let builder = PopulationBuilder::new().households(households);
         let homes = builder.build(42);
         let slab = builder.build_slab(42);
-        let mean = weather.mean();
         group.bench_with_input(
-            BenchmarkId::new("per_object", households),
+            BenchmarkId::new("household_reference", households),
             &homes,
             |b, homes| {
-                b.iter(|| {
-                    let mut total = Series::zeros(axis);
-                    for h in homes {
-                        let profile = h.demand_profile(&axis, mean, 42);
-                        for (slot, load) in total.values_mut().iter_mut().zip(profile.values()) {
-                            *slot += load;
-                        }
-                    }
-                    std::hint::black_box(total)
-                })
+                b.iter(|| std::hint::black_box(aggregate_demand(homes, &weather, &axis, 42)))
             },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("object_scratch", households),
-            &homes,
-            |b, homes| b.iter(|| std::hint::black_box(aggregate_demand(homes, &weather, &axis, 42))),
         );
         group.bench_with_input(BenchmarkId::new("slab", households), &slab, |b, slab| {
             b.iter(|| std::hint::black_box(aggregate_demand_slab(slab.view(), &weather, &axis, 42)))
@@ -63,15 +47,12 @@ fn bench_scenario_derivation(c: &mut Criterion) {
         let homes = builder.build(42);
         let slab = builder.build_slab(42);
         group.bench_with_input(
-            BenchmarkId::new("per_object", households),
+            BenchmarkId::new("household_reference", households),
             &homes,
             |b, homes| {
                 b.iter(|| {
-                    let mut scratch = DemandScratch::new(&axis);
                     let total = homes.iter().fold(KilowattHours::ZERO, |acc, h| {
-                        acc + h
-                            .interval_flexibility_with(&axis, -2.0, 42, peak, &mut scratch)
-                            .1
+                        acc + h.saving_potential(&axis, -2.0, 42, peak)
                     });
                     std::hint::black_box(total)
                 })

@@ -1,22 +1,17 @@
-//! E15 bench: the fleet layer and the demand hot path.
+//! E15 bench: the fleet layer.
 //!
-//! Two claims under the stopwatch. First, `FleetRunner` interleaving N
-//! campaigns' peak negotiations on one shared `WorkerPool` beats
-//! running the same campaigns back to back, because a campaign's
-//! sequential day-bookkeeping no longer leaves cores idle. Second, the
-//! allocation-free `demand_profile_with` (one reused `DemandScratch`
-//! instead of one `Series` per device per household per day) beats the
-//! allocating `demand_profile` on a ≥200-household day — the inner loop
-//! every scenario derivation runs.
+//! `FleetRunner` interleaving N campaigns' peak negotiations on one
+//! shared `WorkerPool` beats running the same campaigns back to back,
+//! because a campaign's sequential day-bookkeeping no longer leaves
+//! cores idle. (The demand kernels are timed in `city_scale.rs`.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use loadbal_core::campaign::{CampaignBuilder, CampaignRunner, ClosedLoop, FixedPredictor};
 use loadbal_core::fleet::FleetRunner;
 use powergrid::calendar::Horizon;
-use powergrid::household::{DemandScratch, Household};
+use powergrid::household::Household;
 use powergrid::population::PopulationBuilder;
 use powergrid::prediction::WeatherRegression;
-use powergrid::time::TimeAxis;
 use powergrid::weather::{Season, WeatherModel};
 use std::num::NonZeroUsize;
 
@@ -61,38 +56,5 @@ fn bench_fleet(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_demand_hot_path(c: &mut Criterion) {
-    let mut group = c.benchmark_group("demand_hot_path");
-    let axis = TimeAxis::quarter_hourly();
-    for &n in &[200usize, 800] {
-        let homes = PopulationBuilder::new().households(n).build(42);
-        // One `Series` allocation per device per household per day.
-        group.bench_with_input(BenchmarkId::new("alloc", n), &homes, |b, homes| {
-            b.iter(|| {
-                let mut total = 0.0;
-                for h in homes {
-                    total += h.demand_profile(&axis, -4.0, 7).sum();
-                }
-                std::hint::black_box(total)
-            })
-        });
-        // One scratch for the whole day.
-        group.bench_with_input(BenchmarkId::new("scratch", n), &homes, |b, homes| {
-            b.iter(|| {
-                let mut scratch = DemandScratch::new(&axis);
-                let mut total = 0.0;
-                for h in homes {
-                    total += h
-                        .demand_profile_with(&axis, -4.0, 7, &mut scratch)
-                        .iter()
-                        .sum::<f64>();
-                }
-                std::hint::black_box(total)
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_fleet, bench_demand_hot_path);
+criterion_group!(benches, bench_fleet);
 criterion_main!(benches);

@@ -172,8 +172,8 @@ fn run(id: &str, json: bool) -> bool {
         "city_scale_smoke" => {
             // The CI shape: 50k households across 2 shards — exercises
             // the identical machinery (sharding, settlement season,
-            // three-path demand agreement, twin-population identity)
-            // in seconds rather than minutes.
+            // kernel-vs-reference demand agreement) in seconds rather
+            // than minutes.
             let r = experiments::city_scale(50_000, 2, 5, 42);
             println!("{r}");
         }

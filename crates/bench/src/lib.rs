@@ -19,7 +19,7 @@
 //! | E9 | §3.1 concession invariants | [`experiments::invariants`] |
 //! | E13 | grid→negotiation campaigns | [`experiments::campaign_grid`] |
 //! | E14 | campaign feedback loop | [`experiments::campaign_loop`] |
-//! | E15 | fleet scaling + demand hot path | [`experiments::fleet_scaling`] |
+//! | E15 | fleet scaling | [`experiments::fleet_scaling`] |
 //! | E16 | persistent pool + negotiation scratch hot loop | [`experiments::hot_loop`] |
 //! | E17 | report tiers: retained memory + archive bytes/day | [`experiments::report_tiers`] |
 

@@ -61,20 +61,22 @@ use crate::sync_driver::NegotiationScratch;
 use crate::utility_agent::own_process_control::OwnProcessControl;
 use crate::utility_agent::{EconomicStopRule, UtilityAgentConfig};
 use powergrid::calendar::{CalendarDay, Horizon};
-use powergrid::demand::simulate_horizon_ref;
-use powergrid::household::{DemandScratch, Household};
+use powergrid::demand::simulate_horizon;
+use powergrid::household::Household;
 use powergrid::peak::{Peak, PeakDetector};
 use powergrid::prediction::{
     select_best, HoltTrend, LoadPredictor, MovingAverage, SeasonalNaive, WeatherRegression,
 };
 use powergrid::production::ProductionModel;
 use powergrid::series::Series;
-use powergrid::slab::PopulationRef;
+use powergrid::slab::{DemandScratch, PopulationSlab, SlabView};
 use powergrid::time::TimeAxis;
 use powergrid::units::{KilowattHours, Kilowatts, Money, PricePerKwh};
 use powergrid::weather::WeatherModel;
+use std::borrow::Cow;
 use std::fmt;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------
@@ -280,11 +282,26 @@ impl StopPolicy for MarginalCostStop {
 // Builder
 // ---------------------------------------------------------------------
 
+/// A campaign's households: a range of a borrowed slab (a zero-copy
+/// fleet shard) or of one converted once from [`Household`]s.
+#[derive(Debug)]
+struct Population<'a> {
+    slab: Cow<'a, PopulationSlab>,
+    households: Range<usize>,
+}
+
+impl Population<'_> {
+    fn view(&self) -> SlabView<'_> {
+        self.slab
+            .view_range(self.households.start, self.households.end)
+    }
+}
+
 /// Fluent configuration of a campaign; [`CampaignBuilder::build`]
 /// validates it and produces a ready [`CampaignRunner`].
 #[derive(Debug)]
 pub struct CampaignBuilder<'a> {
-    population: PopulationRef<'a>,
+    population: Population<'a>,
     weather_model: WeatherModel,
     horizon: Horizon,
     axis: TimeAxis,
@@ -316,22 +333,47 @@ impl<'a> CampaignBuilder<'a> {
     /// β·overuse·… and the paper β saturates below ε before rewards ever
     /// move), a calibrated weather-regression predictor, open-loop
     /// feedback and unconditional negotiation.
+    ///
+    /// The households are converted once into an owned
+    /// [`PopulationSlab`] (through [`PopulationSlab::from_households`]),
+    /// the only population representation a campaign reads; use
+    /// [`CampaignBuilder::new_ref`] to run over a slab that already
+    /// exists without copying it.
     pub fn new(
-        households: &'a [Household],
+        households: &[Household],
         weather_model: &WeatherModel,
         horizon: &Horizon,
     ) -> CampaignBuilder<'a> {
-        CampaignBuilder::new_ref(PopulationRef::Objects(households), weather_model, horizon)
+        let slab = PopulationSlab::from_households(households);
+        let population = Population {
+            households: 0..slab.len(),
+            slab: Cow::Owned(slab),
+        };
+        CampaignBuilder::over(population, weather_model, horizon)
     }
 
-    /// [`CampaignBuilder::new`] over either population backend — hand it
-    /// a [`SlabView`](powergrid::slab::SlabView) (or a whole
-    /// [`PopulationSlab`](powergrid::slab::PopulationSlab) via
-    /// `slab.view().into()`) to run a city-scale cell without
-    /// materialising per-object households; the campaign negotiates
-    /// byte-identically either way.
+    /// [`CampaignBuilder::new`] over a borrowed [`SlabView`] — a whole
+    /// [`PopulationSlab`] (`slab.view()`) or one zero-copy shard of it
+    /// ([`FleetRunner::sharded_slab`](crate::fleet::FleetRunner::sharded_slab)):
+    /// nothing is copied, and the campaign negotiates byte-identically
+    /// to one built with [`CampaignBuilder::new`] from the same
+    /// households.
     pub fn new_ref(
-        population: PopulationRef<'a>,
+        population: SlabView<'a>,
+        weather_model: &WeatherModel,
+        horizon: &Horizon,
+    ) -> CampaignBuilder<'a> {
+        let (slab, households) = population.parts();
+        let population = Population {
+            slab: Cow::Borrowed(slab),
+            households,
+        };
+        CampaignBuilder::over(population, weather_model, horizon)
+    }
+
+    /// The builder defaults over a resolved population.
+    fn over(
+        population: Population<'a>,
         weather_model: &WeatherModel,
         horizon: &Horizon,
     ) -> CampaignBuilder<'a> {
@@ -497,7 +539,10 @@ impl<'a> CampaignBuilder<'a> {
     /// expensive production cost is below the normal cost. Every
     /// configuration panic fires here, never in the deferred synthesis.
     pub fn build(self) -> CampaignRunner<'a> {
-        assert!(!self.population.is_empty(), "a campaign needs households");
+        assert!(
+            !self.population.view().is_empty(),
+            "a campaign needs households"
+        );
         assert!(self.warmup_days > 0, "prediction needs warmup history");
         assert!(
             self.horizon.len() as usize > self.warmup_days,
@@ -573,7 +618,7 @@ impl<'a> CampaignBuilder<'a> {
 /// thread — preparation happens never changes a byte.
 #[derive(Debug)]
 pub struct CampaignRunner<'a> {
-    population: PopulationRef<'a>,
+    population: Population<'a>,
     weather_model: WeatherModel,
     horizon: Horizon,
     axis: TimeAxis,
@@ -640,8 +685,8 @@ impl CampaignRunner<'_> {
     /// first call only, on the calling thread.
     fn prepared(&self) -> &Prepared {
         self.prepared.get_or_init(|| {
-            let (actuals, weathers): (Vec<Series>, Vec<Series>) = simulate_horizon_ref(
-                self.population,
+            let (actuals, weathers): (Vec<Series>, Vec<Series>) = simulate_horizon(
+                self.population.view(),
                 &self.weather_model,
                 &self.horizon,
                 &self.axis,
@@ -999,8 +1044,8 @@ impl CampaignProgress<'_> {
         let scenarios = peaks
             .iter()
             .map(|peak| {
-                let scenario = ScenarioBuilder::from_peak_ref(
-                    self.runner.population,
+                let scenario = ScenarioBuilder::from_peak(
+                    self.runner.population.view(),
                     &self.runner.axis,
                     self.prepared.weathers[d].mean(),
                     peak,
@@ -1065,8 +1110,8 @@ impl CampaignProgress<'_> {
         let mut peaks = Vec::with_capacity(staged.len());
         let mut scenarios = Vec::with_capacity(staged.len());
         for (peak, scale) in staged {
-            let scenario = ScenarioBuilder::from_peak_ref(
-                self.runner.population,
+            let scenario = ScenarioBuilder::from_peak(
+                self.runner.population.view(),
                 &self.runner.axis,
                 self.prepared.weathers[d].mean(),
                 &peak,
@@ -1539,21 +1584,21 @@ mod tests {
     use powergrid::prediction::SeasonalNaive;
     use powergrid::weather::Season;
 
-    fn homes(n: usize, seed: u64) -> Vec<Household> {
-        PopulationBuilder::new().households(n).build(seed)
+    fn slab(n: usize, seed: u64) -> PopulationSlab {
+        PopulationBuilder::new().households(n).build_slab(seed)
     }
 
-    fn small_runner(homes: &[Household]) -> CampaignRunner<'_> {
+    fn small_runner(pop: &PopulationSlab) -> CampaignRunner<'_> {
         let horizon = Horizon::new(6, 0, Season::Winter);
-        CampaignBuilder::new(homes, &WeatherModel::winter(), &horizon)
+        CampaignBuilder::new_ref(pop.view(), &WeatherModel::winter(), &horizon)
             .predictor(FixedPredictor(MovingAverage::new(3)))
             .build()
     }
 
     #[test]
     fn report_covers_every_detected_peak() {
-        let homes = homes(40, 11);
-        let report = small_runner(&homes).run();
+        let pop = slab(40, 11);
+        let report = small_runner(&pop).run();
         let total_peaks: usize = report.days.iter().map(|d| d.peaks.len()).sum();
         assert_eq!(report.negotiations(), total_peaks);
         assert_eq!(report.days_evaluated(), 3, "6-day horizon minus 3 warmup");
@@ -1566,15 +1611,15 @@ mod tests {
 
     #[test]
     fn parallel_run_is_byte_identical_to_sequential() {
-        let homes = homes(40, 11);
-        let runner = small_runner(&homes);
+        let pop = slab(40, 11);
+        let runner = small_runner(&pop);
         assert_eq!(runner.run(), runner.run_sequential());
     }
 
     #[test]
     fn campaign_converges_and_shaves_energy() {
-        let homes = homes(40, 11);
-        let report = small_runner(&homes).run();
+        let pop = slab(40, 11);
+        let report = small_runner(&pop).run();
         assert!(report.all_converged(), "{report}");
         assert!(report.total_energy_shaved().value() > 0.0, "{report}");
         assert!(report.stable_days() < report.days_evaluated());
@@ -1586,17 +1631,17 @@ mod tests {
 
     #[test]
     fn campaigns_are_deterministic() {
-        let homes = homes(40, 11);
-        let a = small_runner(&homes).run();
-        let b = small_runner(&homes).run();
+        let pop = slab(40, 11);
+        let a = small_runner(&pop).run();
+        let b = small_runner(&pop).run();
         assert_eq!(a, b);
     }
 
     #[test]
     fn predictor_choice_changes_the_plan_not_the_guarantees() {
-        let homes = homes(30, 5);
+        let pop = slab(30, 5);
         let horizon = Horizon::new(5, 2, Season::Winter);
-        let report = CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon)
+        let report = CampaignBuilder::new_ref(pop.view(), &WeatherModel::winter(), &horizon)
             .predictor(FixedPredictor(SeasonalNaive))
             .build()
             .run();
@@ -1605,9 +1650,9 @@ mod tests {
 
     #[test]
     fn backtest_policy_picks_a_candidate_and_reports_it() {
-        let homes = homes(30, 5);
+        let pop = slab(30, 5);
         let horizon = Horizon::new(8, 0, Season::Winter);
-        let report = CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon)
+        let report = CampaignBuilder::new_ref(pop.view(), &WeatherModel::winter(), &horizon)
             .warmup_days(4)
             .predictor(BacktestSelected::standard())
             .build()
@@ -1626,9 +1671,9 @@ mod tests {
 
     #[test]
     fn closed_loop_reports_feedback_on_negotiated_days() {
-        let homes = homes(40, 11);
+        let pop = slab(40, 11);
         let horizon = Horizon::new(6, 0, Season::Winter);
-        let report = CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon)
+        let report = CampaignBuilder::new_ref(pop.view(), &WeatherModel::winter(), &horizon)
             .predictor(FixedPredictor(MovingAverage::new(3)))
             .feedback(ClosedLoop)
             .build()
@@ -1650,9 +1695,9 @@ mod tests {
 
     #[test]
     fn economic_stop_status_is_counted() {
-        let homes = homes(40, 11);
+        let pop = slab(40, 11);
         let horizon = Horizon::new(6, 0, Season::Winter);
-        let report = CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon)
+        let report = CampaignBuilder::new_ref(pop.view(), &WeatherModel::winter(), &horizon)
             .predictor(FixedPredictor(MovingAverage::new(3)))
             .stop_rule(MarginalCostStop)
             .build()
@@ -1674,9 +1719,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "leaves nothing to evaluate")]
     fn short_horizon_panics() {
-        let homes = homes(5, 1);
+        let pop = slab(5, 1);
         let horizon = Horizon::new(3, 0, Season::Winter);
-        let _ = CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon).build();
+        let _ = CampaignBuilder::new_ref(pop.view(), &WeatherModel::winter(), &horizon).build();
     }
 
     #[test]
@@ -1689,9 +1734,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "warmup days")]
     fn backtest_selection_needs_two_warmup_days() {
-        let homes = homes(5, 1);
+        let pop = slab(5, 1);
         let horizon = Horizon::new(4, 0, Season::Winter);
-        let _ = CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon)
+        let _ = CampaignBuilder::new_ref(pop.view(), &WeatherModel::winter(), &horizon)
             .warmup_days(1)
             .predictor(BacktestSelected::standard())
             .build();
@@ -1700,9 +1745,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "needs warmup history")]
     fn zero_warmup_panics() {
-        let homes = homes(5, 1);
+        let pop = slab(5, 1);
         let horizon = Horizon::new(4, 0, Season::Winter);
-        let _ = CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon)
+        let _ = CampaignBuilder::new_ref(pop.view(), &WeatherModel::winter(), &horizon)
             .warmup_days(0)
             .build();
     }
@@ -1710,9 +1755,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "should not be cheaper")]
     fn inverted_production_costs_panic_at_build() {
-        let homes = homes(5, 1);
+        let pop = slab(5, 1);
         let horizon = Horizon::new(6, 0, Season::Winter);
-        let _ = CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon)
+        let _ = CampaignBuilder::new_ref(pop.view(), &WeatherModel::winter(), &horizon)
             .production_costs(PricePerKwh(0.30), PricePerKwh(0.10))
             .build();
     }
@@ -1720,17 +1765,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity factor")]
     fn negative_capacity_factor_panics_at_build() {
-        let homes = homes(5, 1);
+        let pop = slab(5, 1);
         let horizon = Horizon::new(6, 0, Season::Winter);
-        let _ = CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon)
+        let _ = CampaignBuilder::new_ref(pop.view(), &WeatherModel::winter(), &horizon)
             .capacity_factor(-0.5)
             .build();
     }
 
     #[test]
     fn preparation_runs_once_per_runner() {
-        let homes = homes(40, 11);
-        let runner = small_runner(&homes);
+        let pop = slab(40, 11);
+        let runner = small_runner(&pop);
         let producer = runner.producer();
         let _ = runner.run();
         assert!(std::ptr::eq(producer, runner.producer()));

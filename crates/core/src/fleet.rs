@@ -66,7 +66,7 @@ use crate::execution::{ExecutionMode, NetworkTraffic};
 use crate::session::{NegotiationReport, ReportTier};
 use crate::sweep::WorkerPool;
 use crate::sync_driver::NegotiationScratch;
-use powergrid::slab::{PopulationRef, PopulationSlab};
+use powergrid::slab::{PopulationSlab, SlabView};
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -108,7 +108,7 @@ impl<'a> FleetRunner<'a> {
     }
 
     /// Shards one [`PopulationSlab`] across `cells` contiguous,
-    /// zero-copy [`SlabView`](powergrid::slab::SlabView)s (via
+    /// zero-copy [`SlabView`]s (via
     /// [`PopulationSlab::shards`]) and adds one campaign cell per shard,
     /// labelled `shard-<i>`. `configure` builds each shard's
     /// [`CampaignRunner`] from its population view — typically
@@ -124,10 +124,10 @@ impl<'a> FleetRunner<'a> {
         mut self,
         slab: &'a PopulationSlab,
         cells: usize,
-        mut configure: impl FnMut(PopulationRef<'a>, usize) -> CampaignRunner<'a>,
+        mut configure: impl FnMut(SlabView<'a>, usize) -> CampaignRunner<'a>,
     ) -> Self {
         for (i, shard) in slab.shards(cells).into_iter().enumerate() {
-            let runner = configure(PopulationRef::Slab(shard), i);
+            let runner = configure(shard, i);
             self = self.cell(format!("shard-{i}"), runner);
         }
         self
@@ -665,32 +665,26 @@ mod tests {
         let builder = PopulationBuilder::new().households(23);
         let slab = builder.build_slab(9);
         let homes = builder.build(9);
-        fn build<'a>(
-            pop: PopulationRef<'a>,
-            weather: &'a WeatherModel,
-            horizon: &'a Horizon,
-        ) -> CampaignRunner<'a> {
-            CampaignBuilder::new_ref(pop, weather, horizon)
+        fn build(builder: CampaignBuilder<'_>) -> CampaignRunner<'_> {
+            builder
                 .warmup_days(2)
                 .predictor(FixedPredictor(MovingAverage::new(2)))
                 .feedback(ClosedLoop)
                 .build()
         }
-        let slab_fleet =
-            FleetRunner::new().sharded_slab(&slab, 3, |pop, _| build(pop, &weather, &horizon));
-        // Same cells, built from contiguous object slices at the same
-        // offsets — household ids and every derived byte must agree.
+        let slab_fleet = FleetRunner::new().sharded_slab(&slab, 3, |shard, _| {
+            build(CampaignBuilder::new_ref(shard, &weather, &horizon))
+        });
+        // Same cells, each converting its own contiguous household slice
+        // (at the same offsets) into an owned slab — ownership and shard
+        // offsets must not change a byte.
         let mut object_fleet = FleetRunner::new();
         let mut start = 0;
         for (i, shard) in slab.shards(3).into_iter().enumerate() {
             let end = start + shard.len();
             object_fleet = object_fleet.cell(
                 format!("shard-{i}"),
-                build(
-                    PopulationRef::Objects(&homes[start..end]),
-                    &weather,
-                    &horizon,
-                ),
+                build(CampaignBuilder::new(&homes[start..end], &weather, &horizon)),
             );
             start = end;
         }

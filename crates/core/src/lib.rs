@@ -94,18 +94,14 @@
 //! 1. **Simulate** — a [`powergrid::population::PopulationBuilder`]
 //!    population under a [`powergrid::weather::WeatherModel`] over a
 //!    [`powergrid::calendar::Horizon`] yields per-slot demand for every
-//!    day ([`powergrid::demand::simulate_horizon`]). The population
-//!    arrives through either backend of
-//!    [`powergrid::slab::PopulationRef`]: per-object
-//!    [`powergrid::household::Household`] trees, or the
-//!    struct-of-arrays [`powergrid::slab::PopulationSlab`]
-//!    (`PopulationBuilder::build_slab`) whose batched kernels make
-//!    city-scale populations practical on one box — byte-identical
-//!    results either way, so every campaign layer
-//!    ([`campaign::CampaignBuilder::new_ref`],
-//!    [`session::ScenarioBuilder::from_peak_ref`],
-//!    [`powergrid::demand::simulate_horizon_ref`]) is
-//!    backend-agnostic. Synthesis does not run in
+//!    day ([`powergrid::demand::simulate_horizon`]). A campaign reads
+//!    its population only as a [`powergrid::slab::SlabView`] of a
+//!    struct-of-arrays [`powergrid::slab::PopulationSlab`], whose
+//!    batched kernels make city-scale populations practical on one
+//!    box: [`campaign::CampaignBuilder::new_ref`] borrows a slab range
+//!    zero-copy, and [`campaign::CampaignBuilder::new`] converts a
+//!    [`powergrid::household::Household`] slice into an owned slab
+//!    once. Synthesis does not run in
 //!    [`campaign::CampaignBuilder::build`], which only validates: it
 //!    runs once, memoised, on the runner's first
 //!    [`campaign::CampaignRunner::progress`] — in a fleet, on the
@@ -210,12 +206,13 @@
 //! their bid vectors into the report instead of cloning them, and each
 //! round's reward table is snapshotted exactly once (shared `Arc` in
 //! [`message::Msg::Announce`] and [`session::RoundRecord`]). The demand
-//! hot path underneath —
-//! [`powergrid::household::Household::demand_profile_with`] /
-//! [`powergrid::device::Device::load_profile_into`] — writes into
-//! reusable [`powergrid::household::DemandScratch`] buffers, so
-//! scenario derivation allocates nothing per device per household per
-//! day (E15).
+//! hot path underneath — the [`powergrid::slab`] kernels — sweeps the
+//! slab's contiguous columns against one reusable
+//! [`powergrid::slab::DemandScratch`] per campaign stage (duty shapes
+//! computed once per resolution, per-household accumulators reused),
+//! so neither horizon synthesis nor scenario derivation allocates per
+//! device per household per day (E20 times the kernel against the
+//! allocating `Household` reference fold).
 //!
 //! The full pipeline: grid → prediction → peaks → scenarios → campaign
 //! → fleet → **tiered report / archive**.

@@ -13,6 +13,7 @@ use crate::methods::AnnouncementMethod;
 use crate::preferences::CustomerPreferences;
 use crate::reward::{overuse_fraction, RewardTable};
 use crate::utility_agent::UtilityAgentConfig;
+use powergrid::slab::{interval_flexibility_slab, DemandScratch, SlabView};
 use powergrid::tariff::Tariff;
 use powergrid::time::Interval;
 use powergrid::units::{Fraction, KilowattHours, Money};
@@ -631,67 +632,20 @@ impl ScenarioBuilder {
     /// ([`powergrid::calendar::DayType::intensity_factor`]: 1.0 on
     /// weekdays, 1.08 on weekends) — without it, weekend scenarios would
     /// understate the demand that caused the peak.
+    ///
+    /// Each household's `(usage, potential)` comes from the batched
+    /// [`interval_flexibility_slab`] kernel, swept over the peak's slots
+    /// only, against a `scratch` the caller reuses across peaks and days
+    /// (a campaign keeps one per cell).
+    #[allow(clippy::too_many_arguments)]
     pub fn from_peak(
-        households: &[powergrid::household::Household],
+        population: SlabView<'_>,
         axis: &powergrid::time::TimeAxis,
         mean_temp: f64,
         peak: &powergrid::peak::Peak,
         seed: u64,
         demand_scale: f64,
-    ) -> ScenarioBuilder {
-        let mut scratch = powergrid::household::DemandScratch::new(axis);
-        ScenarioBuilder::from_peak_with(
-            households,
-            axis,
-            mean_temp,
-            peak,
-            seed,
-            demand_scale,
-            &mut scratch,
-        )
-    }
-
-    /// [`ScenarioBuilder::from_peak`] against a reusable
-    /// [`DemandScratch`](powergrid::household::DemandScratch) —
-    /// byte-identical, but a campaign day loop (or fleet worker) reuses
-    /// one scratch across every household of every peak of every day
-    /// instead of allocating per call. This is the scenario-derivation
-    /// hot path: one device profile per household per peak.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_peak_with(
-        households: &[powergrid::household::Household],
-        axis: &powergrid::time::TimeAxis,
-        mean_temp: f64,
-        peak: &powergrid::peak::Peak,
-        seed: u64,
-        demand_scale: f64,
-        scratch: &mut powergrid::household::DemandScratch,
-    ) -> ScenarioBuilder {
-        ScenarioBuilder::from_peak_ref(
-            powergrid::slab::PopulationRef::Objects(households),
-            axis,
-            mean_temp,
-            peak,
-            seed,
-            demand_scale,
-            scratch,
-        )
-    }
-
-    /// [`ScenarioBuilder::from_peak_with`] over either population
-    /// backend ([`PopulationRef`](powergrid::slab::PopulationRef)) —
-    /// the slab arm derives the same customers through the batched
-    /// [`interval_flexibility_slab`](powergrid::slab::interval_flexibility_slab)
-    /// kernel, byte-identical to the per-object arm.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_peak_ref(
-        population: powergrid::slab::PopulationRef<'_>,
-        axis: &powergrid::time::TimeAxis,
-        mean_temp: f64,
-        peak: &powergrid::peak::Peak,
-        seed: u64,
-        demand_scale: f64,
-        scratch: &mut powergrid::household::DemandScratch,
+        scratch: &mut DemandScratch,
     ) -> ScenarioBuilder {
         assert!(
             demand_scale > 0.0 && demand_scale.is_finite(),
@@ -700,7 +654,8 @@ impl ScenarioBuilder {
         let interval = peak.interval;
         let day_share = interval.hours(*axis) / 24.0;
         let mut customers = Vec::with_capacity(population.len());
-        population.interval_flexibility_for_each(
+        interval_flexibility_slab(
+            population,
             axis,
             mean_temp,
             seed,
@@ -893,22 +848,30 @@ mod tests {
     fn from_peak_is_deterministic_and_physically_grounded() {
         use powergrid::peak::Peak;
         use powergrid::population::PopulationBuilder;
+        use powergrid::slab::PopulationSlab;
         use powergrid::time::{TimeAxis, TimeOfDay};
         use powergrid::units::KilowattHours;
         let axis = TimeAxis::quarter_hourly();
         let homes = PopulationBuilder::new().households(25).build(4);
+        let slab = PopulationSlab::from_households(&homes);
         let interval = axis.between(TimeOfDay::hm(17, 0).unwrap(), TimeOfDay::hm(20, 0).unwrap());
         let peak = Peak {
             interval,
             predicted_overuse: KilowattHours(30.0),
             normal_use: KilowattHours(100.0),
         };
-        let a = ScenarioBuilder::from_peak(&homes, &axis, -4.0, &peak, 9, 1.0).build();
-        let b = ScenarioBuilder::from_peak(&homes, &axis, -4.0, &peak, 9, 1.0).build();
+        // One scratch across consecutive peaks, as a campaign reuses it.
+        let mut scratch = DemandScratch::new(&axis);
+        let mut from_peak = |scale| {
+            ScenarioBuilder::from_peak(slab.view(), &axis, -4.0, &peak, 9, scale, &mut scratch)
+                .build()
+        };
+        let a = from_peak(1.0);
+        let b = from_peak(1.0);
         assert_eq!(a, b, "same population + peak ⇒ identical scenario");
+        let weekend = from_peak(1.08);
         // The weekend intensity factor scales predicted demand (the
         // ceiling fraction is scale-invariant).
-        let weekend = ScenarioBuilder::from_peak(&homes, &axis, -4.0, &peak, 9, 1.08).build();
         for (w, c) in weekend.customers.iter().zip(&a.customers) {
             assert!(
                 (w.predicted_use.value() - 1.08 * c.predicted_use.value()).abs() < 1e-9,
@@ -951,37 +914,6 @@ mod tests {
                 w[0].1 >= w[1].1,
                 "flexibility up ⇒ required reward down: {pairs:?}"
             );
-        }
-    }
-
-    #[test]
-    fn from_peak_with_scratch_matches_allocating_path() {
-        use powergrid::household::DemandScratch;
-        use powergrid::peak::Peak;
-        use powergrid::population::PopulationBuilder;
-        use powergrid::time::{TimeAxis, TimeOfDay};
-        let axis = TimeAxis::quarter_hourly();
-        let homes = PopulationBuilder::new().households(30).build(6);
-        let peak = Peak {
-            interval: axis.between(TimeOfDay::hm(18, 0).unwrap(), TimeOfDay::hm(20, 0).unwrap()),
-            predicted_overuse: KilowattHours(25.0),
-            normal_use: KilowattHours(110.0),
-        };
-        let mut scratch = DemandScratch::new(&axis);
-        // Scratch reuse across consecutive peaks must not leak state.
-        for seed in [2u64, 2, 9] {
-            let fresh = ScenarioBuilder::from_peak(&homes, &axis, -6.0, &peak, seed, 1.08).build();
-            let reused = ScenarioBuilder::from_peak_with(
-                &homes,
-                &axis,
-                -6.0,
-                &peak,
-                seed,
-                1.08,
-                &mut scratch,
-            )
-            .build();
-            assert_eq!(fresh, reused, "seed {seed}");
         }
     }
 

@@ -4,10 +4,10 @@
 //! demand curve with an evening peak; where it exceeds normal production
 //! capacity, the expensive production band of Figure 1 is entered.
 
-use crate::household::{DemandScratch, Household};
+use crate::household::Household;
 use crate::production::ProductionModel;
 use crate::series::Series;
-use crate::slab::{aggregate_demand_slab_with, PopulationRef};
+use crate::slab::{aggregate_demand_slab_with, DemandScratch, SlabView};
 use crate::time::{Interval, TimeAxis};
 use crate::units::KilowattHours;
 use crate::weather::WeatherModel;
@@ -15,10 +15,11 @@ use serde::{Deserialize, Serialize};
 
 /// Aggregates household demand for a day with the given weather.
 ///
-/// The returned series is in kWh per slot over all households. One
-/// [`DemandScratch`] is reused across the whole population, so the hot
-/// path allocates nothing per household (byte-identical to summing
-/// [`Household::demand_profile`] calls).
+/// The returned series is in kWh per slot over all households: the
+/// plain fold of [`Household::demand_profile`], household by household.
+/// It is the reference the slab kernel
+/// ([`aggregate_demand_slab`](crate::slab::aggregate_demand_slab)) is
+/// pinned byte-identical to; pipelines synthesise through the kernel.
 pub fn aggregate_demand(
     households: &[Household],
     weather: &Series,
@@ -27,33 +28,10 @@ pub fn aggregate_demand(
 ) -> DemandCurve {
     let mean_temp = weather.mean();
     let mut total = Series::zeros(*axis);
-    let mut scratch = DemandScratch::new(axis);
     for h in households {
-        let profile = h.demand_profile_with(axis, mean_temp, seed, &mut scratch);
-        for (slot, load) in total.values_mut().iter_mut().zip(profile) {
-            *slot += load;
-        }
+        total.accumulate(&h.demand_profile(axis, mean_temp, seed));
     }
     DemandCurve::new(total)
-}
-
-/// [`aggregate_demand`] over either population backend — dispatches to
-/// the per-object path or the batched slab kernel
-/// ([`aggregate_demand_slab_with`]); both produce bit-for-bit the same
-/// curve for the same population.
-pub fn aggregate_demand_ref(
-    population: PopulationRef<'_>,
-    weather: &Series,
-    axis: &TimeAxis,
-    seed: u64,
-) -> DemandCurve {
-    match population {
-        PopulationRef::Objects(households) => aggregate_demand(households, weather, axis, seed),
-        PopulationRef::Slab(view) => {
-            let mut scratch = DemandScratch::new(axis);
-            aggregate_demand_slab_with(view, weather, axis, seed, &mut scratch)
-        }
-    }
 }
 
 /// Convenience: demand for a weather model rather than a realised series.
@@ -190,33 +168,26 @@ impl DemandCurve {
     }
 }
 
-/// Simulates demand over a multi-day [`Horizon`](crate::calendar::Horizon):
-/// one curve per day, with weekday/weekend intensity factors applied and
-/// the day index seeding per-day weather and jitter.
+/// Simulates the viewed households' demand over a multi-day
+/// [`Horizon`](crate::calendar::Horizon): one curve per day, with
+/// weekday/weekend intensity factors applied and the day index seeding
+/// per-day weather and jitter. One [`DemandScratch`] serves every day,
+/// so the duty shapes are computed once per horizon.
 ///
 /// Returns `(demand, weather)` series pairs, one per day.
 pub fn simulate_horizon(
-    households: &[Household],
+    population: SlabView<'_>,
     model: &WeatherModel,
     horizon: &crate::calendar::Horizon,
     axis: &TimeAxis,
 ) -> Vec<(DemandCurve, Series)> {
-    simulate_horizon_ref(PopulationRef::Objects(households), model, horizon, axis)
-}
-
-/// [`simulate_horizon`] over either population backend — byte-identical
-/// across backends day by day.
-pub fn simulate_horizon_ref(
-    population: PopulationRef<'_>,
-    model: &WeatherModel,
-    horizon: &crate::calendar::Horizon,
-    axis: &TimeAxis,
-) -> Vec<(DemandCurve, Series)> {
+    let mut scratch = DemandScratch::new(axis);
     horizon
         .days()
         .map(|day| {
             let weather = model.temperatures(axis, day.index);
-            let base = aggregate_demand_ref(population, &weather, axis, day.index);
+            let base =
+                aggregate_demand_slab_with(population, &weather, axis, day.index, &mut scratch);
             let curve = DemandCurve::new(base.series().scale(day.day_type.intensity_factor()));
             (curve, weather)
         })
@@ -330,9 +301,10 @@ mod tests {
     #[test]
     fn horizon_simulation_produces_one_curve_per_day() {
         let axis = TimeAxis::hourly();
-        let homes = PopulationBuilder::new().households(20).build(5);
+        let builder = PopulationBuilder::new().households(20);
+        let slab = builder.build_slab(5);
         let horizon = Horizon::new(7, 0, Season::Winter);
-        let days = simulate_horizon(&homes, &WeatherModel::winter(), &horizon, &axis);
+        let days = simulate_horizon(slab.view(), &WeatherModel::winter(), &horizon, &axis);
         assert_eq!(days.len(), 7);
         for (curve, weather) in &days {
             assert_eq!(curve.len(), 24);
@@ -342,17 +314,26 @@ mod tests {
         // Weekend days (indices 5, 6 from a Monday start) carry the
         // weekend intensity factor versus the same-seed weekday baseline.
         let weekday_equivalent =
-            aggregate_demand_for_model(&homes, &WeatherModel::winter(), &axis, 5);
+            aggregate_demand_for_model(&builder.build(5), &WeatherModel::winter(), &axis, 5);
         assert!(days[5].0.total() > weekday_equivalent.total());
     }
 
     #[test]
-    fn horizon_simulation_is_deterministic() {
+    fn horizon_simulation_is_deterministic_and_matches_the_oracle() {
         let axis = TimeAxis::hourly();
-        let homes = PopulationBuilder::new().households(10).build(1);
+        let builder = PopulationBuilder::new().households(10);
+        let slab = builder.build_slab(1);
+        let homes = builder.build(1);
         let horizon = Horizon::new(3, 2, Season::Autumn);
-        let a = simulate_horizon(&homes, &WeatherModel::winter(), &horizon, &axis);
-        let b = simulate_horizon(&homes, &WeatherModel::winter(), &horizon, &axis);
+        let a = simulate_horizon(slab.view(), &WeatherModel::winter(), &horizon, &axis);
+        let b = simulate_horizon(slab.view(), &WeatherModel::winter(), &horizon, &axis);
         assert_eq!(a, b);
+        // One scratch threaded through every day leaks nothing between
+        // them: each day is the household oracle's curve, scaled.
+        for (day, (curve, weather)) in horizon.days().zip(&a) {
+            let oracle = aggregate_demand(&homes, weather, &axis, day.index);
+            let scaled = oracle.series().scale(day.day_type.intensity_factor());
+            assert_eq!(curve.series(), &scaled);
+        }
     }
 }

@@ -83,12 +83,24 @@ impl DeviceKind {
         matches!(self, DeviceKind::SpaceHeating | DeviceKind::WaterHeater)
     }
 
+    /// The load multiplier a day with mean outdoor temperature
+    /// `mean_temp` °C applies to the kind: heating demand grows roughly
+    /// linearly below a 16 °C balance point, ~4.5% extra load per degree
+    /// below it; other kinds ignore the weather.
+    pub(crate) fn temperature_factor(self, mean_temp: f64) -> f64 {
+        if self.is_temperature_sensitive() {
+            1.0f64.max(1.0 + 0.045 * (16.0 - mean_temp))
+        } else {
+            1.0
+        }
+    }
+
     /// Fills `shape` with the duty cycle evaluated at each slot midpoint
     /// of a day discretised into `shape.len()` slots — the same
     /// evaluation grid as [`Series::from_fn`]. The shape depends only on
     /// the kind and the resolution, never on weather or household, so
-    /// hot paths compute it once per kind and reuse it all day (see
-    /// [`crate::household::DemandScratch`]).
+    /// the slab kernels compute it once per kind and reuse it all season
+    /// (see [`crate::slab::DemandScratch`]).
     pub fn duty_shape_into(self, shape: &mut [f64]) {
         let n = shape.len();
         for (i, slot) in shape.iter_mut().enumerate() {
@@ -216,108 +228,16 @@ impl Device {
     /// temperature `mean_temp` °C; `intensity` scales overall usage
     /// (occupancy, habits).
     pub fn load_profile(&self, axis: &TimeAxis, mean_temp: f64, intensity: f64) -> Series {
-        let mut values = vec![0.0; axis.slots_per_day()];
-        self.load_profile_into(&mut values, axis, mean_temp, intensity);
-        Series::from_values(*axis, values)
-    }
-
-    /// Writes the device's load (kWh per slot) into a caller-owned
-    /// buffer — the allocation-free core of [`Device::load_profile`],
-    /// byte-identical to it. This is the innermost loop of demand
-    /// simulation (one call per device per household per day), so fleet
-    /// runners reuse one scratch buffer across all of them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` differs from `axis.slots_per_day()`.
-    pub fn load_profile_into(
-        &self,
-        out: &mut [f64],
-        axis: &TimeAxis,
-        mean_temp: f64,
-        intensity: f64,
-    ) {
-        let n = axis.slots_per_day();
-        assert_eq!(
-            out.len(),
-            n,
-            "load buffer of {} slots does not match axis with {} slots",
-            out.len(),
-            n
-        );
-        let temp_factor = if self.kind.is_temperature_sensitive() {
-            // Heating demand grows roughly linearly below a 16 °C balance
-            // point; ~4.5% extra load per degree below it.
-            1.0f64.max(1.0 + 0.045 * (16.0 - mean_temp))
-        } else {
-            1.0
-        };
-        let power = self.rated_power.value() * intensity * temp_factor;
+        let power = self.rated_power.value() * intensity * self.kind.temperature_factor(mean_temp);
         let slot_hours = axis.slot_hours();
-        for (i, slot) in out.iter_mut().enumerate() {
-            // Same slot-midpoint evaluation as `Series::from_fn`.
-            let t = (i as f64 + 0.5) / n as f64;
-            *slot = power * self.kind.duty_cycle(t) * slot_hours;
-        }
-    }
-
-    /// [`Device::load_profile_into`] with the kind's duty shape already
-    /// evaluated (by [`DeviceKind::duty_shape_into`] at the same
-    /// resolution as `out`) — byte-identical, but the transcendental
-    /// duty-cycle math is hoisted out of the per-household loop. This is
-    /// what makes the scratch-reusing demand path fast: the shape is
-    /// computed once per kind, then every household's load is a pure
-    /// scale of it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` or `shape.len()` differ from
-    /// `axis.slots_per_day()`.
-    pub fn load_profile_from_shape(
-        &self,
-        out: &mut [f64],
-        shape: &[f64],
-        axis: &TimeAxis,
-        mean_temp: f64,
-        intensity: f64,
-    ) {
-        let n = axis.slots_per_day();
-        assert_eq!(
-            out.len(),
-            n,
-            "load buffer of {} slots does not match axis with {n} slots",
-            out.len()
-        );
-        assert_eq!(
-            shape.len(),
-            n,
-            "duty shape of {} slots does not match axis with {n} slots",
-            shape.len()
-        );
-        let temp_factor = if self.kind.is_temperature_sensitive() {
-            1.0f64.max(1.0 + 0.045 * (16.0 - mean_temp))
-        } else {
-            1.0
-        };
-        let power = self.rated_power.value() * intensity * temp_factor;
-        let slot_hours = axis.slot_hours();
-        for (slot, &duty) in out.iter_mut().zip(shape) {
-            *slot = power * duty * slot_hours;
-        }
+        Series::from_fn(*axis, |t| power * self.kind.duty_cycle(t) * slot_hours)
     }
 
     /// Energy this device could save over `interval` on a day with the
-    /// given load profile: flexibility × its energy during the interval.
+    /// given load profile: flexibility × its energy during the interval
+    /// (clipped to the day).
     pub fn saving_potential(&self, load: &Series, interval: Interval) -> KilowattHours {
-        self.saving_potential_over(load.values(), interval)
-    }
-
-    /// [`Device::saving_potential`] on a raw per-slot buffer (as filled
-    /// by [`Device::load_profile_into`]); the interval is clipped to the
-    /// buffer length.
-    pub fn saving_potential_over(&self, load: &[f64], interval: Interval) -> KilowattHours {
-        let clipped = interval.intersect(Interval::new(0, load.len()));
-        self.flexibility * KilowattHours(clipped.iter().map(|i| load[i]).sum())
+        self.flexibility * load.energy_over(interval)
     }
 }
 
@@ -404,62 +324,6 @@ mod tests {
         let load2 = flexible.load_profile(&axis, 0.0, 1.0);
         let potential = flexible.saving_potential(&load2, evening);
         assert_eq!(potential, load2.energy_over(evening));
-    }
-
-    #[test]
-    fn load_profile_into_is_byte_identical_to_allocating() {
-        let axis = TimeAxis::quarter_hourly();
-        for kind in DeviceKind::all() {
-            let d = Device::typical(kind);
-            let series = d.load_profile(&axis, -7.0, 1.3);
-            let mut buf = vec![f64::NAN; axis.slots_per_day()];
-            d.load_profile_into(&mut buf, &axis, -7.0, 1.3);
-            assert_eq!(series.values(), &buf[..], "{kind}");
-            let iv = Interval::new(68, 84);
-            assert_eq!(
-                d.saving_potential(&series, iv),
-                d.saving_potential_over(&buf, iv),
-                "{kind}"
-            );
-        }
-    }
-
-    #[test]
-    fn load_profile_from_shape_is_byte_identical() {
-        let axis = TimeAxis::quarter_hourly();
-        let n = axis.slots_per_day();
-        for kind in DeviceKind::all() {
-            let d = Device::typical(kind);
-            let mut shape = vec![0.0; n];
-            kind.duty_shape_into(&mut shape);
-            let mut direct = vec![0.0; n];
-            d.load_profile_into(&mut direct, &axis, -7.0, 1.3);
-            let mut via_shape = vec![f64::NAN; n];
-            d.load_profile_from_shape(&mut via_shape, &shape, &axis, -7.0, 1.3);
-            assert_eq!(direct, via_shape, "{kind}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "duty shape of 10 slots")]
-    fn load_profile_from_shape_checks_shape_length() {
-        let axis = TimeAxis::hourly();
-        let mut out = vec![0.0; 24];
-        let shape = vec![0.0; 10];
-        Device::typical(DeviceKind::Other)
-            .load_profile_from_shape(&mut out, &shape, &axis, 0.0, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match axis")]
-    fn load_profile_into_checks_buffer_length() {
-        let mut buf = vec![0.0; 10];
-        Device::typical(DeviceKind::Lighting).load_profile_into(
-            &mut buf,
-            &TimeAxis::hourly(),
-            0.0,
-            1.0,
-        );
     }
 
     #[test]

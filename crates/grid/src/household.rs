@@ -26,75 +26,11 @@ impl fmt::Display for HouseholdId {
     }
 }
 
-/// Reusable scratch buffers for the allocation-free demand hot path.
-///
-/// Simulating one day of one household allocates nothing once a scratch
-/// lives outside the loop: [`Household::demand_profile_with`] and
-/// [`Household::interval_flexibility_with`] write into these buffers
-/// instead of building a fresh [`Series`] per device per household per
-/// day. Campaign day loops and fleet runners keep one scratch per
-/// worker and reuse it across households, peaks and days.
-///
-/// The buffers resize lazily, so one scratch can serve axes of
-/// different resolutions.
-#[derive(Debug, Clone, Default)]
-pub struct DemandScratch {
-    /// Accumulated household demand (kWh per slot).
-    pub(crate) total: Vec<f64>,
-    /// The single device profile being accumulated.
-    pub(crate) device: Vec<f64>,
-    /// Duty-cycle shapes per device kind at the current resolution —
-    /// the transcendental part of a load profile, which depends only on
-    /// `(kind, resolution)` and is therefore shared across households,
-    /// days and peaks. Populated lazily; cleared when the resolution
-    /// changes.
-    pub(crate) shapes: Vec<(DeviceKind, Vec<f64>)>,
-}
-
-impl DemandScratch {
-    /// Scratch buffers sized for `axis` (they grow on demand if later
-    /// used with a finer axis).
-    pub fn new(axis: &TimeAxis) -> DemandScratch {
-        let n = axis.slots_per_day();
-        DemandScratch {
-            total: vec![0.0; n],
-            device: vec![0.0; n],
-            shapes: Vec::new(),
-        }
-    }
-
-    /// The most recently computed household demand profile (kWh per
-    /// slot), as left behind by [`Household::demand_profile_with`].
-    pub fn total(&self) -> &[f64] {
-        &self.total
-    }
-
-    pub(crate) fn ensure(&mut self, n: usize) {
-        if self.total.len() != n {
-            self.total.resize(n, 0.0);
-            self.shapes.clear();
-        }
-        if self.device.len() != n {
-            self.device.resize(n, 0.0);
-        }
-    }
-}
-
-/// The cached duty shape for `kind` at resolution `n`, computing it on
-/// first use. Free-standing so callers can hold disjoint borrows of the
-/// scratch's other buffers.
-pub(crate) fn shape_of(
-    shapes: &mut Vec<(DeviceKind, Vec<f64>)>,
-    kind: DeviceKind,
-    n: usize,
-) -> &[f64] {
-    if let Some(pos) = shapes.iter().position(|(k, _)| *k == kind) {
-        return &shapes[pos].1;
-    }
-    let mut shape = vec![0.0; n];
-    kind.duty_shape_into(&mut shape);
-    shapes.push((kind, shape));
-    &shapes.last().expect("just pushed").1
+/// The per-household jitter RNG: one draw per device, in device-list
+/// order. Shared by the [`Household`] reference folds and the slab
+/// kernels, so both see the same stream.
+pub(crate) fn jitter_rng(seed: u64, id: u64) -> StdRng {
+    StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(id))
 }
 
 /// The shared standard equipment list for a household of `occupants`:
@@ -225,87 +161,35 @@ impl Household {
     /// temperature `mean_temp` °C. Seeded per-household jitter makes
     /// different households differ even with identical equipment.
     ///
-    /// A thin allocating wrapper over
-    /// [`Household::demand_profile_into`]; callers in a loop should keep
-    /// a [`DemandScratch`] and use [`Household::demand_profile_with`]
-    /// instead (byte-identical output, no allocation per household).
+    /// This is the readable reference oracle: one allocated
+    /// [`Device::load_profile`] per device, summed slot by slot in
+    /// device-list order. Pipelines synthesise demand through the
+    /// [`crate::slab`] kernels instead, which the proptests pin
+    /// byte-identical to this fold.
     pub fn demand_profile(&self, axis: &TimeAxis, mean_temp: f64, seed: u64) -> Series {
-        let mut out = vec![0.0; axis.slots_per_day()];
-        let mut device = vec![0.0; axis.slots_per_day()];
-        self.demand_profile_into(axis, mean_temp, seed, &mut out, &mut device);
-        Series::from_values(*axis, out)
+        let mut total = Series::zeros(*axis);
+        for (_, load) in self.device_loads(axis, mean_temp, seed) {
+            total.accumulate(&load);
+        }
+        total
     }
 
-    /// Writes the household's demand profile into `out`, using `device`
-    /// as per-device scratch — the allocation-free core of
-    /// [`Household::demand_profile`], byte-identical to it (same jitter
-    /// stream, same per-slot accumulation order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` or `device.len()` differ from
-    /// `axis.slots_per_day()` (via [`Device::load_profile_into`]).
-    pub fn demand_profile_into(
-        &self,
-        axis: &TimeAxis,
+    /// Each device with its load profile for the day, in device-list
+    /// order — one jitter draw per device, in that order.
+    fn device_loads<'s>(
+        &'s self,
+        axis: &'s TimeAxis,
         mean_temp: f64,
         seed: u64,
-        out: &mut [f64],
-        device: &mut [f64],
-    ) {
-        assert_eq!(
-            out.len(),
-            axis.slots_per_day(),
-            "demand buffer of {} slots does not match axis with {} slots",
-            out.len(),
-            axis.slots_per_day()
-        );
-        out.fill(0.0);
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(self.id.0));
-        for dev in &self.devices {
+    ) -> impl Iterator<Item = (&'s Device, Series)> + 's {
+        let mut rng = jitter_rng(seed, self.id.0);
+        self.devices.iter().map(move |dev| {
             let jitter = rng.gen_range(0.85..1.15);
-            dev.load_profile_into(device, axis, mean_temp, self.intensity * jitter);
-            for (slot, load) in out.iter_mut().zip(device.iter()) {
-                *slot += load;
-            }
-        }
-    }
-
-    /// [`Household::demand_profile_into`] against a reusable
-    /// [`DemandScratch`]; returns the computed profile (kWh per slot),
-    /// which also stays readable as [`DemandScratch::total`] until the
-    /// scratch is next written.
-    ///
-    /// Byte-identical to [`Household::demand_profile`], but on top of
-    /// allocating nothing it reuses the scratch's cached per-kind duty
-    /// shapes, hoisting the transcendental time-of-day math out of the
-    /// per-household loop entirely — the measurable hot-path win for
-    /// fleet-scale simulation.
-    pub fn demand_profile_with<'s>(
-        &self,
-        axis: &TimeAxis,
-        mean_temp: f64,
-        seed: u64,
-        scratch: &'s mut DemandScratch,
-    ) -> &'s [f64] {
-        let n = axis.slots_per_day();
-        scratch.ensure(n);
-        let DemandScratch {
-            total,
-            device,
-            shapes,
-        } = scratch;
-        total.fill(0.0);
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(self.id.0));
-        for dev in &self.devices {
-            let jitter = rng.gen_range(0.85..1.15);
-            let shape = shape_of(shapes, dev.kind(), n);
-            dev.load_profile_from_shape(device, shape, axis, mean_temp, self.intensity * jitter);
-            for (slot, load) in total.iter_mut().zip(device.iter()) {
-                *slot += load;
-            }
-        }
-        &scratch.total
+            (
+                dev,
+                dev.load_profile(axis, mean_temp, self.intensity * jitter),
+            )
+        })
     }
 
     /// Energy the household could shed over `interval` given its devices'
@@ -326,10 +210,9 @@ impl Household {
     ///
     /// Byte-identical to calling [`Household::demand_profile`] (then
     /// [`Series::energy_over`]) and [`Household::saving_potential`]
-    /// separately — same jitter stream, same accumulation order — but
-    /// each device's load profile is generated once instead of twice.
-    /// This is the hot path of scenario derivation: one call per
-    /// household per detected peak.
+    /// separately — the reference the scenario-derivation kernel
+    /// [`interval_flexibility_slab`](crate::slab::interval_flexibility_slab)
+    /// is pinned against.
     pub fn interval_flexibility(
         &self,
         axis: &TimeAxis,
@@ -337,44 +220,13 @@ impl Household {
         seed: u64,
         interval: Interval,
     ) -> (KilowattHours, KilowattHours) {
-        let mut scratch = DemandScratch::new(axis);
-        self.interval_flexibility_with(axis, mean_temp, seed, interval, &mut scratch)
-    }
-
-    /// [`Household::interval_flexibility`] against a reusable
-    /// [`DemandScratch`] — the allocation-free form scenario derivation
-    /// runs once per household per detected peak. Byte-identical to the
-    /// allocating wrapper.
-    pub fn interval_flexibility_with(
-        &self,
-        axis: &TimeAxis,
-        mean_temp: f64,
-        seed: u64,
-        interval: Interval,
-        scratch: &mut DemandScratch,
-    ) -> (KilowattHours, KilowattHours) {
-        let n = axis.slots_per_day();
-        scratch.ensure(n);
-        let DemandScratch {
-            total,
-            device,
-            shapes,
-        } = scratch;
-        total.fill(0.0);
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(self.id.0));
+        let mut total = Series::zeros(*axis);
         let mut potential = KilowattHours::ZERO;
-        for dev in &self.devices {
-            let jitter = rng.gen_range(0.85..1.15);
-            let shape = shape_of(shapes, dev.kind(), n);
-            dev.load_profile_from_shape(device, shape, axis, mean_temp, self.intensity * jitter);
-            potential += dev.saving_potential_over(device, interval);
-            for (slot, load) in total.iter_mut().zip(device.iter()) {
-                *slot += load;
-            }
+        for (dev, load) in self.device_loads(axis, mean_temp, seed) {
+            potential += dev.saving_potential(&load, interval);
+            total.accumulate(&load);
         }
-        let clipped = interval.intersect(Interval::new(0, n));
-        let usage = KilowattHours(clipped.iter().map(|i| total[i]).sum());
-        (usage, potential)
+        (total.energy_over(interval), potential)
     }
 
     /// The largest cut-down fraction of interval usage the household can
@@ -483,38 +335,6 @@ mod tests {
         let (usage, potential) = h.interval_flexibility(&axis(), -4.0, 7, iv);
         assert_eq!(usage, h.demand_profile(&axis(), -4.0, 7).energy_over(iv));
         assert_eq!(potential, h.saving_potential(&axis(), -4.0, 7, iv));
-    }
-
-    #[test]
-    fn scratch_paths_are_byte_identical_to_allocating_ones() {
-        let h = Household::standard(HouseholdId(11), 4);
-        let iv = evening(axis());
-        let mut scratch = DemandScratch::new(&axis());
-        // Reuse the same scratch across calls — later results must not
-        // see earlier ones.
-        for seed in [3u64, 7, 7, 12] {
-            let series = h.demand_profile(&axis(), -4.0, seed);
-            let profile = h.demand_profile_with(&axis(), -4.0, seed, &mut scratch);
-            assert_eq!(series.values(), profile, "seed {seed}");
-            assert_eq!(scratch.total(), series.values());
-            let two_pass = h.interval_flexibility(&axis(), -4.0, seed, iv);
-            let with = h.interval_flexibility_with(&axis(), -4.0, seed, iv, &mut scratch);
-            assert_eq!(two_pass, with, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn scratch_resizes_across_axes() {
-        let h = Household::standard(HouseholdId(2), 2);
-        let mut scratch = DemandScratch::new(&TimeAxis::hourly());
-        assert_eq!(
-            h.demand_profile_with(&TimeAxis::hourly(), -4.0, 5, &mut scratch)
-                .len(),
-            24
-        );
-        let fine = h.demand_profile_with(&axis(), -4.0, 5, &mut scratch);
-        assert_eq!(fine.len(), 96);
-        assert_eq!(fine, h.demand_profile(&axis(), -4.0, 5).values());
     }
 
     #[test]

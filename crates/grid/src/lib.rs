@@ -16,28 +16,29 @@
 //!   ([`peak`]) used by the Utility Agent,
 //! * the lower/normal/higher price scheme ([`tariff`]) of Section 3.2.
 //!
-//! # Population backends
+//! # Populations
 //!
-//! Populations come in two interchangeable representations:
+//! A population has one representation in the pipeline and one
+//! reference beside it:
 //!
-//! * **Object backend** — `Vec<Household>`, each household owning its
-//!   `Vec<Device>` ([`PopulationBuilder::build`]). The natural shape
-//!   for small scenario work, per-household inspection, serde and
-//!   hand-built test fixtures.
-//! * **Slab backend** — [`slab::PopulationSlab`], the same fields as
-//!   struct-of-arrays with batched kernels
-//!   ([`slab::aggregate_demand_slab`] and friends) sweeping contiguous
-//!   slices ([`PopulationBuilder::build_slab`]). Use it when the
-//!   population is large (tens of thousands of households and up):
-//!   construction allocates a dozen arrays instead of millions of tiny
-//!   trees, demand synthesis runs several times faster, and
-//!   [`slab::PopulationSlab::shards`] splits one city across fleet
-//!   cells with zero copying.
-//!
-//! Both backends are **byte-identical** — same jitter streams, same
-//! accumulation order, proptest-pinned — so campaigns, goldens and
-//! archives never notice which one produced a season. APIs that accept
-//! either take a [`slab::PopulationRef`].
+//! * **The slab is the pipeline.** [`slab::PopulationSlab`] stores
+//!   every household's fields as struct-of-arrays columns, households
+//!   delimited by device-entry offsets
+//!   ([`PopulationBuilder::build_slab`]). Its batched kernels
+//!   ([`slab::aggregate_demand_slab`] and friends) sweep contiguous
+//!   slices, [`demand::simulate_horizon`] synthesises a horizon from a
+//!   [`slab::SlabView`], and [`slab::PopulationSlab::shards`] splits one
+//!   city across fleet cells with zero copying.
+//! * **Households are an input type and the oracle.** `Vec<Household>`,
+//!   each household owning its `Vec<Device>`
+//!   ([`PopulationBuilder::build`]), is the natural shape for hand-built
+//!   fixtures, per-household inspection and serde;
+//!   [`slab::PopulationSlab::from_households`] converts it once. Its
+//!   allocating folds — [`household::Household::demand_profile`],
+//!   [`household::Household::interval_flexibility`] and
+//!   [`demand::aggregate_demand`] — are the readable reference the
+//!   proptests pin the kernels against, byte for byte (same jitter
+//!   streams, same accumulation order).
 //!
 //! [`PopulationBuilder::build`]: population::PopulationBuilder::build
 //! [`PopulationBuilder::build_slab`]: population::PopulationBuilder::build_slab
@@ -76,11 +77,9 @@ pub mod weather;
 /// Convenient glob-import of the most frequently used items.
 pub mod prelude {
     pub use crate::calendar::{CalendarDay, DayType, Horizon};
-    pub use crate::demand::{
-        aggregate_demand, aggregate_demand_ref, simulate_horizon, simulate_horizon_ref, DemandCurve,
-    };
+    pub use crate::demand::{aggregate_demand, simulate_horizon, DemandCurve};
     pub use crate::device::{Device, DeviceKind};
-    pub use crate::household::{DemandScratch, Household, HouseholdId};
+    pub use crate::household::{Household, HouseholdId};
     pub use crate::peak::{Peak, PeakDetector};
     pub use crate::population::PopulationBuilder;
     pub use crate::prediction::{
@@ -90,7 +89,7 @@ pub mod prelude {
     pub use crate::production::ProductionModel;
     pub use crate::series::Series;
     pub use crate::slab::{
-        aggregate_demand_slab, interval_flexibility_slab, saving_potential_slab, PopulationRef,
+        aggregate_demand_slab, interval_flexibility_slab, saving_potential_slab, DemandScratch,
         PopulationSlab, SlabView,
     };
     pub use crate::tariff::Tariff;

@@ -1,12 +1,12 @@
-//! Struct-of-arrays population backend for city-scale simulation.
+//! Struct-of-arrays populations: the representation the pipeline reads.
 //!
-//! The per-object backend ([`Household`] owning a `Vec<Device>`) is the
-//! right shape for small scenario work, but a million households means a
-//! million tiny heap trees and a pointer-chase per demand sweep. This
-//! module stores the same population as one contiguous slab per field —
-//! [`PopulationSlab`] — plus batched kernels that reuse the
-//! [`DemandScratch`] duty-shape cache and stream fused multiply-add
-//! passes over slices:
+//! A million [`Household`]s owning a `Vec<Device>` each are a million
+//! tiny heap trees and a pointer-chase per demand sweep. This module
+//! stores the same population as one contiguous array per field —
+//! [`PopulationSlab`], households delimited by device-entry offsets —
+//! plus batched kernels that reuse a [`DemandScratch`] (duty shapes
+//! computed once per resolution) and stream fused multiply-add passes
+//! over slices:
 //!
 //! * [`aggregate_demand_slab`] — one day of aggregate demand,
 //! * [`interval_flexibility_slab`] — per-household `(usage, potential)`
@@ -16,24 +16,24 @@
 //!   interval.
 //!
 //! Every kernel is **byte-identical** to folding the corresponding
-//! per-object [`Household`] call over the same population: same
+//! allocating [`Household`] reference over the same population: same
 //! per-household jitter stream, same left-associated multiplications,
 //! same accumulation order (per-device, then per-household, then
 //! grand). This is pinned by proptests in `tests/slab_properties.rs`,
-//! so campaigns may switch backends (via [`PopulationRef`]) without
-//! re-blessing a single golden report.
+//! which is why campaigns read only slabs without re-blessing a single
+//! golden report.
 //!
 //! Shards for fleet work come from [`PopulationSlab::shards`]: borrowed
 //! [`SlabView`]s over contiguous household ranges, no copying.
 
 use crate::demand::DemandCurve;
 use crate::device::DeviceKind;
-use crate::household::{shape_of, standard_devices, DemandScratch, Household, HouseholdId};
+use crate::household::{jitter_rng, standard_devices, Household, HouseholdId};
 use crate::series::Series;
 use crate::time::{Interval, TimeAxis};
 use crate::units::KilowattHours;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
+use std::ops::Range;
 
 /// The position of `kind` in [`DeviceKind::all`] — the slab's per-entry
 /// kind encoding.
@@ -284,6 +284,13 @@ impl<'a> SlabView<'a> {
         self.slab.intensity[self.index(i)]
     }
 
+    /// The slab this view borrows and the household range it covers —
+    /// what a holder needs to keep the view's population beside an
+    /// owned one.
+    pub fn parts(&self) -> (&'a PopulationSlab, Range<usize>) {
+        (self.slab, self.start..self.end)
+    }
+
     fn index(&self, i: usize) -> usize {
         assert!(
             i < self.len(),
@@ -294,84 +301,46 @@ impl<'a> SlabView<'a> {
     }
 }
 
-/// A population behind either backend, passed by value through the
-/// scenario/campaign/fleet layers. Both arms negotiate byte-identically;
-/// pick [`PopulationRef::Slab`] when the population is large enough for
-/// allocation and cache behaviour to matter.
-#[derive(Debug, Clone, Copy)]
-pub enum PopulationRef<'a> {
-    /// The per-object backend: a slice of [`Household`]s.
-    Objects(&'a [Household]),
-    /// The struct-of-arrays backend: a [`SlabView`].
-    Slab(SlabView<'a>),
+/// Reusable buffers for the slab kernels.
+///
+/// A kernel sweep allocates nothing per household once a scratch lives
+/// outside the loop: each device kind's duty shape (the transcendental
+/// time-of-day math, a pure function of kind and resolution) is
+/// computed once and shared across households, days and peaks, and the
+/// per-household accumulators are reused. A campaign keeps one scratch
+/// for its horizon synthesis and one for its scenario derivation.
+///
+/// The buffers follow the axis they are used with, so one scratch can
+/// serve axes of different resolutions; a change of resolution
+/// recomputes the shapes.
+#[derive(Debug, Clone, Default)]
+pub struct DemandScratch {
+    /// One household's demand over the swept slots (kWh per slot).
+    total: Vec<f64>,
+    /// One household's per-entry powers (kW), in device-list order.
+    powers: Vec<f64>,
+    /// One duty shape per [`DeviceKind::all`] entry at the resolution of
+    /// `total`; empty until a kernel first needs them.
+    shapes: Vec<Vec<f64>>,
 }
 
-impl<'a> PopulationRef<'a> {
-    /// Number of households.
-    pub fn len(&self) -> usize {
-        match self {
-            PopulationRef::Objects(hs) => hs.len(),
-            PopulationRef::Slab(view) => view.len(),
+impl DemandScratch {
+    /// Scratch buffers sized for `axis`.
+    pub fn new(axis: &TimeAxis) -> DemandScratch {
+        DemandScratch {
+            total: vec![0.0; axis.slots_per_day()],
+            powers: Vec::new(),
+            shapes: Vec::new(),
         }
     }
 
-    /// True if the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Contracted daily allowance of the `i`-th household.
-    pub fn allowed_use(&self, i: usize) -> KilowattHours {
-        match self {
-            PopulationRef::Objects(hs) => hs[i].allowed_use(),
-            PopulationRef::Slab(view) => view.allowed_use(i),
+    /// Sizes the buffers for `n` slots per day, dropping shapes cached
+    /// at another resolution.
+    fn ensure(&mut self, n: usize) {
+        if self.total.len() != n {
+            self.total.resize(n, 0.0);
+            self.shapes.clear();
         }
-    }
-
-    /// `(usage, potential)` over `interval` for every household, in
-    /// population order, delivered as `sink(index, usage, potential)` —
-    /// the backend-dispatched form of
-    /// [`Household::interval_flexibility_with`]. Byte-identical across
-    /// backends.
-    pub fn interval_flexibility_for_each(
-        &self,
-        axis: &TimeAxis,
-        mean_temp: f64,
-        seed: u64,
-        interval: Interval,
-        scratch: &mut DemandScratch,
-        mut sink: impl FnMut(usize, KilowattHours, KilowattHours),
-    ) {
-        match self {
-            PopulationRef::Objects(hs) => {
-                for (i, h) in hs.iter().enumerate() {
-                    let (usage, potential) =
-                        h.interval_flexibility_with(axis, mean_temp, seed, interval, scratch);
-                    sink(i, usage, potential);
-                }
-            }
-            PopulationRef::Slab(view) => {
-                interval_flexibility_slab(*view, axis, mean_temp, seed, interval, scratch, sink);
-            }
-        }
-    }
-}
-
-impl<'a> From<&'a [Household]> for PopulationRef<'a> {
-    fn from(households: &'a [Household]) -> PopulationRef<'a> {
-        PopulationRef::Objects(households)
-    }
-}
-
-impl<'a> From<&'a Vec<Household>> for PopulationRef<'a> {
-    fn from(households: &'a Vec<Household>) -> PopulationRef<'a> {
-        PopulationRef::Objects(households)
-    }
-}
-
-impl<'a> From<SlabView<'a>> for PopulationRef<'a> {
-    fn from(view: SlabView<'a>) -> PopulationRef<'a> {
-        PopulationRef::Slab(view)
     }
 }
 
@@ -382,45 +351,26 @@ struct KindTables<'s> {
     shapes: [&'s [f64]; 8],
 }
 
-/// Prefetches every kind's duty shape into the scratch cache (values
-/// are pure functions of `(kind, resolution)`, so warming the cache
-/// never changes any output) and snapshots the per-kind temperature
-/// factors exactly as [`Device::load_profile_from_shape`] computes
-/// them.
+/// Computes the duty shapes into the scratch on first use at this
+/// resolution (their values are pure functions of `(kind, n)`, so
+/// caching never changes an output) and snapshots the per-kind
+/// temperature factors [`Device::load_profile`] applies.
 ///
-/// [`Device::load_profile_from_shape`]: crate::device::Device::load_profile_from_shape
-fn kind_tables(
-    shapes: &mut Vec<(DeviceKind, Vec<f64>)>,
-    mean_temp: f64,
-    n: usize,
-) -> KindTables<'_> {
-    for kind in DeviceKind::all() {
-        let _ = shape_of(shapes, kind, n);
+/// [`Device::load_profile`]: crate::device::Device::load_profile
+fn kind_tables(shapes: &mut Vec<Vec<f64>>, mean_temp: f64, n: usize) -> KindTables<'_> {
+    let kinds = DeviceKind::all();
+    if shapes.is_empty() {
+        shapes.extend(kinds.iter().map(|kind| {
+            let mut shape = vec![0.0; n];
+            kind.duty_shape_into(&mut shape);
+            shape
+        }));
     }
-    let shapes = &*shapes;
-    let mut tables = KindTables {
-        temp_factor: [1.0; 8],
-        shapes: [&[]; 8],
-    };
-    for (k, kind) in DeviceKind::all().into_iter().enumerate() {
-        tables.temp_factor[k] = if kind.is_temperature_sensitive() {
-            1.0f64.max(1.0 + 0.045 * (16.0 - mean_temp))
-        } else {
-            1.0
-        };
-        let pos = shapes
-            .iter()
-            .position(|(cached, _)| *cached == kind)
-            .expect("shape prefetched above");
-        tables.shapes[k] = &shapes[pos].1[..n];
+    let shapes: &Vec<Vec<f64>> = shapes;
+    KindTables {
+        temp_factor: kinds.map(|kind| kind.temperature_factor(mean_temp)),
+        shapes: std::array::from_fn(move |k| shapes[k].as_slice()),
     }
-    tables
-}
-
-/// The per-household jitter RNG — the same stream
-/// [`Household::demand_profile_into`] seeds.
-fn household_rng(seed: u64, id: u64) -> StdRng {
-    StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(id))
 }
 
 /// One day of aggregate demand over a slab view — the batched form of
@@ -452,39 +402,39 @@ pub fn aggregate_demand_slab_with(
     let mut grand = Series::zeros(*axis);
     let out = grand.values_mut();
     let slot_hours = axis.slot_hours();
-    let DemandScratch { device, shapes, .. } = scratch;
+    let DemandScratch { powers, shapes, .. } = scratch;
     let tables = kind_tables(shapes, mean_temp, n);
     let slab = view.slab;
     // The register-blocked sweep: the household's slot totals live in a
     // stack block while every device entry accumulates into it, instead
     // of round-tripping a heap buffer through store-to-load forwarding
     // once per entry per slot. Each block slot sees the same additions
-    // in the same (device-list) order as the object path, so the totals
+    // in the same (device-list) order as `Household::demand_profile`, so the totals
     // are bit-for-bit identical; only then does the block fold into the
     // grand curve, household by household, exactly like
     // `aggregate_demand` (f64 addition is not associative, so the
     // two-level order is load-bearing).
     const BLOCK: usize = 32;
     for h in view.start..view.end {
-        let mut rng = household_rng(seed, slab.ids[h]);
+        let mut rng = jitter_rng(seed, slab.ids[h]);
         let intensity = slab.intensity[h];
         let entries = slab.offsets[h] as usize..slab.offsets[h + 1] as usize;
         let k = entries.len();
-        if device.len() < k {
-            device.resize(k, 0.0);
+        if powers.len() < k {
+            powers.resize(k, 0.0);
         }
         // One jitter draw per entry in device-list order — the stream
         // never interleaves with the slot math, so hoisting the power
         // computation out of the sweep changes no value.
         for (j, e) in entries.clone().enumerate() {
             let jitter = rng.gen_range(0.85..1.15);
-            // Left-associated exactly as the object path: rated *
-            // (household intensity * jitter), then * temp factor.
-            device[j] = slab.rated_power[e]
+            // Left-associated exactly as `Device::load_profile`: rated
+            // * (household intensity * jitter), then * temp factor.
+            powers[j] = slab.rated_power[e]
                 * (intensity * jitter)
                 * tables.temp_factor[slab.kind_index[e] as usize];
         }
-        let powers = &device[..k];
+        let powers = &powers[..k];
         let kinds = &slab.kind_index[entries];
         let mut s = 0;
         while s + BLOCK <= n {
@@ -515,8 +465,8 @@ pub fn aggregate_demand_slab_with(
 
 /// `(usage, potential)` over `interval` for every household of the
 /// view, in order, delivered as `sink(index, usage, potential)` — the
-/// batched form of [`Household::interval_flexibility_with`],
-/// byte-identical to calling it per household.
+/// batched form of [`Household::interval_flexibility`], byte-identical
+/// to calling it per household.
 ///
 /// Only the interval's slots are swept (the outputs never read the
 /// rest of the day), so scenario derivation over a 2-hour peak does a
@@ -542,7 +492,7 @@ pub fn interval_flexibility_slab(
     let slab = view.slab;
     let house = &mut total[lo..hi];
     for (local, h) in (view.start..view.end).enumerate() {
-        let mut rng = household_rng(seed, slab.ids[h]);
+        let mut rng = jitter_rng(seed, slab.ids[h]);
         let intensity = slab.intensity[h];
         house.fill(0.0);
         let mut potential = KilowattHours::ZERO;
@@ -551,10 +501,10 @@ pub fn interval_flexibility_slab(
             let kind = slab.kind_index[e] as usize;
             let power = slab.rated_power[e] * (intensity * jitter) * tables.temp_factor[kind];
             let shape = &tables.shapes[kind][lo..hi];
-            // One fused pass per entry: the object path materialises the
-            // device profile once and reads it twice (potential, then
-            // total); the load value and both accumulation orders are
-            // bit-for-bit the same.
+            // One fused pass per entry: the reference fold materialises
+            // the device profile once and reads it twice (potential,
+            // then total); the load value and both accumulation orders
+            // are bit-for-bit the same.
             let mut entry_sum = 0.0;
             for (slot, &duty) in house.iter_mut().zip(shape) {
                 let load = (power * duty) * slot_hours;
@@ -621,7 +571,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_demand_matches_object_backend_bit_for_bit() {
+    fn aggregate_demand_matches_household_oracle_bit_for_bit() {
         let homes = PopulationBuilder::new().households(60).build(3);
         let slab = PopulationSlab::from_households(&homes);
         let weather = WeatherModel::winter().temperatures(&axis(), 3);
@@ -631,7 +581,7 @@ mod tests {
     }
 
     #[test]
-    fn interval_flexibility_matches_object_backend_bit_for_bit() {
+    fn interval_flexibility_matches_household_oracle_bit_for_bit() {
         let homes = PopulationBuilder::new().households(40).build(11);
         let slab = PopulationSlab::from_households(&homes);
         let iv = evening(axis());
@@ -666,6 +616,42 @@ mod tests {
             object += h.saving_potential(&axis(), -4.0, 7, iv);
         }
         assert_eq!(batched, object);
+    }
+
+    #[test]
+    fn one_scratch_serves_every_axis_in_turn() {
+        let homes = PopulationBuilder::new().households(12).build(4);
+        let slab = PopulationSlab::from_households(&homes);
+        let mut scratch = DemandScratch::new(&TimeAxis::hourly());
+        for axis in [
+            TimeAxis::hourly(),
+            TimeAxis::quarter_hourly(),
+            TimeAxis::hourly(),
+        ] {
+            let weather = WeatherModel::winter().temperatures(&axis, 4);
+            assert_eq!(
+                aggregate_demand_slab_with(slab.view(), &weather, &axis, 4, &mut scratch),
+                aggregate_demand(&homes, &weather, &axis, 4)
+            );
+            let iv = evening(axis);
+            let mut seen = 0;
+            interval_flexibility_slab(
+                slab.view(),
+                &axis,
+                -3.0,
+                4,
+                iv,
+                &mut scratch,
+                |i, usage, potential| {
+                    assert_eq!(
+                        (usage, potential),
+                        homes[i].interval_flexibility(&axis, -3.0, 4, iv)
+                    );
+                    seen += 1;
+                },
+            );
+            assert_eq!(seen, homes.len());
+        }
     }
 
     #[test]

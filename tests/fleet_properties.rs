@@ -14,18 +14,22 @@ use loadbal::prelude::*;
 use powergrid::calendar::Horizon;
 use powergrid::household::Household;
 use powergrid::prediction::MovingAverage;
-use powergrid::slab::{PopulationRef, PopulationSlab};
+use powergrid::slab::PopulationSlab;
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
 
-fn build_cell<'a>(
-    homes: impl Into<PopulationRef<'a>>,
+fn build_cell(
+    homes: &[Household],
     weather: &WeatherModel,
     closed: bool,
     stop: bool,
-) -> CampaignRunner<'a> {
+) -> CampaignRunner<'static> {
     let horizon = Horizon::new(5, 0, Season::Winter);
-    let mut b = CampaignBuilder::new_ref(homes.into(), weather, &horizon)
+    configure(CampaignBuilder::new(homes, weather, &horizon), closed, stop)
+}
+
+fn configure(builder: CampaignBuilder<'_>, closed: bool, stop: bool) -> CampaignRunner<'_> {
+    let mut b = builder
         .warmup_days(2)
         .predictor(FixedPredictor(MovingAverage::new(2)));
     if closed {
@@ -37,7 +41,7 @@ fn build_cell<'a>(
     b.build()
 }
 
-fn build_adaptive_cell<'a>(homes: &'a [Household], weather: &WeatherModel) -> CampaignRunner<'a> {
+fn build_adaptive_cell(homes: &[Household], weather: &WeatherModel) -> CampaignRunner<'static> {
     let horizon = Horizon::new(6, 0, Season::Winter);
     CampaignBuilder::new(homes, weather, &horizon)
         .warmup_days(2)
@@ -194,7 +198,7 @@ proptest! {
     /// memoised on first use. Whether a caller prepares some cells
     /// before the fleet runs (by reading `production()`/`ua_config()`)
     /// or every cell is prepared by the first worker to reach it, over
-    /// object or slab populations, the fleet reports byte-identically
+    /// converted or borrowed slabs, the fleet reports byte-identically
     /// to the sequential reference, and the accessors read the same
     /// values before and after a run.
     #[test]
@@ -220,17 +224,18 @@ proptest! {
             .zip(&builders)
             .map(|((_, seed, _, _), b)| b.build_slab(*seed))
             .collect();
+        let horizon = Horizon::new(5, 0, Season::Winter);
         let build_fleet = || {
             let mut fleet = FleetRunner::new()
                 .threads(NonZeroUsize::new(threads).expect("threads ≥ 1"));
             for (i, (_, _, slab, _)) in cells.iter().enumerate() {
-                let pop = if *slab {
-                    PopulationRef::Slab(slabs[i].view())
+                let builder = if *slab {
+                    CampaignBuilder::new_ref(slabs[i].view(), &weather, &horizon)
                 } else {
-                    PopulationRef::Objects(&objects[i])
+                    CampaignBuilder::new(&objects[i], &weather, &horizon)
                 };
                 // Odd cells price a stop rule into their UA config.
-                fleet = fleet.cell(format!("cell{i}"), build_cell(pop, &weather, true, i % 2 == 1));
+                fleet = fleet.cell(format!("cell{i}"), configure(builder, true, i % 2 == 1));
             }
             fleet
         };

@@ -1,19 +1,21 @@
-//! Property tests pinning the struct-of-arrays population backend's
-//! central claim: for any population, axis, weather and seed, the
-//! batched slab kernels produce **byte-identical** results to the
-//! per-object `Household` paths — demand synthesis, interval
-//! flexibility, saving potential, and whole negotiated seasons run
-//! through either backend of [`PopulationRef`] at any thread count.
+//! Property tests pinning the struct-of-arrays population's central
+//! claim: for any population, axis, weather and seed, the batched slab
+//! kernels produce **byte-identical** results to the allocating
+//! `Household` reference folds — demand synthesis, interval flexibility
+//! and saving potential — and a whole negotiated season is the same
+//! whether a cell borrows a slab shard or converts its own households,
+//! at any thread count.
 
 use loadbal::core::campaign::{CampaignBuilder, CampaignRunner, ClosedLoop, FixedPredictor};
 use loadbal::core::fleet::FleetRunner;
 use powergrid::calendar::Horizon;
-use powergrid::demand::aggregate_demand_ref;
-use powergrid::household::{DemandScratch, Household, HouseholdId};
+use powergrid::demand::aggregate_demand;
+use powergrid::household::{Household, HouseholdId};
 use powergrid::population::PopulationBuilder;
 use powergrid::prediction::MovingAverage;
 use powergrid::slab::{
-    interval_flexibility_slab, saving_potential_slab, PopulationRef, PopulationSlab,
+    aggregate_demand_slab, interval_flexibility_slab, saving_potential_slab, DemandScratch,
+    PopulationSlab,
 };
 use powergrid::time::{Interval, TimeAxis};
 use powergrid::units::KilowattHours;
@@ -37,8 +39,8 @@ fn arb_households() -> impl Strategy<Value = Vec<Household>> {
 }
 
 /// An interval that may be empty, interior, or overhang the day (the
-/// kernels clip; the object path sweeps the whole day — results must
-/// still agree bit for bit).
+/// kernels clip; the reference fold sweeps the whole day — results
+/// must still agree bit for bit).
 fn arb_interval(max_slots: usize) -> impl Strategy<Value = Interval> {
     (0..=max_slots, 0..=max_slots * 2).prop_map(|(a, b)| {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
@@ -50,7 +52,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// One day of aggregate demand: the register-blocked slab kernel
-    /// returns bit-for-bit the curve the per-object scratch path sums.
+    /// returns bit-for-bit the curve the `Household::demand_profile`
+    /// oracle fold sums.
     #[test]
     fn slab_demand_is_byte_identical_to_object_demand(
         homes in arb_households(),
@@ -60,15 +63,14 @@ proptest! {
     ) {
         let slab = PopulationSlab::from_households(&homes);
         let weather = WeatherModel::winter().temperatures(&axis, mean_seed);
-        let object = aggregate_demand_ref(PopulationRef::Objects(&homes), &weather, &axis, seed);
-        let slab_curve = aggregate_demand_ref(slab.view().into(), &weather, &axis, seed);
-        prop_assert_eq!(object, slab_curve);
+        let oracle = aggregate_demand(&homes, &weather, &axis, seed);
+        prop_assert_eq!(oracle, aggregate_demand_slab(slab.view(), &weather, &axis, seed));
     }
 
     /// Interval flexibility and saving potential: per household, the
     /// fused clipped-interval sweep delivers exactly the `(usage,
-    /// potential)` pair the object path computes, and the slab fold
-    /// equals the object fold.
+    /// potential)` pair the reference fold computes, and the slab fold
+    /// equals the household fold.
     #[test]
     fn slab_flexibility_is_byte_identical_per_household(
         homes in arb_households(),
@@ -116,12 +118,8 @@ proptest! {
     }
 }
 
-fn season_cell<'a>(
-    pop: PopulationRef<'a>,
-    weather: &'a WeatherModel,
-    horizon: &'a Horizon,
-) -> CampaignRunner<'a> {
-    CampaignBuilder::new_ref(pop, weather, horizon)
+fn season_cell(builder: CampaignBuilder<'_>) -> CampaignRunner<'_> {
+    builder
         .warmup_days(2)
         .predictor(FixedPredictor(MovingAverage::new(2)))
         .feedback(ClosedLoop)
@@ -131,10 +129,11 @@ fn season_cell<'a>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A whole negotiated fleet season is backend-agnostic: one slab
-    /// sharded zero-copy across cells returns byte for byte what the
-    /// same households run as object slices do — for any shard count
-    /// and any worker-pool size, parallel or sequential.
+    /// A whole negotiated fleet season is ownership-agnostic: one slab
+    /// sharded zero-copy across cells returns byte for byte what cells
+    /// converting the same households' contiguous slices into owned
+    /// slabs do — for any shard count and any worker-pool size,
+    /// parallel or sequential.
     #[test]
     fn fleet_season_is_backend_agnostic_across_thread_counts(
         households in 20usize..60,
@@ -150,7 +149,9 @@ proptest! {
         let threads = NonZeroUsize::new(threads).expect("non-zero");
 
         let slab_fleet = FleetRunner::new()
-            .sharded_slab(&slab, cells, |pop, _| season_cell(pop, &weather, &horizon))
+            .sharded_slab(&slab, cells, |shard, _| {
+                season_cell(CampaignBuilder::new_ref(shard, &weather, &horizon))
+            })
             .threads(threads);
         let mut object_fleet = FleetRunner::new();
         let mut start = 0;
@@ -158,7 +159,7 @@ proptest! {
             let end = start + shard.len();
             object_fleet = object_fleet.cell(
                 format!("shard-{i}"),
-                season_cell(PopulationRef::Objects(&homes[start..end]), &weather, &horizon),
+                season_cell(CampaignBuilder::new(&homes[start..end], &weather, &horizon)),
             );
             start = end;
         }
