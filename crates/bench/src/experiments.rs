@@ -1025,10 +1025,10 @@ pub struct CampaignGridResult {
 /// E13: the full physical pipeline — population → weather → demand →
 /// prediction → peak detection → one negotiation per peak — swept over
 /// a season × population-size grid. Every cell's peak negotiations fan
-/// across cores through [`ScenarioSweep`] (inside
-/// [`CampaignRunner::run`](loadbal_core::campaign::CampaignRunner::run)),
-/// and the determinism guarantee (parallel byte-identical to
-/// sequential) keeps each cell replayable.
+/// across cores on the fleet scheduler (inside
+/// [`CampaignRunner::run`](loadbal_core::campaign::CampaignRunner::run),
+/// a one-cell fleet), and the determinism guarantee (parallel
+/// byte-identical to sequential) keeps each cell replayable.
 pub fn campaign_grid(sizes: &[usize], seasons: &[Season], seed: u64) -> CampaignGridResult {
     let horizon_days = 10;
     let rows = seasons
@@ -1456,11 +1456,12 @@ pub struct HotLoopResult {
 /// simulation allocation-free — the *scheduling* and *negotiation*
 /// inner loops.
 ///
-/// A season-long campaign calls the worker pool once per day per cell;
-/// before PR 5 every call spawned scoped threads and every negotiation
-/// built fresh engines (bid vectors, reward-table snapshots, effect
-/// queues) per peak. This experiment times the same ≥20-day, multi-cell
-/// season under both disciplines and asserts **byte identity** between
+/// A campaign driven day by day batches each day's peaks onto the
+/// worker pool, once per day per cell; with a spawn-per-call pool every
+/// batch spawned scoped threads, and every negotiation built fresh
+/// engines (bid vectors, reward-table snapshots, effect queues) per
+/// peak. This experiment times the same ≥20-day, multi-cell season
+/// under both disciplines and asserts **byte identity** between
 /// the persistent pool, the spawn-per-day pool and the sequential
 /// reference, then micro-times clone-vs-scratch negotiation over the
 /// season's real peak scenarios (with per-peak allocation counts when
@@ -1817,10 +1818,11 @@ pub fn report_tiers(cells: usize, households: usize, days: u64, seed: u64) -> Re
                 .predictor(FixedPredictor(WeatherRegression::calibrated()))
                 .feedback(ClosedLoop)
                 .ua_config(ua.clone())
+                .report_tier(tier)
                 .build();
             fleet = fleet.cell(format!("cell{i}"), runner);
         }
-        fleet.report_tier(tier)
+        fleet
     };
 
     let probe = crate::alloc_probe::installed();
@@ -2106,10 +2108,12 @@ pub fn fault_resilience(
             let runner = CampaignBuilder::new(homes, &weather, &horizon)
                 .predictor(FixedPredictor(WeatherRegression::calibrated()))
                 .feedback(ClosedLoop)
+                .report_tier(ReportTier::Settlement)
+                .execution(mode.clone())
                 .build();
             fleet = fleet.cell(format!("cell{i}"), runner);
         }
-        fleet.report_tier(ReportTier::Settlement).execution(mode)
+        fleet
     };
 
     let t0 = Instant::now();
@@ -2363,6 +2367,7 @@ pub struct AdaptiveLoopsResult {
 pub fn adaptive_loops(households: usize, days: u64, seed: u64) -> AdaptiveLoopsResult {
     use loadbal_core::adaptive::{AdaptiveTuning, RenegotiateResidual, RollingWindow};
     use loadbal_core::campaign::BacktestSelected;
+    use loadbal_core::fleet::FleetRunner;
     use loadbal_core::sync_driver::NegotiationScratch;
 
     let homes = PopulationBuilder::new().households(households).build(seed);
@@ -2378,21 +2383,17 @@ pub fn adaptive_loops(households: usize, days: u64, seed: u64) -> AdaptiveLoopsR
             .stop_rule(MarginalCostStop)
             .build()
     };
-    let adaptive_build_threads = |threads: Option<usize>| {
-        let b = CampaignBuilder::new(&homes, &weather, &horizon)
+    let adaptive_build_in = |mode: ExecutionMode| {
+        CampaignBuilder::new(&homes, &weather, &horizon)
             .warmup_days(warmup)
             .predictor(RollingWindow::standard(6, 2))
             .feedback(RenegotiateResidual::new(2, 0.005))
             .tuning(AdaptiveTuning)
-            .stop_rule(MarginalCostStop);
-        match threads {
-            Some(n) => b
-                .threads(std::num::NonZeroUsize::new(n).expect("thread counts are positive"))
-                .build(),
-            None => b.build(),
-        }
+            .stop_rule(MarginalCostStop)
+            .execution(mode)
+            .build()
     };
-    let adaptive_build = || adaptive_build_threads(None);
+    let adaptive_build = || adaptive_build_in(ExecutionMode::sync());
 
     let t0 = Instant::now();
     let static_report = static_build().run();
@@ -2402,20 +2403,19 @@ pub fn adaptive_loops(households: usize, days: u64, seed: u64) -> AdaptiveLoopsR
     let adaptive_report = adaptive_build().run();
     let adaptive_wall_us = t0.elapsed().as_micros();
 
-    // Byte-identity across thread counts, against the sequential
-    // reference, and between sync and distributed-clean execution.
+    // Byte-identity across thread counts (a campaign at a chosen thread
+    // count is a one-cell fleet), against the sequential reference, and
+    // between sync and distributed-clean execution.
     let reference = adaptive_build().run_sequential();
-    let identical_across_threads = [2usize, 4]
-        .iter()
-        .all(|&n| adaptive_build_threads(Some(n)).run() == reference)
-        && adaptive_report == reference;
+    let identical_across_threads = [2usize, 4].iter().all(|&n| {
+        let fleet = FleetRunner::new()
+            .cell("adaptive", adaptive_build())
+            .threads(std::num::NonZeroUsize::new(n).expect("thread counts are positive"));
+        fleet.run().cells[0].report == reference
+    }) && adaptive_report == reference;
     let sync_season = adaptive_build().run();
-    let clean_runner = {
-        let mut r = adaptive_build();
-        r.set_execution_mode(ExecutionMode::distributed_clean().with_seed(seed));
-        r
-    };
-    let (clean_season, _) = clean_runner.run_instrumented();
+    let (clean_season, _) =
+        adaptive_build_in(ExecutionMode::distributed_clean().with_seed(seed)).run_instrumented();
     let clean_identical_to_sync = clean_season == sync_season;
 
     // Step the adaptive season once more, sequentially, to read the
@@ -2710,15 +2710,14 @@ pub fn city_scale(households: usize, cells: usize, days: u64, seed: u64) -> City
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let fleet = FleetRunner::new()
-        .sharded_slab(&slab, cells, |shard, _| {
-            CampaignBuilder::new_ref(shard, &weather_model, &horizon)
-                .warmup_days(2)
-                .predictor(FixedPredictor(MovingAverage::new(2)))
-                .feedback(ClosedLoop)
-                .build()
-        })
-        .report_tier(ReportTier::Settlement);
+    let fleet = FleetRunner::new().sharded_slab(&slab, cells, |shard, _| {
+        CampaignBuilder::new_ref(shard, &weather_model, &horizon)
+            .warmup_days(2)
+            .predictor(FixedPredictor(MovingAverage::new(2)))
+            .feedback(ClosedLoop)
+            .report_tier(ReportTier::Settlement)
+            .build()
+    });
     let probe = crate::alloc_probe::installed();
     let live_before = crate::alloc_probe::live_bytes();
     let t0 = Instant::now();

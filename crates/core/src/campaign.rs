@@ -25,12 +25,15 @@
 //!
 //! The [`CampaignRunner`] produced by [`CampaignBuilder::build`]
 //! executes days **sequentially** (closed-loop feedback makes day *d*
-//! depend on day *d − 1*) but fans each day's peak negotiations across
-//! cores with a [`WorkerPool`]; [`CampaignRunner::run`] is
-//! byte-identical to [`CampaignRunner::run_sequential`] for any thread
-//! count, so campaigns stay replayable. To run *many* campaigns on one
-//! shared pool, step them through [`CampaignRunner::progress`] — that
-//! is what [`crate::fleet::FleetRunner`] does.
+//! depend on day *d − 1*) but negotiates each day's peaks in parallel:
+//! [`CampaignRunner::run`] is a one-cell
+//! [`FleetRunner`](crate::fleet::FleetRunner) on a machine-sized
+//! [`WorkerPool`], byte-identical to [`CampaignRunner::run_sequential`],
+//! so campaigns stay replayable. To cap the thread count, or to run
+//! *many* campaigns on one shared pool, make them cells of a
+//! `FleetRunner`, which steps each through [`CampaignRunner::progress`].
+//! Everything else about how a campaign runs — its report tier and
+//! execution mode included — is set once, on its builder.
 //!
 //! ```
 //! use loadbal_core::campaign::{CampaignBuilder, ClosedLoop, FixedPredictor};
@@ -52,7 +55,7 @@
 
 use crate::adaptive::{RenegotiationRule, StaticTuning, TuningPolicy};
 use crate::beta::BetaPolicy;
-use crate::execution::{peak_seed, ExecutionMode, NetworkTraffic, TrafficCell};
+use crate::execution::{peak_seed, ExecutionMode, NetworkTraffic};
 use crate::methods::AnnouncementMethod;
 use crate::producer_agent::ProducerAgent;
 use crate::session::{NegotiationReport, ReportTier, Scenario, ScenarioBuilder};
@@ -75,9 +78,8 @@ use powergrid::units::{KilowattHours, Kilowatts, Money, PricePerKwh};
 use powergrid::weather::WeatherModel;
 use std::borrow::Cow;
 use std::fmt;
-use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 // ---------------------------------------------------------------------
 // Policies
@@ -312,7 +314,6 @@ pub struct CampaignBuilder<'a> {
     ua_config: UtilityAgentConfig,
     report_tier: ReportTier,
     execution: ExecutionMode,
-    threads: Option<NonZeroUsize>,
     normal_cost: PricePerKwh,
     expensive_cost: PricePerKwh,
     predictor: Box<dyn PredictorPolicy + 'a>,
@@ -391,7 +392,6 @@ impl<'a> CampaignBuilder<'a> {
                 .with_beta_policy(BetaPolicy::constant(14.0)),
             report_tier: ReportTier::FullTrace,
             execution: ExecutionMode::Sync,
-            threads: None,
             normal_cost: ProductionModel::DEFAULT_NORMAL_COST,
             expensive_cost: ProductionModel::DEFAULT_EXPENSIVE_COST,
             predictor: Box::new(FixedPredictor(WeatherRegression::calibrated())),
@@ -453,7 +453,9 @@ impl<'a> CampaignBuilder<'a> {
     /// unchanged — but the per-round records (and, below `FullTrace`,
     /// the materialised scenarios) are streamed away at the source
     /// instead of accumulated, which is what makes season- and
-    /// fleet-scale campaigns fit in memory.
+    /// fleet-scale campaigns fit in memory. This is the only place the
+    /// tier is chosen: a [`FleetRunner`](crate::fleet::FleetRunner)
+    /// runs each cell at its builder's tier.
     pub fn report_tier(mut self, tier: ReportTier) -> Self {
         self.report_tier = tier;
         self
@@ -466,16 +468,11 @@ impl<'a> CampaignBuilder<'a> {
     /// one at every tier (the byte-identity suites pin this); a faulty
     /// network degrades the season measurably, with the wire activity
     /// accumulated as [`NetworkTraffic`] (see
-    /// [`CampaignRunner::run_instrumented`]).
+    /// [`CampaignRunner::run_instrumented`]). This is the only place
+    /// the mode is chosen: a [`FleetRunner`](crate::fleet::FleetRunner)
+    /// runs each cell in its builder's mode, so one fleet may mix modes.
     pub fn execution(mut self, mode: ExecutionMode) -> Self {
         self.execution = mode;
-        self
-    }
-
-    /// Worker-thread cap for [`CampaignRunner::run`] (default: machine
-    /// parallelism).
-    pub fn threads(mut self, threads: NonZeroUsize) -> Self {
-        self.threads = Some(threads);
         self
     }
 
@@ -581,7 +578,6 @@ impl<'a> CampaignBuilder<'a> {
             base_ua_config: self.ua_config,
             report_tier: self.report_tier,
             execution: self.execution,
-            threads: self.threads,
             normal_cost: self.normal_cost,
             expensive_cost: self.expensive_cost,
             pool: OnceLock::new(),
@@ -601,11 +597,12 @@ impl<'a> CampaignBuilder<'a> {
 /// A validated campaign ready to execute: the day-by-day
 /// predict → detect → negotiate → feed-back cycle.
 ///
-/// Days run sequentially (closed-loop feedback makes them dependent);
-/// each day's peaks fan across cores via a [`WorkerPool`]. Both entry
-/// points are pure: re-running produces byte-identical
-/// [`CampaignReport`]s, and [`CampaignRunner::run`] equals
-/// [`CampaignRunner::run_sequential`] for any thread count.
+/// Days run sequentially (closed-loop feedback makes them dependent).
+/// [`CampaignRunner::run`] negotiates each day's peaks in parallel as a
+/// one-cell [`FleetRunner`](crate::fleet::FleetRunner);
+/// [`CampaignRunner::run_sequential`] is the reference loop on the
+/// calling thread. Both are pure: re-running produces byte-identical
+/// [`CampaignReport`]s, and the two always agree.
 ///
 /// The runner is cheap to build: the horizon's simulated demand and
 /// weather, the producer sized from the warmup days and the UA
@@ -631,12 +628,11 @@ pub struct CampaignRunner<'a> {
     base_ua_config: UtilityAgentConfig,
     report_tier: ReportTier,
     execution: ExecutionMode,
-    threads: Option<NonZeroUsize>,
     normal_cost: PricePerKwh,
     expensive_cost: PricePerKwh,
-    /// The persistent worker pool for [`CampaignRunner::run`]: spawned
-    /// on the first parallel run and reused by every day of every
-    /// subsequent run — the day loop pays no per-day thread spawn.
+    /// The machine-sized pool [`CampaignRunner::run`] schedules this
+    /// campaign on as a one-cell fleet: spawned on the first run and
+    /// reused by every later one.
     pool: OnceLock<WorkerPool>,
     predictor: Box<dyn PredictorPolicy + 'a>,
     feedback: Box<dyn FeedbackPolicy + 'a>,
@@ -725,23 +721,9 @@ impl CampaignRunner<'_> {
         self.report_tier
     }
 
-    /// Overrides the report tier after building — how a
-    /// [`FleetRunner`](crate::fleet::FleetRunner) applies one fleet-wide
-    /// tier across cells built elsewhere.
-    pub fn set_report_tier(&mut self, tier: ReportTier) {
-        self.report_tier = tier;
-    }
-
     /// The execution mode each peak negotiates under.
     pub fn execution_mode(&self) -> &ExecutionMode {
         &self.execution
-    }
-
-    /// Overrides the execution mode after building — how a
-    /// [`FleetRunner`](crate::fleet::FleetRunner) applies one fleet-wide
-    /// mode across cells built elsewhere.
-    pub fn set_execution_mode(&mut self, mode: ExecutionMode) {
-        self.execution = mode;
     }
 
     /// Days the campaign will evaluate after warmup.
@@ -749,16 +731,21 @@ impl CampaignRunner<'_> {
         self.horizon.len() as usize - self.warmup_days
     }
 
-    /// Runs the campaign, fanning each day's peak negotiations across
-    /// cores; byte-identical to [`CampaignRunner::run_sequential`].
+    /// Runs the campaign as a one-cell
+    /// [`FleetRunner`](crate::fleet::FleetRunner) on a machine-sized
+    /// pool, so each day's peaks negotiate in parallel; byte-identical
+    /// to [`CampaignRunner::run_sequential`]. A one-cell fleet with
+    /// [`FleetRunner::threads`](crate::fleet::FleetRunner::threads)
+    /// runs it at a chosen thread count. A panicking policy or
+    /// negotiation resurfaces its original payload here.
     pub fn run(&self) -> CampaignReport {
-        self.execute(true).0
+        self.run_instrumented().0
     }
 
     /// Runs the campaign entirely on the calling thread (the reference
     /// order for determinism checks).
     pub fn run_sequential(&self) -> CampaignReport {
-        self.execute(false).0
+        self.run_sequential_instrumented().0
     }
 
     /// [`CampaignRunner::run`] plus the season's accumulated
@@ -768,19 +755,36 @@ impl CampaignRunner<'_> {
     /// deterministic for a given mode (order-independent sums over
     /// per-peak seeded simulations).
     pub fn run_instrumented(&self) -> (CampaignReport, NetworkTraffic) {
-        self.execute(true)
+        let pool = self
+            .pool
+            .get_or_init(WorkerPool::with_available_parallelism);
+        crate::fleet::schedule(pool, &[self])
+            .pop()
+            .expect("one campaign, one result")
     }
 
     /// [`CampaignRunner::run_instrumented`] in the sequential reference
-    /// order — identical report *and* identical traffic.
+    /// order — identical report *and* identical traffic. This stepping
+    /// loop and the fleet scheduler are the only campaign drivers.
     pub fn run_sequential_instrumented(&self) -> (CampaignReport, NetworkTraffic) {
-        self.execute(false)
+        let mut progress = self.progress();
+        // The reference order reuses one scratch for the whole season —
+        // byte-identical to fresh engines per peak.
+        let mut scratch = NegotiationScratch::new();
+        while let Some(plan) = progress.next_day() {
+            let reports = (0..plan.scenarios.len())
+                .map(|i| plan.negotiate(i, &mut scratch))
+                .collect();
+            progress.complete_day(plan, reports);
+        }
+        let traffic = progress.traffic();
+        (progress.finish(), traffic)
     }
 
     /// Begins stepping the campaign day by day — the resumable form of
-    /// [`CampaignRunner::run`] that a
-    /// [`FleetRunner`](crate::fleet::FleetRunner) interleaves with other
-    /// campaigns on one shared [`WorkerPool`]: call
+    /// [`CampaignRunner::run`] that the
+    /// [`FleetRunner`](crate::fleet::FleetRunner) scheduler interleaves
+    /// with other campaigns on one shared [`WorkerPool`]: call
     /// [`CampaignProgress::next_day`] for the day's negotiable work,
     /// negotiate the scenarios however you like, hand the reports back
     /// through [`CampaignProgress::complete_day`], and
@@ -814,44 +818,6 @@ impl CampaignRunner<'_> {
             traffic: NetworkTraffic::ZERO,
         }
     }
-
-    /// The persistent [`WorkerPool`] behind [`CampaignRunner::run`]:
-    /// built (threads spawned, parked) on first use, reused across days
-    /// and across repeated runs of this campaign.
-    pub fn pool(&self) -> &WorkerPool {
-        self.pool.get_or_init(|| WorkerPool::sized(self.threads))
-    }
-
-    fn execute(&self, parallel: bool) -> (CampaignReport, NetworkTraffic) {
-        let mut progress = self.progress();
-        if parallel {
-            // One parked pool across every day; each worker threads one
-            // NegotiationScratch through all the peaks it claims —
-            // through the sync pump or the distributed simulation,
-            // whichever the campaign's execution mode says.
-            let pool = self.pool();
-            while let Some(plan) = progress.next_day() {
-                let reports = pool.run_with(
-                    plan.scenarios.len(),
-                    NegotiationScratch::new,
-                    |scratch, i| plan.negotiate(i, scratch),
-                );
-                progress.complete_day(plan, reports);
-            }
-        } else {
-            // The reference order reuses one scratch for the whole
-            // season — byte-identical to fresh engines per peak.
-            let mut scratch = NegotiationScratch::new();
-            while let Some(plan) = progress.next_day() {
-                let reports = (0..plan.scenarios.len())
-                    .map(|i| plan.negotiate(i, &mut scratch))
-                    .collect();
-                progress.complete_day(plan, reports);
-            }
-        }
-        let traffic = progress.traffic();
-        (progress.finish(), traffic)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -876,8 +842,9 @@ pub struct DayPlan {
     seed_base: u64,
     /// Wire activity of this day's distributed negotiations, folded in
     /// through [`DayPlan::negotiate`] by however many workers share the
-    /// plan (atomic sums — deterministic under any scheduling).
-    traffic: TrafficCell,
+    /// plan (order-independent sums — deterministic under any
+    /// scheduling).
+    traffic: Mutex<NetworkTraffic>,
 }
 
 impl DayPlan {
@@ -923,9 +890,11 @@ impl DayPlan {
     /// [`NetworkTraffic`] when the plan is handed back through
     /// [`CampaignProgress::complete_day`].
     ///
-    /// Every driver of a campaign (the runner's own day loop, the
-    /// fleet's shared-pool scheduler) negotiates through this method so
-    /// the mode is honoured everywhere.
+    /// Both campaign drivers — the sequential reference loop and the
+    /// fleet scheduler behind [`CampaignRunner::run`] and
+    /// [`FleetRunner::run`](crate::fleet::FleetRunner::run) — negotiate
+    /// through this method, as should any external stepper, so the mode
+    /// is honoured everywhere.
     ///
     /// # Panics
     ///
@@ -948,7 +917,10 @@ impl DayPlan {
                     peak_seed(*seed, self.day.index, self.seed_base + index as u64),
                     *deadline,
                 );
-                self.traffic.record(&outcome);
+                self.traffic
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .record(&outcome);
                 outcome.report
             }
         }
@@ -1074,7 +1046,7 @@ impl CampaignProgress<'_> {
             tier: self.runner.report_tier,
             mode: self.runner.execution.clone(),
             seed_base: 0,
-            traffic: TrafficCell::default(),
+            traffic: Mutex::new(NetworkTraffic::ZERO),
         })
     }
 
@@ -1135,7 +1107,7 @@ impl CampaignProgress<'_> {
             tier: self.runner.report_tier,
             mode: self.runner.execution.clone(),
             seed_base,
-            traffic: TrafficCell::default(),
+            traffic: Mutex::new(NetworkTraffic::ZERO),
         })
     }
 
@@ -1169,14 +1141,15 @@ impl CampaignProgress<'_> {
             plan.scenarios.len(),
             "one report per scenario of the day plan"
         );
-        self.traffic += plan.traffic.snapshot();
         let DayPlan {
             day,
             peaks,
             scenarios,
             tier,
+            traffic,
             ..
         } = plan;
+        self.traffic += traffic.into_inner().unwrap_or_else(PoisonError::into_inner);
         let day_outcomes: Vec<IntervalOutcome> = scenarios
             .into_iter()
             .zip(reports)

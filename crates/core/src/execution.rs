@@ -2,8 +2,9 @@
 //!
 //! The paper's §3.2 promise is that the same negotiation runs unchanged
 //! whether the agents share a process or talk over an unreliable
-//! network. [`ExecutionMode`] makes that a per-campaign (and per-fleet)
-//! switch:
+//! network. [`ExecutionMode`] makes that a per-campaign switch, set on
+//! the campaign's builder
+//! ([`CampaignBuilder::execution`](crate::campaign::CampaignBuilder::execution)):
 //!
 //! * [`ExecutionMode::Sync`] — the in-process
 //!   [`NegotiationScratch`](crate::sync_driver::NegotiationScratch)
@@ -33,7 +34,6 @@ use massim::clock::SimDuration;
 use massim::network::NetworkModel;
 use std::fmt;
 use std::ops::{Add, AddAssign};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default per-round response deadline for distributed negotiations, in
 /// ticks: comfortably above a round trip on every stock network model
@@ -222,55 +222,6 @@ impl fmt::Display for NetworkTraffic {
             self.timers_fired,
             self.deadline_forced_rounds,
         )
-    }
-}
-
-/// Shared accumulation cell for [`NetworkTraffic`]: plain atomic
-/// counters so concurrent workers negotiating one day's peaks can fold
-/// their outcomes in through a shared reference. Relaxed ordering is
-/// enough — the day's fan-out joins before anyone reads, and sums are
-/// order-independent.
-#[derive(Debug, Default)]
-pub(crate) struct TrafficCell {
-    negotiations: AtomicU64,
-    messages_sent: AtomicU64,
-    messages_delivered: AtomicU64,
-    messages_dropped: AtomicU64,
-    messages_duplicated: AtomicU64,
-    timers_fired: AtomicU64,
-    deadline_forced_rounds: AtomicU64,
-}
-
-impl TrafficCell {
-    /// Folds one distributed negotiation's outcome in.
-    pub(crate) fn record(&self, outcome: &DistributedOutcome) {
-        let add = |cell: &AtomicU64, v: u64| {
-            cell.fetch_add(v, Ordering::Relaxed);
-        };
-        add(&self.negotiations, 1);
-        add(&self.messages_sent, outcome.metrics.messages_sent);
-        add(&self.messages_delivered, outcome.metrics.messages_delivered);
-        add(&self.messages_dropped, outcome.metrics.messages_dropped);
-        add(
-            &self.messages_duplicated,
-            outcome.metrics.messages_duplicated,
-        );
-        add(&self.timers_fired, outcome.metrics.timers_fired);
-        add(&self.deadline_forced_rounds, outcome.deadline_forced_rounds);
-    }
-
-    /// The accumulated traffic.
-    pub(crate) fn snapshot(&self) -> NetworkTraffic {
-        let get = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
-        NetworkTraffic {
-            negotiations: get(&self.negotiations),
-            messages_sent: get(&self.messages_sent),
-            messages_delivered: get(&self.messages_delivered),
-            messages_dropped: get(&self.messages_dropped),
-            messages_duplicated: get(&self.messages_duplicated),
-            timers_fired: get(&self.timers_fired),
-            deadline_forced_rounds: get(&self.deadline_forced_rounds),
-        }
     }
 }
 

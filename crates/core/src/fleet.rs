@@ -19,8 +19,16 @@
 //! cell's whole-horizon demand (deferred out of
 //! [`CampaignBuilder::build`](crate::campaign::CampaignBuilder::build))
 //! and chooses its predictor, so a city's cells synthesise in parallel
-//! rather than serially before the pool starts. The echo of the paper's DESIRE lineage is deliberate: many
-//! independent agent societies, one execution substrate.
+//! rather than serially before the pool starts. The echo of the
+//! paper's DESIRE lineage is deliberate: many independent agent
+//! societies, one execution substrate.
+//!
+//! This is the crate's only campaign scheduler: a lone
+//! [`CampaignRunner::run`] is a one-cell fleet on the runner's own
+//! machine-sized pool. The fleet adds scheduling and nothing else —
+//! each cell's report tier and execution mode are whatever its
+//! [`CampaignBuilder`](crate::campaign::CampaignBuilder) chose, and the
+//! thread count is [`FleetRunner::threads`].
 //!
 //! Scheduling is nondeterministic; results never are. Every
 //! negotiation is a pure function of its (cell, day, peak) coordinate,
@@ -62,7 +70,7 @@
 use crate::campaign::{
     CampaignEconomics, CampaignProgress, CampaignReport, CampaignRunner, DayPlan,
 };
-use crate::execution::{ExecutionMode, NetworkTraffic};
+use crate::execution::NetworkTraffic;
 use crate::session::{NegotiationReport, ReportTier};
 use crate::sweep::WorkerPool;
 use crate::sync_driver::NegotiationScratch;
@@ -133,36 +141,10 @@ impl<'a> FleetRunner<'a> {
         self
     }
 
-    /// Applies one [`ReportTier`] fleet-wide: every cell added so far
-    /// (and each cell's own
-    /// [`CampaignBuilder::report_tier`](crate::campaign::CampaignBuilder::report_tier)
-    /// choice) is overridden. A season-scale fleet typically runs at
-    /// [`ReportTier::Settlement`] and archives the result.
-    pub fn report_tier(mut self, tier: ReportTier) -> Self {
-        for (_, runner) in &mut self.cells {
-            runner.set_report_tier(tier);
-        }
-        self
-    }
-
-    /// Applies one [`ExecutionMode`] fleet-wide: every cell added so
-    /// far (and each cell's own
-    /// [`CampaignBuilder::execution`](crate::campaign::CampaignBuilder::execution)
-    /// choice) is overridden, so the whole fleet negotiates sync, over
-    /// a clean simulated network, or over a faulty one. Per-peak seeds
-    /// derive from each peak's (day, index) position, so identical
-    /// cells still produce identical reports under any mode.
-    pub fn execution(mut self, mode: ExecutionMode) -> Self {
-        for (_, runner) in &mut self.cells {
-            runner.set_execution_mode(mode.clone());
-        }
-        self
-    }
-
     /// Caps the shared pool's worker count (default: machine
-    /// parallelism). Per-campaign `threads(...)` settings are ignored
-    /// under the fleet — the whole point is one pool. Replaces any pool
-    /// already spawned by a previous run.
+    /// parallelism) — the one thread knob of campaign execution: a
+    /// single campaign at a chosen thread count is a one-cell fleet.
+    /// Replaces any pool already spawned by a previous run.
     pub fn threads(mut self, threads: NonZeroUsize) -> Self {
         self.threads = Some(threads);
         self.pool = OnceLock::new();
@@ -209,85 +191,13 @@ impl<'a> FleetRunner<'a> {
 
     /// [`FleetRunner::run`] plus each cell's accumulated
     /// [`NetworkTraffic`] (cell order) — all-zero under
-    /// [`ExecutionMode::Sync`]. The report is byte-identical to
-    /// [`FleetRunner::run`]'s, and the traffic is deterministic for a
-    /// given mode (order-independent sums over per-peak seeded
-    /// simulations), for any thread count.
+    /// [`ExecutionMode::Sync`](crate::execution::ExecutionMode::Sync).
+    /// The report is byte-identical to [`FleetRunner::run`]'s, and the
+    /// traffic is deterministic for a given mode (order-independent
+    /// sums over per-peak seeded simulations), for any thread count.
     pub fn run_instrumented(&self) -> (FleetReport, Vec<NetworkTraffic>) {
-        let pool = self.pool();
-        // The unit of parallelism is the peak negotiation, not the cell:
-        // even a single campaign keeps several workers busy on a
-        // multi-peak day, so the worker count is not capped by cells.
-        let workers = pool.threads().get();
-        if workers <= 1 || self.cells.is_empty() {
-            return self.run_sequential_instrumented();
-        }
-        let cells: Vec<CellExec<'_>> = self
-            .cells
-            .iter()
-            .map(|(_, runner)| CellExec::new(runner))
-            .collect();
-        let unfinished = AtomicUsize::new(cells.len());
-        let abort = AtomicBool::new(false);
-        let panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let cursor = AtomicUsize::new(0);
-        // `WorkerPool::run_with` drives one scheduler loop per worker,
-        // each threading its own NegotiationScratch through every peak
-        // it claims; the pool's own panic capture is bypassed because
-        // the loop never panics — cell work is caught below so no
-        // worker dies with peaks outstanding (which would deadlock the
-        // others).
-        pool.run_with(workers, NegotiationScratch::new, |scratch, _| loop {
-            if abort.load(Ordering::Relaxed) || unfinished.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            let start = cursor.fetch_add(1, Ordering::Relaxed) % cells.len();
-            let mut claimed = false;
-            for offset in 0..cells.len() {
-                let cell = &cells[(start + offset) % cells.len()];
-                match cell.try_step(&unfinished, scratch) {
-                    Ok(stepped) => {
-                        if stepped {
-                            claimed = true;
-                            break;
-                        }
-                    }
-                    Err(payload) => {
-                        panic
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .get_or_insert(payload);
-                        abort.store(true, Ordering::Relaxed);
-                        claimed = true; // skip the yield; exit on re-check
-                        break;
-                    }
-                }
-            }
-            if !claimed {
-                // Every remaining peak is already claimed by another
-                // worker; yield until one completes (negotiations are
-                // ms-scale, so this is a short wait, not a spin).
-                std::thread::yield_now();
-            }
-        });
-        if let Some(payload) = panic.into_inner().unwrap_or_else(|p| p.into_inner()) {
-            resume_unwind(payload);
-        }
-        let (reports, traffic) = cells
-            .into_iter()
-            .zip(&self.cells)
-            .map(|(cell, (label, _))| {
-                let (report, traffic) = cell.into_parts();
-                (
-                    CellReport {
-                        label: label.clone(),
-                        report,
-                    },
-                    traffic,
-                )
-            })
-            .unzip();
-        (FleetReport::assemble(reports), traffic)
+        let runners: Vec<&CampaignRunner<'a>> = self.cells.iter().map(|(_, r)| r).collect();
+        self.labelled(schedule(self.pool(), &runners))
     }
 
     /// Runs every campaign back to back on the calling thread — the
@@ -299,27 +209,109 @@ impl<'a> FleetRunner<'a> {
     /// [`FleetRunner::run_instrumented`] in the sequential reference
     /// order.
     pub fn run_sequential_instrumented(&self) -> (FleetReport, Vec<NetworkTraffic>) {
-        let (reports, traffic) = self
-            .cells
-            .iter()
-            .map(|(label, runner)| {
-                let (report, traffic) = runner.run_sequential_instrumented();
-                (
-                    CellReport {
-                        label: label.clone(),
-                        report,
-                    },
-                    traffic,
-                )
+        self.labelled(
+            self.cells
+                .iter()
+                .map(|(_, runner)| runner.run_sequential_instrumented())
+                .collect(),
+        )
+    }
+
+    /// Labels per-cell results (cell order) into the fleet report.
+    fn labelled(
+        &self,
+        results: Vec<(CampaignReport, NetworkTraffic)>,
+    ) -> (FleetReport, Vec<NetworkTraffic>) {
+        let (cells, traffic) = results
+            .into_iter()
+            .zip(&self.cells)
+            .map(|((report, traffic), (label, _))| {
+                let label = label.clone();
+                (CellReport { label, report }, traffic)
             })
             .unzip();
-        (FleetReport::assemble(reports), traffic)
+        (FleetReport::assemble(cells), traffic)
     }
 }
 
 // ---------------------------------------------------------------------
-// Scheduler internals
+// Scheduler
 // ---------------------------------------------------------------------
+
+/// The crate's one campaign scheduler: runs every runner to completion
+/// on `pool` and returns each campaign's report and traffic, in runner
+/// order. [`FleetRunner::run`] schedules its cells here (and documents
+/// how workers share them); [`CampaignRunner::run`] schedules itself
+/// as a one-cell fleet.
+///
+/// A one-worker pool runs each campaign's sequential reference loop
+/// instead. A panic in any cell's work resurfaces its original payload
+/// on the calling thread once every worker has stopped.
+pub(crate) fn schedule(
+    pool: &WorkerPool,
+    runners: &[&CampaignRunner<'_>],
+) -> Vec<(CampaignReport, NetworkTraffic)> {
+    // The unit of parallelism is the peak negotiation, not the cell:
+    // even a single campaign keeps several workers busy on a
+    // multi-peak day, so the worker count is not capped by cells.
+    let workers = pool.threads().get();
+    if workers <= 1 || runners.is_empty() {
+        return runners
+            .iter()
+            .map(|runner| runner.run_sequential_instrumented())
+            .collect();
+    }
+    let cells: Vec<CellExec<'_>> = runners
+        .iter()
+        .map(|&runner| CellExec::new(runner))
+        .collect();
+    let unfinished = AtomicUsize::new(cells.len());
+    let abort = AtomicBool::new(false);
+    let panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
+    let cursor = AtomicUsize::new(0);
+    // `WorkerPool::run_with` drives one scheduler loop per worker, each
+    // threading its own NegotiationScratch through every peak it
+    // claims; the pool's own panic capture is bypassed because the loop
+    // never panics — cell work is caught below so no worker dies with
+    // peaks outstanding (which would deadlock the others).
+    pool.run_with(workers, NegotiationScratch::new, |scratch, _| loop {
+        if abort.load(Ordering::Relaxed) || unfinished.load(Ordering::Acquire) == 0 {
+            break;
+        }
+        let start = cursor.fetch_add(1, Ordering::Relaxed) % cells.len();
+        let mut claimed = false;
+        for offset in 0..cells.len() {
+            let cell = &cells[(start + offset) % cells.len()];
+            match cell.try_step(&unfinished, scratch) {
+                Ok(stepped) => {
+                    if stepped {
+                        claimed = true;
+                        break;
+                    }
+                }
+                Err(payload) => {
+                    panic
+                        .lock()
+                        .unwrap_or_else(|poisoned| poisoned.into_inner())
+                        .get_or_insert(payload);
+                    abort.store(true, Ordering::Relaxed);
+                    claimed = true; // skip the yield; exit on re-check
+                    break;
+                }
+            }
+        }
+        if !claimed {
+            // Every remaining peak is already claimed by another worker;
+            // yield until one completes (negotiations are ms-scale, so
+            // this is a short wait, not a spin).
+            std::thread::yield_now();
+        }
+    });
+    if let Some(payload) = panic.into_inner().unwrap_or_else(|p| p.into_inner()) {
+        resume_unwind(payload);
+    }
+    cells.into_iter().map(CellExec::into_parts).collect()
+}
 
 /// A cell's in-flight day: the plan (Arc-shared so workers negotiate
 /// its scenarios without holding the cell lock, and without cloning any

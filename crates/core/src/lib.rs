@@ -125,18 +125,19 @@
 //!    ceiling is `saving_potential / interval usage`
 //!    ([`powergrid::household::Household::max_cutdown`]), the
 //!    reluctance scale falls with that flexibility; no random betas;
-//! 6. **Negotiate** — the day's peaks fan across cores with
-//!    [`sweep::ScenarioSweep`] (byte-identical to sequential
-//!    execution), each under the campaign's
-//!    [`campaign::StopPolicy`]: unconditionally to the protocol's own
-//!    end, or stopping reward-table raises once the next table costs
-//!    more than the expensive production still avoidable
+//! 6. **Negotiate** — the day's peaks negotiate in parallel on the
+//!    fleet scheduler's [`sweep::WorkerPool`] (a lone
+//!    [`campaign::CampaignRunner::run`] is a one-cell
+//!    [`fleet::FleetRunner`]; byte-identical to sequential execution),
+//!    each under the campaign's [`campaign::StopPolicy`]:
+//!    unconditionally to the protocol's own end, or stopping
+//!    reward-table raises once the next table costs more than the
+//!    expensive production still avoidable
 //!    ([`campaign::MarginalCostStop`], priced by the
 //!    [`producer_agent::ProducerAgent`]). *How* each peak negotiates is
 //!    the campaign's [`execution::ExecutionMode`]
-//!    ([`campaign::CampaignBuilder::execution`] /
-//!    [`fleet::FleetRunner::execution`]): the in-process sync pump, or a
-//!    seeded [`massim`] simulation per peak over a
+//!    ([`campaign::CampaignBuilder::execution`]): the in-process sync
+//!    pump, or a seeded [`massim`] simulation per peak over a
 //!    [`massim::network::NetworkModel`] — byte-identical to sync when
 //!    the network is clean, measurably degraded when it is faulty, with
 //!    wire activity accumulated as [`execution::NetworkTraffic`] and
@@ -181,9 +182,8 @@
 //!    settlement-tier season, synthesis included);
 //! 10. **Report** — how much of all that a season *retains* is a policy,
 //!     not a constant: a [`session::ReportTier`] chosen per campaign
-//!     ([`campaign::CampaignBuilder::report_tier`] /
-//!     `FleetRunner::report_tier`) and enforced at the source in the
-//!     report assembler. [`session::ReportTier::Aggregate`] keeps digest
+//!     ([`campaign::CampaignBuilder::report_tier`]) and enforced at the
+//!     source in the report assembler. [`session::ReportTier::Aggregate`] keeps digest
 //!     scalars only, [`session::ReportTier::Settlement`] adds per-customer
 //!     settlements and economics, [`session::ReportTier::FullTrace`] keeps
 //!     every round, table and bid. Lower tiers never *store* the dropped
@@ -198,8 +198,8 @@
 //! Both hot loops under this pipeline are allocation-lean and
 //! spawn-free. The [`sweep::WorkerPool`] is **persistent**: worker
 //! threads spawn once at first use, park between batches, respawn after
-//! a panic, and are shared by the sweep, every campaign day and the
-//! fleet — no per-day thread spawn (E16). Each pool worker threads a
+//! a panic, and are shared by the sweep and the fleet scheduler — no
+//! per-batch thread spawn (E16). Each pool worker threads a
 //! reusable [`sync_driver::NegotiationScratch`] through the peaks it
 //! claims ([`session::Scenario::run_in`]), so utility/customer engines
 //! are reset in place instead of rebuilt per negotiation, rounds move

@@ -315,7 +315,9 @@ pub struct ResilienceReport {
 impl ResilienceReport {
     /// Runs the benchmark: `run` executes the fleet plan under the
     /// [`ExecutionMode`] it is handed (build the fleet inside the
-    /// closure — e.g. `FleetRunner::new()...execution(mode)` followed by
+    /// closure, handing the mode to each cell's
+    /// [`CampaignBuilder::execution`](crate::campaign::CampaignBuilder::execution),
+    /// then call
     /// [`run_instrumented`](crate::fleet::FleetRunner::run_instrumented))
     /// and returns the report plus per-cell traffic. Called once with
     /// the clean mode, then once per class in `classes`, every mode
@@ -389,36 +391,28 @@ impl fmt::Display for ResilienceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{CampaignBuilder, CampaignRunner, ClosedLoop, FixedPredictor};
+    use crate::campaign::{CampaignBuilder, ClosedLoop, FixedPredictor};
     use crate::fleet::FleetRunner;
     use crate::session::ReportTier;
     use powergrid::calendar::Horizon;
-    use powergrid::household::Household;
     use powergrid::population::PopulationBuilder;
     use powergrid::prediction::MovingAverage;
     use powergrid::weather::{Season, WeatherModel};
-
-    fn runner<'a>(
-        homes: &'a [Household],
-        weather: &'a WeatherModel,
-        horizon: &'a Horizon,
-    ) -> CampaignRunner<'a> {
-        CampaignBuilder::new(homes, weather, horizon)
-            .warmup_days(2)
-            .predictor(FixedPredictor(MovingAverage::new(2)))
-            .feedback(ClosedLoop)
-            .build()
-    }
 
     fn measure_at(tier: ReportTier) -> ResilienceReport {
         let weather = WeatherModel::winter();
         let horizon = Horizon::new(4, 0, Season::Winter);
         let homes = PopulationBuilder::new().households(12).build(5);
         ResilienceReport::measure(7, &[FaultClass::Drop, FaultClass::Duplicate], |mode| {
-            FleetRunner::new()
-                .cell("solo", runner(&homes, &weather, &horizon))
+            let runner = CampaignBuilder::new(&homes, &weather, &horizon)
+                .warmup_days(2)
+                .predictor(FixedPredictor(MovingAverage::new(2)))
+                .feedback(ClosedLoop)
                 .report_tier(tier)
                 .execution(mode)
+                .build();
+            FleetRunner::new()
+                .cell("solo", runner)
                 .run_sequential_instrumented()
         })
     }

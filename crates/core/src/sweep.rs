@@ -9,13 +9,13 @@
 //! and is **byte-identical** to [`ScenarioSweep::run_sequential`].
 //!
 //! The fan-out machinery itself lives in [`WorkerPool`], a reusable
-//! index-addressed task runner shared by the sweep, the campaign day
-//! loop and the multi-campaign [`fleet`](crate::fleet) scheduler — one
-//! pool type, every parallel surface of the crate. Since PR 5 the pool
-//! is **persistent**: worker threads spawn once, park on a condition
-//! variable between batches, and every [`WorkerPool::run`] call only
-//! publishes a batch descriptor — no per-call thread spawn, which is
-//! what a campaign day loop or fleet season pays hundreds of times.
+//! index-addressed task runner shared by the sweep and the
+//! [`fleet`](crate::fleet) campaign scheduler (which also runs every
+//! lone campaign, as a one-cell fleet) — one pool type, every parallel
+//! surface of the crate. The pool is **persistent**: worker threads
+//! spawn once, park on a condition variable between batches, and every
+//! [`WorkerPool::run`] call only publishes a batch descriptor — no
+//! per-call thread spawn, however many sweeps or seasons a pool runs.
 //!
 //! # Example
 //!
@@ -124,12 +124,13 @@ mod pool {
     /// * **Join on drop** — dropping the pool wakes and joins every
     ///   worker.
     ///
-    /// One pool value is shared by every parallel surface of the crate:
-    /// [`ScenarioSweep`](super::ScenarioSweep) borrows it for a grid,
-    /// the campaign day loop for each day's peaks, and the
-    /// [`FleetRunner`](crate::fleet::FleetRunner) for whole campaigns.
-    /// Results always come back in task-index order, independent of
-    /// scheduling.
+    /// Two surfaces of the crate submit to it:
+    /// [`ScenarioSweep`](super::ScenarioSweep) for a grid of
+    /// negotiations, and the fleet scheduler — behind
+    /// [`FleetRunner::run`](crate::fleet::FleetRunner::run) and every
+    /// lone [`CampaignRunner::run`](crate::campaign::CampaignRunner::run)
+    /// — for whole campaigns. Results always come back in task-index
+    /// order, independent of scheduling.
     ///
     /// Worker panics are caught per task and the **original payload**
     /// is resurfaced on the calling thread once the batch has drained
@@ -210,8 +211,8 @@ mod pool {
         /// [`WorkerPool::run`] with **per-worker scratch state**: every
         /// executor (each worker thread plus the calling thread) builds
         /// one `S` with `init` and threads it through all the tasks it
-        /// claims — how the sweep, the campaign day loop and the fleet
-        /// reuse one [`NegotiationScratch`](crate::sync_driver::NegotiationScratch)
+        /// claims — how the sweep and the fleet scheduler reuse one
+        /// [`NegotiationScratch`](crate::sync_driver::NegotiationScratch)
         /// per worker instead of allocating fresh engines per task.
         ///
         /// A task that panics poisons its executor's scratch; the
@@ -666,17 +667,6 @@ impl ScenarioSweep {
     /// reused by every subsequent [`ScenarioSweep::run`].
     pub fn pool(&self) -> &WorkerPool {
         self.pool.get_or_init(|| WorkerPool::sized(self.threads))
-    }
-
-    /// Dispatches to [`ScenarioSweep::run`] or
-    /// [`ScenarioSweep::run_sequential`] — the switch campaign runners
-    /// flip per day without duplicating the day loop.
-    pub fn execute(&self, parallel: bool) -> Vec<SweepOutcome> {
-        if parallel {
-            self.run()
-        } else {
-            self.run_sequential()
-        }
     }
 
     /// Runs every cell on the calling thread (the reference order for

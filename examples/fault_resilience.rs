@@ -25,14 +25,14 @@ fn main() {
             CampaignBuilder::new(homes, &weather, &horizon)
                 .predictor(FixedPredictor(WeatherRegression::calibrated()))
                 .feedback(ClosedLoop)
+                .report_tier(ReportTier::Settlement)
+                .execution(mode.clone())
                 .build()
         };
         FleetRunner::new()
             .cell("north", cell(&north))
             .cell("south", cell(&south))
             .threads(NonZeroUsize::new(2).expect("2 > 0"))
-            .report_tier(ReportTier::Settlement)
-            .execution(mode)
     };
 
     // Distributed over a perfect network == in-process sync, byte for

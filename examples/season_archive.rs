@@ -36,12 +36,12 @@ fn main() {
         CampaignBuilder::new(homes, &weather, &horizon)
             .predictor(FixedPredictor(WeatherRegression::calibrated()))
             .feedback(ClosedLoop)
+            .report_tier(ReportTier::Settlement)
             .build()
     };
     let fleet = FleetRunner::new()
         .cell("north", cell(&north))
-        .cell("south", cell(&south))
-        .report_tier(ReportTier::Settlement);
+        .cell("south", cell(&south));
 
     let report = fleet.run();
     for cell in &report.cells {

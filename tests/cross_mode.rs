@@ -195,14 +195,14 @@ fn fleet_distributed_clean_is_byte_identical_to_sync_at_every_tier() {
                     .warmup_days(2)
                     .predictor(FixedPredictor(MovingAverage::new(2)))
                     .feedback(ClosedLoop)
+                    .report_tier(tier)
+                    .execution(mode.clone())
                     .build()
             };
             FleetRunner::new()
                 .cell("north", cell(&north))
                 .cell("south", cell(&south))
                 .threads(NonZeroUsize::new(3).expect("3 > 0"))
-                .report_tier(tier)
-                .execution(mode)
         };
         let sync = fleet(ExecutionMode::sync()).run();
         let distributed = fleet(ExecutionMode::distributed_clean().with_seed(7));

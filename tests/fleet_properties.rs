@@ -4,7 +4,8 @@
 //! sequentially — for arbitrary cell counts, population mixes, policy
 //! combinations and thread counts. Nondeterministic scheduling, fully
 //! deterministic results. That includes *when* each cell's deferred
-//! demand synthesis runs: before the run or on a fleet worker.
+//! demand synthesis runs: before the run or on a fleet worker. A panic
+//! in any cell's work resurfaces its original payload, never a hang.
 
 use loadbal::core::campaign::{
     CampaignBuilder, CampaignRunner, ClosedLoop, FixedPredictor, MarginalCostStop,
@@ -17,6 +18,9 @@ use powergrid::prediction::MovingAverage;
 use powergrid::slab::PopulationSlab;
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 fn build_cell(
     homes: &[Household],
@@ -266,6 +270,111 @@ proptest! {
             prop_assert_eq!(e.ua_config(), l.ua_config());
             // The accessor reads the configuration the days start from.
             prop_assert_eq!(l.ua_config(), l.progress().ua_config());
+        }
+    }
+}
+
+/// A predictor policy that panics when asked to choose — inside
+/// `CampaignRunner::progress`, i.e. on the scheduler's claim path.
+#[derive(Debug)]
+struct PanickingPredictor;
+
+impl PredictorPolicy for PanickingPredictor {
+    fn choose<'s>(&'s self, _actuals: &[Series], _weathers: &[Series]) -> &'s dyn LoadPredictor {
+        panic!("predictor policy exploded");
+    }
+}
+
+/// A feedback policy that panics once a day with negotiated outcomes
+/// completes — inside `complete_day` after the day's last report is
+/// stored, i.e. on the scheduler's store path. Stable days pass.
+#[derive(Debug)]
+struct PanickingFeedback;
+
+impl FeedbackPolicy for PanickingFeedback {
+    fn history_entry(&self, actual: &Series, outcomes: &[IntervalOutcome]) -> Series {
+        if !outcomes.is_empty() {
+            panic!("feedback policy exploded");
+        }
+        actual.clone()
+    }
+}
+
+/// Runs `run` on its own thread and returns its panic message. Fails if
+/// `run` returns normally or is still running after two minutes (the
+/// hung thread is then left behind; every other run is joined).
+fn panic_message(run: impl FnOnce() + Send + 'static) -> String {
+    let (sender, receiver) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let message = catch_unwind(AssertUnwindSafe(run)).err().map(|payload| {
+            payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "<non-string payload>".to_string())
+        });
+        sender.send(message).expect("the test is waiting");
+    });
+    let message = receiver
+        .recv_timeout(Duration::from_secs(120))
+        .expect("the run hung");
+    handle.join().expect("the panic was caught on the thread");
+    message.expect("the run returned instead of panicking")
+}
+
+/// The scheduler's panic contract. A cell whose policy panics — on the
+/// claim path (`progress()`) or the store path (`complete_day`) — makes
+/// the whole run panic with the policy's own message. This holds next
+/// to a healthy cell at 1, 2 and 4 threads and for a lone
+/// `CampaignRunner::run`. A second run of the same value panics the
+/// same way, so no lock or pool is left poisoned.
+#[test]
+fn panicking_policies_resurface_their_original_payload() {
+    let weather = WeatherModel::winter();
+    let healthy = PopulationBuilder::new().households(30).build(1);
+    let faulty = PopulationBuilder::new().households(40).build(11);
+    let faulty_cell = |claim_path: bool| {
+        let builder = CampaignBuilder::new(&faulty, &weather, &Horizon::new(5, 0, Season::Winter))
+            .warmup_days(2);
+        if claim_path {
+            builder.predictor(PanickingPredictor).build()
+        } else {
+            builder
+                .predictor(FixedPredictor(MovingAverage::new(2)))
+                .feedback(PanickingFeedback)
+                .build()
+        }
+    };
+    // The store path needs a negotiated day to complete.
+    let twin = build_cell(&faulty, &weather, false, false).run_sequential();
+    assert!(twin.negotiations() > 0, "the faulty cell must negotiate");
+
+    for (claim_path, expected) in [
+        (true, "predictor policy exploded"),
+        (false, "feedback policy exploded"),
+    ] {
+        let lone = Arc::new(faulty_cell(claim_path));
+        for run in 0..2 {
+            let lone = Arc::clone(&lone);
+            let message = panic_message(move || {
+                lone.run();
+            });
+            assert_eq!(message, expected, "lone campaign, run {run}");
+        }
+        for threads in [1usize, 2, 4] {
+            let fleet = Arc::new(
+                FleetRunner::new()
+                    .cell("healthy", build_cell(&healthy, &weather, true, false))
+                    .cell("faulty", faulty_cell(claim_path))
+                    .threads(NonZeroUsize::new(threads).expect("threads ≥ 1")),
+            );
+            for run in 0..2 {
+                let fleet = Arc::clone(&fleet);
+                let message = panic_message(move || {
+                    fleet.run();
+                });
+                assert_eq!(message, expected, "threads {threads}, run {run}");
+            }
         }
     }
 }

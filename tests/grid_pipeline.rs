@@ -3,11 +3,14 @@
 //! campaign — every peak the predictor/detector finds is negotiated
 //! through the sans-io engine, every negotiation converges, energy is
 //! actually shaved, and the whole thing is byte-deterministic across
-//! sequential and `ScenarioSweep`-parallel execution. The closed-loop
+//! sequential and fleet-scheduled parallel execution. The closed-loop
 //! and marginal-cost-stop policies are pinned here too: negotiated
 //! cut-downs change the consumption the next prediction is trained on,
 //! and the stop rule buys convergence for strictly less reward outlay.
 
+mod common;
+
+use common::one_cell_fleet;
 use loadbal::core::campaign::{
     CampaignBuilder, CampaignRunner, ClosedLoop, FixedPredictor, MarginalCostStop,
 };
@@ -15,7 +18,6 @@ use loadbal::prelude::*;
 use powergrid::calendar::Horizon;
 use powergrid::household::Household;
 use powergrid::prediction::WeatherRegression;
-use std::num::NonZeroUsize;
 
 fn homes(n: usize) -> Vec<Household> {
     PopulationBuilder::new().households(n).build(42)
@@ -92,15 +94,8 @@ fn campaign_is_byte_deterministic_across_execution_modes() {
     // Rebuilding the whole pipeline from the same seed replays exactly,
     // and an explicit worker cap changes nothing.
     assert_eq!(winter_runner(&homes).run(), parallel);
-    let capped = CampaignBuilder::new(
-        &homes,
-        &WeatherModel::winter(),
-        &Horizon::new(8, 0, Season::Winter),
-    )
-    .predictor(FixedPredictor(WeatherRegression::calibrated()))
-    .threads(NonZeroUsize::new(2).expect("2 > 0"))
-    .build();
-    assert_eq!(capped.run(), parallel);
+    let capped = one_cell_fleet(winter_runner(&homes), 2);
+    assert_eq!(capped.run().cells[0].report, parallel);
 }
 
 #[test]

@@ -4,7 +4,11 @@
 //! and the grid-backed campaign runner inherits the same guarantee,
 //! open- and closed-loop (where each day's negotiated cut-downs feed
 //! the next day's prediction, so any nondeterminism would compound).
+//! A campaign runs at a chosen thread count as a one-cell fleet.
 
+mod common;
+
+use common::one_cell_fleet;
 use loadbal::core::campaign::{CampaignBuilder, ClosedLoop, FixedPredictor, MarginalCostStop};
 use loadbal::prelude::*;
 use powergrid::calendar::Horizon;
@@ -67,8 +71,8 @@ proptest! {
         }
     }
 
-    /// The campaign runner built on the sweep inherits byte-determinism
-    /// end to end (population → prediction → peaks → negotiations).
+    /// The campaign runner inherits byte-determinism end to end
+    /// (population → prediction → peaks → negotiations).
     #[test]
     fn campaign_parallel_equals_sequential(
         households in 20usize..60,
@@ -79,10 +83,10 @@ proptest! {
         let horizon = Horizon::new(5, 0, Season::Winter);
         let runner = CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon)
             .warmup_days(2)
-            .threads(NonZeroUsize::new(threads).expect("threads ≥ 1"))
             .predictor(FixedPredictor(MovingAverage::new(2)))
             .build();
-        prop_assert_eq!(runner.run(), runner.run_sequential());
+        let fleet = one_cell_fleet(runner, threads);
+        prop_assert_eq!(fleet.run(), fleet.run_sequential());
     }
 
     /// The execution-mode transparency claim at the campaign layer: a
@@ -105,7 +109,6 @@ proptest! {
         let build = |mode: ExecutionMode| {
             CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon)
                 .warmup_days(2)
-                .threads(NonZeroUsize::new(threads).expect("threads ≥ 1"))
                 .predictor(FixedPredictor(MovingAverage::new(2)))
                 .feedback(ClosedLoop)
                 .report_tier(tier)
@@ -113,10 +116,14 @@ proptest! {
                 .build()
         };
         let sync = build(ExecutionMode::sync()).run_sequential();
-        let distributed = build(ExecutionMode::distributed_clean().with_seed(base_seed));
+        let distributed = one_cell_fleet(
+            build(ExecutionMode::distributed_clean().with_seed(base_seed)),
+            threads,
+        );
         let (parallel, traffic) = distributed.run_instrumented();
-        prop_assert_eq!(&parallel, &sync, "tier {:?}, threads {}", tier, threads);
-        prop_assert_eq!(&distributed.run_sequential(), &sync);
+        let traffic = traffic[0];
+        prop_assert_eq!(&parallel.cells[0].report, &sync, "tier {:?}, threads {}", tier, threads);
+        prop_assert_eq!(&distributed.run_sequential().cells[0].report, &sync);
         // The perfect network carried real messages and lost nothing.
         prop_assert_eq!(traffic.negotiations as usize, sync.negotiations());
         if traffic.negotiations > 0 {
@@ -138,19 +145,18 @@ proptest! {
         let stop = stop_flag == 1;
         let homes = PopulationBuilder::new().households(households).build(pop_seed);
         let horizon = Horizon::new(5, 0, Season::Winter);
-        let build = |threads: usize| {
+        let build = || {
             let b = CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon)
                 .warmup_days(2)
-                .threads(NonZeroUsize::new(threads).expect("threads ≥ 1"))
                 .predictor(FixedPredictor(MovingAverage::new(2)))
                 .feedback(ClosedLoop);
             if stop { b.stop_rule(MarginalCostStop).build() } else { b.build() }
         };
-        let reference = build(1).run_sequential();
+        let reference = build().run_sequential();
         for threads in [1usize, 2, 4, 7] {
-            let runner = build(threads);
-            prop_assert_eq!(&runner.run(), &reference, "threads = {}", threads);
-            prop_assert_eq!(&runner.run_sequential(), &reference);
+            let fleet = one_cell_fleet(build(), threads);
+            prop_assert_eq!(&fleet.run().cells[0].report, &reference, "threads = {}", threads);
+            prop_assert_eq!(&fleet.run_sequential().cells[0].report, &reference);
         }
     }
 
@@ -168,21 +174,20 @@ proptest! {
     ) {
         let homes = PopulationBuilder::new().households(households).build(pop_seed);
         let horizon = Horizon::new(6, 0, Season::Winter);
-        let build = |threads: usize| {
+        let build = || {
             CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon)
                 .warmup_days(2)
-                .threads(NonZeroUsize::new(threads).expect("threads ≥ 1"))
                 .predictor(RollingWindow::standard(window, every))
                 .feedback(RenegotiateResidual::new(passes, 0.005))
                 .tuning(AdaptiveTuning)
                 .stop_rule(MarginalCostStop)
                 .build()
         };
-        let reference = build(1).run_sequential();
+        let reference = build().run_sequential();
         for threads in [1usize, 2, 4, 7] {
-            let runner = build(threads);
-            prop_assert_eq!(&runner.run(), &reference, "threads = {}", threads);
-            prop_assert_eq!(&runner.run_sequential(), &reference);
+            let fleet = one_cell_fleet(build(), threads);
+            prop_assert_eq!(&fleet.run().cells[0].report, &reference, "threads = {}", threads);
+            prop_assert_eq!(&fleet.run_sequential().cells[0].report, &reference);
         }
     }
 
@@ -202,7 +207,6 @@ proptest! {
         let build = |mode: ExecutionMode| {
             CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon)
                 .warmup_days(2)
-                .threads(NonZeroUsize::new(threads).expect("threads ≥ 1"))
                 .predictor(RollingWindow::standard(3, 2))
                 .feedback(RenegotiateResidual::new(2, 0.005))
                 .tuning(AdaptiveTuning)
@@ -211,9 +215,12 @@ proptest! {
                 .build()
         };
         let sync = build(ExecutionMode::sync()).run_sequential();
-        let distributed = build(ExecutionMode::distributed_clean().with_seed(base_seed));
-        prop_assert_eq!(&distributed.run(), &sync);
-        prop_assert_eq!(&distributed.run_sequential(), &sync);
+        let distributed = one_cell_fleet(
+            build(ExecutionMode::distributed_clean().with_seed(base_seed)),
+            threads,
+        );
+        prop_assert_eq!(&distributed.run().cells[0].report, &sync);
+        prop_assert_eq!(&distributed.run_sequential().cells[0].report, &sync);
     }
 
     /// Renegotiation regression: every pass label stays within the
