@@ -127,6 +127,12 @@ fn run(id: &str, json: bool) -> bool {
             // sequential so every tier negotiates identically.
             let r = experiments::report_tiers(4, 100, 24, 42);
             println!("{r}");
+            if let Some(ratio) = r.settlement_memory_ratio {
+                assert!(
+                    ratio <= 0.1,
+                    "settlement / full-trace retained memory {ratio:.4} (acceptance: ≤ 0.1)"
+                );
+            }
             if json {
                 write_json("BENCH_E17.json", &r.to_json());
             }

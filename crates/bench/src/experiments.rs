@@ -301,7 +301,11 @@ pub fn methods_comparison(customers: usize, seed: u64) -> MethodsResult {
     let rows = AnnouncementMethod::all()
         .into_iter()
         .map(|method| {
-            let report = scenario.run_with(method);
+            let report = Scenario {
+                method,
+                ..scenario.clone()
+            }
+            .run();
             let summary = SettlementSummary::compute(&scenario, &report, &producer, 2.0);
             MethodRow {
                 method,
@@ -578,22 +582,16 @@ pub struct ScalingResult {
 /// both execution modes.
 ///
 /// Scenario construction (population synthesis — the embarrassingly
-/// parallel part) fans across cores with
-/// [`massim::threaded::run_batch`]; the *measured* negotiations then
-/// run sequentially, so each row's microsecond figures are wall-clock
-/// free of co-runner core contention — the scaling shape is the
-/// experiment's entire point.
+/// parallel part) fans across cores on a
+/// [`WorkerPool`](loadbal_core::sweep::WorkerPool); the *measured*
+/// negotiations then run sequentially, so each row's microsecond
+/// figures are wall-clock free of co-runner core contention — the
+/// scaling shape is the experiment's entire point.
 pub fn scaling(sizes: &[usize], seed: u64) -> ScalingResult {
-    let jobs: Vec<massim::threaded::Job<Scenario>> = sizes
-        .iter()
-        .map(|&n| {
-            Box::new(move || ScenarioBuilder::random(n, 0.35, seed).build())
-                as massim::threaded::Job<Scenario>
-        })
-        .collect();
-    let threads = std::thread::available_parallelism()
-        .unwrap_or(std::num::NonZeroUsize::new(1).expect("1 > 0"));
-    let scenarios = massim::threaded::run_batch(jobs, threads);
+    let scenarios = loadbal_core::sweep::WorkerPool::with_available_parallelism()
+        .run(sizes.len(), |i| {
+            ScenarioBuilder::random(sizes[i], 0.35, seed).build()
+        });
 
     let rows = sizes
         .iter()
@@ -825,7 +823,11 @@ pub fn offer_categories(customers: usize, seed: u64) -> OfferResult {
     };
     use powergrid::units::Fraction;
     let scenario = ScenarioBuilder::random(customers, 0.35, seed).build();
-    let uniform = scenario.run_with(AnnouncementMethod::Offer);
+    let uniform = Scenario {
+        method: AnnouncementMethod::Offer,
+        ..scenario.clone()
+    }
+    .run();
     let row_from = |variant: String, report: &NegotiationReport| OfferRow {
         variant,
         final_overuse: report.final_overuse_fraction(),
@@ -1507,8 +1509,7 @@ pub fn hot_loop(
             let n = plan.scenarios().len();
             let run_day = |pool: &WorkerPool| {
                 pool.run_with(n, NegotiationScratch::new, |scratch, i| {
-                    let (_, s) = &plan.scenarios()[i];
-                    s.run_in(s.method, scratch)
+                    plan.negotiate(i, scratch)
                 })
             };
             let reports = match pool {
@@ -1570,7 +1571,7 @@ pub fn hot_loop(
     let mut scratch_reports = Vec::new();
     for _ in 0..micro_reps {
         scratch_reports.clear();
-        scratch_reports.extend(micro.iter().map(|s| s.run_in(s.method, &mut scratch)));
+        scratch_reports.extend(micro.iter().map(|s| scratch.run(s, ReportTier::FullTrace)));
     }
     let scratch_us = t3.elapsed().as_micros();
     let scratch_allocs = crate::alloc_probe::count() - allocs_before;
@@ -1723,11 +1724,17 @@ impl fmt::Display for HotLoopResult {
 pub struct TierRow {
     /// The tier the season ran at.
     pub tier: ReportTier,
-    /// Wall-clock of the sequential season, microseconds.
+    /// Wall-clock of the sequential season, microseconds (the cells
+    /// are prepared beforehand, see `prepared_bytes`).
     pub run_us: u128,
+    /// Bytes the cells' memoised preparation holds — the simulated
+    /// horizon, producer and UA configuration each runner builds on
+    /// first use, the same at every tier (live-bytes delta across
+    /// preparation; `None` without the counting allocator).
+    pub prepared_bytes: Option<i64>,
     /// Bytes the finished [`FleetReport`](loadbal_core::fleet::FleetReport)
-    /// retains (live-bytes delta across the run; `None` without the
-    /// counting allocator).
+    /// retains (live-bytes delta across the run of the prepared cells;
+    /// `None` without the counting allocator).
     pub retained_bytes: Option<i64>,
     /// Heap allocations the run performed (`None` without the counting
     /// allocator).
@@ -1762,9 +1769,10 @@ pub struct ReportTiersResult {
     /// economics to the full-trace run (the tiers drop storage, never
     /// results).
     pub scalars_identical: bool,
-    /// `settlement retained bytes / full-trace retained bytes`
-    /// (`None` without the counting allocator). The acceptance headline:
-    /// must stay ≤ 0.1.
+    /// `settlement retained bytes / full-trace retained bytes` — report
+    /// storage only, preparation excluded (`None` without the counting
+    /// allocator). The acceptance headline: must stay ≤ 0.1, which the
+    /// experiments binary asserts.
     pub settlement_memory_ratio: Option<f64>,
     /// Runtime context for the JSON record.
     pub meta: BenchMeta,
@@ -1772,9 +1780,10 @@ pub struct ReportTiersResult {
 
 /// E17: what each [`ReportTier`] costs. The same `cells`-cell,
 /// `days`-day season runs sequentially (determinism — every tier sees
-/// identical negotiations) once per tier; around each run the
-/// allocation probe's live-bytes delta measures what the finished
-/// report *retains*, and each report is then archived with
+/// identical negotiations) once per tier. Every cell is prepared before
+/// the measured run, so the allocation probe's live-bytes delta around
+/// the run measures only what the finished report *retains*; the
+/// preparation is measured apart. Each report is then archived with
 /// [`loadbal_archive::write_fleet_to`] and read back to measure bytes
 /// per stored day and verify the round trip.
 ///
@@ -1832,6 +1841,14 @@ pub fn report_tiers(cells: usize, households: usize, days: u64, seed: u64) -> Re
     let mut scalars_identical = true;
     for tier in ReportTier::all() {
         let fleet = build_fleet(tier);
+        // Each runner memoises its horizon on first use; preparing here
+        // keeps that memory, identical at every tier, out of the
+        // report-storage delta below.
+        let live_before = crate::alloc_probe::live_bytes();
+        for (_, runner) in fleet.cells() {
+            runner.producer();
+        }
+        let prepared = crate::alloc_probe::live_bytes() - live_before;
         let live_before = crate::alloc_probe::live_bytes();
         let allocs_before = crate::alloc_probe::count();
         let t0 = Instant::now();
@@ -1887,6 +1904,7 @@ pub fn report_tiers(cells: usize, households: usize, days: u64, seed: u64) -> Re
         rows.push(TierRow {
             tier,
             run_us,
+            prepared_bytes: probe.then_some(prepared),
             retained_bytes: probe.then_some(retained),
             allocations: probe.then_some(allocations),
             rounds_stored,
@@ -1934,13 +1952,18 @@ impl fmt::Display for ReportTiersResult {
                 .retained_bytes
                 .map(|b| format!("{b} B retained"))
                 .unwrap_or_else(|| "retained n/a (no probe)".into());
+            let prepared = r
+                .prepared_bytes
+                .map(|b| format!("{b} B prepared"))
+                .unwrap_or_else(|| "prepared n/a".into());
             writeln!(
                 f,
-                "  {:<11} {:>8} µs  {:>20}  rounds={} settlements={} scenarios={} \
+                "  {:<11} {:>8} µs  {:>20}  {:>18}  rounds={} settlements={} scenarios={} \
                  archive={} B ({:.1} B/day) roundtrip={}",
                 r.tier.to_string(),
                 r.run_us,
                 retained,
+                prepared,
                 r.rounds_stored,
                 r.settlements_stored,
                 r.scenarios_stored,
@@ -1981,11 +2004,13 @@ impl ReportTiersResult {
                 let opt_u =
                     |v: Option<u64>| v.map(|x| x.to_string()).unwrap_or_else(|| "null".into());
                 format!(
-                    "{{\"tier\":\"{}\",\"run_us\":{},\"retained_bytes\":{},\"allocations\":{},\
-                     \"rounds_stored\":{},\"settlements_stored\":{},\"scenarios_stored\":{},\
-                     \"archive_bytes\":{},\"archive_bytes_per_day\":{:.1},\"roundtrip_ok\":{}}}",
+                    "{{\"tier\":\"{}\",\"run_us\":{},\"prepared_bytes\":{},\"retained_bytes\":{},\
+                     \"allocations\":{},\"rounds_stored\":{},\"settlements_stored\":{},\
+                     \"scenarios_stored\":{},\"archive_bytes\":{},\"archive_bytes_per_day\":{:.1},\
+                     \"roundtrip_ok\":{}}}",
                     r.tier,
                     r.run_us,
+                    opt_i(r.prepared_bytes),
                     opt_i(r.retained_bytes),
                     opt_u(r.allocations),
                     r.rounds_stored,
@@ -3122,6 +3147,7 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"experiment\":\"E17\""));
         assert!(json.contains("\"scalars_identical\":true"));
+        assert!(json.contains("\"prepared_bytes\":null"));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Each experiment (see `DESIGN.md` §4 for the full index) is a pure
 //! function returning a result struct with a `Display` implementation
 //! that prints the same quantities the paper reports. The `experiments`
-//! binary dispatches on experiment id; the Criterion benches in
-//! `benches/` time the underlying workloads.
+//! binary dispatches on experiment id; the season benchmark lives in
+//! the separate `loadbench` package.
 //!
 //! | id | paper artefact | function |
 //! |----|----------------|----------|

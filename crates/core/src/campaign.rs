@@ -854,9 +854,8 @@ impl DayPlan {
     }
 
     /// The tier the campaign wants this day's negotiations reported at
-    /// — external drivers (the fleet) negotiate with
-    /// [`Scenario::run_in_at`] so lower tiers never materialise the
-    /// storage they would immediately drop.
+    /// — [`DayPlan::negotiate`] passes it to the scratch so lower tiers
+    /// never materialise the storage they would immediately drop.
     pub fn tier(&self) -> ReportTier {
         self.tier
     }
@@ -903,15 +902,14 @@ impl DayPlan {
     pub fn negotiate(&self, index: usize, scratch: &mut NegotiationScratch) -> NegotiationReport {
         let (_, scenario) = &self.scenarios[index];
         match &self.mode {
-            ExecutionMode::Sync => scenario.run_in_at(scenario.method, self.tier, scratch),
+            ExecutionMode::Sync => scratch.run(scenario, self.tier),
             ExecutionMode::Distributed {
                 network,
                 deadline,
                 seed,
             } => {
-                let outcome = scratch.run_distributed_at(
+                let outcome = scratch.run_distributed(
                     scenario,
-                    scenario.method,
                     self.tier,
                     network,
                     peak_seed(*seed, self.day.index, self.seed_base + index as u64),

@@ -227,7 +227,11 @@ mod tests {
     #[test]
     fn single_category_equals_uniform_offer() {
         let scenario = ScenarioBuilder::random(80, 0.35, 9).build();
-        let uniform = scenario.run_with(AnnouncementMethod::Offer);
+        let uniform = Scenario {
+            method: AnnouncementMethod::Offer,
+            ..scenario.clone()
+        }
+        .run();
         let one = vec![Category {
             lower: KilowattHours(0.0),
             upper: KilowattHours(f64::INFINITY),
@@ -248,7 +252,11 @@ mod tests {
     #[test]
     fn optimized_categories_never_reduce_less_than_uniform() {
         let scenario = ScenarioBuilder::random(150, 0.35, 13).build();
-        let uniform = scenario.run_with(AnnouncementMethod::Offer);
+        let uniform = Scenario {
+            method: AnnouncementMethod::Offer,
+            ..scenario.clone()
+        }
+        .run();
         let candidates: Vec<Fraction> = [0.5, 0.6, 0.7, 0.8, 0.9]
             .iter()
             .map(|&v| Fraction::clamped(v))

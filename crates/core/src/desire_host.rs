@@ -16,7 +16,7 @@
 use crate::engine::{CustomerEngine, Effect, Input, Peer, ReportAssembler, UtilityEngine};
 use crate::message::Msg;
 use crate::reward::RewardTable;
-use crate::session::{NegotiationReport, Scenario};
+use crate::session::{NegotiationReport, ReportTier, Scenario};
 use desire::component::{Component, FnCalculation};
 use desire::engine::{FactBase, TruthValue};
 use desire::kb::KnowledgeBase;
@@ -305,9 +305,15 @@ pub fn run_hosted_traced(scenario: &Scenario) -> (NegotiationReport, desire::tra
     // tables regardless of `scenario.method`: the hosted composition's
     // ontology and links only model announce/bid traffic, and this
     // function's contract is the paper-prototype strategy.
-    let mut engine =
-        UtilityEngine::with_method(scenario, crate::methods::AnnouncementMethod::RewardTables);
-    let assembler = Rc::new(RefCell::new(ReportAssembler::for_engine(&engine)));
+    let scenario = &Scenario {
+        method: crate::methods::AnnouncementMethod::RewardTables,
+        ..scenario.clone()
+    };
+    let mut engine = UtilityEngine::new(scenario);
+    let assembler = Rc::new(RefCell::new(ReportAssembler::for_engine_at(
+        &engine,
+        ReportTier::FullTrace,
+    )));
     let ua_assembler = Rc::clone(&assembler);
     let mut started = false;
     let ua_calc = FnCalculation::new("ua_round", move |input: &FactBase| {
@@ -581,7 +587,11 @@ mod tests {
             .method(AnnouncementMethod::Offer)
             .build();
         let hosted = run_hosted(&scenario);
-        let native = scenario.run_with(AnnouncementMethod::RewardTables);
+        let native = Scenario {
+            method: AnnouncementMethod::RewardTables,
+            ..scenario.clone()
+        }
+        .run();
         assert_eq!(hosted.method(), AnnouncementMethod::RewardTables);
         assert!(!hosted.rounds().is_empty());
         assert_eq!(hosted.final_bids(), native.final_bids());

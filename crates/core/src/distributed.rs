@@ -14,7 +14,7 @@
 use crate::concession::NegotiationStatus;
 use crate::engine::{CustomerEngine, Effect, Input, Peer, ReportAssembler, UtilityEngine};
 use crate::message::Msg;
-use crate::session::{NegotiationReport, RoundRecord, Scenario, Settlement};
+use crate::session::{NegotiationReport, ReportTier, RoundRecord, Scenario, Settlement};
 use crate::sync_driver::NegotiationScratch;
 use massim::agent::{Agent, AgentId, Context, TimerToken};
 use massim::clock::SimDuration;
@@ -41,7 +41,7 @@ impl CustomerProcess {
     }
 
     /// Unwraps the engine — how a hot loop recovers its buffers after a
-    /// run (see [`NegotiationScratch::run_distributed_at`]).
+    /// run (see [`NegotiationScratch::run_distributed`]).
     pub fn into_engine(self) -> CustomerEngine {
         self.engine
     }
@@ -78,30 +78,16 @@ pub struct UtilityProcess {
 }
 
 impl UtilityProcess {
-    /// Creates the UA process for a scenario. `customers` must be the
-    /// already-registered Customer Agent ids, in scenario order.
-    pub fn new(
-        scenario: &Scenario,
-        customers: Vec<AgentId>,
-        deadline: SimDuration,
-    ) -> UtilityProcess {
-        UtilityProcess::with_engine_at(
-            UtilityEngine::new(scenario),
-            customers,
-            deadline,
-            crate::session::ReportTier::FullTrace,
-        )
-    }
-
     /// Creates the UA process around an already-built engine, assembling
-    /// the report at `tier` — the constructor the scratch-reusing hot
-    /// path uses, so a campaign's distributed negotiations neither
-    /// rebuild engines nor retain more than their tier keeps.
+    /// the report at `tier` — so the scratch-reusing hot path neither
+    /// rebuilds engines nor retains more than its tier keeps.
+    /// `customers` must be the already-registered Customer Agent ids, in
+    /// scenario order.
     pub fn with_engine_at(
         engine: UtilityEngine,
         customers: Vec<AgentId>,
         deadline: SimDuration,
-        tier: crate::session::ReportTier,
+        tier: ReportTier,
     ) -> UtilityProcess {
         let assembler = ReportAssembler::for_engine_at(&engine, tier);
         let index_of = customers
@@ -133,12 +119,6 @@ impl UtilityProcess {
     /// The final status once the negotiation is over.
     pub fn status(&self) -> Option<NegotiationStatus> {
         self.assembler.status()
-    }
-
-    /// The report assembled so far (complete once [`UtilityProcess::status`]
-    /// is `Some`).
-    pub fn report(&self) -> NegotiationReport {
-        self.assembler.clone().finish()
     }
 
     fn pump(&mut self, ctx: &mut Context<'_, Msg>) {
@@ -197,7 +177,9 @@ pub struct DistributedOutcome {
 }
 
 /// Runs the scenario's configured announcement method as a distributed
-/// simulation.
+/// simulation, on a fresh [`NegotiationScratch`] at
+/// [`ReportTier::FullTrace`] — the one-shot form of
+/// [`NegotiationScratch::run_distributed`].
 ///
 /// `deadline` is the UA's per-round response deadline; it must exceed a
 /// network round trip or every round concludes empty. On a perfect
@@ -214,56 +196,46 @@ pub fn run_distributed(
     seed: u64,
     deadline: SimDuration,
 ) -> DistributedOutcome {
-    let mut sim: Simulation<Msg> = Simulation::with_network(seed, network);
-    sim.set_logging(false);
-    let customer_ids: Vec<AgentId> = (0..scenario.customers.len())
-        .map(|i| {
-            sim.add_agent(CustomerProcess::new(CustomerEngine::for_customer(
-                scenario, i,
-            )))
-        })
-        .collect();
-    let ua = sim.add_agent(UtilityProcess::new(scenario, customer_ids, deadline));
-    sim.run().expect("negotiation simulation terminates");
-
-    let process = sim.agent::<UtilityProcess>(ua).expect("UA process exists");
-    DistributedOutcome {
-        report: process.report(),
-        metrics: *sim.metrics(),
-        deadline_forced_rounds: process.engine.deadline_forced_rounds(),
-    }
+    NegotiationScratch::new().run_distributed(
+        scenario,
+        ReportTier::FullTrace,
+        &network,
+        seed,
+        deadline,
+    )
 }
 
 impl NegotiationScratch {
-    /// Runs `method` on `scenario` through the distributed simulation,
-    /// reusing the scratch's engines — the distributed twin of
-    /// [`NegotiationScratch::run_at`]. The engines are checked out of
-    /// the scratch, moved into the simulation's processes, and recovered
-    /// afterwards via [`Simulation::take_agent`], so a campaign fanning
-    /// thousands of peaks through the network keeps its per-worker
-    /// buffers. Byte-identical to [`run_distributed`] for the same
-    /// scenario, network, seed and deadline (at
-    /// [`ReportTier::FullTrace`](crate::session::ReportTier::FullTrace)).
+    /// Runs `scenario` (its configured
+    /// [`method`](crate::session::Scenario::method)) through a seeded
+    /// [`massim`] simulation over `network`, reusing the scratch's
+    /// engines and retaining only what `tier` keeps — the distributed
+    /// twin of [`NegotiationScratch::run`]. The engines are checked out
+    /// of the scratch, moved into the simulation's processes, and
+    /// recovered afterwards via [`Simulation::take_agent`], so a
+    /// campaign fanning thousands of peaks through the network keeps its
+    /// per-worker buffers.
+    /// Byte-identical to a fresh scratch for the same scenario, tier,
+    /// network, seed and deadline.
     ///
     /// # Panics
     ///
     /// Panics if the simulation fails (event-budget exhaustion —
     /// impossible for terminating negotiations).
-    pub fn run_distributed_at(
+    pub fn run_distributed(
         &mut self,
         scenario: &Scenario,
-        method: crate::methods::AnnouncementMethod,
-        tier: crate::session::ReportTier,
+        tier: ReportTier,
         network: &NetworkModel,
         seed: u64,
         deadline: SimDuration,
     ) -> DistributedOutcome {
-        let (utility, customer_engines) = self.checkout(scenario, method);
+        let (utility, customer_engines) = self.checkout(scenario);
         let mut sim: Simulation<Msg> = Simulation::with_network(seed, network.clone());
         sim.set_logging(false);
-        // Registration order matches `run_distributed` (customers in
-        // scenario order, then the UA) so the seeded event interleaving
-        // is identical.
+        // Customers register first, in scenario order, then the UA: the
+        // seeded event interleaving (and so every distributed golden)
+        // depends on this order.
         let customer_ids: Vec<AgentId> = customer_engines
             .into_iter()
             .map(|engine| sim.add_agent(CustomerProcess::new(engine)))
@@ -399,7 +371,12 @@ mod tests {
                 )))
             })
             .collect();
-        let _ua = sim.add_agent(UtilityProcess::new(&scenario, ids.clone(), deadline()));
+        let _ua = sim.add_agent(UtilityProcess::with_engine_at(
+            UtilityEngine::new(&scenario),
+            ids.clone(),
+            deadline(),
+            ReportTier::FullTrace,
+        ));
         sim.run().unwrap();
         let awarded = ids
             .iter()
@@ -423,7 +400,6 @@ mod tests {
 
     #[test]
     fn scratch_distributed_matches_fresh_engines() {
-        use crate::session::ReportTier;
         // One scratch across mixed sizes, methods and networks — the
         // checked-out/recovered engines must behave exactly like fresh
         // ones, faults included.
@@ -443,9 +419,8 @@ mod tests {
                 for net in &nets {
                     let fresh =
                         run_distributed(&scenario, net.clone(), seed, SimDuration::from_ticks(300));
-                    let reused = scratch.run_distributed_at(
+                    let reused = scratch.run_distributed(
                         &scenario,
-                        method,
                         ReportTier::FullTrace,
                         net,
                         seed,

@@ -21,10 +21,16 @@
 //!
 //! Three drivers ship with the crate:
 //!
-//! 1. [`SyncDriver`](crate::sync_driver::SyncDriver) — in-process message
-//!    pump, used by [`Scenario::run`](crate::session::Scenario::run);
-//! 2. the [`massim`] actor adapters in [`crate::distributed`];
+//! 1. [`NegotiationScratch::run`](crate::sync_driver::NegotiationScratch::run)
+//!    — in-process message pump, behind
+//!    [`Scenario::run`](crate::session::Scenario::run);
+//! 2. the [`massim`] actor adapters in [`crate::distributed`], driven by
+//!    [`NegotiationScratch::run_distributed`](crate::sync_driver::NegotiationScratch::run_distributed);
 //! 3. the DESIRE component glue in [`crate::desire_host`].
+//!
+//! Every driver takes the announcement method from
+//! [`Scenario::method`](crate::session::Scenario::method): the engine
+//! is built and reset from the scenario alone.
 //!
 //! All three produce their
 //! [`NegotiationReport`](crate::session::NegotiationReport) through the shared
@@ -165,13 +171,8 @@ pub struct UtilityEngine {
 }
 
 impl UtilityEngine {
-    /// An engine for `scenario`'s configured method.
-    pub fn new(scenario: &Scenario) -> UtilityEngine {
-        UtilityEngine::with_method(scenario, scenario.method)
-    }
-
-    fn initial_state(scenario: &Scenario, method: AnnouncementMethod, n: usize) -> MethodState {
-        match method {
+    fn initial_state(scenario: &Scenario, n: usize) -> MethodState {
+        match scenario.method {
             AnnouncementMethod::RewardTables => MethodState::RewardTables {
                 negotiator: RewardTableNegotiator::new(scenario.config.clone(), scenario.interval),
             },
@@ -182,8 +183,8 @@ impl UtilityEngine {
         }
     }
 
-    /// An engine for a specific announcement method on `scenario`.
-    pub fn with_method(scenario: &Scenario, method: AnnouncementMethod) -> UtilityEngine {
+    /// An engine for `scenario`'s configured method.
+    pub fn new(scenario: &Scenario) -> UtilityEngine {
         let profiles: Vec<(KilowattHours, KilowattHours)> = scenario
             .customers
             .iter()
@@ -191,13 +192,13 @@ impl UtilityEngine {
             .collect();
         let n = profiles.len();
         UtilityEngine {
-            method,
+            method: scenario.method,
             config: scenario.config.clone(),
             tariff: scenario.tariff,
             profiles,
             normal_use: scenario.normal_use,
             initial_total: scenario.initial_total(),
-            state: UtilityEngine::initial_state(scenario, method, n),
+            state: UtilityEngine::initial_state(scenario, n),
             announced: None,
             responses: vec![None; n],
             responded: 0,
@@ -212,12 +213,11 @@ impl UtilityEngine {
 
     /// Re-aims the engine at a fresh scenario, reusing every internal
     /// buffer (profiles, response table, bid floor, effect queue) —
-    /// behaviourally identical to
-    /// [`UtilityEngine::with_method(scenario, method)`](UtilityEngine::with_method)
+    /// behaviourally identical to [`UtilityEngine::new(scenario)`](UtilityEngine::new)
     /// without the per-negotiation allocations.
-    pub fn reset(&mut self, scenario: &Scenario, method: AnnouncementMethod) {
+    pub fn reset(&mut self, scenario: &Scenario) {
         let n = scenario.customers.len();
-        self.method = method;
+        self.method = scenario.method;
         self.config = scenario.config.clone();
         self.tariff = scenario.tariff;
         self.profiles.clear();
@@ -229,7 +229,7 @@ impl UtilityEngine {
         );
         self.normal_use = scenario.normal_use;
         self.initial_total = scenario.initial_total();
-        self.state = UtilityEngine::initial_state(scenario, method, n);
+        self.state = UtilityEngine::initial_state(scenario, n);
         self.announced = None;
         self.responses.clear();
         self.responses.resize(n, None);
@@ -880,12 +880,6 @@ pub struct ReportAssembler {
 }
 
 impl ReportAssembler {
-    /// A full-trace assembler for the given engine (the historical
-    /// behaviour — every round record is kept).
-    pub fn for_engine(engine: &UtilityEngine) -> ReportAssembler {
-        ReportAssembler::for_engine_at(engine, crate::session::ReportTier::FullTrace)
-    }
-
     /// An assembler for the given engine retaining only what `tier`
     /// keeps.
     pub fn for_engine_at(
@@ -1351,7 +1345,8 @@ mod tests {
             .method(AnnouncementMethod::Offer)
             .build();
         let mut ua = UtilityEngine::new(&scenario);
-        let mut assembler = ReportAssembler::for_engine(&ua);
+        let mut assembler =
+            ReportAssembler::for_engine_at(&ua, crate::session::ReportTier::FullTrace);
         ua.handle(Input::Start);
         let mut offers = Vec::new();
         while let Some(e) = ua.poll_effect() {

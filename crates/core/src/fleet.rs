@@ -154,7 +154,7 @@ impl<'a> FleetRunner<'a> {
     /// The fleet's persistent shared [`WorkerPool`]: built (threads
     /// spawned, parked) on the first [`FleetRunner::run`] and reused by
     /// every subsequent run.
-    pub fn pool(&self) -> &WorkerPool {
+    fn pool(&self) -> &WorkerPool {
         self.pool.get_or_init(|| WorkerPool::sized(self.threads))
     }
 

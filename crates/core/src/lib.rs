@@ -19,18 +19,21 @@
 //! state machine fed with [`engine::Input`]s and drained of
 //! [`engine::Effect`]s. Three thin drivers execute it:
 //!
-//! 1. **Synchronous** ([`sync_driver::SyncDriver`], behind
+//! 1. **Synchronous** ([`sync_driver::NegotiationScratch::run`], behind
 //!    [`session::Scenario::run`]) — an in-process message pump, used by
 //!    the experiment harness and the parallel [`sweep`] runner;
-//! 2. **Distributed** ([`distributed`]) — Utility and Customer Agents as
-//!    [`massim`] actors exchanging [`message::Msg`] over a lossy network;
+//! 2. **Distributed** ([`distributed`], driven by
+//!    [`sync_driver::NegotiationScratch::run_distributed`]) — Utility and
+//!    Customer Agents as [`massim`] actors exchanging [`message::Msg`]
+//!    over a lossy network;
 //! 3. **DESIRE-hosted** ([`desire_host`]) — the same engines executed
 //!    inside the [`desire`] compositional framework, mirroring the
 //!    paper's Figures 2–5 process hierarchies.
 //!
 //! Because every mode drives the same engine, their outcomes agree by
 //! construction (`tests/cross_mode.rs` checks this property on random
-//! scenarios).
+//! scenarios). Each negotiation's announcement method is named once, as
+//! [`session::Scenario::method`]; no run path takes it as an argument.
 //!
 //! # Quickstart
 //!
@@ -39,7 +42,7 @@
 //!
 //! // The calibrated Figure 6/7 scenario: capacity 100, predicted use 135.
 //! let scenario = ScenarioBuilder::paper_figure_6().build();
-//! let report = scenario.run(); // SyncDriver over the sans-io engine
+//! let report = scenario.run(); // a fresh NegotiationScratch over the sans-io engine
 //! assert!(report.converged());
 //! assert!(report.final_overuse() < report.initial_overuse());
 //! ```
@@ -201,7 +204,7 @@
 //! a panic, and are shared by the sweep and the fleet scheduler — no
 //! per-batch thread spawn (E16). Each pool worker threads a
 //! reusable [`sync_driver::NegotiationScratch`] through the peaks it
-//! claims ([`session::Scenario::run_in`]), so utility/customer engines
+//! claims ([`campaign::DayPlan::negotiate`]), so utility/customer engines
 //! are reset in place instead of rebuilt per negotiation, rounds move
 //! their bid vectors into the report instead of cloning them, and each
 //! round's reward table is snapshotted exactly once (shared `Arc` in
@@ -336,6 +339,6 @@ pub mod prelude {
     };
     pub use crate::strategy::select_method;
     pub use crate::sweep::{ScenarioSweep, SweepOutcome, WorkerPool};
-    pub use crate::sync_driver::{NegotiationScratch, SyncDriver};
+    pub use crate::sync_driver::NegotiationScratch;
     pub use crate::utility_agent::UtilityAgentConfig;
 }

@@ -4,22 +4,15 @@
 //! if they only use x_max % of a given amount of electricity, they will
 //! receive that electricity for a lower price. ... Customer Agents may
 //! only answer 'yes' or 'no' to this offer."
-
-use crate::methods::AnnouncementMethod;
-use crate::session::{NegotiationReport, Scenario};
-use crate::sync_driver::SyncDriver;
-
-/// Runs the offer method on a scenario (a facade over
-/// [`SyncDriver`] and the shared [`crate::engine::UtilityEngine`], which
-/// holds the §3.2.1 accept/decline and billing-advantage logic).
-pub fn run(scenario: &Scenario) -> NegotiationReport {
-    SyncDriver::with_method(scenario, AnnouncementMethod::Offer).run()
-}
+//!
+//! The accept/decline and billing-advantage logic lives in the shared
+//! [`UtilityEngine`](crate::engine::UtilityEngine); a scenario selects
+//! it with [`AnnouncementMethod::Offer`](super::AnnouncementMethod::Offer).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::session::ScenarioBuilder;
+    use crate::methods::AnnouncementMethod;
+    use crate::session::{NegotiationReport, ScenarioBuilder};
     use powergrid::units::Fraction;
 
     #[test]

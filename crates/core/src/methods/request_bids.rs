@@ -5,23 +5,17 @@
 //! electricity it really needs when a reward is promised: y_min. ...
 //! they respond by doing either the same bid again ('stand still') or by
 //! doing a (slightly) better bid ('one step forward')."
-
-use crate::methods::AnnouncementMethod;
-use crate::session::{NegotiationReport, Scenario};
-use crate::sync_driver::SyncDriver;
-
-/// Runs the request-for-bids method on a scenario (a facade over
-/// [`SyncDriver`] and the shared [`crate::engine::UtilityEngine`], which
-/// holds the §3.2.2 stand-still/step-forward and settlement logic).
-pub fn run(scenario: &Scenario) -> NegotiationReport {
-    SyncDriver::with_method(scenario, AnnouncementMethod::RequestForBids).run()
-}
+//!
+//! The stand-still/step-forward and settlement logic lives in the shared
+//! [`UtilityEngine`](crate::engine::UtilityEngine); a scenario selects
+//! it with
+//! [`AnnouncementMethod::RequestForBids`](super::AnnouncementMethod::RequestForBids).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::concession::{verify_bids, NegotiationStatus, TerminationReason};
-    use crate::session::ScenarioBuilder;
+    use crate::methods::AnnouncementMethod;
+    use crate::session::{Scenario, ScenarioBuilder};
     use powergrid::units::{Fraction, KilowattHours, Money};
 
     #[test]
@@ -55,8 +49,16 @@ mod tests {
         // (one tabled level per step) where the offer needs exactly one.
         for seed in 0..10 {
             let scenario = ScenarioBuilder::random(100, 0.35, seed).build();
-            let rfb = scenario.run_with(AnnouncementMethod::RequestForBids);
-            let offer = scenario.run_with(AnnouncementMethod::Offer);
+            let rfb = Scenario {
+                method: AnnouncementMethod::RequestForBids,
+                ..scenario.clone()
+            }
+            .run();
+            let offer = Scenario {
+                method: AnnouncementMethod::Offer,
+                ..scenario
+            }
+            .run();
             assert!(
                 rfb.rounds().len() > offer.rounds().len(),
                 "seed {seed}: request-for-bids ({}) should iterate past the \

@@ -4,19 +4,12 @@
 //! all, per Swedish law); every CA replies with its highest acceptable
 //! cut-down (never retreating); the UA predicts the new balance with the
 //! §6 formulae and either accepts or announces a dominating table.
-
-use crate::methods::AnnouncementMethod;
-use crate::session::{NegotiationReport, Scenario};
-use crate::sync_driver::SyncDriver;
-
-/// Runs the reward-table negotiation on a scenario (a facade over
-/// [`SyncDriver`]; the announce/collect/evaluate round logic lives in
-/// the shared [`crate::engine::UtilityEngine`], which drives the same
-/// [`crate::utility_agent::RewardTableNegotiator`] in every execution
-/// mode).
-pub fn run(scenario: &Scenario) -> NegotiationReport {
-    SyncDriver::with_method(scenario, AnnouncementMethod::RewardTables).run()
-}
+//!
+//! The round logic lives in the shared
+//! [`UtilityEngine`](crate::engine::UtilityEngine), which drives the same
+//! [`RewardTableNegotiator`](crate::utility_agent::RewardTableNegotiator)
+//! in every execution mode; a scenario selects it with
+//! [`AnnouncementMethod::RewardTables`](super::AnnouncementMethod::RewardTables).
 
 #[cfg(test)]
 mod tests {

@@ -46,7 +46,8 @@ pub struct Scenario {
     pub customers: Vec<CustomerProfile>,
     /// Utility Agent configuration.
     pub config: UtilityAgentConfig,
-    /// The announcement method to use.
+    /// The announcement method to use — the only place a negotiation
+    /// names it: every run path reads it from here.
     pub method: AnnouncementMethod,
     /// The three-level tariff (offer and request-for-bids settlement).
     pub tariff: Tariff,
@@ -63,44 +64,13 @@ impl Scenario {
         overuse_fraction(self.initial_total(), self.normal_use)
     }
 
-    /// Runs the configured announcement method (a facade over
-    /// [`SyncDriver`](crate::sync_driver::SyncDriver) and the shared
-    /// sans-io [`engine`](crate::engine)).
+    /// Runs the configured announcement method on a fresh
+    /// [`NegotiationScratch`](crate::sync_driver::NegotiationScratch)
+    /// at [`ReportTier::FullTrace`] — the one-shot form of
+    /// [`NegotiationScratch::run`](crate::sync_driver::NegotiationScratch::run),
+    /// which hot loops call with one reused scratch per worker.
     pub fn run(&self) -> NegotiationReport {
-        self.run_with(self.method)
-    }
-
-    /// Runs a specific announcement method on this scenario through the
-    /// synchronous driver.
-    pub fn run_with(&self, method: AnnouncementMethod) -> NegotiationReport {
-        crate::sync_driver::SyncDriver::with_method(self, method).run()
-    }
-
-    /// Runs `method` on this scenario through a reusable
-    /// [`NegotiationScratch`](crate::sync_driver::NegotiationScratch) —
-    /// byte-identical to [`Scenario::run_with`], but the engines (and
-    /// their buffers) are recycled from the scratch instead of
-    /// allocated per negotiation. This is the campaign/fleet hot path:
-    /// one scratch per worker, thousands of peaks.
-    pub fn run_in(
-        &self,
-        method: AnnouncementMethod,
-        scratch: &mut crate::sync_driver::NegotiationScratch,
-    ) -> NegotiationReport {
-        scratch.run(self, method)
-    }
-
-    /// [`Scenario::run_in`] at a chosen [`ReportTier`]: identical
-    /// negotiation, but the report only *retains* what the tier keeps
-    /// (the [`RoundDigest`] scalars always survive). `FullTrace` is
-    /// byte-identical to [`Scenario::run_in`].
-    pub fn run_in_at(
-        &self,
-        method: AnnouncementMethod,
-        tier: ReportTier,
-        scratch: &mut crate::sync_driver::NegotiationScratch,
-    ) -> NegotiationReport {
-        scratch.run_at(self, method, tier)
+        crate::sync_driver::NegotiationScratch::new().run(self, ReportTier::FullTrace)
     }
 }
 

@@ -3,7 +3,7 @@
 //! The β-sensitivity and scaling experiments run hundreds of
 //! *independent* negotiations. Each [`Scenario`] is a pure value — its
 //! population is fixed by a seed at build time and
-//! [`Scenario::run_with`] is deterministic — so a sweep parallelizes
+//! [`Scenario::run`] is deterministic — so a sweep parallelizes
 //! perfectly: [`ScenarioSweep::run`] fans the grid across a
 //! [`WorkerPool`] (borrowing the scenarios, results in input order)
 //! and is **byte-identical** to [`ScenarioSweep::run_sequential`].
@@ -31,8 +31,7 @@
 //! assert!(outcomes.iter().all(|o| o.report.converged()));
 //! ```
 
-use crate::methods::AnnouncementMethod;
-use crate::session::{NegotiationReport, Scenario};
+use crate::session::{NegotiationReport, ReportTier, Scenario};
 use crate::sync_driver::NegotiationScratch;
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
@@ -518,10 +517,8 @@ mod pool {
 pub struct SweepPoint {
     /// Human-readable cell label (policy, size, seed, ...).
     pub label: String,
-    /// The scenario to negotiate.
+    /// The scenario to negotiate, with its configured method.
     pub scenario: Scenario,
-    /// The announcement method to run it with.
-    pub method: AnnouncementMethod,
 }
 
 /// One finished cell.
@@ -566,22 +563,10 @@ impl ScenarioSweep {
     }
 
     /// Adds a cell running the scenario's configured method.
-    pub fn point(self, label: impl Into<String>, scenario: Scenario) -> ScenarioSweep {
-        let method = scenario.method;
-        self.point_with(label, scenario, method)
-    }
-
-    /// Adds a cell with an explicit announcement method.
-    pub fn point_with(
-        mut self,
-        label: impl Into<String>,
-        scenario: Scenario,
-        method: AnnouncementMethod,
-    ) -> ScenarioSweep {
+    pub fn point(mut self, label: impl Into<String>, scenario: Scenario) -> ScenarioSweep {
         self.points.push(SweepPoint {
             label: label.into(),
             scenario,
-            method,
         });
         self
     }
@@ -600,13 +585,10 @@ impl ScenarioSweep {
     ) -> ScenarioSweep {
         for seed in seeds {
             let builder = crate::session::ScenarioBuilder::random(customers, overuse, seed);
-            let scenario = configure(builder).build();
-            let method = scenario.method;
-            self.points.push(SweepPoint {
-                label: format!("{label_prefix}/seed{seed}"),
-                scenario,
-                method,
-            });
+            self = self.point(
+                format!("{label_prefix}/seed{seed}"),
+                configure(builder).build(),
+            );
         }
         self
     }
@@ -657,7 +639,7 @@ impl ScenarioSweep {
                 let point = &self.points[i];
                 SweepOutcome {
                     label: point.label.clone(),
-                    report: point.scenario.run_in(point.method, scratch),
+                    report: scratch.run(&point.scenario, ReportTier::FullTrace),
                 }
             })
     }
@@ -665,7 +647,7 @@ impl ScenarioSweep {
     /// The persistent pool the sweep fans out on: the configured cap,
     /// or machine parallelism. Built (threads spawned) on first use and
     /// reused by every subsequent [`ScenarioSweep::run`].
-    pub fn pool(&self) -> &WorkerPool {
+    fn pool(&self) -> &WorkerPool {
         self.pool.get_or_init(|| WorkerPool::sized(self.threads))
     }
 
@@ -678,7 +660,7 @@ impl ScenarioSweep {
             .iter()
             .map(|p| SweepOutcome {
                 label: p.label.clone(),
-                report: p.scenario.run_in(p.method, &mut scratch),
+                report: scratch.run(&p.scenario, ReportTier::FullTrace),
             })
             .collect()
     }
@@ -687,6 +669,7 @@ impl ScenarioSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::methods::AnnouncementMethod;
     use crate::session::ScenarioBuilder;
     use std::panic::AssertUnwindSafe;
 
@@ -706,10 +689,11 @@ mod tests {
     fn labels_and_order_are_stable() {
         let sweep = ScenarioSweep::new()
             .point("a", ScenarioBuilder::random(10, 0.3, 1).build())
-            .point_with(
+            .point(
                 "b",
-                ScenarioBuilder::random(10, 0.3, 2).build(),
-                AnnouncementMethod::Offer,
+                ScenarioBuilder::random(10, 0.3, 2)
+                    .method(AnnouncementMethod::Offer)
+                    .build(),
             );
         let outcomes = sweep.threads(NonZeroUsize::new(2).expect("2 > 0")).run();
         assert_eq!(outcomes[0].label, "a");
@@ -905,19 +889,22 @@ mod tests {
     #[test]
     fn methods_can_vary_per_cell() {
         let scenario = ScenarioBuilder::random(15, 0.35, 3).build();
-        let sweep = AnnouncementMethod::all()
-            .into_iter()
-            .fold(ScenarioSweep::new(), |s, m| {
-                s.point_with(m.to_string(), scenario.clone(), m)
-            });
+        let mut sweep = ScenarioSweep::new();
+        for method in AnnouncementMethod::all() {
+            let cell = Scenario {
+                method,
+                ..scenario.clone()
+            };
+            sweep = sweep.point(method.to_string(), cell);
+        }
         let outcomes = sweep.run();
-        for (o, m) in outcomes.iter().zip(AnnouncementMethod::all()) {
+        for ((o, p), m) in outcomes
+            .iter()
+            .zip(sweep.points())
+            .zip(AnnouncementMethod::all())
+        {
             assert_eq!(o.report.method(), m);
-            assert_eq!(
-                o.report,
-                scenario.run_with(m),
-                "sweep must match a direct run"
-            );
+            assert_eq!(o.report, p.scenario.run(), "sweep must match a direct run");
         }
     }
 }

@@ -8,25 +8,21 @@
 //! [`UtilityEngine`] and each [`CustomerEngine`]; timers are ignored
 //! because every response always arrives.
 //!
-//! Two entry points share one pump:
-//!
-//! * [`SyncDriver`] — builds fresh engines for one negotiation (the
-//!   simple path);
-//! * [`NegotiationScratch`] — holds the engines across negotiations and
-//!   [resets](UtilityEngine::reset) them per scenario, so a campaign
-//!   worker negotiating thousands of peaks reuses its buffers instead
-//!   of allocating per peak. Byte-identical to the fresh path; the
-//!   sweep/campaign/fleet hot loops thread one scratch per worker,
-//!   exactly like `powergrid`'s `DemandScratch`.
+//! [`NegotiationScratch`] is the one driver of this pump and of the
+//! [distributed](crate::distributed) transport: it holds the engines
+//! across negotiations and [resets](UtilityEngine::reset) them per
+//! scenario, so a campaign worker negotiating thousands of peaks reuses
+//! its buffers instead of allocating per peak. A one-shot
+//! [`Scenario::run`](crate::session::Scenario::run) is simply a fresh
+//! scratch; the sweep/campaign/fleet hot loops thread one scratch per
+//! worker, exactly like `powergrid`'s `DemandScratch`.
 
 use crate::engine::{CustomerEngine, Effect, Input, Peer, ReportAssembler, UtilityEngine};
-use crate::methods::AnnouncementMethod;
 use crate::session::{NegotiationReport, ReportTier, Scenario};
 
 /// Pumps a utility engine and its customers to completion and
 /// assembles the report at the given [`ReportTier`] — the single
-/// synchronous execution loop behind both [`SyncDriver::run`] and
-/// [`NegotiationScratch::run`].
+/// synchronous execution loop behind [`NegotiationScratch::run`].
 ///
 /// # Panics
 ///
@@ -76,45 +72,6 @@ fn pump(
     assembler.finish()
 }
 
-/// Runs a complete negotiation synchronously through the shared engine.
-#[derive(Debug, Clone)]
-pub struct SyncDriver {
-    utility: UtilityEngine,
-    customers: Vec<CustomerEngine>,
-}
-
-impl SyncDriver {
-    /// A driver for `scenario`'s configured method.
-    pub fn new(scenario: &Scenario) -> SyncDriver {
-        SyncDriver::with_method(scenario, scenario.method)
-    }
-
-    /// A driver for a specific announcement method on `scenario`.
-    pub fn with_method(scenario: &Scenario, method: AnnouncementMethod) -> SyncDriver {
-        SyncDriver {
-            utility: UtilityEngine::with_method(scenario, method),
-            customers: (0..scenario.customers.len())
-                .map(|i| CustomerEngine::for_customer(scenario, i))
-                .collect(),
-        }
-    }
-
-    /// Pumps the engines to completion and assembles the report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine stops emitting effects before settling —
-    /// impossible for the shipped announcement methods, whose
-    /// termination the concession protocol guarantees.
-    pub fn run(mut self) -> NegotiationReport {
-        pump(
-            &mut self.utility,
-            &mut self.customers,
-            ReportTier::FullTrace,
-        )
-    }
-}
-
 /// Reusable engine buffers for the negotiation hot loop.
 ///
 /// A campaign negotiates thousands of peaks; building a fresh
@@ -125,8 +82,12 @@ impl SyncDriver {
 /// [resets](UtilityEngine::reset) them onto each new scenario, so the
 /// buffers (and their capacity) are reused.
 ///
-/// Results are **byte-identical** to the fresh-engine path — a reset
-/// engine is behaviourally indistinguishable from a new one — which the
+/// Every negotiation runs through a scratch: [`NegotiationScratch::run`]
+/// over the in-process pump,
+/// [`NegotiationScratch::run_distributed`] over a simulated network,
+/// each reading the announcement method from the scenario. Results are
+/// **byte-identical** to a fresh scratch's — a reset engine is
+/// behaviourally indistinguishable from a new one — which the
 /// sweep/campaign/fleet byte-identity suites pin. One scratch per
 /// worker (never shared): [`WorkerPool::run_with`] hands each pool
 /// worker its own, exactly like `powergrid`'s `DemandScratch` in the
@@ -152,23 +113,22 @@ impl NegotiationScratch {
         self.negotiations
     }
 
-    /// Runs `method` on `scenario`, reusing the scratch's engines.
-    /// Byte-identical to
-    /// [`Scenario::run_with`](crate::session::Scenario::run_with).
-    pub fn run(&mut self, scenario: &Scenario, method: AnnouncementMethod) -> NegotiationReport {
-        self.run_at(scenario, method, ReportTier::FullTrace)
-    }
-
-    /// [`NegotiationScratch::run`] retaining only what `tier` keeps —
-    /// the negotiation itself is identical; the
-    /// [`ReportAssembler`] simply stops storing what the tier drops.
-    pub fn run_at(
-        &mut self,
-        scenario: &Scenario,
-        method: AnnouncementMethod,
-        tier: ReportTier,
-    ) -> NegotiationReport {
-        self.reset_onto(scenario, method);
+    /// Runs `scenario` (its configured
+    /// [`method`](crate::session::Scenario::method)) through the
+    /// synchronous pump, reusing the scratch's engines, and retains only
+    /// what `tier` keeps — the negotiation itself is identical at every
+    /// tier; the [`ReportAssembler`] simply stops storing what the tier
+    /// drops. Byte-identical to a fresh scratch, so at
+    /// [`ReportTier::FullTrace`] to
+    /// [`Scenario::run`](crate::session::Scenario::run).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine stops emitting effects before settling —
+    /// impossible for the shipped announcement methods, whose
+    /// termination the concession protocol guarantees.
+    pub fn run(&mut self, scenario: &Scenario, tier: ReportTier) -> NegotiationReport {
+        self.reset_onto(scenario);
         let utility = self.utility.as_mut().expect("reset populated the engine");
         pump(utility, &mut self.customers, tier)
     }
@@ -176,7 +136,7 @@ impl NegotiationScratch {
     /// Re-aims every engine at `scenario`, reusing buffers: existing
     /// customer engines are reset in place, extras dropped, missing ones
     /// built fresh; same for the utility engine.
-    fn reset_onto(&mut self, scenario: &Scenario, method: AnnouncementMethod) {
+    fn reset_onto(&mut self, scenario: &Scenario) {
         self.negotiations += 1;
         let n = scenario.customers.len();
         self.customers.truncate(n);
@@ -188,8 +148,8 @@ impl NegotiationScratch {
                 .push(CustomerEngine::for_customer(scenario, i));
         }
         match &mut self.utility {
-            Some(engine) => engine.reset(scenario, method),
-            slot => *slot = Some(UtilityEngine::with_method(scenario, method)),
+            Some(engine) => engine.reset(scenario),
+            slot => *slot = Some(UtilityEngine::new(scenario)),
         }
     }
 
@@ -198,12 +158,8 @@ impl NegotiationScratch {
     /// engines for the duration of a run. Pair with
     /// [`NegotiationScratch::check_in`] to return them so the next
     /// negotiation reuses the buffers.
-    pub(crate) fn checkout(
-        &mut self,
-        scenario: &Scenario,
-        method: AnnouncementMethod,
-    ) -> (UtilityEngine, Vec<CustomerEngine>) {
-        self.reset_onto(scenario, method);
+    pub(crate) fn checkout(&mut self, scenario: &Scenario) -> (UtilityEngine, Vec<CustomerEngine>) {
+        self.reset_onto(scenario);
         (
             self.utility.take().expect("reset populated the engine"),
             std::mem::take(&mut self.customers),
@@ -221,12 +177,13 @@ impl NegotiationScratch {
 mod tests {
     use super::*;
     use crate::concession::NegotiationStatus;
+    use crate::methods::AnnouncementMethod;
     use crate::session::ScenarioBuilder;
 
     #[test]
     fn drives_the_paper_trace() {
         let scenario = ScenarioBuilder::paper_figure_6().build();
-        let report = SyncDriver::new(&scenario).run();
+        let report = NegotiationScratch::new().run(&scenario, ReportTier::FullTrace);
         assert_eq!(report.rounds().len(), 3);
         assert!(report.converged());
     }
@@ -234,9 +191,11 @@ mod tests {
     #[test]
     fn all_methods_settle_on_random_populations() {
         for seed in 0..5 {
-            let scenario = ScenarioBuilder::random(30, 0.35, seed).build();
             for method in AnnouncementMethod::all() {
-                let report = SyncDriver::with_method(&scenario, method).run();
+                let report = ScenarioBuilder::random(30, 0.35, seed)
+                    .method(method)
+                    .build()
+                    .run();
                 assert!(
                     matches!(
                         report.status(),
@@ -258,10 +217,12 @@ mod tests {
         let mut scratch = NegotiationScratch::new();
         let sizes_and_seeds = [(30usize, 1u64), (12, 2), (30, 1), (45, 3), (12, 2)];
         for &(n, seed) in &sizes_and_seeds {
-            let scenario = ScenarioBuilder::random(n, 0.35, seed).build();
             for method in AnnouncementMethod::all() {
-                let fresh = SyncDriver::with_method(&scenario, method).run();
-                let reused = scratch.run(&scenario, method);
+                let scenario = ScenarioBuilder::random(n, 0.35, seed)
+                    .method(method)
+                    .build();
+                let fresh = scenario.run();
+                let reused = scratch.run(&scenario, ReportTier::FullTrace);
                 assert_eq!(fresh, reused, "n={n} seed={seed} {method}");
             }
         }
@@ -278,23 +239,22 @@ mod tests {
         // Run a different negotiation first so the paper trace goes
         // through *reset* engines, not fresh ones.
         let _ = scratch.run(
-            &ScenarioBuilder::random(7, 0.4, 9).build(),
-            AnnouncementMethod::RequestForBids,
+            &ScenarioBuilder::random(7, 0.4, 9)
+                .method(AnnouncementMethod::RequestForBids)
+                .build(),
+            ReportTier::FullTrace,
         );
-        let report = scratch.run(&scenario, AnnouncementMethod::RewardTables);
+        let report = scratch.run(&scenario, ReportTier::FullTrace);
         assert_eq!(report, scenario.run());
     }
 
     #[test]
     fn customers_learn_their_awards() {
         let scenario = ScenarioBuilder::paper_figure_6().build();
-        let mut driver = SyncDriver::new(&scenario);
-        let report = pump(
-            &mut driver.utility,
-            &mut driver.customers,
-            ReportTier::FullTrace,
-        );
-        for (engine, settlement) in driver.customers.iter().zip(report.settlements()) {
+        let mut scratch = NegotiationScratch::new();
+        let report = scratch.run(&scenario, ReportTier::FullTrace);
+        assert_eq!(scratch.customers.len(), report.settlements().len());
+        for (engine, settlement) in scratch.customers.iter().zip(report.settlements()) {
             assert_eq!(engine.awarded(), Some(settlement));
         }
     }

@@ -14,9 +14,11 @@
 //! * a **network model** ([`network`]) with latency and loss for fault
 //!   injection (lost bids, late bids);
 //! * **metrics** ([`metrics`]) and an **event log** ([`log`]) that the
-//!   experiment harness reads;
-//! * a **std-threaded batch executor** ([`threaded`]) to fan
-//!   independent simulation runs (parameter sweeps) across cores.
+//!   experiment harness reads.
+//!
+//! A simulation is single-threaded and deterministic; independent runs
+//! fan across cores on the caller's thread pool (`loadbal-core`'s
+//! `WorkerPool`).
 //!
 //! # Example
 //!
@@ -63,7 +65,6 @@ pub mod metrics;
 pub mod network;
 pub mod rng;
 pub mod runtime;
-pub mod threaded;
 
 /// The most frequently used items.
 pub mod prelude {
@@ -74,5 +75,4 @@ pub mod prelude {
     pub use crate::metrics::Metrics;
     pub use crate::network::NetworkModel;
     pub use crate::runtime::{RunOutcome, Simulation};
-    pub use crate::threaded::run_batch;
 }

@@ -9,7 +9,6 @@
 use loadbal::core::distributed::run_distributed;
 use loadbal::massim::clock::SimDuration;
 use loadbal::massim::network::NetworkModel;
-use loadbal::massim::threaded::run_seeds;
 use loadbal::prelude::*;
 
 fn main() {
@@ -41,8 +40,8 @@ fn main() {
 
     // Parameter sweep across seeds, in parallel, deterministic per seed.
     println!("\nparallel seed sweep (500 customers, 10 % loss): final overuse per seed");
-    let seeds: Vec<u64> = (0..8).collect();
-    let results = run_seeds(&seeds, |seed| {
+    let results = WorkerPool::with_available_parallelism().run(8, |i| {
+        let seed = i as u64;
         let scenario = ScenarioBuilder::random(500, 0.35, seed).build();
         let outcome = run_distributed(
             &scenario,

@@ -71,14 +71,24 @@ fn main() {
         "method", "rounds", "messages", "overuse %", "outlay"
     );
     // One sweep cell per announcement method, fanned across cores; each
-    // cell drives the shared sans-io engine through the SyncDriver.
-    let sweep = AnnouncementMethod::all()
-        .into_iter()
-        .fold(ScenarioSweep::new(), |sweep, method| {
-            sweep.point_with(method.to_string(), scenario.clone(), method)
-        });
-    for outcome in sweep.run() {
+    // cell's scenario names its method, and each report must equal a
+    // direct run of that cell.
+    let mut sweep = ScenarioSweep::new();
+    for method in AnnouncementMethod::all() {
+        let cell = Scenario {
+            method,
+            ..scenario.clone()
+        };
+        sweep = sweep.point(method.to_string(), cell);
+    }
+    for (outcome, point) in sweep.run().iter().zip(sweep.points()) {
         let report = &outcome.report;
+        assert_eq!(
+            *report,
+            point.scenario.run(),
+            "{}: sweep cell differs from a direct run",
+            outcome.label
+        );
         println!(
             "{:<18} {:>6} {:>9} {:>11.1} {:>9.1}",
             outcome.label,

@@ -1,10 +1,10 @@
 //! Quickstart: run the paper's calibrated negotiation and print the
 //! result.
 //!
-//! `Scenario::run()` is a facade over the sans-io `NegotiationEngine`:
-//! a `SyncDriver` pumps `Effect`s between one `UtilityEngine` and the
+//! `Scenario::run()` negotiates on a fresh `NegotiationScratch`, which
+//! pumps `Effect`s between one sans-io `UtilityEngine` and the
 //! `CustomerEngine`s. The distributed and DESIRE-hosted modes drive the
-//! very same engine, so what this example prints is what every mode
+//! very same engines, so what this example prints is what every mode
 //! produces.
 //!
 //! ```text
@@ -47,7 +47,7 @@ fn main() {
     }
     println!();
 
-    // The full negotiation through the synchronous driver.
+    // The full negotiation through the synchronous pump.
     let report = scenario.run();
     println!("Outcome: {report}");
     for round in report.rounds() {

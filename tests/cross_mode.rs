@@ -8,7 +8,7 @@
 
 use loadbal::core::campaign::{CampaignBuilder, ClosedLoop, FixedPredictor};
 use loadbal::core::desire_host::run_hosted;
-use loadbal::core::distributed::run_distributed;
+use loadbal::core::distributed::{run_distributed, DistributedOutcome};
 use loadbal::core::fleet::FleetRunner;
 use loadbal::massim::clock::SimDuration;
 use loadbal::massim::network::NetworkModel;
@@ -140,7 +140,7 @@ proptest! {
     }
 
     /// The campaign hot path's distributed driver — the scratch-reusing
-    /// [`NegotiationScratch::run_distributed_at`] — agrees with the sync
+    /// [`NegotiationScratch::run_distributed`] — agrees with the sync
     /// pump at **every** report tier over a perfect network, through a
     /// scratch whose engine buffers were shaped by a previous
     /// negotiation.
@@ -156,13 +156,14 @@ proptest! {
         let mut scratch = NegotiationScratch::new();
         // Dirty the scratch first so the run goes through reset engines.
         let _ = scratch.run(
-            &ScenarioBuilder::random(7, 0.4, 9).build(),
-            AnnouncementMethod::RequestForBids,
+            &ScenarioBuilder::random(7, 0.4, 9)
+                .method(AnnouncementMethod::RequestForBids)
+                .build(),
+            ReportTier::FullTrace,
         );
-        let sync = scratch.run_at(&scenario, scenario.method, tier);
-        let outcome = scratch.run_distributed_at(
+        let sync = scratch.run(&scenario, tier);
+        let outcome = scratch.run_distributed(
             &scenario,
-            scenario.method,
             tier,
             &NetworkModel::perfect(),
             seed,
@@ -172,6 +173,78 @@ proptest! {
         prop_assert_eq!(outcome.deadline_forced_rounds, 0);
         prop_assert_eq!(outcome.metrics.messages_dropped, 0);
     }
+
+    /// One scratch carries every transport: a random sequence of
+    /// negotiations — each with its own size, seed, method and tier —
+    /// alternates between the sync pump, a perfect network and a
+    /// network that drops, duplicates and reorders, and every result
+    /// equals the same negotiation on a fresh scratch. Engines checked
+    /// out for a lossy run and checked back in must leak nothing into
+    /// the next negotiation, whichever transport it takes.
+    #[test]
+    fn one_scratch_serves_every_transport_in_any_order(
+        negotiations in prop::collection::vec(
+            (1usize..46, 0u64..10_000, arb_method(), 0usize..3, 0usize..3),
+            2..9,
+        ),
+    ) {
+        let mut scratch = NegotiationScratch::new();
+        for (i, &(customers, seed, method, tier_ix, transport)) in
+            negotiations.iter().enumerate()
+        {
+            let tier = ReportTier::all()[tier_ix];
+            let scenario = ScenarioBuilder::random(customers, 0.35, seed)
+                .method(method)
+                .build();
+            let mut fresh_scratch = NegotiationScratch::new();
+            let fresh = negotiate_over(&mut fresh_scratch, &scenario, tier, transport, seed);
+            let reused = negotiate_over(&mut scratch, &scenario, tier, transport, seed);
+            prop_assert_eq!(&reused, &fresh, "negotiation {}: {:?}", i, negotiations[i]);
+        }
+        prop_assert_eq!(scratch.negotiations(), negotiations.len() as u64);
+    }
+}
+
+fn arb_method() -> impl Strategy<Value = AnnouncementMethod> {
+    prop_oneof![
+        Just(AnnouncementMethod::RewardTables),
+        Just(AnnouncementMethod::Offer),
+        Just(AnnouncementMethod::RequestForBids),
+    ]
+}
+
+/// What one negotiation yields on its transport.
+#[derive(Debug, PartialEq)]
+enum Negotiated {
+    Sync(NegotiationReport),
+    Distributed(DistributedOutcome),
+}
+
+/// Negotiates `scenario` through `scratch` over transport `0` (the sync
+/// pump), `1` (a perfect network) or `2` (a network that drops,
+/// duplicates and reorders messages).
+fn negotiate_over(
+    scratch: &mut NegotiationScratch,
+    scenario: &Scenario,
+    tier: ReportTier,
+    transport: usize,
+    seed: u64,
+) -> Negotiated {
+    let network = match transport {
+        0 => return Negotiated::Sync(scratch.run(scenario, tier)),
+        1 => NetworkModel::perfect(),
+        _ => NetworkModel::uniform(1, 15)
+            .with_drop_probability(0.15)
+            .with_duplicate_probability(0.1)
+            .with_reordering(0.2, 20),
+    };
+    Negotiated::Distributed(scratch.run_distributed(
+        scenario,
+        tier,
+        &network,
+        seed,
+        SimDuration::from_ticks(300),
+    ))
 }
 
 #[test]

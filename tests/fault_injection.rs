@@ -211,10 +211,11 @@ fn crashed_customers_do_not_block_the_negotiation() {
             })
         })
         .collect();
-    let ua = sim.add_agent(UtilityProcess::new(
-        &scenario,
+    let ua = sim.add_agent(UtilityProcess::with_engine_at(
+        UtilityEngine::new(&scenario),
         ids,
         SimDuration::from_ticks(50),
+        ReportTier::FullTrace,
     ));
     sim.run()
         .expect("negotiation with crashed customers terminates");
@@ -315,10 +316,11 @@ fn equal_treatment_all_customers_see_identical_announcements() {
             )))
         })
         .collect();
-    let _ua = sim.add_agent(UtilityProcess::new(
-        &scenario,
+    let _ua = sim.add_agent(UtilityProcess::with_engine_at(
+        UtilityEngine::new(&scenario),
         ids.clone(),
         SimDuration::from_ticks(100),
+        ReportTier::FullTrace,
     ));
     sim.run().unwrap();
 

@@ -105,7 +105,11 @@ fn all_methods_work_on_household_derived_scenarios() {
     let scenario =
         ScenarioBuilder::from_households(&homes, &axis, weather.mean(), interval, 0.8, 21).build();
     for method in AnnouncementMethod::all() {
-        let report = scenario.run_with(method);
+        let report = Scenario {
+            method,
+            ..scenario.clone()
+        }
+        .run();
         assert!(report.converged(), "{method}: {report}");
         assert!(
             report.final_overuse() <= report.initial_overuse(),

@@ -147,7 +147,11 @@ fn corpus() -> Vec<(String, Scenario)> {
 fn reports_match_golden_corpus() {
     for (name, scenario) in corpus() {
         for method in AnnouncementMethod::all() {
-            let report = scenario.run_with(method);
+            let report = Scenario {
+                method,
+                ..scenario.clone()
+            }
+            .run();
             check(&format!("{name}__{method}"), &report);
         }
     }

@@ -42,10 +42,11 @@ proptest! {
         let mut sweep = ScenarioSweep::new()
             .threads(NonZeroUsize::new(threads).expect("threads ≥ 1"));
         for (i, (n, overuse, seed, method)) in cells.iter().enumerate() {
-            sweep = sweep.point_with(
+            sweep = sweep.point(
                 format!("cell{i}"),
-                ScenarioBuilder::random(*n, *overuse, *seed).build(),
-                *method,
+                ScenarioBuilder::random(*n, *overuse, *seed)
+                    .method(*method)
+                    .build(),
             );
         }
         let parallel = sweep.run();
