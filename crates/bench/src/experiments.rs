@@ -2670,9 +2670,12 @@ pub struct CityScaleResult {
     /// Live-bytes delta across the season run (`None` without the
     /// counting allocator).
     pub season_retained_bytes: Option<i64>,
-    /// Process-lifetime heap high-water mark after the season, bytes
-    /// (`None` without the counting allocator).
-    pub peak_heap_bytes: Option<i64>,
+    /// The season's own heap high-water mark above the live bytes it
+    /// started from — the transient state negotiating the city costs on
+    /// top of the slab (`None` without the counting allocator).
+    pub season_peak_heap_bytes: Option<i64>,
+    /// `season_peak_heap_bytes / households`.
+    pub season_peak_heap_bytes_per_household: Option<f64>,
     /// Runtime context for the JSON record.
     pub meta: BenchMeta,
 }
@@ -2698,8 +2701,11 @@ pub struct CityScaleResult {
 ///   timings are meaningful — library smoke runs only record the
 ///   figures).
 /// * **Memory** — the slab's retained bytes per household, plus the
-///   season's live-bytes delta and the heap high-water mark when the
-///   counting allocator is installed.
+///   season's live-bytes delta and its own heap high-water mark above
+///   the pre-season live bytes when the counting allocator is
+///   installed. The household objects built for the reference fold are
+///   dropped before the season and the high-water mark is reset, so
+///   the figure is the season's alone.
 pub fn city_scale(households: usize, cells: usize, days: u64, seed: u64) -> CityScaleResult {
     use loadbal_core::fleet::FleetRunner;
     use powergrid::demand::aggregate_demand;
@@ -2730,6 +2736,9 @@ pub fn city_scale(households: usize, cells: usize, days: u64, seed: u64) -> City
         "slab demand kernel diverged from the household reference fold"
     );
     let speedup_vs_object = object_demand_us as f64 / slab_demand_us as f64;
+    // The object trees exist only for the reference fold; the season
+    // reads the slab.
+    drop(homes);
 
     // --- the sharded Settlement-tier season ---
     let threads = std::thread::available_parallelism()
@@ -2745,11 +2754,12 @@ pub fn city_scale(households: usize, cells: usize, days: u64, seed: u64) -> City
     });
     let probe = crate::alloc_probe::installed();
     let live_before = crate::alloc_probe::live_bytes();
+    crate::alloc_probe::reset_peak();
     let t0 = Instant::now();
     let report = fleet.run();
     let season_us = t0.elapsed().as_micros();
     let season_retained = crate::alloc_probe::live_bytes() - live_before;
-    let peak_heap = crate::alloc_probe::peak_bytes();
+    let season_peak = crate::alloc_probe::peak_bytes() - live_before;
     let negotiations = report.negotiations();
     let all_converged = report.all_converged();
     assert_eq!(report.len(), cells);
@@ -2770,7 +2780,9 @@ pub fn city_scale(households: usize, cells: usize, days: u64, seed: u64) -> City
         negotiations,
         all_converged,
         season_retained_bytes: probe.then_some(season_retained),
-        peak_heap_bytes: probe.then_some(peak_heap),
+        season_peak_heap_bytes: probe.then_some(season_peak),
+        season_peak_heap_bytes_per_household: probe
+            .then(|| season_peak as f64 / households.max(1) as f64),
         meta: BenchMeta::capture(ReportTier::Settlement, threads),
     }
 }
@@ -2798,10 +2810,15 @@ impl fmt::Display for CityScaleResult {
             .season_retained_bytes
             .map(|b| format!("{b} B retained"))
             .unwrap_or_else(|| "retained n/a (no probe)".into());
-        let peak = self
-            .peak_heap_bytes
-            .map(|b| format!("{b} B heap high-water"))
-            .unwrap_or_else(|| "high-water n/a (no probe)".into());
+        let peak = match (
+            self.season_peak_heap_bytes,
+            self.season_peak_heap_bytes_per_household,
+        ) {
+            (Some(b), Some(per)) => {
+                format!("{b} B season heap high-water ({per:.0} B/household)")
+            }
+            _ => "high-water n/a (no probe)".into(),
+        };
         writeln!(
             f,
             "  season (demand synthesis + negotiation, {} threads): {} µs, {} negotiations, \
@@ -2825,7 +2842,7 @@ impl CityScaleResult {
              \"bytes_per_household\":{:.1},\"object_demand_us\":{},\"slab_demand_us\":{},\
              \"speedup_vs_object\":{:.2},\"season_us\":{},\"season_includes_synthesis\":true,\
              \"negotiations\":{},\"all_converged\":{},\"season_retained_bytes\":{},\
-             \"peak_heap_bytes\":{}}}",
+             \"season_peak_heap_bytes\":{},\"season_peak_heap_bytes_per_household\":{}}}",
             self.meta.to_json(),
             self.households,
             self.cells,
@@ -2841,7 +2858,10 @@ impl CityScaleResult {
             self.negotiations,
             self.all_converged,
             opt(self.season_retained_bytes),
-            opt(self.peak_heap_bytes)
+            opt(self.season_peak_heap_bytes),
+            self.season_peak_heap_bytes_per_household
+                .map(|v| format!("{v:.1}"))
+                .unwrap_or_else(|| "null".into())
         )
     }
 }
@@ -3248,6 +3268,8 @@ mod tests {
         // the ≥5× claim is asserted at full scale by the binary).
         assert!(r.slab_demand_us > 0 && r.object_demand_us > 0);
         assert!(r.season_retained_bytes.is_none(), "no probe in tests");
+        assert!(r.season_peak_heap_bytes.is_none());
+        assert!(r.season_peak_heap_bytes_per_household.is_none());
         let text = r.to_string();
         assert!(text.contains("E20"));
         assert!(text.contains("household reference"));

@@ -79,9 +79,17 @@ pub mod alloc_probe {
         LIVE.load(Ordering::Relaxed)
     }
 
-    /// High-water mark of [`live_bytes`].
+    /// High-water mark of [`live_bytes`] since the process started or
+    /// the last [`reset_peak`].
     pub fn peak_bytes() -> i64 {
         PEAK.load(Ordering::Relaxed)
+    }
+
+    /// Restarts the high-water mark at the current [`live_bytes`], so a
+    /// later [`peak_bytes`] measures one section of the run rather than
+    /// the whole process lifetime.
+    pub fn reset_peak() {
+        PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// True when a counting allocator is feeding the probe (any
