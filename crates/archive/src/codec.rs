@@ -327,9 +327,8 @@ fn put_entries(buf: &mut Vec<u8>, entries: &[(Fraction, Money)]) {
     }
 }
 
-/// Decodes and validates the invariants `RewardTable::new` and
-/// `CustomerPreferences::new` assert: non-empty, strictly increasing
-/// cut-downs, non-decreasing rewards.
+/// Decodes and validates the invariants `RewardTable::new` asserts:
+/// non-empty, strictly increasing cut-downs, non-decreasing rewards.
 fn entries(d: &mut Dec) -> Result<Vec<(Fraction, Money)>, ArchiveError> {
     let n = d.count(16)?;
     let mut out = Vec::with_capacity(n);
@@ -364,15 +363,20 @@ fn reward_table(d: &mut Dec) -> Result<RewardTable, ArchiveError> {
     Ok(RewardTable::new(interval, entries))
 }
 
+/// Preferences go on the wire as their materialised six-entry table,
+/// so the format does not depend on how core represents them.
 fn put_preferences(buf: &mut Vec<u8>, p: &CustomerPreferences) {
-    put_entries(buf, p.thresholds());
+    put_entries(buf, &p.thresholds());
     put_fraction(buf, p.max_cutdown());
 }
 
+/// Decodes a preference table; only a scaled Figure-8 table (what every
+/// encoder writes) is representable, anything else is corrupt.
 fn preferences(d: &mut Dec) -> Result<CustomerPreferences, ArchiveError> {
     let thresholds = entries(d)?;
     let max_cutdown = fraction(d)?;
-    Ok(CustomerPreferences::new(thresholds, max_cutdown))
+    CustomerPreferences::from_thresholds(&thresholds, max_cutdown)
+        .ok_or_else(|| corrupt("preference table is not a scaled Figure-8 table"))
 }
 
 // ---------------------------------------------------------------------
@@ -724,7 +728,7 @@ pub(crate) fn interval_outcome(d: &mut Dec) -> Result<IntervalOutcome, ArchiveEr
     let label = d.str()?;
     let scenario = match d.u8()? {
         0 => None,
-        1 => Some(scenario(d)?),
+        1 => Some(Box::new(scenario(d)?)),
         _ => return Err(corrupt("unknown scenario tag")),
     };
     Ok(IntervalOutcome {
@@ -758,4 +762,87 @@ pub(crate) fn economics(d: &mut Dec) -> Result<CampaignEconomics, ArchiveError> 
         net_gain: Money(d.f64()?),
         economic_stops: d.u64()? as usize,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Format-v1 preference bytes written out by hand: a `u32` entry
+    /// count, each entry as two little-endian `f64` bit patterns
+    /// (cut-down, required reward), then the ceiling.
+    fn v1_preference_bytes(entries: &[(f64, f64)], ceiling: f64) -> Vec<u8> {
+        let mut bytes = (entries.len() as u32).to_le_bytes().to_vec();
+        for &(c, r) in entries {
+            bytes.extend_from_slice(&c.to_bits().to_le_bytes());
+            bytes.extend_from_slice(&r.to_bits().to_le_bytes());
+        }
+        bytes.extend_from_slice(&ceiling.to_bits().to_le_bytes());
+        bytes
+    }
+
+    fn decode(bytes: &[u8]) -> Result<CustomerPreferences, ArchiveError> {
+        let mut d = Dec::new(bytes, "preferences");
+        let p = preferences(&mut d)?;
+        d.finish()?;
+        Ok(p)
+    }
+
+    fn figure_8_scaled(k: f64) -> Vec<(f64, f64)> {
+        [
+            (0.0, 0.0),
+            (0.1, 2.0),
+            (0.2, 4.0),
+            (0.3, 10.0),
+            (0.4, 21.0),
+            (0.5, 30.0),
+        ]
+        .iter()
+        .map(|&(c, r)| (c, r * k))
+        .collect()
+    }
+
+    #[test]
+    fn hand_encoded_scaled_tables_decode_to_scaled_preferences() {
+        for (k, ceiling) in [(1.0, 0.5), (0.6, 0.3), (2.8, 0.0), (0.0, 1.0), (1.7, 0.4)] {
+            let bytes = v1_preference_bytes(&figure_8_scaled(k), ceiling);
+            let expected = CustomerPreferences::from_base_scaled(k, Fraction::clamped(ceiling));
+            assert_eq!(decode(&bytes).ok(), Some(expected), "k = {k}");
+            // And the encoder writes exactly those bytes: format v1 is
+            // unchanged by the parametric representation.
+            let mut written = Vec::new();
+            put_preferences(&mut written, &expected);
+            assert_eq!(written, bytes, "k = {k}");
+        }
+    }
+
+    #[test]
+    fn unscaled_empty_or_decreasing_tables_are_typed_errors() {
+        let is_corrupt =
+            |bytes: Vec<u8>| matches!(decode(&bytes), Err(ArchiveError::Corrupt { .. }));
+        // Not a scaled Figure-8 table: one reward off, one level moved,
+        // a level short, or an arbitrary monotone table.
+        let mut off = figure_8_scaled(1.3);
+        off[4].1 += 0.5;
+        assert!(is_corrupt(v1_preference_bytes(&off, 0.5)));
+        let mut moved = figure_8_scaled(1.3);
+        moved[2].0 = 0.25;
+        assert!(is_corrupt(v1_preference_bytes(&moved, 0.5)));
+        assert!(is_corrupt(v1_preference_bytes(
+            &figure_8_scaled(1.3)[..5],
+            0.5
+        )));
+        assert!(is_corrupt(v1_preference_bytes(
+            &[(0.1, 1.0), (0.3, 2.5)],
+            0.5
+        )));
+        // Empty.
+        assert!(is_corrupt(v1_preference_bytes(&[], 0.5)));
+        // Decreasing.
+        let mut decreasing = figure_8_scaled(1.0);
+        decreasing[5].1 = 20.0;
+        assert!(is_corrupt(v1_preference_bytes(&decreasing, 0.5)));
+        // A negative scale.
+        assert!(is_corrupt(v1_preference_bytes(&figure_8_scaled(-1.0), 0.5)));
+    }
 }

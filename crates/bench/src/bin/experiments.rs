@@ -179,9 +179,18 @@ fn run(id: &str, json: bool) -> bool {
             // The CI shape: 50k households across 2 shards — exercises
             // the identical machinery (sharding, settlement season,
             // kernel-vs-reference demand agreement) in seconds rather
-            // than minutes.
+            // than minutes. Negotiation state is fixed-size values per
+            // customer, so the season's own heap high-water stays a
+            // few hundred bytes per household; a return of per-customer
+            // heap objects (tables, queues, histories) breaks the bound.
             let r = experiments::city_scale(50_000, 2, 5, 42);
             println!("{r}");
+            if let Some(per_household) = r.season_peak_heap_bytes_per_household {
+                assert!(
+                    per_household <= 400.0,
+                    "season heap high-water {per_household:.0} B/household (acceptance: ≤ 400)"
+                );
+            }
         }
         "all" => {
             for id in [

@@ -1552,7 +1552,7 @@ pub fn hot_loop(
     let micro: Vec<Scenario> = reference[0]
         .outcomes
         .iter()
-        .map(|o| o.scenario.clone().expect("full-trace campaign"))
+        .map(|o| *o.scenario.clone().expect("full-trace campaign"))
         .collect();
     let micro_reps = 3;
     let allocs_before = crate::alloc_probe::count();

@@ -1160,7 +1160,7 @@ impl CampaignProgress<'_> {
                 // dominate an outcome's footprint) is only worth
                 // carrying when the full trace is: the digest already
                 // holds everything feedback and economics read.
-                scenario: tier.keeps_rounds().then_some(scenario),
+                scenario: tier.keeps_rounds().then(|| Box::new(scenario)),
                 report,
             })
             .collect();
@@ -1216,10 +1216,12 @@ impl CampaignProgress<'_> {
             (self.prepared.actuals[d].total() - entry.total()).clamp_non_negative();
         let negotiated = !done.outcomes.is_empty();
         self.history.push(entry);
+        let mut peaks = done.peaks;
+        peaks.shrink_to_fit();
         self.days.push(DayOutcome {
             day,
             predictor: self.predictor.name(),
-            peaks: done.peaks,
+            peaks,
             feedback_delta,
         });
         self.outcomes.extend(done.outcomes);
@@ -1251,13 +1253,17 @@ impl CampaignProgress<'_> {
         self.traffic
     }
 
-    /// Assembles the finished [`CampaignReport`].
+    /// Assembles the finished [`CampaignReport`], its vectors trimmed to
+    /// their length (a season's report outlives the campaign that grew
+    /// it).
     ///
     /// Call after [`CampaignProgress::next_day`] returns `None`; calling
     /// earlier yields a report over the days completed so far.
-    pub fn finish(self) -> CampaignReport {
+    pub fn finish(mut self) -> CampaignReport {
         let economics =
             CampaignEconomics::compute(&self.outcomes, &self.prepared.producer, self.runner.axis);
+        self.outcomes.shrink_to_fit();
+        self.days.shrink_to_fit();
         CampaignReport {
             outcomes: self.outcomes,
             days: self.days,
@@ -1295,8 +1301,9 @@ pub struct IntervalOutcome {
     pub label: String,
     /// The materialised scenario (physically grounded customer
     /// profiles) — retained only at
-    /// [`ReportTier::FullTrace`].
-    pub scenario: Option<Scenario>,
+    /// [`ReportTier::FullTrace`]. Boxed, so the tiers that drop it pay
+    /// one pointer per outcome rather than an inline scenario.
+    pub scenario: Option<Box<Scenario>>,
     /// The negotiation's report, at the campaign's tier.
     pub report: NegotiationReport,
 }

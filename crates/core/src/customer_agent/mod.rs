@@ -10,13 +10,17 @@ use powergrid::tariff::Tariff;
 use powergrid::units::{Fraction, KilowattHours, Money};
 use serde::{Deserialize, Serialize};
 
-/// The CA's per-negotiation state: its preferences and the bid history
-/// the monotonic concession protocol obliges it to respect.
+/// The CA's per-negotiation state: its preferences and what the
+/// monotonic concession protocol obliges it to respect — the previous
+/// bid, which no later bid may undercut. A fixed-size value: the rounds'
+/// bids themselves are kept by the report
+/// ([`RoundRecord::bids`](crate::session::RoundRecord::bids) at
+/// [`ReportTier::FullTrace`](crate::session::ReportTier::FullTrace)).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CustomerAgentState {
     preferences: CustomerPreferences,
     previous_bid: Fraction,
-    bids: Vec<Fraction>,
+    bids_made: u32,
 }
 
 impl CustomerAgentState {
@@ -25,17 +29,8 @@ impl CustomerAgentState {
         CustomerAgentState {
             preferences,
             previous_bid: Fraction::ZERO,
-            bids: Vec::new(),
+            bids_made: 0,
         }
-    }
-
-    /// Starts a fresh negotiation in place, keeping the bid-history
-    /// buffer's capacity — behaviourally identical to
-    /// [`CustomerAgentState::new`].
-    pub fn reset(&mut self, preferences: CustomerPreferences) {
-        self.preferences = preferences;
-        self.previous_bid = Fraction::ZERO;
-        self.bids.clear();
     }
 
     /// The customer's preferences.
@@ -48,14 +43,13 @@ impl CustomerAgentState {
         self.previous_bid
     }
 
-    /// All bids made so far, oldest first.
-    pub fn bid_history(&self) -> &[Fraction] {
-        &self.bids
+    /// How many bids [`respond`](CustomerAgentState::respond) has made.
+    pub fn bids_made(&self) -> u32 {
+        self.bids_made
     }
 
     /// Responds to an announced reward table: the highest acceptable
-    /// cut-down, never below the previous bid (§3.1, §6.2). Records the
-    /// bid in the history.
+    /// cut-down, never below the previous bid (§3.1, §6.2).
     pub fn respond(&mut self, table: &RewardTable) -> Fraction {
         let bid = self.preferences.respond(table, self.previous_bid);
         debug_assert!(
@@ -63,7 +57,7 @@ impl CustomerAgentState {
             "monotonic concession on the CA side"
         );
         self.previous_bid = bid;
-        self.bids.push(bid);
+        self.bids_made += 1;
         bid
     }
 }
@@ -189,7 +183,7 @@ mod tests {
         let b3 = ca.respond(&t3);
         assert_eq!(b3, fr(0.4));
         assert!(b2 >= b1 && b3 >= b2);
-        assert_eq!(ca.bid_history().len(), 3);
+        assert_eq!(ca.bids_made(), 3);
         assert_eq!(ca.previous_bid(), fr(0.4));
     }
 

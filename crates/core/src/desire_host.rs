@@ -348,7 +348,6 @@ pub fn run_hosted_traced(scenario: &Scenario) -> (NegotiationReport, desire::tra
             }
         }
         let mut out = Vec::new();
-        let mut announced = None;
         while let Some(effect) = engine.poll_effect() {
             // Settlement is consumed by the assembler below; note it
             // first so the ended-fact still goes out.
@@ -361,19 +360,15 @@ pub fn run_hosted_traced(scenario: &Scenario) -> (NegotiationReport, desire::tra
                     TruthValue::True,
                 ));
             }
-            match ua_assembler.borrow_mut().observe(effect) {
-                // Announcements are broadcast facts: encode each round's
-                // table once, not once per customer.
-                Some(Effect::Send {
-                    msg: Msg::Announce { round, table },
-                    ..
-                }) if announced != Some(round) => {
-                    announced = Some(round);
-                    out.extend(table_to_facts(round, &table));
-                }
-                // Award sends are counted by the assembler; timers are
-                // meaningless under the kernel's quiescence semantics.
-                _ => {}
+            // A round's announcement broadcast becomes one round of
+            // table facts, which the link carries to every customer.
+            // Award sends are counted by the assembler; timers are
+            // meaningless under the kernel's quiescence semantics.
+            if let Some(Effect::Broadcast {
+                msg: Msg::Announce { round, table },
+            }) = ua_assembler.borrow_mut().observe(effect)
+            {
+                out.extend(table_to_facts(round, &table));
             }
         }
         out
@@ -410,18 +405,13 @@ pub fn run_hosted_traced(scenario: &Scenario) -> (NegotiationReport, desire::tra
             .iter_mut()
             .enumerate()
             .filter_map(|(i, engine)| {
-                engine.handle(Input::Received {
+                let Some(Msg::Bid { round, cutdown }) = engine.handle(Input::Received {
                     from: Peer::Utility,
                     msg: Msg::Announce {
                         round: latest,
                         table: table.clone(),
                     },
-                });
-                let Some(Effect::Send {
-                    msg: Msg::Bid { round, cutdown },
-                    ..
-                }) = engine.poll_effect()
-                else {
+                }) else {
                     return None;
                 };
                 Some((

@@ -39,28 +39,16 @@ impl CustomerProcess {
     pub fn awarded(&self) -> Option<&Settlement> {
         self.engine.awarded()
     }
-
-    /// Unwraps the engine — how a hot loop recovers its buffers after a
-    /// run (see [`NegotiationScratch::run_distributed`]).
-    pub fn into_engine(self) -> CustomerEngine {
-        self.engine
-    }
 }
 
 impl Agent<Msg> for CustomerProcess {
     fn on_message(&mut self, from: AgentId, msg: Msg, ctx: &mut Context<'_, Msg>) {
-        self.engine.handle(Input::Received {
+        let reply = self.engine.handle(Input::Received {
             from: Peer::Utility,
             msg,
         });
-        while let Some(effect) = self.engine.poll_effect() {
-            if let Effect::Send {
-                to: Peer::Utility,
-                msg,
-            } = effect
-            {
-                ctx.send(from, msg);
-            }
+        if let Some(msg) = reply {
+            ctx.send(from, msg);
         }
     }
 }
@@ -126,12 +114,15 @@ impl UtilityProcess {
             // Observations (round records, settlements) move into the
             // assembler; transport effects come back to go on the wire.
             // The simulation drains naturally after settlement so the
-            // award messages still reach the customers.
+            // award messages still reach the customers. A broadcast goes
+            // out as one send per customer in index order, so the
+            // network draws its latencies and losses in that order.
             match self.assembler.observe(effect) {
                 Some(Effect::Send {
                     to: Peer::Customer(i),
                     msg,
                 }) => ctx.send(self.customers[i], msg),
+                Some(Effect::Broadcast { msg }) => ctx.broadcast(&self.customers, msg),
                 Some(Effect::SetTimer { token }) => {
                     ctx.set_timer(TimerToken(token), self.deadline);
                 }
@@ -210,11 +201,12 @@ impl NegotiationScratch {
     /// [`method`](crate::session::Scenario::method)) through a seeded
     /// [`massim`] simulation over `network`, reusing the scratch's
     /// engines and retaining only what `tier` keeps — the distributed
-    /// twin of [`NegotiationScratch::run`]. The engines are checked out
-    /// of the scratch, moved into the simulation's processes, and
+    /// twin of [`NegotiationScratch::run`]. The utility engine is checked
+    /// out of the scratch, moved into the simulation's UA process, and
     /// recovered afterwards via [`Simulation::take_agent`], so a
     /// campaign fanning thousands of peaks through the network keeps its
-    /// per-worker buffers.
+    /// per-worker buffers; the customer engines own no heap memory and
+    /// are built straight into their processes.
     /// Byte-identical to a fresh scratch for the same scenario, tier,
     /// network, seed and deadline.
     ///
@@ -230,39 +222,34 @@ impl NegotiationScratch {
         seed: u64,
         deadline: SimDuration,
     ) -> DistributedOutcome {
-        let (utility, customer_engines) = self.checkout(scenario);
+        let utility = self.checkout(scenario);
         let mut sim: Simulation<Msg> = Simulation::with_network(seed, network.clone());
         sim.set_logging(false);
         // Customers register first, in scenario order, then the UA: the
         // seeded event interleaving (and so every distributed golden)
         // depends on this order.
-        let customer_ids: Vec<AgentId> = customer_engines
-            .into_iter()
-            .map(|engine| sim.add_agent(CustomerProcess::new(engine)))
+        let customer_ids: Vec<AgentId> = (0..scenario.customers.len())
+            .map(|i| {
+                sim.add_agent(CustomerProcess::new(CustomerEngine::for_customer(
+                    scenario, i,
+                )))
+            })
             .collect();
         let ua = sim.add_agent(UtilityProcess::with_engine_at(
             utility,
-            customer_ids.clone(),
+            customer_ids,
             deadline,
             tier,
         ));
         sim.run().expect("negotiation simulation terminates");
 
         let metrics = *sim.metrics();
-        let customers = customer_ids
-            .iter()
-            .map(|&id| {
-                sim.take_agent::<CustomerProcess>(id)
-                    .expect("customer process exists")
-                    .into_engine()
-            })
-            .collect();
         let (utility, report) = sim
             .take_agent::<UtilityProcess>(ua)
             .expect("UA process exists")
             .into_engine_and_report();
         let deadline_forced_rounds = utility.deadline_forced_rounds();
-        self.check_in(utility, customers);
+        self.check_in(utility);
         DistributedOutcome {
             report,
             metrics,

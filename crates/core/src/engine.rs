@@ -9,15 +9,22 @@
 //! crates: no clocks, no sockets, no threads — callers feed [`Input`]s
 //! with [`UtilityEngine::handle`] and drain [`Effect`]s with
 //! [`UtilityEngine::poll_effect`], and the *driver* decides what a
-//! "send" or a "timer" physically means.
+//! "send", a "broadcast" or a "timer" physically means.
 //!
 //! * [`UtilityEngine`] — the Utility Agent half, parameterized by
 //!   [`AnnouncementMethod`]; reuses [`RewardTableNegotiator`] (the §6
 //!   reward/concession logic) and
 //!   [`assess_bids`](crate::utility_agent::cooperation::assess_bids()).
+//!   Each round's announcement is one [`Effect::Broadcast`] to every
+//!   customer (§6.1: all Customer Agents get the same announcement);
+//!   awards are per-customer [`Effect::Send`]s.
 //! * [`CustomerEngine`] — the Customer Agent half; reuses
 //!   [`CustomerAgentState`] and the §3.2.1/§3.2.2 decision functions of
-//!   [`crate::customer_agent`].
+//!   [`crate::customer_agent`]. A customer answers each input with at
+//!   most one message, so [`CustomerEngine::handle`] simply *returns*
+//!   its reply to the Utility Agent: the engine is a fixed-size value
+//!   that owns no heap buffer, so the customer side of a city-scale
+//!   negotiation is one flat vector of engines.
 //!
 //! Three drivers ship with the crate:
 //!
@@ -79,11 +86,11 @@ pub enum Input {
     },
 }
 
-/// Everything an engine can ask the outside world to do.
+/// Everything the [`UtilityEngine`] can ask the outside world to do.
 ///
-/// `Send` and `SetTimer` are *transport* effects the driver must
-/// perform; `RoundComplete` and `Settled` are *observations* it feeds to
-/// a [`ReportAssembler`].
+/// `Send`, `Broadcast` and `SetTimer` are *transport* effects the driver
+/// must perform; `RoundComplete` and `Settled` are *observations* it
+/// feeds to a [`ReportAssembler`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Effect {
     /// Deliver `msg` to `to`.
@@ -91,6 +98,12 @@ pub enum Effect {
         /// The recipient.
         to: Peer,
         /// The message.
+        msg: Msg,
+    },
+    /// Deliver `msg` to every customer, in index order `0..n` — one
+    /// effect per announcement round rather than one send per customer.
+    Broadcast {
+        /// The message every customer receives.
         msg: Msg,
     },
     /// Arm a round deadline. Drivers without real time (the synchronous
@@ -310,36 +323,27 @@ impl UtilityEngine {
         self.profiles.len()
     }
 
-    /// Queues this round's announcements (plus the round deadline).
+    /// Queues this round's announcement broadcast (plus the round
+    /// deadline).
     ///
     /// The reward-table method snapshots the current table **once** and
-    /// shares it across every recipient's message (see
-    /// [`Msg::Announce`]) — the announcement fan-out costs one table
-    /// clone per round, not one per customer.
+    /// shares it between the broadcast (see [`Msg::Announce`]) and the
+    /// round record — one table clone per round, however many customers
+    /// receive it.
     fn announce_round(&mut self) {
         let round = self.current_round();
-        self.announced = match &self.state {
+        let msg = match &self.state {
             MethodState::RewardTables { negotiator } => {
-                Some(Arc::new(negotiator.current_table().clone()))
+                let table = Arc::new(negotiator.current_table().clone());
+                self.announced = Some(Arc::clone(&table));
+                Msg::Announce { round, table }
             }
-            _ => None,
+            MethodState::Offer { .. } => Msg::Offer {
+                x_max: self.config.offer_x_max,
+            },
+            MethodState::RequestForBids { .. } => Msg::RequestBids { round },
         };
-        for i in 0..self.n() {
-            let msg = match &self.state {
-                MethodState::RewardTables { .. } => Msg::Announce {
-                    round,
-                    table: Arc::clone(self.announced.as_ref().expect("snapshot taken above")),
-                },
-                MethodState::Offer { .. } => Msg::Offer {
-                    x_max: self.config.offer_x_max,
-                },
-                MethodState::RequestForBids { .. } => Msg::RequestBids { round },
-            };
-            self.effects.push_back(Effect::Send {
-                to: Peer::Customer(i),
-                msg,
-            });
-        }
+        self.effects.push_back(Effect::Broadcast { msg });
         self.effects.push_back(Effect::SetTimer {
             token: u64::from(round),
         });
@@ -676,6 +680,10 @@ pub(crate) fn offer_outcome(
 /// One Customer Agent as a sans-io state machine: reacts to
 /// announcements, offers and bid requests with the §5.2/§6.2 decision
 /// logic, and records its award.
+///
+/// A fixed-size value that owns no heap buffer: its preferences are a
+/// `Copy` [`CustomerPreferences`], and [`CustomerEngine::handle`]
+/// returns the (at most one) reply instead of queueing it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CustomerEngine {
     state: CustomerAgentState,
@@ -693,7 +701,6 @@ pub struct CustomerEngine {
     /// same idempotency under duplicated or stale announcements.
     answered_announce_round: u32,
     awarded: Option<Settlement>,
-    effects: VecDeque<Effect>,
 }
 
 impl CustomerEngine {
@@ -705,7 +712,7 @@ impl CustomerEngine {
     pub fn for_customer(scenario: &Scenario, index: usize) -> CustomerEngine {
         let c = &scenario.customers[index];
         CustomerEngine::new(
-            c.preferences.clone(),
+            c.preferences,
             c.predicted_use,
             c.allowed_use,
             scenario.tariff,
@@ -728,29 +735,7 @@ impl CustomerEngine {
             answered_rfb_round: 0,
             answered_announce_round: 0,
             awarded: None,
-            effects: VecDeque::new(),
         }
-    }
-
-    /// Re-aims the engine at customer `index` of a fresh scenario,
-    /// reusing its buffers (bid history, effect queue) — behaviourally
-    /// identical to [`CustomerEngine::for_customer`] without the
-    /// per-negotiation allocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn reset_for(&mut self, scenario: &Scenario, index: usize) {
-        let c = &scenario.customers[index];
-        self.state.reset(c.preferences.clone());
-        self.predicted_use = c.predicted_use;
-        self.allowed_use = c.allowed_use;
-        self.tariff = scenario.tariff;
-        self.commitment = Fraction::ZERO;
-        self.answered_rfb_round = 0;
-        self.answered_announce_round = 0;
-        self.awarded = None;
-        self.effects.clear();
     }
 
     /// The settlement awarded at the end, if any arrived.
@@ -758,48 +743,45 @@ impl CustomerEngine {
         self.awarded.as_ref()
     }
 
-    /// All reward-table bids made so far, oldest first.
-    pub fn bid_history(&self) -> &[Fraction] {
-        self.state.bid_history()
+    /// How many reward-table bids this customer has made so far — one
+    /// per announced round, however often that round's announcement was
+    /// delivered.
+    pub fn bids_made(&self) -> u32 {
+        self.state.bids_made()
     }
 
-    /// Feeds one input; resulting effects are queued for
-    /// [`CustomerEngine::poll_effect`].
-    pub fn handle(&mut self, input: Input) {
+    /// Feeds one input and returns the customer's reply to the Utility
+    /// Agent, if the input calls for one. Customers are purely reactive:
+    /// only [`Input::Received`] announcements, offers and bid requests
+    /// are answered.
+    pub fn handle(&mut self, input: Input) -> Option<Msg> {
         let Input::Received { msg, .. } = input else {
-            return; // customers are purely reactive
+            return None;
         };
         match msg {
             Msg::Announce { round, table } => {
                 // A duplicated *or reordered-stale* announcement
                 // (`round ≤` the newest answered) re-sends the recorded
-                // bid without conceding again or growing the history —
-                // and never regresses the high-water mark, or a later
-                // duplicate of the newest round would re-concede too.
+                // bid without conceding again — and never regresses the
+                // high-water mark, or a later duplicate of the newest
+                // round would re-concede too.
                 let cutdown = if round <= self.answered_announce_round {
                     self.state.previous_bid()
                 } else {
                     self.state.respond(&table)
                 };
                 self.answered_announce_round = self.answered_announce_round.max(round);
-                self.effects.push_back(Effect::Send {
-                    to: Peer::Utility,
-                    msg: Msg::Bid { round, cutdown },
-                });
+                Some(Msg::Bid { round, cutdown })
             }
-            Msg::Offer { x_max } => {
-                let accept = decide_offer(
+            Msg::Offer { x_max } => Some(Msg::OfferReply {
+                accept: decide_offer(
                     self.state.preferences(),
                     self.predicted_use,
                     self.allowed_use,
                     x_max,
                     &self.tariff,
-                );
-                self.effects.push_back(Effect::Send {
-                    to: Peer::Utility,
-                    msg: Msg::OfferReply { accept },
-                });
-            }
+                ),
+            }),
             Msg::RequestBids { round } => {
                 // Same duplicate/stale guard as for announcements: only
                 // a round *beyond* the newest answered one concedes.
@@ -816,27 +798,20 @@ impl CustomerEngine {
                 };
                 self.answered_rfb_round = self.answered_rfb_round.max(round);
                 self.commitment = next;
-                self.effects.push_back(Effect::Send {
-                    to: Peer::Utility,
-                    msg: Msg::NeedBid {
-                        round,
-                        y_min: y_min_for(next, self.allowed_use),
-                        cutdown: next,
-                    },
-                });
+                Some(Msg::NeedBid {
+                    round,
+                    y_min: y_min_for(next, self.allowed_use),
+                    cutdown: next,
+                })
             }
             Msg::Award {
                 cutdown, reward, ..
             } => {
                 self.awarded = Some(Settlement { cutdown, reward });
+                None
             }
-            _ => {}
+            _ => None,
         }
-    }
-
-    /// The next pending effect, if any.
-    pub fn poll_effect(&mut self) -> Option<Effect> {
-        self.effects.pop_front()
     }
 }
 
@@ -987,24 +962,25 @@ mod tests {
 
     #[test]
     fn utility_engine_starts_by_announcing_to_everyone() {
+        // One broadcast reaches all 20 customers: the round's
+        // announcement is a single effect, not one send per customer.
         let scenario = ScenarioBuilder::paper_figure_6().build();
         let mut ua = UtilityEngine::new(&scenario);
         ua.handle(Input::Start);
-        let mut sends = 0;
+        let mut broadcasts = 0;
         let mut timers = 0;
         while let Some(e) = ua.poll_effect() {
             match e {
-                Effect::Send {
-                    to: Peer::Customer(_),
+                Effect::Broadcast {
                     msg: Msg::Announce { round: 1, .. },
                 } => {
-                    sends += 1;
+                    broadcasts += 1;
                 }
                 Effect::SetTimer { token: 1 } => timers += 1,
                 other => panic!("unexpected effect {other:?}"),
             }
         }
-        assert_eq!(sends, 20);
+        assert_eq!(broadcasts, 1);
         assert_eq!(timers, 1);
     }
 
@@ -1013,20 +989,28 @@ mod tests {
         let scenario = ScenarioBuilder::paper_figure_6().build();
         let table = Arc::new(scenario.config.initial_table(scenario.interval));
         let mut ca = CustomerEngine::for_customer(&scenario, 0);
-        ca.handle(Input::Received {
+        let reply = ca.handle(Input::Received {
             from: Peer::Utility,
             msg: Msg::Announce { round: 1, table },
         });
-        let Some(Effect::Send {
-            to: Peer::Utility,
-            msg: Msg::Bid { round: 1, cutdown },
-        }) = ca.poll_effect()
-        else {
-            panic!("expected a bid");
+        let Some(Msg::Bid { round: 1, cutdown }) = reply else {
+            panic!("expected a bid, got {reply:?}");
         };
         // The Figure 8/9 customer opens at 0.2.
         assert_eq!(cutdown, Fraction::clamped(0.2));
-        assert!(ca.poll_effect().is_none());
+        // Awards are not answered.
+        let award = Msg::Award {
+            round: 1,
+            cutdown,
+            reward: Money(4.0),
+        };
+        assert_eq!(
+            ca.handle(Input::Received {
+                from: Peer::Utility,
+                msg: award,
+            }),
+            None
+        );
     }
 
     #[test]
@@ -1034,26 +1018,24 @@ mod tests {
         let scenario = ScenarioBuilder::paper_figure_6().build();
         let table = Arc::new(scenario.config.initial_table(scenario.interval));
         let mut ca = CustomerEngine::for_customer(&scenario, 0);
-        for _ in 0..3 {
-            ca.handle(Input::Received {
-                from: Peer::Utility,
-                msg: Msg::Announce {
-                    round: 1,
-                    table: Arc::clone(&table),
-                },
-            });
-        }
-        // Three replies, all identical, and a single history entry.
-        let mut bids = Vec::new();
-        while let Some(Effect::Send {
-            msg: Msg::Bid { round: 1, cutdown },
-            ..
-        }) = ca.poll_effect()
-        {
-            bids.push(cutdown);
-        }
-        assert_eq!(bids, vec![Fraction::clamped(0.2); 3]);
-        assert_eq!(ca.bid_history(), &[Fraction::clamped(0.2)]);
+        let replies: Vec<Option<Msg>> = (0..3)
+            .map(|_| {
+                ca.handle(Input::Received {
+                    from: Peer::Utility,
+                    msg: Msg::Announce {
+                        round: 1,
+                        table: Arc::clone(&table),
+                    },
+                })
+            })
+            .collect();
+        // Three replies, all identical, and a single concession.
+        let bid = Some(Msg::Bid {
+            round: 1,
+            cutdown: Fraction::clamped(0.2),
+        });
+        assert_eq!(replies, vec![bid; 3]);
+        assert_eq!(ca.bids_made(), 1);
     }
 
     #[test]
@@ -1062,38 +1044,23 @@ mod tests {
             .method(AnnouncementMethod::RequestForBids)
             .build();
         let mut ca = CustomerEngine::for_customer(&scenario, 0);
-        let reply = |ca: &mut CustomerEngine| {
-            ca.handle(Input::Received {
+        let reply = |ca: &mut CustomerEngine, round: u32| {
+            let Some(Msg::NeedBid { cutdown, .. }) = ca.handle(Input::Received {
                 from: Peer::Utility,
-                msg: Msg::RequestBids { round: 1 },
-            });
-            let Some(Effect::Send {
-                msg: Msg::NeedBid { cutdown, .. },
-                ..
-            }) = ca.poll_effect()
-            else {
+                msg: Msg::RequestBids { round },
+            }) else {
                 panic!("expected a NeedBid reply");
             };
             cutdown
         };
-        let first = reply(&mut ca);
-        let duplicate = reply(&mut ca);
+        let first = reply(&mut ca, 1);
+        let duplicate = reply(&mut ca, 1);
         assert_eq!(
             first, duplicate,
             "a duplicated round-1 request must not advance the concession"
         );
         // The next *round* still concedes as usual.
-        ca.handle(Input::Received {
-            from: Peer::Utility,
-            msg: Msg::RequestBids { round: 2 },
-        });
-        let Some(Effect::Send {
-            msg: Msg::NeedBid { cutdown, .. },
-            ..
-        }) = ca.poll_effect()
-        else {
-            panic!("expected a round-2 reply");
-        };
+        let cutdown = reply(&mut ca, 2);
         assert!(cutdown >= first, "monotonic concession across rounds");
     }
 
@@ -1109,15 +1076,10 @@ mod tests {
             .build();
         let mut ca = CustomerEngine::for_customer(&scenario, 0);
         let reply = |ca: &mut CustomerEngine, round: u32| {
-            ca.handle(Input::Received {
+            let Some(Msg::NeedBid { cutdown, .. }) = ca.handle(Input::Received {
                 from: Peer::Utility,
                 msg: Msg::RequestBids { round },
-            });
-            let Some(Effect::Send {
-                msg: Msg::NeedBid { cutdown, .. },
-                ..
-            }) = ca.poll_effect()
-            else {
+            }) else {
                 panic!("expected a NeedBid reply");
             };
             cutdown
@@ -1138,18 +1100,13 @@ mod tests {
         let table = Arc::new(rt.config.initial_table(rt.interval));
         let mut ca = CustomerEngine::for_customer(&rt, 0);
         let announce = |ca: &mut CustomerEngine, round: u32| {
-            ca.handle(Input::Received {
+            let Some(Msg::Bid { cutdown, .. }) = ca.handle(Input::Received {
                 from: Peer::Utility,
                 msg: Msg::Announce {
                     round,
                     table: Arc::clone(&table),
                 },
-            });
-            let Some(Effect::Send {
-                msg: Msg::Bid { cutdown, .. },
-                ..
-            }) = ca.poll_effect()
-            else {
+            }) else {
                 panic!("expected a bid");
             };
             cutdown
@@ -1158,14 +1115,10 @@ mod tests {
         let b2 = announce(&mut ca, 2);
         let stale = announce(&mut ca, 1);
         assert_eq!(stale, b2, "stale announcement re-sends the current bid");
-        assert_eq!(
-            ca.bid_history().len(),
-            2,
-            "no history entry for stale rounds"
-        );
+        assert_eq!(ca.bids_made(), 2, "no concession on stale rounds");
         let dup = announce(&mut ca, 2);
         assert_eq!(dup, b2);
-        assert_eq!(ca.bid_history().len(), 2);
+        assert_eq!(ca.bids_made(), 2);
         let _ = b1;
     }
 
@@ -1288,15 +1241,17 @@ mod tests {
         assert_eq!(ua.current_round(), 2, "the next round opens instead");
         let mut requested = 0;
         while let Some(e) = ua.poll_effect() {
-            if let Effect::Send {
+            if let Effect::Broadcast {
                 msg: Msg::RequestBids { round: 2 },
-                ..
             } = e
             {
                 requested += 1;
             }
         }
-        assert_eq!(requested, 5, "round 2 re-requests bids from everyone");
+        assert_eq!(
+            requested, 1,
+            "round 2 re-requests bids from everyone in one broadcast"
+        );
         // A partial round — one stand-still reply, four lost — is not
         // unanimity either: the lost replies may have been concessions.
         ua.handle(Input::Received {
@@ -1348,17 +1303,17 @@ mod tests {
         let mut assembler =
             ReportAssembler::for_engine_at(&ua, crate::session::ReportTier::FullTrace);
         ua.handle(Input::Start);
-        let mut offers = Vec::new();
+        let mut offers = 0;
         while let Some(e) = ua.poll_effect() {
-            if let Some(Effect::Send {
-                to: Peer::Customer(i),
-                msg: Msg::Offer { .. },
-            }) = assembler.observe(e)
-            {
-                offers.push(i);
+            match assembler.observe(e) {
+                Some(Effect::Broadcast {
+                    msg: Msg::Offer { .. },
+                }) => offers += 1,
+                Some(Effect::SetTimer { .. }) => {}
+                other => panic!("unexpected effect {other:?}"),
             }
         }
-        assert_eq!(offers.len(), 20);
+        assert_eq!(offers, 1, "one broadcast offers every customer");
         for i in 0..20 {
             ua.handle(Input::Received {
                 from: Peer::Customer(i),

@@ -61,13 +61,20 @@
 //! utility.handle(Input::Start);
 //! let mut settled = false;
 //! while let Some(effect) = utility.poll_effect() {
+//!     // Each customer answers at most once per message it receives.
+//!     let mut deliver = |utility: &mut UtilityEngine, i: usize, msg: Msg| {
+//!         if let Some(reply) = customers[i].handle(Input::Received { from: Peer::Utility, msg }) {
+//!             utility.handle(Input::Received { from: Peer::Customer(i), msg: reply });
+//!         }
+//!     };
 //!     match effect {
-//!         Effect::Send { to: Peer::Customer(i), msg } => {
-//!             customers[i].handle(Input::Received { from: Peer::Utility, msg });
-//!             while let Some(Effect::Send { msg, .. }) = customers[i].poll_effect() {
-//!                 utility.handle(Input::Received { from: Peer::Customer(i), msg });
+//!         // A round's announcement reaches every customer, in order.
+//!         Effect::Broadcast { msg } => {
+//!             for i in 0..scenario.customers.len() {
+//!                 deliver(&mut utility, i, msg.clone());
 //!             }
 //!         }
+//!         Effect::Send { to: Peer::Customer(i), msg } => deliver(&mut utility, i, msg),
 //!         Effect::Settled { status, .. } => settled = status.is_converged(),
 //!         _ => {} // timers are unnecessary when every reply arrives
 //!     }
@@ -204,11 +211,19 @@
 //! a panic, and are shared by the sweep and the fleet scheduler — no
 //! per-batch thread spawn (E16). Each pool worker threads a
 //! reusable [`sync_driver::NegotiationScratch`] through the peaks it
-//! claims ([`campaign::DayPlan::negotiate`]), so utility/customer engines
-//! are reset in place instead of rebuilt per negotiation, rounds move
+//! claims ([`campaign::DayPlan::negotiate`]), so the utility engine is
+//! reset in place instead of rebuilt per negotiation, rounds move
 //! their bid vectors into the report instead of cloning them, and each
 //! round's reward table is snapshotted exactly once (shared `Arc` in
-//! [`message::Msg::Announce`] and [`session::RoundRecord`]). The demand
+//! one [`engine::Effect::Broadcast`] of [`message::Msg::Announce`] and
+//! in the [`session::RoundRecord`]). Per-customer negotiation state is
+//! fixed-size values with no heap part: a
+//! [`preferences::CustomerPreferences`] is a `Copy` scale and ceiling
+//! over the static Figure-8 table, a [`session::CustomerProfile`] is
+//! 32 bytes, and an [`engine::CustomerEngine`] returns its one reply
+//! instead of queueing it — so a scenario's customers are one vector,
+//! and so are the scratch's customer engines (E20 bounds the season's
+//! heap high-water per household). The demand
 //! hot path underneath — the [`powergrid::slab`] kernels — sweeps the
 //! slab's contiguous columns against one reusable
 //! [`powergrid::slab::DemandScratch`] per campaign stage (duty shapes

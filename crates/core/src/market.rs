@@ -33,7 +33,7 @@ pub fn demand_response(
     price: PricePerKwh,
 ) -> Fraction {
     let mut best = Fraction::ZERO;
-    for &(cutdown, required) in preferences.thresholds() {
+    for (cutdown, required) in preferences.thresholds() {
         if cutdown > preferences.max_cutdown() {
             break;
         }

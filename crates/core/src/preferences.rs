@@ -5,6 +5,21 @@
 //! table specifies the percentage with which a Customer Agent is willing
 //! to decrease (cut-down) its electricity usage, given a specific level of
 //! financial compensation" (Section 6.2).
+//!
+//! Every table a negotiation uses is the Figure-8 customer's table
+//! ([`CustomerPreferences::paper_figure_8`]) with each required reward
+//! multiplied by one scale factor: the calibrated paper population,
+//! seeded random populations and the physically grounded households of
+//! [`ScenarioBuilder::from_peak`](crate::session::ScenarioBuilder::from_peak)
+//! differ only in that factor and in the physical ceiling. So
+//! [`CustomerPreferences`] stores just the two numbers and reads the
+//! six levels from one static base table. A customer's preferences are
+//! a 16-byte `Copy` value rather than a heap-allocated table, which is
+//! what lets a city-scale season materialise and negotiate with
+//! hundreds of thousands of customers without one heap object each.
+//! Each threshold is computed as the same `base × scale` product a
+//! materialised table would store, so every decision is bit-identical
+//! to one over that table.
 
 use crate::reward::RewardTable;
 use powergrid::units::{Fraction, Money};
@@ -13,7 +28,20 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A customer's private required-reward thresholds per cut-down level.
+/// The Figure-8 customer's table at scale 1: `(cut-down, required
+/// reward)`, ascending.
+const BASE: [(f64, f64); 6] = [
+    (0.0, 0.0),
+    (0.1, 2.0),
+    (0.2, 4.0),
+    (0.3, 10.0),
+    (0.4, 21.0),
+    (0.5, 30.0),
+];
+
+/// A customer's private required-reward thresholds per cut-down level:
+/// the Figure-8 table scaled by a reluctance factor, under a physical
+/// ceiling.
 ///
 /// # Example
 ///
@@ -26,10 +54,10 @@ use std::fmt;
 /// assert_eq!(prefs.required_for(Fraction::clamped(0.3)), Some(Money(10.0)));
 /// assert_eq!(prefs.required_for(Fraction::clamped(0.4)), Some(Money(21.0)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CustomerPreferences {
-    /// `(cutdown, minimum acceptable reward)`, sorted by cut-down.
-    thresholds: Vec<(Fraction, Money)>,
+    /// The factor every Figure-8 threshold is multiplied by.
+    scale: f64,
     /// Physical/comfort ceiling on cut-down (from the Resource Consumer
     /// Agents: "the amount of electricity that can be saved in a given
     /// time interval").
@@ -37,39 +65,6 @@ pub struct CustomerPreferences {
 }
 
 impl CustomerPreferences {
-    /// Creates preferences from `(cutdown, required reward)` pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `thresholds` is empty, has duplicate cut-downs, or the
-    /// required reward decreases as the cut-down grows (a rational
-    /// customer never demands less for giving up more).
-    pub fn new(
-        mut thresholds: Vec<(Fraction, Money)>,
-        max_cutdown: Fraction,
-    ) -> CustomerPreferences {
-        assert!(
-            !thresholds.is_empty(),
-            "preferences need at least one threshold"
-        );
-        thresholds.sort_by_key(|e| e.0);
-        for w in thresholds.windows(2) {
-            assert!(w[0].0 < w[1].0, "duplicate cut-down {}", w[1].0);
-            assert!(
-                w[0].1 <= w[1].1,
-                "required reward decreases from {} at {} to {} at {}",
-                w[0].1,
-                w[0].0,
-                w[1].1,
-                w[1].0
-            );
-        }
-        CustomerPreferences {
-            thresholds,
-            max_cutdown,
-        }
-    }
-
     /// The highlighted customer of Figures 8–9: thresholds
     /// 0→0, 0.1→2, 0.2→4, 0.3→10, 0.4→21, 0.5→30.
     pub fn paper_figure_8() -> CustomerPreferences {
@@ -88,19 +83,38 @@ impl CustomerPreferences {
             k >= 0.0 && k.is_finite(),
             "scale factor must be non-negative"
         );
-        let base = [
-            (0.0, 0.0),
-            (0.1, 2.0),
-            (0.2, 4.0),
-            (0.3, 10.0),
-            (0.4, 21.0),
-            (0.5, 30.0),
-        ];
-        let thresholds = base
-            .iter()
-            .map(|&(c, r)| (Fraction::clamped(c), Money(r * k)))
-            .collect();
-        CustomerPreferences::new(thresholds, max_cutdown)
+        CustomerPreferences {
+            scale: k,
+            max_cutdown,
+        }
+    }
+
+    /// Recovers preferences from their materialised table, as
+    /// [`thresholds`](CustomerPreferences::thresholds) lists it — the
+    /// inverse the archive decoder needs.
+    ///
+    /// The scale is read from the 0.1 level (`required / 2`), and the
+    /// table must be exactly the Figure-8 table times that scale: the
+    /// same six cut-downs, each reward bit-equal to the base reward
+    /// times the scale. Returns `None` for any other table, or when the
+    /// scale is negative or non-finite.
+    pub fn from_thresholds(
+        thresholds: &[(Fraction, Money)],
+        max_cutdown: Fraction,
+    ) -> Option<CustomerPreferences> {
+        let &(_, at_0_1) = thresholds.get(1)?;
+        let scale = at_0_1.value() / 2.0;
+        if !(scale >= 0.0 && scale.is_finite()) {
+            return None;
+        }
+        let prefs = CustomerPreferences { scale, max_cutdown };
+        let bits = |(c, r): (Fraction, Money)| (c.value().to_bits(), r.value().to_bits());
+        (thresholds.len() == BASE.len()
+            && thresholds
+                .iter()
+                .zip(prefs.entries())
+                .all(|(&entry, scaled)| bits(entry) == bits(scaled)))
+        .then_some(prefs)
     }
 
     /// Generates a heterogeneous population of preferences, seeded.
@@ -130,9 +144,19 @@ impl CustomerPreferences {
             .collect()
     }
 
+    /// One base entry at this customer's scale.
+    fn scaled(self, (cutdown, reward): (f64, f64)) -> (Fraction, Money) {
+        (Fraction::clamped(cutdown), Money(reward * self.scale))
+    }
+
+    /// The thresholds, lazily, sorted by cut-down.
+    fn entries(self) -> impl Iterator<Item = (Fraction, Money)> {
+        BASE.into_iter().map(move |entry| self.scaled(entry))
+    }
+
     /// The thresholds, sorted by cut-down.
-    pub fn thresholds(&self) -> &[(Fraction, Money)] {
-        &self.thresholds
+    pub fn thresholds(&self) -> [(Fraction, Money); 6] {
+        BASE.map(|entry| self.scaled(entry))
     }
 
     /// The physical/comfort ceiling on cut-downs.
@@ -143,10 +167,7 @@ impl CustomerPreferences {
     /// The required reward for an exact cut-down level (`None` if the
     /// level is not in the customer's table).
     pub fn required_for(&self, cutdown: Fraction) -> Option<Money> {
-        self.thresholds
-            .iter()
-            .find(|&&(c, _)| c == cutdown)
-            .map(|&(_, r)| r)
+        self.entries().find(|&(c, _)| c == cutdown).map(|(_, r)| r)
     }
 
     /// Whether `cutdown` at `offered` reward is acceptable: the level is
@@ -193,22 +214,19 @@ impl CustomerPreferences {
         if cutdown > self.max_cutdown {
             return None;
         }
-        self.thresholds
-            .iter()
-            .find(|&&(c, _)| c >= cutdown)
-            .map(|&(_, r)| r)
+        self.entries().find(|&(c, _)| c >= cutdown).map(|(_, r)| r)
     }
 
     /// The cut-down levels in the customer's table, ascending.
-    pub fn levels(&self) -> impl Iterator<Item = Fraction> + '_ {
-        self.thresholds.iter().map(|&(c, _)| c)
+    pub fn levels(&self) -> impl Iterator<Item = Fraction> {
+        self.entries().map(|(c, _)| c)
     }
 }
 
 impl fmt::Display for CustomerPreferences {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "max {} |", self.max_cutdown)?;
-        for (c, r) in &self.thresholds {
+        for (c, r) in self.entries() {
             write!(f, " {c}⇒{:.1}", r.value())?;
         }
         Ok(())
@@ -319,16 +337,75 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one threshold")]
-    fn empty_thresholds_panic() {
-        let _ = CustomerPreferences::new(vec![], fr(0.5));
+    fn from_thresholds_rejects_an_empty_table() {
+        assert_eq!(CustomerPreferences::from_thresholds(&[], fr(0.5)), None);
     }
 
     #[test]
-    #[should_panic(expected = "required reward decreases")]
-    fn decreasing_thresholds_panic() {
-        let _ =
-            CustomerPreferences::new(vec![(fr(0.1), Money(5.0)), (fr(0.2), Money(1.0))], fr(0.5));
+    fn from_thresholds_rejects_a_decreasing_table() {
+        let decreasing = [(fr(0.1), Money(5.0)), (fr(0.2), Money(1.0))];
+        assert_eq!(
+            CustomerPreferences::from_thresholds(&decreasing, fr(0.5)),
+            None
+        );
+        // Decreasing within an otherwise full six-level table, too.
+        let mut table = CustomerPreferences::from_base_scaled(1.5, fr(0.5)).thresholds();
+        table.swap(3, 4);
+        assert_eq!(CustomerPreferences::from_thresholds(&table, fr(0.5)), None);
+    }
+
+    #[test]
+    fn from_thresholds_inverts_thresholds() {
+        for k in [0.0, 0.3, 1.0, 2.8, 1e-300, 47.123_456_789] {
+            let prefs = CustomerPreferences::from_base_scaled(k, fr(0.4));
+            assert_eq!(
+                CustomerPreferences::from_thresholds(&prefs.thresholds(), fr(0.4)),
+                Some(prefs),
+                "k = {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn from_thresholds_rejects_tables_that_are_not_scaled() {
+        let base = CustomerPreferences::paper_figure_8().thresholds();
+        // One reward off by one ulp.
+        let mut nudged = base;
+        nudged[5].1 = Money(f64::from_bits(base[5].1.value().to_bits() + 1));
+        assert_eq!(CustomerPreferences::from_thresholds(&nudged, fr(0.5)), None);
+        // A level moved.
+        let mut moved = base;
+        moved[2].0 = fr(0.25);
+        assert_eq!(CustomerPreferences::from_thresholds(&moved, fr(0.5)), None);
+        // A level missing, or one too many.
+        assert_eq!(
+            CustomerPreferences::from_thresholds(&base[..5], fr(0.5)),
+            None
+        );
+        let mut longer = base.to_vec();
+        longer.push((fr(0.6), Money(40.0)));
+        assert_eq!(CustomerPreferences::from_thresholds(&longer, fr(0.5)), None);
+        // A negative or non-finite scale.
+        let mut negative = base;
+        negative[1].1 = Money(-2.0);
+        assert_eq!(
+            CustomerPreferences::from_thresholds(&negative, fr(0.5)),
+            None
+        );
+        let mut infinite = base;
+        infinite[1].1 = Money(f64::INFINITY);
+        assert_eq!(
+            CustomerPreferences::from_thresholds(&infinite, fr(0.5)),
+            None
+        );
+    }
+
+    #[test]
+    fn preferences_and_profiles_are_small_values() {
+        fn copy<T: Copy>() {}
+        copy::<CustomerPreferences>();
+        assert_eq!(std::mem::size_of::<CustomerPreferences>(), 16);
+        assert_eq!(std::mem::size_of::<crate::session::CustomerProfile>(), 32);
     }
 
     #[test]

@@ -25,6 +25,10 @@ use std::sync::Arc;
 
 /// One customer in a scenario: the physical quantities and private
 /// preferences its Customer Agent negotiates with.
+///
+/// A 32-byte value with no heap part (the preferences are a `Copy`
+/// scale and ceiling), so materialising a peak's scenario costs one
+/// vector for the whole population rather than one table per customer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CustomerProfile {
     /// Predicted consumption during the peak interval, absent any deal.

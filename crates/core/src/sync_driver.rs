@@ -18,6 +18,7 @@
 //! worker, exactly like `powergrid`'s `DemandScratch`.
 
 use crate::engine::{CustomerEngine, Effect, Input, Peer, ReportAssembler, UtilityEngine};
+use crate::message::Msg;
 use crate::session::{NegotiationReport, ReportTier, Scenario};
 
 /// Pumps a utility engine and its customers to completion and
@@ -39,30 +40,18 @@ fn pump(
     while let Some(effect) = utility.poll_effect() {
         // Observation effects (round records, settlements) move into
         // the assembler; transport effects come back to be performed.
-        let Some(Effect::Send {
-            to: Peer::Customer(i),
-            msg,
-        }) = assembler.observe(effect)
-        else {
-            // Timers never fire (all responses arrive).
-            continue;
-        };
-        let customer = &mut customers[i];
-        customer.handle(Input::Received {
-            from: Peer::Utility,
-            msg,
-        });
-        while let Some(reply) = customer.poll_effect() {
-            if let Effect::Send {
-                to: Peer::Utility,
-                msg,
-            } = reply
-            {
-                utility.handle(Input::Received {
-                    from: Peer::Customer(i),
-                    msg,
-                });
+        // Timers never fire (all responses arrive).
+        match assembler.observe(effect) {
+            Some(Effect::Broadcast { msg }) => {
+                for (i, customer) in customers.iter_mut().enumerate() {
+                    deliver(utility, customer, i, msg.clone());
+                }
             }
+            Some(Effect::Send {
+                to: Peer::Customer(i),
+                msg,
+            }) => deliver(utility, &mut customers[i], i, msg),
+            _ => {}
         }
     }
     assert!(
@@ -72,15 +61,32 @@ fn pump(
     assembler.finish()
 }
 
+/// Hands `msg` to customer `i` and its reply, if any, straight back to
+/// the utility engine.
+fn deliver(utility: &mut UtilityEngine, customer: &mut CustomerEngine, i: usize, msg: Msg) {
+    let reply = customer.handle(Input::Received {
+        from: Peer::Utility,
+        msg,
+    });
+    if let Some(msg) = reply {
+        utility.handle(Input::Received {
+            from: Peer::Customer(i),
+            msg,
+        });
+    }
+}
+
 /// Reusable engine buffers for the negotiation hot loop.
 ///
 /// A campaign negotiates thousands of peaks; building a fresh
-/// [`UtilityEngine`] plus one [`CustomerEngine`] per customer for every
-/// peak churns through profile vectors, bid histories and effect queues
-/// that are all the same shape each time. A `NegotiationScratch` holds
-/// those engines across negotiations and
-/// [resets](UtilityEngine::reset) them onto each new scenario, so the
-/// buffers (and their capacity) are reused.
+/// [`UtilityEngine`] for every peak churns through profile, response
+/// and effect buffers that are all the same shape each time, and the
+/// customer engines need one vector slot per customer. A
+/// `NegotiationScratch` holds the utility engine and the customer-engine
+/// vector across negotiations and [resets](UtilityEngine::reset) them
+/// onto each new scenario, so the buffers (and their capacity) are
+/// reused. Customer engines own no heap memory, so re-aiming them is
+/// just overwriting each slot.
 ///
 /// Every negotiation runs through a scratch: [`NegotiationScratch::run`]
 /// over the in-process pump,
@@ -128,48 +134,35 @@ impl NegotiationScratch {
     /// impossible for the shipped announcement methods, whose
     /// termination the concession protocol guarantees.
     pub fn run(&mut self, scenario: &Scenario, tier: ReportTier) -> NegotiationReport {
-        self.reset_onto(scenario);
-        let utility = self.utility.as_mut().expect("reset populated the engine");
-        pump(utility, &mut self.customers, tier)
+        let mut utility = self.checkout(scenario);
+        self.customers.clear();
+        self.customers.extend(
+            (0..scenario.customers.len()).map(|i| CustomerEngine::for_customer(scenario, i)),
+        );
+        let report = pump(&mut utility, &mut self.customers, tier);
+        self.check_in(utility);
+        report
     }
 
-    /// Re-aims every engine at `scenario`, reusing buffers: existing
-    /// customer engines are reset in place, extras dropped, missing ones
-    /// built fresh; same for the utility engine.
-    fn reset_onto(&mut self, scenario: &Scenario) {
+    /// Hands out the utility engine re-aimed at `scenario` (reset in
+    /// place, or built on first use) — by value, for drivers (the
+    /// distributed one) that must *own* it for the duration of a run.
+    /// Pair with [`NegotiationScratch::check_in`] so the next negotiation
+    /// reuses its buffers.
+    pub(crate) fn checkout(&mut self, scenario: &Scenario) -> UtilityEngine {
         self.negotiations += 1;
-        let n = scenario.customers.len();
-        self.customers.truncate(n);
-        for (i, engine) in self.customers.iter_mut().enumerate() {
-            engine.reset_for(scenario, i);
-        }
-        for i in self.customers.len()..n {
-            self.customers
-                .push(CustomerEngine::for_customer(scenario, i));
-        }
-        match &mut self.utility {
-            Some(engine) => engine.reset(scenario),
-            slot => *slot = Some(UtilityEngine::new(scenario)),
+        match self.utility.take() {
+            Some(mut engine) => {
+                engine.reset(scenario);
+                engine
+            }
+            None => UtilityEngine::new(scenario),
         }
     }
 
-    /// Resets the scratch onto `scenario` and hands the engines out by
-    /// value — for drivers (the distributed one) that must *own* their
-    /// engines for the duration of a run. Pair with
-    /// [`NegotiationScratch::check_in`] to return them so the next
-    /// negotiation reuses the buffers.
-    pub(crate) fn checkout(&mut self, scenario: &Scenario) -> (UtilityEngine, Vec<CustomerEngine>) {
-        self.reset_onto(scenario);
-        (
-            self.utility.take().expect("reset populated the engine"),
-            std::mem::take(&mut self.customers),
-        )
-    }
-
-    /// Returns engines previously [checked out](NegotiationScratch::checkout).
-    pub(crate) fn check_in(&mut self, utility: UtilityEngine, customers: Vec<CustomerEngine>) {
+    /// Returns the engine previously [checked out](NegotiationScratch::checkout).
+    pub(crate) fn check_in(&mut self, utility: UtilityEngine) {
         self.utility = Some(utility);
-        self.customers = customers;
     }
 }
 

@@ -96,6 +96,10 @@ pub struct Simulation<M: 'static> {
     started: bool,
     halted: bool,
     max_events: u64,
+    /// The effect buffer every callback's [`Context`] borrows and the
+    /// runtime drains afterwards — one allocation per simulation rather
+    /// than one per callback that emits anything.
+    effects: Vec<Effect<M>>,
 }
 
 impl<M: Clone + 'static> Simulation<M> {
@@ -117,6 +121,7 @@ impl<M: Clone + 'static> Simulation<M> {
             started: false,
             halted: false,
             max_events: 10_000_000,
+            effects: Vec::new(),
         }
     }
 
@@ -317,7 +322,7 @@ impl<M: Clone + 'static> Simulation<M> {
             self_id: id,
             now: self.now,
             rng: &mut self.rng,
-            effects: Vec::new(),
+            effects: std::mem::take(&mut self.effects),
         };
         {
             let agent = self
@@ -330,8 +335,8 @@ impl<M: Clone + 'static> Simulation<M> {
                 CallbackKind::Timer(token) => agent.on_timer(token, &mut ctx),
             }
         }
-        let effects = ctx.effects;
-        for effect in effects {
+        let mut effects = ctx.effects;
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send(env) => self.route(env),
                 Effect::Timer { token, after } => {
@@ -341,6 +346,7 @@ impl<M: Clone + 'static> Simulation<M> {
                 Effect::Halt => self.halted = true,
             }
         }
+        self.effects = effects;
         Ok(())
     }
 

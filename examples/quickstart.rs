@@ -25,22 +25,19 @@ fn main() {
     );
 
     // One round trip of the engine by hand, to make the sans-io shape
-    // visible: the Utility side announces, a customer answers.
+    // visible: the Utility side broadcasts its announcement, a customer
+    // answers with its reply.
     let mut utility = UtilityEngine::new(&scenario);
     let mut first_customer = CustomerEngine::for_customer(&scenario, 0);
     utility.handle(Input::Start);
     while let Some(effect) = utility.poll_effect() {
-        if let Effect::Send {
-            to: Peer::Customer(0),
-            msg,
-        } = effect
-        {
+        if let Effect::Broadcast { msg } = effect {
             println!("engine: UA → CA0   {msg}");
-            first_customer.handle(Input::Received {
+            let reply = first_customer.handle(Input::Received {
                 from: Peer::Utility,
                 msg,
             });
-            while let Some(Effect::Send { msg, .. }) = first_customer.poll_effect() {
+            if let Some(msg) = reply {
                 println!("engine: CA0 → UA   {msg}");
             }
         }

@@ -205,7 +205,7 @@ fn crashed_customers_do_not_block_the_negotiation() {
         .enumerate()
         .map(|(i, c)| {
             sim.add_agent(CrashingCustomer {
-                state: CustomerAgentState::new(c.preferences.clone()),
+                state: CustomerAgentState::new(c.preferences),
                 // A third of the fleet crashes after round 1.
                 responses_left: if i % 3 == 0 { 1 } else { u32::MAX },
             })

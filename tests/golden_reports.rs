@@ -139,7 +139,7 @@ fn corpus() -> Vec<(String, Scenario)> {
         .scenario
         .clone()
         .expect("full-trace campaigns retain scenarios");
-    scenarios.push(("grid-peak".to_string(), first_peak));
+    scenarios.push(("grid-peak".to_string(), *first_peak));
     scenarios
 }
 

@@ -4,7 +4,9 @@
 
 use loadbal::core::beta::BetaPolicy;
 use loadbal::core::concession::{verify_announcements, verify_bids};
+use loadbal::core::customer_agent::{decide_offer, rfb_step};
 use loadbal::core::distributed::run_distributed;
+use loadbal::core::market::demand_response;
 use loadbal::core::preferences::CustomerPreferences;
 use loadbal::core::reward::{
     overuse_fraction, predicted_use_with_cutdown, RewardFormula, RewardTable, DEFAULT_LEVELS,
@@ -13,8 +15,9 @@ use loadbal::core::session::{CustomerProfile, ScenarioBuilder};
 use loadbal::core::utility_agent::UtilityAgentConfig;
 use loadbal::massim::clock::SimDuration;
 use loadbal::massim::network::NetworkModel;
+use powergrid::tariff::Tariff;
 use powergrid::time::Interval;
-use powergrid::units::{Fraction, KilowattHours, Money};
+use powergrid::units::{Fraction, KilowattHours, Money, PricePerKwh};
 use proptest::prelude::*;
 
 fn arb_customer() -> impl Strategy<Value = CustomerProfile> {
@@ -33,6 +36,251 @@ fn arb_beta_policy() -> impl Strategy<Value = BetaPolicy> {
         (0.1f64..4.0).prop_map(BetaPolicy::adaptive),
         ((0.5f64..8.0), (0.3f64..1.0)).prop_map(|(b, d)| BetaPolicy::annealing(b, d)),
     ]
+}
+
+/// The reference for [`CustomerPreferences`]: the preference table
+/// materialised as a vector of `(cut-down, required reward)` entries,
+/// with every decision written directly over that vector.
+struct MaterialisedPreferences {
+    thresholds: Vec<(Fraction, Money)>,
+    max_cutdown: Fraction,
+}
+
+impl MaterialisedPreferences {
+    /// The Figure-8 table with every reward multiplied by `k`.
+    fn figure_8_scaled(k: f64, max_cutdown: Fraction) -> MaterialisedPreferences {
+        let base = [
+            (0.0, 0.0),
+            (0.1, 2.0),
+            (0.2, 4.0),
+            (0.3, 10.0),
+            (0.4, 21.0),
+            (0.5, 30.0),
+        ];
+        MaterialisedPreferences {
+            thresholds: base
+                .iter()
+                .map(|&(c, r)| (Fraction::clamped(c), Money(r * k)))
+                .collect(),
+            max_cutdown,
+        }
+    }
+
+    fn required_for(&self, cutdown: Fraction) -> Option<Money> {
+        self.thresholds
+            .iter()
+            .find(|&&(c, _)| c == cutdown)
+            .map(|&(_, r)| r)
+    }
+
+    fn accepts(&self, cutdown: Fraction, offered: Money) -> bool {
+        cutdown <= self.max_cutdown
+            && self
+                .required_for(cutdown)
+                .is_some_and(|required| offered >= required)
+    }
+
+    fn respond(&self, table: &RewardTable, previous_bid: Fraction) -> Fraction {
+        let mut best = previous_bid;
+        for &(cutdown, offered) in table.entries() {
+            if cutdown > best && self.accepts(cutdown, offered) {
+                best = cutdown;
+            }
+        }
+        best
+    }
+
+    fn effort_for_fraction(&self, cutdown: Fraction) -> Option<Money> {
+        if cutdown > self.max_cutdown {
+            return None;
+        }
+        self.thresholds
+            .iter()
+            .find(|&&(c, _)| c >= cutdown)
+            .map(|&(_, r)| r)
+    }
+
+    fn decide_offer(
+        &self,
+        predicted_use: KilowattHours,
+        allowed_use: KilowattHours,
+        x_max: Fraction,
+        tariff: &Tariff,
+    ) -> bool {
+        let limit = x_max * allowed_use;
+        let needed = if predicted_use <= limit || predicted_use.value() <= f64::EPSILON {
+            Fraction::ZERO
+        } else {
+            Fraction::clamped((predicted_use - limit) / predicted_use)
+        };
+        let Some(effort) = self.effort_for_fraction(needed) else {
+            return false;
+        };
+        let capped_use = predicted_use.min(limit);
+        let saving = tariff.bill_normal(predicted_use) - tariff.bill_with_limit(capped_use, limit);
+        saving >= effort
+    }
+
+    fn rfb_step(
+        &self,
+        current: Fraction,
+        predicted_use: KilowattHours,
+        allowed_use: KilowattHours,
+        tariff: &Tariff,
+    ) -> Fraction {
+        let mut target = Fraction::ZERO;
+        for &(level, _) in &self.thresholds {
+            if level > self.max_cutdown {
+                break;
+            }
+            let y_min = level.complement() * allowed_use;
+            let committed_use = predicted_use.min(y_min);
+            let saving =
+                tariff.bill_normal(predicted_use) - tariff.bill_with_limit(committed_use, y_min);
+            let effort = self.required_for(level).unwrap_or(Money::ZERO);
+            if saving >= effort && level > target {
+                target = level;
+            }
+        }
+        if target <= current {
+            return current;
+        }
+        self.thresholds
+            .iter()
+            .map(|&(level, _)| level)
+            .find(|&level| level > current)
+            .map(|level| level.min(target))
+            .unwrap_or(current)
+    }
+
+    fn demand_response(&self, predicted_use: KilowattHours, price: PricePerKwh) -> Fraction {
+        let mut best = Fraction::ZERO;
+        for &(cutdown, required) in &self.thresholds {
+            if cutdown > self.max_cutdown {
+                break;
+            }
+            let payment = Money(price.value() * cutdown.value() * predicted_use.value());
+            if payment >= required && cutdown > best {
+                best = cutdown;
+            }
+        }
+        best
+    }
+}
+
+/// Bit patterns, so `-0.0` and `0.0` (or two NaNs) never compare equal
+/// by accident.
+fn fraction_bits(f: Fraction) -> u64 {
+    f.value().to_bits()
+}
+
+fn money_bits(m: Option<Money>) -> Option<u64> {
+    m.map(|m| m.value().to_bits())
+}
+
+/// Cut-downs a table or probe may use: every Figure-8 level plus
+/// levels between and beyond them.
+const CANDIDATE_LEVELS: [f64; 11] = [0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.35, 0.4, 0.5, 0.6, 0.8];
+
+/// A monotone reward table over a random subset of the candidate
+/// levels (always non-empty).
+fn arb_reward_table() -> impl Strategy<Value = RewardTable> {
+    prop::collection::vec((any::<bool>(), 0.0f64..12.0), CANDIDATE_LEVELS.len()).prop_map(|picks| {
+        let mut reward = 0.0;
+        let mut entries = Vec::new();
+        for (&level, (keep, step)) in CANDIDATE_LEVELS.iter().zip(picks) {
+            reward += step;
+            if keep || level == 0.4 {
+                entries.push((Fraction::clamped(level), Money(reward)));
+            }
+        }
+        RewardTable::new(Interval::new(0, 8), entries)
+    })
+}
+
+/// A cut-down probe: a candidate level, or any fraction.
+fn arb_probe() -> impl Strategy<Value = Fraction> {
+    prop_oneof![
+        (0..CANDIDATE_LEVELS.len()).prop_map(|i| Fraction::clamped(CANDIDATE_LEVELS[i])),
+        (0.0f64..=1.0).prop_map(Fraction::clamped),
+    ]
+}
+
+fn arb_tariff() -> impl Strategy<Value = Tariff> {
+    (0.0f64..2.0, 0.0f64..2.0, 0.0f64..2.0).prop_map(|(a, b, c)| {
+        let mut prices = [a, b, c];
+        prices.sort_by(f64::total_cmp);
+        Tariff::new(
+            PricePerKwh(prices[0]),
+            PricePerKwh(prices[1]),
+            PricePerKwh(prices[2]),
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The parametric preferences decide exactly as the materialised
+    /// table they stand for, bit for bit: every threshold is the same
+    /// `base × scale` product the table stores.
+    #[test]
+    fn parametric_preferences_match_a_materialised_table(
+        k in 0.0f64..=50.0,
+        ceiling in arb_probe(),
+        table in arb_reward_table(),
+        previous_bid in arb_probe(),
+        probe in arb_probe(),
+        offered in 0.0f64..1600.0,
+        (predicted, allowance) in (0.0f64..12.0, 0.5f64..1.5),
+        x_max in 0.0f64..=1.0,
+        tariff in arb_tariff(),
+        price in 0.0f64..400.0,
+    ) {
+        let prefs = CustomerPreferences::from_base_scaled(k, ceiling);
+        let reference = MaterialisedPreferences::figure_8_scaled(k, ceiling);
+        let thresholds: Vec<(u64, u64)> = prefs
+            .thresholds()
+            .iter()
+            .map(|&(c, r)| (fraction_bits(c), r.value().to_bits()))
+            .collect();
+        let expected: Vec<(u64, u64)> = reference
+            .thresholds
+            .iter()
+            .map(|&(c, r)| (fraction_bits(c), r.value().to_bits()))
+            .collect();
+        prop_assert_eq!(thresholds, expected);
+        prop_assert_eq!(
+            fraction_bits(prefs.respond(&table, previous_bid)),
+            fraction_bits(reference.respond(&table, previous_bid))
+        );
+        prop_assert_eq!(
+            prefs.accepts(probe, Money(offered)),
+            reference.accepts(probe, Money(offered))
+        );
+        prop_assert_eq!(
+            money_bits(prefs.required_for(probe)),
+            money_bits(reference.required_for(probe))
+        );
+        prop_assert_eq!(
+            money_bits(prefs.effort_for_fraction(probe)),
+            money_bits(reference.effort_for_fraction(probe))
+        );
+        let (predicted, allowed) = (KilowattHours(predicted), KilowattHours(predicted * allowance));
+        let x_max = Fraction::clamped(x_max);
+        prop_assert_eq!(
+            decide_offer(&prefs, predicted, allowed, x_max, &tariff),
+            reference.decide_offer(predicted, allowed, x_max, &tariff)
+        );
+        prop_assert_eq!(
+            fraction_bits(rfb_step(&prefs, previous_bid, predicted, allowed, &tariff)),
+            fraction_bits(reference.rfb_step(previous_bid, predicted, allowed, &tariff))
+        );
+        prop_assert_eq!(
+            fraction_bits(demand_response(&prefs, predicted, PricePerKwh(price))),
+            fraction_bits(reference.demand_response(predicted, PricePerKwh(price)))
+        );
+    }
 }
 
 proptest! {
