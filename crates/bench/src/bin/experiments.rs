@@ -114,8 +114,8 @@ fn run(id: &str, json: bool) -> bool {
             }
         }
         "hot_loop" => {
-            // ≥20-day, ≥4-cell winter season: the acceptance shape for
-            // the persistent pool vs spawn-per-day comparison.
+            // ≥20-day, ≥4-cell winter season at 4 threads: the fleet
+            // must equal the sequential reference byte for byte.
             let r = experiments::hot_loop(4, 100, 24, 4, 42);
             println!("{r}");
             if json {

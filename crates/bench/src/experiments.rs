@@ -14,12 +14,13 @@ use loadbal_core::producer_agent::ProducerAgent;
 use loadbal_core::resilience::{FaultClass, ResilienceReport};
 use loadbal_core::reward::RewardFormula;
 use loadbal_core::session::{NegotiationReport, ReportTier, Scenario, ScenarioBuilder};
-use loadbal_core::sweep::ScenarioSweep;
+use loadbal_core::sweep::{fan_out, ScenarioSweep};
 use loadbal_core::utility_agent::UtilityAgentConfig;
 use massim::clock::SimDuration;
 use massim::network::NetworkModel;
 use powergrid::prelude::*;
 use std::fmt;
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------
@@ -582,16 +583,18 @@ pub struct ScalingResult {
 /// both execution modes.
 ///
 /// Scenario construction (population synthesis — the embarrassingly
-/// parallel part) fans across cores on a
-/// [`WorkerPool`](loadbal_core::sweep::WorkerPool); the *measured*
+/// parallel part) fans across cores with [`fan_out`]; the *measured*
 /// negotiations then run sequentially, so each row's microsecond
 /// figures are wall-clock free of co-runner core contention — the
 /// scaling shape is the experiment's entire point.
 pub fn scaling(sizes: &[usize], seed: u64) -> ScalingResult {
-    let scenarios = loadbal_core::sweep::WorkerPool::with_available_parallelism()
-        .run(sizes.len(), |i| {
-            ScenarioBuilder::random(sizes[i], 0.35, seed).build()
-        });
+    let threads = std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
+    let scenarios = fan_out(
+        threads,
+        sizes.len(),
+        || (),
+        |(), i| ScenarioBuilder::random(sizes[i], 0.35, seed).build(),
+    );
 
     let rows = sizes
         .iter()
@@ -1209,8 +1212,9 @@ impl fmt::Display for CampaignLoopResult {
 
 /// Runtime context stamped into every perf-tracked `BENCH_E*.json`
 /// record, so cross-PR comparisons know what each run measured: the
-/// report tier the season ran at, the worker threads involved, and
-/// whether the counting allocator was feeding
+/// report tier the season ran at, the worker threads involved, the
+/// host's core count (so a thread count above it reads as
+/// oversubscribed), whether the counting allocator was feeding
 /// [`crate::alloc_probe`] (it is only installed in the experiments
 /// binary, so library test runs record `false`), and whether the
 /// source tree passed the `loadbal-lint` invariants
@@ -1220,8 +1224,11 @@ impl fmt::Display for CampaignLoopResult {
 pub struct BenchMeta {
     /// Report tier the measured season ran at.
     pub report_tier: ReportTier,
-    /// Worker threads the experiment used (largest pool tested).
+    /// Worker threads the experiment used (largest count tested).
     pub threads: usize,
+    /// The host's available parallelism
+    /// (`std::thread::available_parallelism`, 1 when unavailable).
+    pub nproc: usize,
     /// True when allocation figures come from the counting allocator.
     pub alloc_probe: bool,
     /// True when the workspace lint pass reported no findings.
@@ -1234,6 +1241,7 @@ impl BenchMeta {
         BenchMeta {
             report_tier,
             threads,
+            nproc: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             alloc_probe: crate::alloc_probe::installed(),
             lint_clean: crate::lint_check::lint_clean(),
         }
@@ -1242,21 +1250,35 @@ impl BenchMeta {
     /// The `"meta":{...}` JSON fragment (no trailing comma).
     pub fn to_json(&self) -> String {
         format!(
-            "\"meta\":{{\"report_tier\":\"{}\",\"threads\":{},\"alloc_probe\":{},\"lint_clean\":{}}}",
-            self.report_tier, self.threads, self.alloc_probe, self.lint_clean
+            "\"meta\":{{\"report_tier\":\"{}\",\"threads\":{},\"nproc\":{},\"alloc_probe\":{},\
+             \"lint_clean\":{}}}",
+            self.report_tier, self.threads, self.nproc, self.alloc_probe, self.lint_clean
+        )
+    }
+}
+
+impl fmt::Display for BenchMeta {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "host: nproc {}, {} threads, {} tier",
+            self.nproc, self.threads, self.report_tier
         )
     }
 }
 
 // ---------------------------------------------------------------------
-// E15 — fleet scaling: many campaigns on one shared worker pool
+// E15 — fleet scaling: many campaigns on one set of workers
 // ---------------------------------------------------------------------
 
 /// One thread-count row of the fleet-scaling experiment.
 #[derive(Debug, Clone)]
 pub struct FleetScalingRow {
-    /// Worker threads in the shared pool.
+    /// Worker threads the fleet ran on.
     pub threads: usize,
+    /// True when `threads` exceeds the host's core count
+    /// ([`BenchMeta::nproc`]): the row times contention, not scaling.
+    pub oversubscribed: bool,
     /// Wall-clock of the interleaved fleet run, microseconds.
     pub fleet_us: u128,
     /// True if this run was byte-identical to the sequential reference.
@@ -1272,7 +1294,7 @@ pub struct FleetScalingResult {
     pub households: usize,
     /// Wall-clock of running every campaign back to back on one thread.
     pub sequential_us: u128,
-    /// One row per pool size.
+    /// One row per thread count.
     pub rows: Vec<FleetScalingRow>,
     /// Peaks negotiated fleet-wide.
     pub negotiations: usize,
@@ -1281,10 +1303,10 @@ pub struct FleetScalingResult {
 }
 
 /// E15: the fleet layer — `cells` campaigns over distinct populations
-/// of `households` homes, interleaved on one shared
-/// [`WorkerPool`](loadbal_core::sweep::WorkerPool) at increasing pool
-/// sizes, each run checked byte-identical against the sequential
-/// reference.
+/// of `households` homes, interleaved on one set of workers at
+/// increasing thread counts, each run checked byte-identical against
+/// the sequential reference. Rows with more threads than the host has
+/// cores are flagged as oversubscribed.
 pub fn fleet_scaling(cells: usize, households: usize, seed: u64) -> FleetScalingResult {
     use loadbal_core::fleet::FleetRunner;
     let horizon = Horizon::new(6, 0, Season::Winter);
@@ -1316,6 +1338,7 @@ pub fn fleet_scaling(cells: usize, households: usize, seed: u64) -> FleetScaling
     let reference = reference_fleet.run_sequential();
     let sequential_us = t0.elapsed().as_micros();
 
+    let meta = BenchMeta::capture(ReportTier::FullTrace, 8);
     let rows = [2usize, 4, 8]
         .iter()
         .map(|&threads| {
@@ -1325,6 +1348,7 @@ pub fn fleet_scaling(cells: usize, households: usize, seed: u64) -> FleetScaling
             let fleet_us = t.elapsed().as_micros();
             FleetScalingRow {
                 threads,
+                oversubscribed: threads > meta.nproc,
                 fleet_us,
                 matches_reference: report == reference,
             }
@@ -1337,7 +1361,7 @@ pub fn fleet_scaling(cells: usize, households: usize, seed: u64) -> FleetScaling
         sequential_us,
         rows,
         negotiations: reference.negotiations(),
-        meta: BenchMeta::capture(ReportTier::FullTrace, 8),
+        meta,
     }
 }
 
@@ -1348,15 +1372,25 @@ impl fmt::Display for FleetScalingResult {
             "E15 — fleet scaling ({} cells × {} households, {} peaks fleet-wide)",
             self.cells, self.households, self.negotiations
         )?;
-        writeln!(f, "  {:>8} {:>12} {:>9}", "threads", "wall µs", "identical")?;
-        writeln!(f, "  {:>8} {:>12} {:>9}", "seq", self.sequential_us, "-")?;
+        writeln!(f, "  {}", self.meta)?;
+        writeln!(
+            f,
+            "  {:>8} {:>12} {:>9} {:>14}",
+            "threads", "wall µs", "identical", "oversubscribed"
+        )?;
+        writeln!(
+            f,
+            "  {:>8} {:>12} {:>9} {:>14}",
+            "seq", self.sequential_us, "-", "-"
+        )?;
         for r in &self.rows {
             writeln!(
                 f,
-                "  {:>8} {:>12} {:>9}",
+                "  {:>8} {:>12} {:>9} {:>14}",
                 r.threads,
                 r.fleet_us,
-                if r.matches_reference { "yes" } else { "NO" }
+                if r.matches_reference { "yes" } else { "NO" },
+                if r.oversubscribed { "yes" } else { "no" }
             )?;
         }
         Ok(())
@@ -1373,8 +1407,8 @@ impl FleetScalingResult {
             .iter()
             .map(|r| {
                 format!(
-                    "{{\"threads\":{},\"fleet_us\":{},\"identical\":{}}}",
-                    r.threads, r.fleet_us, r.matches_reference
+                    "{{\"threads\":{},\"oversubscribed\":{},\"fleet_us\":{},\"identical\":{}}}",
+                    r.threads, r.oversubscribed, r.fleet_us, r.matches_reference
                 )
             })
             .collect();
@@ -1392,8 +1426,8 @@ impl FleetScalingResult {
 }
 
 // ---------------------------------------------------------------------
-// E16 — the scheduling + negotiation hot loop: persistent parked pool
-// vs spawn-per-day, scratch-reusing vs fresh-engine negotiation
+// E16 — the negotiation hot loop: a season as one fleet, and
+// scratch-reusing vs fresh-engine negotiation
 // ---------------------------------------------------------------------
 
 /// Result of the hot-loop experiment.
@@ -1405,21 +1439,13 @@ pub struct HotLoopResult {
     pub households: usize,
     /// Horizon length in days (warmup 3).
     pub days: u64,
-    /// Worker threads per pool.
+    /// Worker threads the season's fleet ran on.
     pub threads: usize,
     /// Peaks negotiated across all cells.
     pub peaks: usize,
-    /// Wall-clock with a **fresh pool per campaign day** (the pre-PR-5
-    /// cost model: scoped threads spawned and joined every day),
-    /// microseconds.
-    pub spawn_per_day_us: u128,
-    /// The same season on **one persistent pool** (threads spawned
-    /// once, parked between days), microseconds.
-    pub persistent_us: u128,
-    /// `spawn_per_day_us / persistent_us`.
-    pub pool_speedup: f64,
-    /// True if both pool disciplines were byte-identical to the
-    /// sequential reference (asserted — this is the CI smoke).
+    /// True if the season, run as one fleet at `threads` workers, was
+    /// byte-identical to the sequential reference (asserted — this is
+    /// the CI smoke).
     pub identical: bool,
     /// Negotiations in the engine micro-comparison.
     pub micro_peaks: usize,
@@ -1439,35 +1465,20 @@ pub struct HotLoopResult {
     pub fresh_allocs_per_peak: Option<f64>,
     /// Heap allocations per negotiated peak through the scratch.
     pub scratch_allocs_per_peak: Option<f64>,
-    /// Batches in the pure pool-call overhead micro-comparison.
-    pub call_batches: usize,
-    /// `call_batches` pool calls, each on a **freshly built** pool
-    /// (threads spawned and joined per call — the pre-PR model),
-    /// microseconds.
-    pub call_fresh_us: u128,
-    /// The same calls on the parked persistent pool, microseconds.
-    pub call_persistent_us: u128,
-    /// `call_fresh_us / call_persistent_us` — the per-call spawn +
-    /// teardown overhead the rebuild eliminates.
-    pub call_speedup: f64,
     /// Runtime context for the JSON record.
     pub meta: BenchMeta,
 }
 
 /// E16: the other half of the hot path, after E15 made demand
-/// simulation allocation-free — the *scheduling* and *negotiation*
-/// inner loops.
+/// simulation allocation-free — the *negotiation* inner loop.
 ///
-/// A campaign driven day by day batches each day's peaks onto the
-/// worker pool, once per day per cell; with a spawn-per-call pool every
-/// batch spawned scoped threads, and every negotiation built fresh
-/// engines (bid vectors, reward-table snapshots, effect queues) per
-/// peak. This experiment times the same ≥20-day, multi-cell season
-/// under both disciplines and asserts **byte identity** between
-/// the persistent pool, the spawn-per-day pool and the sequential
-/// reference, then micro-times clone-vs-scratch negotiation over the
-/// season's real peak scenarios (with per-peak allocation counts when
-/// the instrumented binary runs it).
+/// Every negotiation once built fresh engines (bid vectors,
+/// reward-table snapshots, effect queues) per peak. This experiment
+/// runs a ≥20-day, multi-cell season as one fleet at `threads` workers
+/// and asserts **byte identity** with the sequential reference, then
+/// micro-times clone-vs-scratch negotiation over the season's real peak
+/// scenarios (with per-peak allocation counts when the instrumented
+/// binary runs it).
 pub fn hot_loop(
     cells: usize,
     households: usize,
@@ -1475,9 +1486,8 @@ pub fn hot_loop(
     threads: usize,
     seed: u64,
 ) -> HotLoopResult {
-    use loadbal_core::sweep::WorkerPool;
+    use loadbal_core::fleet::FleetRunner;
     use loadbal_core::sync_driver::NegotiationScratch;
-    use std::num::NonZeroUsize;
 
     let horizon = Horizon::new(days, 0, Season::Winter);
     let weather = WeatherModel::winter();
@@ -1488,68 +1498,26 @@ pub fn hot_loop(
                 .build(seed ^ c)
         })
         .collect();
-    let runners: Vec<_> = populations
-        .iter()
-        .map(|homes| {
-            CampaignBuilder::new(homes, &weather, &horizon)
-                .predictor(FixedPredictor(WeatherRegression::calibrated()))
-                .feedback(ClosedLoop)
-                .build()
-        })
-        .collect();
+    let mut fleet = FleetRunner::new().threads(NonZeroUsize::new(threads.max(1)).expect("≥ 1"));
+    for (i, homes) in populations.iter().enumerate() {
+        let runner = CampaignBuilder::new(homes, &weather, &horizon)
+            .predictor(FixedPredictor(WeatherRegression::calibrated()))
+            .feedback(ClosedLoop)
+            .build();
+        fleet = fleet.cell(format!("cell{i}"), runner);
+    }
 
-    // Drives one campaign day by day over `pool` (persistent) or over a
-    // fresh, day-scoped pool built by `per_day` — the two disciplines
-    // under comparison share this exact loop.
-    let drive = |runner: &loadbal_core::campaign::CampaignRunner<'_>,
-                 pool: Option<&WorkerPool>|
-     -> CampaignReport {
-        let mut progress = runner.progress();
-        while let Some(plan) = progress.next_day() {
-            let n = plan.scenarios().len();
-            let run_day = |pool: &WorkerPool| {
-                pool.run_with(n, NegotiationScratch::new, |scratch, i| {
-                    plan.negotiate(i, scratch)
-                })
-            };
-            let reports = match pool {
-                Some(pool) => run_day(pool),
-                None => {
-                    // The pre-PR cost model: a pool per day, sized like
-                    // the old scoped spawn (min(threads, peaks)), built
-                    // and torn down inside the day loop.
-                    let day_threads = NonZeroUsize::new(threads.min(n.max(1))).expect("≥ 1");
-                    run_day(&WorkerPool::new(day_threads))
-                }
-            };
-            progress.complete_day(plan, reports);
-        }
-        progress.finish()
-    };
-
-    let reference: Vec<CampaignReport> = runners.iter().map(|r| r.run_sequential()).collect();
-
-    let t0 = Instant::now();
-    let spawning: Vec<CampaignReport> = runners.iter().map(|r| drive(r, None)).collect();
-    let spawn_per_day_us = t0.elapsed().as_micros();
-
-    let pool = WorkerPool::new(NonZeroUsize::new(threads.max(1)).expect("≥ 1"));
-    let t1 = Instant::now();
-    let persistent: Vec<CampaignReport> = runners.iter().map(|r| drive(r, Some(&pool))).collect();
-    let persistent_us = t1.elapsed().as_micros();
-
+    let reference = fleet.run_sequential();
     assert_eq!(
-        persistent, reference,
-        "persistent pool must be byte-identical to sequential"
+        fleet.run(),
+        reference,
+        "the season as one fleet at {threads} threads must be byte-identical to sequential"
     );
-    assert_eq!(
-        spawning, reference,
-        "spawn-per-day pool must be byte-identical to sequential"
-    );
-    let peaks: usize = reference.iter().map(|r| r.negotiations()).sum();
+    let peaks = reference.negotiations();
 
     // --- clone-vs-scratch negotiation, on the season's real peaks ----
-    let micro: Vec<Scenario> = reference[0]
+    let micro: Vec<Scenario> = reference.cells[0]
+        .report
         .outcomes
         .iter()
         .map(|o| *o.scenario.clone().expect("full-trace campaign"))
@@ -1580,30 +1548,6 @@ pub fn hot_loop(
         "scratch negotiation must be byte-identical to fresh engines"
     );
 
-    // --- pure pool-call overhead: what one `run` call costs when the
-    // threads must be spawned for it versus when they are parked ------
-    let call_batches = 100usize;
-    let call_tasks = threads.max(2) * 2;
-    let t4 = Instant::now();
-    let mut sink = 0u64;
-    for b in 0..call_batches {
-        let fresh = WorkerPool::new(NonZeroUsize::new(threads.max(2)).expect("≥ 2"));
-        sink += fresh
-            .run(call_tasks, |i| (i as u64).wrapping_mul(b as u64 + 1))
-            .iter()
-            .sum::<u64>();
-    }
-    let call_fresh_us = t4.elapsed().as_micros();
-    let t5 = Instant::now();
-    for b in 0..call_batches {
-        sink += pool
-            .run(call_tasks, |i| (i as u64).wrapping_mul(b as u64 + 1))
-            .iter()
-            .sum::<u64>();
-    }
-    let call_persistent_us = t5.elapsed().as_micros();
-    std::hint::black_box(sink);
-
     let per_peak = |allocs: u64| {
         // 0 means the counting allocator is absent (library test run).
         (allocs > 0).then(|| allocs as f64 / (micro.len().max(1) * micro_reps) as f64)
@@ -1614,9 +1558,6 @@ pub fn hot_loop(
         days,
         threads,
         peaks,
-        spawn_per_day_us,
-        persistent_us,
-        pool_speedup: spawn_per_day_us as f64 / persistent_us.max(1) as f64,
         identical: true, // asserted above
         micro_peaks: micro.len(),
         micro_reps,
@@ -1625,10 +1566,6 @@ pub fn hot_loop(
         negotiation_speedup: fresh_us as f64 / scratch_us.max(1) as f64,
         fresh_allocs_per_peak: per_peak(fresh_allocs),
         scratch_allocs_per_peak: per_peak(scratch_allocs),
-        call_batches,
-        call_fresh_us,
-        call_persistent_us,
-        call_speedup: call_fresh_us as f64 / call_persistent_us.max(1) as f64,
         meta: BenchMeta::capture(ReportTier::FullTrace, threads),
     }
 }
@@ -1644,9 +1581,7 @@ impl HotLoopResult {
         };
         format!(
             "{{\"experiment\":\"E16\",{},\"cells\":{},\"households\":{},\"days\":{},\"threads\":{},\
-             \"peaks\":{},\"spawn_per_day_us\":{},\"persistent_us\":{},\"pool_speedup\":{:.4},\
-             \"identical\":{},\"call_batches\":{},\"call_fresh_us\":{},\"call_persistent_us\":{},\
-             \"call_speedup\":{:.4},\"micro_peaks\":{},\"micro_reps\":{},\"fresh_us\":{},\
+             \"peaks\":{},\"identical\":{},\"micro_peaks\":{},\"micro_reps\":{},\"fresh_us\":{},\
              \"scratch_us\":{},\"negotiation_speedup\":{:.4},\"fresh_allocs_per_peak\":{},\
              \"scratch_allocs_per_peak\":{}}}",
             self.meta.to_json(),
@@ -1655,14 +1590,7 @@ impl HotLoopResult {
             self.days,
             self.threads,
             self.peaks,
-            self.spawn_per_day_us,
-            self.persistent_us,
-            self.pool_speedup,
             self.identical,
-            self.call_batches,
-            self.call_fresh_us,
-            self.call_persistent_us,
-            self.call_speedup,
             self.micro_peaks,
             self.micro_reps,
             self.fresh_us,
@@ -1678,23 +1606,16 @@ impl fmt::Display for HotLoopResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "E16 — scheduling + negotiation hot loop ({} cells × {} households, \
+            "E16 — negotiation hot loop ({} cells × {} households, \
              {}-day season, {} peaks, {} threads)",
             self.cells, self.households, self.days, self.peaks, self.threads
         )?;
+        writeln!(f, "  {}", self.meta)?;
         writeln!(
             f,
-            "  pool discipline:  spawn-per-day {} µs vs persistent {} µs ({:.2}×), identical: {}",
-            self.spawn_per_day_us,
-            self.persistent_us,
-            self.pool_speedup,
+            "  season:           one fleet at {} threads == sequential: {}",
+            self.threads,
             if self.identical { "yes" } else { "NO" }
-        )?;
-        writeln!(
-            f,
-            "  pool call cost:   fresh-pool {} µs vs parked {} µs over {} calls ({:.1}× — \
-             the per-day spawn cost eliminated)",
-            self.call_fresh_us, self.call_persistent_us, self.call_batches, self.call_speedup
         )?;
         writeln!(
             f,
@@ -2661,7 +2582,7 @@ pub struct CityScaleResult {
     /// [`FleetRunner::run`](loadbal_core::fleet::FleetRunner::run) from
     /// built cells to the report, so every cell's whole-horizon demand
     /// synthesis (deferred out of `CampaignBuilder::build` onto the
-    /// fleet's pool) is inside the timer, next to the negotiations.
+    /// fleet's workers) is inside the timer, next to the negotiations.
     pub season_us: u128,
     /// Peak negotiations the season carried across all shards.
     pub negotiations: usize,
@@ -2684,13 +2605,13 @@ pub struct CityScaleResult {
 /// [`PopulationSlab`] holds every household as struct-of-arrays
 /// columns; [`FleetRunner::sharded_slab`](loadbal_core::fleet::FleetRunner::sharded_slab)
 /// splits it into `cells` contiguous zero-copy views and negotiates a
-/// `days`-day winter season at [`ReportTier::Settlement`] on the shared
-/// worker pool.
+/// `days`-day winter season at [`ReportTier::Settlement`] on the
+/// fleet's shared workers.
 ///
 /// Three things are measured and one asserted:
 ///
-/// * **Season** — the whole sharded season on the fleet's pool (one
-///   worker per available core, recorded as `meta.threads`): each
+/// * **Season** — the whole sharded season on the fleet's workers (one
+///   per available core, recorded as `meta.threads`): each
 ///   cell's demand synthesis plus prediction, detection and
 ///   negotiation. Building the cells only validates them, so nothing
 ///   of the season runs outside the timer.
@@ -3091,16 +3012,16 @@ mod tests {
     #[test]
     fn e16_hot_loop_is_byte_identical_and_reports() {
         // Small season, 2 threads — the CI smoke shape: the experiment
-        // itself asserts persistent == spawn-per-day == sequential.
+        // itself asserts the 2-thread fleet == sequential.
         let r = hot_loop(2, 40, 7, 2, 7);
         assert!(r.identical);
         assert!(r.peaks > 0, "winter cells must carry peaks");
         assert!(r.micro_peaks > 0);
         // Timing figures exist (no speed assertion — CI machines vary).
-        assert!(r.persistent_us > 0 && r.scratch_us > 0);
+        assert!(r.fresh_us > 0 && r.scratch_us > 0);
         let text = r.to_string();
         assert!(text.contains("E16"));
-        assert!(text.contains("persistent"));
+        assert!(text.contains("one fleet at 2 threads == sequential: yes"));
         let json = r.to_json();
         assert!(json.contains("\"experiment\":\"E16\""));
         assert!(json.contains("\"identical\":true"));
@@ -3114,8 +3035,9 @@ mod tests {
     #[test]
     fn bench_records_carry_runtime_metadata() {
         // Every perf-tracked BENCH_E*.json record states the report
-        // tier, the thread count, and whether the counting allocator
-        // fed the figures (false here: the library is uninstrumented).
+        // tier, the thread count, the host's core count, and whether
+        // the counting allocator fed the figures (false here: the
+        // library is uninstrumented).
         let e16 = hot_loop(2, 40, 7, 2, 7);
         let e15 = fleet_scaling(2, 40, 7);
         let e17 = report_tiers(2, 40, 7, 7);
@@ -3123,6 +3045,7 @@ mod tests {
             assert!(json.contains("\"meta\":{"), "missing meta: {json}");
             assert!(json.contains("\"report_tier\":\""), "missing tier: {json}");
             assert!(json.contains("\"threads\":"), "missing threads: {json}");
+            assert!(json.contains("\"nproc\":"), "missing nproc: {json}");
             assert!(
                 json.contains("\"alloc_probe\":false"),
                 "probe must be reported absent in library tests: {json}"
@@ -3133,6 +3056,11 @@ mod tests {
             );
         }
         assert!(e16.to_json().contains("\"threads\":2"));
+        // E15 flags every row with more threads than cores.
+        for row in &e15.rows {
+            assert_eq!(row.oversubscribed, row.threads > e15.meta.nproc);
+        }
+        assert!(e15.to_json().contains("\"oversubscribed\":"));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! | E13 | grid→negotiation campaigns | [`experiments::campaign_grid`] |
 //! | E14 | campaign feedback loop | [`experiments::campaign_loop`] |
 //! | E15 | fleet scaling | [`experiments::fleet_scaling`] |
-//! | E16 | persistent pool + negotiation scratch hot loop | [`experiments::hot_loop`] |
+//! | E16 | negotiation hot loop: fleet == sequential, scratch vs fresh engines | [`experiments::hot_loop`] |
 //! | E17 | report tiers: retained memory + archive bytes/day | [`experiments::report_tiers`] |
 
 #![forbid(unsafe_code)]

@@ -27,11 +27,11 @@
 //! executes days **sequentially** (closed-loop feedback makes day *d*
 //! depend on day *d − 1*) but negotiates each day's peaks in parallel:
 //! [`CampaignRunner::run`] is a one-cell
-//! [`FleetRunner`](crate::fleet::FleetRunner) on a machine-sized
-//! [`WorkerPool`], byte-identical to [`CampaignRunner::run_sequential`],
-//! so campaigns stay replayable. To cap the thread count, or to run
-//! *many* campaigns on one shared pool, make them cells of a
-//! `FleetRunner`, which steps each through [`CampaignRunner::progress`].
+//! [`FleetRunner`](crate::fleet::FleetRunner) at machine parallelism,
+//! byte-identical to [`CampaignRunner::run_sequential`], so campaigns
+//! stay replayable. To cap the thread count, or to run *many* campaigns
+//! on one set of workers, make them cells of a `FleetRunner`, which
+//! steps each through [`CampaignRunner::progress`].
 //! Everything else about how a campaign runs — its report tier and
 //! execution mode included — is set once, on its builder.
 //!
@@ -59,7 +59,6 @@ use crate::execution::{peak_seed, ExecutionMode, NetworkTraffic};
 use crate::methods::AnnouncementMethod;
 use crate::producer_agent::ProducerAgent;
 use crate::session::{NegotiationReport, ReportTier, Scenario, ScenarioBuilder};
-use crate::sweep::WorkerPool;
 use crate::sync_driver::NegotiationScratch;
 use crate::utility_agent::own_process_control::OwnProcessControl;
 use crate::utility_agent::{EconomicStopRule, UtilityAgentConfig};
@@ -526,7 +525,7 @@ impl<'a> CampaignBuilder<'a> {
     /// [`CampaignRunner::production`] / [`CampaignRunner::producer`] /
     /// [`CampaignRunner::ua_config`]) and memoised there — so a
     /// [`FleetRunner`](crate::fleet::FleetRunner) synthesises its cells
-    /// in parallel on its shared pool.
+    /// in parallel on its workers.
     ///
     /// # Panics
     ///
@@ -580,7 +579,6 @@ impl<'a> CampaignBuilder<'a> {
             execution: self.execution,
             normal_cost: self.normal_cost,
             expensive_cost: self.expensive_cost,
-            pool: OnceLock::new(),
             predictor: self.predictor,
             feedback: self.feedback,
             stop: self.stop,
@@ -630,10 +628,6 @@ pub struct CampaignRunner<'a> {
     execution: ExecutionMode,
     normal_cost: PricePerKwh,
     expensive_cost: PricePerKwh,
-    /// The machine-sized pool [`CampaignRunner::run`] schedules this
-    /// campaign on as a one-cell fleet: spawned on the first run and
-    /// reused by every later one.
-    pool: OnceLock<WorkerPool>,
     predictor: Box<dyn PredictorPolicy + 'a>,
     feedback: Box<dyn FeedbackPolicy + 'a>,
     stop: Box<dyn StopPolicy + 'a>,
@@ -732,9 +726,10 @@ impl CampaignRunner<'_> {
     }
 
     /// Runs the campaign as a one-cell
-    /// [`FleetRunner`](crate::fleet::FleetRunner) on a machine-sized
-    /// pool, so each day's peaks negotiate in parallel; byte-identical
-    /// to [`CampaignRunner::run_sequential`]. A one-cell fleet with
+    /// [`FleetRunner`](crate::fleet::FleetRunner) at machine
+    /// parallelism, so each day's peaks negotiate in parallel;
+    /// byte-identical to [`CampaignRunner::run_sequential`]. A one-cell
+    /// fleet with
     /// [`FleetRunner::threads`](crate::fleet::FleetRunner::threads)
     /// runs it at a chosen thread count. A panicking policy or
     /// negotiation resurfaces its original payload here.
@@ -755,10 +750,7 @@ impl CampaignRunner<'_> {
     /// deterministic for a given mode (order-independent sums over
     /// per-peak seeded simulations).
     pub fn run_instrumented(&self) -> (CampaignReport, NetworkTraffic) {
-        let pool = self
-            .pool
-            .get_or_init(WorkerPool::with_available_parallelism);
-        crate::fleet::schedule(pool, &[self])
+        crate::fleet::schedule(crate::sweep::machine_threads(), &[self])
             .pop()
             .expect("one campaign, one result")
     }
@@ -784,7 +776,7 @@ impl CampaignRunner<'_> {
     /// Begins stepping the campaign day by day — the resumable form of
     /// [`CampaignRunner::run`] that the
     /// [`FleetRunner`](crate::fleet::FleetRunner) scheduler interleaves
-    /// with other campaigns on one shared [`WorkerPool`]: call
+    /// with other campaigns on one set of workers: call
     /// [`CampaignProgress::next_day`] for the day's negotiable work,
     /// negotiate the scenarios however you like, hand the reports back
     /// through [`CampaignProgress::complete_day`], and

@@ -1,4 +1,4 @@
-//! Fleet execution: many campaigns, one shared worker pool.
+//! Fleet execution: many campaigns, one set of workers.
 //!
 //! A season-long study is not one campaign but many — one per grid
 //! cell, feeder or household cohort — and while the *days* inside a
@@ -6,26 +6,27 @@
 //! on day *d − 1*), the campaigns themselves are embarrassingly
 //! parallel. Running them back to back wastes cores whenever one
 //! campaign's day carries fewer peaks than the machine has threads;
-//! running each on its own pool oversubscribes the machine N-fold.
+//! running each on its own threads oversubscribes the machine N-fold.
 //!
 //! [`FleetRunner`] does neither: it drives every campaign through the
 //! [`CampaignProgress`] stepping API and schedules *individual peak
-//! negotiations* from all campaigns onto **one** shared
-//! [`WorkerPool`]. While campaign A is between days (its feedback
-//! bookkeeping is sequential), the workers drain campaign B's peaks —
-//! cores never idle as long as any cell anywhere has negotiable work.
-//! Per-cell startup runs on the pool too: the first worker to reach a
-//! cell calls [`CampaignRunner::progress`], which synthesises the
-//! cell's whole-horizon demand (deferred out of
+//! negotiations* from all campaigns onto **one** set of workers, fanned
+//! out with [`fan_out`] for the length of the run. While campaign A is
+//! between days (its feedback bookkeeping is sequential), the workers
+//! drain campaign B's peaks — cores never idle as long as any cell
+//! anywhere has negotiable work. Per-cell startup runs on the workers
+//! too: the first worker to reach a cell calls
+//! [`CampaignRunner::progress`], which synthesises the cell's
+//! whole-horizon demand (deferred out of
 //! [`CampaignBuilder::build`](crate::campaign::CampaignBuilder::build))
 //! and chooses its predictor, so a city's cells synthesise in parallel
-//! rather than serially before the pool starts. The echo of the
+//! rather than serially before the workers start. The echo of the
 //! paper's DESIRE lineage is deliberate: many independent agent
 //! societies, one execution substrate.
 //!
 //! This is the crate's only campaign scheduler: a lone
-//! [`CampaignRunner::run`] is a one-cell fleet on the runner's own
-//! machine-sized pool. The fleet adds scheduling and nothing else —
+//! [`CampaignRunner::run`] is a one-cell fleet at machine parallelism.
+//! The fleet adds scheduling and nothing else —
 //! each cell's report tier and execution mode are whatever its
 //! [`CampaignBuilder`](crate::campaign::CampaignBuilder) chose, and the
 //! thread count is [`FleetRunner::threads`].
@@ -62,7 +63,7 @@
 //! let fleet = FleetRunner::new()
 //!     .cell("north", build(&north))
 //!     .cell("south", build(&south));
-//! let report = fleet.run(); // one shared pool across both campaigns
+//! let report = fleet.run(); // one set of workers across both campaigns
 //! assert_eq!(report.len(), 2);
 //! assert_eq!(report, fleet.run_sequential()); // byte-identical
 //! ```
@@ -72,29 +73,25 @@ use crate::campaign::{
 };
 use crate::execution::NetworkTraffic;
 use crate::session::{NegotiationReport, ReportTier};
-use crate::sweep::WorkerPool;
+use crate::sweep::{fan_out, machine_threads};
 use crate::sync_driver::NegotiationScratch;
 use powergrid::slab::{PopulationSlab, SlabView};
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
-/// Many campaigns over a shared grid, executed on one worker pool.
+/// Many campaigns over a shared grid, executed on one set of workers.
 ///
 /// Build with [`FleetRunner::new`] and [`FleetRunner::cell`]; run with
-/// [`FleetRunner::run`] (shared pool, interleaved) or
+/// [`FleetRunner::run`] (shared workers, interleaved) or
 /// [`FleetRunner::run_sequential`] (the reference order). Both produce
 /// the same [`FleetReport`], byte for byte.
 #[derive(Debug, Default)]
 pub struct FleetRunner<'a> {
     cells: Vec<(String, CampaignRunner<'a>)>,
     threads: Option<NonZeroUsize>,
-    /// The persistent shared pool: spawned on the first [`FleetRunner::run`]
-    /// and reused by every later run of this fleet — including runs
-    /// after more cells were added.
-    pool: OnceLock<WorkerPool>,
 }
 
 impl<'a> FleetRunner<'a> {
@@ -103,7 +100,6 @@ impl<'a> FleetRunner<'a> {
         FleetRunner {
             cells: Vec::new(),
             threads: None,
-            pool: OnceLock::new(),
         }
     }
 
@@ -141,21 +137,12 @@ impl<'a> FleetRunner<'a> {
         self
     }
 
-    /// Caps the shared pool's worker count (default: machine
+    /// Caps the worker count of each run (default: machine
     /// parallelism) — the one thread knob of campaign execution: a
     /// single campaign at a chosen thread count is a one-cell fleet.
-    /// Replaces any pool already spawned by a previous run.
     pub fn threads(mut self, threads: NonZeroUsize) -> Self {
         self.threads = Some(threads);
-        self.pool = OnceLock::new();
         self
-    }
-
-    /// The fleet's persistent shared [`WorkerPool`]: built (threads
-    /// spawned, parked) on the first [`FleetRunner::run`] and reused by
-    /// every subsequent run.
-    fn pool(&self) -> &WorkerPool {
-        self.pool.get_or_init(|| WorkerPool::sized(self.threads))
     }
 
     /// Number of cells.
@@ -173,7 +160,8 @@ impl<'a> FleetRunner<'a> {
         &self.cells
     }
 
-    /// Runs every campaign to completion on one shared [`WorkerPool`].
+    /// Runs every campaign to completion on one set of workers, which
+    /// [`fan_out`] spawns for this run and joins before it returns.
     ///
     /// Workers hunt for negotiable peaks across *all* cells: a claimed
     /// peak is negotiated without holding any lock, a cell whose day
@@ -184,7 +172,7 @@ impl<'a> FleetRunner<'a> {
     ///
     /// Byte-identical to [`FleetRunner::run_sequential`] for any thread
     /// count. A panicking negotiation resurfaces its original payload
-    /// here, as with [`WorkerPool::run`].
+    /// here, as with [`fan_out`].
     pub fn run(&self) -> FleetReport {
         self.run_instrumented().0
     }
@@ -197,7 +185,8 @@ impl<'a> FleetRunner<'a> {
     /// sums over per-peak seeded simulations), for any thread count.
     pub fn run_instrumented(&self) -> (FleetReport, Vec<NetworkTraffic>) {
         let runners: Vec<&CampaignRunner<'a>> = self.cells.iter().map(|(_, r)| r).collect();
-        self.labelled(schedule(self.pool(), &runners))
+        let threads = self.threads.unwrap_or_else(machine_threads);
+        self.labelled(schedule(threads, &runners))
     }
 
     /// Runs every campaign back to back on the calling thread — the
@@ -239,22 +228,22 @@ impl<'a> FleetRunner<'a> {
 // ---------------------------------------------------------------------
 
 /// The crate's one campaign scheduler: runs every runner to completion
-/// on `pool` and returns each campaign's report and traffic, in runner
-/// order. [`FleetRunner::run`] schedules its cells here (and documents
-/// how workers share them); [`CampaignRunner::run`] schedules itself
-/// as a one-cell fleet.
+/// on `threads` workers and returns each campaign's report and traffic,
+/// in runner order. [`FleetRunner::run`] schedules its cells here (and
+/// documents how workers share them); [`CampaignRunner::run`] schedules
+/// itself as a one-cell fleet.
 ///
-/// A one-worker pool runs each campaign's sequential reference loop
-/// instead. A panic in any cell's work resurfaces its original payload
-/// on the calling thread once every worker has stopped.
+/// One worker runs each campaign's sequential reference loop instead.
+/// A panic in any cell's work resurfaces its original payload on the
+/// calling thread once every worker has stopped.
 pub(crate) fn schedule(
-    pool: &WorkerPool,
+    threads: NonZeroUsize,
     runners: &[&CampaignRunner<'_>],
 ) -> Vec<(CampaignReport, NetworkTraffic)> {
     // The unit of parallelism is the peak negotiation, not the cell:
     // even a single campaign keeps several workers busy on a
     // multi-peak day, so the worker count is not capped by cells.
-    let workers = pool.threads().get();
+    let workers = threads.get();
     if workers <= 1 || runners.is_empty() {
         return runners
             .iter()
@@ -269,42 +258,44 @@ pub(crate) fn schedule(
     let abort = AtomicBool::new(false);
     let panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
     let cursor = AtomicUsize::new(0);
-    // `WorkerPool::run_with` drives one scheduler loop per worker, each
-    // threading its own NegotiationScratch through every peak it
-    // claims; the pool's own panic capture is bypassed because the loop
-    // never panics — cell work is caught below so no worker dies with
-    // peaks outstanding (which would deadlock the others).
-    pool.run_with(workers, NegotiationScratch::new, |scratch, _| loop {
-        if abort.load(Ordering::Relaxed) || unfinished.load(Ordering::Acquire) == 0 {
-            break;
-        }
-        let start = cursor.fetch_add(1, Ordering::Relaxed) % cells.len();
-        let mut claimed = false;
-        for offset in 0..cells.len() {
-            let cell = &cells[(start + offset) % cells.len()];
-            match cell.try_step(&unfinished, scratch) {
-                Ok(stepped) => {
-                    if stepped {
-                        claimed = true;
+    // `fan_out` drives one scheduler loop per worker, each threading
+    // its own NegotiationScratch through every peak it claims; its own
+    // panic capture is bypassed because the loop never panics — cell
+    // work is caught below so no worker dies with peaks outstanding
+    // (which would deadlock the others).
+    fan_out(threads, workers, NegotiationScratch::new, |scratch, _| {
+        loop {
+            if abort.load(Ordering::Relaxed) || unfinished.load(Ordering::Acquire) == 0 {
+                break;
+            }
+            let start = cursor.fetch_add(1, Ordering::Relaxed) % cells.len();
+            let mut claimed = false;
+            for offset in 0..cells.len() {
+                let cell = &cells[(start + offset) % cells.len()];
+                match cell.try_step(&unfinished, scratch) {
+                    Ok(stepped) => {
+                        if stepped {
+                            claimed = true;
+                            break;
+                        }
+                    }
+                    Err(payload) => {
+                        panic
+                            .lock()
+                            .unwrap_or_else(|poisoned| poisoned.into_inner())
+                            .get_or_insert(payload);
+                        abort.store(true, Ordering::Relaxed);
+                        claimed = true; // skip the yield; exit on re-check
                         break;
                     }
                 }
-                Err(payload) => {
-                    panic
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .get_or_insert(payload);
-                    abort.store(true, Ordering::Relaxed);
-                    claimed = true; // skip the yield; exit on re-check
-                    break;
-                }
             }
-        }
-        if !claimed {
-            // Every remaining peak is already claimed by another worker;
-            // yield until one completes (negotiations are ms-scale, so
-            // this is a short wait, not a spin).
-            std::thread::yield_now();
+            if !claimed {
+                // Every remaining peak is already claimed by another worker;
+                // yield until one completes (negotiations are ms-scale, so
+                // this is a short wait, not a spin).
+                std::thread::yield_now();
+            }
         }
     });
     if let Some(payload) = panic.into_inner().unwrap_or_else(|p| p.into_inner()) {
@@ -339,7 +330,7 @@ struct CellState<'r> {
     /// predictor selection (a full backtest under
     /// [`BacktestSelected`](crate::campaign::BacktestSelected)) —
     /// parallelises across cells instead of running serially before the
-    /// pool starts.
+    /// workers start.
     progress: Option<CampaignProgress<'r>>,
     active: Option<ActiveDay>,
     report: Option<(CampaignReport, NetworkTraffic)>,
@@ -778,7 +769,7 @@ mod tests {
     #[test]
     fn identical_cells_produce_identical_reports() {
         // Two cells over the same population must settle identically —
-        // the shared pool's interleaving leaks nothing between cells.
+        // the shared workers' interleaving leaks nothing between cells.
         let weather = WeatherModel::winter();
         let pop = homes(30, 1);
         let fleet = FleetRunner::new()

@@ -136,8 +136,8 @@
 //!    ([`powergrid::household::Household::max_cutdown`]), the
 //!    reluctance scale falls with that flexibility; no random betas;
 //! 6. **Negotiate** — the day's peaks negotiate in parallel on the
-//!    fleet scheduler's [`sweep::WorkerPool`] (a lone
-//!    [`campaign::CampaignRunner::run`] is a one-cell
+//!    fleet scheduler's workers, fanned out by [`sweep::fan_out`] (a
+//!    lone [`campaign::CampaignRunner::run`] is a one-cell
 //!    [`fleet::FleetRunner`]; byte-identical to sequential execution),
 //!    each under the campaign's [`campaign::StopPolicy`]:
 //!    unconditionally to the protocol's own end, or stopping
@@ -182,11 +182,11 @@
 //!    even though days within a cell are sequential. The
 //!    [`fleet::FleetRunner`] drives every cell through the
 //!    [`campaign::CampaignProgress`] stepping API and interleaves all
-//!    cells' peak negotiations on **one** shared
-//!    [`sweep::WorkerPool`], aggregating a [`fleet::FleetReport`]
-//!    (per-cell reports + cross-cell economics) that is byte-identical
-//!    for any thread count. Each cell's demand synthesis and predictor
-//!    choice run on that pool as well. One city-scale slab shards
+//!    cells' peak negotiations on **one** set of [`sweep::fan_out`]
+//!    workers, aggregating a [`fleet::FleetReport`] (per-cell reports +
+//!    cross-cell economics) that is byte-identical for any thread
+//!    count. Each cell's demand synthesis and predictor choice run on
+//!    those workers as well. One city-scale slab shards
 //!    across cells zero-copy by offset range
 //!    ([`fleet::FleetRunner::sharded_slab`], E20: a ~10⁶-household
 //!    settlement-tier season, synthesis included);
@@ -205,15 +205,14 @@
 //!     per cell and per day without decoding the season — via the
 //!     `loadbal-archive` crate and its `season-inspect` CLI.
 //!
-//! Both hot loops under this pipeline are allocation-lean and
-//! spawn-free. The [`sweep::WorkerPool`] is **persistent**: worker
-//! threads spawn once at first use, park between batches, respawn after
-//! a panic, and are shared by the sweep and the fleet scheduler — no
-//! per-batch thread spawn (E16). Each pool worker threads a
-//! reusable [`sync_driver::NegotiationScratch`] through the peaks it
-//! claims ([`campaign::DayPlan::negotiate`]), so the utility engine is
-//! reset in place instead of rebuilt per negotiation, rounds move
-//! their bid vectors into the report instead of cloning them, and each
+//! Both hot loops under this pipeline are allocation-lean. The one
+//! parallel executor, [`sweep::fan_out`], serves the sweep and the
+//! fleet scheduler: it spawns its scoped threads once per run, never
+//! per day or per peak, and joins them before it returns. Each worker
+//! threads a reusable [`sync_driver::NegotiationScratch`] through the
+//! peaks it claims ([`campaign::DayPlan::negotiate`]), so the utility
+//! engine is reset in place instead of rebuilt per negotiation, rounds
+//! move their bid vectors into the report instead of cloning them, and each
 //! round's reward table is snapshotted exactly once (shared `Arc` in
 //! one [`engine::Effect::Broadcast`] of [`message::Msg::Announce`] and
 //! in the [`session::RoundRecord`]). Per-customer negotiation state is
@@ -251,12 +250,11 @@
 //!   `loadbal-archive` and `desire`. Ordered collections, the
 //!   scenario's seeded RNG and caller-supplied configuration are the
 //!   sanctioned alternatives.
-//! * **Unsafe confinement** — `unsafe` appears only inside
-//!   [`sweep`]'s `mod pool` (the lifetime-erased batch hand-off of
-//!   the persistent `WorkerPool`), every block or impl directly
-//!   preceded by a `// SAFETY:` comment; every other crate root
-//!   carries `#![forbid(unsafe_code)]` (this crate: `deny`, see the
-//!   header below).
+//! * **No unsafe in the libraries** — every library crate root,
+//!   this one included, carries `#![forbid(unsafe_code)]`, which no
+//!   local `allow` can override. The only `unsafe` in the workspace
+//!   is the benchmark binaries' counting allocators, each block
+//!   waived with a reason and preceded by a `// SAFETY:` comment.
 //! * **Panic discipline** — the archive decode paths return typed
 //!   errors (`loadbal_archive::ArchiveError`) instead of
 //!   `unwrap`/`expect`/indexing, so a corrupt season file can never
@@ -291,12 +289,7 @@
 //! assert!(report.total_feedback().value() > 0.0); // closed loop fed back
 //! ```
 
-// `deny`, not `forbid`: the persistent `WorkerPool` (sweep.rs) needs one
-// tightly-scoped `allow(unsafe_code)` for its lifetime-erased batch
-// hand-off — the same erasure every scoped-thread/pool crate performs —
-// with the safety protocol documented at the single site. Everything
-// else stays safe Rust.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adaptive;
@@ -353,7 +346,7 @@ pub mod prelude {
         ScenarioBuilder,
     };
     pub use crate::strategy::select_method;
-    pub use crate::sweep::{ScenarioSweep, SweepOutcome, WorkerPool};
+    pub use crate::sweep::{fan_out, ScenarioSweep, SweepOutcome};
     pub use crate::sync_driver::NegotiationScratch;
     pub use crate::utility_agent::UtilityAgentConfig;
 }

@@ -95,11 +95,10 @@ fn deliver(utility: &mut UtilityEngine, customer: &mut CustomerEngine, i: usize,
 /// **byte-identical** to a fresh scratch's — a reset engine is
 /// behaviourally indistinguishable from a new one — which the
 /// sweep/campaign/fleet byte-identity suites pin. One scratch per
-/// worker (never shared): [`WorkerPool::run_with`] hands each pool
-/// worker its own, exactly like `powergrid`'s `DemandScratch` in the
-/// demand loop.
+/// worker (never shared): [`fan_out`] hands each executor its own,
+/// exactly like `powergrid`'s `DemandScratch` in the demand loop.
 ///
-/// [`WorkerPool::run_with`]: crate::sweep::WorkerPool::run_with
+/// [`fan_out`]: crate::sweep::fan_out
 #[derive(Debug, Default)]
 pub struct NegotiationScratch {
     utility: Option<UtilityEngine>,

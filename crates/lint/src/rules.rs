@@ -25,11 +25,11 @@ pub enum Rule {
     DetEnv,
     /// Thread identity or OS entropy in deterministic non-test code.
     DetEntropy,
-    /// `unsafe` outside `crates/core/src/sweep.rs`'s `mod pool`.
+    /// Any `unsafe` without a reasoned waiver.
     UnsafePool,
     /// `unsafe` without an adjacent `// SAFETY:` / `# Safety` comment.
     UnsafeSafety,
-    /// Crate root missing `forbid(unsafe_code)`/`deny(unsafe_code)`.
+    /// Crate root missing `#![forbid(unsafe_code)]`.
     UnsafeHeader,
     /// Panic-capable token on an archive decode path.
     PanicArchive,
@@ -91,16 +91,16 @@ impl Rule {
                  randomness from an explicit seed (the vendored rand)"
             }
             Rule::UnsafePool => {
-                "unsafe is confined to the WorkerPool's lifetime-erased batch hand-off \
-                 (crates/core/src/sweep.rs, mod pool); everything else is safe Rust"
+                "the workspace is safe Rust; unsafe needs a reasoned waiver, and only \
+                 the benchmark binaries' counting allocators have one"
             }
             Rule::UnsafeSafety => {
                 "every unsafe block/impl/fn must state its safety argument in an \
                  immediately preceding // SAFETY: (or # Safety doc) comment"
             }
             Rule::UnsafeHeader => {
-                "crate roots must declare #![forbid(unsafe_code)] (or deny) so new \
-                 unsafe cannot land silently"
+                "crate roots must declare #![forbid(unsafe_code)] so new unsafe cannot \
+                 land silently; a deny can be overridden by a local allow"
             }
             Rule::PanicArchive => {
                 "archive decode paths parse untrusted bytes and must return typed \
@@ -159,9 +159,6 @@ pub struct FileProfile {
     pub panic_checked: bool,
     /// `unsafe-header` applies (the file is a crate root `lib.rs`).
     pub crate_root: bool,
-    /// This is the one file allowed to contain `unsafe` (inside
-    /// `mod pool`).
-    pub pool_file: bool,
     /// The whole file is test/bench/example code.
     pub test_file: bool,
 }
@@ -195,7 +192,6 @@ pub fn file_profile(rel_path: &str) -> FileProfile {
         deterministic,
         panic_checked,
         crate_root,
-        pool_file: rel_path == "crates/core/src/sweep.rs",
         test_file,
     }
 }
@@ -242,8 +238,6 @@ struct FileContext<'a> {
     sig: Vec<usize>,
     /// Byte ranges of test-gated code.
     test_regions: Vec<Range<usize>>,
-    /// Byte range of `mod pool { … }` when this is the pool file.
-    pool_region: Option<Range<usize>>,
     line_class: Vec<LineClass>,
     /// Concatenated comment text per line (block comments contribute to
     /// every line they span).
@@ -263,11 +257,6 @@ impl<'a> FileContext<'a> {
         let line_count = scan.src.lines().count().max(1);
         let (line_class, line_comments) = classify_lines(scan, line_count);
         let test_regions = test_regions(scan, &sig);
-        let pool_region = if profile.pool_file {
-            mod_region(scan, &sig, "pool")
-        } else {
-            None
-        };
         let waivers = collect_waivers(scan, &line_class);
         FileContext {
             rel_path,
@@ -275,7 +264,6 @@ impl<'a> FileContext<'a> {
             profile,
             sig,
             test_regions,
-            pool_region,
             line_class,
             line_comments,
             waivers,
@@ -284,12 +272,6 @@ impl<'a> FileContext<'a> {
 
     fn in_test(&self, token: &Token) -> bool {
         self.profile.test_file || self.test_regions.iter().any(|r| r.contains(&token.start))
-    }
-
-    fn in_pool(&self, token: &Token) -> bool {
-        self.pool_region
-            .as_ref()
-            .is_some_and(|r| r.contains(&token.start))
     }
 
     fn sig_token(&self, sig_index: usize) -> Option<&Token> {
@@ -397,7 +379,7 @@ impl<'a> FileContext<'a> {
         }
     }
 
-    // -- unsafe confinement --------------------------------------------
+    // -- unsafe --------------------------------------------------------
 
     fn unsafe_rules(&self, si: usize, token: &Token, findings: &mut Vec<Finding>) {
         let form = match self.sig_text(si + 1) {
@@ -406,14 +388,12 @@ impl<'a> FileContext<'a> {
             "trait" => "unsafe trait",
             _ => "unsafe block",
         };
-        if !self.in_pool(token) {
-            self.push(
-                findings,
-                token.line,
-                Rule::UnsafePool,
-                format!("{form} outside the worker-pool module"),
-            );
-        }
+        self.push(
+            findings,
+            token.line,
+            Rule::UnsafePool,
+            format!("{form} without a reasoned waiver"),
+        );
         if !self.has_adjacent_safety_comment(token.line) {
             self.push(
                 findings,
@@ -457,14 +437,14 @@ impl<'a> FileContext<'a> {
         if !self.profile.crate_root {
             return;
         }
-        // #![forbid(unsafe_code)] / #![deny(unsafe_code)] anywhere in
-        // the significant stream (inner attributes sit near the top).
+        // #![forbid(unsafe_code)] anywhere in the significant stream
+        // (inner attributes sit near the top).
         let mut found = false;
         for w in 0..self.sig.len() {
             if self.sig_is_punct(w, '#')
                 && self.sig_is_punct(w + 1, '!')
                 && self.sig_is_punct(w + 2, '[')
-                && (self.sig_is_ident(w + 3, "forbid") || self.sig_is_ident(w + 3, "deny"))
+                && self.sig_is_ident(w + 3, "forbid")
                 && self.sig_is_punct(w + 4, '(')
                 && self.sig_is_ident(w + 5, "unsafe_code")
             {
@@ -477,7 +457,7 @@ impl<'a> FileContext<'a> {
                 findings,
                 1,
                 Rule::UnsafeHeader,
-                "crate root lacks #![forbid(unsafe_code)] / #![deny(unsafe_code)]".to_string(),
+                "crate root lacks #![forbid(unsafe_code)]".to_string(),
             );
         }
     }
@@ -745,26 +725,6 @@ fn matching_brace(scan: &Scan<'_>, sig: &[usize], open: usize) -> Option<usize> 
                 }
             }
             _ => {}
-        }
-    }
-    None
-}
-
-/// Byte range of `mod <name> { … }`, if present.
-fn mod_region(scan: &Scan<'_>, sig: &[usize], name: &str) -> Option<Range<usize>> {
-    for i in 0..sig.len() {
-        let token = &scan.tokens[sig[i]];
-        if token.kind == TokenKind::Ident && scan.text(token) == "mod" {
-            let is_named = sig
-                .get(i + 1)
-                .is_some_and(|&t| scan.text(&scan.tokens[t]) == name);
-            let opens = sig
-                .get(i + 2)
-                .is_some_and(|&t| scan.text(&scan.tokens[t]) == "{");
-            if is_named && opens {
-                let close = matching_brace(scan, sig, i + 2)?;
-                return Some(token.start..scan.tokens[sig[close]].end);
-            }
         }
     }
     None

@@ -17,8 +17,8 @@
 //!   experiment harness reads.
 //!
 //! A simulation is single-threaded and deterministic; independent runs
-//! fan across cores on the caller's thread pool (`loadbal-core`'s
-//! `WorkerPool`).
+//! fan across cores on the caller's threads (`loadbal-core`'s
+//! `sweep::fan_out`).
 //!
 //! # Example
 //!

@@ -1,11 +1,11 @@
-//! A fleet of campaigns on one shared worker pool: two grid cells,
-//! three evaluated days each, two workers — the CI smoke for the fleet
-//! layer (grid → prediction → peaks → scenarios → campaign → fleet).
+//! A fleet of campaigns on one set of workers: two grid cells, three
+//! evaluated days each, two workers — the CI smoke for the fleet layer
+//! (grid → prediction → peaks → scenarios → campaign → fleet).
 //!
 //! While one cell is between days (its closed-loop feedback is
-//! sequential), the pool's workers drain the other cell's peak
-//! negotiations — and the result is still byte-identical to running
-//! each campaign alone.
+//! sequential), the workers drain the other cell's peak negotiations —
+//! and the result is still byte-identical to running each campaign
+//! alone.
 //!
 //! ```text
 //! cargo run --release --example fleet

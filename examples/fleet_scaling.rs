@@ -10,6 +10,7 @@ use loadbal::core::distributed::run_distributed;
 use loadbal::massim::clock::SimDuration;
 use loadbal::massim::network::NetworkModel;
 use loadbal::prelude::*;
+use std::num::NonZeroUsize;
 
 fn main() {
     println!("distributed reward-table negotiations (latency 1–20 ticks)\n");
@@ -40,17 +41,23 @@ fn main() {
 
     // Parameter sweep across seeds, in parallel, deterministic per seed.
     println!("\nparallel seed sweep (500 customers, 10 % loss): final overuse per seed");
-    let results = WorkerPool::with_available_parallelism().run(8, |i| {
-        let seed = i as u64;
-        let scenario = ScenarioBuilder::random(500, 0.35, seed).build();
-        let outcome = run_distributed(
-            &scenario,
-            NetworkModel::uniform(1, 20).with_drop_probability(0.1),
-            seed,
-            SimDuration::from_ticks(200),
-        );
-        (seed, outcome.report.final_overuse_fraction())
-    });
+    let threads = std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
+    let results = fan_out(
+        threads,
+        8,
+        || (),
+        |(), i| {
+            let seed = i as u64;
+            let scenario = ScenarioBuilder::random(500, 0.35, seed).build();
+            let outcome = run_distributed(
+                &scenario,
+                NetworkModel::uniform(1, 20).with_drop_probability(0.1),
+                seed,
+                SimDuration::from_ticks(200),
+            );
+            (seed, outcome.report.final_overuse_fraction())
+        },
+    );
     for (seed, overuse) in results {
         println!("  seed {seed}: {:.1} %", 100.0 * overuse);
     }

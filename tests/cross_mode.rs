@@ -250,7 +250,7 @@ fn negotiate_over(
 #[test]
 fn fleet_distributed_clean_is_byte_identical_to_sync_at_every_tier() {
     // The transparency claim at the top of the stack: a whole fleet —
-    // shared pool, interleaved scheduling, closed-loop feedback —
+    // shared workers, interleaved scheduling, closed-loop feedback —
     // reports the same bytes whether its peaks negotiate in-process or
     // as seeded simulations over a perfect network.
     let north = PopulationBuilder::new().households(35).build(1);

@@ -1,6 +1,6 @@
 //! Property tests pinning the fleet-layer determinism claim: a
 //! [`FleetRunner`] interleaving many campaigns' peak negotiations on
-//! one shared worker pool is *byte-identical* to running every campaign
+//! one set of workers is *byte-identical* to running every campaign
 //! sequentially — for arbitrary cell counts, population mixes, policy
 //! combinations and thread counts. Nondeterministic scheduling, fully
 //! deterministic results. That includes *when* each cell's deferred
@@ -59,7 +59,7 @@ fn build_adaptive_cell(homes: &[Household], weather: &WeatherModel) -> CampaignR
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The tentpole claim: one shared pool over many campaigns returns
+    /// The core claim: one set of workers over many campaigns returns
     /// exactly what back-to-back sequential runs do — per-cell reports,
     /// order, economics, every byte — for any cell mix and thread count.
     #[test]
@@ -94,10 +94,11 @@ proptest! {
     }
 
     /// One `FleetRunner` reused across two consecutive `run` calls —
-    /// same (persistent, already-spawned) pool, a *different* cell mix
+    /// each run fans out its own workers, with a *different* cell mix
     /// the second time — stays byte-identical to fresh sequential runs:
-    /// neither the parked workers nor their per-worker negotiation
-    /// scratches leak any state from the first season into the second.
+    /// nothing a run leaves in the runner or its cells (memoised
+    /// preparation included) leaks any state from the first season
+    /// into the second.
     #[test]
     fn fleet_reused_across_runs_stays_byte_identical(
         first in prop::collection::vec((15usize..40, 0u64..30, any::<bool>()), 1..3),
@@ -115,11 +116,11 @@ proptest! {
         for (i, ((_, _, closed), homes)) in first.iter().zip(&populations).enumerate() {
             fleet = fleet.cell(format!("cell{i}"), build_cell(homes, &weather, *closed, false));
         }
-        // First run spawns the pool's parked workers.
+        // First run: its workers are joined before it returns.
         let run1 = fleet.run();
         prop_assert_eq!(&run1, &fleet.run_sequential());
-        // Grow the mix: the same runner (and the same pool) negotiates
-        // a different fleet on its second run.
+        // Grow the mix: the same runner negotiates a different fleet on
+        // its second run.
         for (j, ((_, _, closed), homes)) in
             extra.iter().zip(&populations[first.len()..]).enumerate()
         {
@@ -128,7 +129,7 @@ proptest! {
         let run2 = fleet.run();
         prop_assert_eq!(&run2, &fleet.run_sequential());
         // The original cells' reports are bit-for-bit unaffected by the
-        // pool reuse and the new neighbours.
+        // runner reuse and the new neighbours.
         for (a, b) in run1.cells.iter().zip(&run2.cells) {
             prop_assert_eq!(a, b);
         }
@@ -168,7 +169,7 @@ proptest! {
     /// Adaptive cells keep the fleet guarantee: campaigns running all
     /// three self-tuning loops (rolling predictor re-selection,
     /// same-day renegotiation, experience-tuned β), interleaved with
-    /// plain cells on one shared pool, are byte-identical to their
+    /// plain cells on one set of workers, are byte-identical to their
     /// standalone sequential runs — each cell's tuned state is its own.
     #[test]
     fn fleet_with_adaptive_cells_is_byte_identical_to_sequential(
@@ -327,7 +328,7 @@ fn panic_message(run: impl FnOnce() + Send + 'static) -> String {
 /// the whole run panic with the policy's own message. This holds next
 /// to a healthy cell at 1, 2 and 4 threads and for a lone
 /// `CampaignRunner::run`. A second run of the same value panics the
-/// same way, so no lock or pool is left poisoned.
+/// same way, so no lock is left poisoned.
 #[test]
 fn panicking_policies_resurface_their_original_payload() {
     let weather = WeatherModel::winter();

@@ -132,8 +132,8 @@ proptest! {
     /// A whole negotiated fleet season is ownership-agnostic: one slab
     /// sharded zero-copy across cells returns byte for byte what cells
     /// converting the same households' contiguous slices into owned
-    /// slabs do — for any shard count and any worker-pool size,
-    /// parallel or sequential.
+    /// slabs do — for any shard count and any worker count, parallel
+    /// or sequential.
     #[test]
     fn fleet_season_is_backend_agnostic_across_thread_counts(
         households in 20usize..60,

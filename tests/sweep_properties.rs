@@ -4,7 +4,8 @@
 //! and the grid-backed campaign runner inherits the same guarantee,
 //! open- and closed-loop (where each day's negotiated cut-downs feed
 //! the next day's prediction, so any nondeterminism would compound).
-//! A campaign runs at a chosen thread count as a one-cell fleet.
+//! A campaign runs at a chosen thread count as a one-cell fleet. Under
+//! all of these sits `fan_out`, whose contract is pinned here too.
 
 mod common;
 
@@ -15,6 +16,8 @@ use powergrid::calendar::Horizon;
 use powergrid::prediction::MovingAverage;
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn arb_method() -> impl Strategy<Value = AnnouncementMethod> {
     prop_oneof![
@@ -278,5 +281,54 @@ proptest! {
             .build()
             .run();
         prop_assert_eq!(&renegotiated, &plain);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The executor's contract under every sweep and fleet run: for any
+    /// thread cap, task count and set of panicking tasks, every index
+    /// runs exactly once; without panics the result is the sequential
+    /// map, and with panics the lowest panicking index's own payload
+    /// resurfaces.
+    #[test]
+    fn fan_out_runs_every_task_once_and_resurfaces_the_lowest_panic(
+        threads in 1usize..9,
+        count in 0usize..65,
+        panicking in prop::collection::btree_set(0usize..65, 0..6),
+    ) {
+        let runs: Vec<AtomicUsize> = (0..count).map(|_| AtomicUsize::new(0)).collect();
+        let value = |i: usize| i * 7 + 1;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            fan_out(
+                NonZeroUsize::new(threads).expect("threads ≥ 1"),
+                count,
+                || (),
+                |(), i| {
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                    if panicking.contains(&i) {
+                        panic!("task {i}");
+                    }
+                    value(i)
+                },
+            )
+        }));
+        match panicking.range(..count).next() {
+            None => {
+                let out = outcome.expect("no task panicked");
+                prop_assert_eq!(out, (0..count).map(value).collect::<Vec<_>>());
+            }
+            Some(lowest) => {
+                let payload = outcome.expect_err("a task panicked");
+                prop_assert_eq!(
+                    payload.downcast_ref::<String>(),
+                    Some(&format!("task {lowest}"))
+                );
+            }
+        }
+        for (i, ran) in runs.iter().enumerate() {
+            prop_assert_eq!(ran.load(Ordering::Relaxed), 1, "task {} ran once", i);
+        }
     }
 }
