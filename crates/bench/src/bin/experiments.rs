@@ -160,7 +160,7 @@ fn run(id: &str, json: bool) -> bool {
         }
         "city_scale" => {
             // The acceptance shape: one million households as a single
-            // struct-of-arrays slab, sharded zero-copy across 64 cells,
+            // template-encoded slab, sharded zero-copy across 64 cells,
             // a 5-day winter season at settlement tier. At this scale
             // the ≥5× slab-vs-per-object demand synthesis claim is
             // asserted, not just recorded.
@@ -179,12 +179,20 @@ fn run(id: &str, json: bool) -> bool {
             // The CI shape: 50k households across 2 shards — exercises
             // the identical machinery (sharding, settlement season,
             // kernel-vs-reference demand agreement) in seconds rather
-            // than minutes. Negotiation state is fixed-size values per
-            // customer, so the season's own heap high-water stays a
-            // few hundred bytes per household; a return of per-customer
-            // heap objects (tables, queues, histories) breaks the bound.
+            // than minutes. A household is an id and a template index
+            // (12 B), so a return of per-household field or device
+            // copies breaks the footprint bound. Negotiation state is
+            // fixed-size values per customer, so the season's own heap
+            // high-water stays a few hundred bytes per household; a
+            // return of per-customer heap objects (tables, queues,
+            // histories) breaks the season bound.
             let r = experiments::city_scale(50_000, 2, 5, 42);
             println!("{r}");
+            assert!(
+                r.bytes_per_household <= 16.0,
+                "slab footprint {:.1} B/household (acceptance: ≤ 16)",
+                r.bytes_per_household
+            );
             if let Some(per_household) = r.season_peak_heap_bytes_per_household {
                 assert!(
                     per_household <= 400.0,

@@ -2548,7 +2548,7 @@ impl AdaptiveLoopsResult {
 }
 
 // ---------------------------------------------------------------------
-// E20 — city scale: one struct-of-arrays population, a sharded fleet
+// E20 — city scale: one template-encoded population, a sharded fleet
 // ---------------------------------------------------------------------
 
 /// Result of the city-scale experiment.
@@ -2602,8 +2602,10 @@ pub struct CityScaleResult {
 }
 
 /// E20: negotiating a season for a whole city on one box. One
-/// [`PopulationSlab`] holds every household as struct-of-arrays
-/// columns; [`FleetRunner::sharded_slab`](loadbal_core::fleet::FleetRunner::sharded_slab)
+/// [`PopulationSlab`] holds every household as its id and the index of
+/// its template (each distinct household, devices included, is stored
+/// once: a standard city has five);
+/// [`FleetRunner::sharded_slab`](loadbal_core::fleet::FleetRunner::sharded_slab)
 /// splits it into `cells` contiguous zero-copy views and negotiates a
 /// `days`-day winter season at [`ReportTier::Settlement`] on the
 /// fleet's shared workers.
@@ -2621,12 +2623,13 @@ pub struct CityScaleResult {
 ///   reference at full scale (asserted by the experiment binary, where
 ///   timings are meaningful — library smoke runs only record the
 ///   figures).
-/// * **Memory** — the slab's retained bytes per household, plus the
-///   season's live-bytes delta and its own heap high-water mark above
-///   the pre-season live bytes when the counting allocator is
-///   installed. The household objects built for the reference fold are
-///   dropped before the season and the high-water mark is reset, so
-///   the figure is the season's alone.
+/// * **Memory** — the slab's retained bytes per household (12 B: an
+///   id and a template index; the experiment binary's smoke asserts
+///   ≤ 16), plus the season's live-bytes delta and its own heap
+///   high-water mark above the pre-season live bytes when the counting
+///   allocator is installed. The household objects built for the
+///   reference fold are dropped before the season and the high-water
+///   mark is reset, so the figure is the season's alone.
 pub fn city_scale(households: usize, cells: usize, days: u64, seed: u64) -> CityScaleResult {
     use loadbal_core::fleet::FleetRunner;
     use powergrid::demand::aggregate_demand;

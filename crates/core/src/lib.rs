@@ -106,7 +106,7 @@
 //!    [`powergrid::calendar::Horizon`] yields per-slot demand for every
 //!    day ([`powergrid::demand::simulate_horizon`]). A campaign reads
 //!    its population only as a [`powergrid::slab::SlabView`] of a
-//!    struct-of-arrays [`powergrid::slab::PopulationSlab`], whose
+//!    template-encoded [`powergrid::slab::PopulationSlab`], whose
 //!    batched kernels make city-scale populations practical on one
 //!    box: [`campaign::CampaignBuilder::new_ref`] borrows a slab range
 //!    zero-copy, and [`campaign::CampaignBuilder::new`] converts a

@@ -187,10 +187,27 @@ impl CustomerPreferences {
     /// Customer Agent chooses the highest acceptable cut-down as its
     /// preferred cut-down" (Section 6.2), never retreating below
     /// `previous_bid` (monotonic concession, §3.1).
+    ///
+    /// Decides as `cutdown > best && accepts(cutdown, offered)` over
+    /// every entry would, in one pass: the table's entries and the
+    /// base levels are both ascending, so the walk skips the levels
+    /// below each entry, matches a level by exact equality (as
+    /// [`required_for`](CustomerPreferences::required_for) does), and
+    /// stops at the first entry above the ceiling or past the last
+    /// level.
     pub fn respond(&self, table: &RewardTable, previous_bid: Fraction) -> Fraction {
         let mut best = previous_bid;
+        let mut levels = BASE.iter().peekable();
         for &(cutdown, offered) in table.entries() {
-            if cutdown > best && self.accepts(cutdown, offered) {
+            if cutdown > self.max_cutdown {
+                break;
+            }
+            let c = cutdown.value();
+            while levels.next_if(|&&(level, _)| level < c).is_some() {}
+            let Some(&&(level, required)) = levels.peek() else {
+                break;
+            };
+            if level == c && cutdown > best && offered >= Money(required * self.scale) {
                 best = cutdown;
             }
         }

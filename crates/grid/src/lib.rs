@@ -21,20 +21,25 @@
 //! A population has one representation in the pipeline and one
 //! reference beside it:
 //!
-//! * **The slab is the pipeline.** [`slab::PopulationSlab`] stores
-//!   every household's fields as struct-of-arrays columns, households
-//!   delimited by device-entry offsets
+//! * **The slab is the pipeline.** [`slab::PopulationSlab`] is a
+//!   dictionary: each household is its id and the index of its
+//!   template, and each distinct template (occupants, intensity,
+//!   allowance and device entries) is stored once — a standard
+//!   population has at most five, so a household costs 12 bytes
 //!   ([`PopulationBuilder::build_slab`]). Its batched kernels
-//!   ([`slab::aggregate_demand_slab`] and friends) sweep contiguous
-//!   slices, [`demand::simulate_horizon`] synthesises a horizon from a
+//!   ([`slab::aggregate_demand_slab`] and friends) sweep each
+//!   household's template entries as contiguous slices,
+//!   [`demand::simulate_horizon`] synthesises a horizon from a
 //!   [`slab::SlabView`], and [`slab::PopulationSlab::shards`] splits one
 //!   city across fleet cells with zero copying.
 //! * **Households are an input type and the oracle.** `Vec<Household>`,
 //!   each household owning its `Vec<Device>`
 //!   ([`PopulationBuilder::build`]), is the natural shape for hand-built
 //!   fixtures, per-household inspection and serde;
-//!   [`slab::PopulationSlab::from_households`] converts it once. Its
-//!   allocating folds — [`household::Household::demand_profile`],
+//!   [`slab::PopulationSlab::from_households`] converts it once,
+//!   interning households that are equal bit for bit but for their id
+//!   into one template. Its allocating folds —
+//!   [`household::Household::demand_profile`],
 //!   [`household::Household::interval_flexibility`] and
 //!   [`demand::aggregate_demand`] — are the readable reference the
 //!   proptests pin the kernels against, byte for byte (same jitter

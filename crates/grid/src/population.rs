@@ -95,17 +95,25 @@ impl PopulationBuilder {
     }
 
     /// Generates the same population as [`PopulationBuilder::build`]
-    /// directly into a struct-of-arrays [`PopulationSlab`]: identical
-    /// RNG stream, byte-identical field values, but no per-household
-    /// heap tree — the backend for city-scale runs.
+    /// directly into a [`PopulationSlab`]: identical RNG stream,
+    /// byte-identical field values, but no per-household heap tree —
+    /// the backend for city-scale runs. Each household size's standard
+    /// template is built once, on its first draw, so the slab equals
+    /// [`PopulationSlab::from_households`] of [`PopulationBuilder::build`]
+    /// template for template, and a household costs its id and a
+    /// template index.
     pub fn build_slab(&self, seed: u64) -> PopulationSlab {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x00b5_e001);
         let total: f64 = self.size_weights.iter().sum();
         let mut slab = PopulationSlab::with_capacity(self.households);
+        let mut standard = [None; 5];
         for i in 0..self.households {
             let pick = rng.gen_range(0.0..total);
             let occupants = pick_occupants(&self.size_weights, pick);
-            slab.push_standard(HouseholdId(i as u64), occupants);
+            let id = HouseholdId(i as u64);
+            let template = *standard[occupants as usize - 1]
+                .get_or_insert_with(|| slab.push_template(&Household::standard(id, occupants)));
+            slab.push(id, template);
         }
         slab
     }

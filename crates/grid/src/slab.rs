@@ -1,12 +1,15 @@
-//! Struct-of-arrays populations: the representation the pipeline reads.
+//! Dictionary-encoded populations: the representation the pipeline reads.
 //!
 //! A million [`Household`]s owning a `Vec<Device>` each are a million
-//! tiny heap trees and a pointer-chase per demand sweep. This module
-//! stores the same population as one contiguous array per field —
-//! [`PopulationSlab`], households delimited by device-entry offsets —
-//! plus batched kernels that reuse a [`DemandScratch`] (duty shapes
-//! computed once per resolution) and stream fused multiply-add passes
-//! over slices:
+//! tiny heap trees and a pointer-chase per demand sweep — and most of
+//! them are copies: apart from its id, a household is one of a handful
+//! of distinct shapes (every standard household of one size is the
+//! same). This module stores a population as [`PopulationSlab`]: per
+//! household only its id and the index of its *template*, and each
+//! distinct template (occupants, intensity, allowance and a run of
+//! device entries) once. Batched kernels reuse a [`DemandScratch`]
+//! (duty shapes computed once per resolution) and stream fused
+//! multiply-add passes over each household's template entries:
 //!
 //! * [`aggregate_demand_slab`] — one day of aggregate demand,
 //! * [`interval_flexibility_slab`] — per-household `(usage, potential)`
@@ -17,22 +20,24 @@
 //!
 //! Every kernel is **byte-identical** to folding the corresponding
 //! allocating [`Household`] reference over the same population: same
-//! per-household jitter stream, same left-associated multiplications,
-//! same accumulation order (per-device, then per-household, then
-//! grand). This is pinned by proptests in `tests/slab_properties.rs`,
-//! which is why campaigns read only slabs without re-blessing a single
-//! golden report.
+//! per-household jitter stream (seeded by the household's own id),
+//! same left-associated multiplications, same accumulation order
+//! (per-device, then per-household, then grand). This is pinned by
+//! proptests in `tests/slab_properties.rs`, which is why campaigns read
+//! only slabs without re-blessing a single golden report.
 //!
 //! Shards for fleet work come from [`PopulationSlab::shards`]: borrowed
 //! [`SlabView`]s over contiguous household ranges, no copying.
 
 use crate::demand::DemandCurve;
-use crate::device::DeviceKind;
-use crate::household::{jitter_rng, standard_devices, Household, HouseholdId};
+use crate::device::{Device, DeviceKind};
+use crate::household::{jitter_rng, Household, HouseholdId};
 use crate::series::Series;
 use crate::time::{Interval, TimeAxis};
-use crate::units::KilowattHours;
+use crate::units::{Fraction, KilowattHours, Kilowatts};
 use rand::Rng;
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// The position of `kind` in [`DeviceKind::all`] — the slab's per-entry
@@ -44,13 +49,87 @@ fn kind_pos(kind: DeviceKind) -> u8 {
         .expect("every kind appears in DeviceKind::all()") as u8
 }
 
-/// A population stored as struct-of-arrays: one contiguous array per
-/// field, households delimited by entry offsets.
+/// A column length as a `u32` index.
+fn index_u32(len: usize) -> u32 {
+    u32::try_from(len).expect("slab columns index with u32")
+}
+
+/// One distinct household: everything a household holds but its id.
+/// A slab stores each template once, however many households share it.
+#[derive(Debug, Clone, PartialEq)]
+struct Template {
+    occupants: u32,
+    /// Usage-intensity multiplier.
+    intensity: f64,
+    /// Contracted daily allowance (kWh).
+    allowed_use: f64,
+    /// The template's run of the per-entry columns, in device-list
+    /// order — the jitter stream draws one value per entry in this
+    /// order.
+    entries: Range<u32>,
+}
+
+impl Template {
+    /// The template's entries as column indices.
+    fn entries(&self) -> Range<usize> {
+        self.entries.start as usize..self.entries.end as usize
+    }
+}
+
+/// A household keyed by everything its template holds, compared bit
+/// for bit: occupants and device kinds exactly, every `f64` by its bit
+/// pattern. `f64 ==` would merge `-0.0` into `0.0` (both are valid
+/// allowances and rated powers) and change the bits the slab returns.
+struct Shape<'a>(&'a Household);
+
+impl Ord for Shape<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let scalars = |h: &Household| {
+            (
+                h.occupants(),
+                h.intensity().to_bits(),
+                h.allowed_use().value().to_bits(),
+            )
+        };
+        let device = |d: &Device| {
+            (
+                d.kind() as u8,
+                d.rated_power().value().to_bits(),
+                d.flexibility().value().to_bits(),
+            )
+        };
+        let (a, b) = (self.0, other.0);
+        scalars(a).cmp(&scalars(b)).then_with(|| {
+            let b_devices = b.devices().iter().map(device);
+            a.devices().iter().map(device).cmp(b_devices)
+        })
+    }
+}
+
+impl PartialOrd for Shape<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Shape<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Shape<'_> {}
+
+/// A population stored as a dictionary: per household only its id and
+/// the index of its template; each distinct template (occupants,
+/// intensity, allowance and a run of device entries) once. A household
+/// costs 12 bytes, and a standard population holds at most five
+/// templates, one per household size.
 ///
 /// Field values are bit-for-bit those of the object backend —
 /// [`PopulationBuilder::build_slab`](crate::population::PopulationBuilder::build_slab)
 /// and [`PopulationSlab::from_households`] produce identical slabs for
-/// the same seed.
+/// the same seed (both number templates in order of first appearance).
 ///
 /// # Example
 ///
@@ -63,22 +142,15 @@ fn kind_pos(kind: DeviceKind) -> u8 {
 /// assert_eq!(slab.len(), 40);
 /// assert_eq!(slab, PopulationSlab::from_households(&builder.build(42)));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PopulationSlab {
     /// Raw household ids, in population order.
     ids: Vec<u64>,
-    /// Occupants per household.
-    occupants: Vec<u32>,
-    /// Usage-intensity multiplier per household.
-    intensity: Vec<f64>,
-    /// Contracted daily allowance (kWh) per household.
-    allowed_use: Vec<f64>,
-    /// Device-entry ranges: household `h` owns entries
-    /// `offsets[h]..offsets[h + 1]`. Always `len() + 1` long.
-    offsets: Vec<u32>,
+    /// Each household's index into `templates`.
+    template: Vec<u32>,
+    /// The distinct templates, in order of first appearance.
+    templates: Vec<Template>,
     /// Per-entry device kind, as an index into [`DeviceKind::all`].
-    /// Entries keep each household's device-list order — the jitter
-    /// stream draws one value per entry in this order.
     kind_index: Vec<u8>,
     /// Per-entry rated power (kW).
     rated_power: Vec<f64>,
@@ -89,67 +161,63 @@ pub struct PopulationSlab {
 impl PopulationSlab {
     /// An empty slab.
     pub fn new() -> PopulationSlab {
-        PopulationSlab::with_capacity(0)
+        PopulationSlab::default()
     }
 
-    /// An empty slab with room for `households` standard households.
-    pub fn with_capacity(households: usize) -> PopulationSlab {
-        let mut offsets = Vec::with_capacity(households + 1);
-        offsets.push(0);
+    /// An empty slab with room for `households` households. Template
+    /// storage grows as templates appear: a population holds few.
+    pub(crate) fn with_capacity(households: usize) -> PopulationSlab {
         PopulationSlab {
             ids: Vec::with_capacity(households),
-            occupants: Vec::with_capacity(households),
-            intensity: Vec::with_capacity(households),
-            allowed_use: Vec::with_capacity(households),
-            offsets,
-            // Standard households own 7 or 8 devices.
-            kind_index: Vec::with_capacity(households * 8),
-            rated_power: Vec::with_capacity(households * 8),
-            flexibility: Vec::with_capacity(households * 8),
+            template: Vec::with_capacity(households),
+            ..PopulationSlab::default()
         }
     }
 
     /// Converts an object population, preserving household and
-    /// device-list order (and therefore the jitter stream).
+    /// device-list order (and therefore the jitter stream). Households
+    /// equal in everything but their id, bit for bit, share one
+    /// template; an ordered map local to the call finds it in
+    /// logarithmic time in the number of templates.
     pub fn from_households(households: &[Household]) -> PopulationSlab {
         let mut slab = PopulationSlab::with_capacity(households.len());
+        let mut interned = BTreeMap::new();
         for h in households {
-            slab.push(h);
+            let template = *interned
+                .entry(Shape(h))
+                .or_insert_with(|| slab.push_template(h));
+            slab.push(h.id(), template);
         }
         slab
     }
 
-    /// Appends one object household.
-    pub fn push(&mut self, h: &Household) {
-        self.ids.push(h.id().0);
-        self.occupants.push(h.occupants());
-        self.intensity.push(h.intensity());
-        self.allowed_use.push(h.allowed_use().value());
+    /// Stores `h`'s template — everything but its id — and returns its
+    /// index.
+    pub(crate) fn push_template(&mut self, h: &Household) -> u32 {
+        let start = index_u32(self.kind_index.len());
         for dev in h.devices() {
             self.kind_index.push(kind_pos(dev.kind()));
             self.rated_power.push(dev.rated_power().value());
             self.flexibility.push(dev.flexibility().value());
         }
-        self.offsets.push(self.kind_index.len() as u32);
+        self.templates.push(Template {
+            occupants: h.occupants(),
+            intensity: h.intensity(),
+            allowed_use: h.allowed_use().value(),
+            entries: start..index_u32(self.kind_index.len()),
+        });
+        index_u32(self.templates.len() - 1)
     }
 
-    /// Appends a standard household of `occupants` without materialising
-    /// a [`Household`]: same field values as pushing
-    /// [`Household::standard`], no per-household heap tree.
-    pub(crate) fn push_standard(&mut self, id: HouseholdId, occupants: u32) {
-        let occupants = occupants.max(1);
+    /// Appends household `id` of template `template`.
+    pub(crate) fn push(&mut self, id: HouseholdId, template: u32) {
         self.ids.push(id.0);
-        self.occupants.push(occupants);
-        // Field formulas mirror `Household::standard`; pinned equal by
-        // the `build_slab` == `from_households(build)` tests.
-        self.intensity.push(0.6 + 0.2 * f64::from(occupants));
-        self.allowed_use.push(18.0 + 9.0 * f64::from(occupants));
-        for dev in standard_devices(occupants) {
-            self.kind_index.push(kind_pos(dev.kind()));
-            self.rated_power.push(dev.rated_power().value());
-            self.flexibility.push(dev.flexibility().value());
-        }
-        self.offsets.push(self.kind_index.len() as u32);
+        self.template.push(template);
+    }
+
+    /// The template of household `h` (population order).
+    fn template_of(&self, h: usize) -> &Template {
+        &self.templates[self.template[h] as usize]
     }
 
     /// Number of households.
@@ -162,9 +230,13 @@ impl PopulationSlab {
         self.ids.is_empty()
     }
 
-    /// Number of device entries across all households.
+    /// Number of device entries across all households: each household
+    /// counts its template's devices, however many households share
+    /// the template.
     pub fn device_entries(&self) -> usize {
-        self.kind_index.len()
+        (0..self.len())
+            .map(|h| self.template_of(h).entries.len())
+            .sum()
     }
 
     /// Heap bytes retained by the slab's arrays (capacity, not length) —
@@ -172,10 +244,8 @@ impl PopulationSlab {
     pub fn retained_bytes(&self) -> usize {
         use std::mem::size_of;
         self.ids.capacity() * size_of::<u64>()
-            + self.occupants.capacity() * size_of::<u32>()
-            + self.intensity.capacity() * size_of::<f64>()
-            + self.allowed_use.capacity() * size_of::<f64>()
-            + self.offsets.capacity() * size_of::<u32>()
+            + self.template.capacity() * size_of::<u32>()
+            + self.templates.capacity() * size_of::<Template>()
             + self.kind_index.capacity() * size_of::<u8>()
             + self.rated_power.capacity() * size_of::<f64>()
             + self.flexibility.capacity() * size_of::<f64>()
@@ -233,12 +303,6 @@ impl PopulationSlab {
     }
 }
 
-impl Default for PopulationSlab {
-    fn default() -> Self {
-        PopulationSlab::new()
-    }
-}
-
 /// A borrowed contiguous household range of a [`PopulationSlab`] —
 /// what kernels and fleet cells operate on. `Copy`, so passing one
 /// around costs nothing.
@@ -271,17 +335,30 @@ impl<'a> SlabView<'a> {
 
     /// Occupants of the view's `i`-th household.
     pub fn occupants(&self, i: usize) -> u32 {
-        self.slab.occupants[self.index(i)]
+        self.template(i).occupants
     }
 
     /// Contracted daily allowance of the view's `i`-th household.
     pub fn allowed_use(&self, i: usize) -> KilowattHours {
-        KilowattHours(self.slab.allowed_use[self.index(i)])
+        KilowattHours(self.template(i).allowed_use)
     }
 
     /// Usage-intensity multiplier of the view's `i`-th household.
     pub fn intensity(&self, i: usize) -> f64 {
-        self.slab.intensity[self.index(i)]
+        self.template(i).intensity
+    }
+
+    /// The devices of the view's `i`-th household, in device-list
+    /// order.
+    pub fn devices(&self, i: usize) -> impl ExactSizeIterator<Item = Device> + 'a {
+        let slab = self.slab;
+        self.template(i).entries().map(move |e| {
+            Device::new(
+                DeviceKind::all()[usize::from(slab.kind_index[e])],
+                Kilowatts(slab.rated_power[e]),
+                Fraction::clamped(slab.flexibility[e]),
+            )
+        })
     }
 
     /// The slab this view borrows and the household range it covers —
@@ -289,6 +366,10 @@ impl<'a> SlabView<'a> {
     /// owned one.
     pub fn parts(&self) -> (&'a PopulationSlab, Range<usize>) {
         (self.slab, self.start..self.end)
+    }
+
+    fn template(&self, i: usize) -> &'a Template {
+        self.slab.template_of(self.index(i))
     }
 
     fn index(&self, i: usize) -> usize {
@@ -417,8 +498,9 @@ pub fn aggregate_demand_slab_with(
     const BLOCK: usize = 32;
     for h in view.start..view.end {
         let mut rng = jitter_rng(seed, slab.ids[h]);
-        let intensity = slab.intensity[h];
-        let entries = slab.offsets[h] as usize..slab.offsets[h + 1] as usize;
+        let template = slab.template_of(h);
+        let intensity = template.intensity;
+        let entries = template.entries();
         let k = entries.len();
         if powers.len() < k {
             powers.resize(k, 0.0);
@@ -493,10 +575,11 @@ pub fn interval_flexibility_slab(
     let house = &mut total[lo..hi];
     for (local, h) in (view.start..view.end).enumerate() {
         let mut rng = jitter_rng(seed, slab.ids[h]);
-        let intensity = slab.intensity[h];
+        let template = slab.template_of(h);
+        let intensity = template.intensity;
         house.fill(0.0);
         let mut potential = KilowattHours::ZERO;
-        for e in slab.offsets[h] as usize..slab.offsets[h + 1] as usize {
+        for e in template.entries() {
             let jitter = rng.gen_range(0.85..1.15);
             let kind = slab.kind_index[e] as usize;
             let power = slab.rated_power[e] * (intensity * jitter) * tables.temp_factor[kind];
@@ -563,11 +646,54 @@ mod tests {
             assert_eq!(view.occupants(i), h.occupants());
             assert_eq!(view.intensity(i).to_bits(), h.intensity().to_bits());
             assert_eq!(view.allowed_use(i), h.allowed_use());
+            assert!(view.devices(i).eq(h.devices().iter().cloned()));
         }
         assert_eq!(
             slab.device_entries(),
             homes.iter().map(|h| h.devices().len()).sum::<usize>()
         );
+    }
+
+    #[test]
+    fn a_standard_population_stores_one_template_per_household_size() {
+        let homes = PopulationBuilder::new().households(2_000).build(5);
+        let slab = PopulationBuilder::new().households(2_000).build_slab(5);
+        assert_eq!(slab.templates.len(), 5);
+        assert_eq!(
+            slab.device_entries(),
+            homes.iter().map(|h| h.devices().len()).sum::<usize>()
+        );
+        // An id and a template index per household; the five templates
+        // and their 39 entries are a fixed kilobyte or two.
+        assert!(slab.retained_bytes() <= 2_000 * 12 + 2_048);
+    }
+
+    #[test]
+    fn interning_shares_exact_duplicates_and_keeps_signed_zeros_apart() {
+        let home = |id, allowance, power| {
+            let lamp = Device::new(DeviceKind::Lighting, Kilowatts(power), Fraction::ONE);
+            Household::new(
+                HouseholdId(id),
+                2,
+                vec![lamp],
+                KilowattHours(allowance),
+                1.0,
+            )
+        };
+        let homes = [
+            home(0, 0.0, 0.4),
+            home(1, -0.0, 0.4),
+            home(2, 0.0, 0.4),
+            home(3, 0.0, -0.0),
+            home(4, 0.0, 0.0),
+        ];
+        let slab = PopulationSlab::from_households(&homes);
+        assert_eq!(slab.template, vec![0, 1, 0, 2, 3]);
+        let view = slab.view();
+        assert_eq!(view.allowed_use(1).value().to_bits(), (-0.0f64).to_bits());
+        let power = |i| view.devices(i).next().unwrap().rated_power().value();
+        assert_eq!(power(3).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(power(4).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -23,7 +23,7 @@ fn workspace_is_lint_clean() {
 
 #[test]
 fn slab_hot_path_is_inside_the_lint_walk() {
-    // The struct-of-arrays kernels are the hottest deterministic code
+    // The slab kernels are the hottest deterministic code
     // in the workspace; a walk that silently skipped them would let a
     // wall-clock read or HashMap iteration land in the demand path
     // unflagged. Pin both that the file is visited and that the

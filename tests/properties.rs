@@ -283,6 +283,104 @@ proptest! {
     }
 }
 
+/// The entry-by-entry decision `CustomerPreferences::respond` must
+/// equal: every announced entry checked through `accepts`, the highest
+/// acceptable cut-down above the previous bid kept.
+fn respond_entry_by_entry(
+    prefs: &CustomerPreferences,
+    table: &RewardTable,
+    previous_bid: Fraction,
+) -> Fraction {
+    let mut best = previous_bid;
+    for &(cutdown, offered) in table.entries() {
+        if cutdown > best && prefs.accepts(cutdown, offered) {
+            best = cutdown;
+        }
+    }
+    best
+}
+
+/// Levels for the one-pass response: `-0.0`, every Figure-8 level,
+/// levels between them and levels above the grid's 0.5.
+const RESPONSE_LEVELS: [f64; 15] = [
+    -0.0, 0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.8, 1.0,
+];
+
+/// A ceiling or previous bid: a response level (`-0.0` included), or
+/// any fraction.
+fn arb_response_level() -> impl Strategy<Value = Fraction> {
+    prop_oneof![
+        (0..RESPONSE_LEVELS.len()).prop_map(|i| Fraction::clamped(RESPONSE_LEVELS[i])),
+        (0.0f64..=1.0).prop_map(Fraction::clamped),
+    ]
+}
+
+/// A scale and a monotone table over a random subset of the response
+/// levels plus up to two arbitrary fractions. Rewards rise by random
+/// steps, and some sit exactly on the scaled Figure-8 threshold of
+/// their level, so `offered >= required` is probed at equality.
+fn arb_scaled_response_table() -> impl Strategy<Value = (f64, RewardTable)> {
+    (
+        prop_oneof![Just(0.0), Just(1.0), 0.0f64..5.0],
+        prop::collection::vec(
+            (any::<bool>(), any::<bool>(), 0.0f64..15.0),
+            RESPONSE_LEVELS.len(),
+        ),
+        prop::collection::vec(0.0f64..=1.0, 0..3),
+    )
+        .prop_map(|(scale, picks, extra)| {
+            let mut levels: Vec<f64> = RESPONSE_LEVELS
+                .iter()
+                .zip(&picks)
+                .filter(|(_, &(keep, _, _))| keep)
+                .map(|(&level, _)| level)
+                .chain(extra)
+                .collect();
+            if levels.is_empty() {
+                levels.push(0.4);
+            }
+            levels.sort_by(f64::total_cmp);
+            levels.dedup_by(|a, b| a.to_bits() == b.to_bits());
+            let at_scale = CustomerPreferences::from_base_scaled(scale, Fraction::ONE);
+            let mut reward = 0.0f64;
+            let entries = levels
+                .iter()
+                .zip(picks.iter().cycle())
+                .map(|(&level, &(_, exact, step))| {
+                    let level = Fraction::clamped(level);
+                    let candidate = match at_scale.required_for(level) {
+                        Some(required) if exact => required.value(),
+                        _ => reward + step,
+                    };
+                    reward = reward.max(candidate);
+                    (level, Money(reward))
+                })
+                .collect();
+            (scale, RewardTable::new(Interval::new(0, 8), entries))
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The one-pass response walk decides exactly as checking every
+    /// entry through `accepts`, bit for bit — on and off the Figure-8
+    /// grid, with `-0.0` levels, ceilings and bids, and levels above
+    /// the grid.
+    #[test]
+    fn one_pass_response_matches_the_entry_by_entry_decision(
+        (scale, table) in arb_scaled_response_table(),
+        ceiling in arb_response_level(),
+        previous_bid in arb_response_level(),
+    ) {
+        let prefs = CustomerPreferences::from_base_scaled(scale, ceiling);
+        prop_assert_eq!(
+            fraction_bits(prefs.respond(&table, previous_bid)),
+            fraction_bits(respond_entry_by_entry(&prefs, &table, previous_bid))
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -1,15 +1,17 @@
-//! Property tests pinning the struct-of-arrays population's central
+//! Property tests pinning the template-encoded population's central
 //! claim: for any population, axis, weather and seed, the batched slab
 //! kernels produce **byte-identical** results to the allocating
 //! `Household` reference folds — demand synthesis, interval flexibility
-//! and saving potential — and a whole negotiated season is the same
-//! whether a cell borrows a slab shard or converts its own households,
-//! at any thread count.
+//! and saving potential — every slab accessor returns the household's
+//! own field bits, and a whole negotiated season is the same whether a
+//! cell borrows a slab shard or converts its own households, at any
+//! thread count.
 
 use loadbal::core::campaign::{CampaignBuilder, CampaignRunner, ClosedLoop, FixedPredictor};
 use loadbal::core::fleet::FleetRunner;
 use powergrid::calendar::Horizon;
 use powergrid::demand::aggregate_demand;
+use powergrid::device::{Device, DeviceKind};
 use powergrid::household::{Household, HouseholdId};
 use powergrid::population::PopulationBuilder;
 use powergrid::prediction::MovingAverage;
@@ -18,7 +20,7 @@ use powergrid::slab::{
     PopulationSlab,
 };
 use powergrid::time::{Interval, TimeAxis};
-use powergrid::units::KilowattHours;
+use powergrid::units::{Fraction, KilowattHours, Kilowatts};
 use powergrid::weather::{Season, WeatherModel};
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
@@ -27,15 +29,112 @@ fn arb_axis() -> impl Strategy<Value = TimeAxis> {
     prop_oneof![Just(TimeAxis::hourly()), Just(TimeAxis::quarter_hourly()),]
 }
 
-/// Standard households with arbitrary occupancies and non-contiguous
-/// ids — the slab must reproduce any mix, not just builder output.
+/// Value sets for hand-built households: small, so that households
+/// repeat exactly, and with `0.0` beside `-0.0` wherever a household
+/// accepts both.
+const POWERS: [f64; 4] = [0.0, -0.0, 0.4, 2.0];
+const FLEXIBILITIES: [f64; 4] = [0.0, -0.0, 0.3, 1.0];
+const ALLOWANCES: [f64; 4] = [0.0, -0.0, 18.0, 27.0];
+const INTENSITIES: [f64; 3] = [0.6, 1.0, 1.4];
+
+/// Everything a hand-built household holds but its id.
+#[derive(Debug, Clone)]
+struct Shape {
+    occupants: u32,
+    devices: Vec<Device>,
+    allowance: f64,
+    intensity: f64,
+}
+
+impl Shape {
+    fn household(&self, id: u64) -> Household {
+        Household::new(
+            HouseholdId(id),
+            self.occupants,
+            self.devices.clone(),
+            KilowattHours(self.allowance),
+            self.intensity,
+        )
+    }
+
+    /// The shape with the sign of every zero flipped: equal under
+    /// `f64 ==`, and a different household bit for bit whenever the
+    /// shape holds a zero.
+    fn twin(&self) -> Shape {
+        let flip = |x: f64| if x == 0.0 { -x } else { x };
+        Shape {
+            devices: self
+                .devices
+                .iter()
+                .map(|d| {
+                    Device::new(
+                        d.kind(),
+                        Kilowatts(flip(d.rated_power().value())),
+                        Fraction::clamped(flip(d.flexibility().value())),
+                    )
+                })
+                .collect(),
+            allowance: flip(self.allowance),
+            ..self.clone()
+        }
+    }
+}
+
+/// A `Household::new` shape: 0–9 devices whose kinds may repeat.
+fn arb_shape() -> impl Strategy<Value = Shape> {
+    (
+        1u32..4,
+        prop::collection::vec((0..8usize, 0..POWERS.len(), 0..FLEXIBILITIES.len()), 0..10),
+        0..ALLOWANCES.len(),
+        0..INTENSITIES.len(),
+    )
+        .prop_map(|(occupants, devices, allowance, intensity)| Shape {
+            occupants,
+            devices: devices
+                .into_iter()
+                .map(|(kind, power, flexibility)| {
+                    Device::new(
+                        DeviceKind::all()[kind],
+                        Kilowatts(POWERS[power]),
+                        Fraction::clamped(FLEXIBILITIES[flexibility]),
+                    )
+                })
+                .collect(),
+            allowance: ALLOWANCES[allowance],
+            intensity: INTENSITIES[intensity],
+        })
+}
+
+/// Standard households of every size mixed with hand-built ones, under
+/// non-contiguous ids — the slab must reproduce any mix, not just
+/// builder output. Each case draws up to three shapes plus their
+/// signed-zero twins and reuses them, so households repeat exactly and
+/// households that differ only in the sign of a zero sit side by side.
 fn arb_households() -> impl Strategy<Value = Vec<Household>> {
-    prop::collection::vec((0u64..1_000_000, 1u32..6), 1..40).prop_map(|specs| {
-        specs
-            .into_iter()
-            .map(|(id, occupants)| Household::standard(HouseholdId(id), occupants))
-            .collect()
-    })
+    (
+        prop::collection::vec(arb_shape(), 1..4),
+        prop::collection::vec((0u64..1_000_000, 0usize..11), 1..40),
+    )
+        .prop_map(|(shapes, specs)| {
+            let twins = shapes.iter().map(Shape::twin).collect::<Vec<_>>();
+            let shapes = [shapes, twins].concat();
+            specs
+                .into_iter()
+                .map(|(id, pick)| match pick {
+                    0..=4 => Household::standard(HouseholdId(id), pick as u32 + 1),
+                    _ => shapes[pick % shapes.len()].household(id),
+                })
+                .collect()
+        })
+}
+
+/// A device's kind and its two values as bit patterns.
+fn device_bits(d: &Device) -> (DeviceKind, u64, u64) {
+    (
+        d.kind(),
+        d.rated_power().value().to_bits(),
+        d.flexibility().value().to_bits(),
+    )
 }
 
 /// An interval that may be empty, interior, or overhang the day (the
@@ -101,6 +200,33 @@ proptest! {
             acc + h.saving_potential(&axis, mean_temp, seed, interval)
         });
         prop_assert_eq!(slab_total.value().to_bits(), object_total.value().to_bits());
+    }
+
+    /// Every `SlabView` accessor returns the object household's field
+    /// bit for bit: interning never merges `-0.0` into `0.0`, and never
+    /// drops or reorders a device.
+    #[test]
+    fn slab_accessors_return_every_field_bit_for_bit(homes in arb_households()) {
+        let slab = PopulationSlab::from_households(&homes);
+        let view = slab.view();
+        prop_assert_eq!(view.len(), homes.len());
+        prop_assert_eq!(
+            slab.device_entries(),
+            homes.iter().map(|h| h.devices().len()).sum::<usize>()
+        );
+        for (i, h) in homes.iter().enumerate() {
+            prop_assert_eq!(view.id(i), h.id());
+            prop_assert_eq!(view.occupants(i), h.occupants());
+            prop_assert_eq!(view.intensity(i).to_bits(), h.intensity().to_bits());
+            prop_assert_eq!(
+                view.allowed_use(i).value().to_bits(),
+                h.allowed_use().value().to_bits()
+            );
+            prop_assert_eq!(
+                view.devices(i).map(|d| device_bits(&d)).collect::<Vec<_>>(),
+                h.devices().iter().map(device_bits).collect::<Vec<_>>()
+            );
+        }
     }
 
     /// The builder's two exits agree: `build_slab(seed)` is exactly
