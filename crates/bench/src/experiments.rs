@@ -819,11 +819,15 @@ pub struct OfferResult {
 /// E11: the §3.2.1 refinement — dividing customers into consumption
 /// categories with per-category `x_max` — against the uniform offer.
 /// Two categorization policies are compared: a naive "stricter caps for
-/// heavier users" heuristic, and per-category `x_max` optimization.
+/// heavier users" heuristic, and per-category `x_max` optimization. A
+/// categorized row runs each category's offer scenario
+/// ([`categorized_offers`](loadbal_core::category::categorized_offers))
+/// and sums the parts' final totals, acceptors and outlays.
 pub fn offer_categories(customers: usize, seed: u64) -> OfferResult {
     use loadbal_core::category::{
-        consumption_categories, optimized_categories, run_categorized_offer,
+        categorized_offers, consumption_categories, optimized_categories, Category,
     };
+    use loadbal_core::reward::overuse_fraction;
     use powergrid::units::Fraction;
     let scenario = ScenarioBuilder::random(customers, 0.35, seed).build();
     let uniform = Scenario {
@@ -831,33 +835,46 @@ pub fn offer_categories(customers: usize, seed: u64) -> OfferResult {
         ..scenario.clone()
     }
     .run();
-    let row_from = |variant: String, report: &NegotiationReport| OfferRow {
-        variant,
-        final_overuse: report.final_overuse_fraction(),
-        acceptors: report
+    let acceptors = |report: &NegotiationReport| {
+        report
             .final_bids()
             .iter()
             .filter(|b| b.value() > 0.0)
-            .count(),
-        outlay: report.total_rewards().value(),
+            .count()
     };
-    let mut rows = vec![row_from("uniform offer".into(), &uniform)];
+    let mut rows = vec![OfferRow {
+        variant: "uniform offer".into(),
+        final_overuse: uniform.final_overuse_fraction(),
+        acceptors: acceptors(&uniform),
+        outlay: uniform.total_rewards().value(),
+    }];
+    let categorized_row = |variant: String, categories: &[Category]| {
+        let parts: Vec<NegotiationReport> = categorized_offers(&scenario, categories)
+            .iter()
+            .map(Scenario::run)
+            .collect();
+        let final_total = parts.iter().map(NegotiationReport::final_total).sum();
+        OfferRow {
+            variant,
+            final_overuse: overuse_fraction(final_total, scenario.normal_use),
+            acceptors: parts.iter().map(acceptors).sum(),
+            outlay: parts.iter().map(|r| r.total_rewards().value()).sum(),
+        }
+    };
     let candidates: Vec<Fraction> = [0.5, 0.6, 0.7, 0.8, 0.9]
         .iter()
         .map(|&v| Fraction::clamped(v))
         .collect();
     for buckets in [2usize, 3, 5] {
         let naive = consumption_categories(&scenario, buckets);
-        let naive_report = run_categorized_offer(&scenario, &naive);
-        rows.push(row_from(
+        rows.push(categorized_row(
             format!("{buckets} naive categories"),
-            &naive_report,
+            &naive,
         ));
         let optimized = optimized_categories(&scenario, buckets, &candidates);
-        let optimized_report = run_categorized_offer(&scenario, &optimized);
-        rows.push(row_from(
+        rows.push(categorized_row(
             format!("{buckets} optimized categories"),
-            &optimized_report,
+            &optimized,
         ));
     }
     OfferResult {
@@ -2588,12 +2605,15 @@ pub struct CityScaleResult {
     pub negotiations: usize,
     /// True if every negotiation converged.
     pub all_converged: bool,
-    /// Live-bytes delta across the season run (`None` without the
-    /// counting allocator).
+    /// Live-bytes delta across the one-thread season run (`None`
+    /// without the counting allocator).
     pub season_retained_bytes: Option<i64>,
-    /// The season's own heap high-water mark above the live bytes it
-    /// started from — the transient state negotiating the city costs on
-    /// top of the slab (`None` without the counting allocator).
+    /// The one-thread season's own heap high-water mark above the live
+    /// bytes it started from — the transient state negotiating the city
+    /// costs on top of the slab (`None` without the counting allocator).
+    /// One thread runs each cell's sequential reference loop, so the
+    /// figure is the same on every run; a parallel run's depends on how
+    /// the workers' cells overlap.
     pub season_peak_heap_bytes: Option<i64>,
     /// `season_peak_heap_bytes / households`.
     pub season_peak_heap_bytes_per_household: Option<f64>,
@@ -2627,9 +2647,15 @@ pub struct CityScaleResult {
 ///   id and a template index; the experiment binary's smoke asserts
 ///   ≤ 16), plus the season's live-bytes delta and its own heap
 ///   high-water mark above the pre-season live bytes when the counting
-///   allocator is installed. The household objects built for the
-///   reference fold are dropped before the season and the high-water
-///   mark is reset, so the figure is the season's alone.
+///   allocator is installed. Both come from a second, untimed run of
+///   a freshly built copy of the same sharded fleet at one thread,
+///   which runs each cell's sequential reference loop, synthesis
+///   included: at two or more threads the high-water depends on how
+///   the workers' cells overlap (the 50k-household smoke read 160 or
+///   280 B/household on identical input). The household objects built
+///   for the reference fold are dropped before the seasons and the
+///   high-water mark is reset before the measured run, so the figure is
+///   that season's alone.
 pub fn city_scale(households: usize, cells: usize, days: u64, seed: u64) -> CityScaleResult {
     use loadbal_core::fleet::FleetRunner;
     use powergrid::demand::aggregate_demand;
@@ -2668,25 +2694,36 @@ pub fn city_scale(households: usize, cells: usize, days: u64, seed: u64) -> City
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let fleet = FleetRunner::new().sharded_slab(&slab, cells, |shard, _| {
-        CampaignBuilder::new_ref(shard, &weather_model, &horizon)
-            .warmup_days(2)
-            .predictor(FixedPredictor(MovingAverage::new(2)))
-            .feedback(ClosedLoop)
-            .report_tier(ReportTier::Settlement)
-            .build()
-    });
-    let probe = crate::alloc_probe::installed();
-    let live_before = crate::alloc_probe::live_bytes();
-    crate::alloc_probe::reset_peak();
+    let sharded_fleet = || {
+        FleetRunner::new().sharded_slab(&slab, cells, |shard, _| {
+            CampaignBuilder::new_ref(shard, &weather_model, &horizon)
+                .warmup_days(2)
+                .predictor(FixedPredictor(MovingAverage::new(2)))
+                .feedback(ClosedLoop)
+                .report_tier(ReportTier::Settlement)
+                .build()
+        })
+    };
+    let fleet = sharded_fleet();
     let t0 = Instant::now();
     let report = fleet.run();
     let season_us = t0.elapsed().as_micros();
-    let season_retained = crate::alloc_probe::live_bytes() - live_before;
-    let season_peak = crate::alloc_probe::peak_bytes() - live_before;
     let negotiations = report.negotiations();
     let all_converged = report.all_converged();
     assert_eq!(report.len(), cells);
+    drop(report);
+    drop(fleet);
+
+    // --- the same season at one thread, for a deterministic heap figure ---
+    // A fresh fleet, because a run memoises each cell's synthesised
+    // horizon: the measured season synthesises its demand again.
+    let fleet = sharded_fleet().threads(NonZeroUsize::MIN);
+    let probe = crate::alloc_probe::installed();
+    let live_before = crate::alloc_probe::live_bytes();
+    crate::alloc_probe::reset_peak();
+    let report = fleet.run();
+    let season_retained = crate::alloc_probe::live_bytes() - live_before;
+    let season_peak = crate::alloc_probe::peak_bytes() - live_before;
     drop(report);
 
     CityScaleResult {
@@ -2746,12 +2783,13 @@ impl fmt::Display for CityScaleResult {
         writeln!(
             f,
             "  season (demand synthesis + negotiation, {} threads): {} µs, {} negotiations, \
-             converged: {}, {retained}, {peak}",
+             converged: {}",
             self.meta.threads,
             self.season_us,
             self.negotiations,
             if self.all_converged { "all" } else { "NOT ALL" }
-        )
+        )?;
+        writeln!(f, "  same season at 1 thread: {retained}, {peak}")
     }
 }
 

@@ -56,7 +56,6 @@
 use crate::adaptive::{RenegotiationRule, StaticTuning, TuningPolicy};
 use crate::beta::BetaPolicy;
 use crate::execution::{peak_seed, ExecutionMode, NetworkTraffic};
-use crate::methods::AnnouncementMethod;
 use crate::producer_agent::ProducerAgent;
 use crate::session::{NegotiationReport, ReportTier, Scenario, ScenarioBuilder};
 use crate::sync_driver::NegotiationScratch;
@@ -309,7 +308,6 @@ pub struct CampaignBuilder<'a> {
     warmup_days: usize,
     capacity_factor: f64,
     peak_threshold: f64,
-    method: AnnouncementMethod,
     ua_config: UtilityAgentConfig,
     report_tier: ReportTier,
     execution: ExecutionMode,
@@ -324,15 +322,17 @@ pub struct CampaignBuilder<'a> {
 impl<'a> CampaignBuilder<'a> {
     /// A builder with the campaign defaults: quarter-hour slots, three
     /// warmup days, capacity at 90 % of the warmup peak, 2 % overuse
-    /// threshold, reward tables with the grid-recalibrated paper UA
-    /// configuration (the campaign UA negotiates until the peak is back
-    /// *under the capacity line* — `max_allowed_overuse` 0, since grid
-    /// peaks are a few percent of capacity, far below the Figure-6
-    /// scenario's 15 % tolerance — and β rescaled to 14 for the ~5 %
-    /// overuse a real peak carries, because the §6 increment is
-    /// β·overuse·… and the paper β saturates below ε before rewards ever
-    /// move), a calibrated weather-regression predictor, open-loop
-    /// feedback and unconditional negotiation.
+    /// threshold, the grid-recalibrated paper UA configuration (the
+    /// campaign UA negotiates until the peak is back *under the capacity
+    /// line* — `max_allowed_overuse` 0, since grid peaks are a few
+    /// percent of capacity, far below the Figure-6 scenario's 15 %
+    /// tolerance — and β rescaled to 14 for the ~5 % overuse a real
+    /// peak carries, because the §6 increment is β·overuse·… and the
+    /// paper β saturates below ε before rewards ever move), a
+    /// calibrated weather-regression predictor, open-loop
+    /// feedback and unconditional negotiation. Every peak negotiates
+    /// with reward tables, the method [`MarginalCostStop`] and
+    /// [`OwnProcessControl::tune`] act on.
     ///
     /// The households are converted once into an owned
     /// [`PopulationSlab`] (through [`PopulationSlab::from_households`]),
@@ -385,7 +385,6 @@ impl<'a> CampaignBuilder<'a> {
             warmup_days: 3,
             capacity_factor: 0.90,
             peak_threshold: 0.02,
-            method: AnnouncementMethod::RewardTables,
             ua_config: UtilityAgentConfig::paper()
                 .with_max_allowed_overuse(0.0)
                 .with_beta_policy(BetaPolicy::constant(14.0)),
@@ -430,12 +429,6 @@ impl<'a> CampaignBuilder<'a> {
     /// Minimum overuse fraction that makes a peak worth negotiating.
     pub fn peak_threshold(mut self, threshold: f64) -> Self {
         self.peak_threshold = threshold;
-        self
-    }
-
-    /// The announcement method every peak is negotiated with.
-    pub fn method(mut self, method: AnnouncementMethod) -> Self {
-        self.method = method;
         self
     }
 
@@ -573,7 +566,6 @@ impl<'a> CampaignBuilder<'a> {
             warmup_days: self.warmup_days,
             capacity_factor: self.capacity_factor,
             peak_threshold: self.peak_threshold,
-            method: self.method,
             base_ua_config: self.ua_config,
             report_tier: self.report_tier,
             execution: self.execution,
@@ -620,7 +612,6 @@ pub struct CampaignRunner<'a> {
     warmup_days: usize,
     capacity_factor: f64,
     peak_threshold: f64,
-    method: AnnouncementMethod,
     /// The builder's UA configuration, before the stop policy installs
     /// its rule (see [`Prepared::ua_config`]).
     base_ua_config: UtilityAgentConfig,
@@ -1016,7 +1007,6 @@ impl CampaignProgress<'_> {
                     &mut self.scratch,
                 )
                 .config(self.ua_config.clone())
-                .method(self.runner.method)
                 .build();
                 (format!("day{}/{}", day.index, peak.interval), scenario)
             })
@@ -1082,7 +1072,6 @@ impl CampaignProgress<'_> {
                 &mut self.scratch,
             )
             .config(config.clone())
-            .method(self.runner.method)
             .build();
             scenarios.push((
                 format!("day{}/{}#r{pass}", day.index, peak.interval),

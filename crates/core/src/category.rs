@@ -7,11 +7,15 @@
 //! bucketed by predicted use and each bucket receives its own `x_max`,
 //! while all members of a bucket still get identical terms (the Swedish
 //! equal-treatment constraint applies *within* a category).
+//!
+//! A categorized offer is a set of ordinary offers, one per category
+//! ([`categorized_offers`]): each part is an
+//! [`AnnouncementMethod::Offer`] [`Scenario`] that runs in every
+//! execution mode like any other, so its reports come out of the engine.
 
-use crate::concession::{NegotiationStatus, TerminationReason};
 use crate::customer_agent::decide_offer;
 use crate::methods::AnnouncementMethod;
-use crate::session::{NegotiationReport, RoundRecord, Scenario};
+use crate::session::Scenario;
 use powergrid::units::{Fraction, KilowattHours};
 use serde::{Deserialize, Serialize};
 
@@ -126,64 +130,43 @@ pub fn optimized_categories(
     categories
 }
 
-/// Runs the categorized offer method: like §3.2.1's offer, but each
-/// category has its own `x_max`.
+/// Splits a categorized offer into one [`AnnouncementMethod::Offer`]
+/// scenario per non-empty category, in category order. Each part holds
+/// the category's customers in scenario order, offers the category's
+/// `x_max`, and keeps the whole scenario's capacity, interval and tariff
+/// (an offer decision never reads the capacity). A customer belongs to
+/// the first category that contains it.
 ///
 /// # Panics
 ///
 /// Panics if some customer falls outside every category.
-pub fn run_categorized_offer(scenario: &Scenario, categories: &[Category]) -> NegotiationReport {
-    let n = scenario.customers.len() as u64;
-    let mut bids = Vec::with_capacity(scenario.customers.len());
-    let mut settlements = Vec::with_capacity(scenario.customers.len());
-    let mut predicted_total = KilowattHours::ZERO;
-
+pub fn categorized_offers(scenario: &Scenario, categories: &[Category]) -> Vec<Scenario> {
+    let mut members = vec![Vec::new(); categories.len()];
     for customer in &scenario.customers {
         let category = categories
             .iter()
-            .find(|cat| cat.contains(customer.predicted_use))
+            .position(|cat| cat.contains(customer.predicted_use))
             .unwrap_or_else(|| {
                 panic!(
                     "customer with predicted use {} has no category",
                     customer.predicted_use
                 )
             });
-        let x_max = category.x_max;
-        let accept = decide_offer(
-            &customer.preferences,
-            customer.predicted_use,
-            customer.allowed_use,
-            x_max,
-            &scenario.tariff,
-        );
-        let (new_use, settlement) = crate::engine::offer_outcome(
-            customer.predicted_use,
-            customer.allowed_use,
-            x_max,
-            &scenario.tariff,
-            accept,
-        );
-        predicted_total += new_use;
-        bids.push(settlement.cutdown);
-        settlements.push(settlement);
+        members[category].push(customer.clone());
     }
-
-    let rounds = vec![RoundRecord {
-        round: 1,
-        table: None,
-        bids,
-        predicted_total,
-        messages: 2 * n,
-    }];
-    NegotiationReport::new(
-        AnnouncementMethod::Offer,
-        scenario.normal_use,
-        scenario.initial_total(),
-        rounds,
-        NegotiationStatus::Converged(TerminationReason::SingleRound),
-        settlements,
-        0,
-    )
+    categories
+        .iter()
+        .zip(members)
+        .filter(|(_, customers)| !customers.is_empty())
+        .map(|(category, customers)| Scenario {
+            normal_use: scenario.normal_use,
+            interval: scenario.interval,
+            customers,
+            config: scenario.config.clone().with_offer_x_max(category.x_max),
+            method: AnnouncementMethod::Offer,
+            tariff: scenario.tariff,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -218,10 +201,16 @@ mod tests {
     fn categorized_offer_runs_single_round() {
         let scenario = ScenarioBuilder::random(100, 0.35, 5).build();
         let cats = consumption_categories(&scenario, 3);
-        let report = run_categorized_offer(&scenario, &cats);
-        assert_eq!(report.rounds().len(), 1);
-        assert!(report.converged());
-        assert!(report.final_overuse() <= report.initial_overuse());
+        let parts = categorized_offers(&scenario, &cats);
+        assert!((1..=3).contains(&parts.len()));
+        let mut final_total = KilowattHours::ZERO;
+        for part in &parts {
+            let report = part.run();
+            assert_eq!(report.rounds().len(), 1);
+            assert!(report.converged());
+            final_total += report.final_total();
+        }
+        assert!(final_total <= scenario.initial_total());
     }
 
     #[test]
@@ -230,16 +219,25 @@ mod tests {
         let uniform = Scenario {
             method: AnnouncementMethod::Offer,
             ..scenario.clone()
-        }
-        .run();
+        };
         let one = vec![Category {
             lower: KilowattHours(0.0),
             upper: KilowattHours(f64::INFINITY),
             x_max: scenario.config.offer_x_max,
         }];
-        let categorized = run_categorized_offer(&scenario, &one);
-        assert_eq!(categorized.final_bids(), uniform.final_bids());
-        assert_eq!(categorized.final_overuse(), uniform.final_overuse());
+        assert_eq!(categorized_offers(&scenario, &one), vec![uniform]);
+    }
+
+    #[test]
+    #[should_panic(expected = "has no category")]
+    fn uncovered_customer_panics() {
+        let scenario = ScenarioBuilder::random(10, 0.35, 1).build();
+        let none = [Category {
+            lower: KilowattHours(0.0),
+            upper: KilowattHours(0.0),
+            x_max: scenario.config.offer_x_max,
+        }];
+        let _ = categorized_offers(&scenario, &none);
     }
 
     #[test]
@@ -263,11 +261,14 @@ mod tests {
             .collect();
         assert!(candidates.contains(&scenario.config.offer_x_max));
         let cats = optimized_categories(&scenario, 3, &candidates);
-        let report = run_categorized_offer(&scenario, &cats);
+        let final_total: KilowattHours = categorized_offers(&scenario, &cats)
+            .iter()
+            .map(|part| part.run().final_total())
+            .sum();
+        let final_overuse = (final_total - scenario.normal_use).clamp_non_negative();
         assert!(
-            report.final_overuse() <= uniform.final_overuse() + KilowattHours(1e-9),
-            "optimized categories ({}) must not trail uniform ({})",
-            report.final_overuse(),
+            final_overuse <= uniform.final_overuse() + KilowattHours(1e-9),
+            "optimized categories ({final_overuse}) must not trail uniform ({})",
             uniform.final_overuse()
         );
     }
@@ -285,7 +286,11 @@ mod tests {
         // profiles must end with identical settlements.
         let scenario = ScenarioBuilder::paper_figure_6().build();
         let cats = consumption_categories(&scenario, 2);
-        let report = run_categorized_offer(&scenario, &cats);
+        let parts = categorized_offers(&scenario, &cats);
+        // Every Figure-6 customer predicts 6.75: one category holds them
+        // all, and the empty one yields no part.
+        assert_eq!(parts.len(), 1);
+        let report = parts[0].run();
         // Customers 0 and 1 are identical (k = 1.0 twins).
         assert_eq!(report.settlements()[0], report.settlements()[1]);
     }

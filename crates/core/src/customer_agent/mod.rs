@@ -1,8 +1,9 @@
 //! The Customer Agent (CA): negotiation state and decision logic (§5.2,
-//! §6.2), plus the interface to its Resource Consumer Agents
-//! ([`resource_interface`]).
-
-pub mod resource_interface;
+//! §6.2). What its Resource Consumer Agents can shed (§5.2.2) is the
+//! household's saving potential over the interval, read by
+//! [`ScenarioBuilder::from_peak`](crate::session::ScenarioBuilder::from_peak)
+//! through [`powergrid::slab::interval_flexibility_slab`] into each
+//! customer's cut-down ceiling.
 
 use crate::preferences::CustomerPreferences;
 use crate::reward::RewardTable;

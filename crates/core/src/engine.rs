@@ -635,10 +635,11 @@ impl UtilityEngine {
 /// The §3.2.1 outcome of one customer's accept/decline on an offer
 /// capping cheap-rate consumption at `x_max · allowed_use`: the new
 /// predicted use and the settlement (implied cut-down plus billing
-/// advantage). The single source of this arithmetic — the engine's
-/// offer method and the categorized-offer refinement
-/// ([`crate::category`]) both call it.
-pub(crate) fn offer_outcome(
+/// advantage). Its one caller is the engine's offer conclusion; a
+/// §3.2.1 categorized offer reaches it the same way, one
+/// [`categorized_offers`](crate::category::categorized_offers) part at
+/// a time.
+fn offer_outcome(
     predicted: KilowattHours,
     allowed: KilowattHours,
     x_max: Fraction,

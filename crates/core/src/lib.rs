@@ -309,7 +309,6 @@ pub mod outcome;
 pub mod preferences;
 pub mod producer_agent;
 pub mod resilience;
-pub mod resource_consumer;
 pub mod reward;
 pub mod session;
 pub mod strategy;

@@ -248,36 +248,6 @@ pub struct NegotiationReport {
 }
 
 impl NegotiationReport {
-    /// Assembles a full-trace report (used by the method
-    /// implementations); the digest is derived from the stored rounds
-    /// and settlements.
-    pub(crate) fn new(
-        method: AnnouncementMethod,
-        normal_use: KilowattHours,
-        initial_total: KilowattHours,
-        rounds: Vec<RoundRecord>,
-        status: NegotiationStatus,
-        settlements: Vec<Settlement>,
-        extra_messages: u64,
-    ) -> NegotiationReport {
-        let mut digest = RoundDigest::starting_at(initial_total);
-        for r in &rounds {
-            digest.observe_round(r);
-        }
-        digest.observe_settlements(&settlements);
-        NegotiationReport {
-            method,
-            normal_use,
-            initial_total,
-            tier: ReportTier::FullTrace,
-            digest,
-            rounds,
-            status,
-            settlements,
-            extra_messages,
-        }
-    }
-
     /// Reassembles a report from its stored parts — the
     /// `loadbal-archive` decoder's entry point. The caller vouches for
     /// consistency (a tier below `FullTrace` carries empty `rounds`; the
@@ -467,7 +437,8 @@ impl fmt::Display for NegotiationReport {
 }
 
 /// Builds scenarios: the calibrated paper trace, seeded random
-/// populations, or populations derived from `powergrid` households.
+/// populations, or one detected peak over a `powergrid` population
+/// ([`ScenarioBuilder::from_peak`]).
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
     normal_use: KilowattHours,
@@ -547,45 +518,6 @@ impl ScenarioBuilder {
         }
         let mut b = ScenarioBuilder::new();
         b.normal_use = KilowattHours(total / (1.0 + overuse.max(0.0)));
-        b.customers = customers;
-        b
-    }
-
-    /// Derives a population from `powergrid` households: predicted use is
-    /// each household's demand over the peak interval; the physical
-    /// ceiling comes from its devices' flexibility; preference scale
-    /// factors are seeded per household.
-    pub fn from_households(
-        households: &[powergrid::household::Household],
-        axis: &powergrid::time::TimeAxis,
-        mean_temp: f64,
-        interval: Interval,
-        capacity_margin: f64,
-        seed: u64,
-    ) -> ScenarioBuilder {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x0040_b5e5);
-        let mut customers = Vec::with_capacity(households.len());
-        let mut total = KilowattHours::ZERO;
-        for h in households {
-            let (predicted, potential) = h.interval_flexibility(axis, mean_temp, seed, interval);
-            let day_share = interval.hours(*axis) / 24.0;
-            let allowed = h.allowed_use() * day_share;
-            let ceiling = if predicted.value() <= f64::EPSILON {
-                Fraction::ZERO
-            } else {
-                Fraction::clamped(potential / predicted)
-            };
-            let k = rng.gen_range(0.8..2.5);
-            total += predicted;
-            customers.push(CustomerProfile {
-                predicted_use: predicted,
-                allowed_use: allowed.max(predicted),
-                preferences: CustomerPreferences::from_base_scaled(k, ceiling),
-            });
-        }
-        let mut b = ScenarioBuilder::new();
-        b.interval = interval;
-        b.normal_use = total * capacity_margin;
         b.customers = customers;
         b
     }
@@ -801,21 +733,6 @@ mod tests {
     #[should_panic(expected = "needs customers")]
     fn empty_scenario_panics() {
         let _ = ScenarioBuilder::new().build();
-    }
-
-    #[test]
-    fn from_households_builds_consistent_profiles() {
-        use powergrid::population::PopulationBuilder;
-        use powergrid::time::{TimeAxis, TimeOfDay};
-        let axis = TimeAxis::quarter_hourly();
-        let homes = PopulationBuilder::new().households(15).build(3);
-        let interval = axis.between(TimeOfDay::hm(17, 0).unwrap(), TimeOfDay::hm(20, 0).unwrap());
-        let s = ScenarioBuilder::from_households(&homes, &axis, -4.0, interval, 0.8, 3).build();
-        assert_eq!(s.customers.len(), 15);
-        assert!(s.initial_overuse_fraction() > 0.0);
-        for c in &s.customers {
-            assert!(c.allowed_use >= c.predicted_use);
-        }
     }
 
     #[test]

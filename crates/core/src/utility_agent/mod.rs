@@ -2,16 +2,19 @@
 //! state machine, plus the generic-agent-model task modules of Figures
 //! 2–3:
 //!
-//! * [`own_process_control`] — strategy determination and negotiation
-//!   evaluation (Figure 2);
-//! * [`agent_specific`] — predicting the consumption/production balance
-//!   and deciding whether to negotiate (§5.1.2);
+//! * [`own_process_control`] — negotiation evaluation and the
+//!   experience-based tuning it feeds (Figure 2);
 //! * [`cooperation`] — announcement determination (generate & select) and
 //!   bid assessment (Figure 3);
 //! * [`maintenance`] — models of the Customer Agents, updated from
 //!   observed behaviour (§5.1.4).
+//!
+//! The §5.1.2 agent-specific tasks — *determine predicted balance* and
+//! *evaluate prediction* — are
+//! [`powergrid::prediction::LoadPredictor::predict`] and
+//! [`powergrid::peak::PeakDetector::detect_all`], which campaigns call
+//! directly.
 
-pub mod agent_specific;
 pub mod cooperation;
 pub mod maintenance;
 pub mod own_process_control;

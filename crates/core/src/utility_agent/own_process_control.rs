@@ -1,13 +1,12 @@
-//! Own process control within the UA (Figure 2): *determine general
-//! negotiation strategy* and *evaluate negotiation process*.
-//!
-//! The evaluation feeds back into strategy determination — the "on the
+//! Own process control within the UA (Figure 2): *evaluate negotiation
+//! process*, and the experience-based tuning it feeds — the "on the
 //! basis of experience" adaptation the paper flags as future work for β.
+//! The §3.2.4 *determine general negotiation strategy* knowledge is
+//! [`crate::strategy::select_method`].
 
 use crate::concession::NegotiationStatus;
 use crate::methods::AnnouncementMethod;
 use crate::session::NegotiationReport;
-use crate::strategy::{select_method, NegotiationContext};
 use crate::utility_agent::UtilityAgentConfig;
 use serde::{Deserialize, Serialize};
 
@@ -58,8 +57,8 @@ impl NegotiationEvaluation {
     }
 }
 
-/// The UA's own-process-control state: evaluation history plus the
-/// strategy-determination step.
+/// The UA's own-process-control state: the evaluation history
+/// [`OwnProcessControl::tune`] adapts from.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct OwnProcessControl {
     history: Vec<NegotiationEvaluation>,
@@ -115,15 +114,6 @@ impl OwnProcessControl {
     /// The evaluation history, oldest first.
     pub fn history(&self) -> &[NegotiationEvaluation] {
         &self.history
-    }
-
-    /// *Determine general negotiation strategy*: delegate to the §3.2.4
-    /// selection knowledge.
-    pub fn determine_strategy(
-        &self,
-        ctx: NegotiationContext,
-    ) -> (AnnouncementMethod, &'static str) {
-        select_method(ctx)
     }
 
     /// Experience-based tuning (§7 "dynamically varying the value of beta

@@ -1,6 +1,7 @@
 //! The full pipeline on a realistic population: synthesize households,
 //! predict tomorrow's demand from history and weather, detect the peak,
-//! let the UA pick a strategy (§3.2.4), and compare all three
+//! let the UA pick a strategy (§3.2.4), materialise the peak over the
+//! households with `ScenarioBuilder::from_peak`, and compare all three
 //! announcement methods on the resulting scenario.
 //!
 //! ```text
@@ -8,10 +9,7 @@
 //! ```
 
 use loadbal::core::strategy::{select_method, NegotiationContext};
-use loadbal::core::utility_agent::agent_specific::{evaluate_prediction, predict_balance};
 use loadbal::prelude::*;
-use powergrid::peak::PeakDetector;
-use powergrid::prediction::WeatherRegression;
 
 fn main() {
     let axis = TimeAxis::quarter_hourly();
@@ -30,14 +28,15 @@ fn main() {
 
     // Tomorrow: a cold snap.
     let forecast = model.with_anomaly(-5.0).temperatures(&axis, 6);
-    let predicted = predict_balance(&WeatherRegression::calibrated(), &history, &forecast);
+    let predicted = WeatherRegression::calibrated().predict(&history, &forecast);
 
-    // Production sized so the evening peak crosses into the expensive band.
-    let capacity = Kilowatts(predicted.max() / axis.slot_hours() * 0.85);
+    // Production sized so the evening peak crosses into the expensive
+    // band, far enough (~25 % over on the households' demand) for every
+    // method to have overuse to negotiate.
+    let capacity = Kilowatts(predicted.max() / axis.slot_hours() * 0.65);
     let production = ProductionModel::two_tier(capacity, Kilowatts(capacity.value() * 2.0));
-    let assessment = evaluate_prediction(&predicted, &production, &PeakDetector::new(0.05));
 
-    let Some(peak) = assessment.peak().copied() else {
+    let Some(peak) = PeakDetector::new(0.05).detect(&predicted, &production) else {
         println!("stable situation — no negotiation needed");
         return;
     };
@@ -51,14 +50,18 @@ fn main() {
         println!("  {rounds_available:>2} rounds available → {method}: {rationale}");
     }
 
-    // Build the scenario from the physical households and compare methods.
-    let scenario = ScenarioBuilder::from_households(
-        &homes,
+    // Materialise the peak over the households' demand on the forecast
+    // day (6) and compare methods.
+    let slab = PopulationSlab::from_households(&homes);
+    let mut scratch = DemandScratch::new(&axis);
+    let scenario = ScenarioBuilder::from_peak(
+        slab.view(),
         &axis,
         forecast.mean(),
-        peak.interval,
-        1.0 / (1.0 + peak.overuse_fraction()),
-        42,
+        &peak,
+        6,
+        1.0,
+        &mut scratch,
     )
     .build();
     println!(

@@ -3,10 +3,7 @@
 
 use loadbal::core::outcome::SettlementSummary;
 use loadbal::core::producer_agent::ProducerAgent;
-use loadbal::core::utility_agent::agent_specific::{evaluate_prediction, predict_balance};
 use loadbal::prelude::*;
-use powergrid::peak::PeakDetector;
-use powergrid::prediction::{LoadPredictor, MovingAverage, WeatherRegression};
 
 fn history_for(homes: &[Household], axis: &TimeAxis, days: u64) -> Vec<Series> {
     let model = WeatherModel::winter();
@@ -29,22 +26,30 @@ fn grid_to_negotiation_pipeline_shaves_the_peak() {
         .with_anomaly(-4.0)
         .temperatures(&axis, 6);
 
-    // UA agent-specific tasks: predict, then evaluate.
-    let predicted = predict_balance(&WeatherRegression::calibrated(), &history, &forecast);
-    let capacity = Kilowatts(predicted.max() / axis.slot_hours() * 0.85);
+    // UA agent-specific tasks (§5.1.2): predict the balance, then
+    // evaluate the prediction. Capacity sits at 0.65 of the predicted
+    // maximum, so day 6's physical demand over the peak is ~25 % over
+    // capacity, beyond the paper UA's 15 % allowed band.
+    let predicted = WeatherRegression::calibrated().predict(&history, &forecast);
+    let capacity = Kilowatts(predicted.max() / axis.slot_hours() * 0.65);
     let production = ProductionModel::two_tier(capacity, Kilowatts(capacity.value() * 3.0));
-    let assessment = evaluate_prediction(&predicted, &production, &PeakDetector::new(0.02));
-    let peak = *assessment.peak().expect("cold snap must produce a peak");
+    let peak = PeakDetector::new(0.02)
+        .detect(&predicted, &production)
+        .expect("cold snap must produce a peak");
     assert!(peak.overuse_fraction() > 0.0);
 
-    // Build and run the negotiation over the detected interval.
-    let scenario = ScenarioBuilder::from_households(
-        &homes,
+    // Materialise the detected peak over the households' day-6 demand
+    // and negotiate it.
+    let slab = PopulationSlab::from_households(&homes);
+    let mut scratch = DemandScratch::new(&axis);
+    let scenario = ScenarioBuilder::from_peak(
+        slab.view(),
         &axis,
         forecast.mean(),
-        peak.interval,
-        1.0 / (1.0 + peak.overuse_fraction()),
-        11,
+        &peak,
+        6,
+        1.0,
+        &mut scratch,
     )
     .build();
     let report = scenario.run();
@@ -84,13 +89,14 @@ fn stable_grid_never_triggers_negotiation() {
     let homes = PopulationBuilder::new().households(50).build(3);
     let history = history_for(&homes, &axis, 3);
     let forecast = WeatherModel::winter().temperatures(&axis, 4);
-    let predicted = predict_balance(&MovingAverage::new(3), &history, &forecast);
+    let predicted = MovingAverage::new(3).predict(&history, &forecast);
     // Ample capacity: double the observed peak.
     let capacity = Kilowatts(predicted.max() / axis.slot_hours() * 2.0);
     let production = ProductionModel::two_tier(capacity, Kilowatts(capacity.value() * 2.0));
-    let assessment = evaluate_prediction(&predicted, &production, &PeakDetector::default());
     assert!(
-        assessment.peak().is_none(),
+        PeakDetector::default()
+            .detect(&predicted, &production)
+            .is_none(),
         "no peak expected with double capacity"
     );
 }
@@ -101,9 +107,25 @@ fn all_methods_work_on_household_derived_scenarios() {
     let homes = PopulationBuilder::new().households(80).build(21);
     let weather = WeatherModel::winter().temperatures(&axis, 21);
     let curve = aggregate_demand(&homes, &weather, &axis, 21);
-    let interval = curve.peak_interval(8);
-    let scenario =
-        ScenarioBuilder::from_households(&homes, &axis, weather.mean(), interval, 0.8, 21).build();
+    let peak = Peak {
+        interval: curve.peak_interval(8),
+        predicted_overuse: KilowattHours::ZERO,
+        normal_use: KilowattHours::ZERO,
+    };
+    let slab = PopulationSlab::from_households(&homes);
+    let mut scratch = DemandScratch::new(&axis);
+    let mut scenario = ScenarioBuilder::from_peak(
+        slab.view(),
+        &axis,
+        weather.mean(),
+        &peak,
+        21,
+        1.0,
+        &mut scratch,
+    )
+    .build();
+    // Capacity at 0.8 of the interval's demand: 25 % overuse.
+    scenario.normal_use = scenario.initial_total() * 0.8;
     for method in AnnouncementMethod::all() {
         let report = Scenario {
             method,

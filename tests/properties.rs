@@ -1,17 +1,20 @@
 //! Property-based tests (proptest) on the core invariants:
-//! the §3.1 monotonic concession protocol, the §6 reward formula, and
-//! deterministic replay of the distributed runtime.
+//! the §3.1 monotonic concession protocol, the §6 reward formula, the
+//! §3.2.1 categorized offer, and deterministic replay of the
+//! distributed runtime.
 
 use loadbal::core::beta::BetaPolicy;
+use loadbal::core::category::{categorized_offers, consumption_categories, optimized_categories};
 use loadbal::core::concession::{verify_announcements, verify_bids};
 use loadbal::core::customer_agent::{decide_offer, rfb_step};
 use loadbal::core::distributed::run_distributed;
 use loadbal::core::market::demand_response;
+use loadbal::core::methods::AnnouncementMethod;
 use loadbal::core::preferences::CustomerPreferences;
 use loadbal::core::reward::{
     overuse_fraction, predicted_use_with_cutdown, RewardFormula, RewardTable, DEFAULT_LEVELS,
 };
-use loadbal::core::session::{CustomerProfile, ScenarioBuilder};
+use loadbal::core::session::{CustomerProfile, Scenario, ScenarioBuilder};
 use loadbal::core::utility_agent::UtilityAgentConfig;
 use loadbal::massim::clock::SimDuration;
 use loadbal::massim::network::NetworkModel;
@@ -412,6 +415,70 @@ proptest! {
             let ou = r.overuse_fraction(report.normal_use());
             prop_assert!(ou <= prev + 1e-9);
             prev = ou;
+        }
+    }
+
+    /// §3.2.1: a categorized offer is one `Offer` scenario per non-empty
+    /// category. The parts hold each customer exactly once, in scenario
+    /// order, under the cap of the first category that contains it, and
+    /// every member settles bit for bit as it does when the whole
+    /// population gets a uniform offer at that cap.
+    #[test]
+    fn categorized_offers_settle_like_uniform_offers_at_each_cap(
+        customers in 1usize..80,
+        seed in 0u64..10_000,
+        buckets in 1usize..6,
+        optimized in any::<bool>(),
+        candidates in prop::collection::vec(0.5f64..=0.9, 1..6),
+    ) {
+        let scenario = ScenarioBuilder::random(customers, 0.35, seed).build();
+        let categories = if optimized {
+            let candidates: Vec<Fraction> =
+                candidates.iter().map(|&v| Fraction::clamped(v)).collect();
+            optimized_categories(&scenario, buckets, &candidates)
+        } else {
+            consumption_categories(&scenario, buckets)
+        };
+        let category_of: Vec<usize> = scenario
+            .customers
+            .iter()
+            .map(|c| {
+                categories
+                    .iter()
+                    .position(|cat| cat.contains(c.predicted_use))
+                    .expect("consumption bands cover the population")
+            })
+            .collect();
+        let expected: Vec<(usize, Vec<usize>)> = (0..categories.len())
+            .map(|k| (k, (0..customers).filter(|&i| category_of[i] == k).collect::<Vec<_>>()))
+            .filter(|(_, members)| !members.is_empty())
+            .collect();
+        let parts = categorized_offers(&scenario, &categories);
+        prop_assert_eq!(parts.len(), expected.len());
+        let held: usize = parts.iter().map(|p| p.customers.len()).sum();
+        prop_assert_eq!(held, customers);
+        for (part, (k, members)) in parts.iter().zip(&expected) {
+            let x_max = categories[*k].x_max;
+            prop_assert_eq!(part.method, AnnouncementMethod::Offer);
+            prop_assert_eq!(part.config.offer_x_max, x_max);
+            prop_assert_eq!(part.normal_use, scenario.normal_use);
+            let in_order: Vec<CustomerProfile> =
+                members.iter().map(|&i| scenario.customers[i].clone()).collect();
+            prop_assert_eq!(&part.customers, &in_order);
+
+            let report = part.run();
+            let uniform = Scenario {
+                method: AnnouncementMethod::Offer,
+                config: scenario.config.clone().with_offer_x_max(x_max),
+                ..scenario.clone()
+            }
+            .run();
+            prop_assert_eq!(report.settlements().len(), members.len());
+            for (got, &i) in report.settlements().iter().zip(members) {
+                let want = uniform.settlements()[i];
+                prop_assert_eq!(fraction_bits(got.cutdown), fraction_bits(want.cutdown));
+                prop_assert_eq!(got.reward.value().to_bits(), want.reward.value().to_bits());
+            }
         }
     }
 
