@@ -162,13 +162,13 @@ fn run(id: &str, json: bool) -> bool {
             // The acceptance shape: one million households as a single
             // template-encoded slab, sharded zero-copy across 64 cells,
             // a 5-day winter season at settlement tier. At this scale
-            // the ≥5× slab-vs-per-object demand synthesis claim is
-            // asserted, not just recorded.
+            // the ≥5× claim for slab demand synthesis against the
+            // per-slot household fold is asserted, not just recorded.
             let r = experiments::city_scale(1_000_000, 64, 5, 42);
             println!("{r}");
             assert!(
                 r.speedup_vs_object >= 5.0,
-                "slab demand synthesis only {:.1}× the per-object path (acceptance: ≥5×)",
+                "slab demand synthesis only {:.1}× the per-slot household fold (acceptance: ≥5×)",
                 r.speedup_vs_object
             );
             if json {

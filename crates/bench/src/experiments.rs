@@ -2586,8 +2586,9 @@ pub struct CityScaleResult {
     /// `slab_bytes / households`.
     pub bytes_per_household: f64,
     /// One-day demand synthesis over the full city through the
-    /// allocating [`Household::demand_profile`] reference fold
-    /// ([`aggregate_demand`]), microseconds.
+    /// per-slot physics fold — one allocated
+    /// [`Household::demand_profile`] per household, summed slot by
+    /// slot — microseconds.
     pub object_demand_us: u128,
     /// Same day via the batched slab kernel
     /// ([`aggregate_demand_slab`]), microseconds.
@@ -2638,11 +2639,14 @@ pub struct CityScaleResult {
 ///   negotiation. Building the cells only validates them, so nothing
 ///   of the season runs outside the timer.
 /// * **Throughput** — one day of demand synthesis over the full city
-///   through the allocating `Household` reference fold and the slab
-///   kernel, asserted equal slot for slot; the slab must be ≥ 5× the
-///   reference at full scale (asserted by the experiment binary, where
-///   timings are meaningful — library smoke runs only record the
-///   figures).
+///   through the per-slot physics fold (summing every household's
+///   allocated `Household::demand_profile`) and through the slab
+///   kernel's per-kind fold. Each slab slot is asserted within 1e-12
+///   relative of the per-slot fold, and the slab curve is asserted
+///   equal, untimed, to the per-kind household reference
+///   [`aggregate_demand`]. The slab must be ≥ 5× the per-slot fold at
+///   full scale (asserted by the experiment binary, where timings are
+///   meaningful — library smoke runs only record the figures).
 /// * **Memory** — the slab's retained bytes per household (12 B: an
 ///   id and a template index; the experiment binary's smoke asserts
 ///   ≤ 16), plus the season's live-bytes delta and its own heap
@@ -2653,7 +2657,7 @@ pub struct CityScaleResult {
 ///   included: at two or more threads the high-water depends on how
 ///   the workers' cells overlap (the 50k-household smoke read 160 or
 ///   280 B/household on identical input). The household objects built
-///   for the reference fold are dropped before the seasons and the
+///   for the reference folds are dropped before the seasons and the
 ///   high-water mark is reset before the measured run, so the figure is
 ///   that season's alone.
 pub fn city_scale(households: usize, cells: usize, days: u64, seed: u64) -> CityScaleResult {
@@ -2666,7 +2670,7 @@ pub fn city_scale(households: usize, cells: usize, days: u64, seed: u64) -> City
     let weather_model = WeatherModel::winter();
     let builder = PopulationBuilder::new().households(households);
 
-    // --- build the slab (object trees only for the reference fold) ---
+    // --- build the slab (object trees only for the reference folds) ---
     let t0 = Instant::now();
     let slab = builder.build_slab(seed);
     let build_slab_us = t0.elapsed().as_micros();
@@ -2676,17 +2680,28 @@ pub fn city_scale(households: usize, cells: usize, days: u64, seed: u64) -> City
     // --- one-day demand synthesis over the full city, both paths ---
     let weather = weather_model.temperatures(&axis, seed);
     let t0 = Instant::now();
-    let oracle_curve = aggregate_demand(&homes, &weather, &axis, seed);
+    let mut per_slot = Series::zeros(axis);
+    for h in &homes {
+        per_slot.accumulate(&h.demand_profile(&axis, weather.mean(), seed));
+    }
     let object_demand_us = t0.elapsed().as_micros().max(1);
     let t0 = Instant::now();
     let slab_curve = aggregate_demand_slab(slab.view(), &weather, &axis, seed);
     let slab_demand_us = t0.elapsed().as_micros().max(1);
+    let slab_values = slab_curve.series().values();
+    for (slot, (&a, &b)) in slab_values.iter().zip(per_slot.values()).enumerate() {
+        assert!(
+            (a - b).abs() <= 1e-12 * b.abs(),
+            "slot {slot}: slab demand {a} strays from the per-slot household fold {b}"
+        );
+    }
     assert_eq!(
-        slab_curve, oracle_curve,
-        "slab demand kernel diverged from the household reference fold"
+        slab_curve,
+        aggregate_demand(&homes, &weather, &axis, seed),
+        "slab demand kernel diverged from the per-kind household reference"
     );
     let speedup_vs_object = object_demand_us as f64 / slab_demand_us as f64;
-    // The object trees exist only for the reference fold; the season
+    // The object trees exist only for the reference folds; the season
     // reads the slab.
     drop(homes);
 
@@ -2763,7 +2778,7 @@ impl fmt::Display for CityScaleResult {
         )?;
         writeln!(
             f,
-            "  one-day demand synthesis: household reference {} µs | slab {} µs \
+            "  one-day demand synthesis: per-slot household fold {} µs | slab {} µs \
              ({:.1}× faster, target ≥ 5)",
             self.object_demand_us, self.slab_demand_us, self.speedup_vs_object
         )?;
@@ -3226,7 +3241,8 @@ mod tests {
     fn e20_city_scale_smoke_is_identical_and_reports() {
         // The CI smoke shape scaled far below the 10⁶-household
         // acceptance run: the experiment itself asserts the slab kernel
-        // and the household reference fold agree slot for slot.
+        // equals the per-kind household reference and stays within
+        // 1e-12 of the per-slot household fold, slot for slot.
         let r = city_scale(600, 2, 5, 7);
         assert!(r.all_converged);
         assert!(r.negotiations > 0, "winter shards must carry peaks");
@@ -3241,7 +3257,7 @@ mod tests {
         assert!(r.season_peak_heap_bytes_per_household.is_none());
         let text = r.to_string();
         assert!(text.contains("E20"));
-        assert!(text.contains("household reference"));
+        assert!(text.contains("per-slot household fold"));
         let json = r.to_json();
         assert!(json.contains("\"experiment\":\"E20\""));
         assert!(json.contains("\"speedup_vs_object\":"));

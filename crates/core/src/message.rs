@@ -3,11 +3,9 @@
 //! The vocabulary follows §3.2 of the paper: announcements flow from the
 //! Utility Agent to all Customer Agents, bids flow back, and awards
 //! confirm accepted bids. Peripheral traffic covers the Producer Agent
-//! (availability/cost) and the Resource Consumer Agents (saving
-//! potential).
+//! (availability/cost).
 
 use crate::reward::RewardTable;
-use powergrid::time::Interval;
 use powergrid::units::{Fraction, KilowattHours, Kilowatts, Money, PricePerKwh};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -90,18 +88,6 @@ pub enum Msg {
         /// Cost beyond normal capacity.
         expensive_cost: PricePerKwh,
     },
-
-    // ----- Resource Consumer Agent traffic (§5.2) -----
-    /// CA → RCA: how much can be saved during `interval`?
-    QuerySavings {
-        /// The cut-down interval.
-        interval: Interval,
-    },
-    /// RCA → CA: the device's saving potential.
-    Savings {
-        /// Energy that can be shed during the interval.
-        potential: KilowattHours,
-    },
 }
 
 impl Msg {
@@ -117,8 +103,6 @@ impl Msg {
             Msg::NeedBid { .. } => "need-bid",
             Msg::QueryAvailability => "query-availability",
             Msg::Availability { .. } => "availability",
-            Msg::QuerySavings { .. } => "query-savings",
-            Msg::Savings { .. } => "savings",
         }
     }
 
@@ -165,8 +149,6 @@ impl fmt::Display for Msg {
             } => {
                 write!(f, "availability {normal_capacity}")
             }
-            Msg::QuerySavings { interval } => write!(f, "query-savings {interval}"),
-            Msg::Savings { potential } => write!(f, "savings {potential}"),
         }
     }
 }
@@ -175,6 +157,7 @@ impl fmt::Display for Msg {
 mod tests {
     use super::*;
     use crate::reward::DEFAULT_LEVELS;
+    use powergrid::time::Interval;
 
     fn fr(v: f64) -> Fraction {
         Fraction::clamped(v)
@@ -214,12 +197,6 @@ mod tests {
                 normal_capacity: Kilowatts(100.0),
                 normal_cost: PricePerKwh(0.3),
                 expensive_cost: PricePerKwh(1.1),
-            },
-            Msg::QuerySavings {
-                interval: Interval::new(0, 4),
-            },
-            Msg::Savings {
-                potential: KilowattHours(2.0),
             },
         ];
         let tags: std::collections::HashSet<_> = msgs.iter().map(|m| m.tag()).collect();

@@ -4,10 +4,11 @@
 //! demand curve with an evening peak; where it exceeds normal production
 //! capacity, the expensive production band of Figure 1 is entered.
 
+use crate::device::DeviceKind;
 use crate::household::Household;
 use crate::production::ProductionModel;
 use crate::series::Series;
-use crate::slab::{aggregate_demand_slab_with, DemandScratch, SlabView};
+use crate::slab::{aggregate_demand_slab_with, kind_pos, DemandScratch, SlabView};
 use crate::time::{Interval, TimeAxis};
 use crate::units::KilowattHours;
 use crate::weather::WeatherModel;
@@ -15,11 +16,16 @@ use serde::{Deserialize, Serialize};
 
 /// Aggregates household demand for a day with the given weather.
 ///
-/// The returned series is in kWh per slot over all households: the
-/// plain fold of [`Household::demand_profile`], household by household.
-/// It is the reference the slab kernel
+/// The returned series is in kWh per slot over all households. Demand
+/// is linear in device power, so it is folded per device kind: each
+/// device's power (one jitter draw per device, in device-list order) is
+/// added into its kind's total in (household, device) order, and each
+/// slot is the sum over [`DeviceKind::all`] of `(kind total × duty) ×
+/// slot hours`. It is the reference the slab kernel
 /// ([`aggregate_demand_slab`](crate::slab::aggregate_demand_slab)) is
 /// pinned byte-identical to; pipelines synthesise through the kernel.
+/// Summing [`Household::demand_profile`] slot by slot is the physics
+/// oracle, which this fold matches within 1e-12 relative per slot.
 pub fn aggregate_demand(
     households: &[Household],
     weather: &Series,
@@ -27,11 +33,21 @@ pub fn aggregate_demand(
     seed: u64,
 ) -> DemandCurve {
     let mean_temp = weather.mean();
-    let mut total = Series::zeros(*axis);
+    let mut per_kind = [0.0f64; 8];
     for h in households {
-        total.accumulate(&h.demand_profile(axis, mean_temp, seed));
+        for (dev, intensity) in h.jittered_devices(seed) {
+            per_kind[usize::from(kind_pos(dev.kind()))] += dev.power(mean_temp, intensity);
+        }
     }
-    DemandCurve::new(total)
+    let slot_hours = axis.slot_hours();
+    DemandCurve::new(Series::from_fn(*axis, |t| {
+        DeviceKind::all()
+            .iter()
+            .zip(per_kind)
+            .fold(0.0, |acc, (kind, power)| {
+                acc + (power * kind.duty_cycle(t)) * slot_hours
+            })
+    }))
 }
 
 /// Convenience: demand for a weather model rather than a realised series.
@@ -329,7 +345,7 @@ mod tests {
         let b = simulate_horizon(slab.view(), &WeatherModel::winter(), &horizon, &axis);
         assert_eq!(a, b);
         // One scratch threaded through every day leaks nothing between
-        // them: each day is the household oracle's curve, scaled.
+        // them: each day is the household reference's curve, scaled.
         for (day, (curve, weather)) in horizon.days().zip(&a) {
             let oracle = aggregate_demand(&homes, weather, &axis, day.index);
             let scaled = oracle.series().scale(day.day_type.intensity_factor());

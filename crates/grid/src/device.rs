@@ -228,9 +228,16 @@ impl Device {
     /// temperature `mean_temp` °C; `intensity` scales overall usage
     /// (occupancy, habits).
     pub fn load_profile(&self, axis: &TimeAxis, mean_temp: f64, intensity: f64) -> Series {
-        let power = self.rated_power.value() * intensity * self.kind.temperature_factor(mean_temp);
+        let power = self.power(mean_temp, intensity);
         let slot_hours = axis.slot_hours();
         Series::from_fn(*axis, |t| power * self.kind.duty_cycle(t) * slot_hours)
+    }
+
+    /// The power (kW) the device's duty cycle scales on a day with mean
+    /// outdoor temperature `mean_temp` °C at usage `intensity`:
+    /// `rated × intensity × temperature factor`, left-associated.
+    pub(crate) fn power(&self, mean_temp: f64, intensity: f64) -> f64 {
+        self.rated_power.value() * intensity * self.kind.temperature_factor(mean_temp)
     }
 
     /// Energy this device could save over `interval` on a day with the

@@ -161,11 +161,12 @@ impl Household {
     /// temperature `mean_temp` °C. Seeded per-household jitter makes
     /// different households differ even with identical equipment.
     ///
-    /// This is the readable reference oracle: one allocated
+    /// This is the readable physics oracle: one allocated
     /// [`Device::load_profile`] per device, summed slot by slot in
-    /// device-list order. Pipelines synthesise demand through the
-    /// [`crate::slab`] kernels instead, which the proptests pin
-    /// byte-identical to this fold.
+    /// device-list order. Aggregate demand is synthesised per device
+    /// kind instead ([`aggregate_demand`](crate::demand::aggregate_demand)
+    /// and the [`crate::slab`] kernel); the proptests pin the sum of
+    /// these profiles to it within 1e-12 relative per slot.
     pub fn demand_profile(&self, axis: &TimeAxis, mean_temp: f64, seed: u64) -> Series {
         let mut total = Series::zeros(*axis);
         for (_, load) in self.device_loads(axis, mean_temp, seed) {
@@ -174,22 +175,27 @@ impl Household {
         total
     }
 
+    /// Each device with its usage intensity for the day: the
+    /// household's intensity times one jitter draw per device, in
+    /// device-list order.
+    pub(crate) fn jittered_devices(&self, seed: u64) -> impl Iterator<Item = (&Device, f64)> + '_ {
+        let mut rng = jitter_rng(seed, self.id.0);
+        self.devices.iter().map(move |dev| {
+            let jitter = rng.gen_range(0.85..1.15);
+            (dev, self.intensity * jitter)
+        })
+    }
+
     /// Each device with its load profile for the day, in device-list
-    /// order — one jitter draw per device, in that order.
+    /// order.
     fn device_loads<'s>(
         &'s self,
         axis: &'s TimeAxis,
         mean_temp: f64,
         seed: u64,
     ) -> impl Iterator<Item = (&'s Device, Series)> + 's {
-        let mut rng = jitter_rng(seed, self.id.0);
-        self.devices.iter().map(move |dev| {
-            let jitter = rng.gen_range(0.85..1.15);
-            (
-                dev,
-                dev.load_profile(axis, mean_temp, self.intensity * jitter),
-            )
-        })
+        self.jittered_devices(seed)
+            .map(move |(dev, intensity)| (dev, dev.load_profile(axis, mean_temp, intensity)))
     }
 
     /// Energy the household could shed over `interval` given its devices'

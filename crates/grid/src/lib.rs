@@ -38,12 +38,16 @@
 //!   fixtures, per-household inspection and serde;
 //!   [`slab::PopulationSlab::from_households`] converts it once,
 //!   interning households that are equal bit for bit but for their id
-//!   into one template. Its allocating folds —
-//!   [`household::Household::demand_profile`],
-//!   [`household::Household::interval_flexibility`] and
-//!   [`demand::aggregate_demand`] — are the readable reference the
-//!   proptests pin the kernels against, byte for byte (same jitter
-//!   streams, same accumulation order).
+//!   into one template. Its folds are the readable references the
+//!   proptests pin the kernels against. [`demand::aggregate_demand`]
+//!   folds demand per device kind, as the slab kernel does, and is
+//!   pinned byte for byte (same jitter streams, same per-kind powers
+//!   in the same order, same eight products per slot).
+//!   [`household::Household::interval_flexibility`] is pinned byte for
+//!   byte to the per-slot flexibility kernel. Summing
+//!   [`household::Household::demand_profile`] slot by slot is the
+//!   physics oracle: the per-kind demand stays within 1e-12 relative
+//!   of it per slot.
 //!
 //! [`PopulationBuilder::build`]: population::PopulationBuilder::build
 //! [`PopulationBuilder::build_slab`]: population::PopulationBuilder::build_slab

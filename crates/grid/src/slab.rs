@@ -8,23 +8,31 @@
 //! household only its id and the index of its *template*, and each
 //! distinct template (occupants, intensity, allowance and a run of
 //! device entries) once. Batched kernels reuse a [`DemandScratch`]
-//! (duty shapes computed once per resolution) and stream fused
-//! multiply-add passes over each household's template entries:
+//! (duty shapes computed once per resolution) and walk each
+//! household's template entries:
 //!
-//! * [`aggregate_demand_slab`] — one day of aggregate demand,
+//! * [`aggregate_demand_slab`] — one day of aggregate demand, folded per
+//!   device kind: demand is linear in device power, so the kernel sums
+//!   each kind's power over the population and builds every slot from
+//!   eight products (kind power × duty),
 //! * [`interval_flexibility_slab`] — per-household `(usage, potential)`
-//!   over a peak interval (the scenario-derivation hot path, swept over
-//!   the clipped interval only),
+//!   over a peak interval (the scenario-derivation hot path, swept slot
+//!   by slot over the clipped interval only),
 //! * [`saving_potential_slab`] — aggregate shed capacity over an
 //!   interval.
 //!
-//! Every kernel is **byte-identical** to folding the corresponding
-//! allocating [`Household`] reference over the same population: same
-//! per-household jitter stream (seeded by the household's own id),
-//! same left-associated multiplications, same accumulation order
-//! (per-device, then per-household, then grand). This is pinned by
-//! proptests in `tests/slab_properties.rs`, which is why campaigns read
-//! only slabs without re-blessing a single golden report.
+//! Every kernel is **byte-identical** to its allocating reference over
+//! the same population: same per-household jitter stream (seeded by
+//! the household's own id), same left-associated multiplications, same
+//! accumulation order. Demand is pinned to the per-kind fold
+//! [`aggregate_demand`](crate::demand::aggregate_demand) (powers per
+//! kind in household, entry order, then kinds per slot), and agrees
+//! with the per-slot physics — summing [`Household::demand_profile`] —
+//! within 1e-12 relative per slot. Interval flexibility is still per
+//! slot, pinned to [`Household::interval_flexibility`] (per device,
+//! then per household). The proptests in `tests/slab_properties.rs`
+//! pin both, which is why campaigns read only slabs without
+//! re-blessing a single golden report.
 //!
 //! Shards for fleet work come from [`PopulationSlab::shards`]: borrowed
 //! [`SlabView`]s over contiguous household ranges, no copying.
@@ -42,7 +50,7 @@ use std::ops::Range;
 
 /// The position of `kind` in [`DeviceKind::all`] — the slab's per-entry
 /// kind encoding.
-fn kind_pos(kind: DeviceKind) -> u8 {
+pub(crate) fn kind_pos(kind: DeviceKind) -> u8 {
     DeviceKind::all()
         .iter()
         .position(|k| *k == kind)
@@ -387,19 +395,19 @@ impl<'a> SlabView<'a> {
 /// A kernel sweep allocates nothing per household once a scratch lives
 /// outside the loop: each device kind's duty shape (the transcendental
 /// time-of-day math, a pure function of kind and resolution) is
-/// computed once and shared across households, days and peaks, and the
-/// per-household accumulators are reused. A campaign keeps one scratch
-/// for its horizon synthesis and one for its scenario derivation.
+/// computed once and shared across households, days and peaks. Demand
+/// synthesis reads only the shapes; interval flexibility also reuses a
+/// per-household slot accumulator. A campaign keeps one scratch for its
+/// horizon synthesis and one for its scenario derivation.
 ///
 /// The buffers follow the axis they are used with, so one scratch can
 /// serve axes of different resolutions; a change of resolution
 /// recomputes the shapes.
 #[derive(Debug, Clone, Default)]
 pub struct DemandScratch {
-    /// One household's demand over the swept slots (kWh per slot).
+    /// One household's demand over the swept slots (kWh per slot), for
+    /// [`interval_flexibility_slab`].
     total: Vec<f64>,
-    /// One household's per-entry powers (kW), in device-list order.
-    powers: Vec<f64>,
     /// One duty shape per [`DeviceKind::all`] entry at the resolution of
     /// `total`; empty until a kernel first needs them.
     shapes: Vec<Vec<f64>>,
@@ -410,7 +418,6 @@ impl DemandScratch {
     pub fn new(axis: &TimeAxis) -> DemandScratch {
         DemandScratch {
             total: vec![0.0; axis.slots_per_day()],
-            powers: Vec::new(),
             shapes: Vec::new(),
         }
     }
@@ -456,7 +463,8 @@ fn kind_tables(shapes: &mut Vec<Vec<f64>>, mean_temp: f64, n: usize) -> KindTabl
 
 /// One day of aggregate demand over a slab view — the batched form of
 /// [`aggregate_demand`](crate::demand::aggregate_demand), byte-identical
-/// to it on the same population.
+/// to it on the same population, and within 1e-12 relative per slot of
+/// summing [`Household::demand_profile`] over it.
 pub fn aggregate_demand_slab(
     view: SlabView<'_>,
     weather: &Series,
@@ -468,8 +476,15 @@ pub fn aggregate_demand_slab(
 }
 
 /// [`aggregate_demand_slab`] against a reusable [`DemandScratch`] (for
-/// its duty-shape cache and per-household accumulator) — the form day
-/// loops call so repeated days allocate only their output curve.
+/// its duty-shape cache) — the form day loops call so repeated days
+/// allocate only their output curve.
+///
+/// Demand is linear in device power, so the kernel folds per kind:
+/// each entry's power (one jitter draw per entry, in device-list order)
+/// is added into its kind's total in (household, entry) order, and each
+/// slot is then the sum over the eight kinds, in [`DeviceKind::all`]
+/// order, of `(kind total × duty) × slot hours`: one addition per
+/// device entry plus eight products per slot.
 pub fn aggregate_demand_slab_with(
     view: SlabView<'_>,
     weather: &Series,
@@ -477,70 +492,32 @@ pub fn aggregate_demand_slab_with(
     seed: u64,
     scratch: &mut DemandScratch,
 ) -> DemandCurve {
-    let mean_temp = weather.mean();
     let n = axis.slots_per_day();
     scratch.ensure(n);
-    let mut grand = Series::zeros(*axis);
-    let out = grand.values_mut();
-    let slot_hours = axis.slot_hours();
-    let DemandScratch { powers, shapes, .. } = scratch;
-    let tables = kind_tables(shapes, mean_temp, n);
+    let tables = kind_tables(&mut scratch.shapes, weather.mean(), n);
     let slab = view.slab;
-    // The register-blocked sweep: the household's slot totals live in a
-    // stack block while every device entry accumulates into it, instead
-    // of round-tripping a heap buffer through store-to-load forwarding
-    // once per entry per slot. Each block slot sees the same additions
-    // in the same (device-list) order as `Household::demand_profile`, so the totals
-    // are bit-for-bit identical; only then does the block fold into the
-    // grand curve, household by household, exactly like
-    // `aggregate_demand` (f64 addition is not associative, so the
-    // two-level order is load-bearing).
-    const BLOCK: usize = 32;
+    let mut per_kind = [0.0f64; 8];
     for h in view.start..view.end {
         let mut rng = jitter_rng(seed, slab.ids[h]);
         let template = slab.template_of(h);
         let intensity = template.intensity;
-        let entries = template.entries();
-        let k = entries.len();
-        if powers.len() < k {
-            powers.resize(k, 0.0);
-        }
-        // One jitter draw per entry in device-list order — the stream
-        // never interleaves with the slot math, so hoisting the power
-        // computation out of the sweep changes no value.
-        for (j, e) in entries.clone().enumerate() {
+        for e in template.entries() {
             let jitter = rng.gen_range(0.85..1.15);
-            // Left-associated exactly as `Device::load_profile`: rated
+            let kind = slab.kind_index[e] as usize;
+            // Left-associated exactly as `Device::power`: rated
             // * (household intensity * jitter), then * temp factor.
-            powers[j] = slab.rated_power[e]
-                * (intensity * jitter)
-                * tables.temp_factor[slab.kind_index[e] as usize];
+            per_kind[kind] += slab.rated_power[e] * (intensity * jitter) * tables.temp_factor[kind];
         }
-        let powers = &powers[..k];
-        let kinds = &slab.kind_index[entries];
-        let mut s = 0;
-        while s + BLOCK <= n {
-            let mut acc = [0.0f64; BLOCK];
-            for (&power, &kind) in powers.iter().zip(kinds) {
-                let shape = &tables.shapes[kind as usize][s..s + BLOCK];
-                for (slot, &duty) in acc.iter_mut().zip(shape) {
-                    *slot += (power * duty) * slot_hours;
-                }
-            }
-            for (g, &t) in out[s..s + BLOCK].iter_mut().zip(acc.iter()) {
-                *g += t;
-            }
-            s += BLOCK;
-        }
-        // Scalar tail for axes whose day length is not a block multiple.
-        while s < n {
-            let mut acc = 0.0;
-            for (&power, &kind) in powers.iter().zip(kinds) {
-                acc += (power * tables.shapes[kind as usize][s]) * slot_hours;
-            }
-            out[s] += acc;
-            s += 1;
-        }
+    }
+    let slot_hours = axis.slot_hours();
+    let mut grand = Series::zeros(*axis);
+    for (s, slot) in grand.values_mut().iter_mut().enumerate() {
+        *slot = per_kind
+            .iter()
+            .zip(tables.shapes)
+            .fold(0.0, |acc, (&power, shape)| {
+                acc + (power * shape[s]) * slot_hours
+            });
     }
     DemandCurve::new(grand)
 }

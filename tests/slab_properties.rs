@@ -1,11 +1,14 @@
 //! Property tests pinning the template-encoded population's central
 //! claim: for any population, axis, weather and seed, the batched slab
-//! kernels produce **byte-identical** results to the allocating
-//! `Household` reference folds — demand synthesis, interval flexibility
-//! and saving potential — every slab accessor returns the household's
-//! own field bits, and a whole negotiated season is the same whether a
-//! cell borrows a slab shard or converts its own households, at any
-//! thread count.
+//! kernels produce **byte-identical** results to their allocating
+//! `Household` references — the per-kind `aggregate_demand` fold for
+//! demand synthesis, the per-slot folds for interval flexibility and
+//! saving potential — and the per-kind demand stays within 1e-12
+//! relative per slot of the per-slot physics (the sum of
+//! `Household::demand_profile`). Every slab accessor returns the
+//! household's own field bits, and a whole negotiated season is the
+//! same whether a cell borrows a slab shard or converts its own
+//! households, at any thread count.
 
 use loadbal::core::campaign::{CampaignBuilder, CampaignRunner, ClosedLoop, FixedPredictor};
 use loadbal::core::fleet::FleetRunner;
@@ -15,6 +18,7 @@ use powergrid::device::{Device, DeviceKind};
 use powergrid::household::{Household, HouseholdId};
 use powergrid::population::PopulationBuilder;
 use powergrid::prediction::MovingAverage;
+use powergrid::series::Series;
 use powergrid::slab::{
     aggregate_demand_slab, interval_flexibility_slab, saving_potential_slab, DemandScratch,
     PopulationSlab,
@@ -150,9 +154,10 @@ fn arb_interval(max_slots: usize) -> impl Strategy<Value = Interval> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// One day of aggregate demand: the register-blocked slab kernel
-    /// returns bit-for-bit the curve the `Household::demand_profile`
-    /// oracle fold sums.
+    /// One day of aggregate demand: the slab kernel returns bit for
+    /// bit the curve the per-kind `aggregate_demand` reference folds
+    /// over the household objects (same jitter streams, same per-kind
+    /// powers in the same order, same eight products per slot).
     #[test]
     fn slab_demand_is_byte_identical_to_object_demand(
         homes in arb_households(),
@@ -164,6 +169,34 @@ proptest! {
         let weather = WeatherModel::winter().temperatures(&axis, mean_seed);
         let oracle = aggregate_demand(&homes, &weather, &axis, seed);
         prop_assert_eq!(oracle, aggregate_demand_slab(slab.view(), &weather, &axis, seed));
+    }
+
+    /// The per-kind fold against the physics it factorises: every slot
+    /// of the slab curve is within 1e-12 relative of summing each
+    /// household's `Household::demand_profile` slot by slot (one load
+    /// per device per slot). Every load is ≥ 0, so nothing cancels and
+    /// a zero slot must match exactly.
+    #[test]
+    fn slab_demand_is_within_1e_12_of_the_per_slot_physics(
+        homes in arb_households(),
+        axis in arb_axis(),
+        mean_seed in 0u64..1000,
+        seed in 0u64..1000,
+    ) {
+        let slab = PopulationSlab::from_households(&homes);
+        let weather = WeatherModel::winter().temperatures(&axis, mean_seed);
+        let mut physics = Series::zeros(axis);
+        for h in &homes {
+            physics.accumulate(&h.demand_profile(&axis, weather.mean(), seed));
+        }
+        let curve = aggregate_demand_slab(slab.view(), &weather, &axis, seed);
+        prop_assert_eq!(curve.len(), physics.len());
+        for (slot, (&a, &b)) in curve.series().values().iter().zip(physics.values()).enumerate() {
+            prop_assert!(
+                (a - b).abs() <= 1e-12 * b.abs(),
+                "slot {}: per-kind {} vs per-slot {}", slot, a, b
+            );
+        }
     }
 
     /// Interval flexibility and saving potential: per household, the
