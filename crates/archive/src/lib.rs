@@ -96,7 +96,7 @@
 //! .predictor(FixedPredictor(MovingAverage::new(2)))
 //! .report_tier(ReportTier::Settlement)
 //! .build()
-//! .run_sequential();
+//! .run();
 //!
 //! let dir = std::env::temp_dir().join("loadbal-archive-doc");
 //! std::fs::create_dir_all(&dir).unwrap();

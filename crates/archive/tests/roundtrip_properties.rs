@@ -508,7 +508,7 @@ fn fixture() -> CampaignReport {
     .warmup_days(2)
     .predictor(FixedPredictor(MovingAverage::new(2)))
     .build();
-    campaign.run_sequential()
+    campaign.run()
 }
 
 #[test]

@@ -150,8 +150,9 @@ fn run(id: &str, json: bool) -> bool {
         "adaptive_loops" => {
             // The acceptance shape: the same seeded winter season run
             // static and with all three self-tuning loops on, adaptive
-            // economics asserted no worse and byte-identity asserted
-            // across threads and sync/distributed-clean modes.
+            // economics asserted no worse and byte-identity asserted on
+            // a replay, across threads over two cells and across
+            // sync/distributed-clean modes.
             let r = experiments::adaptive_loops(220, 16, 42);
             println!("{r}");
             if json {
@@ -183,7 +184,7 @@ fn run(id: &str, json: bool) -> bool {
             // (12 B), so a return of per-household field or device
             // copies breaks the footprint bound. Negotiation state is
             // fixed-size values per customer, so the one-thread season's
-            // own heap high-water reads the same 168 B per household on
+            // own heap high-water reads the same 159 B per household on
             // every run; per-customer heap objects (tables, queues,
             // histories) read ≈ 440, and any growth of more than ~32 B
             // per household breaks the season bound.

@@ -1046,11 +1046,11 @@ pub struct CampaignGridResult {
 
 /// E13: the full physical pipeline — population → weather → demand →
 /// prediction → peak detection → one negotiation per peak — swept over
-/// a season × population-size grid. Every cell's peak negotiations fan
-/// across cores on the fleet scheduler (inside
+/// a season × population-size grid. Each cell runs through the fleet
+/// scheduler (inside
 /// [`CampaignRunner::run`](loadbal_core::campaign::CampaignRunner::run),
-/// a one-cell fleet), and the determinism guarantee (parallel
-/// byte-identical to sequential) keeps each cell replayable.
+/// a one-cell fleet), and the determinism guarantee (any thread count
+/// byte-identical to each cell run alone) keeps each cell replayable.
 pub fn campaign_grid(sizes: &[usize], seasons: &[Season], seed: u64) -> CampaignGridResult {
     let horizon_days = 10;
     let rows = seasons
@@ -2290,8 +2290,8 @@ pub struct AdaptiveLoopsResult {
     /// Adaptive removed at least as much overuse for at most the
     /// static season's reward outlay (asserted).
     pub economics_no_worse: bool,
-    /// The adaptive season was byte-identical across thread counts and
-    /// to its sequential reference (asserted).
+    /// The adaptive season was byte-identical in every cell of a
+    /// two-cell fleet at 2 and 4 threads, and on a replay (asserted).
     pub identical_across_threads: bool,
     /// The adaptive distributed-clean season was byte-identical to the
     /// sync season (asserted).
@@ -2324,9 +2324,9 @@ pub struct AdaptiveLoopsResult {
 /// drifts the season away from the warmup backtest's pick.
 ///
 /// It also **asserts** the project's core invariant survives the new
-/// subsystem: the adaptive season is byte-identical across worker
-/// thread counts, to its sequential reference, and between sync and
-/// distributed-clean execution.
+/// subsystem: the adaptive season is byte-identical on a replay, in
+/// every cell of a two-cell fleet at 2 and 4 worker threads, to a
+/// hand-stepped run, and between sync and distributed-clean execution.
 pub fn adaptive_loops(households: usize, days: u64, seed: u64) -> AdaptiveLoopsResult {
     use loadbal_core::adaptive::{AdaptiveTuning, RenegotiateResidual, RollingWindow};
     use loadbal_core::campaign::BacktestSelected;
@@ -2366,20 +2366,25 @@ pub fn adaptive_loops(households: usize, days: u64, seed: u64) -> AdaptiveLoopsR
     let adaptive_report = adaptive_build().run();
     let adaptive_wall_us = t0.elapsed().as_micros();
 
-    // Byte-identity across thread counts (a campaign at a chosen thread
-    // count is a one-cell fleet), against the sequential reference, and
-    // between sync and distributed-clean execution.
-    let reference = adaptive_build().run_sequential();
+    // Byte-identity on a replay, across thread counts — a lone campaign
+    // is one queue entry whatever the thread count, so the same season
+    // runs as two cells that the workers interleave — and between sync
+    // and distributed-clean execution.
+    let reference = adaptive_build().run();
     let identical_across_threads = [2usize, 4].iter().all(|&n| {
         let fleet = FleetRunner::new()
-            .cell("adaptive", adaptive_build())
+            .cell("first", adaptive_build())
+            .cell("second", adaptive_build())
             .threads(std::num::NonZeroUsize::new(n).expect("thread counts are positive"));
-        fleet.run().cells[0].report == reference
+        fleet
+            .run()
+            .cells
+            .iter()
+            .all(|cell| cell.report == reference)
     }) && adaptive_report == reference;
-    let sync_season = adaptive_build().run();
     let (clean_season, _) =
         adaptive_build_in(ExecutionMode::distributed_clean().with_seed(seed)).run_instrumented();
-    let clean_identical_to_sync = clean_season == sync_season;
+    let clean_identical_to_sync = clean_season == reference;
 
     // Step the adaptive season once more, sequentially, to read the
     // tuned state the campaign ended on (identical to the runs above —
@@ -2653,10 +2658,10 @@ pub struct CityScaleResult {
 ///   high-water mark above the pre-season live bytes when the counting
 ///   allocator is installed. Both come from a second, untimed run of
 ///   a freshly built copy of the same sharded fleet at one thread,
-///   which runs each cell's sequential reference loop, synthesis
+///   whose one worker drains the fleet's queue of cell-days, synthesis
 ///   included: at two or more threads the high-water depends on how
-///   the workers' cells overlap (the 50k-household smoke read 160 or
-///   280 B/household on identical input). The household objects built
+///   the workers' cells overlap (the 50k-household smoke once read 160
+///   or 280 B/household on identical input). The household objects built
 ///   for the reference folds are dropped before the seasons and the
 ///   high-water mark is reset before the measured run, so the figure is
 ///   that season's alone.
@@ -3204,10 +3209,11 @@ mod tests {
 
     #[test]
     fn e19_adaptive_loops_close_and_stay_deterministic() {
-        // The CI smoke shape: a small single-cell winter season —
-        // `adaptive_loops` itself asserts the economics and the
-        // byte-identity invariants, so reaching the checks below means
-        // all three loops closed without breaking determinism.
+        // The CI smoke shape: a small winter season, run as a lone
+        // campaign and as two fleet cells — `adaptive_loops` itself
+        // asserts the economics and the byte-identity invariants, so
+        // reaching the checks below means all three loops closed
+        // without breaking determinism.
         let r = adaptive_loops(100, 16, 11);
         assert!(r.economics_no_worse);
         assert!(r.identical_across_threads);

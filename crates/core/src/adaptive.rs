@@ -38,7 +38,7 @@
 //! [`complete_day`](crate::campaign::CampaignProgress::complete_day)
 //! and the next
 //! [`next_day`](crate::campaign::CampaignProgress::next_day) — never
-//! inside the parallel peak fan-out. Adaptive campaigns therefore keep
+//! inside a day's negotiations. Adaptive campaigns therefore keep
 //! the project's core invariant: byte-identical reports for any worker
 //! thread count and for sync vs distributed-clean execution (pinned by
 //! proptests in `tests/sweep_properties.rs`).
@@ -58,8 +58,8 @@
 //!     .tuning(AdaptiveTuning)
 //!     .stop_rule(MarginalCostStop)
 //!     .build();
-//! let report = runner.run(); // parallel; byte-identical to run_sequential()
-//! assert_eq!(report, runner.run_sequential());
+//! let report = runner.run();
+//! assert_eq!(report, runner.run()); // a pure replay
 //! ```
 
 use crate::campaign::{ClosedLoop, FeedbackPolicy, IntervalOutcome, PredictorPolicy};
@@ -420,7 +420,7 @@ mod tests {
                 .build()
         };
         let a = build().run();
-        let b = build().run_sequential();
+        let b = build().run();
         assert_eq!(a, b);
     }
 }

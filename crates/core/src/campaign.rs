@@ -25,13 +25,14 @@
 //!
 //! The [`CampaignRunner`] produced by [`CampaignBuilder::build`]
 //! executes days **sequentially** (closed-loop feedback makes day *d*
-//! depend on day *d − 1*) but negotiates each day's peaks in parallel:
+//! depend on day *d − 1*), so only campaigns run in parallel:
 //! [`CampaignRunner::run`] is a one-cell
-//! [`FleetRunner`](crate::fleet::FleetRunner) at machine parallelism,
-//! byte-identical to [`CampaignRunner::run_sequential`], so campaigns
-//! stay replayable. To cap the thread count, or to run *many* campaigns
-//! on one set of workers, make them cells of a `FleetRunner`, which
-//! steps each through [`CampaignRunner::progress`].
+//! [`FleetRunner`](crate::fleet::FleetRunner) — one queue entry, which
+//! one worker runs day by day — and re-running it replays the same
+//! bytes. To run *many* campaigns on one set of workers, make them
+//! cells of a `FleetRunner`, whose queue steps each one day at a time
+//! through [`CampaignRunner::progress`] and is byte-identical to
+//! running the cells one after another.
 //! Everything else about how a campaign runs — its report tier and
 //! execution mode included — is set once, on its builder.
 //!
@@ -48,9 +49,9 @@
 //!     .predictor(FixedPredictor(MovingAverage::new(3)))
 //!     .feedback(ClosedLoop)
 //!     .build();
-//! let report = runner.run(); // parallel; byte-identical to run_sequential()
+//! let report = runner.run();
 //! assert_eq!(report.negotiations(), report.outcomes.len());
-//! assert_eq!(report, runner.run_sequential());
+//! assert_eq!(report, runner.run()); // a pure replay
 //! ```
 
 use crate::adaptive::{RenegotiationRule, StaticTuning, TuningPolicy};
@@ -75,9 +76,11 @@ use powergrid::time::TimeAxis;
 use powergrid::units::{KilowattHours, Kilowatts, Money, PricePerKwh};
 use powergrid::weather::WeatherModel;
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::fmt;
+use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------
 // Policies
@@ -105,8 +108,8 @@ pub trait PredictorPolicy: fmt::Debug + Send + Sync {
     /// keeps the current predictor; the default policy never re-selects
     /// — [`crate::adaptive::RollingWindow`] closes this loop.
     ///
-    /// Called in the sequential day boundary, never inside the parallel
-    /// peak fan-out, so re-selection cannot perturb byte-identity across
+    /// Called in the sequential day boundary, never inside a day's
+    /// negotiations, so re-selection cannot perturb byte-identity across
     /// thread counts or execution modes.
     fn reselect<'s>(
         &'s self,
@@ -282,6 +285,14 @@ impl StopPolicy for MarginalCostStop {
 // Builder
 // ---------------------------------------------------------------------
 
+/// Normal production capacity as a fraction of the highest per-slot
+/// demand observed during warmup — below 1.0, so days like the warmup
+/// days peak above the capacity line.
+const CAPACITY_FACTOR: f64 = 0.90;
+
+/// Minimum overuse fraction that makes a peak worth negotiating.
+const PEAK_THRESHOLD: f64 = 0.02;
+
 /// A campaign's households: a range of a borrowed slab (a zero-copy
 /// fleet shard) or of one converted once from [`Household`]s.
 #[derive(Debug)]
@@ -304,10 +315,7 @@ pub struct CampaignBuilder<'a> {
     population: Population<'a>,
     weather_model: WeatherModel,
     horizon: Horizon,
-    axis: TimeAxis,
     warmup_days: usize,
-    capacity_factor: f64,
-    peak_threshold: f64,
     ua_config: UtilityAgentConfig,
     report_tier: ReportTier,
     execution: ExecutionMode,
@@ -320,9 +328,8 @@ pub struct CampaignBuilder<'a> {
 }
 
 impl<'a> CampaignBuilder<'a> {
-    /// A builder with the campaign defaults: quarter-hour slots, three
-    /// warmup days, capacity at 90 % of the warmup peak, 2 % overuse
-    /// threshold, the grid-recalibrated paper UA configuration (the
+    /// A builder with the campaign defaults: three warmup days, the
+    /// grid-recalibrated paper UA configuration (the
     /// campaign UA negotiates until the peak is back *under the capacity
     /// line* — `max_allowed_overuse` 0, since grid peaks are a few
     /// percent of capacity, far below the Figure-6 scenario's 15 %
@@ -332,7 +339,9 @@ impl<'a> CampaignBuilder<'a> {
     /// calibrated weather-regression predictor, open-loop
     /// feedback and unconditional negotiation. Every peak negotiates
     /// with reward tables, the method [`MarginalCostStop`] and
-    /// [`OwnProcessControl::tune`] act on.
+    /// [`OwnProcessControl::tune`] act on. Every campaign simulates
+    /// quarter-hour slots, sizes normal capacity at 90 % of the warmup
+    /// peak and negotiates peaks whose overuse is at least 2 %.
     ///
     /// The households are converted once into an owned
     /// [`PopulationSlab`] (through [`PopulationSlab::from_households`]),
@@ -381,10 +390,7 @@ impl<'a> CampaignBuilder<'a> {
             population,
             weather_model: weather_model.clone(),
             horizon: *horizon,
-            axis: TimeAxis::quarter_hourly(),
             warmup_days: 3,
-            capacity_factor: 0.90,
-            peak_threshold: 0.02,
             ua_config: UtilityAgentConfig::paper()
                 .with_max_allowed_overuse(0.0)
                 .with_beta_policy(BetaPolicy::constant(14.0)),
@@ -399,36 +405,11 @@ impl<'a> CampaignBuilder<'a> {
         }
     }
 
-    /// Slot resolution of the simulated days.
-    pub fn axis(mut self, axis: TimeAxis) -> Self {
-        self.axis = axis;
-        self
-    }
-
     /// Days of history accumulated before the first prediction; must be
     /// at least one (and enough for the predictor policy) and smaller
     /// than the horizon.
     pub fn warmup_days(mut self, days: usize) -> Self {
         self.warmup_days = days;
-        self
-    }
-
-    /// Normal production capacity as a fraction of the highest per-slot
-    /// demand observed during warmup — below 1.0 guarantees that days
-    /// like the warmup days peak above the capacity line.
-    ///
-    /// # Panics
-    ///
-    /// [`CampaignBuilder::build`] panics if `factor` is negative or not
-    /// finite.
-    pub fn capacity_factor(mut self, factor: f64) -> Self {
-        self.capacity_factor = factor;
-        self
-    }
-
-    /// Minimum overuse fraction that makes a peak worth negotiating.
-    pub fn peak_threshold(mut self, threshold: f64) -> Self {
-        self.peak_threshold = threshold;
         self
     }
 
@@ -524,9 +505,9 @@ impl<'a> CampaignBuilder<'a> {
     ///
     /// Panics if `households` is empty, `warmup_days` is zero or below
     /// the predictor policy's minimum, the horizon is not longer than
-    /// the warmup, the capacity factor is negative or not finite, or the
-    /// expensive production cost is below the normal cost. Every
-    /// configuration panic fires here, never in the deferred synthesis.
+    /// the warmup, or the expensive production cost is below the normal
+    /// cost. Every configuration panic fires here, never in the deferred
+    /// synthesis.
     pub fn build(self) -> CampaignRunner<'a> {
         assert!(
             !self.population.view().is_empty(),
@@ -546,13 +527,7 @@ impl<'a> CampaignBuilder<'a> {
             self.predictor.min_warmup_days(),
             self.warmup_days
         );
-        // The deferred `ProductionModel::with_costs` must not panic:
-        // capacity comes out finite and non-negative, costs ordered.
-        assert!(
-            self.capacity_factor.is_finite() && self.capacity_factor >= 0.0,
-            "capacity factor must be finite and non-negative, got {}",
-            self.capacity_factor
-        );
+        // The deferred `ProductionModel::with_costs` must not panic.
         assert!(
             self.expensive_cost >= self.normal_cost,
             "expensive production should not be cheaper than normal production"
@@ -562,10 +537,8 @@ impl<'a> CampaignBuilder<'a> {
             population: self.population,
             weather_model: self.weather_model,
             horizon: self.horizon,
-            axis: self.axis,
+            axis: TimeAxis::quarter_hourly(),
             warmup_days: self.warmup_days,
-            capacity_factor: self.capacity_factor,
-            peak_threshold: self.peak_threshold,
             base_ua_config: self.ua_config,
             report_tier: self.report_tier,
             execution: self.execution,
@@ -588,11 +561,10 @@ impl<'a> CampaignBuilder<'a> {
 /// predict → detect → negotiate → feed-back cycle.
 ///
 /// Days run sequentially (closed-loop feedback makes them dependent).
-/// [`CampaignRunner::run`] negotiates each day's peaks in parallel as a
-/// one-cell [`FleetRunner`](crate::fleet::FleetRunner);
-/// [`CampaignRunner::run_sequential`] is the reference loop on the
-/// calling thread. Both are pure: re-running produces byte-identical
-/// [`CampaignReport`]s, and the two always agree.
+/// [`CampaignRunner::run`] runs the campaign as a one-cell
+/// [`FleetRunner`](crate::fleet::FleetRunner), and as a cell of a
+/// larger fleet it reports the same bytes. Runs are pure: re-running
+/// produces byte-identical [`CampaignReport`]s.
 ///
 /// The runner is cheap to build: the horizon's simulated demand and
 /// weather, the producer sized from the warmup days and the UA
@@ -608,10 +580,9 @@ pub struct CampaignRunner<'a> {
     population: Population<'a>,
     weather_model: WeatherModel,
     horizon: Horizon,
+    /// Slot resolution of the simulated days: quarter-hourly.
     axis: TimeAxis,
     warmup_days: usize,
-    capacity_factor: f64,
-    peak_threshold: f64,
     /// The builder's UA configuration, before the stop policy installs
     /// its rule (see [`Prepared::ua_config`]).
     base_ua_config: UtilityAgentConfig,
@@ -681,7 +652,7 @@ impl CampaignRunner<'_> {
                 .iter()
                 .map(|s| s.max())
                 .fold(0.0f64, f64::max);
-            let normal = Kilowatts(warmup_peak_kwh / self.axis.slot_hours() * self.capacity_factor);
+            let normal = Kilowatts(warmup_peak_kwh / self.axis.slot_hours() * CAPACITY_FACTOR);
             let producer = ProducerAgent::new(ProductionModel::with_costs(
                 normal,
                 Kilowatts(normal.value() * 2.0),
@@ -706,32 +677,15 @@ impl CampaignRunner<'_> {
         self.report_tier
     }
 
-    /// The execution mode each peak negotiates under.
-    pub fn execution_mode(&self) -> &ExecutionMode {
-        &self.execution
-    }
-
-    /// Days the campaign will evaluate after warmup.
-    pub fn days_to_evaluate(&self) -> usize {
-        self.horizon.len() as usize - self.warmup_days
-    }
-
     /// Runs the campaign as a one-cell
-    /// [`FleetRunner`](crate::fleet::FleetRunner) at machine
-    /// parallelism, so each day's peaks negotiate in parallel;
-    /// byte-identical to [`CampaignRunner::run_sequential`]. A one-cell
-    /// fleet with
-    /// [`FleetRunner::threads`](crate::fleet::FleetRunner::threads)
-    /// runs it at a chosen thread count. A panicking policy or
-    /// negotiation resurfaces its original payload here.
+    /// [`FleetRunner`](crate::fleet::FleetRunner): one queue entry, which
+    /// one worker — the calling thread — runs day by day, each day's
+    /// peaks one after another through one reused
+    /// [`NegotiationScratch`]. Re-running replays the same bytes. A
+    /// panicking policy or negotiation resurfaces its original payload
+    /// here.
     pub fn run(&self) -> CampaignReport {
         self.run_instrumented().0
-    }
-
-    /// Runs the campaign entirely on the calling thread (the reference
-    /// order for determinism checks).
-    pub fn run_sequential(&self) -> CampaignReport {
-        self.run_sequential_instrumented().0
     }
 
     /// [`CampaignRunner::run`] plus the season's accumulated
@@ -741,41 +695,23 @@ impl CampaignRunner<'_> {
     /// deterministic for a given mode (order-independent sums over
     /// per-peak seeded simulations).
     pub fn run_instrumented(&self) -> (CampaignReport, NetworkTraffic) {
-        crate::fleet::schedule(crate::sweep::machine_threads(), &[self])
+        crate::fleet::schedule(NonZeroUsize::MIN, &[self])
             .pop()
             .expect("one campaign, one result")
     }
 
-    /// [`CampaignRunner::run_instrumented`] in the sequential reference
-    /// order — identical report *and* identical traffic. This stepping
-    /// loop and the fleet scheduler are the only campaign drivers.
-    pub fn run_sequential_instrumented(&self) -> (CampaignReport, NetworkTraffic) {
-        let mut progress = self.progress();
-        // The reference order reuses one scratch for the whole season —
-        // byte-identical to fresh engines per peak.
-        let mut scratch = NegotiationScratch::new();
-        while let Some(plan) = progress.next_day() {
-            let reports = (0..plan.scenarios.len())
-                .map(|i| plan.negotiate(i, &mut scratch))
-                .collect();
-            progress.complete_day(plan, reports);
-        }
-        let traffic = progress.traffic();
-        (progress.finish(), traffic)
-    }
-
     /// Begins stepping the campaign day by day — the resumable form of
     /// [`CampaignRunner::run`] that the
-    /// [`FleetRunner`](crate::fleet::FleetRunner) scheduler interleaves
-    /// with other campaigns on one set of workers: call
+    /// [`FleetRunner`](crate::fleet::FleetRunner) queue interleaves with
+    /// other campaigns, a day at a time, on one set of workers: call
     /// [`CampaignProgress::next_day`] for the day's negotiable work,
     /// negotiate the scenarios however you like, hand the reports back
     /// through [`CampaignProgress::complete_day`], and
     /// [`CampaignProgress::finish`] once `next_day` returns `None`.
     ///
     /// Stepping is pure bookkeeping: any driver that negotiates each
-    /// scenario with [`Scenario::run`] produces a report byte-identical
-    /// to [`CampaignRunner::run_sequential`].
+    /// scenario with [`DayPlan::negotiate`] produces a report
+    /// byte-identical to [`CampaignRunner::run`].
     ///
     /// The first call (of this or a preparing accessor) also runs the
     /// campaign's deferred preparation — the whole horizon's demand
@@ -789,7 +725,7 @@ impl CampaignRunner<'_> {
             predictor: self
                 .predictor
                 .choose(&prepared.actuals[..warmup], &prepared.weathers[..warmup]),
-            detector: PeakDetector::new(self.peak_threshold),
+            detector: PeakDetector::new(PEAK_THRESHOLD),
             history: prepared.actuals[..warmup].to_vec(),
             scratch: DemandScratch::new(&self.axis),
             next_index: warmup as u64,
@@ -824,10 +760,10 @@ pub struct DayPlan {
     /// the primary plan, which keeps pre-adaptive seeds unchanged).
     seed_base: u64,
     /// Wire activity of this day's distributed negotiations, folded in
-    /// through [`DayPlan::negotiate`] by however many workers share the
-    /// plan (order-independent sums — deterministic under any
-    /// scheduling).
-    traffic: Mutex<NetworkTraffic>,
+    /// by [`DayPlan::negotiate`]. A plan stays on the thread that
+    /// negotiates it, so a [`Cell`] suffices, and `negotiate` keeps
+    /// taking `&self`.
+    traffic: Cell<NetworkTraffic>,
 }
 
 impl DayPlan {
@@ -858,11 +794,6 @@ impl DayPlan {
         self.scenarios.is_empty()
     }
 
-    /// The execution mode this day's negotiations run under.
-    pub fn execution_mode(&self) -> &ExecutionMode {
-        &self.mode
-    }
-
     /// Negotiates scenario `index` of this plan through `scratch`,
     /// honouring the campaign's [`ExecutionMode`]: the in-process sync
     /// pump, or one seeded [`massim`] simulation over the mode's network
@@ -872,9 +803,8 @@ impl DayPlan {
     /// [`NetworkTraffic`] when the plan is handed back through
     /// [`CampaignProgress::complete_day`].
     ///
-    /// Both campaign drivers — the sequential reference loop and the
-    /// fleet scheduler behind [`CampaignRunner::run`] and
-    /// [`FleetRunner::run`](crate::fleet::FleetRunner::run) — negotiate
+    /// The fleet queue behind [`CampaignRunner::run`] and
+    /// [`FleetRunner::run`](crate::fleet::FleetRunner::run) negotiates
     /// through this method, as should any external stepper, so the mode
     /// is honoured everywhere.
     ///
@@ -898,10 +828,9 @@ impl DayPlan {
                     peak_seed(*seed, self.day.index, self.seed_base + index as u64),
                     *deadline,
                 );
-                self.traffic
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .record(&outcome);
+                let mut traffic = self.traffic.get();
+                traffic.record(&outcome);
+                self.traffic.set(traffic);
                 outcome.report
             }
         }
@@ -910,8 +839,8 @@ impl DayPlan {
 
 /// A campaign in flight: the predict → detect → materialise → feed-back
 /// bookkeeping of [`CampaignRunner::run`], exposed one day at a time so
-/// external schedulers (the fleet) can interleave the *negotiations* of
-/// many campaigns while each campaign's days stay strictly sequential.
+/// the fleet's queue can interleave the days of many campaigns while
+/// each campaign's days stay strictly sequential.
 ///
 /// One [`DemandScratch`] lives inside the progress and is reused across
 /// every household of every peak of every day — the campaign's scenario
@@ -1026,7 +955,7 @@ impl CampaignProgress<'_> {
             tier: self.runner.report_tier,
             mode: self.runner.execution.clone(),
             seed_base: 0,
-            traffic: Mutex::new(NetworkTraffic::ZERO),
+            traffic: Cell::new(NetworkTraffic::ZERO),
         })
     }
 
@@ -1086,7 +1015,7 @@ impl CampaignProgress<'_> {
             tier: self.runner.report_tier,
             mode: self.runner.execution.clone(),
             seed_base,
-            traffic: Mutex::new(NetworkTraffic::ZERO),
+            traffic: Cell::new(NetworkTraffic::ZERO),
         })
     }
 
@@ -1128,7 +1057,7 @@ impl CampaignProgress<'_> {
             traffic,
             ..
         } = plan;
-        self.traffic += traffic.into_inner().unwrap_or_else(PoisonError::into_inner);
+        self.traffic += traffic.into_inner();
         let day_outcomes: Vec<IntervalOutcome> = scenarios
             .into_iter()
             .zip(reports)
@@ -1569,10 +1498,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_is_byte_identical_to_sequential() {
+    fn run_replays_and_equals_every_fleet_cell() {
         let pop = slab(40, 11);
         let runner = small_runner(&pop);
-        assert_eq!(runner.run(), runner.run_sequential());
+        let report = runner.run();
+        assert_eq!(report, runner.run());
+        let fleet = crate::fleet::FleetRunner::new()
+            .cell("first", small_runner(&pop))
+            .cell("second", small_runner(&pop))
+            .threads(NonZeroUsize::new(2).expect("2 > 0"));
+        for cell in fleet.run().cells {
+            assert_eq!(cell.report, report);
+        }
     }
 
     #[test]
@@ -1718,16 +1655,6 @@ mod tests {
         let horizon = Horizon::new(6, 0, Season::Winter);
         let _ = CampaignBuilder::new_ref(pop.view(), &WeatherModel::winter(), &horizon)
             .production_costs(PricePerKwh(0.30), PricePerKwh(0.10))
-            .build();
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity factor")]
-    fn negative_capacity_factor_panics_at_build() {
-        let pop = slab(5, 1);
-        let horizon = Horizon::new(6, 0, Season::Winter);
-        let _ = CampaignBuilder::new_ref(pop.view(), &WeatherModel::winter(), &horizon)
-            .capacity_factor(-0.5)
             .build();
     }
 

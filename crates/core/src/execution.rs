@@ -20,8 +20,8 @@
 //!
 //! Each peak draws its own deterministic RNG seed from the mode's base
 //! seed and the peak's (day, index) position via [`peak_seed`], so
-//! results are independent of worker scheduling: a fleet, a parallel
-//! campaign and a sequential campaign all see the same per-peak seeds.
+//! results are independent of worker scheduling: a fleet at any thread
+//! count and a lone campaign all see the same per-peak seeds.
 //!
 //! [`NetworkTraffic`] is the side channel for what the network *did*
 //! (wire counts, drops, duplicates, deadline-forced rounds). It rides

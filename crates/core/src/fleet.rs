@@ -1,22 +1,28 @@
-//! Fleet execution: many campaigns, one set of workers.
+//! Fleet execution: many campaigns, one queue of cell-days.
 //!
 //! A season-long study is not one campaign but many — one per grid
 //! cell, feeder or household cohort — and while the *days* inside a
 //! campaign are sequential (closed-loop feedback makes day *d* depend
-//! on day *d − 1*), the campaigns themselves are embarrassingly
-//! parallel. Running them back to back wastes cores whenever one
-//! campaign's day carries fewer peaks than the machine has threads;
-//! running each on its own threads oversubscribes the machine N-fold.
+//! on day *d − 1*, §5.1.2's daily cycle), the campaigns themselves are
+//! embarrassingly parallel. Running each on its own threads
+//! oversubscribes the machine N-fold; handing each worker whole cells
+//! leaves the last worker finishing a whole cell alone.
 //!
-//! [`FleetRunner`] does neither: it drives every campaign through the
-//! [`CampaignProgress`] stepping API and schedules *individual peak
-//! negotiations* from all campaigns onto **one** set of workers, fanned
-//! out with [`fan_out`] for the length of the run. While campaign A is
-//! between days (its feedback bookkeeping is sequential), the workers
-//! drain campaign B's peaks — cores never idle as long as any cell
-//! anywhere has negotiable work. Per-cell startup runs on the workers
-//! too: the first worker to reach a cell calls
-//! [`CampaignRunner::progress`], which synthesises the cell's
+//! [`FleetRunner`] keeps **one** FIFO queue of cells instead, drained
+//! by `min(threads, cells)` workers that [`fan_out`] spawns for the
+//! length of the run. A worker pops the front cell and runs that cell's
+//! next day: [`CampaignProgress::next_day`], each of the day's
+//! scenarios through
+//! [`DayPlan::negotiate`](crate::campaign::DayPlan::negotiate) on the
+//! worker's own [`NegotiationScratch`], then
+//! [`CampaignProgress::complete_day`]. It then pushes the cell to the
+//! back of the queue, or — once `next_day` has nothing left — finishes
+//! it into the cell's result slot. So the unit of work is a cell-day:
+//! cells advance in turn, a day at a time, and finish close together
+//! instead of leaving one worker with a whole cell at the end.
+//!
+//! Per-cell startup runs on the workers too: a cell's first visit
+//! calls [`CampaignRunner::progress`], which synthesises the cell's
 //! whole-horizon demand (deferred out of
 //! [`CampaignBuilder::build`](crate::campaign::CampaignBuilder::build))
 //! and chooses its predictor, so a city's cells synthesise in parallel
@@ -24,19 +30,33 @@
 //! paper's DESIRE lineage is deliberate: many independent agent
 //! societies, one execution substrate.
 //!
+//! A worker that finds the queue empty stops. Every unfinished cell is
+//! then held by another worker, and a cell's days run one after
+//! another anyway, so nothing is left that it could run. The peaks of
+//! one day negotiate one after another on the worker that holds the
+//! cell.
+//!
 //! This is the crate's only campaign scheduler: a lone
-//! [`CampaignRunner::run`] is a one-cell fleet at machine parallelism.
-//! The fleet adds scheduling and nothing else —
+//! [`CampaignRunner::run`] is a one-cell fleet — one queue entry, one
+//! worker. The fleet adds scheduling and nothing else —
 //! each cell's report tier and execution mode are whatever its
 //! [`CampaignBuilder`](crate::campaign::CampaignBuilder) chose, and the
 //! thread count is [`FleetRunner::threads`].
 //!
-//! Scheduling is nondeterministic; results never are. Every
-//! negotiation is a pure function of its (cell, day, peak) coordinate,
-//! and each cell's feedback is applied in strict day order from the
-//! stored results, so [`FleetRunner::run`] is **byte-identical** to
+//! Scheduling is nondeterministic; results never are. Each cell's days
+//! run in order whichever workers run them, every negotiation is a pure
+//! function of its (cell, day, peak) coordinate, and each cell's result
+//! is stored at the cell's index, never in completion order, so
+//! [`FleetRunner::run`] is **byte-identical** to
 //! [`FleetRunner::run_sequential`] for any thread count and any cell
 //! mix (pinned by proptests in `tests/fleet_properties.rs`).
+//!
+//! A panic in a cell's work ends the worker's loop and takes that cell
+//! out of the queue. The run does not abort early: the other workers
+//! drain the queue, and once every worker has stopped the original
+//! payload resurfaces on the calling thread, as with [`fan_out`]. The
+//! queue's lock is held only to pop and push, so no lock is poisoned
+//! and the same fleet can run again.
 //!
 //! # Example
 //!
@@ -68,26 +88,24 @@
 //! assert_eq!(report, fleet.run_sequential()); // byte-identical
 //! ```
 
-use crate::campaign::{
-    CampaignEconomics, CampaignProgress, CampaignReport, CampaignRunner, DayPlan,
-};
+use crate::campaign::{CampaignEconomics, CampaignProgress, CampaignReport, CampaignRunner};
 use crate::execution::NetworkTraffic;
-use crate::session::{NegotiationReport, ReportTier};
+use crate::session::ReportTier;
 use crate::sweep::{fan_out, machine_threads};
 use crate::sync_driver::NegotiationScratch;
 use powergrid::slab::{PopulationSlab, SlabView};
+use std::collections::VecDeque;
 use std::fmt;
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Many campaigns over a shared grid, executed on one set of workers.
 ///
 /// Build with [`FleetRunner::new`] and [`FleetRunner::cell`]; run with
-/// [`FleetRunner::run`] (shared workers, interleaved) or
-/// [`FleetRunner::run_sequential`] (the reference order). Both produce
-/// the same [`FleetReport`], byte for byte.
+/// [`FleetRunner::run`] (every cell interleaved through one queue of
+/// cell-days) or [`FleetRunner::run_sequential`] (each cell alone, in
+/// order — the tests' reference). Both produce the same
+/// [`FleetReport`], byte for byte.
 #[derive(Debug, Default)]
 pub struct FleetRunner<'a> {
     cells: Vec<(String, CampaignRunner<'a>)>,
@@ -138,8 +156,9 @@ impl<'a> FleetRunner<'a> {
     }
 
     /// Caps the worker count of each run (default: machine
-    /// parallelism) — the one thread knob of campaign execution: a
-    /// single campaign at a chosen thread count is a one-cell fleet.
+    /// parallelism) — the one thread knob of campaign execution. A run
+    /// uses at most one worker per cell, because a cell's days run one
+    /// after another.
     pub fn threads(mut self, threads: NonZeroUsize) -> Self {
         self.threads = Some(threads);
         self
@@ -160,19 +179,16 @@ impl<'a> FleetRunner<'a> {
         &self.cells
     }
 
-    /// Runs every campaign to completion on one set of workers, which
-    /// [`fan_out`] spawns for this run and joins before it returns.
-    ///
-    /// Workers hunt for negotiable peaks across *all* cells: a claimed
-    /// peak is negotiated without holding any lock, a cell whose day
-    /// just completed has its feedback applied and its next day
-    /// materialised by whichever worker finished it, and a worker that
-    /// finds every cell busy steals from the next one over. Cores only
-    /// idle when fewer negotiations remain than workers exist.
+    /// Runs every campaign to completion on `min(threads, cells)`
+    /// workers, which [`fan_out`] spawns for this run and joins before
+    /// it returns. The workers drain one FIFO queue of cells a day at a
+    /// time (see the module doc), and a worker stops when it finds the
+    /// queue empty.
     ///
     /// Byte-identical to [`FleetRunner::run_sequential`] for any thread
-    /// count. A panicking negotiation resurfaces its original payload
-    /// here, as with [`fan_out`].
+    /// count. A panic in any cell's work resurfaces its original
+    /// payload here, as with [`fan_out`], once the other workers have
+    /// drained the queue: a panic does not abort the run early.
     pub fn run(&self) -> FleetReport {
         self.run_instrumented().0
     }
@@ -189,21 +205,17 @@ impl<'a> FleetRunner<'a> {
         self.labelled(schedule(threads, &runners))
     }
 
-    /// Runs every campaign back to back on the calling thread — the
-    /// reference order for determinism checks.
+    /// Runs every campaign alone, one after another, each through
+    /// [`CampaignRunner::run_instrumented`] — the reference the tests
+    /// hold [`FleetRunner::run`] to, which instead interleaves every
+    /// cell through one queue.
     pub fn run_sequential(&self) -> FleetReport {
-        self.run_sequential_instrumented().0
-    }
-
-    /// [`FleetRunner::run_instrumented`] in the sequential reference
-    /// order.
-    pub fn run_sequential_instrumented(&self) -> (FleetReport, Vec<NetworkTraffic>) {
-        self.labelled(
-            self.cells
-                .iter()
-                .map(|(_, runner)| runner.run_sequential_instrumented())
-                .collect(),
-        )
+        let results = self
+            .cells
+            .iter()
+            .map(|(_, runner)| runner.run_instrumented())
+            .collect();
+        self.labelled(results).0
     }
 
     /// Labels per-cell results (cell order) into the fleet report.
@@ -228,269 +240,60 @@ impl<'a> FleetRunner<'a> {
 // ---------------------------------------------------------------------
 
 /// The crate's one campaign scheduler: runs every runner to completion
-/// on `threads` workers and returns each campaign's report and traffic,
-/// in runner order. [`FleetRunner::run`] schedules its cells here (and
-/// documents how workers share them); [`CampaignRunner::run`] schedules
-/// itself as a one-cell fleet.
-///
-/// One worker runs each campaign's sequential reference loop instead.
-/// A panic in any cell's work resurfaces its original payload on the
-/// calling thread once every worker has stopped.
+/// on `min(threads, runners)` workers draining one FIFO queue of cells
+/// (the module doc describes it), and returns each campaign's report
+/// and traffic in runner order. [`FleetRunner::run`] schedules its
+/// cells here; [`CampaignRunner::run`] schedules itself as a one-cell
+/// fleet.
 pub(crate) fn schedule(
     threads: NonZeroUsize,
     runners: &[&CampaignRunner<'_>],
 ) -> Vec<(CampaignReport, NetworkTraffic)> {
-    // The unit of parallelism is the peak negotiation, not the cell:
-    // even a single campaign keeps several workers busy on a
-    // multi-peak day, so the worker count is not capped by cells.
-    let workers = threads.get();
-    if workers <= 1 || runners.is_empty() {
-        return runners
-            .iter()
-            .map(|runner| runner.run_sequential_instrumented())
-            .collect();
-    }
-    let cells: Vec<CellExec<'_>> = runners
-        .iter()
-        .map(|&runner| CellExec::new(runner))
-        .collect();
-    let unfinished = AtomicUsize::new(cells.len());
-    let abort = AtomicBool::new(false);
-    let panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    let cursor = AtomicUsize::new(0);
-    // `fan_out` drives one scheduler loop per worker, each threading
-    // its own NegotiationScratch through every peak it claims; its own
-    // panic capture is bypassed because the loop never panics — cell
-    // work is caught below so no worker dies with peaks outstanding
-    // (which would deadlock the others).
-    fan_out(threads, workers, NegotiationScratch::new, |scratch, _| {
-        loop {
-            if abort.load(Ordering::Relaxed) || unfinished.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            let start = cursor.fetch_add(1, Ordering::Relaxed) % cells.len();
-            let mut claimed = false;
-            for offset in 0..cells.len() {
-                let cell = &cells[(start + offset) % cells.len()];
-                match cell.try_step(&unfinished, scratch) {
-                    Ok(stepped) => {
-                        if stepped {
-                            claimed = true;
-                            break;
-                        }
-                    }
-                    Err(payload) => {
-                        panic
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .get_or_insert(payload);
-                        abort.store(true, Ordering::Relaxed);
-                        claimed = true; // skip the yield; exit on re-check
-                        break;
-                    }
-                }
-            }
-            if !claimed {
-                // Every remaining peak is already claimed by another worker;
-                // yield until one completes (negotiations are ms-scale, so
-                // this is a short wait, not a spin).
-                std::thread::yield_now();
-            }
-        }
-    });
-    if let Some(payload) = panic.into_inner().unwrap_or_else(|p| p.into_inner()) {
-        resume_unwind(payload);
-    }
-    cells.into_iter().map(CellExec::into_parts).collect()
-}
-
-/// A cell's in-flight day: the plan (Arc-shared so workers negotiate
-/// its scenarios without holding the cell lock, and without cloning any
-/// scenario — ownership is recovered intact once the day completes) and
-/// the result slots the workers fill.
-struct ActiveDay {
-    plan: Arc<DayPlan>,
-    results: Vec<Option<NegotiationReport>>,
-    /// Next unclaimed scenario index.
-    next: usize,
-    /// Scenarios still in flight or unclaimed.
-    remaining: usize,
-}
-
-/// One cell under the fleet scheduler.
-struct CellExec<'r> {
-    state: Mutex<CellState<'r>>,
-}
-
-struct CellState<'r> {
-    runner: &'r CampaignRunner<'r>,
-    /// Created lazily by the first worker to reach the cell, so
-    /// per-cell startup work — the whole horizon's demand synthesis and
-    /// capacity sizing (the runner's deferred preparation) plus warmup
-    /// predictor selection (a full backtest under
-    /// [`BacktestSelected`](crate::campaign::BacktestSelected)) —
-    /// parallelises across cells instead of running serially before the
-    /// workers start.
-    progress: Option<CampaignProgress<'r>>,
-    active: Option<ActiveDay>,
-    report: Option<(CampaignReport, NetworkTraffic)>,
-}
-
-enum Claim {
-    /// A scenario to negotiate: (day-plan handle, scenario index).
-    Negotiate(Arc<DayPlan>, usize),
-    /// The cell advanced (started / day completed / campaign finished)
-    /// — work was done, nothing to run outside the lock.
-    Advanced,
-    /// Nothing claimable here right now.
-    Busy,
-}
-
-impl<'r> CellExec<'r> {
-    fn new(runner: &'r CampaignRunner<'r>) -> CellExec<'r> {
-        CellExec {
-            state: Mutex::new(CellState {
-                runner,
-                progress: None,
-                active: None,
-                report: None,
-            }),
-        }
-    }
-
-    /// Tries to make progress on this cell. Returns `Ok(true)` if any
-    /// work was done, `Ok(false)` if the cell is finished, mid-advance
-    /// under another worker, or has all peaks claimed; `Err` carries a
-    /// panic payload from cell work. The negotiation runs through the
-    /// calling worker's own `scratch` (engine reuse, byte-identical).
-    fn try_step(
-        &self,
-        unfinished: &AtomicUsize,
-        scratch: &mut NegotiationScratch,
-    ) -> Result<bool, Box<dyn std::any::Any + Send>> {
-        let claim = {
-            // A busy lock means another worker is advancing this cell —
-            // steal elsewhere instead of queueing up behind it.
-            let Ok(mut state) = self.state.try_lock() else {
-                return Ok(false);
-            };
-            Self::claim(&mut state, unfinished)?
-        };
-        match claim {
-            Claim::Busy => Ok(false),
-            Claim::Advanced => Ok(true),
-            Claim::Negotiate(plan, index) => {
-                let result = catch_unwind(AssertUnwindSafe(|| plan.negotiate(index, scratch)));
-                // Release this worker's plan handle *before* storing:
-                // every store therefore happens with the storing
-                // worker's handle already dropped, so the day-completing
-                // store sees the cell's own handle as the last one and
-                // can recover the plan intact.
-                drop(plan);
-                let report = result?;
-                let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-                Self::store(&mut state, index, report)?;
-                Ok(true)
-            }
-        }
-    }
-
-    /// Claims work under the cell lock: an unclaimed peak if one exists,
-    /// otherwise starts the campaign or advances through (possibly
-    /// several stable) days until the cell has peaks or finishes.
-    fn claim(
-        state: &mut CellState<'r>,
-        unfinished: &AtomicUsize,
-    ) -> Result<Claim, Box<dyn std::any::Any + Send>> {
-        if state.report.is_some() {
-            return Ok(Claim::Busy); // finished
-        }
-        if let Some(active) = &mut state.active {
-            if active.next < active.plan.scenarios().len() {
-                let index = active.next;
-                active.next += 1;
-                return Ok(Claim::Negotiate(Arc::clone(&active.plan), index));
-            }
-            return Ok(Claim::Busy); // all peaks claimed, day still in flight
-        }
-        // No active day: start or advance. The first `progress()`
-        // synthesises the cell's horizon demand and chooses the
-        // predictor (a full backtest under `BacktestSelected`), and
-        // `next_day` runs prediction, detection and scenario
-        // materialisation — real work, done here by a fleet worker
-        // rather than some coordinator thread.
-        let runner = state.runner;
-        catch_unwind(AssertUnwindSafe(|| loop {
-            let progress = state.progress.get_or_insert_with(|| runner.progress());
+    // Each entry is a cell's index and its campaign in flight, `None`
+    // until the cell's first visit prepares it.
+    let queue: Mutex<VecDeque<(usize, Option<CampaignProgress<'_>>)>> =
+        Mutex::new((0..runners.len()).map(|cell| (cell, None)).collect());
+    let lock = || {
+        queue
+            .lock()
+            .expect("the queue lock is held only to pop or push, never across cell work")
+    };
+    // A `while let` over `lock().pop_front()` would hold the guard
+    // through the whole day; `pop` drops it before the body runs.
+    let pop = || lock().pop_front();
+    let workers = threads.get().min(runners.len());
+    let finished = fan_out(threads, workers, NegotiationScratch::new, |scratch, _| {
+        let mut finished = Vec::new();
+        // An empty queue means every unfinished cell is held by another
+        // worker, whose days run one after another anyway: stop.
+        while let Some((cell, progress)) = pop() {
+            let mut progress = progress.unwrap_or_else(|| runners[cell].progress());
             match progress.next_day() {
-                Some(plan) if plan.is_stable() => {
-                    progress.complete_day(plan, Vec::new());
-                }
                 Some(plan) => {
-                    let count = plan.scenarios().len();
-                    state.active = Some(ActiveDay {
-                        plan: Arc::new(plan),
-                        results: (0..count).map(|_| None).collect(),
-                        next: 0,
-                        remaining: count,
-                    });
-                    break;
+                    let reports = (0..plan.scenarios().len())
+                        .map(|i| plan.negotiate(i, scratch))
+                        .collect();
+                    progress.complete_day(plan, reports);
+                    lock().push_back((cell, Some(progress)));
                 }
                 None => {
-                    let progress = state.progress.take().expect("just inserted");
                     let traffic = progress.traffic();
-                    state.report = Some((progress.finish(), traffic));
-                    unfinished.fetch_sub(1, Ordering::Release);
-                    break;
+                    finished.push((cell, (progress.finish(), traffic)));
                 }
             }
-        }))?;
-        Ok(Claim::Advanced)
-    }
-
-    /// Stores a finished negotiation; the worker that completes the
-    /// day's last peak applies the feedback and leaves the cell ready
-    /// for its next advance.
-    fn store(
-        state: &mut CellState<'r>,
-        index: usize,
-        report: NegotiationReport,
-    ) -> Result<(), Box<dyn std::any::Any + Send>> {
-        let active = state.active.as_mut().expect("day in flight");
-        debug_assert!(active.results[index].is_none(), "peak negotiated once");
-        active.results[index] = Some(report);
-        active.remaining -= 1;
-        if active.remaining > 0 {
-            return Ok(());
         }
-        let active = state.active.take().expect("day in flight");
-        let reports: Vec<NegotiationReport> = active
-            .results
-            .into_iter()
-            .map(|r| r.expect("all peaks negotiated"))
-            .collect();
-        // All workers of this day dropped their handles before their
-        // stores (serialised by the cell lock), so the cell's handle is
-        // the last and the plan comes back without copying a scenario.
-        let plan = Arc::try_unwrap(active.plan)
-            .unwrap_or_else(|_| unreachable!("all plan handles dropped before the last store"));
-        catch_unwind(AssertUnwindSafe(|| {
-            state
-                .progress
-                .as_mut()
-                .expect("campaign in flight")
-                .complete_day(plan, reports);
-        }))?;
-        Ok(())
+        finished
+    });
+    // Each result goes to its cell's slot, never in completion order.
+    let mut slots: Vec<Option<(CampaignReport, NetworkTraffic)>> =
+        runners.iter().map(|_| None).collect();
+    for (cell, result) in finished.into_iter().flatten() {
+        slots[cell] = Some(result);
     }
-
-    fn into_parts(self) -> (CampaignReport, NetworkTraffic) {
-        self.state
-            .into_inner()
-            .unwrap_or_else(|p| p.into_inner())
-            .report
-            .expect("fleet ran every cell to completion")
-    }
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every cell finished"))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -697,7 +500,7 @@ mod tests {
         // Each cell is exactly what a standalone campaign run produces.
         for (cell, (label, campaign)) in report.cells.iter().zip(fleet.cells()) {
             assert_eq!(&cell.label, label);
-            assert_eq!(cell.report, campaign.run_sequential());
+            assert_eq!(cell.report, campaign.run());
         }
         assert!(report.negotiations() > 0);
         assert!(report.all_converged());

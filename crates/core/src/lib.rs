@@ -135,11 +135,12 @@
 //!    ceiling is `saving_potential / interval usage`
 //!    ([`powergrid::household::Household::max_cutdown`]), the
 //!    reluctance scale falls with that flexibility; no random betas;
-//! 6. **Negotiate** — the day's peaks negotiate in parallel on the
-//!    fleet scheduler's workers, fanned out by [`sweep::fan_out`] (a
-//!    lone [`campaign::CampaignRunner::run`] is a one-cell
-//!    [`fleet::FleetRunner`]; byte-identical to sequential execution),
-//!    each under the campaign's [`campaign::StopPolicy`]:
+//! 6. **Negotiate** — the day's peaks negotiate one after another on
+//!    the fleet worker that holds the cell for that day, through the
+//!    worker's own reusable negotiation scratch (a lone
+//!    [`campaign::CampaignRunner::run`] is a one-cell
+//!    [`fleet::FleetRunner`]), each under the campaign's
+//!    [`campaign::StopPolicy`]:
 //!    unconditionally to the protocol's own end, or stopping
 //!    reward-table raises once the next table costs more than the
 //!    expensive production still avoidable
@@ -175,18 +176,23 @@
 //!    re-run on a sliding window of feedback-adjusted history as the
 //!    season drifts ([`adaptive::RollingWindow`]). Because all three
 //!    loops live between [`campaign::CampaignProgress::complete_day`]
-//!    and the next plan — never inside the parallel peak fan-out —
+//!    and the next plan — never inside a day's negotiations —
 //!    adaptive campaigns keep every byte-identity guarantee;
 //! 9. **Fleet** — a whole service area is many campaigns (one per grid
 //!    cell or household cohort), embarrassingly parallel across cells
 //!    even though days within a cell are sequential. The
-//!    [`fleet::FleetRunner`] drives every cell through the
-//!    [`campaign::CampaignProgress`] stepping API and interleaves all
-//!    cells' peak negotiations on **one** set of [`sweep::fan_out`]
-//!    workers, aggregating a [`fleet::FleetReport`] (per-cell reports +
-//!    cross-cell economics) that is byte-identical for any thread
-//!    count. Each cell's demand synthesis and predictor choice run on
-//!    those workers as well. One city-scale slab shards
+//!    [`fleet::FleetRunner`] keeps **one** FIFO queue of cells, drained
+//!    by `min(threads, cells)` [`sweep::fan_out`] workers: a worker
+//!    pops a cell, runs its next day through the
+//!    [`campaign::CampaignProgress`] stepping API and pushes it back or
+//!    finishes it, and stops when it finds the queue empty — every
+//!    unfinished cell is then held by another worker. Each cell's
+//!    result is stored at its index, so the [`fleet::FleetReport`]
+//!    (per-cell reports + cross-cell economics) is byte-identical for
+//!    any thread count; a panic in one cell resurfaces its own payload
+//!    once the other workers have drained the queue. Each cell's demand
+//!    synthesis and predictor choice run on those workers as well, on
+//!    the cell's first visit. One city-scale slab shards
 //!    across cells zero-copy by offset range
 //!    ([`fleet::FleetRunner::sharded_slab`], E20: a ~10⁶-household
 //!    settlement-tier season, synthesis included);
@@ -210,7 +216,7 @@
 //! fleet scheduler: it spawns its scoped threads once per run, never
 //! per day or per peak, and joins them before it returns. Each worker
 //! threads a reusable [`sync_driver::NegotiationScratch`] through the
-//! peaks it claims ([`campaign::DayPlan::negotiate`]), so the utility
+//! peaks it negotiates ([`campaign::DayPlan::negotiate`]), so the utility
 //! engine is reset in place instead of rebuilt per negotiation, rounds
 //! move their bid vectors into the report instead of cloning them, and each
 //! round's reward table is snapshotted exactly once (shared `Arc` in

@@ -411,9 +411,7 @@ mod tests {
                 .report_tier(tier)
                 .execution(mode)
                 .build();
-            FleetRunner::new()
-                .cell("solo", runner)
-                .run_sequential_instrumented()
+            FleetRunner::new().cell("solo", runner).run_instrumented()
         })
     }
 

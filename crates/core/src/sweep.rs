@@ -9,11 +9,12 @@
 //! **byte-identical** to [`ScenarioSweep::run_sequential`].
 //!
 //! [`fan_out`] is the crate's one parallel executor, an
-//! index-addressed task runner shared by the sweep and the
-//! [`fleet`](crate::fleet) campaign scheduler (which also runs every
-//! lone campaign, as a one-cell fleet). It runs on scoped threads that
-//! live exactly as long as one call: every caller submits one batch
-//! per run, so there is nothing for parked threads to amortise.
+//! index-addressed task runner shared by the sweep (one task per grid
+//! point) and the [`fleet`](crate::fleet) campaign scheduler (one task
+//! per worker, each draining the fleet's queue of cell-days; a lone
+//! campaign is a one-cell fleet). It runs on scoped threads that live
+//! exactly as long as one call: every caller submits one batch per
+//! run, so there is nothing for parked threads to amortise.
 //!
 //! # Example
 //!
@@ -238,13 +239,6 @@ impl ScenarioSweep {
     /// The configured cells.
     pub fn points(&self) -> &[SweepPoint] {
         &self.points
-    }
-
-    /// Consumes the sweep, handing back its cells (grid order) — lets a
-    /// caller that built scenarios into the sweep recover them after
-    /// running without having kept clones.
-    pub fn into_points(self) -> Vec<SweepPoint> {
-        self.points
     }
 
     /// Runs every cell in parallel with [`fan_out`] on the configured

