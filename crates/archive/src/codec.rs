@@ -128,14 +128,29 @@ impl<'a> Dec<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// One fixed-width record of a dictionary run: `W` bit patterns.
+    fn record<const W: usize>(&mut self) -> Result<[u64; W], ArchiveError> {
+        let mut words = [0; W];
+        for word in &mut words {
+            *word = self.u64()?;
+        }
+        Ok(words)
+    }
+
+    /// Fails unless `n` more bytes remain.
+    fn need(&self, n: usize) -> Result<(), ArchiveError> {
+        if n > self.remaining() {
+            return Err(truncated(self.context));
+        }
+        Ok(())
+    }
+
     /// A count that prefixes `min_item_bytes`-sized items: rejected
     /// before any allocation if the remaining bytes cannot possibly
     /// hold it, so corrupt counts never balloon memory.
     pub(crate) fn count(&mut self, min_item_bytes: usize) -> Result<usize, ArchiveError> {
         let n = self.u32()? as usize;
-        if n.saturating_mul(min_item_bytes.max(1)) > self.remaining() {
-            return Err(truncated(self.context));
-        }
+        self.need(n.saturating_mul(min_item_bytes.max(1)))?;
         Ok(n)
     }
 
@@ -155,7 +170,11 @@ fn put_fraction(buf: &mut Vec<u8>, v: Fraction) {
 }
 
 fn fraction(d: &mut Dec) -> Result<Fraction, ArchiveError> {
-    Fraction::new(d.f64()?).map_err(|_| corrupt("fraction outside [0, 1]"))
+    fraction_of(d.f64()?)
+}
+
+fn fraction_of(v: f64) -> Result<Fraction, ArchiveError> {
+    Fraction::new(v).map_err(|_| corrupt("fraction outside [0, 1]"))
 }
 
 pub(crate) fn put_interval(buf: &mut Vec<u8>, i: Interval) {
@@ -316,7 +335,7 @@ fn status(d: &mut Dec) -> Result<NegotiationStatus, ArchiveError> {
 }
 
 // ---------------------------------------------------------------------
-// Monotone (cutdown, reward) tables — shared by preferences and tables
+// Reward tables: monotone (cutdown, reward) entries
 // ---------------------------------------------------------------------
 
 fn put_entries(buf: &mut Vec<u8>, entries: &[(Fraction, Money)]) {
@@ -363,20 +382,140 @@ fn reward_table(d: &mut Dec) -> Result<RewardTable, ArchiveError> {
     Ok(RewardTable::new(interval, entries))
 }
 
-/// Preferences go on the wire as their materialised six-entry table,
-/// so the format does not depend on how core represents them.
+// ---------------------------------------------------------------------
+// Dictionary runs — shared by round bids and report settlements
+// ---------------------------------------------------------------------
+
+/// Run tag: the run's records follow raw.
+const RUN_RAW: u8 = 0;
+
+/// Run tag: a dictionary of distinct records, then one index per item.
+const RUN_DICTIONARY: u8 = 1;
+
+/// The most distinct records a dictionary run holds (its `k` is a `u8`).
+const MAX_DICTIONARY: usize = u8::MAX as usize;
+
+fn put_record<const W: usize>(buf: &mut Vec<u8>, record: [u64; W]) {
+    for word in record {
+        put_u64(buf, word);
+    }
+}
+
+/// Writes a run of fixed-width records (`W` `f64` bit patterns each):
+/// its `u32` count, then — unless the run is empty — a tag. A run of at
+/// most 255 distinct records is a dictionary: `k: u8`, the `k` distinct
+/// records in first-appearance order, then one `u8` index per item. A
+/// run of more distinct records is written raw. Records are compared by
+/// bit pattern, so `-0.0` and `0.0` stay apart and every value
+/// round-trips exactly.
+fn put_run<const W: usize>(
+    buf: &mut Vec<u8>,
+    records: impl ExactSizeIterator<Item = [u64; W]> + Clone,
+) {
+    put_u32(buf, records.len() as u32);
+    if records.len() == 0 {
+        return;
+    }
+    match dictionary_of(records.clone()) {
+        Some((dictionary, indices)) => {
+            put_u8(buf, RUN_DICTIONARY);
+            put_u8(buf, dictionary.len() as u8);
+            for record in dictionary {
+                put_record(buf, record);
+            }
+            buf.extend_from_slice(&indices);
+        }
+        None => {
+            put_u8(buf, RUN_RAW);
+            for record in records {
+                put_record(buf, record);
+            }
+        }
+    }
+}
+
+/// The distinct records in first-appearance order and each record's
+/// index among them, or `None` once there are more than 255.
+fn dictionary_of<const W: usize>(
+    records: impl ExactSizeIterator<Item = [u64; W]>,
+) -> Option<(Vec<[u64; W]>, Vec<u8>)> {
+    let mut dictionary = Vec::new();
+    let mut indices = Vec::with_capacity(records.len());
+    for record in records {
+        let index = match dictionary.iter().position(|&entry| entry == record) {
+            Some(index) => index,
+            None => {
+                dictionary.push(record);
+                dictionary.len() - 1
+            }
+        };
+        if dictionary.len() > MAX_DICTIONARY {
+            return None;
+        }
+        indices.push(index as u8);
+    }
+    Some((dictionary, indices))
+}
+
+/// Reads a run [`put_run`] wrote. `decode` validates and converts each
+/// record, and runs once per dictionary entry; every index is checked
+/// against the dictionary.
+fn run<const W: usize, T: Copy>(
+    d: &mut Dec,
+    decode: impl Fn([u64; W]) -> Result<T, ArchiveError>,
+) -> Result<Vec<T>, ArchiveError> {
+    let n = d.count(1)?;
+    if n == 0 {
+        return Ok(Vec::new());
+    }
+    let record_bytes = std::mem::size_of::<[u64; W]>();
+    match d.u8()? {
+        RUN_DICTIONARY => {
+            let k = usize::from(d.u8()?);
+            d.need(k * record_bytes + n)?;
+            let mut dictionary = Vec::with_capacity(k);
+            for _ in 0..k {
+                dictionary.push(decode(d.record()?)?);
+            }
+            let mut out = Vec::with_capacity(n);
+            for &index in d.take(n)? {
+                let value = dictionary.get(usize::from(index));
+                out.push(*value.ok_or_else(|| corrupt("run index outside its dictionary"))?);
+            }
+            Ok(out)
+        }
+        RUN_RAW => {
+            d.need(n.saturating_mul(record_bytes))?;
+            let mut out = Vec::with_capacity(n);
+            for _ in 0..n {
+                out.push(decode(d.record()?)?);
+            }
+            Ok(out)
+        }
+        _ => Err(corrupt("unknown run tag")),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Customer preferences
+// ---------------------------------------------------------------------
+
+/// Preferences go on the wire as the two numbers core keeps: the
+/// Figure-8 scale and the cut-down ceiling.
 fn put_preferences(buf: &mut Vec<u8>, p: &CustomerPreferences) {
-    put_entries(buf, &p.thresholds());
+    put_f64(buf, p.scale());
     put_fraction(buf, p.max_cutdown());
 }
 
-/// Decodes a preference table; only a scaled Figure-8 table (what every
-/// encoder writes) is representable, anything else is corrupt.
+/// Decodes a (scale, ceiling) pair, checking both before
+/// `from_base_scaled` can assert on them.
 fn preferences(d: &mut Dec) -> Result<CustomerPreferences, ArchiveError> {
-    let thresholds = entries(d)?;
-    let max_cutdown = fraction(d)?;
-    CustomerPreferences::from_thresholds(&thresholds, max_cutdown)
-        .ok_or_else(|| corrupt("preference table is not a scaled Figure-8 table"))
+    let scale = d.f64()?;
+    // Replicates from_base_scaled's assertion as a check (NaN fails it).
+    if !(scale >= 0.0 && scale.is_finite()) {
+        return Err(corrupt("preference scale negative or non-finite"));
+    }
+    Ok(CustomerPreferences::from_base_scaled(scale, fraction(d)?))
 }
 
 // ---------------------------------------------------------------------
@@ -513,7 +652,7 @@ fn put_scenario(buf: &mut Vec<u8>, s: &Scenario) {
 fn scenario(d: &mut Dec) -> Result<Scenario, ArchiveError> {
     let normal_use = KilowattHours(d.f64()?);
     let interval = interval(d)?;
-    let n = d.count(16)?;
+    let n = d.count(32)?;
     let mut customers = Vec::with_capacity(n);
     for _ in 0..n {
         customers.push(CustomerProfile {
@@ -545,10 +684,7 @@ fn put_round(buf: &mut Vec<u8>, r: &RoundRecord) {
             put_reward_table(buf, t);
         }
     }
-    put_u32(buf, r.bids.len() as u32);
-    for b in &r.bids {
-        put_fraction(buf, *b);
-    }
+    put_run(buf, r.bids.iter().map(|b| [b.value().to_bits()]));
     put_f64(buf, r.predicted_total.value());
     put_u64(buf, r.messages);
 }
@@ -560,15 +696,10 @@ fn round(d: &mut Dec) -> Result<RoundRecord, ArchiveError> {
         1 => Some(Arc::new(reward_table(d)?)),
         _ => return Err(corrupt("unknown reward-table tag")),
     };
-    let n = d.count(8)?;
-    let mut bids = Vec::with_capacity(n);
-    for _ in 0..n {
-        bids.push(fraction(d)?);
-    }
     Ok(RoundRecord {
         round,
         table,
-        bids,
+        bids: run(d, |[bid]| fraction_of(f64::from_bits(bid)))?,
         predicted_total: KilowattHours(d.f64()?),
         messages: d.u64()?,
     })
@@ -600,11 +731,12 @@ pub(crate) fn put_report(buf: &mut Vec<u8>, r: &NegotiationReport, tier: ReportT
     } else {
         &[]
     };
-    put_u32(buf, settlements.len() as u32);
-    for s in settlements {
-        put_fraction(buf, s.cutdown);
-        put_f64(buf, s.reward.value());
-    }
+    put_run(
+        buf,
+        settlements
+            .iter()
+            .map(|s| [s.cutdown.value().to_bits(), s.reward.value().to_bits()]),
+    );
     put_u64(buf, r.extra_messages());
 }
 
@@ -620,20 +752,18 @@ pub(crate) fn report(d: &mut Dec) -> Result<NegotiationReport, ArchiveError> {
         total_rewards: Money(d.f64()?),
         customers: d.u32()?,
     };
-    let n = d.count(17)?;
+    let n = d.count(25)?;
     let mut rounds = Vec::with_capacity(n);
     for _ in 0..n {
         rounds.push(round(d)?);
     }
     let status = status(d)?;
-    let n = d.count(16)?;
-    let mut settlements = Vec::with_capacity(n);
-    for _ in 0..n {
-        settlements.push(Settlement {
-            cutdown: fraction(d)?,
-            reward: Money(d.f64()?),
-        });
-    }
+    let settlements = run(d, |[cutdown, reward]| {
+        Ok(Settlement {
+            cutdown: fraction_of(f64::from_bits(cutdown))?,
+            reward: Money(f64::from_bits(reward)),
+        })
+    })?;
     let extra_messages = d.u64()?;
     if !rounds.is_empty() && !tier.keeps_rounds() {
         return Err(corrupt("round records below the full-trace tier"));
@@ -768,48 +898,35 @@ pub(crate) fn economics(d: &mut Dec) -> Result<CampaignEconomics, ArchiveError> 
 mod tests {
     use super::*;
 
-    /// Format-v1 preference bytes written out by hand: a `u32` entry
-    /// count, each entry as two little-endian `f64` bit patterns
-    /// (cut-down, required reward), then the ceiling.
-    fn v1_preference_bytes(entries: &[(f64, f64)], ceiling: f64) -> Vec<u8> {
-        let mut bytes = (entries.len() as u32).to_le_bytes().to_vec();
-        for &(c, r) in entries {
-            bytes.extend_from_slice(&c.to_bits().to_le_bytes());
-            bytes.extend_from_slice(&r.to_bits().to_le_bytes());
-        }
+    /// Format-v2 preference bytes written out by hand: the scale, then
+    /// the ceiling, each as a little-endian `f64` bit pattern.
+    fn preference_bytes(scale: f64, ceiling: f64) -> Vec<u8> {
+        let mut bytes = scale.to_bits().to_le_bytes().to_vec();
         bytes.extend_from_slice(&ceiling.to_bits().to_le_bytes());
         bytes
     }
 
-    fn decode(bytes: &[u8]) -> Result<CustomerPreferences, ArchiveError> {
+    fn decode_preferences(bytes: &[u8]) -> Result<CustomerPreferences, ArchiveError> {
         let mut d = Dec::new(bytes, "preferences");
         let p = preferences(&mut d)?;
         d.finish()?;
         Ok(p)
     }
 
-    fn figure_8_scaled(k: f64) -> Vec<(f64, f64)> {
-        [
-            (0.0, 0.0),
-            (0.1, 2.0),
-            (0.2, 4.0),
-            (0.3, 10.0),
-            (0.4, 21.0),
-            (0.5, 30.0),
-        ]
-        .iter()
-        .map(|&(c, r)| (c, r * k))
-        .collect()
+    fn decode_bids(bytes: &[u8]) -> Result<Vec<Fraction>, ArchiveError> {
+        let mut d = Dec::new(bytes, "bids");
+        let bids = run(&mut d, |[bid]| fraction_of(f64::from_bits(bid)))?;
+        d.finish()?;
+        Ok(bids)
     }
 
     #[test]
-    fn hand_encoded_scaled_tables_decode_to_scaled_preferences() {
+    fn hand_encoded_preferences_decode_to_scaled_preferences() {
         for (k, ceiling) in [(1.0, 0.5), (0.6, 0.3), (2.8, 0.0), (0.0, 1.0), (1.7, 0.4)] {
-            let bytes = v1_preference_bytes(&figure_8_scaled(k), ceiling);
+            let bytes = preference_bytes(k, ceiling);
             let expected = CustomerPreferences::from_base_scaled(k, Fraction::clamped(ceiling));
-            assert_eq!(decode(&bytes).ok(), Some(expected), "k = {k}");
-            // And the encoder writes exactly those bytes: format v1 is
-            // unchanged by the parametric representation.
+            assert_eq!(decode_preferences(&bytes).ok(), Some(expected), "k = {k}");
+            // And the encoder writes exactly those bytes.
             let mut written = Vec::new();
             put_preferences(&mut written, &expected);
             assert_eq!(written, bytes, "k = {k}");
@@ -817,32 +934,58 @@ mod tests {
     }
 
     #[test]
-    fn unscaled_empty_or_decreasing_tables_are_typed_errors() {
-        let is_corrupt =
-            |bytes: Vec<u8>| matches!(decode(&bytes), Err(ArchiveError::Corrupt { .. }));
-        // Not a scaled Figure-8 table: one reward off, one level moved,
-        // a level short, or an arbitrary monotone table.
-        let mut off = figure_8_scaled(1.3);
-        off[4].1 += 0.5;
-        assert!(is_corrupt(v1_preference_bytes(&off, 0.5)));
-        let mut moved = figure_8_scaled(1.3);
-        moved[2].0 = 0.25;
-        assert!(is_corrupt(v1_preference_bytes(&moved, 0.5)));
-        assert!(is_corrupt(v1_preference_bytes(
-            &figure_8_scaled(1.3)[..5],
-            0.5
-        )));
-        assert!(is_corrupt(v1_preference_bytes(
-            &[(0.1, 1.0), (0.3, 2.5)],
-            0.5
-        )));
-        // Empty.
-        assert!(is_corrupt(v1_preference_bytes(&[], 0.5)));
-        // Decreasing.
-        let mut decreasing = figure_8_scaled(1.0);
-        decreasing[5].1 = 20.0;
-        assert!(is_corrupt(v1_preference_bytes(&decreasing, 0.5)));
-        // A negative scale.
-        assert!(is_corrupt(v1_preference_bytes(&figure_8_scaled(-1.0), 0.5)));
+    fn out_of_range_scales_and_ceilings_are_typed_errors() {
+        let is_corrupt = |scale: f64, ceiling: f64| {
+            matches!(
+                decode_preferences(&preference_bytes(scale, ceiling)),
+                Err(ArchiveError::Corrupt { .. })
+            )
+        };
+        for scale in [
+            -1.0,
+            -f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert!(is_corrupt(scale, 0.5), "scale {scale}");
+        }
+        for ceiling in [-0.1, 1.000_001, f64::NAN, f64::INFINITY] {
+            assert!(is_corrupt(1.0, ceiling), "ceiling {ceiling}");
+        }
+    }
+
+    #[test]
+    fn a_dictionary_index_past_the_dictionary_is_corrupt() {
+        // Three bids over a two-entry dictionary {0.1, 0.3}.
+        let mut bytes = 3u32.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[RUN_DICTIONARY, 2]);
+        bytes.extend_from_slice(&0.1f64.to_bits().to_le_bytes());
+        bytes.extend_from_slice(&0.3f64.to_bits().to_le_bytes());
+        bytes.extend_from_slice(&[1, 0, 1]);
+        let bids = decode_bids(&bytes).ok();
+        let expected = [0.3, 0.1, 0.3].map(Fraction::clamped).to_vec();
+        assert_eq!(bids, Some(expected));
+        for index in [2, u8::MAX] {
+            let last = bytes.len() - 1;
+            bytes[last] = index;
+            assert!(
+                matches!(decode_bids(&bytes), Err(ArchiveError::Corrupt { .. })),
+                "index {index}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_run_keeps_zero_and_negative_zero_apart() {
+        let bids = [0.0, -0.0, 0.0, -0.0].map(Fraction::clamped);
+        assert_eq!(bids[1].value().to_bits(), (-0.0f64).to_bits());
+        let mut bytes = Vec::new();
+        put_run(&mut bytes, bids.iter().map(|b| [b.value().to_bits()]));
+        // A two-entry dictionary, not one.
+        assert_eq!(bytes.get(4..6), Some(&[RUN_DICTIONARY, 2][..]));
+        let decoded = decode_bids(&bytes).unwrap_or_default();
+        let bits = |v: &[Fraction]| v.iter().map(|b| b.value().to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&decoded), bits(&bids));
     }
 }

@@ -7,8 +7,12 @@ pub const MAGIC: &[u8; 4] = b"LBSA";
 /// Last four bytes of every season archive: `LBIX`.
 pub const TRAILER_MAGIC: &[u8; 4] = b"LBIX";
 
-/// Format version this build writes and the only one it reads.
-pub const VERSION: u16 = 1;
+/// Format version this build writes and the only one it reads: a file
+/// of any other version, older or newer, fails with
+/// [`UnsupportedVersion`](crate::ArchiveError::UnsupportedVersion).
+/// Version 2 stores preferences as (scale, ceiling) and bids and
+/// settlements as dictionary runs.
+pub const VERSION: u16 = 2;
 
 /// Header `kind` byte for a single-campaign archive.
 pub(crate) const KIND_CAMPAIGN: u8 = 0;

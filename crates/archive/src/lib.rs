@@ -21,7 +21,7 @@
 //! [`CampaignReport::at_tier`](loadbal_core::campaign::CampaignReport::at_tier)
 //! would have produced in memory.
 //!
-//! # On-disk format (version 1)
+//! # On-disk format (version 2)
 //!
 //! All integers are little-endian; `f64` is stored as its IEEE-754 bit
 //! pattern (`to_bits`, little-endian), so round-trips are bit-exact.
@@ -32,7 +32,7 @@
 //! ┌────────────────────────────────────────────────────────────────┐
 //! │ HEADER (12 bytes)                                              │
 //! │   magic     [u8; 4] = "LBSA"                                   │
-//! │   version   u16     = 1                                        │
+//! │   version   u16     = 2                                        │
 //! │   tier      u8        0=aggregate 1=settlement 2=full-trace    │
 //! │   kind      u8        0=campaign 1=fleet                       │
 //! │   cells     u32       number of cells (1 for a campaign)       │
@@ -65,15 +65,47 @@
 //! size. The trailer-at-the-end layout is what lets the *writer* run
 //! over a plain [`Write`](std::io::Write) sink with no seeking.
 //!
+//! Inside the blocks, the model's values are stored as the model holds
+//! them:
+//!
+//! - A customer's **preferences** are two `f64`s, 16 bytes: the scale of
+//!   the Figure-8 table and the cut-down ceiling
+//!   ([`CustomerPreferences::scale`](loadbal_core::preferences::CustomerPreferences::scale)
+//!   and `max_cutdown`).
+//! - A round's **bids** and a report's **settlements** are each a
+//!   *dictionary run* of fixed-width records. A bid is one `f64`
+//!   (8 bytes); a settlement is a (cut-down, reward) pair of `f64`s
+//!   (16 bytes). A run is laid out as:
+//!
+//!   ```text
+//!   count  u32
+//!   -- nothing more when count = 0 (a tier that drops settlements
+//!      stores an empty run: its count alone)
+//!   tag    u8
+//!   tag 1 (dictionary, ≤ 255 distinct records):
+//!     k        u8        distinct records, in first-appearance order
+//!     records  k × record
+//!     indices  count × u8, each < k
+//!   tag 0 (raw, > 255 distinct records):
+//!     records  count × record
+//!   ```
+//!
+//!   Records are compared by bit pattern, so `-0.0` and `0.0` are
+//!   distinct entries. A round answers one announced table, so its bids
+//!   take a few distinct values; only per-customer offer cut-downs and
+//!   offer or request-for-bids billing rewards exceed 255, and only in
+//!   a cell of more than 255 customers.
+//!
 //! # Failure behaviour
 //!
 //! Decoding never panics. Foreign files fail with
-//! [`ArchiveError::BadMagic`], future versions with
+//! [`ArchiveError::BadMagic`], any other version (older or newer) with
 //! [`ArchiveError::UnsupportedVersion`], cut-off files with
 //! [`ArchiveError::Truncated`], and bit-rot with
 //! [`ArchiveError::Corrupt`] — every count is bounds-checked against
-//! the remaining bytes before allocation, and every value range a core
-//! constructor asserts is validated before that constructor runs.
+//! the remaining bytes before allocation, every dictionary index
+//! against its dictionary, and every value range a core constructor
+//! asserts is validated before that constructor runs.
 //!
 //! # Example
 //!

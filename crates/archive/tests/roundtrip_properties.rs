@@ -195,11 +195,28 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
         )
 }
 
+/// Half the draws hold a handful of items, as a small cell's rounds
+/// do; the other half hold 250–299 distinct values, mostly past the 255
+/// a dictionary run can index, so the raw fallback round-trips too.
+fn arb_run<S: Strategy + 'static>(item: impl Fn() -> S) -> impl Strategy<Value = Vec<S::Value>> {
+    prop_oneof![
+        prop::collection::vec(item(), 0..5),
+        prop::collection::vec(item(), 250..300),
+    ]
+}
+
+fn arb_settlement() -> impl Strategy<Value = Settlement> {
+    (arb_fraction(), 0.0f64..40.0).prop_map(|(cutdown, reward)| Settlement {
+        cutdown,
+        reward: Money(reward),
+    })
+}
+
 fn arb_round() -> impl Strategy<Value = RoundRecord> {
     (
         0u32..30,
         prop_oneof![Just(None), arb_table().prop_map(|t| Some(Arc::new(t)))],
-        prop::collection::vec(arb_fraction(), 0..5),
+        arb_run(arb_fraction),
         any::<f64>(),
         0u64..500,
     )
@@ -230,13 +247,7 @@ fn arb_report() -> impl Strategy<Value = NegotiationReport> {
         arb_digest(),
         prop::collection::vec(arb_round(), 0..5),
         arb_status(),
-        prop::collection::vec(
-            (arb_fraction(), 0.0f64..40.0).prop_map(|(cutdown, reward)| Settlement {
-                cutdown,
-                reward: Money(reward),
-            }),
-            0..5,
-        ),
+        arb_run(arb_settlement),
         0u64..100,
     )
         .prop_map(
@@ -460,15 +471,17 @@ proptest! {
         }
     }
 
-    /// Random single-byte corruption anywhere in the file decodes to
-    /// `Ok` or a typed error — never a panic, never unbounded work.
+    /// Random single-byte corruption anywhere in the file, at any tier
+    /// (only full-trace archives hold bid runs and preferences), decodes
+    /// to `Ok` or a typed error — never a panic, never unbounded work.
     #[test]
     fn corrupt_bytes_never_panic(
         report in arb_campaign_report(),
+        tier in arb_tier(),
         position in any::<usize>(),
         value in 0u8..=255,
     ) {
-        let mut bytes = campaign_bytes(&report, ReportTier::Settlement);
+        let mut bytes = campaign_bytes(&report, tier);
         let position = position % bytes.len();
         bytes[position] = value;
         // Any outcome is acceptable except a panic or a hang.
@@ -528,14 +541,17 @@ fn every_truncation_fails_with_typed_error() {
 
 #[test]
 fn wrong_version_is_rejected_by_name() {
-    let mut bytes = campaign_bytes(&fixture(), ReportTier::Settlement);
-    bytes[4..6].copy_from_slice(&9u16.to_le_bytes());
-    match SeasonArchive::from_reader(Cursor::new(bytes)) {
-        Err(ArchiveError::UnsupportedVersion(9)) => {}
-        other => panic!(
-            "expected UnsupportedVersion(9), got {other:?}",
-            other = other.err()
-        ),
+    // A future version, and the retired version 1.
+    for version in [9u16, 1] {
+        let mut bytes = campaign_bytes(&fixture(), ReportTier::Settlement);
+        bytes[4..6].copy_from_slice(&version.to_le_bytes());
+        match SeasonArchive::from_reader(Cursor::new(bytes)) {
+            Err(ArchiveError::UnsupportedVersion(v)) if v == version => {}
+            other => panic!(
+                "expected UnsupportedVersion({version}), got {other:?}",
+                other = other.err()
+            ),
+        }
     }
 }
 

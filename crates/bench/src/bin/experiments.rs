@@ -12,6 +12,7 @@
 //! trajectory is comparable across PRs.
 
 use loadbal_bench::experiments;
+use loadbal_core::session::ReportTier;
 use std::alloc::{GlobalAlloc, Layout, System};
 
 /// The system allocator with count + byte accounting on top, feeding
@@ -124,13 +125,32 @@ fn run(id: &str, json: bool) -> bool {
         }
         "report_tiers" => {
             // The acceptance shape: a 4-cell × 24-day season per tier,
-            // sequential so every tier negotiates identically.
+            // sequential so every tier negotiates identically. Archive
+            // v2 stores bids and settlements as dictionary runs and
+            // preferences as (scale, ceiling): the full-trace archive
+            // reads ≈ 7,600 B/day and the settlement archive ≈ 420
+            // (raw runs read ≈ 28,700 and ≈ 1,960), so a return to raw
+            // runs breaks the archive bounds.
             let r = experiments::report_tiers(4, 100, 24, 42);
             println!("{r}");
             if let Some(ratio) = r.settlement_memory_ratio {
                 assert!(
                     ratio <= 0.1,
                     "settlement / full-trace retained memory {ratio:.4} (acceptance: ≤ 0.1)"
+                );
+            }
+            for (tier, bound) in [
+                (ReportTier::FullTrace, 10_000.0),
+                (ReportTier::Settlement, 600.0),
+            ] {
+                let per_day = r
+                    .rows
+                    .iter()
+                    .find(|row| row.tier == tier)
+                    .map_or(f64::INFINITY, |row| row.archive_bytes_per_day);
+                assert!(
+                    per_day <= bound,
+                    "{tier} archive {per_day:.1} B/day (acceptance: ≤ {bound})"
                 );
             }
             if json {

@@ -672,11 +672,6 @@ impl CampaignRunner<'_> {
         })
     }
 
-    /// The tier this campaign's reports retain.
-    pub fn report_tier(&self) -> ReportTier {
-        self.report_tier
-    }
-
     /// Runs the campaign as a one-cell
     /// [`FleetRunner`](crate::fleet::FleetRunner): one queue entry, which
     /// one worker — the calling thread — runs day by day, each day's
@@ -770,18 +765,6 @@ impl DayPlan {
     /// The calendar day this work belongs to.
     pub fn day(&self) -> CalendarDay {
         self.day
-    }
-
-    /// The tier the campaign wants this day's negotiations reported at
-    /// — [`DayPlan::negotiate`] passes it to the scratch so lower tiers
-    /// never materialise the storage they would immediately drop.
-    pub fn tier(&self) -> ReportTier {
-        self.tier
-    }
-
-    /// The detected peaks, in time order (one scenario each).
-    pub fn peaks(&self) -> &[Peak] {
-        &self.peaks
     }
 
     /// The labelled scenarios to negotiate, in peak order.
@@ -1023,12 +1006,6 @@ impl CampaignProgress<'_> {
     /// negotiate with — the runner's until a tuning policy moves it.
     pub fn ua_config(&self) -> &UtilityAgentConfig {
         &self.ua_config
-    }
-
-    /// The campaign's own process control: one evaluation per settled
-    /// negotiation so far.
-    pub fn control(&self) -> &OwnProcessControl {
-        &self.control
     }
 
     /// Records a completed pass: `reports` must hold one

@@ -12,8 +12,11 @@
 //! seeded random populations and the physically grounded households of
 //! [`ScenarioBuilder::from_peak`](crate::session::ScenarioBuilder::from_peak)
 //! differ only in that factor and in the physical ceiling. So
-//! [`CustomerPreferences`] stores just the two numbers and reads the
-//! six levels from one static base table. A customer's preferences are
+//! [`CustomerPreferences`] stores just the two numbers
+//! ([`scale`](CustomerPreferences::scale) and
+//! [`max_cutdown`](CustomerPreferences::max_cutdown), which is also all
+//! a season archive writes) and reads the six levels from one static
+//! base table. A customer's preferences are
 //! a 16-byte `Copy` value rather than a heap-allocated table, which is
 //! what lets a city-scale season materialise and negotiate with
 //! hundreds of thousands of customers without one heap object each.
@@ -89,34 +92,6 @@ impl CustomerPreferences {
         }
     }
 
-    /// Recovers preferences from their materialised table, as
-    /// [`thresholds`](CustomerPreferences::thresholds) lists it — the
-    /// inverse the archive decoder needs.
-    ///
-    /// The scale is read from the 0.1 level (`required / 2`), and the
-    /// table must be exactly the Figure-8 table times that scale: the
-    /// same six cut-downs, each reward bit-equal to the base reward
-    /// times the scale. Returns `None` for any other table, or when the
-    /// scale is negative or non-finite.
-    pub fn from_thresholds(
-        thresholds: &[(Fraction, Money)],
-        max_cutdown: Fraction,
-    ) -> Option<CustomerPreferences> {
-        let &(_, at_0_1) = thresholds.get(1)?;
-        let scale = at_0_1.value() / 2.0;
-        if !(scale >= 0.0 && scale.is_finite()) {
-            return None;
-        }
-        let prefs = CustomerPreferences { scale, max_cutdown };
-        let bits = |(c, r): (Fraction, Money)| (c.value().to_bits(), r.value().to_bits());
-        (thresholds.len() == BASE.len()
-            && thresholds
-                .iter()
-                .zip(prefs.entries())
-                .all(|(&entry, scaled)| bits(entry) == bits(scaled)))
-        .then_some(prefs)
-    }
-
     /// Generates a heterogeneous population of preferences, seeded.
     ///
     /// Scale factors are drawn uniformly from `[k_min, k_max]` and
@@ -157,6 +132,15 @@ impl CustomerPreferences {
     /// The thresholds, sorted by cut-down.
     pub fn thresholds(&self) -> [(Fraction, Money); 6] {
         BASE.map(|entry| self.scaled(entry))
+    }
+
+    /// The factor every Figure-8 threshold is multiplied by: with
+    /// [`max_cutdown`](CustomerPreferences::max_cutdown), the whole of
+    /// the preferences, as
+    /// [`from_base_scaled`](CustomerPreferences::from_base_scaled) takes
+    /// them.
+    pub fn scale(&self) -> f64 {
+        self.scale
     }
 
     /// The physical/comfort ceiling on cut-downs.
@@ -351,70 +335,6 @@ mod tests {
         assert_eq!(a, b);
         let distinct: std::collections::HashSet<String> = a.iter().map(|p| p.to_string()).collect();
         assert!(distinct.len() > 10, "population should be heterogeneous");
-    }
-
-    #[test]
-    fn from_thresholds_rejects_an_empty_table() {
-        assert_eq!(CustomerPreferences::from_thresholds(&[], fr(0.5)), None);
-    }
-
-    #[test]
-    fn from_thresholds_rejects_a_decreasing_table() {
-        let decreasing = [(fr(0.1), Money(5.0)), (fr(0.2), Money(1.0))];
-        assert_eq!(
-            CustomerPreferences::from_thresholds(&decreasing, fr(0.5)),
-            None
-        );
-        // Decreasing within an otherwise full six-level table, too.
-        let mut table = CustomerPreferences::from_base_scaled(1.5, fr(0.5)).thresholds();
-        table.swap(3, 4);
-        assert_eq!(CustomerPreferences::from_thresholds(&table, fr(0.5)), None);
-    }
-
-    #[test]
-    fn from_thresholds_inverts_thresholds() {
-        for k in [0.0, 0.3, 1.0, 2.8, 1e-300, 47.123_456_789] {
-            let prefs = CustomerPreferences::from_base_scaled(k, fr(0.4));
-            assert_eq!(
-                CustomerPreferences::from_thresholds(&prefs.thresholds(), fr(0.4)),
-                Some(prefs),
-                "k = {k}"
-            );
-        }
-    }
-
-    #[test]
-    fn from_thresholds_rejects_tables_that_are_not_scaled() {
-        let base = CustomerPreferences::paper_figure_8().thresholds();
-        // One reward off by one ulp.
-        let mut nudged = base;
-        nudged[5].1 = Money(f64::from_bits(base[5].1.value().to_bits() + 1));
-        assert_eq!(CustomerPreferences::from_thresholds(&nudged, fr(0.5)), None);
-        // A level moved.
-        let mut moved = base;
-        moved[2].0 = fr(0.25);
-        assert_eq!(CustomerPreferences::from_thresholds(&moved, fr(0.5)), None);
-        // A level missing, or one too many.
-        assert_eq!(
-            CustomerPreferences::from_thresholds(&base[..5], fr(0.5)),
-            None
-        );
-        let mut longer = base.to_vec();
-        longer.push((fr(0.6), Money(40.0)));
-        assert_eq!(CustomerPreferences::from_thresholds(&longer, fr(0.5)), None);
-        // A negative or non-finite scale.
-        let mut negative = base;
-        negative[1].1 = Money(-2.0);
-        assert_eq!(
-            CustomerPreferences::from_thresholds(&negative, fr(0.5)),
-            None
-        );
-        let mut infinite = base;
-        infinite[1].1 = Money(f64::INFINITY);
-        assert_eq!(
-            CustomerPreferences::from_thresholds(&infinite, fr(0.5)),
-            None
-        );
     }
 
     #[test]
