@@ -3,9 +3,8 @@
 //! and [`FleetReport`](loadbal_core::fleet::FleetReport)s, plus the
 //! `season-inspect` CLI that lists, dumps and diffs them.
 //!
-//! The workspace's vendored `serde` is a derive-compatibility stub with
-//! no real serialization behind it, so this crate carries its own codec:
-//! a hand-written little-endian format designed for the two things a
+//! The crate carries its own codec, the workspace's only one: a
+//! hand-written little-endian format designed for the two things a
 //! season archive is actually used for — *pulling one day back out
 //! without decoding the season*, and *storing low-tier seasons in a few
 //! hundred bytes per day*.

@@ -254,7 +254,7 @@ impl<R: Read + Seek> SeasonArchive<R> {
     ///
     /// [`ArchiveError::CellOutOfRange`] for a bad cell, plus the
     /// open-time error contract.
-    pub fn read_cell(&mut self, cell: usize) -> Result<CampaignReport, ArchiveError> {
+    fn read_cell(&mut self, cell: usize) -> Result<CampaignReport, ArchiveError> {
         let (economics, day_entries, outcome_entries) = {
             let c = self.cell(cell)?;
             (c.economics, c.days.clone(), c.outcomes.clone())

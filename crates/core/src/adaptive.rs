@@ -276,11 +276,6 @@ impl RollingWindow {
         self.window
     }
 
-    /// The re-selection cadence, in evaluated days.
-    pub fn every(&self) -> usize {
-        self.every
-    }
-
     /// [`select_best`] over the last `window` days of the given aligned
     /// history/weather series (`None` if the tail is too short to
     /// split).

@@ -6,11 +6,10 @@
 //! examined" (Section 7). [`BetaPolicy`] implements both, and the E7
 //! experiment compares them.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How β evolves over the course of a negotiation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BetaPolicy {
     /// The prototype: a constant β.
     Constant {

@@ -1220,7 +1220,7 @@ impl IntervalOutcome {
     }
 
     /// True if the marginal-cost stop rule ended this negotiation.
-    pub fn stopped_economically(&self) -> bool {
+    fn stopped_economically(&self) -> bool {
         self.report.status()
             == crate::concession::NegotiationStatus::Converged(
                 crate::concession::TerminationReason::EconomicStop,
@@ -1335,11 +1335,6 @@ impl CampaignReport {
     /// Days the campaign evaluated (post-warmup), peaks or not.
     pub fn days_evaluated(&self) -> usize {
         self.days.len()
-    }
-
-    /// Evaluated days on which no peak warranted negotiation.
-    pub fn stable_days(&self) -> usize {
-        self.days.iter().filter(|d| d.peaks.is_empty()).count()
     }
 
     /// Number of negotiations that converged by protocol rules.
@@ -1495,7 +1490,7 @@ mod tests {
         let report = small_runner(&pop).run();
         assert!(report.all_converged(), "{report}");
         assert!(report.total_energy_shaved().value() > 0.0, "{report}");
-        assert!(report.stable_days() < report.days_evaluated());
+        assert!(report.days.iter().any(|d| !d.peaks.is_empty()));
         assert_eq!(report.total_feedback(), KilowattHours::ZERO, "open loop");
         let text = report.to_string();
         assert!(text.contains("peaks negotiated"));

@@ -17,11 +17,10 @@ use crate::customer_agent::decide_offer;
 use crate::methods::AnnouncementMethod;
 use crate::session::Scenario;
 use powergrid::units::{Fraction, KilowattHours};
-use serde::{Deserialize, Serialize};
 
 /// A consumption category: all customers whose predicted use falls in
 /// `[lower, upper)` receive the category's `x_max`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Category {
     /// Inclusive lower bound on predicted use.
     pub lower: KilowattHours,

@@ -11,11 +11,10 @@
 
 use crate::reward::RewardTable;
 use powergrid::units::Fraction;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a negotiation ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TerminationReason {
     /// "(1) the peak is satisfactorily low for the Utility Agent (at most
     /// the maximal allowed overuse)".
@@ -49,7 +48,7 @@ impl fmt::Display for TerminationReason {
 }
 
 /// Outcome status of a negotiation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NegotiationStatus {
     /// The protocol terminated by its own rules.
     Converged(TerminationReason),

@@ -9,7 +9,6 @@ use crate::preferences::CustomerPreferences;
 use crate::reward::RewardTable;
 use powergrid::tariff::Tariff;
 use powergrid::units::{Fraction, KilowattHours, Money};
-use serde::{Deserialize, Serialize};
 
 /// The CA's per-negotiation state: its preferences and what the
 /// monotonic concession protocol obliges it to respect — the previous
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// bids themselves are kept by the report
 /// ([`RoundRecord::bids`](crate::session::RoundRecord::bids) at
 /// [`ReportTier::FullTrace`](crate::session::ReportTier::FullTrace)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CustomerAgentState {
     preferences: CustomerPreferences,
     previous_bid: Fraction,

@@ -54,6 +54,11 @@ pub fn ua_own_process_control_tree() -> Component {
 
 /// Figure 3: process abstraction levels within *cooperation management*
 /// of the UA.
+///
+/// The *generate and select* leaves (`generate_announcements`,
+/// `evaluate_prediction_for_announcements`, `select_announcement`) are
+/// the paper's labels only: no model runs behind them, since the UA
+/// determines each announcement with the §6 update rule.
 pub fn ua_cooperation_tree() -> Component {
     let generate_select = Component::composed(
         "determine_announcement_by_generate_and_select",
@@ -204,13 +209,13 @@ pub fn customer_agent_tree() -> Component {
 // The negotiation ontology (§4.2: information types)
 // ---------------------------------------------------------------------
 
-/// The order-sorted information type (ontology) of the negotiation
+/// The information type (ontology) of the negotiation
 /// vocabulary: the predicates flowing over the `announce` and `bids`
 /// information links, with their argument sorts. "An information type
 /// defines an ontology (lexicon, vocabulary) to describe objects or
 /// terms, their sorts, and the relations or functions that can be
 /// defined on these objects" (§4.2.1).
-pub fn negotiation_info_type() -> desire::info::InfoType {
+fn negotiation_info_type() -> desire::info::InfoType {
     desire::info::InfoType::new("load_balancing_negotiation")
         // announce_round(Round)
         .with_predicate("announce_round", &["number"])

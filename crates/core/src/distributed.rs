@@ -94,7 +94,7 @@ impl UtilityProcess {
 
     /// Unwraps the process into its engine and finished report — how the
     /// hot loop recovers the UA engine for reuse after a run.
-    pub fn into_engine_and_report(self) -> (UtilityEngine, NegotiationReport) {
+    fn into_engine_and_report(self) -> (UtilityEngine, NegotiationReport) {
         let report = self.assembler.finish();
         (self.engine, report)
     }

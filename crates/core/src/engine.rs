@@ -14,7 +14,7 @@
 //! * [`UtilityEngine`] — the Utility Agent half, parameterized by
 //!   [`AnnouncementMethod`]; reuses [`RewardTableNegotiator`] (the §6
 //!   reward/concession logic) and
-//!   [`assess_bids`](crate::utility_agent::cooperation::assess_bids()).
+//!   [`assess_bids_in_place`](crate::utility_agent::cooperation::assess_bids_in_place()).
 //!   Each round's announcement is one [`Effect::Broadcast`] to every
 //!   customer (§6.1: all Customer Agents get the same announcement);
 //!   awards are per-customer [`Effect::Send`]s.

@@ -75,8 +75,7 @@ impl ExecutionMode {
 
     /// Distributed execution over the given (typically faulty) network,
     /// with the default deadline and a zero base seed. Chain
-    /// [`with_seed`](ExecutionMode::with_seed) /
-    /// [`with_deadline`](ExecutionMode::with_deadline) to adjust.
+    /// [`with_seed`](ExecutionMode::with_seed) to adjust the seed.
     pub fn distributed_faulty(network: NetworkModel) -> ExecutionMode {
         ExecutionMode::Distributed {
             network,
@@ -90,15 +89,6 @@ impl ExecutionMode {
     pub fn with_seed(mut self, base: u64) -> ExecutionMode {
         if let ExecutionMode::Distributed { seed, .. } = &mut self {
             *seed = base;
-        }
-        self
-    }
-
-    /// Sets the per-round response deadline (no effect on
-    /// [`ExecutionMode::Sync`], which has no timers).
-    pub fn with_deadline(mut self, ticks: u64) -> ExecutionMode {
-        if let ExecutionMode::Distributed { deadline, .. } = &mut self {
-            *deadline = SimDuration::from_ticks(ticks);
         }
         self
     }
@@ -241,18 +231,13 @@ mod tests {
         let mode = ExecutionMode::distributed_faulty(
             NetworkModel::uniform(1, 10).with_drop_probability(0.1),
         )
-        .with_seed(42)
-        .with_deadline(500);
-        let ExecutionMode::Distributed { deadline, seed, .. } = mode else {
+        .with_seed(42);
+        let ExecutionMode::Distributed { seed, .. } = mode else {
             panic!("distributed mode expected");
         };
         assert_eq!(seed, 42);
-        assert_eq!(deadline, SimDuration::from_ticks(500));
-        // Seed/deadline setters are inert on Sync.
-        assert_eq!(
-            ExecutionMode::sync().with_seed(9).with_deadline(9),
-            ExecutionMode::Sync
-        );
+        // The seed setter is inert on Sync.
+        assert_eq!(ExecutionMode::sync().with_seed(9), ExecutionMode::Sync);
     }
 
     #[test]

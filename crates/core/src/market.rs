@@ -21,7 +21,6 @@
 use crate::preferences::CustomerPreferences;
 use crate::session::Scenario;
 use powergrid::units::{Fraction, KilowattHours, Money, PricePerKwh};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A customer's best response to a quoted compensation price: the
@@ -46,7 +45,7 @@ pub fn demand_response(
 }
 
 /// One price-quote iteration of the auction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuctionRound {
     /// Iteration number, 1-based.
     pub iteration: u32,
@@ -57,7 +56,7 @@ pub struct AuctionRound {
 }
 
 /// Result of the computational-market run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarketReport {
     /// The bisection trace.
     pub iterations: Vec<AuctionRound>,
@@ -77,11 +76,6 @@ pub struct MarketReport {
 }
 
 impl MarketReport {
-    /// True if demand was brought within the capacity target.
-    pub fn cleared(&self) -> bool {
-        self.final_total <= self.capacity_target + KilowattHours(1e-9)
-    }
-
     /// Final relative overuse versus `normal_use`.
     pub fn final_overuse_fraction(&self, normal_use: KilowattHours) -> f64 {
         crate::reward::overuse_fraction(self.final_total, normal_use)
@@ -106,7 +100,7 @@ impl fmt::Display for MarketReport {
 }
 
 /// Auctioneer configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AuctionConfig {
     /// Upper bound on the compensation price.
     pub price_cap: PricePerKwh,
@@ -260,7 +254,10 @@ mod tests {
     fn market_clears_paper_scenario() {
         let scenario = ScenarioBuilder::paper_figure_6().build();
         let report = run_market(&scenario, AuctionConfig::default());
-        assert!(report.cleared(), "{report}");
+        assert!(
+            report.final_total <= report.capacity_target + KilowattHours(1e-9),
+            "{report}"
+        );
         let price = report.clearing_price.expect("cleared market has a price");
         assert!(price.value() > 0.0);
         assert!(report.payments > Money::ZERO);
@@ -288,7 +285,7 @@ mod tests {
         };
         let report = run_market(&scenario, config);
         assert!(report.clearing_price.is_none());
-        assert!(!report.cleared());
+        assert!(report.final_total > report.capacity_target + KilowattHours(1e-9));
     }
 
     #[test]

@@ -2,17 +2,15 @@
 //!
 //! The vocabulary follows §3.2 of the paper: announcements flow from the
 //! Utility Agent to all Customer Agents, bids flow back, and awards
-//! confirm accepted bids. Peripheral traffic covers the Producer Agent
-//! (availability/cost).
+//! confirm accepted bids.
 
 use crate::reward::RewardTable;
-use powergrid::units::{Fraction, KilowattHours, Kilowatts, Money, PricePerKwh};
-use serde::{Deserialize, Serialize};
+use powergrid::units::{Fraction, KilowattHours, Money};
 use std::fmt;
 use std::sync::Arc;
 
 /// A protocol message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
     // ----- announce-reward-tables method (§3.2.3) -----
     /// UA → CA: a reward table for `round`.
@@ -20,8 +18,7 @@ pub enum Msg {
     /// The table is behind an [`Arc`]: one round's announcement goes to
     /// *every* customer, so the negotiation hot loop shares one
     /// snapshot per round instead of cloning the entry vector per
-    /// recipient (serialization is transparent — real `serde`
-    /// serializes through the `Arc`).
+    /// recipient.
     Announce {
         /// Negotiation round, 1-based.
         round: u32,
@@ -75,37 +72,9 @@ pub enum Msg {
         /// The equivalent cut-down fraction of allowed use.
         cutdown: Fraction,
     },
-
-    // ----- Producer Agent traffic (§5.1) -----
-    /// UA → PA: what can you produce and at what cost?
-    QueryAvailability,
-    /// PA → UA: capacity and marginal costs.
-    Availability {
-        /// Normal (cheap) capacity.
-        normal_capacity: Kilowatts,
-        /// Cost within normal capacity.
-        normal_cost: PricePerKwh,
-        /// Cost beyond normal capacity.
-        expensive_cost: PricePerKwh,
-    },
 }
 
 impl Msg {
-    /// Short tag for logs and metrics.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Msg::Announce { .. } => "announce",
-            Msg::Bid { .. } => "bid",
-            Msg::Award { .. } => "award",
-            Msg::Offer { .. } => "offer",
-            Msg::OfferReply { .. } => "offer-reply",
-            Msg::RequestBids { .. } => "request-bids",
-            Msg::NeedBid { .. } => "need-bid",
-            Msg::QueryAvailability => "query-availability",
-            Msg::Availability { .. } => "availability",
-        }
-    }
-
     /// The negotiation round the message belongs to, if any.
     pub fn round(&self) -> Option<u32> {
         match self {
@@ -143,12 +112,6 @@ impl fmt::Display for Msg {
             } => {
                 write!(f, "need-bid[r{round}] y_min={y_min} ({cutdown})")
             }
-            Msg::QueryAvailability => f.write_str("query-availability"),
-            Msg::Availability {
-                normal_capacity, ..
-            } => {
-                write!(f, "availability {normal_capacity}")
-            }
         }
     }
 }
@@ -156,51 +119,9 @@ impl fmt::Display for Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reward::DEFAULT_LEVELS;
-    use powergrid::time::Interval;
 
     fn fr(v: f64) -> Fraction {
         Fraction::clamped(v)
-    }
-
-    #[test]
-    fn tags_are_distinct() {
-        let msgs = [
-            Msg::Announce {
-                round: 1,
-                table: Arc::new(RewardTable::quadratic(
-                    Interval::new(0, 4),
-                    &DEFAULT_LEVELS,
-                    Money(17.0),
-                    fr(0.4),
-                )),
-            },
-            Msg::Bid {
-                round: 1,
-                cutdown: fr(0.2),
-            },
-            Msg::Award {
-                round: 3,
-                cutdown: fr(0.4),
-                reward: Money(24.8),
-            },
-            Msg::Offer { x_max: fr(0.8) },
-            Msg::OfferReply { accept: true },
-            Msg::RequestBids { round: 2 },
-            Msg::NeedBid {
-                round: 2,
-                y_min: KilowattHours(5.0),
-                cutdown: fr(0.3),
-            },
-            Msg::QueryAvailability,
-            Msg::Availability {
-                normal_capacity: Kilowatts(100.0),
-                normal_cost: PricePerKwh(0.3),
-                expensive_cost: PricePerKwh(1.1),
-            },
-        ];
-        let tags: std::collections::HashSet<_> = msgs.iter().map(|m| m.tag()).collect();
-        assert_eq!(tags.len(), msgs.len());
     }
 
     #[test]
@@ -213,7 +134,7 @@ mod tests {
             .round(),
             Some(3)
         );
-        assert_eq!(Msg::QueryAvailability.round(), None);
+        assert_eq!(Msg::Offer { x_max: fr(0.8) }.round(), None);
     }
 
     #[test]

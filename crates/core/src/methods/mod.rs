@@ -10,11 +10,10 @@ pub mod offer;
 pub mod request_bids;
 pub mod reward_table;
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which announcement method a negotiation uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AnnouncementMethod {
     /// §3.2.1 — one-round take-it-or-leave-it offer.
     Offer,

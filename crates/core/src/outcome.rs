@@ -9,11 +9,10 @@ use crate::customer_agent::settlement_gain;
 use crate::producer_agent::ProducerAgent;
 use crate::session::{NegotiationReport, Scenario};
 use powergrid::units::{KilowattHours, Money};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Monetary summary of one settled negotiation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SettlementSummary {
     /// Rewards (or billing advantages) the utility committed to.
     pub rewards_paid: Money,
@@ -82,11 +81,6 @@ impl SettlementSummary {
             participants,
         }
     }
-
-    /// True if the deal was mutually beneficial in aggregate.
-    pub fn mutually_beneficial(&self) -> bool {
-        self.utility_net_gain >= Money::ZERO && self.customer_surplus >= Money::ZERO
-    }
 }
 
 impl fmt::Display for SettlementSummary {
@@ -133,7 +127,7 @@ mod tests {
             summary.customer_surplus >= Money::ZERO,
             "customers only bid when the reward covers their threshold"
         );
-        assert!(summary.mutually_beneficial(), "{summary}");
+        assert!(summary.utility_net_gain >= Money::ZERO, "{summary}");
     }
 
     #[test]

@@ -28,7 +28,6 @@ use crate::reward::RewardTable;
 use powergrid::units::{Fraction, Money};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The Figure-8 customer's table at scale 1: `(cut-down, required
@@ -57,7 +56,7 @@ const BASE: [(f64, f64); 6] = [
 /// assert_eq!(prefs.required_for(Fraction::clamped(0.3)), Some(Money(10.0)));
 /// assert_eq!(prefs.required_for(Fraction::clamped(0.4)), Some(Money(21.0)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CustomerPreferences {
     /// The factor every Figure-8 threshold is multiplied by.
     scale: f64,

@@ -1,4 +1,4 @@
-//! The Producer Agent (PA): reports production availability and cost.
+//! The Producer Agent (PA): production cost.
 //!
 //! "Interaction with the Producer Agent is essential to acquire
 //! information about the availability of electricity and the cost
@@ -6,22 +6,8 @@
 //! the PA here is an information source backed by the two-tier production
 //! model.
 
-use crate::message::Msg;
 use powergrid::production::ProductionModel;
-use powergrid::units::{KilowattHours, Kilowatts, Money, PricePerKwh};
-
-/// Availability report from the producer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Availability {
-    /// Cheap capacity.
-    pub normal_capacity: Kilowatts,
-    /// Total installed capacity.
-    pub total_capacity: Kilowatts,
-    /// Cost within normal capacity.
-    pub normal_cost: PricePerKwh,
-    /// Cost beyond normal capacity.
-    pub expensive_cost: PricePerKwh,
-}
+use powergrid::units::{KilowattHours, Money, PricePerKwh};
 
 /// An agent wrapping a production model.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,26 +24,6 @@ impl ProducerAgent {
     /// The underlying production model.
     pub fn production(&self) -> &ProductionModel {
         &self.production
-    }
-
-    /// The availability report (the answer to `QueryAvailability`).
-    pub fn availability(&self) -> Availability {
-        Availability {
-            normal_capacity: self.production.normal_capacity(),
-            total_capacity: self.production.total_capacity(),
-            normal_cost: self.production.normal_cost(),
-            expensive_cost: self.production.expensive_cost(),
-        }
-    }
-
-    /// The availability report as a protocol message.
-    pub fn availability_msg(&self) -> Msg {
-        let a = self.availability();
-        Msg::Availability {
-            normal_capacity: a.normal_capacity,
-            normal_cost: a.normal_cost,
-            expensive_cost: a.expensive_cost,
-        }
     }
 
     /// Marginal production cost saved per kWh of peak energy avoided —
@@ -77,35 +43,13 @@ impl ProducerAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use powergrid::units::Kilowatts;
 
     fn agent() -> ProducerAgent {
         ProducerAgent::new(ProductionModel::two_tier(
             Kilowatts(100.0),
             Kilowatts(150.0),
         ))
-    }
-
-    #[test]
-    fn availability_reflects_model() {
-        let a = agent().availability();
-        assert_eq!(a.normal_capacity, Kilowatts(100.0));
-        assert_eq!(a.total_capacity, Kilowatts(150.0));
-        assert!(a.expensive_cost > a.normal_cost);
-    }
-
-    #[test]
-    fn availability_msg_roundtrip() {
-        match agent().availability_msg() {
-            Msg::Availability {
-                normal_capacity,
-                normal_cost,
-                expensive_cost,
-            } => {
-                assert_eq!(normal_capacity, Kilowatts(100.0));
-                assert!(expensive_cost > normal_cost);
-            }
-            other => panic!("unexpected message {other:?}"),
-        }
     }
 
     #[test]
@@ -137,14 +81,14 @@ mod tests {
         // price/kWh → money.
         let a = agent();
         let cost = a.cost_of_energy(KilowattHours(250.0), 2.0);
-        let expected = 200.0 * a.availability().normal_cost.value()
-            + 50.0 * a.availability().expensive_cost.value();
+        let expected = 200.0 * a.production().normal_cost().value()
+            + 50.0 * a.production().expensive_cost().value();
         assert!((cost.value() - expected).abs() < 1e-9);
         // Halving the window halves the cheap band: 100 kWh cheap,
         // 150 kWh expensive.
         let shorter = a.cost_of_energy(KilowattHours(250.0), 1.0);
-        let expected_short = 100.0 * a.availability().normal_cost.value()
-            + 150.0 * a.availability().expensive_cost.value();
+        let expected_short = 100.0 * a.production().normal_cost().value()
+            + 150.0 * a.production().expensive_cost().value();
         assert!((shorter.value() - expected_short).abs() < 1e-9);
         assert!(shorter > cost, "less cheap capacity ⇒ higher cost");
     }
@@ -173,11 +117,11 @@ mod tests {
         let marginal = a.cost_of_energy(cap + KilowattHours(1.0), 1.0) - a.cost_of_energy(cap, 1.0);
         let spread = a.peak_saving_value();
         assert!(
-            (marginal.value() - a.availability().expensive_cost.value()).abs() < 1e-9,
+            (marginal.value() - a.production().expensive_cost().value()).abs() < 1e-9,
             "above capacity, the marginal kWh costs the expensive rate"
         );
         assert!(
-            (spread.value() - (marginal.value() - a.availability().normal_cost.value())).abs()
+            (spread.value() - (marginal.value() - a.production().normal_cost().value())).abs()
                 < 1e-9
         );
         assert!(spread.value() > 0.0, "expensive ≥ normal ⇒ spread ≥ 0");

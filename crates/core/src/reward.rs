@@ -13,11 +13,10 @@
 
 use powergrid::time::Interval;
 use powergrid::units::{Fraction, KilowattHours, Money};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The §6 update rule with its parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewardFormula {
     /// β — "determines how steeply the reward values increase".
     pub beta: f64,
@@ -122,7 +121,7 @@ pub fn overuse_fraction(total_predicted: KilowattHours, normal_use: KilowattHour
 /// assert_eq!(table.reward_for(Fraction::clamped(0.4)), Money(17.0));
 /// assert!(table.reward_for(Fraction::clamped(0.3)) < Money(10.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RewardTable {
     interval: Interval,
     entries: Vec<(Fraction, Money)>,
@@ -233,14 +232,6 @@ impl RewardTable {
             .find(|&&(c, _)| c == cutdown)
             .map(|&(_, r)| r)
             .unwrap_or(Money::ZERO)
-    }
-
-    /// The largest reward in the table.
-    pub fn max_entry(&self) -> Money {
-        self.entries
-            .iter()
-            .map(|&(_, r)| r)
-            .fold(Money::ZERO, Money::max)
     }
 
     /// Applies the §6 update rule to every entry, producing the next
@@ -462,11 +453,5 @@ mod tests {
         let t = RewardTable::quadratic(interval(), &[0.0, 0.4], Money(17.0), fr(0.4));
         let s = t.to_string();
         assert!(s.contains("0.40→17.0"), "{s}");
-    }
-
-    #[test]
-    fn max_entry() {
-        let t = RewardTable::quadratic(interval(), &DEFAULT_LEVELS, Money(17.0), fr(0.4));
-        assert!((t.max_entry().value() - 17.0 * (0.5f64 / 0.4).powi(2)).abs() < 1e-9);
     }
 }

@@ -19,7 +19,6 @@ use powergrid::time::Interval;
 use powergrid::units::{Fraction, KilowattHours, Money};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -29,7 +28,7 @@ use std::sync::Arc;
 /// A 32-byte value with no heap part (the preferences are a `Copy`
 /// scale and ceiling), so materialising a peak's scenario costs one
 /// vector for the whole population rather than one table per customer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CustomerProfile {
     /// Predicted consumption during the peak interval, absent any deal.
     pub predicted_use: KilowattHours,
@@ -40,7 +39,7 @@ pub struct CustomerProfile {
 }
 
 /// A complete negotiation scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Normal production capacity over the interval (`normal_use` in §6).
     pub normal_use: KilowattHours,
@@ -94,9 +93,7 @@ impl Scenario {
 /// * [`ReportTier::FullTrace`] — everything, byte-identical to the
 ///   pre-tier behaviour: every [`RoundRecord`] (tables, bids) and, in a
 ///   campaign, the materialised [`Scenario`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum ReportTier {
     /// Per-day/per-peak scalars only.
     Aggregate,
@@ -151,7 +148,7 @@ impl fmt::Display for ReportTier {
 /// The per-negotiation scalars that survive every [`ReportTier`] — the
 /// streaming fold of the round records and settlements a lower tier
 /// drops.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundDigest {
     /// Rounds the negotiation ran.
     pub rounds: u32,
@@ -194,7 +191,7 @@ impl RoundDigest {
 }
 
 /// Everything that happened in one negotiation round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundRecord {
     /// Round number, 1-based.
     pub round: u32,
@@ -219,7 +216,7 @@ impl RoundRecord {
 }
 
 /// One customer's final settlement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Settlement {
     /// The implemented cut-down.
     pub cutdown: Fraction,
@@ -234,7 +231,7 @@ pub struct Settlement {
 /// *answer* does not — every scalar accessor reads the [`RoundDigest`]
 /// that survives all tiers, so campaign feedback and economics work
 /// identically whether the rounds were kept or streamed away.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NegotiationReport {
     method: AnnouncementMethod,
     normal_use: KilowattHours,

@@ -6,10 +6,9 @@
 //! example, on the amount of time available for the negotiation process."
 
 use crate::methods::AnnouncementMethod;
-use serde::{Deserialize, Serialize};
 
 /// Situation features the selection knowledge conditions on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NegotiationContext {
     /// Communication rounds that fit before the peak arrives.
     pub rounds_available: u32,
@@ -49,98 +48,9 @@ pub fn select_method(ctx: NegotiationContext) -> (AnnouncementMethod, &'static s
     )
 }
 
-/// The same selection knowledge as [`select_method`], represented
-/// explicitly as a DESIRE knowledge base — "agent models have been
-/// designed in which explicit knowledge of negotiation strategies and
-/// their applicability is represented" (§7). The UA's
-/// `determine_announcement_method` component (Figure 2) reasons over
-/// exactly these rules.
-pub fn strategy_kb() -> desire::kb::KnowledgeBase {
-    desire::kb::KnowledgeBase::new("determine_announcement_method").with_rules(&[
-        // Peak imminent: only the one-round method fits.
-        "rounds_available(R) and lt(R, 2) => method(offer)",
-        // Ample time and a mild peak: grant customers maximal influence.
-        "rounds_available(R) and gte(R, 10) and overuse(O) and lt(O, 0.25) \
-         => method(request_for_bids)",
-        // Otherwise: the structured intermediate.
-        "rounds_available(R) and gte(R, 2) and overuse(O) and gte(O, 0.25) \
-         => method(reward_tables)",
-        "rounds_available(R) and gte(R, 2) and lt(R, 10) and overuse(O) and lt(O, 0.25) \
-         => method(reward_tables)",
-    ])
-}
-
-/// Runs the [`strategy_kb`] on a context via the DESIRE engine; returns
-/// the selected method.
-///
-/// # Panics
-///
-/// Panics if the knowledge base fails to derive exactly one method — a
-/// knowledge-engineering bug the tests guard against.
-pub fn select_method_by_kb(ctx: NegotiationContext) -> AnnouncementMethod {
-    use desire::engine::{Engine, FactBase, TruthValue};
-    use desire::term::{Atom, Term};
-    let mut facts = FactBase::new();
-    facts.assert(
-        Atom::new(
-            "rounds_available",
-            vec![Term::number(f64::from(ctx.rounds_available))],
-        ),
-        TruthValue::True,
-    );
-    facts.assert(
-        Atom::new("overuse", vec![Term::number(ctx.overuse)]),
-        TruthValue::True,
-    );
-    Engine::new()
-        .infer(&strategy_kb(), &mut facts)
-        .expect("strategy rules are consistent");
-    let candidates = [
-        ("offer", AnnouncementMethod::Offer),
-        ("request_for_bids", AnnouncementMethod::RequestForBids),
-        ("reward_tables", AnnouncementMethod::RewardTables),
-    ];
-    let derived: Vec<AnnouncementMethod> = candidates
-        .iter()
-        .filter(|(name, _)| facts.holds(&Atom::new("method", vec![Term::constant(*name)])))
-        .map(|&(_, m)| m)
-        .collect();
-    assert_eq!(
-        derived.len(),
-        1,
-        "strategy knowledge must select exactly one method, got {derived:?}"
-    );
-    derived[0]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kb_and_function_agree_everywhere() {
-        for rounds in [0u32, 1, 2, 5, 9, 10, 15, 30] {
-            for overuse in [0.05, 0.15, 0.24, 0.25, 0.3, 0.5] {
-                let ctx = NegotiationContext {
-                    rounds_available: rounds,
-                    overuse,
-                    customers: 100,
-                };
-                let (functional, _) = select_method(ctx);
-                let declarative = select_method_by_kb(ctx);
-                assert_eq!(
-                    functional, declarative,
-                    "divergence at rounds={rounds}, overuse={overuse}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn kb_has_rules_for_each_method() {
-        let kb = strategy_kb();
-        assert!(kb.rules().len() >= 3);
-    }
 
     #[test]
     fn imminent_peak_forces_offer() {

@@ -1,115 +1,19 @@
-//! Cooperation management within the UA (Figure 3): determining
-//! announcements and accepting bids.
+//! Cooperation management within the UA (Figure 3): accepting bids.
 //!
-//! Two announcement-determination tactics from §5.1.3 are implemented:
-//! the formula-driven update (the prototype's behaviour, in
-//! [`crate::utility_agent::RewardTableNegotiator`]) and the qualitative
-//! *generate and select* approach: "all possible announcements are
-//! generated and one is selected ... based on, for example, predictions
-//! of the results".
+//! Announcements are determined by the formula-driven update (the
+//! prototype's behaviour, in
+//! [`crate::utility_agent::RewardTableNegotiator`]).
 
-use crate::reward::{RewardFormula, RewardTable};
-use crate::utility_agent::maintenance::CustomerModel;
-use powergrid::units::{Fraction, Money};
-
-/// A candidate announcement with its predicted effect.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CandidateAnnouncement {
-    /// The candidate table.
-    pub table: RewardTable,
-    /// β multiplier that generated it.
-    pub beta_factor: f64,
-    /// Predicted aggregate cut-down fraction (from the customer model).
-    pub predicted_cutdown: f64,
-    /// Predicted reward outlay if every accepting customer is paid its
-    /// level's reward (upper bound: rate × reward summed over levels).
-    pub predicted_outlay: Money,
-}
-
-/// *Generate announcements*: candidate tables from the current one, one
-/// per β multiplier, each dominating the current table (monotonic
-/// concession is preserved by construction).
-pub fn generate_announcements(
-    current: &RewardTable,
-    formula: &RewardFormula,
-    overuse: f64,
-    beta_base: f64,
-    factors: &[f64],
-) -> Vec<CandidateAnnouncement> {
-    factors
-        .iter()
-        .filter(|&&f| f > 0.0)
-        .map(|&factor| {
-            let table = current.updated(formula, overuse, beta_base * factor);
-            CandidateAnnouncement {
-                table,
-                beta_factor: factor,
-                predicted_cutdown: 0.0,
-                predicted_outlay: Money::ZERO,
-            }
-        })
-        .collect()
-}
-
-/// *Evaluate prediction for announcements*: fills in predicted cut-down
-/// and outlay using the maintained customer model.
-pub fn evaluate_announcements(candidates: &mut [CandidateAnnouncement], model: &CustomerModel) {
-    for cand in candidates.iter_mut() {
-        cand.predicted_cutdown = model.expected_cutdown(&cand.table);
-        cand.predicted_outlay = cand
-            .table
-            .entries()
-            .iter()
-            .filter(|&&(c, _)| c > Fraction::ZERO)
-            .map(|&(c, r)| r * model.acceptance_rate(c, r))
-            .sum();
-    }
-}
-
-/// *Select announcement*: the cheapest candidate predicted to reach the
-/// target aggregate cut-down; if none reaches it, the one predicted to
-/// cut the most.
-///
-/// Returns `None` only for an empty candidate list.
-pub fn select_announcement(
-    candidates: &[CandidateAnnouncement],
-    target_cutdown: f64,
-) -> Option<&CandidateAnnouncement> {
-    let reaching: Vec<&CandidateAnnouncement> = candidates
-        .iter()
-        .filter(|c| c.predicted_cutdown >= target_cutdown)
-        .collect();
-    if reaching.is_empty() {
-        candidates.iter().max_by(|a, b| {
-            a.predicted_cutdown
-                .partial_cmp(&b.predicted_cutdown)
-                .expect("predictions are finite")
-        })
-    } else {
-        reaching.into_iter().min_by(|a, b| {
-            a.predicted_outlay
-                .partial_cmp(&b.predicted_outlay)
-                .expect("outlays are finite")
-        })
-    }
-}
+use crate::reward::RewardTable;
+use powergrid::units::Fraction;
 
 /// Bid assessment (*monitor bid receipt* / *evaluate bids* / *select
 /// bids*): in the prototype every bid consistent with the announced table
 /// is accepted; inconsistent bids (levels never announced) are rejected.
 ///
-/// Returns the accepted cut-down per customer (rejected bids count as
-/// zero cut-down).
-pub fn assess_bids(table: &RewardTable, bids: &[Fraction]) -> Vec<Fraction> {
-    let mut accepted = bids.to_vec();
-    assess_bids_in_place(table, &mut accepted);
-    accepted
-}
-
-/// In-place [`assess_bids`]: rejected bids are zeroed where they stand,
-/// so the negotiation hot loop assesses each round's bid vector without
-/// an extra allocation. Semantically identical to
-/// `*bids = assess_bids(table, bids)`.
+/// Rejected bids are zeroed where they stand (they count as zero
+/// cut-down), so the negotiation hot loop assesses each round's bid
+/// vector without an extra allocation.
 pub fn assess_bids_in_place(table: &RewardTable, bids: &mut [Fraction]) {
     for bid in bids {
         if *bid != Fraction::ZERO && !table.levels().any(|lvl| lvl == *bid) {
@@ -123,110 +27,18 @@ mod tests {
     use super::*;
     use crate::reward::DEFAULT_LEVELS;
     use powergrid::time::Interval;
+    use powergrid::units::Money;
 
     fn fr(v: f64) -> Fraction {
         Fraction::clamped(v)
     }
 
-    fn base_table() -> RewardTable {
-        RewardTable::quadratic(Interval::new(0, 8), &DEFAULT_LEVELS, Money(17.0), fr(0.4))
-    }
-
-    #[test]
-    fn generated_candidates_dominate_current() {
-        let current = base_table();
-        let candidates = generate_announcements(
-            &current,
-            &RewardFormula::paper(),
-            0.35,
-            2.0,
-            &[0.5, 1.0, 2.0],
-        );
-        assert_eq!(candidates.len(), 3);
-        for c in &candidates {
-            assert!(c.table.dominates(&current));
-        }
-        // Larger factors pay more.
-        assert!(candidates[2].table.reward_for(fr(0.4)) > candidates[0].table.reward_for(fr(0.4)));
-    }
-
-    #[test]
-    fn zero_factors_filtered() {
-        let candidates = generate_announcements(
-            &base_table(),
-            &RewardFormula::paper(),
-            0.3,
-            2.0,
-            &[0.0, 1.0],
-        );
-        assert_eq!(candidates.len(), 1);
-    }
-
-    #[test]
-    fn evaluation_fills_predictions() {
-        let mut model = CustomerModel::new();
-        model.observe_round(&base_table(), &[fr(0.4), fr(0.2), fr(0.0)]);
-        let mut candidates = generate_announcements(
-            &base_table(),
-            &RewardFormula::paper(),
-            0.35,
-            2.0,
-            &[1.0, 2.0],
-        );
-        evaluate_announcements(&mut candidates, &model);
-        for c in &candidates {
-            assert!(c.predicted_cutdown > 0.0);
-            assert!(c.predicted_outlay > Money::ZERO);
-        }
-    }
-
-    #[test]
-    fn selection_prefers_cheapest_reaching_target() {
-        let mut model = CustomerModel::new();
-        model.observe_round(&base_table(), &[fr(0.4), fr(0.4), fr(0.2), fr(0.0)]);
-        let mut candidates = generate_announcements(
-            &base_table(),
-            &RewardFormula::paper(),
-            0.35,
-            2.0,
-            &[0.5, 1.0, 2.0, 4.0],
-        );
-        evaluate_announcements(&mut candidates, &model);
-        // Pick a reachable target: the weakest candidate's prediction.
-        let target = candidates
-            .iter()
-            .map(|c| c.predicted_cutdown)
-            .fold(f64::INFINITY, f64::min);
-        let chosen = select_announcement(&candidates, target).unwrap();
-        // Every candidate reaching the target must cost at least as much.
-        for c in candidates.iter().filter(|c| c.predicted_cutdown >= target) {
-            assert!(chosen.predicted_outlay <= c.predicted_outlay);
-        }
-    }
-
-    #[test]
-    fn selection_falls_back_to_best_effort() {
-        let mut candidates = generate_announcements(
-            &base_table(),
-            &RewardFormula::paper(),
-            0.35,
-            2.0,
-            &[1.0, 2.0],
-        );
-        evaluate_announcements(&mut candidates, &CustomerModel::new());
-        let chosen = select_announcement(&candidates, 10.0).unwrap();
-        let best = candidates
-            .iter()
-            .map(|c| c.predicted_cutdown)
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(chosen.predicted_cutdown, best);
-        assert!(select_announcement(&[], 0.1).is_none());
-    }
-
     #[test]
     fn bid_assessment_rejects_off_table_levels() {
-        let table = base_table();
-        let accepted = assess_bids(&table, &[fr(0.4), fr(0.15), fr(0.0)]);
-        assert_eq!(accepted, vec![fr(0.4), fr(0.0), fr(0.0)]);
+        let table =
+            RewardTable::quadratic(Interval::new(0, 8), &DEFAULT_LEVELS, Money(17.0), fr(0.4));
+        let mut accepted = [fr(0.4), fr(0.15), fr(0.0)];
+        assess_bids_in_place(&table, &mut accepted);
+        assert_eq!(accepted, [fr(0.4), fr(0.0), fr(0.0)]);
     }
 }

@@ -4,10 +4,7 @@
 //!
 //! * [`own_process_control`] — negotiation evaluation and the
 //!   experience-based tuning it feeds (Figure 2);
-//! * [`cooperation`] — announcement determination (generate & select) and
-//!   bid assessment (Figure 3);
-//! * [`maintenance`] — models of the Customer Agents, updated from
-//!   observed behaviour (§5.1.4).
+//! * [`cooperation`] — bid assessment (Figure 3).
 //!
 //! The §5.1.2 agent-specific tasks — *determine predicted balance* and
 //! *evaluate prediction* — are
@@ -16,7 +13,6 @@
 //! directly.
 
 pub mod cooperation;
-pub mod maintenance;
 pub mod own_process_control;
 
 use crate::beta::BetaPolicy;
@@ -25,10 +21,9 @@ use crate::producer_agent::ProducerAgent;
 use crate::reward::{RewardFormula, RewardTable, DEFAULT_LEVELS};
 use powergrid::time::Interval;
 use powergrid::units::{Fraction, KilowattHours, Money, PricePerKwh};
-use serde::{Deserialize, Serialize};
 
 /// Shape of the initial reward table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableShape {
     /// Rewards grow quadratically in the cut-down (the Figure-6
     /// calibration).
@@ -61,7 +56,7 @@ pub enum TableShape {
 /// Campaigns derive `value_per_kwh` from the producer's economics
 /// ([`EconomicStopRule::for_producer`]); the rule is `None` by default,
 /// preserving the paper's unconditional behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EconomicStopRule {
     /// What a kWh of negotiated cut-down is worth to the utility.
     pub value_per_kwh: PricePerKwh,
@@ -92,7 +87,7 @@ impl EconomicStopRule {
 /// assert_eq!(config.max_allowed_overuse, 0.15);
 /// assert!(config.economic_stop.is_none());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UtilityAgentConfig {
     /// The §6 update rule parameters.
     pub formula: RewardFormula,
@@ -241,17 +236,6 @@ impl RewardTableNegotiator {
     }
 
     /// Evaluates the predicted relative overuse after this round's bids
-    /// and decides whether to stop or announce a new table, without the
-    /// economic context — equivalent to [`evaluate_with_outlay`] with no
-    /// remaining overuse to price, so a configured
-    /// [`EconomicStopRule`] never fires through this entry point.
-    ///
-    /// [`evaluate_with_outlay`]: RewardTableNegotiator::evaluate_with_outlay
-    pub fn evaluate(&mut self, overuse: f64) -> UaDecision {
-        self.evaluate_with_outlay(overuse, KilowattHours::ZERO, |_| Money::ZERO)
-    }
-
-    /// Evaluates the predicted relative overuse after this round's bids
     /// and decides whether to stop or announce a new table.
     ///
     /// Termination (§3.2.3 / §6): overuse at or below the allowed
@@ -314,6 +298,12 @@ mod tests {
         Interval::new(72, 80)
     }
 
+    /// The decision with no remaining overuse to price, so a configured
+    /// economic stop never fires.
+    fn evaluate(n: &mut RewardTableNegotiator, overuse: f64) -> UaDecision {
+        n.evaluate_with_outlay(overuse, KilowattHours::ZERO, |_| Money::ZERO)
+    }
+
     #[test]
     fn initial_table_matches_figure_6() {
         let n = RewardTableNegotiator::new(UtilityAgentConfig::paper(), interval());
@@ -327,7 +317,7 @@ mod tests {
     #[test]
     fn low_overuse_converges_immediately() {
         let mut n = RewardTableNegotiator::new(UtilityAgentConfig::paper(), interval());
-        let d = n.evaluate(0.10);
+        let d = evaluate(&mut n, 0.10);
         assert_eq!(
             d,
             UaDecision::Converged(TerminationReason::OveruseAcceptable)
@@ -338,7 +328,7 @@ mod tests {
     fn high_overuse_announces_dominating_table() {
         let mut n = RewardTableNegotiator::new(UtilityAgentConfig::paper(), interval());
         let first = n.current_table().clone();
-        match n.evaluate(0.35) {
+        match evaluate(&mut n, 0.35) {
             UaDecision::NextTable => {
                 assert!(n.current_table().dominates(&first));
                 assert_eq!(n.round(), 2);
@@ -353,7 +343,7 @@ mod tests {
         let mut rounds = 0;
         loop {
             rounds += 1;
-            match n.evaluate(0.5) {
+            match evaluate(&mut n, 0.5) {
                 UaDecision::NextTable => continue,
                 UaDecision::Converged(TerminationReason::RewardSaturated) => break,
                 other => panic!("unexpected {other:?}"),
@@ -370,8 +360,8 @@ mod tests {
         let mut config = UtilityAgentConfig::paper();
         config.max_rounds = 2;
         let mut n = RewardTableNegotiator::new(config, interval());
-        assert!(matches!(n.evaluate(0.5), UaDecision::NextTable));
-        assert!(matches!(n.evaluate(0.5), UaDecision::Converged(_)));
+        assert!(matches!(evaluate(&mut n, 0.5), UaDecision::NextTable));
+        assert!(matches!(evaluate(&mut n, 0.5), UaDecision::Converged(_)));
     }
 
     #[test]
@@ -416,9 +406,9 @@ mod tests {
         let mut with_ctx = RewardTableNegotiator::new(UtilityAgentConfig::paper(), interval());
         let mut plain = RewardTableNegotiator::new(UtilityAgentConfig::paper(), interval());
         // Even an absurdly expensive next table is announced when no rule
-        // is configured, and the context-free entry point agrees.
+        // is configured, and evaluating with nothing to price agrees.
         let a = with_ctx.evaluate_with_outlay(0.35, KilowattHours(1e-6), |_| Money(1e9));
-        let b = plain.evaluate(0.35);
+        let b = evaluate(&mut plain, 0.35);
         assert_eq!(a, b);
         assert!(matches!(a, UaDecision::NextTable));
     }

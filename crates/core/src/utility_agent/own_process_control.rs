@@ -4,15 +4,13 @@
 //! The §3.2.4 *determine general negotiation strategy* knowledge is
 //! [`crate::strategy::select_method`].
 
-use crate::concession::NegotiationStatus;
 use crate::methods::AnnouncementMethod;
 use crate::session::NegotiationReport;
 use crate::utility_agent::UtilityAgentConfig;
-use serde::{Deserialize, Serialize};
 
 /// The *evaluate negotiation process* output for one finished
 /// negotiation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NegotiationEvaluation {
     /// Method used.
     pub method: AnnouncementMethod,
@@ -22,44 +20,25 @@ pub struct NegotiationEvaluation {
     pub initial_overuse: f64,
     /// Relative overuse at the end.
     pub final_overuse: f64,
-    /// Total reward outlay committed.
-    pub reward_outlay: f64,
-    /// Whether the protocol converged by its own rules.
-    pub converged: bool,
 }
 
 impl NegotiationEvaluation {
     /// Summarises a finished negotiation report. Reads only digest
     /// scalars, so evaluations (and the tuning built on them) are
     /// identical at every [`ReportTier`](crate::session::ReportTier).
-    pub fn from_report(report: &NegotiationReport) -> NegotiationEvaluation {
+    fn from_report(report: &NegotiationReport) -> NegotiationEvaluation {
         NegotiationEvaluation {
             method: report.method(),
             rounds: report.digest().rounds,
             initial_overuse: report.initial_overuse_fraction(),
             final_overuse: report.final_overuse_fraction(),
-            reward_outlay: report.total_rewards().value(),
-            converged: report.status().is_converged(),
-        }
-    }
-
-    /// Overuse removed per unit of reward spent (∞ when free, 0 when
-    /// nothing improved).
-    pub fn efficiency(&self) -> f64 {
-        let removed = (self.initial_overuse - self.final_overuse).max(0.0);
-        if removed <= 0.0 {
-            0.0
-        } else if self.reward_outlay <= f64::EPSILON {
-            f64::INFINITY
-        } else {
-            removed / self.reward_outlay
         }
     }
 }
 
 /// The UA's own-process-control state: the evaluation history
 /// [`OwnProcessControl::tune`] adapts from.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct OwnProcessControl {
     history: Vec<NegotiationEvaluation>,
 }
@@ -79,13 +58,8 @@ pub const BETA_MAX: f64 = 64.0;
 /// allowed-overuse band to — the paper's Figure-6 tolerance (15 %).
 pub const BAND_MAX: f64 = 0.15;
 
-/// Evaluations [`OwnProcessControl`] retains, oldest dropped first.
-/// [`OwnProcessControl::tune`] reads only the most recent
-/// [`TUNE_WINDOW`]; the rest exist for inspection, and without a cap a
-/// season-scale campaign would grow the history without limit.
-pub const MAX_HISTORY: usize = 256;
-
-/// Recent evaluations [`OwnProcessControl::tune`] adapts from.
+/// Recent evaluations [`OwnProcessControl::tune`] adapts from, and all
+/// that [`OwnProcessControl`] retains: the oldest is dropped first.
 pub const TUNE_WINDOW: usize = 5;
 
 /// Relative overuse above the allowed band [`OwnProcessControl::tune`]
@@ -101,19 +75,13 @@ impl OwnProcessControl {
     }
 
     /// Records one finished negotiation. The history is windowed at
-    /// [`MAX_HISTORY`] evaluations: once full, the oldest is dropped.
+    /// [`TUNE_WINDOW`] evaluations: once full, the oldest is dropped.
     pub fn record(&mut self, report: &NegotiationReport) {
+        if self.history.len() == TUNE_WINDOW {
+            self.history.remove(0);
+        }
         self.history
             .push(NegotiationEvaluation::from_report(report));
-        if self.history.len() > MAX_HISTORY {
-            let excess = self.history.len() - MAX_HISTORY;
-            self.history.drain(..excess);
-        }
-    }
-
-    /// The evaluation history, oldest first.
-    pub fn history(&self) -> &[NegotiationEvaluation] {
-        &self.history
     }
 
     /// Experience-based tuning (§7 "dynamically varying the value of beta
@@ -199,16 +167,7 @@ impl OwnProcessControl {
             (0.5 * (config.max_allowed_overuse + mean_final)).clamp(0.0, BAND_MAX);
         config
     }
-
-    /// True if the last negotiation failed to converge — the trigger for
-    /// a strategy review.
-    pub fn last_failed(&self) -> bool {
-        self.history.last().map(|e| !e.converged).unwrap_or(false)
-    }
 }
-
-/// Re-export of the status type used in evaluations.
-pub type Status = NegotiationStatus;
 
 #[cfg(test)]
 mod tests {
@@ -220,9 +179,7 @@ mod tests {
         let scenario = ScenarioBuilder::paper_figure_6().build();
         let report = scenario.run();
         let eval = NegotiationEvaluation::from_report(&report);
-        assert!(eval.converged);
         assert!(eval.initial_overuse > eval.final_overuse);
-        assert!(eval.efficiency() > 0.0);
     }
 
     #[test]
@@ -230,10 +187,8 @@ mod tests {
         let scenario = ScenarioBuilder::paper_figure_6().build();
         let report = scenario.run();
         let mut opc = OwnProcessControl::new();
-        assert!(!opc.last_failed());
         opc.record(&report);
-        assert_eq!(opc.history().len(), 1);
-        assert!(!opc.last_failed());
+        assert_eq!(opc.history.len(), 1);
     }
 
     #[test]
@@ -245,8 +200,6 @@ mod tests {
                 rounds: 10,
                 initial_overuse: 0.35,
                 final_overuse: 0.14,
-                reward_outlay: 100.0,
-                converged: true,
             });
         }
         let base = UtilityAgentConfig::paper();
@@ -267,8 +220,6 @@ mod tests {
                 rounds: 1,
                 initial_overuse: 0.2,
                 final_overuse: 0.1,
-                reward_outlay: 400.0,
-                converged: true,
             });
         }
         let base = UtilityAgentConfig::paper();
@@ -288,8 +239,6 @@ mod tests {
                 rounds: 1,
                 initial_overuse: 0.2,
                 final_overuse: 0.05,
-                reward_outlay: 400.0,
-                converged: true,
             });
         }
         let base = UtilityAgentConfig::paper().with_max_allowed_overuse(0.0);
@@ -311,8 +260,6 @@ mod tests {
             rounds: 10,
             initial_overuse: 0.35,
             final_overuse: 0.14,
-            reward_outlay: 100.0,
-            converged: true,
         }
     }
 
@@ -383,29 +330,13 @@ mod tests {
     }
 
     #[test]
-    fn history_is_windowed_at_max_history() {
+    fn history_is_windowed_at_tune_window() {
         let scenario = ScenarioBuilder::paper_figure_6().build();
         let report = scenario.run();
         let mut opc = OwnProcessControl::new();
-        for _ in 0..(MAX_HISTORY + 10) {
+        for _ in 0..(TUNE_WINDOW + 10) {
             opc.record(&report);
         }
-        assert_eq!(opc.history().len(), MAX_HISTORY);
-    }
-
-    #[test]
-    fn efficiency_edge_cases() {
-        let mut e = NegotiationEvaluation {
-            method: AnnouncementMethod::Offer,
-            rounds: 1,
-            initial_overuse: 0.3,
-            final_overuse: 0.3,
-            reward_outlay: 10.0,
-            converged: true,
-        };
-        assert_eq!(e.efficiency(), 0.0);
-        e.final_overuse = 0.1;
-        e.reward_outlay = 0.0;
-        assert_eq!(e.efficiency(), f64::INFINITY);
+        assert_eq!(opc.history.len(), TUNE_WINDOW);
     }
 }

@@ -67,7 +67,7 @@ impl GenericTask {
     }
 
     /// The component name used for the task.
-    pub fn component_name(self) -> &'static str {
+    fn component_name(self) -> &'static str {
         match self {
             GenericTask::OwnProcessControl => "own_process_control",
             GenericTask::AgentSpecificTask => "agent_specific_task",

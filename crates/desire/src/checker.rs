@@ -13,12 +13,11 @@ use crate::component::{Body, Component};
 use crate::ident::{ComponentPath, Name};
 use crate::kb::KnowledgeBase;
 use crate::link::Endpoint;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Severity of a design issue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Suspicious but runnable.
     Warning,
@@ -36,7 +35,7 @@ impl fmt::Display for Severity {
 }
 
 /// One finding of the design checker.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DesignIssue {
     /// How bad it is.
     pub severity: Severity,

@@ -7,7 +7,7 @@
 //! knowledge base), or, components capable of performing tasks such as
 //! calculation, information retrieval, optimisation" (Section 4.1.1).
 
-use crate::engine::{Engine, FactBase, TruthValue};
+use crate::engine::{FactBase, TruthValue};
 use crate::ident::Name;
 use crate::info::InfoType;
 use crate::kb::KnowledgeBase;
@@ -49,7 +49,7 @@ impl Interface {
     }
 
     /// Creates an interface whose facts must conform to `info_type`.
-    pub fn typed(info_type: InfoType) -> Interface {
+    fn typed(info_type: InfoType) -> Interface {
         Interface {
             facts: FactBase::new(),
             info_type: Some(info_type),
@@ -91,16 +91,6 @@ impl Interface {
     /// facts).
     pub(crate) fn facts_mut(&mut self) -> &mut FactBase {
         &mut self.facts
-    }
-
-    /// Clears all facts.
-    pub fn clear(&mut self) {
-        self.facts.clear();
-    }
-
-    /// The declared information type, if any.
-    pub fn info_type(&self) -> Option<&InfoType> {
-        self.info_type.as_ref()
     }
 }
 
@@ -176,8 +166,9 @@ pub struct Composition {
 ///     .with_rule(Rule::parse("peak_expected => announce").unwrap());
 /// let mut c = Component::primitive("determine_announcement", kb);
 /// c.input_mut().assert(Atom::prop("peak_expected"), TruthValue::True);
-/// c.activate(&Engine::new(), &mut Trace::new()).unwrap();
-/// assert!(c.output().holds(&Atom::prop("announce")));
+/// let mut system = System::new(c);
+/// system.run().unwrap();
+/// assert!(system.root().output().holds(&Atom::prop("announce")));
 /// ```
 #[derive(Debug)]
 pub struct Component {
@@ -263,12 +254,6 @@ impl Component {
         self
     }
 
-    /// Replaces the output interface with a typed one.
-    pub fn with_typed_output(mut self, info: InfoType) -> Component {
-        self.output = Interface::typed(info);
-        self
-    }
-
     /// The input interface.
     pub fn input(&self) -> &Interface {
         &self.input
@@ -294,23 +279,10 @@ impl Component {
         &self.body
     }
 
-    /// True if this is a primitive (reasoning or calculation) component.
-    pub fn is_primitive(&self) -> bool {
-        !matches!(self.body, Body::Composed(_))
-    }
-
     /// Child component by name (for composed components).
     pub fn child(&self, name: &str) -> Option<&Component> {
         match &self.body {
             Body::Composed(c) => c.children.iter().find(|ch| ch.name.as_str() == name),
-            _ => None,
-        }
-    }
-
-    /// Mutable child component by name.
-    pub fn child_mut(&mut self, name: &str) -> Option<&mut Component> {
-        match &mut self.body {
-            Body::Composed(c) => c.children.iter_mut().find(|ch| ch.name.as_str() == name),
             _ => None,
         }
     }
@@ -321,29 +293,6 @@ impl Component {
             Body::Composed(c) => &c.children,
             _ => &[],
         }
-    }
-
-    /// Activates the component once:
-    ///
-    /// * reasoning primitive — runs the engine over input ∪ output and
-    ///   writes the resulting closure to the output interface;
-    /// * calculation primitive — calls [`Calculation::compute`] on the
-    ///   input and asserts the results on the output;
-    /// * composed — runs the kernel's macro-round loop (links, children,
-    ///   links) to quiescence.
-    ///
-    /// Returns the number of facts newly derived.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::system::SystemError`] on engine failure inside a
-    /// reasoning body or non-quiescence of a composition.
-    pub fn activate(
-        &mut self,
-        engine: &Engine,
-        trace: &mut crate::trace::Trace,
-    ) -> Result<usize, crate::system::SystemError> {
-        crate::system::activate_at(self, engine, trace, &crate::ident::ComponentPath::root())
     }
 
     /// Crate-internal simultaneous borrow of interfaces and body, needed
@@ -357,19 +306,20 @@ impl Component {
 mod tests {
     use super::*;
     use crate::kb::Rule;
+    use crate::system::System;
     use crate::term::Term;
-    use crate::trace::Trace;
 
     #[test]
     fn reasoning_primitive_derives_to_output() {
         let kb = KnowledgeBase::new("k").with_rules(&["a => b"]);
         let mut c = Component::primitive("p", kb);
         c.input_mut().assert(Atom::prop("a"), TruthValue::True);
-        let derived = c.activate(&Engine::new(), &mut Trace::new()).unwrap();
+        let mut system = System::new(c);
+        let derived = system.run().unwrap();
         assert_eq!(derived, 1);
-        assert!(c.output().holds(&Atom::prop("b")));
+        assert!(system.root().output().holds(&Atom::prop("b")));
         // Inputs are visible on the output closure as well.
-        assert!(c.output().holds(&Atom::prop("a")));
+        assert!(system.root().output().holds(&Atom::prop("a")));
     }
 
     #[test]
@@ -391,8 +341,12 @@ mod tests {
         let mut c = Component::calculation("doubler", calc);
         c.input_mut()
             .assert(Atom::parse("value(21)").unwrap(), TruthValue::True);
-        c.activate(&Engine::new(), &mut Trace::new()).unwrap();
-        assert!(c.output().holds(&Atom::parse("doubled(42)").unwrap()));
+        let mut system = System::new(c);
+        system.run().unwrap();
+        assert!(system
+            .root()
+            .output()
+            .holds(&Atom::parse("doubled(42)").unwrap()));
     }
 
     #[test]
@@ -420,7 +374,6 @@ mod tests {
         let parent = Component::composed("p", vec![a], vec![], TaskControl::default());
         assert!(parent.child("a").is_some());
         assert!(parent.child("zz").is_none());
-        assert!(!parent.is_primitive());
         assert_eq!(parent.children().len(), 1);
     }
 
@@ -429,10 +382,9 @@ mod tests {
         let kb = KnowledgeBase::new("k").with_rule(Rule::parse("a => b").unwrap());
         let mut c = Component::primitive("p", kb);
         c.input_mut().assert(Atom::prop("a"), TruthValue::True);
-        let engine = Engine::new();
-        let mut trace = Trace::new();
-        let first = c.activate(&engine, &mut trace).unwrap();
-        let second = c.activate(&engine, &mut trace).unwrap();
+        let mut system = System::new(c);
+        let first = system.run().unwrap();
+        let second = system.run().unwrap();
         assert_eq!(first, 1);
         assert_eq!(second, 0, "second activation derives nothing new");
     }

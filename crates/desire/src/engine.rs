@@ -10,14 +10,13 @@
 //! needs (absence of a bid is not a rejection).
 
 use crate::ident::Name;
-use crate::kb::{KnowledgeBase, Literal, Rule};
-use crate::term::{unify_atoms, Atom, Substitution, Term};
-use serde::{Deserialize, Serialize};
+use crate::kb::{KnowledgeBase, Literal};
+use crate::term::{unify_atoms, Atom, Substitution};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Epistemic truth value of a fact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TruthValue {
     /// Known to hold.
     True,
@@ -30,7 +29,7 @@ pub enum TruthValue {
 
 impl TruthValue {
     /// The truth value asserted by a literal's polarity.
-    pub fn of_polarity(positive: bool) -> TruthValue {
+    fn of_polarity(positive: bool) -> TruthValue {
         if positive {
             TruthValue::True
         } else {
@@ -66,7 +65,7 @@ impl fmt::Display for TruthValue {
 /// assert_eq!(facts.truth(&Atom::parse("bid(c1, 0.4)").unwrap()), TruthValue::True);
 /// assert_eq!(facts.truth(&Atom::parse("bid(c2, 0.4)").unwrap()), TruthValue::Unknown);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FactBase {
     by_predicate: BTreeMap<Name, BTreeMap<Atom, TruthValue>>,
 }
@@ -106,11 +105,6 @@ impl FactBase {
         self.truth(atom) == TruthValue::True
     }
 
-    /// Removes all facts.
-    pub fn clear(&mut self) {
-        self.by_predicate.clear();
-    }
-
     /// Number of stored facts (including known-false ones).
     pub fn len(&self) -> usize {
         self.by_predicate.values().map(BTreeMap::len).sum()
@@ -141,7 +135,7 @@ impl FactBase {
 
     /// All substitutions under which `pattern` matches a stored fact with
     /// truth value `wanted`, extending `base`.
-    pub fn matches(
+    fn matches(
         &self,
         pattern: &Atom,
         wanted: TruthValue,
@@ -378,24 +372,12 @@ impl Engine {
         }
         candidates
     }
-
-    /// Convenience: evaluates whether a single rule would fire on `facts`
-    /// (without asserting anything). Returns the satisfying substitutions.
-    pub fn query(&self, rule: &Rule, facts: &FactBase) -> Vec<Substitution> {
-        self.satisfy(&rule.antecedents, facts)
-    }
 }
 
 impl Default for Engine {
     fn default() -> Self {
         Engine::new()
     }
-}
-
-/// Convenience constructor for ground numeric facts such as
-/// `predicted_overuse(35)`.
-pub fn num_fact(predicate: &str, value: f64) -> Atom {
-    Atom::new(predicate, vec![Term::number(value)])
 }
 
 #[cfg(test)]
@@ -541,19 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn query_does_not_mutate() {
-        let kb = KnowledgeBase::new("t");
-        let rule = Rule::parse("bid(C, F) => seen(C)").unwrap();
-        let mut fb = FactBase::new();
-        fb.assert(Atom::parse("bid(c1, 0.2)").unwrap(), TruthValue::True);
-        let engine = Engine::new();
-        let hits = engine.query(&rule, &fb);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(fb.len(), 1);
-        let _ = kb;
-    }
-
-    #[test]
     fn iteration_limit_enforced() {
         // counter(N) and builtin-free growth is impossible in this rule
         // language without function symbols in heads; simulate runaway by
@@ -574,11 +543,5 @@ mod tests {
         .into_iter()
         .collect();
         assert_eq!(fb.len(), 2);
-    }
-
-    #[test]
-    fn num_fact_helper() {
-        let atom = num_fact("predicted_overuse", 35.0);
-        assert_eq!(atom, Atom::parse("predicted_overuse(35)").unwrap());
     }
 }

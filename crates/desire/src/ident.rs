@@ -1,6 +1,5 @@
 //! Names and hierarchical component paths.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -26,12 +25,6 @@ impl Default for Name {
         Name(Arc::from(""))
     }
 }
-
-// With the offline serde stand-in these are marker impls; a transparent
-// string (de)serialization belongs here once the real serde is available.
-impl Serialize for Name {}
-
-impl<'de> Deserialize<'de> for Name {}
 
 impl Name {
     /// Creates a name from any string-like value.
@@ -82,7 +75,7 @@ impl AsRef<str> for Name {
 
 /// A path through the component hierarchy, e.g.
 /// `utility_agent/own_process_control/evaluate_negotiation_process`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ComponentPath(Vec<Name>);
 
 impl ComponentPath {
@@ -91,21 +84,11 @@ impl ComponentPath {
         ComponentPath(Vec::new())
     }
 
-    /// Creates a path from segments.
-    pub fn from_segments(segments: impl IntoIterator<Item = Name>) -> ComponentPath {
-        ComponentPath(segments.into_iter().collect())
-    }
-
     /// Appends a child segment, returning the extended path.
     pub fn child(&self, name: Name) -> ComponentPath {
         let mut segments = self.0.clone();
         segments.push(name);
         ComponentPath(segments)
-    }
-
-    /// The path's segments.
-    pub fn segments(&self) -> &[Name] {
-        &self.0
     }
 
     /// Nesting depth (root = 0).
@@ -116,11 +99,6 @@ impl ComponentPath {
     /// The final segment, if any.
     pub fn leaf(&self) -> Option<&Name> {
         self.0.last()
-    }
-
-    /// True if `self` is a (non-strict) prefix of `other`.
-    pub fn is_prefix_of(&self, other: &ComponentPath) -> bool {
-        other.0.len() >= self.0.len() && other.0[..self.0.len()] == self.0[..]
     }
 }
 
@@ -165,22 +143,5 @@ mod tests {
         assert_eq!(ComponentPath::root().to_string(), "/");
         assert_eq!(p.depth(), 2);
         assert_eq!(p.leaf().unwrap().as_str(), "own_process_control");
-    }
-
-    #[test]
-    fn prefix_relation() {
-        let root = ComponentPath::root();
-        let ua = root.child("ua".into());
-        let opc = ua.child("opc".into());
-        assert!(root.is_prefix_of(&opc));
-        assert!(ua.is_prefix_of(&opc));
-        assert!(opc.is_prefix_of(&opc));
-        assert!(!opc.is_prefix_of(&ua));
-    }
-
-    #[test]
-    fn from_segments_roundtrip() {
-        let p = ComponentPath::from_segments(vec![Name::from("a"), Name::from("b")]);
-        assert_eq!(p.segments().len(), 2);
     }
 }

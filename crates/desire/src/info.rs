@@ -2,36 +2,18 @@
 //!
 //! "An information type defines an ontology (lexicon, vocabulary) to
 //! describe objects or terms, their sorts, and the relations or functions
-//! that can be defined on these objects" (Section 4.2.1). Information
-//! types compose: higher-level types include lower-level ones, giving
-//! information hiding.
+//! that can be defined on these objects" (Section 4.2.1). An information
+//! type here declares predicates and the sorts of their arguments. The
+//! built-in [`NUMBER_SORT`] is the one sort a ground term carries and no
+//! constants are declared, so a ground argument checks only as a number
+//! at a number position.
 
 use crate::ident::Name;
 use crate::term::{Atom, Term};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A sort (type of objects), possibly a subsort of another — the
-/// "order-sorted" part of order-sorted predicate logic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SortDecl {
-    /// The sort's name.
-    pub name: Name,
-    /// The supersort, if any (e.g. `customer ⊑ agent`).
-    pub parent: Option<Name>,
-}
-
-/// Declaration of a predicate: name and argument sorts.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PredicateDecl {
-    /// The predicate's name.
-    pub name: Name,
-    /// Sorts of the arguments (empty for propositions).
-    pub arg_sorts: Vec<Name>,
-}
-
-/// An ontology: sorts, typed constants and predicates.
+/// An ontology: predicates and the sorts of their arguments.
 ///
 /// # Example
 ///
@@ -39,19 +21,15 @@ pub struct PredicateDecl {
 /// use desire::info::InfoType;
 /// use desire::term::Atom;
 ///
-/// let info = InfoType::new("bids")
-///     .with_sort("customer", None)
-///     .with_constant("c3", "customer")
-///     .with_predicate("bid", &["customer", "number"]);
-/// let atom = Atom::parse("bid(c3, 0.4)").unwrap();
+/// let info = InfoType::new("bids").with_predicate("bid", &["number", "number"]);
+/// let atom = Atom::parse("bid(3, 0.4)").unwrap();
 /// assert!(info.check_atom(&atom).is_ok());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct InfoType {
     name: Name,
-    sorts: BTreeMap<Name, SortDecl>,
-    constants: BTreeMap<Name, Name>,
-    predicates: BTreeMap<Name, PredicateDecl>,
+    /// Argument sorts per declared predicate (empty for propositions).
+    predicates: BTreeMap<Name, Vec<Name>>,
 }
 
 /// The built-in sort of numeric terms.
@@ -73,8 +51,7 @@ pub enum SignatureError {
     },
     /// A constant is not declared.
     UnknownConstant(Name),
-    /// An argument's sort does not match (and is not a subsort of) the
-    /// declared sort.
+    /// An argument's sort does not match the declared sort.
     SortMismatch {
         /// The predicate.
         predicate: Name,
@@ -116,22 +93,10 @@ impl fmt::Display for SignatureError {
 impl std::error::Error for SignatureError {}
 
 impl InfoType {
-    /// Creates an empty information type; the [`NUMBER_SORT`] is always
-    /// present.
+    /// Creates an empty information type.
     pub fn new(name: impl Into<Name>) -> InfoType {
-        let mut sorts = BTreeMap::new();
-        let number: Name = NUMBER_SORT.into();
-        sorts.insert(
-            number.clone(),
-            SortDecl {
-                name: number,
-                parent: None,
-            },
-        );
         InfoType {
             name: name.into(),
-            sorts,
-            constants: BTreeMap::new(),
             predicates: BTreeMap::new(),
         }
     }
@@ -141,96 +106,13 @@ impl InfoType {
         &self.name
     }
 
-    /// Adds a sort, optionally as a subsort of `parent`.
-    pub fn with_sort(mut self, name: impl Into<Name>, parent: Option<&str>) -> InfoType {
-        let name = name.into();
-        self.sorts.insert(
-            name.clone(),
-            SortDecl {
-                name,
-                parent: parent.map(Name::from),
-            },
-        );
-        self
-    }
-
-    /// Adds a typed constant.
-    pub fn with_constant(mut self, name: impl Into<Name>, sort: impl Into<Name>) -> InfoType {
-        self.constants.insert(name.into(), sort.into());
-        self
-    }
-
     /// Adds a predicate declaration.
     pub fn with_predicate(mut self, name: impl Into<Name>, arg_sorts: &[&str]) -> InfoType {
-        let name = name.into();
         self.predicates.insert(
-            name.clone(),
-            PredicateDecl {
-                name,
-                arg_sorts: arg_sorts.iter().map(|s| Name::from(*s)).collect(),
-            },
+            name.into(),
+            arg_sorts.iter().map(|s| Name::from(*s)).collect(),
         );
         self
-    }
-
-    /// Declared sorts (including `number`).
-    pub fn sorts(&self) -> impl Iterator<Item = &SortDecl> {
-        self.sorts.values()
-    }
-
-    /// Declared predicates.
-    pub fn predicates(&self) -> impl Iterator<Item = &PredicateDecl> {
-        self.predicates.values()
-    }
-
-    /// Looks up the sort of a constant.
-    pub fn constant_sort(&self, name: &Name) -> Option<&Name> {
-        self.constants.get(name)
-    }
-
-    /// True if `sub` equals `sup` or is declared as a (transitive)
-    /// subsort of it.
-    pub fn is_subsort(&self, sub: &Name, sup: &Name) -> bool {
-        let mut current = Some(sub.clone());
-        let mut hops = 0;
-        while let Some(s) = current {
-            if &s == sup {
-                return true;
-            }
-            hops += 1;
-            if hops > self.sorts.len() {
-                return false; // cycle guard
-            }
-            current = self.sorts.get(&s).and_then(|d| d.parent.clone());
-        }
-        false
-    }
-
-    /// Composes two information types: the union of their vocabularies
-    /// (Section 4.2.2, "information types can be composed of more
-    /// specific information types"). Later declarations win on conflict.
-    pub fn compose(mut self, other: &InfoType) -> InfoType {
-        for decl in other.sorts.values() {
-            self.sorts.insert(decl.name.clone(), decl.clone());
-        }
-        for (c, s) in &other.constants {
-            self.constants.insert(c.clone(), s.clone());
-        }
-        for decl in other.predicates.values() {
-            self.predicates.insert(decl.name.clone(), decl.clone());
-        }
-        self
-    }
-
-    /// Infers the sort of a ground term, if determinable.
-    fn term_sort(&self, term: &Term) -> Option<Name> {
-        match term {
-            Term::Num(_) => Some(NUMBER_SORT.into()),
-            Term::Const(c) => self.constants.get(c).cloned(),
-            // Variables and applications are untyped here; checking is
-            // only meaningful for ground, flat atoms.
-            _ => None,
-        }
     }
 
     /// Checks an atom against the signature.
@@ -242,40 +124,29 @@ impl InfoType {
     ///
     /// See [`SignatureError`] for the failure cases.
     pub fn check_atom(&self, atom: &Atom) -> Result<(), SignatureError> {
-        let decl = self
+        let arg_sorts = self
             .predicates
             .get(&atom.predicate)
             .ok_or_else(|| SignatureError::UnknownPredicate(atom.predicate.clone()))?;
-        if decl.arg_sorts.len() != atom.args.len() {
+        if arg_sorts.len() != atom.args.len() {
             return Err(SignatureError::ArityMismatch {
                 predicate: atom.predicate.clone(),
-                expected: decl.arg_sorts.len(),
+                expected: arg_sorts.len(),
                 actual: atom.args.len(),
             });
         }
-        for (i, (arg, expected)) in atom.args.iter().zip(&decl.arg_sorts).enumerate() {
-            if let Term::Const(c) = arg {
-                let actual = self
-                    .constants
-                    .get(c)
-                    .ok_or_else(|| SignatureError::UnknownConstant(c.clone()))?;
-                if !self.is_subsort(actual, expected) {
+        for (i, (arg, expected)) in atom.args.iter().zip(arg_sorts).enumerate() {
+            match arg {
+                Term::Const(c) => return Err(SignatureError::UnknownConstant(c.clone())),
+                Term::Num(_) if expected.as_str() != NUMBER_SORT => {
                     return Err(SignatureError::SortMismatch {
                         predicate: atom.predicate.clone(),
                         position: i,
                         expected: expected.clone(),
-                        actual: actual.clone(),
+                        actual: NUMBER_SORT.into(),
                     });
                 }
-            } else if let Some(actual) = self.term_sort(arg) {
-                if !self.is_subsort(&actual, expected) {
-                    return Err(SignatureError::SortMismatch {
-                        predicate: atom.predicate.clone(),
-                        position: i,
-                        expected: expected.clone(),
-                        actual,
-                    });
-                }
+                _ => {}
             }
         }
         Ok(())
@@ -288,44 +159,33 @@ mod tests {
 
     fn bids_info() -> InfoType {
         InfoType::new("bids")
-            .with_sort("agent", None)
-            .with_sort("customer", Some("agent"))
-            .with_constant("c1", "customer")
-            .with_constant("ua", "agent")
             .with_predicate("bid", &["customer", "number"])
-            .with_predicate("active", &["agent"])
+            .with_predicate("active", &["number"])
     }
 
     #[test]
     fn check_valid_atom() {
         let info = bids_info();
-        assert!(info
-            .check_atom(&Atom::parse("bid(c1, 0.4)").unwrap())
-            .is_ok());
-        assert!(info.check_atom(&Atom::parse("active(ua)").unwrap()).is_ok());
+        assert!(info.check_atom(&Atom::parse("active(3)").unwrap()).is_ok());
     }
 
     #[test]
-    fn subsort_accepted_at_supersort_position() {
-        let info = bids_info();
-        // c1 is a customer, customer ⊑ agent.
-        assert!(info.check_atom(&Atom::parse("active(c1)").unwrap()).is_ok());
-    }
-
-    #[test]
-    fn supersort_rejected_at_subsort_position() {
+    fn number_rejected_at_another_sort_position() {
         let info = bids_info();
         let err = info
-            .check_atom(&Atom::parse("bid(ua, 0.4)").unwrap())
+            .check_atom(&Atom::parse("bid(3, 0.4)").unwrap())
             .unwrap_err();
-        assert!(matches!(err, SignatureError::SortMismatch { .. }));
+        assert!(matches!(
+            err,
+            SignatureError::SortMismatch { position: 0, .. }
+        ));
     }
 
     #[test]
     fn unknown_predicate_and_constant() {
         let info = bids_info();
         assert!(matches!(
-            info.check_atom(&Atom::parse("frob(c1)").unwrap()),
+            info.check_atom(&Atom::parse("frob(3)").unwrap()),
             Err(SignatureError::UnknownPredicate(_))
         ));
         assert!(matches!(
@@ -338,7 +198,7 @@ mod tests {
     fn arity_mismatch() {
         let info = bids_info();
         let err = info
-            .check_atom(&Atom::parse("bid(c1)").unwrap())
+            .check_atom(&Atom::parse("bid(C)").unwrap())
             .unwrap_err();
         assert!(matches!(
             err,
@@ -355,34 +215,6 @@ mod tests {
     fn variables_pass_checking() {
         let info = bids_info();
         assert!(info.check_atom(&Atom::parse("bid(C, F)").unwrap()).is_ok());
-    }
-
-    #[test]
-    fn composition_merges_vocabularies() {
-        let a = InfoType::new("a").with_predicate("p", &[]);
-        let b = InfoType::new("b").with_predicate("q", &[]);
-        let c = a.compose(&b);
-        assert!(c.check_atom(&Atom::prop("p")).is_ok());
-        assert!(c.check_atom(&Atom::prop("q")).is_ok());
-    }
-
-    #[test]
-    fn subsort_reflexive_and_transitive() {
-        let info = InfoType::new("s")
-            .with_sort("a", None)
-            .with_sort("b", Some("a"))
-            .with_sort("c", Some("b"));
-        assert!(info.is_subsort(&"a".into(), &"a".into()));
-        assert!(info.is_subsort(&"c".into(), &"a".into()));
-        assert!(!info.is_subsort(&"a".into(), &"c".into()));
-    }
-
-    #[test]
-    fn cycle_in_sorts_terminates() {
-        let info = InfoType::new("s")
-            .with_sort("a", Some("b"))
-            .with_sort("b", Some("a"));
-        assert!(!info.is_subsort(&"a".into(), &"z".into()));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Knowledge bases: rules over atoms, with composition.
+//! Knowledge bases: rules over atoms.
 //!
 //! "A knowledge base defines a part of the knowledge that is used in one
 //! or more of the processes. Knowledge is represented by formulae in
@@ -8,11 +8,10 @@
 
 use crate::ident::Name;
 use crate::term::{Atom, ParseError, Parser, Substitution};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A possibly negated atom.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Literal {
     /// The atom.
     pub atom: Atom,
@@ -30,7 +29,7 @@ impl Literal {
     }
 
     /// Creates a negative literal.
-    pub fn neg(atom: Atom) -> Literal {
+    fn neg(atom: Atom) -> Literal {
         Literal {
             atom,
             positive: false,
@@ -74,7 +73,7 @@ impl fmt::Display for Literal {
 /// assert_eq!(r.antecedents.len(), 3);
 /// assert_eq!(r.consequents.len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rule {
     /// Conjunctive body.
     pub antecedents: Vec<Literal>,
@@ -97,11 +96,6 @@ impl Rule {
             antecedents,
             consequents,
         }
-    }
-
-    /// A fact-rule with an empty body.
-    pub fn fact(atom: Atom) -> Rule {
-        Rule::new(Vec::new(), vec![Literal::pos(atom)])
     }
 
     /// Parses `lit and lit and ... => lit and lit`. An empty body
@@ -205,7 +199,7 @@ impl fmt::Display for Rule {
 ///     .with_rule(Rule::parse("acceptable(F) => consider(F)").unwrap());
 /// assert_eq!(kb.rules().len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct KnowledgeBase {
     name: Name,
     rules: Vec<Rule>,
@@ -253,13 +247,6 @@ impl KnowledgeBase {
     /// The rules, in declaration order.
     pub fn rules(&self) -> &[Rule] {
         &self.rules
-    }
-
-    /// Composes two knowledge bases (Section 4.2.2): the concatenation of
-    /// their rules under this base's name.
-    pub fn compose(mut self, other: &KnowledgeBase) -> KnowledgeBase {
-        self.rules.extend(other.rules.iter().cloned());
-        self
     }
 
     /// True if no rules are present.
@@ -331,15 +318,6 @@ mod tests {
     #[should_panic(expected = "at least one consequent")]
     fn empty_head_panics() {
         let _ = Rule::new(vec![], vec![]);
-    }
-
-    #[test]
-    fn kb_composition() {
-        let a = KnowledgeBase::new("a").with_rules(&["x => y"]);
-        let b = KnowledgeBase::new("b").with_rules(&["y => z"]);
-        let c = a.compose(&b);
-        assert_eq!(c.rules().len(), 2);
-        assert_eq!(c.name().as_str(), "a");
     }
 
     #[test]

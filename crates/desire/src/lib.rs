@@ -11,9 +11,8 @@
 //!   (reasoning on a knowledge base, or a calculation) or *composed* of
 //!   sub-components; information links exchange facts between component
 //!   interfaces under task control.
-//! * **Knowledge composition** ([`info`], [`term`], [`kb`]): order-sorted
-//!   information types (ontologies) and knowledge bases of rules, composed
-//!   from smaller ones.
+//! * **Knowledge composition** ([`info`], [`term`], [`kb`]): information
+//!   types (ontologies) and knowledge bases of rules.
 //! * **The relation between the two** ([`engine`], [`system`]): which
 //!   knowledge is used by which process; a forward-chaining three-valued
 //!   inference engine executes primitive reasoning components and the

@@ -8,12 +8,11 @@
 
 use crate::engine::FactBase;
 use crate::ident::Name;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One end of an information link, relative to the composed component the
 /// link lives in.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Endpoint {
     /// The composed component's own input interface.
     ParentInput,
@@ -47,7 +46,7 @@ impl fmt::Display for Endpoint {
 }
 
 /// A predicate rename applied while facts cross a link.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AtomMapping {
     /// Predicate name on the source interface.
     pub from: Name,
@@ -74,7 +73,7 @@ pub struct AtomMapping {
 /// .with_mapping("announced_reward", "offered_reward");
 /// assert_eq!(link.name().as_str(), "announce_to_customer");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InfoLink {
     name: Name,
     from: Endpoint,
@@ -137,11 +136,6 @@ impl InfoLink {
     /// Destination endpoint.
     pub fn to(&self) -> &Endpoint {
         &self.to
-    }
-
-    /// The predicate mappings (empty for identity links).
-    pub fn mappings(&self) -> &[AtomMapping] {
-        &self.mappings
     }
 
     /// Child names referenced by either endpoint.

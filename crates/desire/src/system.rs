@@ -134,16 +134,10 @@ pub(crate) fn activate_at(
             output,
         } => {
             let max_rounds = composition.task_control.max_rounds();
-            let declared: Vec<Name> = composition
+            let schedule: Vec<Name> = composition
                 .children
                 .iter()
                 .map(|c| c.name().clone())
-                .collect();
-            let schedule: Vec<Name> = composition
-                .task_control
-                .schedule(&declared)
-                .into_iter()
-                .cloned()
                 .collect();
             let mut total_changed = 0;
             let mut quiescent = false;
@@ -327,15 +321,6 @@ impl System {
         }
     }
 
-    /// Creates a system with a custom engine.
-    pub fn with_engine(root: Component, engine: Engine) -> System {
-        System {
-            root,
-            engine,
-            trace: Trace::new(),
-        }
-    }
-
     /// The root component.
     pub fn root(&self) -> &Component {
         &self.root
@@ -349,11 +334,6 @@ impl System {
     /// The accumulated execution trace.
     pub fn trace(&self) -> &Trace {
         &self.trace
-    }
-
-    /// Clears the execution trace.
-    pub fn clear_trace(&mut self) {
-        self.trace.clear();
     }
 
     /// Runs the root component to quiescence.

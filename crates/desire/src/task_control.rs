@@ -2,17 +2,16 @@
 //!
 //! "...and a specification of task control knowledge used to control
 //! processes and information exchange (dynamic view on the composition)"
-//! (Section 4.1.2). Task control decides which children are activated, in
-//! what order, and under which conditions, each macro-round of a composed
-//! component's execution.
+//! (Section 4.1.2). Task control decides which children are activated,
+//! and under which conditions, each macro-round of a composed component's
+//! execution; activated children run in declaration order.
 
 use crate::ident::Name;
 use crate::term::Atom;
-use serde::{Deserialize, Serialize};
 
 /// Condition gating a child's activation: the atom must have the given
 /// truth on the *parent's input* interface.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActivationCondition {
     /// The gated child.
     pub child: Name,
@@ -31,16 +30,11 @@ pub struct ActivationCondition {
 /// ```
 /// use desire::task_control::TaskControl;
 ///
-/// let tc = TaskControl::new()
-///     .with_order(["predict", "evaluate", "announce"])
-///     .with_max_rounds(10);
+/// let tc = TaskControl::new().with_max_rounds(10);
 /// assert_eq!(tc.max_rounds(), 10);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskControl {
-    /// Explicit activation order; children not listed run afterwards in
-    /// declaration order. `None` means plain declaration order.
-    order: Option<Vec<Name>>,
     /// Conditions gating individual children.
     conditions: Vec<ActivationCondition>,
     /// Maximum macro-rounds before the kernel reports non-quiescence.
@@ -51,20 +45,9 @@ impl TaskControl {
     /// Default task control: declaration order, no conditions, 100 rounds.
     pub fn new() -> TaskControl {
         TaskControl {
-            order: None,
             conditions: Vec::new(),
             max_rounds: 100,
         }
-    }
-
-    /// Sets an explicit child activation order.
-    pub fn with_order<I, S>(mut self, order: I) -> TaskControl
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<Name>,
-    {
-        self.order = Some(order.into_iter().map(Into::into).collect());
-        self
     }
 
     /// Gates `child` on `condition` holding (true) on the parent input.
@@ -92,42 +75,12 @@ impl TaskControl {
         self.max_rounds
     }
 
-    /// The explicit order, if set.
-    pub fn order(&self) -> Option<&[Name]> {
-        self.order.as_deref()
-    }
-
     /// Condition on `child`, if any.
     pub fn condition_for(&self, child: &Name) -> Option<&Atom> {
         self.conditions
             .iter()
             .find(|c| &c.child == child)
             .map(|c| &c.condition)
-    }
-
-    /// Computes the activation sequence over the given declared children:
-    /// explicitly ordered ones first (in order), then the rest in
-    /// declaration order. Unknown names in the order are ignored.
-    pub fn schedule<'a>(&self, declared: &'a [Name]) -> Vec<&'a Name> {
-        match &self.order {
-            None => declared.iter().collect(),
-            Some(order) => {
-                let mut out: Vec<&Name> = Vec::with_capacity(declared.len());
-                for name in order {
-                    if let Some(n) = declared.iter().find(|d| *d == name) {
-                        if !out.contains(&n) {
-                            out.push(n);
-                        }
-                    }
-                }
-                for n in declared {
-                    if !out.contains(&n) {
-                        out.push(n);
-                    }
-                }
-                out
-            }
-        }
     }
 }
 
@@ -140,42 +93,6 @@ impl Default for TaskControl {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn names(items: &[&str]) -> Vec<Name> {
-        items.iter().map(|s| Name::from(*s)).collect()
-    }
-
-    #[test]
-    fn default_schedule_is_declaration_order() {
-        let declared = names(&["a", "b", "c"]);
-        let tc = TaskControl::new();
-        let sched: Vec<&str> = tc.schedule(&declared).iter().map(|n| n.as_str()).collect();
-        assert_eq!(sched, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn explicit_order_respected_with_stragglers() {
-        let declared = names(&["a", "b", "c"]);
-        let tc = TaskControl::new().with_order(["c", "a"]);
-        let sched: Vec<&str> = tc.schedule(&declared).iter().map(|n| n.as_str()).collect();
-        assert_eq!(sched, vec!["c", "a", "b"]);
-    }
-
-    #[test]
-    fn unknown_names_in_order_ignored() {
-        let declared = names(&["a"]);
-        let tc = TaskControl::new().with_order(["ghost", "a"]);
-        let sched: Vec<&str> = tc.schedule(&declared).iter().map(|n| n.as_str()).collect();
-        assert_eq!(sched, vec!["a"]);
-    }
-
-    #[test]
-    fn duplicate_order_entries_deduplicated() {
-        let declared = names(&["a", "b"]);
-        let tc = TaskControl::new().with_order(["b", "b", "a"]);
-        let sched: Vec<&str> = tc.schedule(&declared).iter().map(|n| n.as_str()).collect();
-        assert_eq!(sched, vec!["b", "a"]);
-    }
 
     #[test]
     fn conditions_lookup() {

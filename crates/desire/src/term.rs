@@ -11,12 +11,11 @@
 //! cut-down fractions) with reasoning components.
 
 use crate::ident::Name;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A first-order term.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Term {
     /// A variable, e.g. `Cutdown`.
     Var(Name),
@@ -151,7 +150,7 @@ impl fmt::Display for Term {
 /// assert_eq!(a.predicate.as_str(), "willing_to_cutdown");
 /// assert_eq!(a.args[1], Term::number(0.4));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Atom {
     /// The predicate symbol.
     pub predicate: Name,
@@ -236,7 +235,7 @@ impl fmt::Display for Atom {
 /// A variable binding produced by unification.
 ///
 /// Deterministic iteration (BTreeMap) keeps engine runs reproducible.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Substitution {
     bindings: BTreeMap<Name, Term>,
 }
@@ -258,7 +257,7 @@ impl Substitution {
     ///
     /// Returns `false` (leaving the substitution unchanged) if the binding
     /// would conflict with an existing one or fail the occurs check.
-    pub fn bind(&mut self, var: Name, term: Term) -> bool {
+    fn bind(&mut self, var: Name, term: Term) -> bool {
         let resolved = term.apply(self);
         if let Some(existing) = self.bindings.get(&var) {
             return existing == &resolved;

@@ -7,11 +7,10 @@
 use crate::engine::TruthValue;
 use crate::ident::{ComponentPath, Name};
 use crate::term::Atom;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single event in an execution trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A component was activated and derived `derived` new facts.
     Activated {
@@ -72,7 +71,7 @@ impl fmt::Display for TraceEvent {
 /// trace.push(TraceEvent::Activated { path: ComponentPath::root(), derived: 2 });
 /// assert_eq!(trace.len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
 }
@@ -103,31 +102,12 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Clears the trace.
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
     /// Index of the first `FactDerived` event whose atom equals `atom`
     /// (at any component), if any.
     pub fn first_derivation(&self, atom: &Atom) -> Option<usize> {
         self.events
             .iter()
             .position(|e| matches!(e, TraceEvent::FactDerived { atom: a, .. } if a == atom))
-    }
-
-    /// All derivations of facts at components whose leaf name equals
-    /// `component`.
-    pub fn derivations_at<'a>(
-        &'a self,
-        component: &'a Name,
-    ) -> impl Iterator<Item = (&'a Atom, TruthValue)> + 'a {
-        self.events.iter().filter_map(move |e| match e {
-            TraceEvent::FactDerived { path, atom, value } if path.leaf() == Some(component) => {
-                Some((atom, *value))
-            }
-            _ => None,
-        })
     }
 
     /// Number of activations of components whose leaf name equals
@@ -192,19 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn derivations_at_filters_by_leaf() {
-        let mut t = Trace::new();
-        t.push(derived("ua", "a"));
-        t.push(derived("ca", "b"));
-        t.push(derived("ua", "c"));
-        let ua: Vec<_> = t
-            .derivations_at(&"ua".into())
-            .map(|(a, _)| a.to_string())
-            .collect();
-        assert_eq!(ua, vec!["a", "c"]);
-    }
-
-    #[test]
     fn activation_count() {
         let mut t = Trace::new();
         t.push(TraceEvent::Activated {
@@ -234,13 +201,5 @@ mod tests {
         let text = t.to_string();
         assert!(text.contains("l1"));
         assert!(text.contains("→3"));
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut t = Trace::new();
-        t.push(derived("x", "a"));
-        t.clear();
-        assert!(t.is_empty());
     }
 }

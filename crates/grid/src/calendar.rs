@@ -6,11 +6,10 @@
 //! consecutive days with their types and seasonal context.
 
 use crate::weather::Season;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The type of a day, as it affects household behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DayType {
     /// Monday–Friday: morning/evening occupancy peaks.
     Weekday,
@@ -38,7 +37,7 @@ impl fmt::Display for DayType {
 }
 
 /// One calendar day: its index, type and season.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CalendarDay {
     /// Day number since the horizon start (also the weather seed offset).
     pub index: u64,
@@ -61,7 +60,7 @@ pub struct CalendarDay {
 /// let weekends = horizon.days().filter(|d| d.day_type == DayType::Weekend).count();
 /// assert_eq!(weekends, 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Horizon {
     days: u64,
     /// 0 = Monday … 6 = Sunday.
@@ -121,15 +120,6 @@ impl Horizon {
     pub fn days(&self) -> impl Iterator<Item = CalendarDay> + '_ {
         (0..self.days).map(move |i| self.day(i).expect("index in range"))
     }
-
-    /// Indices of the weekdays only (prediction models often train on
-    /// like-for-like days).
-    pub fn weekday_indices(&self) -> Vec<u64> {
-        self.days()
-            .filter(|d| d.day_type == DayType::Weekday)
-            .map(|d| d.index)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -172,16 +162,6 @@ mod tests {
         assert!(h.day(5).is_none());
         assert_eq!(h.len(), 5);
         assert!(!h.is_empty());
-    }
-
-    #[test]
-    fn weekday_indices_skip_weekends() {
-        let h = Horizon::new(10, 0, Season::Autumn);
-        let idx = h.weekday_indices();
-        assert!(!idx.contains(&5));
-        assert!(!idx.contains(&6));
-        assert!(idx.contains(&7));
-        assert_eq!(idx.len(), 8);
     }
 
     #[test]

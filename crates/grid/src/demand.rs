@@ -12,7 +12,6 @@ use crate::slab::{aggregate_demand_slab_with, kind_pos, DemandScratch, SlabView}
 use crate::time::{Interval, TimeAxis};
 use crate::units::KilowattHours;
 use crate::weather::WeatherModel;
-use serde::{Deserialize, Serialize};
 
 /// Aggregates household demand for a day with the given weather.
 ///
@@ -50,17 +49,6 @@ pub fn aggregate_demand(
     }))
 }
 
-/// Convenience: demand for a weather model rather than a realised series.
-pub fn aggregate_demand_for_model(
-    households: &[Household],
-    model: &WeatherModel,
-    axis: &TimeAxis,
-    seed: u64,
-) -> DemandCurve {
-    let weather = model.temperatures(axis, seed);
-    aggregate_demand(households, &weather, axis, seed)
-}
-
 /// A demand curve (kWh per slot, aggregated over consumers).
 ///
 /// # Example
@@ -75,7 +63,7 @@ pub fn aggregate_demand_for_model(
 /// let peak = curve.peak_interval(4);
 /// assert_eq!(peak.len(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DemandCurve {
     series: Series,
 }
@@ -172,16 +160,6 @@ impl DemandCurve {
                 .sum(),
         )
     }
-
-    /// Applies a uniform relative reduction over `interval` (what the grid
-    /// sees when customers implement cut-downs).
-    pub fn with_reduction(&self, interval: Interval, fraction: f64) -> DemandCurve {
-        let mut series = self.series.clone();
-        for i in interval.intersect(Interval::new(0, series.len())) {
-            series.values_mut()[i] *= 1.0 - fraction.clamp(0.0, 1.0);
-        }
-        DemandCurve::new(series)
-    }
 }
 
 /// Simulates the viewed households' demand over a multi-day
@@ -216,14 +194,14 @@ mod tests {
     use crate::calendar::Horizon;
     use crate::population::PopulationBuilder;
     use crate::production::ProductionModel;
-    use crate::time::TimeOfDay;
     use crate::units::Kilowatts;
     use crate::weather::Season;
 
     fn curve() -> DemandCurve {
         let axis = TimeAxis::quarter_hourly();
         let homes = PopulationBuilder::new().households(100).build(7);
-        aggregate_demand_for_model(&homes, &WeatherModel::winter(), &axis, 7)
+        let weather = WeatherModel::winter().temperatures(&axis, 7);
+        aggregate_demand(&homes, &weather, &axis, 7)
     }
 
     #[test]
@@ -296,25 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn reduction_lowers_interval_energy_only() {
-        let c = curve();
-        let axis = c.axis();
-        let evening = axis.between(TimeOfDay::hm(18, 0).unwrap(), TimeOfDay::hm(20, 0).unwrap());
-        let reduced = c.with_reduction(evening, 0.3);
-        assert!(reduced.energy_over(evening) < c.energy_over(evening));
-        let morning = axis.between(TimeOfDay::hm(6, 0).unwrap(), TimeOfDay::hm(8, 0).unwrap());
-        assert_eq!(reduced.energy_over(morning), c.energy_over(morning));
-    }
-
-    #[test]
-    fn reduction_clamps_fraction() {
-        let c = curve();
-        let whole = c.axis().whole_day();
-        let zeroed = c.with_reduction(whole, 2.0);
-        assert_eq!(zeroed.total(), KilowattHours::ZERO);
-    }
-
-    #[test]
     fn horizon_simulation_produces_one_curve_per_day() {
         let axis = TimeAxis::hourly();
         let builder = PopulationBuilder::new().households(20);
@@ -329,8 +288,8 @@ mod tests {
         }
         // Weekend days (indices 5, 6 from a Monday start) carry the
         // weekend intensity factor versus the same-seed weekday baseline.
-        let weekday_equivalent =
-            aggregate_demand_for_model(&builder.build(5), &WeatherModel::winter(), &axis, 5);
+        let weather = WeatherModel::winter().temperatures(&axis, 5);
+        let weekday_equivalent = aggregate_demand(&builder.build(5), &weather, &axis, 5);
         assert!(days[5].0.total() > weekday_equivalent.total());
     }
 

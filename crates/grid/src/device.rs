@@ -10,10 +10,9 @@
 use crate::series::Series;
 use crate::time::{Interval, TimeAxis};
 use crate::units::{Fraction, KilowattHours, Kilowatts};
-use serde::{Deserialize, Serialize};
 
 /// Categories of domestic electrical equipment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// Electric space heating — temperature sensitive, highly flexible.
     SpaceHeating,
@@ -49,7 +48,7 @@ impl DeviceKind {
     }
 
     /// Typical rated power for the kind.
-    pub fn typical_power(self) -> Kilowatts {
+    fn typical_power(self) -> Kilowatts {
         match self {
             DeviceKind::SpaceHeating => Kilowatts(3.0),
             DeviceKind::WaterHeater => Kilowatts(2.0),
@@ -64,7 +63,7 @@ impl DeviceKind {
 
     /// Fraction of the kind's load that can be shed or deferred during a
     /// cut-down interval without unacceptable discomfort.
-    pub fn typical_flexibility(self) -> Fraction {
+    fn typical_flexibility(self) -> Fraction {
         let f = match self {
             DeviceKind::SpaceHeating => 0.6,
             DeviceKind::WaterHeater => 0.8,
@@ -79,7 +78,7 @@ impl DeviceKind {
     }
 
     /// True if the load rises when outdoor temperature falls.
-    pub fn is_temperature_sensitive(self) -> bool {
+    fn is_temperature_sensitive(self) -> bool {
         matches!(self, DeviceKind::SpaceHeating | DeviceKind::WaterHeater)
     }
 
@@ -179,7 +178,7 @@ impl std::fmt::Display for DeviceKind {
 /// let load = heater.load_profile(&axis, -5.0, 1.0);
 /// assert!(load.total().value() > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Device {
     kind: DeviceKind,
     rated_power: Kilowatts,

@@ -10,14 +10,11 @@ use crate::time::{Interval, TimeAxis};
 use crate::units::{Fraction, KilowattHours};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::OnceLock;
 
 /// Opaque identifier of a household / its Customer Agent.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct HouseholdId(pub u64);
 
 impl fmt::Display for HouseholdId {
@@ -76,7 +73,7 @@ pub(crate) fn standard_devices(occupants: u32) -> &'static [Device] {
 /// let demand = home.demand_profile(&axis, -4.0, 7);
 /// assert!(demand.total().value() > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Household {
     id: HouseholdId,
     occupants: u32,

@@ -35,7 +35,7 @@
 //! * **Households are an input type and the oracle.** `Vec<Household>`,
 //!   each household owning its `Vec<Device>`
 //!   ([`PopulationBuilder::build`]), is the natural shape for hand-built
-//!   fixtures, per-household inspection and serde;
+//!   fixtures and per-household inspection;
 //!   [`slab::PopulationSlab::from_households`] converts it once,
 //!   interning households that are equal bit for bit but for their id
 //!   into one template. Its folds are the readable references the

@@ -9,10 +9,9 @@ use crate::production::ProductionModel;
 use crate::series::Series;
 use crate::time::Interval;
 use crate::units::KilowattHours;
-use serde::{Deserialize, Serialize};
 
 /// A detected demand peak: where it is and how much overuse it carries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Peak {
     /// Slots during which predicted demand exceeds normal capacity.
     pub interval: Interval,
@@ -67,7 +66,7 @@ impl std::fmt::Display for Peak {
 /// let peak = detector.detect(&demand, &production).expect("peak expected");
 /// assert!(peak.interval.contains(18));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeakDetector {
     /// Minimum overuse fraction that makes negotiation worth the effort.
     threshold: f64,

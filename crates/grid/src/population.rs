@@ -8,7 +8,6 @@ use crate::household::{Household, HouseholdId};
 use crate::slab::PopulationSlab;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Maps one uniform draw `pick ∈ [0, Σweights)` onto an occupant count
 /// (bucket index + 1) by cumulative subtraction.
@@ -28,7 +27,7 @@ fn pick_occupants(weights: &[f64; 5], mut pick: f64) -> u32 {
     let last = weights
         .iter()
         .rposition(|&w| w > 0.0)
-        .expect("size_weights are validated non-negative and not all zero");
+        .expect("size weights are non-negative and not all zero");
     last as u32 + 1
 }
 
@@ -44,7 +43,7 @@ fn pick_occupants(weights: &[f64; 5], mut pick: f64) -> u32 {
 /// // Deterministic: same seed, same population.
 /// assert_eq!(homes, PopulationBuilder::new().households(50).build(42));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PopulationBuilder {
     households: usize,
     /// Probability weights for 1..=5 occupants.
@@ -64,20 +63,6 @@ impl PopulationBuilder {
     /// Sets the number of households to generate.
     pub fn households(mut self, n: usize) -> PopulationBuilder {
         self.households = n;
-        self
-    }
-
-    /// Sets the probability weights for household sizes 1..=5.
-    ///
-    /// # Panics
-    ///
-    /// Panics if all weights are zero or any weight is negative.
-    pub fn size_weights(mut self, weights: [f64; 5]) -> PopulationBuilder {
-        assert!(
-            weights.iter().all(|&w| w >= 0.0) && weights.iter().sum::<f64>() > 0.0,
-            "size weights must be non-negative and not all zero"
-        );
-        self.size_weights = weights;
         self
     }
 
@@ -159,21 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn forced_size_weights() {
-        let pop = PopulationBuilder::new()
-            .households(50)
-            .size_weights([0.0, 0.0, 0.0, 1.0, 0.0])
-            .build(3);
-        assert!(pop.iter().all(|h| h.occupants() == 4));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn zero_weights_panic() {
-        let _ = PopulationBuilder::new().size_weights([0.0; 5]);
-    }
-
-    #[test]
     fn fall_through_picks_last_positive_bucket_not_singles() {
         // Adversarial weights: `0.1 + 0.7` rounds to exactly the
         // cumulative edge, so after subtracting 0.1 the draw equals the
@@ -199,9 +169,10 @@ mod tests {
             PopulationSlab::from_households(&b.build(7))
         );
         // Skewed weights exercise both template arms (laundry / none).
-        let skew = PopulationBuilder::new()
-            .households(60)
-            .size_weights([1.0, 0.0, 0.0, 0.0, 2.0]);
+        let skew = PopulationBuilder {
+            size_weights: [1.0, 0.0, 0.0, 0.0, 2.0],
+            ..PopulationBuilder::new().households(60)
+        };
         assert_eq!(
             skew.build_slab(3),
             PopulationSlab::from_households(&skew.build(3))

@@ -231,11 +231,11 @@ impl LoadPredictor for HoltTrend {
 
 /// Prediction-accuracy metrics.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Accuracy {
+struct Accuracy {
     /// Root-mean-squared error, kWh per slot.
-    pub rmse: f64,
+    rmse: f64,
     /// Mean absolute percentage error, in `[0, ∞)`.
-    pub mape: f64,
+    mape: f64,
 }
 
 /// Computes accuracy of `predicted` against `actual`.
@@ -249,7 +249,7 @@ pub struct Accuracy {
 /// # Panics
 ///
 /// Panics if the series axes differ.
-pub fn accuracy(predicted: &Series, actual: &Series) -> Accuracy {
+fn accuracy(predicted: &Series, actual: &Series) -> Accuracy {
     assert_eq!(
         predicted.axis(),
         actual.axis(),

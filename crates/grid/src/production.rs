@@ -2,12 +2,10 @@
 //!
 //! Figure 1 of the paper shows a demand curve crossing from "normal
 //! production costs" into "expensive production costs" at peak times. The
-//! Producer Agent reports availability and cost from this model.
+//! Producer Agent prices production from this model.
 
-use crate::series::Series;
 use crate::time::TimeAxis;
 use crate::units::{KilowattHours, Kilowatts, Money, PricePerKwh};
-use serde::{Deserialize, Serialize};
 
 /// Generation capacity split into a cheap base tier and an expensive
 /// peaking tier.
@@ -24,34 +22,13 @@ use serde::{Deserialize, Serialize};
 /// let pricey = p.cost_of_energy(KilowattHours(120.0), 1.0);
 /// assert!(pricey.value() > cheap.value() * 2.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProductionModel {
     normal_capacity: Kilowatts,
     total_capacity: Kilowatts,
     normal_cost: PricePerKwh,
     expensive_cost: PricePerKwh,
 }
-
-/// Error returned when demand exceeds even the expensive capacity.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CapacityExceededError {
-    /// Demanded power.
-    pub demanded: Kilowatts,
-    /// Total installed capacity.
-    pub capacity: Kilowatts,
-}
-
-impl std::fmt::Display for CapacityExceededError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "demand {} exceeds total capacity {}",
-            self.demanded, self.capacity
-        )
-    }
-}
-
-impl std::error::Error for CapacityExceededError {}
 
 impl ProductionModel {
     /// Default cost of base-tier production.
@@ -110,11 +87,6 @@ impl ProductionModel {
         self.normal_capacity
     }
 
-    /// Total installed capacity.
-    pub fn total_capacity(&self) -> Kilowatts {
-        self.total_capacity
-    }
-
     /// Cost of base-tier energy.
     pub fn normal_cost(&self) -> PricePerKwh {
         self.normal_cost
@@ -142,33 +114,6 @@ impl ProductionModel {
         let pricey = (energy - cheap).clamp_non_negative();
         cheap * self.normal_cost + pricey * self.expensive_cost
     }
-
-    /// Production cost of an entire demand curve (kWh per slot).
-    pub fn cost_of_curve(&self, demand: &Series) -> Money {
-        let slot_hours = demand.axis().slot_hours();
-        demand
-            .values()
-            .iter()
-            .map(|&kwh| self.cost_of_energy(KilowattHours(kwh), slot_hours))
-            .sum()
-    }
-
-    /// Checks whether average power `demanded` can be served at all.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CapacityExceededError`] when `demanded` exceeds the total
-    /// installed capacity.
-    pub fn check_feasible(&self, demanded: Kilowatts) -> Result<(), CapacityExceededError> {
-        if demanded > self.total_capacity {
-            Err(CapacityExceededError {
-                demanded,
-                capacity: self.total_capacity,
-            })
-        } else {
-            Ok(())
-        }
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +129,6 @@ mod tests {
     fn accessors() {
         let m = model();
         assert_eq!(m.normal_capacity(), Kilowatts(100.0));
-        assert_eq!(m.total_capacity(), Kilowatts(150.0));
         assert!(m.expensive_cost() > m.normal_cost());
     }
 
@@ -240,23 +184,6 @@ mod tests {
             m.normal_capacity_per_slot(TimeAxis::quarter_hourly()),
             KilowattHours(25.0)
         );
-    }
-
-    #[test]
-    fn curve_cost_sums_slots() {
-        let m = model();
-        let axis = TimeAxis::hourly();
-        let demand = Series::constant(axis, 50.0);
-        let cost = m.cost_of_curve(&demand);
-        assert!((cost.value() - 24.0 * 50.0 * m.normal_cost().value()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn feasibility_check() {
-        let m = model();
-        assert!(m.check_feasible(Kilowatts(150.0)).is_ok());
-        let err = m.check_feasible(Kilowatts(151.0)).unwrap_err();
-        assert!(err.to_string().contains("exceeds"));
     }
 
     #[test]

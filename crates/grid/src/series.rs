@@ -6,7 +6,6 @@
 
 use crate::time::{Interval, TimeAxis};
 use crate::units::KilowattHours;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Index, Mul, Sub};
 
@@ -23,7 +22,7 @@ use std::ops::{Add, Index, Mul, Sub};
 /// assert_eq!(s.sum(), 48.0);
 /// assert_eq!(s.max(), 2.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     axis: TimeAxis,
     values: Vec<f64>,

@@ -7,7 +7,6 @@
 //! know the values for the lower, normal and higher prices."
 
 use crate::units::{KilowattHours, Money, PricePerKwh};
-use serde::{Deserialize, Serialize};
 
 /// Three-level electricity tariff.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// let flat = t.bill_normal(KilowattHours(10.0));
 /// assert!(bill.value() < flat.value()); // cooperation still paid off here
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tariff {
     lower: PricePerKwh,
     normal: PricePerKwh,
@@ -86,22 +85,6 @@ impl Tariff {
         let excess = (used - within).clamp_non_negative();
         within * self.lower + excess * self.higher
     }
-
-    /// The usage level below which accepting a limit beats paying the
-    /// normal price, for a fixed limit: solves
-    /// `lower·limit + higher·(u − limit) = normal·u` for `u`.
-    ///
-    /// Returns `None` when `higher == normal` (accepting then always wins
-    /// or ties below the limit).
-    pub fn break_even_usage(&self, limit: KilowattHours) -> Option<KilowattHours> {
-        let h = self.higher.value();
-        let n = self.normal.value();
-        if (h - n).abs() <= f64::EPSILON {
-            return None;
-        }
-        let l = self.lower.value();
-        Some(KilowattHours(limit.value() * (h - l) / (h - n)))
-    }
 }
 
 impl Default for Tariff {
@@ -153,25 +136,6 @@ mod tests {
         // Heavy overuse: worse than normal.
         let heavy = t.bill_with_limit(KilowattHours(30.0), limit);
         assert!(heavy > t.bill_normal(KilowattHours(30.0)));
-    }
-
-    #[test]
-    fn break_even_matches_bills() {
-        let t = Tariff::default_scheme();
-        let limit = KilowattHours(10.0);
-        let u = t.break_even_usage(limit).unwrap();
-        let a = t.bill_with_limit(u, limit);
-        let b = t.bill_normal(u);
-        assert!(
-            (a.value() - b.value()).abs() < 1e-9,
-            "bills at break-even differ"
-        );
-    }
-
-    #[test]
-    fn break_even_none_when_flat() {
-        let t = Tariff::new(PricePerKwh(0.5), PricePerKwh(1.0), PricePerKwh(1.0));
-        assert!(t.break_even_usage(KilowattHours(10.0)).is_none());
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! default), which is the resolution at which demand curves and predictions
 //! operate.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Minutes in one day.
@@ -20,12 +19,9 @@ pub const MINUTES_PER_DAY: u32 = 24 * 60;
 ///
 /// let t = TimeOfDay::hm(18, 30).unwrap();
 /// assert_eq!(t.hour(), 18);
-/// assert_eq!(t.minute(), 30);
 /// assert_eq!(t.to_string(), "18:30");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TimeOfDay {
     minutes: u32,
 }
@@ -67,14 +63,14 @@ impl TimeOfDay {
     }
 
     /// Creates a time of day from minutes since midnight, wrapping at 24h.
-    pub fn from_minutes(minutes: u32) -> TimeOfDay {
+    fn from_minutes(minutes: u32) -> TimeOfDay {
         TimeOfDay {
             minutes: minutes % MINUTES_PER_DAY,
         }
     }
 
     /// Minutes since midnight.
-    pub fn minutes(self) -> u32 {
+    fn minutes(self) -> u32 {
         self.minutes
     }
 
@@ -84,13 +80,8 @@ impl TimeOfDay {
     }
 
     /// Minute component (0–59).
-    pub fn minute(self) -> u32 {
+    fn minute(self) -> u32 {
         self.minutes % 60
-    }
-
-    /// Fraction of the day elapsed, in `[0, 1)`.
-    pub fn day_fraction(self) -> f64 {
-        f64::from(self.minutes) / f64::from(MINUTES_PER_DAY)
     }
 }
 
@@ -111,7 +102,7 @@ impl fmt::Display for TimeOfDay {
 /// assert_eq!(axis.slots_per_day(), 96);
 /// assert_eq!(axis.slot_of(TimeOfDay::hm(18, 20).unwrap()), 73);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimeAxis {
     slot_minutes: u32,
 }
@@ -170,11 +161,6 @@ impl TimeAxis {
         TimeOfDay::from_minutes(i as u32 * self.slot_minutes)
     }
 
-    /// The half-open interval covering the whole day.
-    pub fn whole_day(self) -> Interval {
-        Interval::new(0, self.slots_per_day())
-    }
-
     /// Interval covering `[from, to)` in wall-clock time. If `to <= from`
     /// the interval is empty.
     pub fn between(self, from: TimeOfDay, to: TimeOfDay) -> Interval {
@@ -202,7 +188,7 @@ impl Default for TimeAxis {
 /// assert!(i.contains(80));
 /// assert!(!i.contains(88));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Interval {
     start: usize,
     end: usize,
@@ -292,12 +278,6 @@ mod tests {
     fn time_of_day_wraps() {
         let t = TimeOfDay::from_minutes(MINUTES_PER_DAY + 30);
         assert_eq!(t, TimeOfDay::hm(0, 30).unwrap());
-    }
-
-    #[test]
-    fn day_fraction() {
-        assert_eq!(TimeOfDay::MIDNIGHT.day_fraction(), 0.0);
-        assert_eq!(TimeOfDay::hm(12, 0).unwrap().day_fraction(), 0.5);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! distinct (C-NEWTYPE): a cut-down [`Fraction`] can never be added to an
 //! energy amount by accident, and prices only multiply with energy.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -12,7 +11,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 macro_rules! quantity {
     ($(#[$meta:meta])* $name:ident, $unit:literal) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(pub f64);
 
         impl $name {
@@ -166,18 +165,6 @@ impl Kilowatts {
     }
 }
 
-impl KilowattHours {
-    /// Average power when this energy is spread over `hours` hours.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hours` is not strictly positive.
-    pub fn over_hours(self, hours: f64) -> Kilowatts {
-        assert!(hours > 0.0, "duration must be positive, got {hours}");
-        Kilowatts(self.0 / hours)
-    }
-}
-
 impl Mul<KilowattHours> for PricePerKwh {
     type Output = Money;
     fn mul(self, rhs: KilowattHours) -> Money {
@@ -206,7 +193,7 @@ impl Mul<PricePerKwh> for KilowattHours {
 /// assert_eq!(f.complement().value(), 0.6);
 /// assert!(Fraction::new(1.2).is_err());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Fraction(f64);
 
 /// Error returned when constructing a [`Fraction`] outside `[0, 1]`.
@@ -289,11 +276,6 @@ impl Fraction {
     pub fn saturating_add(self, other: Fraction) -> Fraction {
         Fraction::clamped(self.0 + other.0)
     }
-
-    /// Multiplies two fractions (always stays within `[0, 1]`).
-    pub fn and(self, other: Fraction) -> Fraction {
-        Fraction(self.0 * other.0)
-    }
 }
 
 impl fmt::Display for Fraction {
@@ -367,13 +349,6 @@ mod tests {
     fn power_energy_conversion() {
         let p = Kilowatts(4.0);
         assert_eq!(p.for_hours(0.25).value(), 1.0);
-        assert_eq!(KilowattHours(2.0).over_hours(0.5).value(), 4.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "duration must be positive")]
-    fn energy_over_zero_hours_panics() {
-        let _ = KilowattHours(1.0).over_hours(0.0);
     }
 
     #[test]
@@ -408,7 +383,6 @@ mod tests {
         let f = Fraction::new(0.4).unwrap();
         assert!((f.complement().value() - 0.6).abs() < 1e-12);
         assert_eq!(f.saturating_add(Fraction::new(0.9).unwrap()), Fraction::ONE);
-        assert!((f.and(Fraction::new(0.5).unwrap()).value() - 0.2).abs() < 1e-12);
         assert_eq!(f * KilowattHours(10.0), KilowattHours(4.0));
     }
 

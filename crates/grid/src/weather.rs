@@ -11,10 +11,9 @@ use crate::time::TimeAxis;
 use crate::units::Celsius;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Season of the year, selecting a base temperature regime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Season {
     /// Cold, heating-dominated demand (the paper's peak scenario).
     Winter,
@@ -28,7 +27,7 @@ pub enum Season {
 
 impl Season {
     /// Mean daily temperature for the season (northern-European climate).
-    pub fn base_temperature(self) -> Celsius {
+    fn base_temperature(self) -> Celsius {
         match self {
             Season::Winter => Celsius(-4.0),
             Season::Spring => Celsius(8.0),
@@ -74,7 +73,7 @@ impl std::fmt::Display for Season {
 /// // Winter days stay cold.
 /// assert!(temps.max() < 10.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeatherModel {
     season: Season,
     /// Half of the day/night temperature swing, in °C.
@@ -99,23 +98,6 @@ impl WeatherModel {
     /// Winter model (the Figure 1 peak scenario).
     pub fn winter() -> WeatherModel {
         WeatherModel::new(Season::Winter)
-    }
-
-    /// Summer model.
-    pub fn summer() -> WeatherModel {
-        WeatherModel::new(Season::Summer)
-    }
-
-    /// Sets the diurnal amplitude (°C).
-    pub fn with_amplitude(mut self, amplitude: f64) -> WeatherModel {
-        self.diurnal_amplitude = amplitude;
-        self
-    }
-
-    /// Sets the per-slot noise standard deviation (°C).
-    pub fn with_noise(mut self, sd: f64) -> WeatherModel {
-        self.noise_sd = sd;
-        self
     }
 
     /// Adds a temperature anomaly (e.g. `-6.0` for a cold snap).
@@ -152,11 +134,6 @@ impl WeatherModel {
             base + diurnal + noise
         })
     }
-
-    /// Mean temperature of a generated day.
-    pub fn mean_temperature(&self, axis: &TimeAxis, seed: u64) -> Celsius {
-        Celsius(self.temperatures(axis, seed).mean())
-    }
 }
 
 impl Default for WeatherModel {
@@ -168,6 +145,13 @@ impl Default for WeatherModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn noise_free_winter() -> WeatherModel {
+        WeatherModel {
+            noise_sd: 0.0,
+            ..WeatherModel::winter()
+        }
+    }
 
     #[test]
     fn seasons_have_expected_ordering() {
@@ -187,30 +171,28 @@ mod tests {
     #[test]
     fn winter_colder_than_summer() {
         let axis = TimeAxis::hourly();
-        let w = WeatherModel::winter().mean_temperature(&axis, 3);
-        let s = WeatherModel::summer().mean_temperature(&axis, 3);
+        let w = WeatherModel::winter().temperatures(&axis, 3).mean();
+        let s = WeatherModel::new(Season::Summer)
+            .temperatures(&axis, 3)
+            .mean();
         assert!(w < s);
     }
 
     #[test]
     fn anomaly_shifts_mean() {
         let axis = TimeAxis::hourly();
-        let normal = WeatherModel::winter()
-            .with_noise(0.0)
-            .mean_temperature(&axis, 0);
-        let snap = WeatherModel::winter()
-            .with_noise(0.0)
+        let normal = noise_free_winter().temperatures(&axis, 0).mean();
+        let snap = noise_free_winter()
             .with_anomaly(-6.0)
-            .mean_temperature(&axis, 0);
-        assert!((normal.value() - snap.value() - 6.0).abs() < 1e-9);
+            .temperatures(&axis, 0)
+            .mean();
+        assert!((normal - snap - 6.0).abs() < 1e-9);
     }
 
     #[test]
     fn diurnal_cycle_peaks_in_afternoon() {
         let axis = TimeAxis::hourly();
-        let temps = WeatherModel::winter()
-            .with_noise(0.0)
-            .temperatures(&axis, 0);
+        let temps = noise_free_winter().temperatures(&axis, 0);
         let warmest = temps.argmax();
         assert!((14..=16).contains(&warmest), "warmest hour was {warmest}");
     }
@@ -218,9 +200,7 @@ mod tests {
     #[test]
     fn noise_free_model_is_smooth() {
         let axis = TimeAxis::quarter_hourly();
-        let temps = WeatherModel::winter()
-            .with_noise(0.0)
-            .temperatures(&axis, 0);
+        let temps = noise_free_winter().temperatures(&axis, 0);
         for i in 1..temps.len() {
             assert!((temps[i] - temps[i - 1]).abs() < 0.5);
         }

@@ -3,13 +3,10 @@
 use crate::clock::{SimDuration, SimTime};
 use crate::event::Envelope;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an agent within one simulation.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AgentId(pub u64);
 
 impl fmt::Display for AgentId {
@@ -19,9 +16,7 @@ impl fmt::Display for AgentId {
 }
 
 /// A timer token, echoed back in [`Agent::on_timer`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TimerToken(pub u64);
 
 /// Behaviour of one simulated agent over messages of type `M`.
@@ -69,11 +64,6 @@ pub struct Context<'a, M> {
 }
 
 impl<'a, M> Context<'a, M> {
-    /// The agent's own id.
-    pub fn self_id(&self) -> AgentId {
-        self.self_id
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -184,7 +174,6 @@ mod tests {
     fn accessors() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut ctx = context(&mut rng);
-        assert_eq!(ctx.self_id(), AgentId(7));
         assert_eq!(ctx.now(), SimTime::from_ticks(5));
         let _ = ctx.rng();
         assert!(

@@ -2,11 +2,10 @@
 
 use crate::agent::{AgentId, TimerToken};
 use crate::clock::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One logged occurrence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogEntry<M> {
     /// A message was delivered.
     Delivered {
@@ -55,7 +54,7 @@ impl<M> LogEntry<M> {
 /// Logging message payloads requires `M: Clone`; simulations can disable
 /// logging entirely for large runs (see
 /// [`crate::runtime::Simulation::set_logging`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventLog<M> {
     entries: Vec<LogEntry<M>>,
 }
@@ -94,13 +93,6 @@ impl<M> EventLog<M> {
             LogEntry::Delivered { at, from, to, msg } => Some((at, from, to, msg)),
             _ => None,
         })
-    }
-
-    /// Messages delivered to `agent`.
-    pub fn delivered_to<'a>(&'a self, agent: AgentId) -> impl Iterator<Item = &'a M> + 'a {
-        self.deliveries()
-            .filter(move |&(_, _, to, _)| *to == agent)
-            .map(|(_, _, _, m)| m)
     }
 }
 
@@ -155,8 +147,6 @@ mod tests {
         });
         assert_eq!(log.len(), 3);
         assert_eq!(log.deliveries().count(), 2);
-        let to_zero: Vec<_> = log.delivered_to(AgentId(0)).collect();
-        assert_eq!(to_zero, vec![&"reply"]);
     }
 
     #[test]

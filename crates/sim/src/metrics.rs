@@ -1,11 +1,10 @@
 //! Counters collected during a simulation run.
 
 use crate::clock::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Aggregate metrics of one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Metrics {
     /// Messages handed to the network.
     pub messages_sent: u64,
@@ -28,15 +27,6 @@ impl Metrics {
     pub fn new() -> Metrics {
         Metrics::default()
     }
-
-    /// Fraction of sent messages that were dropped (0 when none sent).
-    pub fn drop_rate(&self) -> f64 {
-        if self.messages_sent == 0 {
-            0.0
-        } else {
-            self.messages_dropped as f64 / self.messages_sent as f64
-        }
-    }
 }
 
 impl fmt::Display for Metrics {
@@ -58,18 +48,6 @@ impl fmt::Display for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn drop_rate_guards_division() {
-        let m = Metrics::new();
-        assert_eq!(m.drop_rate(), 0.0);
-        let m2 = Metrics {
-            messages_sent: 10,
-            messages_dropped: 3,
-            ..Metrics::new()
-        };
-        assert!((m2.drop_rate() - 0.3).abs() < 1e-12);
-    }
 
     #[test]
     fn display_mentions_counts() {

@@ -34,7 +34,6 @@
 use crate::clock::SimDuration;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How the network treats one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +48,7 @@ pub enum Delivery {
 }
 
 /// A stochastic network model, optionally with total-outage windows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkModel {
     min_latency: u64,
     max_latency: u64,
@@ -166,11 +165,6 @@ impl NetworkModel {
     /// The configured reordering `(probability, max extra ticks)`.
     pub fn reordering(&self) -> (f64, u64) {
         (self.reorder_probability, self.reorder_extra)
-    }
-
-    /// Latency bounds `(min, max)` in ticks.
-    pub fn latency_bounds(&self) -> (u64, u64) {
-        (self.min_latency, self.max_latency)
     }
 
     /// Decides the fate of one message sent at virtual time zero —
@@ -311,7 +305,6 @@ mod tests {
             .with_drop_probability(0.05)
             .with_duplicate_probability(0.1)
             .with_reordering(0.2, 7);
-        assert_eq!(net.latency_bounds(), (2, 4));
         assert!((net.drop_probability() - 0.05).abs() < 1e-12);
         assert!((net.duplicate_probability() - 0.1).abs() < 1e-12);
         assert_eq!(net.reordering(), (0.2, 7));

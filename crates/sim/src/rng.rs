@@ -20,11 +20,6 @@ impl SeedSequence {
         SeedSequence { master }
     }
 
-    /// The master seed.
-    pub fn master(&self) -> u64 {
-        self.master
-    }
-
     /// Derives the seed for a named stream index (SplitMix64 finalizer).
     pub fn derive(&self, stream: u64) -> u64 {
         let mut z = self
@@ -75,6 +70,5 @@ mod tests {
         let s = SeedSequence::new(0);
         // SplitMix64 of 0 is not 0.
         assert_ne!(s.derive(0), 0);
-        assert_eq!(s.master(), 0);
     }
 }

@@ -136,27 +136,12 @@ impl<M: Clone + 'static> Simulation<M> {
         }
     }
 
-    /// Sets the event budget (default ten million).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_events` is zero.
-    pub fn set_max_events(&mut self, max_events: u64) {
-        assert!(max_events > 0, "event budget must be positive");
-        self.max_events = max_events;
-    }
-
     /// Registers an agent, returning its id. Ids are assigned densely in
     /// registration order.
     pub fn add_agent(&mut self, agent: impl Agent<M> + 'static) -> AgentId {
         let id = AgentId(self.agents.len() as u64);
         self.agents.push(Box::new(agent));
         id
-    }
-
-    /// Number of registered agents.
-    pub fn agent_count(&self) -> usize {
-        self.agents.len()
     }
 
     /// Downcasts an agent to its concrete type.
@@ -237,7 +222,7 @@ impl<M: Clone + 'static> Simulation<M> {
     /// # Errors
     ///
     /// See [`RunError`].
-    pub fn run_until(&mut self, horizon: SimTime) -> Result<RunOutcome, RunError> {
+    fn run_until(&mut self, horizon: SimTime) -> Result<RunOutcome, RunError> {
         if !self.started {
             self.started = true;
             for i in 0..self.agents.len() {
@@ -599,7 +584,7 @@ mod tests {
         sim.agent_mut::<Looper>(a).unwrap();
         let b = sim.add_agent(Looper { peer: Some(a) });
         let _ = b;
-        sim.set_max_events(1000);
+        sim.max_events = 1000;
         let err = sim.run().unwrap_err();
         assert_eq!(err, RunError::EventLimit { limit: 1000 });
     }

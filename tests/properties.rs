@@ -565,3 +565,24 @@ proptest! {
         prop_assert!((f - (total - normal) / normal).abs() < 1e-9);
     }
 }
+
+#[test]
+fn scenario_clone_equality() {
+    let scenario = ScenarioBuilder::paper_figure_6().build();
+    let copy = scenario.clone();
+    assert_eq!(scenario, copy);
+    // Cloned scenarios run to identical reports (pure functions of the
+    // scenario value).
+    assert_eq!(scenario.run(), copy.run());
+}
+
+#[test]
+fn reward_table_clone_equality() {
+    let t = RewardTable::quadratic(
+        Interval::new(72, 80),
+        &DEFAULT_LEVELS,
+        powergrid::units::Money(17.0),
+        Fraction::clamped(0.4),
+    );
+    assert_eq!(t.clone(), t);
+}
