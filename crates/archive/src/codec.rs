@@ -792,9 +792,8 @@ pub(crate) fn report(d: &mut Dec) -> Result<NegotiationReport, ArchiveError> {
 /// matched first and genuinely novel names are interned once (bounded
 /// by the distinct names an archive contains, never re-leaked).
 fn intern_predictor(name: String) -> &'static str {
-    const KNOWN: [&str; 5] = [
+    const KNOWN: [&str; 4] = [
         "moving-average",
-        "exponential-smoothing",
         "seasonal-naive",
         "weather-regression",
         "holt-trend",

@@ -109,8 +109,9 @@
 //! # Example
 //!
 //! ```
-//! use loadbal_archive::{write_campaign, SeasonArchive};
+//! use loadbal_archive::{write_fleet, SeasonArchive};
 //! use loadbal_core::campaign::{CampaignBuilder, FixedPredictor};
+//! use loadbal_core::fleet::FleetRunner;
 //! use loadbal_core::session::ReportTier;
 //! use powergrid::calendar::Horizon;
 //! use powergrid::population::PopulationBuilder;
@@ -118,7 +119,7 @@
 //! use powergrid::weather::{Season, WeatherModel};
 //!
 //! let homes = PopulationBuilder::new().households(12).build(5);
-//! let report = CampaignBuilder::new(
+//! let runner = CampaignBuilder::new(
 //!     &homes,
 //!     &WeatherModel::winter(),
 //!     &Horizon::new(3, 0, Season::Winter),
@@ -126,16 +127,16 @@
 //! .warmup_days(2)
 //! .predictor(FixedPredictor(MovingAverage::new(2)))
 //! .report_tier(ReportTier::Settlement)
-//! .build()
-//! .run();
+//! .build();
+//! let report = FleetRunner::new().cell("cell0", runner).run();
 //!
 //! let dir = std::env::temp_dir().join("loadbal-archive-doc");
 //! std::fs::create_dir_all(&dir).unwrap();
 //! let path = dir.join("doc-season.lbsa");
-//! write_campaign(&path, &report, ReportTier::Settlement).unwrap();
+//! write_fleet(&path, &report, ReportTier::Settlement).unwrap();
 //!
 //! let mut archive = SeasonArchive::open(&path).unwrap();
-//! assert_eq!(archive.read_campaign().unwrap(), report);
+//! assert_eq!(archive.read_fleet().unwrap(), report);
 //! std::fs::remove_file(&path).unwrap();
 //! ```
 
@@ -150,4 +151,4 @@ pub mod writer;
 
 pub use error::{ArchiveError, ArchiveKind};
 pub use reader::{ArchiveIndex, CellIndex, DayEntry, OutcomeEntry, SeasonArchive};
-pub use writer::{write_campaign, write_campaign_to, write_fleet, write_fleet_to, WriteStats};
+pub use writer::{write_campaign_to, write_fleet, write_fleet_to, WriteStats};

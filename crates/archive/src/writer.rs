@@ -75,22 +75,6 @@ struct CellAt<'a> {
     outcomes: Vec<OutcomeAt>,
 }
 
-/// Writes a campaign archive to `path` (created or truncated).
-///
-/// # Errors
-///
-/// Propagates I/O failures as [`ArchiveError::Io`].
-pub fn write_campaign(
-    path: impl AsRef<Path>,
-    report: &CampaignReport,
-    tier: ReportTier,
-) -> Result<WriteStats, ArchiveError> {
-    let mut file = BufWriter::new(File::create(path)?);
-    let stats = write_campaign_to(&mut file, report, tier)?;
-    file.flush()?;
-    Ok(stats)
-}
-
 /// Writes a campaign archive to any [`Write`] sink.
 ///
 /// # Errors

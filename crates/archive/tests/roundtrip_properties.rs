@@ -293,9 +293,8 @@ fn arb_peak() -> impl Strategy<Value = Peak> {
 }
 
 fn arb_day_outcome() -> impl Strategy<Value = DayOutcome> {
-    const PREDICTORS: [&str; 5] = [
+    const PREDICTORS: [&str; 4] = [
         "moving-average",
-        "exponential-smoothing",
         "seasonal-naive",
         "weather-regression",
         "holt-trend",

@@ -54,7 +54,7 @@ pub fn fig1_demand(households: usize, seed: u64) -> Fig1Result {
     // (and only the peak) needs expensive production, as in Figure 1.
     let peak_kwh = curve.series().max();
     let normal = Kilowatts(peak_kwh / axis.slot_hours() * 0.90);
-    let production = ProductionModel::two_tier(normal, Kilowatts(normal.value() * 2.0));
+    let production = ProductionModel::two_tier(normal);
     Fig1Result {
         expensive_slots: curve.slots_above_normal(&production),
         energy_above_normal: curve.energy_above_normal(&production),
@@ -295,7 +295,6 @@ pub fn methods_comparison(customers: usize, seed: u64) -> MethodsResult {
     let scenario = ScenarioBuilder::random(customers, 0.35, seed).build();
     let producer = ProducerAgent::new(ProductionModel::with_costs(
         Kilowatts(scenario.normal_use.value() / 2.0),
-        Kilowatts(scenario.normal_use.value()),
         PricePerKwh(0.3),
         PricePerKwh(4.0),
     ));
@@ -566,7 +565,7 @@ pub struct ScalingRow {
     pub messages: u64,
     /// Wall-clock of the synchronous run, microseconds.
     pub sync_us: u128,
-    /// Wall-clock of the distributed (massim) run, microseconds.
+    /// Wall-clock of the run over the simulated network, microseconds.
     pub distributed_us: u128,
     /// Virtual end-time of the distributed run (ticks).
     pub virtual_ticks: u64,
@@ -617,7 +616,7 @@ pub fn scaling(sizes: &[usize], seed: u64) -> ScalingResult {
                 messages: sync.total_messages(),
                 sync_us,
                 distributed_us,
-                virtual_ticks: dist.metrics.end_time.ticks(),
+                virtual_ticks: dist.end_time.ticks(),
             }
         })
         .collect();
@@ -630,7 +629,7 @@ impl fmt::Display for ScalingResult {
         writeln!(
             f,
             "  {:>9} {:>6} {:>10} {:>10} {:>13} {:>13}",
-            "customers", "rounds", "messages", "sync µs", "massim µs", "virtual ticks"
+            "customers", "rounds", "messages", "sync µs", "network µs", "virtual ticks"
         )?;
         for r in &self.rows {
             writeln!(
@@ -2088,6 +2087,10 @@ pub fn fault_resilience(
         build_fleet(ExecutionMode::distributed_clean().with_seed(seed)).run_instrumented();
     let clean_wall_us = t0.elapsed().as_micros();
     let clean_identical_to_sync = clean == sync;
+    assert!(
+        clean_identical_to_sync,
+        "distributed-clean season drifted from sync"
+    );
 
     let mut walls = Vec::new();
     let report = ResilienceReport::against_baseline(
@@ -3191,7 +3194,7 @@ mod tests {
         assert_eq!(reorder.dropped, 0);
         assert_eq!(reorder.duplicated, 0);
         let outage = row(FaultClass::Outage);
-        assert!(outage.dropped > 0, "in-flight messages die in the window");
+        assert!(outage.dropped > 0, "messages sent in the window are lost");
         // Every season terminated and was diffed peak by peak.
         for x in &r.rows {
             assert!(x.matched_peaks > 0, "{}: no peaks matched", x.class);

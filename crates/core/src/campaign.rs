@@ -435,8 +435,8 @@ impl<'a> CampaignBuilder<'a> {
     }
 
     /// How each peak's negotiation actually executes (default
-    /// [`ExecutionMode::Sync`]): the in-process pump, or a seeded
-    /// [`massim`] simulation per peak over a network model. A
+    /// [`ExecutionMode::Sync`]): the in-process pump, or one seeded run
+    /// per peak over a simulated network. A
     /// distributed-*clean* campaign reports byte-identically to a sync
     /// one at every tier (the byte-identity suites pin this); a faulty
     /// network degrades the season measurably, with the wire activity
@@ -655,7 +655,6 @@ impl CampaignRunner<'_> {
             let normal = Kilowatts(warmup_peak_kwh / self.axis.slot_hours() * CAPACITY_FACTOR);
             let producer = ProducerAgent::new(ProductionModel::with_costs(
                 normal,
-                Kilowatts(normal.value() * 2.0),
                 self.normal_cost,
                 self.expensive_cost,
             ));
@@ -779,7 +778,7 @@ impl DayPlan {
 
     /// Negotiates scenario `index` of this plan through `scratch`,
     /// honouring the campaign's [`ExecutionMode`]: the in-process sync
-    /// pump, or one seeded [`massim`] simulation over the mode's network
+    /// pump, or one seeded run over the mode's simulated network
     /// (its per-peak seed fixed by the plan's day and the scenario's
     /// position — never by which worker runs it). Distributed wire
     /// activity accumulates on the plan and reaches the campaign's
@@ -811,9 +810,7 @@ impl DayPlan {
                     peak_seed(*seed, self.day.index, self.seed_base + index as u64),
                     *deadline,
                 );
-                let mut traffic = self.traffic.get();
-                traffic.record(&outcome);
-                self.traffic.set(traffic);
+                self.traffic.set(self.traffic.get() + outcome.traffic);
                 outcome.report
             }
         }

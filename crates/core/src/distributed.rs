@@ -1,130 +1,153 @@
-//! Distributed execution: the sans-io engine behind message-passing
-//! actors.
+//! Distributed execution: the sans-io engines over a simulated network.
 //!
 //! The paper's vision is "large open distributed industrial systems"
 //! (§7): one Utility Agent process negotiating with thousands of Customer
-//! Agent processes over a real network. This module adapts the shared
-//! [`crate::engine`] state machines to the [`massim`] runtime — latency,
-//! loss and response deadlines included. The adapters contain **no
-//! protocol logic**: they translate runtime callbacks into engine
-//! [`Input`]s and engine [`Effect`]s into runtime calls, so on a perfect
-//! network the outcome is identical to [`Scenario::run`] by
-//! construction.
+//! Agent processes over a real network. This module drives the shared
+//! [`crate::engine`] state machines through a seeded discrete-event
+//! loop over a [`NetworkModel`] — latency, loss, duplication,
+//! reordering, outages and response deadlines included. The loop
+//! contains **no protocol logic**: it carries engine [`Effect`]s over
+//! the network and hands what arrives back to the engines as
+//! [`Input`]s, so on a perfect network the outcome is identical to
+//! [`Scenario::run`] by construction.
+//!
+//! Every message and every deadline is an event at a virtual tick, and
+//! events run in `(tick, scheduling sequence)` order: the order is
+//! total, so a run is a pure function of its scenario, network, seed
+//! and deadline.
 
-use crate::concession::NegotiationStatus;
 use crate::engine::{CustomerEngine, Effect, Input, Peer, ReportAssembler, UtilityEngine};
+use crate::execution::NetworkTraffic;
 use crate::message::Msg;
-use crate::session::{NegotiationReport, ReportTier, RoundRecord, Scenario, Settlement};
+use crate::session::{NegotiationReport, ReportTier, Scenario};
 use crate::sync_driver::NegotiationScratch;
-use massim::agent::{Agent, AgentId, Context, TimerToken};
-use massim::clock::SimDuration;
-use massim::metrics::Metrics;
-use massim::network::NetworkModel;
-use massim::runtime::Simulation;
-use std::collections::BTreeMap;
+use massim::clock::{SimDuration, SimTime};
+use massim::network::{Delivery, NetworkModel};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
-/// A Customer Agent process: a [`CustomerEngine`] on the wire.
-#[derive(Debug)]
-pub struct CustomerProcess {
-    engine: CustomerEngine,
+/// Events one negotiation may process before it is declared a message
+/// loop — orders of magnitude above any terminating negotiation.
+const EVENT_BUDGET: u64 = 10_000_000;
+
+/// Result of a distributed run: the report plus what the network did.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DistributedOutcome {
+    /// The negotiation report (same shape as the synchronous one).
+    pub report: NegotiationReport,
+    /// This negotiation's wire counters, deadline timers fired and
+    /// rounds the UA concluded on its deadline instead of a full
+    /// response set (zero on a clean network).
+    pub traffic: NetworkTraffic,
+    /// Virtual time of the run's last event.
+    pub end_time: SimTime,
 }
 
-impl CustomerProcess {
-    /// Creates the process around a customer engine.
-    pub fn new(engine: CustomerEngine) -> CustomerProcess {
-        CustomerProcess { engine }
-    }
+/// What a scheduled event does when its tick comes.
+#[derive(Clone)]
+enum Event {
+    /// A message from the Utility Agent reaches customer `i`.
+    ToCustomer(usize, Msg),
+    /// Customer `i`'s reply reaches the Utility Agent.
+    ToUtility(usize, Msg),
+    /// The UA's response deadline for the round `token` names fires.
+    Deadline(u64),
+}
 
-    /// The award received at the end, if any.
-    pub fn awarded(&self) -> Option<&Settlement> {
-        self.engine.awarded()
+/// An event at virtual tick `at`. `seq` counts the events scheduled
+/// before it, so two events never tie. Equality and ordering ignore the
+/// payload ([`Msg`] carries `f64`s), and the order is reversed so that
+/// the max-heap [`BinaryHeap`] pops the earliest event first.
+struct Scheduled {
+    at: SimTime,
+    seq: u64,
+    event: Event,
+}
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
     }
 }
 
-impl Agent<Msg> for CustomerProcess {
-    fn on_message(&mut self, from: AgentId, msg: Msg, ctx: &mut Context<'_, Msg>) {
-        let reply = self.engine.handle(Input::Received {
-            from: Peer::Utility,
-            msg,
-        });
-        if let Some(msg) = reply {
-            ctx.send(from, msg);
-        }
+impl Eq for Scheduled {}
+
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
-/// The Utility Agent process: a [`UtilityEngine`] on the wire, with the
-/// per-round response deadline realised as a runtime timer.
-#[derive(Debug)]
-pub struct UtilityProcess {
-    engine: UtilityEngine,
-    assembler: ReportAssembler,
-    /// Customer agent ids, scenario order (`Peer::Customer(i)` ↔ `customers[i]`).
-    customers: Vec<AgentId>,
-    index_of: BTreeMap<AgentId, usize>,
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The simulated network of one run: virtual time, the seeded RNG that
+/// decides each message's fate, the pending events and the counters.
+struct Wire<'a> {
+    model: &'a NetworkModel,
+    rng: StdRng,
     deadline: SimDuration,
+    now: SimTime,
+    scheduled: u64,
+    events: BinaryHeap<Scheduled>,
+    traffic: NetworkTraffic,
 }
 
-impl UtilityProcess {
-    /// Creates the UA process around an already-built engine, assembling
-    /// the report at `tier` — so the scratch-reusing hot path neither
-    /// rebuilds engines nor retains more than its tier keeps.
-    /// `customers` must be the already-registered Customer Agent ids, in
-    /// scenario order.
-    pub fn with_engine_at(
-        engine: UtilityEngine,
-        customers: Vec<AgentId>,
-        deadline: SimDuration,
-        tier: ReportTier,
-    ) -> UtilityProcess {
-        let assembler = ReportAssembler::for_engine_at(&engine, tier);
-        let index_of = customers
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
-        UtilityProcess {
-            engine,
-            assembler,
-            customers,
-            index_of,
-            deadline,
+impl Wire<'_> {
+    fn schedule(&mut self, after: SimDuration, event: Event) {
+        self.events.push(Scheduled {
+            at: self.now + after,
+            seq: self.scheduled,
+            event,
+        });
+        self.scheduled += 1;
+    }
+
+    /// Hands one message to the network: a single
+    /// [`NetworkModel::route_at`] draw loses it, delivers it, or
+    /// delivers two copies (the first copy scheduled first).
+    fn send(&mut self, delivery: Event) {
+        self.traffic.messages_sent += 1;
+        match self.model.route_at(&mut self.rng, self.now) {
+            Delivery::Drop => self.traffic.messages_dropped += 1,
+            Delivery::After(latency) => self.schedule(latency, delivery),
+            Delivery::Duplicate(first, second) => {
+                self.traffic.messages_duplicated += 1;
+                self.schedule(first, delivery.clone());
+                self.schedule(second, delivery);
+            }
         }
     }
 
-    /// Unwraps the process into its engine and finished report — how the
-    /// hot loop recovers the UA engine for reuse after a run.
-    fn into_engine_and_report(self) -> (UtilityEngine, NegotiationReport) {
-        let report = self.assembler.finish();
-        (self.engine, report)
-    }
-
-    /// The per-round history collected so far.
-    pub fn rounds(&self) -> &[RoundRecord] {
-        self.assembler.rounds()
-    }
-
-    /// The final status once the negotiation is over.
-    pub fn status(&self) -> Option<NegotiationStatus> {
-        self.assembler.status()
-    }
-
-    fn pump(&mut self, ctx: &mut Context<'_, Msg>) {
-        while let Some(effect) = self.engine.poll_effect() {
-            // Observations (round records, settlements) move into the
-            // assembler; transport effects come back to go on the wire.
-            // The simulation drains naturally after settlement so the
-            // award messages still reach the customers. A broadcast goes
-            // out as one send per customer in index order, so the
-            // network draws its latencies and losses in that order.
-            match self.assembler.observe(effect) {
+    /// Performs the utility engine's pending effects in the order they
+    /// come. Observations move into the assembler; a broadcast goes out
+    /// as one send per customer in index order, so the network draws
+    /// latencies and losses in that order; a timer arms the round's
+    /// deadline.
+    fn pump(
+        &mut self,
+        utility: &mut UtilityEngine,
+        assembler: &mut ReportAssembler,
+        customers: usize,
+    ) {
+        while let Some(effect) = utility.poll_effect() {
+            match assembler.observe(effect) {
                 Some(Effect::Send {
                     to: Peer::Customer(i),
                     msg,
-                }) => ctx.send(self.customers[i], msg),
-                Some(Effect::Broadcast { msg }) => ctx.broadcast(&self.customers, msg),
+                }) => self.send(Event::ToCustomer(i, msg)),
+                Some(Effect::Broadcast { msg }) => {
+                    for i in 0..customers {
+                        self.send(Event::ToCustomer(i, msg.clone()));
+                    }
+                }
                 Some(Effect::SetTimer { token }) => {
-                    ctx.set_timer(TimerToken(token), self.deadline);
+                    self.schedule(self.deadline, Event::Deadline(token));
                 }
                 _ => {}
             }
@@ -132,43 +155,8 @@ impl UtilityProcess {
     }
 }
 
-impl Agent<Msg> for UtilityProcess {
-    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        self.engine.handle(Input::Start);
-        self.pump(ctx);
-    }
-
-    fn on_message(&mut self, from: AgentId, msg: Msg, ctx: &mut Context<'_, Msg>) {
-        let Some(&i) = self.index_of.get(&from) else {
-            return; // not one of our customers
-        };
-        self.engine.handle(Input::Received {
-            from: Peer::Customer(i),
-            msg,
-        });
-        self.pump(ctx);
-    }
-
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Msg>) {
-        self.engine.handle(Input::TimerFired { token: token.0 });
-        self.pump(ctx);
-    }
-}
-
-/// Result of a distributed run: the report plus runtime metrics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistributedOutcome {
-    /// The negotiation report (same shape as the synchronous one).
-    pub report: NegotiationReport,
-    /// Runtime metrics: real message counts, drops, virtual end time.
-    pub metrics: Metrics,
-    /// Rounds the UA concluded on its response deadline instead of a
-    /// full response set — zero on a clean network.
-    pub deadline_forced_rounds: u64,
-}
-
-/// Runs the scenario's configured announcement method as a distributed
-/// simulation, on a fresh [`NegotiationScratch`] at
+/// Runs the scenario's configured announcement method over a simulated
+/// network, on a fresh [`NegotiationScratch`] at
 /// [`ReportTier::FullTrace`] — the one-shot form of
 /// [`NegotiationScratch::run_distributed`].
 ///
@@ -179,8 +167,8 @@ pub struct DistributedOutcome {
 ///
 /// # Panics
 ///
-/// Panics if the simulation fails (event-budget exhaustion — impossible
-/// for terminating negotiations).
+/// Panics if the run exhausts its event budget (a message loop —
+/// impossible for terminating negotiations).
 pub fn run_distributed(
     scenario: &Scenario,
     network: NetworkModel,
@@ -198,21 +186,23 @@ pub fn run_distributed(
 
 impl NegotiationScratch {
     /// Runs `scenario` (its configured
-    /// [`method`](crate::session::Scenario::method)) through a seeded
-    /// [`massim`] simulation over `network`, reusing the scratch's
-    /// engines and retaining only what `tier` keeps — the distributed
-    /// twin of [`NegotiationScratch::run`]. The utility engine is checked
-    /// out of the scratch, moved into the simulation's UA process, and
-    /// recovered afterwards via [`Simulation::take_agent`], so a
-    /// campaign fanning thousands of peaks through the network keeps its
-    /// per-worker buffers; the customer engines own no heap memory and
-    /// are built straight into their processes.
-    /// Byte-identical to a fresh scratch for the same scenario, tier,
-    /// network, seed and deadline.
+    /// [`method`](crate::session::Scenario::method)) over `network`,
+    /// seeded by `seed`, reusing the scratch's engines and retaining only
+    /// what `tier` keeps — the distributed twin of
+    /// [`NegotiationScratch::run`].
+    ///
+    /// The Utility Agent starts at tick 0. Each message goes through one
+    /// [`NetworkModel::route_at`] draw at its send time; a customer
+    /// answers what reaches it and the UA handles what reaches it, and
+    /// every round's deadline fires `deadline` ticks after its
+    /// announcement. The run drains to quiescence, so awards, late
+    /// replies and deadlines after settlement are still delivered and
+    /// counted. Byte-identical to a fresh scratch for the same scenario,
+    /// tier, network, seed and deadline.
     ///
     /// # Panics
     ///
-    /// Panics if the simulation fails (event-budget exhaustion —
+    /// Panics if the run exhausts its event budget (a message loop —
     /// impossible for terminating negotiations).
     pub fn run_distributed(
         &mut self,
@@ -222,38 +212,65 @@ impl NegotiationScratch {
         seed: u64,
         deadline: SimDuration,
     ) -> DistributedOutcome {
-        let utility = self.checkout(scenario);
-        let mut sim: Simulation<Msg> = Simulation::with_network(seed, network.clone());
-        sim.set_logging(false);
-        // Customers register first, in scenario order, then the UA: the
-        // seeded event interleaving (and so every distributed golden)
-        // depends on this order.
-        let customer_ids: Vec<AgentId> = (0..scenario.customers.len())
-            .map(|i| {
-                sim.add_agent(CustomerProcess::new(CustomerEngine::for_customer(
-                    scenario, i,
-                )))
-            })
-            .collect();
-        let ua = sim.add_agent(UtilityProcess::with_engine_at(
-            utility,
-            customer_ids,
+        let mut utility = self.checkout(scenario);
+        let customers: &mut [CustomerEngine] = &mut self.customers;
+        let mut assembler = ReportAssembler::for_engine_at(&utility, tier);
+        let mut wire = Wire {
+            model: network,
+            rng: StdRng::seed_from_u64(seed),
             deadline,
-            tier,
-        ));
-        sim.run().expect("negotiation simulation terminates");
-
-        let metrics = *sim.metrics();
-        let (utility, report) = sim
-            .take_agent::<UtilityProcess>(ua)
-            .expect("UA process exists")
-            .into_engine_and_report();
-        let deadline_forced_rounds = utility.deadline_forced_rounds();
+            now: SimTime::ZERO,
+            scheduled: 0,
+            events: BinaryHeap::new(),
+            traffic: NetworkTraffic {
+                negotiations: 1,
+                ..NetworkTraffic::ZERO
+            },
+        };
+        utility.handle(Input::Start);
+        wire.pump(&mut utility, &mut assembler, customers.len());
+        let mut budget = EVENT_BUDGET;
+        while let Some(Scheduled { at, event, .. }) = wire.events.pop() {
+            assert!(
+                budget > 0,
+                "negotiation exhausted its budget of {EVENT_BUDGET} events (message loop?)"
+            );
+            budget -= 1;
+            wire.now = at;
+            match event {
+                Event::ToCustomer(i, msg) => {
+                    wire.traffic.messages_delivered += 1;
+                    let reply = customers[i].handle(Input::Received {
+                        from: Peer::Utility,
+                        msg,
+                    });
+                    if let Some(reply) = reply {
+                        wire.send(Event::ToUtility(i, reply));
+                    }
+                }
+                Event::ToUtility(i, msg) => {
+                    wire.traffic.messages_delivered += 1;
+                    utility.handle(Input::Received {
+                        from: Peer::Customer(i),
+                        msg,
+                    });
+                    wire.pump(&mut utility, &mut assembler, customers.len());
+                }
+                Event::Deadline(token) => {
+                    wire.traffic.timers_fired += 1;
+                    utility.handle(Input::TimerFired { token });
+                    wire.pump(&mut utility, &mut assembler, customers.len());
+                }
+            }
+        }
+        let mut traffic = wire.traffic;
+        traffic.deadline_forced_rounds = utility.deadline_forced_rounds();
+        let end_time = wire.now;
         self.check_in(utility);
         DistributedOutcome {
-            report,
-            metrics,
-            deadline_forced_rounds,
+            report: assembler.finish(),
+            traffic,
+            end_time,
         }
     }
 }
@@ -296,8 +313,8 @@ mod tests {
 
     #[test]
     fn other_methods_also_match_their_synchronous_runs() {
-        // The engine behind the wire is method-agnostic, so the actors
-        // now run all three §3.2 methods, not just reward tables.
+        // The engine behind the wire is method-agnostic, so the network
+        // runs all three §3.2 methods, not just reward tables.
         for method in [
             AnnouncementMethod::Offer,
             AnnouncementMethod::RequestForBids,
@@ -340,7 +357,7 @@ mod tests {
         );
         assert!(dist.report.converged(), "{}", dist.report);
         assert!(
-            dist.metrics.messages_dropped > 0,
+            dist.traffic.messages_dropped > 0,
             "loss should actually occur"
         );
         // Overuse still improves despite losses.
@@ -350,30 +367,22 @@ mod tests {
     #[test]
     fn customers_receive_awards() {
         let scenario = ScenarioBuilder::paper_figure_6().build();
-        let mut sim: Simulation<Msg> = Simulation::new(1);
-        let ids: Vec<AgentId> = (0..scenario.customers.len())
-            .map(|i| {
-                sim.add_agent(CustomerProcess::new(CustomerEngine::for_customer(
-                    &scenario, i,
-                )))
-            })
-            .collect();
-        let _ua = sim.add_agent(UtilityProcess::with_engine_at(
-            UtilityEngine::new(&scenario),
-            ids.clone(),
-            deadline(),
+        let mut scratch = NegotiationScratch::new();
+        let outcome = scratch.run_distributed(
+            &scenario,
             ReportTier::FullTrace,
-        ));
-        sim.run().unwrap();
-        let awarded = ids
-            .iter()
-            .filter(|&&id| {
-                sim.agent::<CustomerProcess>(id)
-                    .and_then(|c| c.awarded())
-                    .is_some()
-            })
-            .count();
-        assert_eq!(awarded, ids.len(), "every CA gets an award message");
+            &NetworkModel::perfect(),
+            1,
+            deadline(),
+        );
+        assert_eq!(scratch.customers.len(), scenario.customers.len());
+        for (engine, settlement) in scratch.customers.iter().zip(outcome.report.settlements()) {
+            assert_eq!(
+                engine.awarded(),
+                Some(settlement),
+                "every CA gets its award message"
+            );
+        }
     }
 
     #[test]
@@ -428,7 +437,10 @@ mod tests {
             9,
             SimDuration::from_ticks(200),
         );
-        assert_eq!(clean.deadline_forced_rounds, 0, "clean runs never force");
+        assert_eq!(
+            clean.traffic.deadline_forced_rounds, 0,
+            "clean runs never force"
+        );
         let lossy = run_distributed(
             &scenario,
             NetworkModel::uniform(1, 10).with_drop_probability(0.3),
@@ -436,7 +448,7 @@ mod tests {
             SimDuration::from_ticks(200),
         );
         assert!(
-            lossy.deadline_forced_rounds > 0,
+            lossy.traffic.deadline_forced_rounds > 0,
             "30% loss must force at least one round"
         );
     }

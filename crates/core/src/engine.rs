@@ -31,8 +31,9 @@
 //! 1. [`NegotiationScratch::run`](crate::sync_driver::NegotiationScratch::run)
 //!    — in-process message pump, behind
 //!    [`Scenario::run`](crate::session::Scenario::run);
-//! 2. the [`massim`] actor adapters in [`crate::distributed`], driven by
-//!    [`NegotiationScratch::run_distributed`](crate::sync_driver::NegotiationScratch::run_distributed);
+//! 2. [`NegotiationScratch::run_distributed`](crate::sync_driver::NegotiationScratch::run_distributed)
+//!    in [`crate::distributed`] — the same engines over a seeded
+//!    simulated network, with round deadlines in virtual time;
 //! 3. the DESIRE component glue in [`crate::desire_host`].
 //!
 //! Every driver takes the announcement method from
@@ -916,23 +917,6 @@ impl ReportAssembler {
                 Some(effect)
             }
         }
-    }
-
-    /// The tier this assembler retains.
-    pub fn tier(&self) -> crate::session::ReportTier {
-        self.tier
-    }
-
-    /// The rounds observed so far (empty below
-    /// [`ReportTier::FullTrace`](crate::session::ReportTier::FullTrace);
-    /// the count is in the digest).
-    pub fn rounds(&self) -> &[RoundRecord] {
-        &self.rounds
-    }
-
-    /// The settled status, if the engine finished.
-    pub fn status(&self) -> Option<NegotiationStatus> {
-        self.outcome.as_ref().map(|(s, _)| *s)
     }
 
     /// Builds the report. An unsettled engine (e.g. a driver stopping a

@@ -9,10 +9,12 @@
 //! * [`ExecutionMode::Sync`] — the in-process
 //!   [`NegotiationScratch`](crate::sync_driver::NegotiationScratch)
 //!   pump; fastest, timers never fire.
-//! * [`ExecutionMode::Distributed`] — every peak's negotiation runs as
-//!   a seeded [`massim`] simulation over a [`NetworkModel`]: one
-//!   Utility Agent process, one Customer Agent process per customer,
-//!   per-round response deadlines realised as runtime timers. On a
+//! * [`ExecutionMode::Distributed`] — every peak's negotiation runs
+//!   over a seeded simulated [`NetworkModel`]
+//!   ([`NegotiationScratch::run_distributed`](crate::sync_driver::NegotiationScratch::run_distributed)):
+//!   every message between the Utility Agent and a customer crosses
+//!   the network, and each round's response deadline is a timer in
+//!   virtual time. On a
 //!   *clean* (perfect) network the resulting reports are byte-identical
 //!   to the sync path — the byte-identity suites pin this — while a
 //!   *faulty* network degrades them in measurable ways that the
@@ -29,7 +31,6 @@
 //! equality, golden snapshots and the archive codec are unaffected by
 //! the execution mode.
 
-use crate::distributed::DistributedOutcome;
 use massim::clock::SimDuration;
 use massim::network::NetworkModel;
 use std::fmt;
@@ -47,9 +48,9 @@ pub enum ExecutionMode {
     /// In-process synchronous pump — no simulated network, no timers.
     #[default]
     Sync,
-    /// Each negotiation is a seeded discrete-event simulation over
-    /// `network`, with the UA's per-round response deadline realised as
-    /// a runtime timer.
+    /// Each negotiation is a seeded discrete-event run over `network`,
+    /// with the UA's per-round response deadline as a timer in virtual
+    /// time.
     Distributed {
         /// The network between the UA and its customers.
         network: NetworkModel,
@@ -130,7 +131,10 @@ pub fn peak_seed(base: u64, day: u64, peak: u64) -> u64 {
 }
 
 /// What the network did across some set of distributed negotiations —
-/// the side channel next to the (unchanged) negotiation reports.
+/// the side channel next to the (unchanged) negotiation reports. One
+/// negotiation's record is its
+/// [`DistributedOutcome::traffic`](crate::distributed::DistributedOutcome::traffic);
+/// campaigns, fleets and the resilience layer sum those.
 ///
 /// All-zero for [`ExecutionMode::Sync`] seasons, where no simulated
 /// network exists. Sums are order-independent, so the figures are
@@ -165,17 +169,6 @@ impl NetworkTraffic {
         timers_fired: 0,
         deadline_forced_rounds: 0,
     };
-
-    /// Folds one distributed negotiation's outcome in.
-    pub fn record(&mut self, outcome: &DistributedOutcome) {
-        self.negotiations += 1;
-        self.messages_sent += outcome.metrics.messages_sent;
-        self.messages_delivered += outcome.metrics.messages_delivered;
-        self.messages_dropped += outcome.metrics.messages_dropped;
-        self.messages_duplicated += outcome.metrics.messages_duplicated;
-        self.timers_fired += outcome.metrics.timers_fired;
-        self.deadline_forced_rounds += outcome.deadline_forced_rounds;
-    }
 }
 
 impl AddAssign for NetworkTraffic {

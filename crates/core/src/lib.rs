@@ -23,9 +23,10 @@
 //!    [`session::Scenario::run`]) — an in-process message pump, used by
 //!    the experiment harness and the parallel [`sweep`] runner;
 //! 2. **Distributed** ([`distributed`], driven by
-//!    [`sync_driver::NegotiationScratch::run_distributed`]) — Utility and
-//!    Customer Agents as [`massim`] actors exchanging [`message::Msg`]
-//!    over a lossy network;
+//!    [`sync_driver::NegotiationScratch::run_distributed`]) — the same
+//!    engines exchanging [`message::Msg`] over a seeded, lossy
+//!    [`massim::network::NetworkModel`], with response deadlines in
+//!    virtual time;
 //! 3. **DESIRE-hosted** ([`desire_host`]) — the same engines executed
 //!    inside the [`desire`] compositional framework, mirroring the
 //!    paper's Figures 2–5 process hierarchies.
@@ -148,7 +149,7 @@
 //!    [`producer_agent::ProducerAgent`]). *How* each peak negotiates is
 //!    the campaign's [`execution::ExecutionMode`]
 //!    ([`campaign::CampaignBuilder::execution`]): the in-process sync
-//!    pump, or a seeded [`massim`] simulation per peak over a
+//!    pump, or one seeded run per peak over a simulated
 //!    [`massim::network::NetworkModel`] — byte-identical to sync when
 //!    the network is clean, measurably degraded when it is faulty, with
 //!    wire activity accumulated as [`execution::NetworkTraffic`] and

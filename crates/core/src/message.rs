@@ -74,20 +74,6 @@ pub enum Msg {
     },
 }
 
-impl Msg {
-    /// The negotiation round the message belongs to, if any.
-    pub fn round(&self) -> Option<u32> {
-        match self {
-            Msg::Announce { round, .. }
-            | Msg::Bid { round, .. }
-            | Msg::Award { round, .. }
-            | Msg::RequestBids { round }
-            | Msg::NeedBid { round, .. } => Some(*round),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for Msg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -122,19 +108,6 @@ mod tests {
 
     fn fr(v: f64) -> Fraction {
         Fraction::clamped(v)
-    }
-
-    #[test]
-    fn rounds_extracted() {
-        assert_eq!(
-            Msg::Bid {
-                round: 3,
-                cutdown: fr(0.1)
-            }
-            .round(),
-            Some(3)
-        );
-        assert_eq!(Msg::Offer { x_max: fr(0.8) }.round(), None);
     }
 
     #[test]

@@ -110,7 +110,6 @@ mod tests {
         // negotiated savings are worth real money.
         ProducerAgent::new(ProductionModel::with_costs(
             Kilowatts(50.0),
-            Kilowatts(100.0),
             powergrid::units::PricePerKwh(0.3),
             powergrid::units::PricePerKwh(40.0),
         ))

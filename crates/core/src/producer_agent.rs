@@ -46,10 +46,7 @@ mod tests {
     use powergrid::units::Kilowatts;
 
     fn agent() -> ProducerAgent {
-        ProducerAgent::new(ProductionModel::two_tier(
-            Kilowatts(100.0),
-            Kilowatts(150.0),
-        ))
+        ProducerAgent::new(ProductionModel::two_tier(Kilowatts(100.0)))
     }
 
     #[test]
@@ -132,7 +129,6 @@ mod tests {
         use powergrid::units::PricePerKwh;
         let flat = ProducerAgent::new(ProductionModel::with_costs(
             Kilowatts(100.0),
-            Kilowatts(150.0),
             PricePerKwh(0.5),
             PricePerKwh(0.5),
         ));

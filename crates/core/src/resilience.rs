@@ -51,7 +51,7 @@ pub enum FaultClass {
     Duplicate,
     /// Messages overtake each other (25 % held back up to 20 ticks).
     Reorder,
-    /// A network partition: everything in flight during the outage
+    /// A network partition: every message sent during the outage
     /// window is lost.
     Outage,
 }

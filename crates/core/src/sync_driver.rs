@@ -102,7 +102,8 @@ fn deliver(utility: &mut UtilityEngine, customer: &mut CustomerEngine, i: usize,
 #[derive(Debug, Default)]
 pub struct NegotiationScratch {
     utility: Option<UtilityEngine>,
-    customers: Vec<CustomerEngine>,
+    /// One engine per customer of the scenario last checked out.
+    pub(crate) customers: Vec<CustomerEngine>,
     /// Negotiations run through this scratch (diagnostics).
     negotiations: u64,
 }
@@ -134,22 +135,22 @@ impl NegotiationScratch {
     /// termination the concession protocol guarantees.
     pub fn run(&mut self, scenario: &Scenario, tier: ReportTier) -> NegotiationReport {
         let mut utility = self.checkout(scenario);
-        self.customers.clear();
-        self.customers.extend(
-            (0..scenario.customers.len()).map(|i| CustomerEngine::for_customer(scenario, i)),
-        );
         let report = pump(&mut utility, &mut self.customers, tier);
         self.check_in(utility);
         report
     }
 
-    /// Hands out the utility engine re-aimed at `scenario` (reset in
-    /// place, or built on first use) — by value, for drivers (the
-    /// distributed one) that must *own* it for the duration of a run.
-    /// Pair with [`NegotiationScratch::check_in`] so the next negotiation
-    /// reuses its buffers.
+    /// Re-aims the customer engines at `scenario` and hands out the
+    /// utility engine re-aimed too (reset in place, or built on first
+    /// use) — by value, so a run can borrow it beside the customer
+    /// engines. Pair with [`NegotiationScratch::check_in`] so the next
+    /// negotiation reuses its buffers.
     pub(crate) fn checkout(&mut self, scenario: &Scenario) -> UtilityEngine {
         self.negotiations += 1;
+        self.customers.clear();
+        self.customers.extend(
+            (0..scenario.customers.len()).map(|i| CustomerEngine::for_customer(scenario, i)),
+        );
         match self.utility.take() {
             Some(mut engine) => {
                 engine.reset(scenario);

@@ -194,9 +194,10 @@ pub enum UaDecision {
 /// The reward-table negotiation state machine on the UA side.
 ///
 /// Drives §3.2.3: announce, collect bids, predict the new balance, then
-/// either accept or announce a dominating table. Both the synchronous
-/// session and the distributed actors drive this same machine, so their
-/// outcomes agree by construction.
+/// either accept or announce a dominating table. The synchronous pump
+/// and the distributed event loop run this same machine inside the
+/// [`UtilityEngine`](crate::engine::UtilityEngine), so their outcomes
+/// agree by construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RewardTableNegotiator {
     config: UtilityAgentConfig,
@@ -419,7 +420,6 @@ mod tests {
         use powergrid::units::Kilowatts;
         let producer = ProducerAgent::new(ProductionModel::with_costs(
             Kilowatts(100.0),
-            Kilowatts(200.0),
             PricePerKwh(0.3),
             PricePerKwh(1.1),
         ));

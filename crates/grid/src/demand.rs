@@ -260,7 +260,7 @@ mod tests {
         let axis = c.axis();
         let peak_kwh_per_slot = c.series().max();
         let cap = Kilowatts(peak_kwh_per_slot / axis.slot_hours() * 0.8);
-        let production = ProductionModel::two_tier(cap, Kilowatts(cap.value() * 2.0));
+        let production = ProductionModel::two_tier(cap);
         assert!(!c.slots_above_normal(&production).is_empty());
         assert!(c.energy_above_normal(&production).value() > 0.0);
     }
@@ -268,7 +268,7 @@ mod tests {
     #[test]
     fn no_expensive_band_with_ample_capacity() {
         let c = curve();
-        let production = ProductionModel::two_tier(Kilowatts(1e9), Kilowatts(2e9));
+        let production = ProductionModel::two_tier(Kilowatts(1e9));
         assert!(c.slots_above_normal(&production).is_empty());
         assert_eq!(c.energy_above_normal(&production), KilowattHours::ZERO);
     }

@@ -92,8 +92,7 @@ pub mod prelude {
     pub use crate::peak::{Peak, PeakDetector};
     pub use crate::population::PopulationBuilder;
     pub use crate::prediction::{
-        backtest, ExponentialSmoothing, HoltTrend, LoadPredictor, MovingAverage, SeasonalNaive,
-        WeatherRegression,
+        backtest, HoltTrend, LoadPredictor, MovingAverage, SeasonalNaive, WeatherRegression,
     };
     pub use crate::production::ProductionModel;
     pub use crate::series::Series;

@@ -61,7 +61,7 @@ impl std::fmt::Display for Peak {
 /// let axis = TimeAxis::hourly();
 /// let mut demand = Series::constant(axis, 80.0);
 /// demand.values_mut()[18] = 130.0; // evening spike above 100 kW capacity
-/// let production = ProductionModel::two_tier(Kilowatts(100.0), Kilowatts(200.0));
+/// let production = ProductionModel::two_tier(Kilowatts(100.0));
 /// let detector = PeakDetector::new(0.05);
 /// let peak = detector.detect(&demand, &production).expect("peak expected");
 /// assert!(peak.interval.contains(18));
@@ -163,7 +163,7 @@ mod tests {
     use crate::units::Kilowatts;
 
     fn production() -> ProductionModel {
-        ProductionModel::two_tier(Kilowatts(100.0), Kilowatts(200.0))
+        ProductionModel::two_tier(Kilowatts(100.0))
     }
 
     fn axis() -> TimeAxis {

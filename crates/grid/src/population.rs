@@ -9,6 +9,10 @@ use crate::slab::PopulationSlab;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Probability weights for 1..=5 occupants: a Swedish-like household-size
+/// distribution (many single and two-person homes).
+const SIZE_WEIGHTS: [f64; 5] = [0.38, 0.31, 0.12, 0.13, 0.06];
+
 /// Maps one uniform draw `pick ∈ [0, Σweights)` onto an occupant count
 /// (bucket index + 1) by cumulative subtraction.
 ///
@@ -46,18 +50,13 @@ fn pick_occupants(weights: &[f64; 5], mut pick: f64) -> u32 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PopulationBuilder {
     households: usize,
-    /// Probability weights for 1..=5 occupants.
-    size_weights: [f64; 5],
 }
 
 impl PopulationBuilder {
-    /// Creates a builder with Swedish-like household-size distribution
-    /// (many single and two-person homes).
+    /// Creates a builder for 100 households with a Swedish-like
+    /// household-size distribution (many single and two-person homes).
     pub fn new() -> PopulationBuilder {
-        PopulationBuilder {
-            households: 100,
-            size_weights: [0.38, 0.31, 0.12, 0.13, 0.06],
-        }
+        PopulationBuilder { households: 100 }
     }
 
     /// Sets the number of households to generate.
@@ -69,11 +68,11 @@ impl PopulationBuilder {
     /// Generates the population deterministically from `seed`.
     pub fn build(&self, seed: u64) -> Vec<Household> {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x00b5_e001);
-        let total: f64 = self.size_weights.iter().sum();
+        let total: f64 = SIZE_WEIGHTS.iter().sum();
         let mut homes = Vec::with_capacity(self.households);
         for i in 0..self.households {
             let pick = rng.gen_range(0.0..total);
-            let occupants = pick_occupants(&self.size_weights, pick);
+            let occupants = pick_occupants(&SIZE_WEIGHTS, pick);
             homes.push(Household::standard(HouseholdId(i as u64), occupants));
         }
         homes
@@ -89,12 +88,12 @@ impl PopulationBuilder {
     /// template index.
     pub fn build_slab(&self, seed: u64) -> PopulationSlab {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x00b5_e001);
-        let total: f64 = self.size_weights.iter().sum();
+        let total: f64 = SIZE_WEIGHTS.iter().sum();
         let mut slab = PopulationSlab::with_capacity(self.households);
         let mut standard = [None; 5];
         for i in 0..self.households {
             let pick = rng.gen_range(0.0..total);
-            let occupants = pick_occupants(&self.size_weights, pick);
+            let occupants = pick_occupants(&SIZE_WEIGHTS, pick);
             let id = HouseholdId(i as u64);
             let template = *standard[occupants as usize - 1]
                 .get_or_insert_with(|| slab.push_template(&Household::standard(id, occupants)));
@@ -164,19 +163,14 @@ mod tests {
     fn slab_backend_builds_identical_field_values() {
         use crate::slab::PopulationSlab;
         let b = PopulationBuilder::new().households(120);
-        assert_eq!(
-            b.build_slab(7),
-            PopulationSlab::from_households(&b.build(7))
-        );
-        // Skewed weights exercise both template arms (laundry / none).
-        let skew = PopulationBuilder {
-            size_weights: [1.0, 0.0, 0.0, 0.0, 2.0],
-            ..PopulationBuilder::new().households(60)
-        };
-        assert_eq!(
-            skew.build_slab(3),
-            PopulationSlab::from_households(&skew.build(3))
-        );
+        let homes = b.build(7);
+        assert_eq!(b.build_slab(7), PopulationSlab::from_households(&homes));
+        // All five household sizes occur, so both device templates
+        // (laundry from two occupants up, none for singles) went into
+        // the slab.
+        for occupants in 1..=5 {
+            assert!(homes.iter().any(|h| h.occupants() == occupants));
+        }
     }
 
     #[test]

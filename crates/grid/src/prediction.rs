@@ -78,44 +78,6 @@ impl LoadPredictor for MovingAverage {
     }
 }
 
-/// Exponentially weighted average: `s_t = α·x_t + (1-α)·s_{t-1}`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExponentialSmoothing {
-    alpha: f64,
-}
-
-impl ExponentialSmoothing {
-    /// Creates an exponential-smoothing predictor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> ExponentialSmoothing {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "alpha must be in (0, 1], got {alpha}"
-        );
-        ExponentialSmoothing { alpha }
-    }
-}
-
-impl LoadPredictor for ExponentialSmoothing {
-    fn predict(&self, history: &[Series], weather: &Series) -> Series {
-        check_history(history, weather.axis());
-        let mut state = history[0].clone();
-        for day in &history[1..] {
-            state = state
-                .zip_with(day, |s, x| self.alpha * x + (1.0 - self.alpha) * s)
-                .expect("axes checked above");
-        }
-        state
-    }
-
-    fn name(&self) -> &'static str {
-        "exponential-smoothing"
-    }
-}
-
 /// Predicts a repeat of the most recent day (seasonal naïve with period 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SeasonalNaive;
@@ -484,26 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_smoothing_converges_to_recent() {
-        let old = Series::constant(axis(), 1.0);
-        let new = Series::constant(axis(), 10.0);
-        let history = vec![old, new.clone(), new.clone(), new.clone(), new.clone()];
-        let weather = Series::constant(axis(), 0.0);
-        let pred = ExponentialSmoothing::new(0.7).predict(&history, &weather);
-        assert!(
-            (pred[0] - 10.0).abs() < 0.1,
-            "pred {} should be near 10",
-            pred[0]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in")]
-    fn bad_alpha_panics() {
-        let _ = ExponentialSmoothing::new(0.0);
-    }
-
-    #[test]
     fn seasonal_naive_repeats_yesterday() {
         let (history, weather, _) = history_and_today();
         let pred = SeasonalNaive.predict(&history, &weather);
@@ -524,7 +466,6 @@ mod tests {
         let (history, weather, today) = history_and_today();
         let predictors: Vec<Box<dyn LoadPredictor>> = vec![
             Box::new(MovingAverage::new(3)),
-            Box::new(ExponentialSmoothing::new(0.5)),
             Box::new(SeasonalNaive),
             Box::new(WeatherRegression::calibrated()),
         ];
@@ -552,7 +493,6 @@ mod tests {
     fn predictor_names_are_distinct() {
         let names = [
             MovingAverage::new(1).name(),
-            ExponentialSmoothing::new(0.5).name(),
             SeasonalNaive.name(),
             WeatherRegression::calibrated().name(),
             HoltTrend::new(0.5, 0.3).name(),

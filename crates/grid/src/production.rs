@@ -8,7 +8,8 @@ use crate::time::TimeAxis;
 use crate::units::{KilowattHours, Kilowatts, Money, PricePerKwh};
 
 /// Generation capacity split into a cheap base tier and an expensive
-/// peaking tier.
+/// peaking tier above it; demand beyond the base tier is always served,
+/// at the peaking rate.
 ///
 /// # Example
 ///
@@ -16,7 +17,7 @@ use crate::units::{KilowattHours, Kilowatts, Money, PricePerKwh};
 /// use powergrid::production::ProductionModel;
 /// use powergrid::units::{Kilowatts, KilowattHours};
 ///
-/// let p = ProductionModel::two_tier(Kilowatts(100.0), Kilowatts(150.0));
+/// let p = ProductionModel::two_tier(Kilowatts(100.0));
 /// // Energy served within normal capacity costs the base rate.
 /// let cheap = p.cost_of_energy(KilowattHours(50.0), 1.0);
 /// let pricey = p.cost_of_energy(KilowattHours(120.0), 1.0);
@@ -25,7 +26,6 @@ use crate::units::{KilowattHours, Kilowatts, Money, PricePerKwh};
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProductionModel {
     normal_capacity: Kilowatts,
-    total_capacity: Kilowatts,
     normal_cost: PricePerKwh,
     expensive_cost: PricePerKwh,
 }
@@ -40,11 +40,10 @@ impl ProductionModel {
     ///
     /// # Panics
     ///
-    /// Panics if capacities are negative or `total < normal`.
-    pub fn two_tier(normal_capacity: Kilowatts, total_capacity: Kilowatts) -> ProductionModel {
+    /// Panics if the normal capacity is negative.
+    pub fn two_tier(normal_capacity: Kilowatts) -> ProductionModel {
         ProductionModel::with_costs(
             normal_capacity,
-            total_capacity,
             Self::DEFAULT_NORMAL_COST,
             Self::DEFAULT_EXPENSIVE_COST,
         )
@@ -54,11 +53,10 @@ impl ProductionModel {
     ///
     /// # Panics
     ///
-    /// Panics if capacities are negative, `total < normal`, or the
-    /// expensive cost is below the normal cost.
+    /// Panics if the normal capacity is negative or the expensive cost
+    /// is below the normal cost.
     pub fn with_costs(
         normal_capacity: Kilowatts,
-        total_capacity: Kilowatts,
         normal_cost: PricePerKwh,
         expensive_cost: PricePerKwh,
     ) -> ProductionModel {
@@ -67,16 +65,11 @@ impl ProductionModel {
             "normal capacity must be non-negative"
         );
         assert!(
-            total_capacity >= normal_capacity,
-            "total capacity {total_capacity} below normal capacity {normal_capacity}"
-        );
-        assert!(
             expensive_cost >= normal_cost,
             "expensive production should not be cheaper than normal production"
         );
         ProductionModel {
             normal_capacity,
-            total_capacity,
             normal_cost,
             expensive_cost,
         }
@@ -104,9 +97,8 @@ impl ProductionModel {
 
     /// Production cost of serving `energy` delivered over `hours` hours:
     /// energy within normal capacity at the base rate, the excess at the
-    /// expensive rate. Demand beyond total capacity is still billed at the
-    /// expensive rate (interpreted as imports), mirroring how the paper's
-    /// utility always serves demand but at higher production cost.
+    /// expensive rate, mirroring how the paper's utility always serves
+    /// demand but at higher production cost.
     pub fn cost_of_energy(&self, energy: KilowattHours, hours: f64) -> Money {
         assert!(hours > 0.0, "duration must be positive");
         let cheap_cap = self.normal_capacity.for_hours(hours);
@@ -122,7 +114,7 @@ mod tests {
     use crate::time::TimeAxis;
 
     fn model() -> ProductionModel {
-        ProductionModel::two_tier(Kilowatts(100.0), Kilowatts(150.0))
+        ProductionModel::two_tier(Kilowatts(100.0))
     }
 
     #[test]
@@ -133,20 +125,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "below normal capacity")]
-    fn total_below_normal_panics() {
-        let _ = ProductionModel::two_tier(Kilowatts(100.0), Kilowatts(50.0));
+    #[should_panic(expected = "normal capacity must be non-negative")]
+    fn negative_capacity_panics() {
+        let _ = ProductionModel::two_tier(Kilowatts(-1.0));
     }
 
     #[test]
     #[should_panic(expected = "cheaper than normal")]
     fn inverted_costs_panic() {
-        let _ = ProductionModel::with_costs(
-            Kilowatts(10.0),
-            Kilowatts(20.0),
-            PricePerKwh(1.0),
-            PricePerKwh(0.5),
-        );
+        let _ = ProductionModel::with_costs(Kilowatts(10.0), PricePerKwh(1.0), PricePerKwh(0.5));
     }
 
     #[test]

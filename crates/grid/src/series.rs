@@ -183,7 +183,7 @@ impl Series {
     /// # Errors
     ///
     /// Returns [`AxisMismatchError`] if the axes differ.
-    pub fn zip_with(
+    fn zip_with(
         &self,
         other: &Series,
         mut f: impl FnMut(f64, f64) -> f64,

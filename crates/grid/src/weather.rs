@@ -12,6 +12,11 @@ use crate::units::Celsius;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Half of the day/night temperature swing, in °C.
+const DIURNAL_AMPLITUDE: f64 = 3.0;
+/// Standard deviation of the per-slot noise, in °C.
+const NOISE_SD: f64 = 0.5;
+
 /// Season of the year, selecting a base temperature regime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Season {
@@ -76,21 +81,17 @@ impl std::fmt::Display for Season {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeatherModel {
     season: Season,
-    /// Half of the day/night temperature swing, in °C.
-    diurnal_amplitude: f64,
-    /// Standard deviation of per-slot noise, in °C.
-    noise_sd: f64,
     /// Offset added to the seasonal base (cold snaps, warm spells).
     anomaly: f64,
 }
 
 impl WeatherModel {
-    /// Creates a model for a season with default amplitude and noise.
+    /// Creates a model for a season: a ±3 °C diurnal swing around the
+    /// season's base temperature, plus Gaussian noise of 0.5 °C standard
+    /// deviation per slot.
     pub fn new(season: Season) -> WeatherModel {
         WeatherModel {
             season,
-            diurnal_amplitude: 3.0,
-            noise_sd: 0.5,
             anomaly: 0.0,
         }
     }
@@ -116,21 +117,15 @@ impl WeatherModel {
     pub fn temperatures(&self, axis: &TimeAxis, seed: u64) -> Series {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_5eed);
         let base = self.season.base_temperature().value() + self.anomaly;
-        let amp = self.diurnal_amplitude;
-        let sd = self.noise_sd;
         Series::from_fn(*axis, |t| {
             // Coldest around 05:00, warmest around 15:00.
             let phase = (t - 15.0 / 24.0) * std::f64::consts::TAU;
-            let diurnal = amp * phase.cos();
-            let noise: f64 = if sd > 0.0 {
-                // Box-Muller on two uniform draws keeps us independent of
-                // rand_distr, which is not in the sanctioned crate set.
-                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let u2: f64 = rng.gen_range(0.0..1.0);
-                sd * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-            } else {
-                0.0
-            };
+            let diurnal = DIURNAL_AMPLITUDE * phase.cos();
+            // Box-Muller on two uniform draws keeps us independent of
+            // rand_distr, which is not in the sanctioned crate set.
+            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = rng.gen_range(0.0..1.0);
+            let noise = NOISE_SD * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
             base + diurnal + noise
         })
     }
@@ -145,13 +140,6 @@ impl Default for WeatherModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn noise_free_winter() -> WeatherModel {
-        WeatherModel {
-            noise_sd: 0.0,
-            ..WeatherModel::winter()
-        }
-    }
 
     #[test]
     fn seasons_have_expected_ordering() {
@@ -181,8 +169,9 @@ mod tests {
     #[test]
     fn anomaly_shifts_mean() {
         let axis = TimeAxis::hourly();
-        let normal = noise_free_winter().temperatures(&axis, 0).mean();
-        let snap = noise_free_winter()
+        // Same seed, same noise draws: only the base level moves.
+        let normal = WeatherModel::winter().temperatures(&axis, 0).mean();
+        let snap = WeatherModel::winter()
             .with_anomaly(-6.0)
             .temperatures(&axis, 0)
             .mean();
@@ -191,18 +180,28 @@ mod tests {
 
     #[test]
     fn diurnal_cycle_peaks_in_afternoon() {
+        // Summed over many seeded days the noise averages out and the
+        // diurnal cycle shows.
         let axis = TimeAxis::hourly();
-        let temps = noise_free_winter().temperatures(&axis, 0);
+        let mut temps = Series::zeros(axis);
+        for seed in 0..64 {
+            temps.accumulate(&WeatherModel::winter().temperatures(&axis, seed));
+        }
         let warmest = temps.argmax();
         assert!((14..=16).contains(&warmest), "warmest hour was {warmest}");
     }
 
     #[test]
-    fn noise_free_model_is_smooth() {
+    fn every_slot_stays_within_the_swing_plus_the_noise_bound() {
+        // Box-Muller's largest draw is sqrt(-2 ln ε) standard deviations.
+        let bound = DIURNAL_AMPLITUDE + NOISE_SD * (-2.0 * f64::EPSILON.ln()).sqrt();
+        let base = Season::Winter.base_temperature().value();
         let axis = TimeAxis::quarter_hourly();
-        let temps = noise_free_winter().temperatures(&axis, 0);
-        for i in 1..temps.len() {
-            assert!((temps[i] - temps[i - 1]).abs() < 0.5);
+        for seed in 0..16 {
+            let temps = WeatherModel::winter().temperatures(&axis, seed);
+            for i in 0..temps.len() {
+                assert!((temps[i] - base).abs() <= bound, "slot {i}: {}", temps[i]);
+            }
         }
     }
 }

@@ -95,7 +95,7 @@ proptest! {
     /// Production cost is monotone in demanded energy.
     #[test]
     fn production_cost_monotone(a in 0.0f64..200.0, b in 0.0f64..200.0) {
-        let m = ProductionModel::two_tier(Kilowatts(100.0), Kilowatts(300.0));
+        let m = ProductionModel::two_tier(Kilowatts(100.0));
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         prop_assert!(
             m.cost_of_energy(KilowattHours(lo), 1.0) <= m.cost_of_energy(KilowattHours(hi), 1.0)

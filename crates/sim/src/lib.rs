@@ -1,78 +1,46 @@
-//! `massim` — a deterministic discrete-event message-passing runtime for
-//! multi-agent systems.
+//! `massim` — virtual time and a seeded network model for deterministic
+//! message-passing simulations.
 //!
 //! The paper's prototype ran inside the DESIRE environment on a single
 //! machine; a modern reproduction needs a substrate on which one Utility
-//! Agent negotiates with thousands of Customer Agents. The repro hint
-//! suggests `tokio`, but an async runtime gives nondeterministic
-//! interleavings; experiments must be replayable bit-for-bit. This crate
-//! instead provides:
+//! Agent negotiates with thousands of Customer Agents over an unreliable
+//! network. An async runtime gives nondeterministic interleavings, but
+//! experiments must be replayable bit for bit. This crate provides the
+//! two pieces a deterministic event loop needs:
 //!
-//! * a **deterministic simulator** ([`runtime::Simulation`]): virtual
-//!   time, a seeded RNG, and a total order on events — same seed, same
-//!   trace, always;
-//! * a **network model** ([`network`]) with latency and loss for fault
-//!   injection (lost bids, late bids);
-//! * **metrics** ([`metrics`]) and an **event log** ([`log`]) that the
-//!   experiment harness reads.
+//! * **virtual time** ([`clock`]): ticks, instants and spans;
+//! * a **network model** ([`network`]) that decides each message's fate
+//!   — latency, loss, duplication, reordering and outage windows — from
+//!   a caller-owned seeded RNG, for fault injection (lost bids, late
+//!   bids).
 //!
-//! A simulation is single-threaded and deterministic; independent runs
-//! fan across cores on the caller's threads (`loadbal-core`'s
-//! `sweep::fan_out`).
+//! The event loop lives with the agents it drives: `loadbal-core`'s
+//! distributed run schedules every delivery and deadline by
+//! `(tick, scheduling sequence)` and draws one
+//! [`NetworkModel::route_at`](network::NetworkModel::route_at) per
+//! message, so the same seed always yields the same run.
 //!
 //! # Example
 //!
 //! ```
-//! use massim::prelude::*;
+//! use massim::clock::SimTime;
+//! use massim::network::{Delivery, NetworkModel};
+//! use rand::rngs::StdRng;
+//! use rand::SeedableRng;
 //!
-//! #[derive(Debug, Clone)]
-//! enum Msg { Ping, Pong }
-//!
-//! struct Echo;
-//! impl Agent<Msg> for Echo {
-//!     fn on_message(&mut self, from: AgentId, msg: Msg, ctx: &mut Context<'_, Msg>) {
-//!         if matches!(msg, Msg::Ping) {
-//!             ctx.send(from, Msg::Pong);
-//!         }
-//!     }
-//! }
-//!
-//! struct Caller { echo: AgentId, got_pong: bool }
-//! impl Agent<Msg> for Caller {
-//!     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-//!         ctx.send(self.echo, Msg::Ping);
-//!     }
-//!     fn on_message(&mut self, _from: AgentId, msg: Msg, _ctx: &mut Context<'_, Msg>) {
-//!         self.got_pong = matches!(msg, Msg::Pong);
-//!     }
-//! }
-//!
-//! let mut sim = Simulation::new(42);
-//! let echo = sim.add_agent(Echo);
-//! let caller = sim.add_agent(Caller { echo, got_pong: false });
-//! sim.run().unwrap();
-//! assert!(sim.agent::<Caller>(caller).unwrap().got_pong);
+//! let net = NetworkModel::uniform(1, 10).with_drop_probability(0.2);
+//! let mut rng = StdRng::seed_from_u64(42);
+//! let fates: Vec<Delivery> = (0..100)
+//!     .map(|_| net.route_at(&mut rng, SimTime::ZERO))
+//!     .collect();
+//! assert!(fates.contains(&Delivery::Drop));
+//! // Same seed, same fates.
+//! let mut again = StdRng::seed_from_u64(42);
+//! assert!(fates.iter().all(|&f| f == net.route_at(&mut again, SimTime::ZERO)));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod agent;
 pub mod clock;
-pub mod event;
-pub mod log;
-pub mod metrics;
 pub mod network;
-pub mod rng;
-pub mod runtime;
-
-/// The most frequently used items.
-pub mod prelude {
-    pub use crate::agent::{Agent, AgentId, Context};
-    pub use crate::clock::{SimDuration, SimTime};
-    pub use crate::event::Envelope;
-    pub use crate::log::EventLog;
-    pub use crate::metrics::Metrics;
-    pub use crate::network::NetworkModel;
-    pub use crate::runtime::{RunOutcome, Simulation};
-}

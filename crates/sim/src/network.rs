@@ -31,7 +31,7 @@
 //!   that straddle the window conclude empty on the deadline timer and
 //!   the protocol re-converges afterwards from the held bid floor.
 
-use crate::clock::SimDuration;
+use crate::clock::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -167,15 +167,12 @@ impl NetworkModel {
         (self.reorder_probability, self.reorder_extra)
     }
 
-    /// Decides the fate of one message sent at virtual time zero —
-    /// shorthand for [`NetworkModel::route_at`] when no outages are
+    /// Decides the fate of one message sent at `now`. An outage window
+    /// drops it without a draw; otherwise loss, the latency (with its
+    /// reordering hold-back) and duplication (with the second copy's
+    /// latency) draw from `rng` in that order, each only where
     /// configured.
-    pub fn route(&self, rng: &mut StdRng) -> Delivery {
-        self.route_at(rng, crate::clock::SimTime::ZERO)
-    }
-
-    /// Decides the fate of one message sent at `now`.
-    pub fn route_at(&self, rng: &mut StdRng, now: crate::clock::SimTime) -> Delivery {
+    pub fn route_at(&self, rng: &mut StdRng, now: SimTime) -> Delivery {
         let t = now.ticks();
         if self.outages.iter().any(|&(from, to)| t >= from && t < to) {
             return Delivery::Drop;
@@ -217,13 +214,18 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    /// The fate of a message sent at tick zero, before any outage.
+    fn route(net: &NetworkModel, rng: &mut StdRng) -> Delivery {
+        net.route_at(rng, SimTime::ZERO)
+    }
+
     #[test]
     fn perfect_network_always_one_tick() {
         let net = NetworkModel::perfect();
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
             assert_eq!(
-                net.route(&mut rng),
+                route(&net, &mut rng),
                 Delivery::After(SimDuration::from_ticks(1))
             );
         }
@@ -234,7 +236,7 @@ mod tests {
         let net = NetworkModel::uniform(3, 9);
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..200 {
-            match net.route(&mut rng) {
+            match route(&net, &mut rng) {
                 Delivery::After(d) => assert!((3..=9).contains(&d.ticks())),
                 other => panic!("fault-free network produced {other:?}"),
             }
@@ -246,7 +248,7 @@ mod tests {
         let net = NetworkModel::uniform(1, 1).with_drop_probability(0.3);
         let mut rng = StdRng::seed_from_u64(3);
         let drops = (0..10_000)
-            .filter(|_| matches!(net.route(&mut rng), Delivery::Drop))
+            .filter(|_| matches!(route(&net, &mut rng), Delivery::Drop))
             .count();
         let rate = drops as f64 / 10_000.0;
         assert!((0.25..0.35).contains(&rate), "observed drop rate {rate}");
@@ -257,7 +259,7 @@ mod tests {
         let net = NetworkModel::uniform(1, 10).with_drop_probability(0.1);
         let run = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
-            (0..50).map(|_| net.route(&mut rng)).collect::<Vec<_>>()
+            (0..50).map(|_| route(&net, &mut rng)).collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
@@ -286,7 +288,7 @@ mod tests {
         let net = NetworkModel::perfect().with_drop_probability(1.0);
         let mut rng = StdRng::seed_from_u64(13);
         for _ in 0..100 {
-            assert_eq!(net.route(&mut rng), Delivery::Drop);
+            assert_eq!(route(&net, &mut rng), Delivery::Drop);
         }
     }
 
@@ -295,7 +297,7 @@ mod tests {
         let net = NetworkModel::perfect().with_duplicate_probability(1.0);
         let mut rng = StdRng::seed_from_u64(14);
         for _ in 0..100 {
-            assert!(matches!(net.route(&mut rng), Delivery::Duplicate(_, _)));
+            assert!(matches!(route(&net, &mut rng), Delivery::Duplicate(_, _)));
         }
     }
 
@@ -315,7 +317,7 @@ mod tests {
         let net = NetworkModel::perfect().with_duplicate_probability(0.25);
         let mut rng = StdRng::seed_from_u64(4);
         let dups = (0..10_000)
-            .filter(|_| matches!(net.route(&mut rng), Delivery::Duplicate(_, _)))
+            .filter(|_| matches!(route(&net, &mut rng), Delivery::Duplicate(_, _)))
             .count();
         let rate = dups as f64 / 10_000.0;
         assert!((0.2..0.3).contains(&rate), "observed duplicate rate {rate}");
@@ -327,7 +329,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut differing = 0;
         for _ in 0..200 {
-            if let Delivery::Duplicate(a, b) = net.route(&mut rng) {
+            if let Delivery::Duplicate(a, b) = route(&net, &mut rng) {
                 assert!((1..=20).contains(&a.ticks()));
                 assert!((1..=20).contains(&b.ticks()));
                 if a != b {
@@ -344,7 +346,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut held_back = 0;
         for _ in 0..1000 {
-            match net.route(&mut rng) {
+            match route(&net, &mut rng) {
                 Delivery::After(d) => {
                     assert!((3..=13).contains(&d.ticks()), "latency {d:?}");
                     if d.ticks() > 3 {
@@ -368,7 +370,7 @@ mod tests {
             .with_reordering(0.3, 15);
         let run = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
-            (0..100).map(|_| net.route(&mut rng)).collect::<Vec<_>>()
+            (0..100).map(|_| route(&net, &mut rng)).collect::<Vec<_>>()
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11), run(12));
@@ -394,7 +396,6 @@ mod tests {
 
     #[test]
     fn outage_window_drops_everything_inside() {
-        use crate::clock::SimTime;
         let net = NetworkModel::perfect().with_outage(10, 20);
         let mut rng = StdRng::seed_from_u64(1);
         assert!(matches!(
@@ -417,7 +418,6 @@ mod tests {
 
     #[test]
     fn multiple_outages() {
-        use crate::clock::SimTime;
         let net = NetworkModel::perfect()
             .with_outage(0, 5)
             .with_outage(50, 60);

@@ -32,8 +32,8 @@ fn main() {
                 n,
                 100.0 * drop,
                 outcome.report.rounds().len(),
-                outcome.metrics.messages_delivered,
-                outcome.metrics.messages_dropped,
+                outcome.traffic.messages_delivered,
+                outcome.traffic.messages_dropped,
                 100.0 * outcome.report.final_overuse_fraction(),
             );
         }

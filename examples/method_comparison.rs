@@ -34,7 +34,7 @@ fn main() {
     // band, far enough (~25 % over on the households' demand) for every
     // method to have overuse to negotiate.
     let capacity = Kilowatts(predicted.max() / axis.slot_hours() * 0.65);
-    let production = ProductionModel::two_tier(capacity, Kilowatts(capacity.value() * 2.0));
+    let production = ProductionModel::two_tier(capacity);
 
     let Some(peak) = PeakDetector::new(0.05).detect(&predicted, &production) else {
         println!("stable situation — no negotiation needed");

@@ -66,7 +66,6 @@ fn main() {
     // worth to the utility (rewards are in the paper's abstract units).
     let producer = loadbal::core::producer_agent::ProducerAgent::new(ProductionModel::with_costs(
         Kilowatts(50.0),
-        Kilowatts(80.0),
         PricePerKwh(0.3),
         PricePerKwh(12.0),
     ));

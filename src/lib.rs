@@ -8,7 +8,9 @@
 //!   prototype was built in,
 //! * [`powergrid`] — the electricity-domain substrate (households, demand,
 //!   production, prediction),
-//! * [`massim`] — the deterministic multi-agent message-passing runtime,
+//! * [`massim`] — virtual time and the seeded network model (latency,
+//!   loss, duplication, reordering, outages) that distributed runs
+//!   cross,
 //! * [`core`] (crate `loadbal-core`) — the sans-io
 //!   [`NegotiationEngine`](loadbal_core::engine) protocol core, the three
 //!   drivers that execute it (synchronous, distributed, DESIRE-hosted),

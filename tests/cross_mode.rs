@@ -1,5 +1,6 @@
-//! The three execution modes — synchronous session, distributed massim
-//! actors, DESIRE-hosted components — must agree on every outcome.
+//! The three execution modes — synchronous session, distributed over
+//! the simulated network, DESIRE-hosted components — must agree on
+//! every outcome.
 //!
 //! Since the sans-io redesign all three are thin drivers over the same
 //! `loadbal_core::engine` state machines, so agreement is by
@@ -170,8 +171,8 @@ proptest! {
             SimDuration::from_ticks(300),
         );
         prop_assert_eq!(&outcome.report, &sync, "tier {:?}", tier);
-        prop_assert_eq!(outcome.deadline_forced_rounds, 0);
-        prop_assert_eq!(outcome.metrics.messages_dropped, 0);
+        prop_assert_eq!(outcome.traffic.deadline_forced_rounds, 0);
+        prop_assert_eq!(outcome.traffic.messages_dropped, 0);
     }
 
     /// One scratch carries every transport: a random sequence of

@@ -72,7 +72,7 @@ fn duplicated_messages_are_idempotent_end_to_end() {
             SimDuration::from_ticks(300),
         );
         assert!(
-            outcome.metrics.messages_duplicated > 0,
+            outcome.traffic.messages_duplicated > 0,
             "{method}: duplication must actually occur"
         );
         assert_eq!(
@@ -131,8 +131,8 @@ fn chaos_network_loss_duplication_reordering_together() {
         SimDuration::from_ticks(400),
     );
     assert!(outcome.report.converged(), "{}", outcome.report);
-    assert!(outcome.metrics.messages_dropped > 0);
-    assert!(outcome.metrics.messages_duplicated > 0);
+    assert!(outcome.traffic.messages_dropped > 0);
+    assert!(outcome.traffic.messages_duplicated > 0);
     assert!(outcome.report.final_overuse() <= outcome.report.initial_overuse());
 }
 
@@ -149,7 +149,7 @@ fn negotiation_survives_a_total_outage_window() {
         SimDuration::from_ticks(100),
     );
     assert!(outcome.report.converged(), "{}", outcome.report);
-    assert!(outcome.metrics.messages_dropped > 0, "outage must bite");
+    assert!(outcome.traffic.messages_dropped > 0, "outage must bite");
     assert!(outcome.report.final_overuse() <= outcome.report.initial_overuse());
 }
 
@@ -167,66 +167,85 @@ fn short_deadline_still_terminates() {
     assert!(outcome.report.converged(), "{}", outcome.report);
 }
 
+/// Hands `msg` to customer `i` and its reply, if any, straight back to
+/// the Utility Agent — one step of the crate-doc hand pump.
+fn deliver(utility: &mut UtilityEngine, customer: &mut CustomerEngine, i: usize, msg: Msg) {
+    let reply = customer.handle(Input::Received {
+        from: Peer::Utility,
+        msg,
+    });
+    if let Some(reply) = reply {
+        utility.handle(Input::Received {
+            from: Peer::Customer(i),
+            msg: reply,
+        });
+    }
+}
+
 #[test]
 fn crashed_customers_do_not_block_the_negotiation() {
-    // A customer process that goes silent after its first bid (crash,
-    // smart-meter failure, ...). The UA's deadline mechanism must carry
-    // the negotiation to a proper termination regardless, keeping the
-    // crashed customer's last bid (monotonic concession allows that).
-    use loadbal::core::customer_agent::CustomerAgentState;
-    use loadbal::core::distributed::UtilityProcess;
-    use loadbal::massim::agent::{Agent, AgentId, Context};
-    use loadbal::massim::runtime::Simulation;
-
-    struct CrashingCustomer {
-        state: CustomerAgentState,
-        responses_left: u32,
-    }
-
-    impl Agent<Msg> for CrashingCustomer {
-        fn on_message(&mut self, from: AgentId, msg: Msg, ctx: &mut Context<'_, Msg>) {
-            if let Msg::Announce { round, table } = msg {
-                if self.responses_left == 0 {
-                    return; // crashed: never answers again
-                }
-                self.responses_left -= 1;
-                let cutdown = self.state.respond(&table);
-                ctx.send(from, Msg::Bid { round, cutdown });
-            }
-        }
-    }
+    // Every third customer goes silent after its round-1 bid (crash,
+    // smart-meter failure, ...). The hand pump never reaches a crashed
+    // customer again and fires a round's deadline whenever replies are
+    // missing. The UA's deadline mechanism must carry the negotiation to
+    // a proper termination regardless, keeping each crashed customer's
+    // last bid (monotonic concession allows that).
+    use loadbal::core::engine::ReportAssembler;
 
     let scenario = ScenarioBuilder::random(30, 0.35, 6).build();
-    let mut sim: Simulation<Msg> = Simulation::new(4);
-    sim.set_logging(false);
-    let ids: Vec<AgentId> = scenario
-        .customers
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            sim.add_agent(CrashingCustomer {
-                state: CustomerAgentState::new(c.preferences),
-                // A third of the fleet crashes after round 1.
-                responses_left: if i % 3 == 0 { 1 } else { u32::MAX },
-            })
-        })
+    let mut utility = UtilityEngine::new(&scenario);
+    let mut customers: Vec<CustomerEngine> = (0..scenario.customers.len())
+        .map(|i| CustomerEngine::for_customer(&scenario, i))
         .collect();
-    let ua = sim.add_agent(UtilityProcess::with_engine_at(
-        UtilityEngine::new(&scenario),
-        ids,
-        SimDuration::from_ticks(50),
-        ReportTier::FullTrace,
-    ));
-    sim.run()
-        .expect("negotiation with crashed customers terminates");
-    let process = sim.agent::<UtilityProcess>(ua).expect("UA exists");
-    let status = process.status().expect("negotiation concluded");
-    assert!(status.is_converged(), "status: {status}");
+    let crashed = |i: usize, round: u32| i.is_multiple_of(3) && round > 1;
+    let mut assembler = ReportAssembler::for_engine_at(&utility, ReportTier::FullTrace);
+    let mut replies_missing = false;
+    utility.handle(Input::Start);
+    while let Some(effect) = utility.poll_effect() {
+        match assembler.observe(effect) {
+            Some(Effect::Broadcast { msg }) => {
+                let Msg::Announce { round, .. } = msg else {
+                    panic!("reward-table rounds announce tables, got {msg}");
+                };
+                replies_missing = false;
+                for (i, customer) in customers.iter_mut().enumerate() {
+                    if crashed(i, round) {
+                        replies_missing = true;
+                    } else {
+                        deliver(&mut utility, customer, i, msg.clone());
+                    }
+                }
+            }
+            // The round's deadline follows its broadcast; it fires only
+            // when some reply never came.
+            Some(Effect::SetTimer { token }) if replies_missing => {
+                utility.handle(Input::TimerFired { token });
+            }
+            Some(Effect::Send {
+                to: Peer::Customer(i),
+                msg,
+            }) => deliver(&mut utility, &mut customers[i], i, msg),
+            _ => {}
+        }
+    }
+    let report = assembler.finish();
+    assert!(report.converged(), "{report}");
+    let rounds = report.rounds();
+    assert!(rounds.len() > 1, "the crash must outlive round 1");
+    // Every round after the crash concluded on its deadline.
+    assert_eq!(utility.deadline_forced_rounds(), rounds.len() as u64 - 1);
+    // Crashed customers are held at their round-1 bid, to the end.
+    let (first, last) = (&rounds[0], &rounds[rounds.len() - 1]);
+    for i in (0..customers.len()).step_by(3) {
+        assert_eq!(last.bids[i], first.bids[i], "crashed customer {i} moved");
+    }
     // Live customers still produced peak reduction.
-    let rounds = process.rounds();
-    let first = rounds.first().unwrap().predicted_total;
-    let last = rounds.last().unwrap().predicted_total;
-    assert!(last <= first, "peak must not grow: {first} → {last}");
+    assert!(
+        last.predicted_total <= first.predicted_total,
+        "peak must not grow: {} → {}",
+        first.predicted_total,
+        last.predicted_total
+    );
 }
 
 #[test]
@@ -301,44 +320,45 @@ fn campaign_fault_matrix_every_class_terminates_and_reproduces() {
 #[test]
 fn equal_treatment_all_customers_see_identical_announcements() {
     // §6.1: "the Utility Agent communicates all Customer Agents the same
-    // announcements, in compliance with Swedish law". Verify on the
-    // delivered-message log.
-    use loadbal::core::distributed::{CustomerProcess, UtilityProcess};
-    use loadbal::core::engine::CustomerEngine;
-    use loadbal::massim::runtime::Simulation;
-
+    // announcements, in compliance with Swedish law". The engine makes
+    // this structural: each round's announcement leaves the
+    // `UtilityEngine` as one `Effect::Broadcast`, which every execution
+    // mode hands to every customer, and never as a per-customer `Send`;
+    // only awards are addressed to one customer.
     let scenario = ScenarioBuilder::random(10, 0.35, 2).build();
-    let mut sim: Simulation<Msg> = Simulation::new(8);
-    let ids: Vec<_> = (0..scenario.customers.len())
-        .map(|i| {
-            sim.add_agent(CustomerProcess::new(CustomerEngine::for_customer(
-                &scenario, i,
-            )))
-        })
+    let mut utility = UtilityEngine::new(&scenario);
+    let mut customers: Vec<CustomerEngine> = (0..scenario.customers.len())
+        .map(|i| CustomerEngine::for_customer(&scenario, i))
         .collect();
-    let _ua = sim.add_agent(UtilityProcess::with_engine_at(
-        UtilityEngine::new(&scenario),
-        ids.clone(),
-        SimDuration::from_ticks(100),
-        ReportTier::FullTrace,
-    ));
-    sim.run().unwrap();
-
-    let log = sim.log().expect("logging enabled by default");
-    // Group announcements by round; every customer must receive the same
-    // table in every round.
-    use std::collections::BTreeMap;
-    let mut by_round: BTreeMap<u32, Vec<&loadbal::core::reward::RewardTable>> = BTreeMap::new();
-    for (_, _, _, msg) in log.deliveries() {
-        if let Msg::Announce { round, table } = msg {
-            by_round.entry(*round).or_default().push(table);
+    let (mut announced, mut concluded, mut awards) = (Vec::new(), 0u32, 0);
+    utility.handle(Input::Start);
+    while let Some(effect) = utility.poll_effect() {
+        match effect {
+            Effect::Broadcast { msg } => {
+                if let Msg::Announce { round, .. } = msg {
+                    announced.push(round);
+                }
+                for (i, customer) in customers.iter_mut().enumerate() {
+                    deliver(&mut utility, customer, i, msg.clone());
+                }
+            }
+            Effect::Send {
+                to: Peer::Customer(i),
+                msg,
+            } => {
+                assert!(
+                    matches!(msg, Msg::Award { .. }),
+                    "customer {i} was sent {msg} on its own"
+                );
+                awards += 1;
+                deliver(&mut utility, &mut customers[i], i, msg);
+            }
+            Effect::RoundComplete(_) => concluded += 1,
+            _ => {}
         }
     }
-    assert!(!by_round.is_empty());
-    for (round, tables) in by_round {
-        assert_eq!(tables.len(), ids.len(), "round {round} reached everyone");
-        for t in &tables {
-            assert_eq!(*t, tables[0], "round {round}: differing announcements");
-        }
-    }
+    assert!(utility.is_settled());
+    // One broadcast announcement per round, for every round concluded.
+    assert_eq!(announced, (1..=concluded).collect::<Vec<_>>());
+    assert_eq!(awards, customers.len(), "every customer is awarded once");
 }

@@ -32,7 +32,7 @@ fn grid_to_negotiation_pipeline_shaves_the_peak() {
     // capacity, beyond the paper UA's 15 % allowed band.
     let predicted = WeatherRegression::calibrated().predict(&history, &forecast);
     let capacity = Kilowatts(predicted.max() / axis.slot_hours() * 0.65);
-    let production = ProductionModel::two_tier(capacity, Kilowatts(capacity.value() * 3.0));
+    let production = ProductionModel::two_tier(capacity);
     let peak = PeakDetector::new(0.02)
         .detect(&predicted, &production)
         .expect("cold snap must produce a peak");
@@ -92,7 +92,7 @@ fn stable_grid_never_triggers_negotiation() {
     let predicted = MovingAverage::new(3).predict(&history, &forecast);
     // Ample capacity: double the observed peak.
     let capacity = Kilowatts(predicted.max() / axis.slot_hours() * 2.0);
-    let production = ProductionModel::two_tier(capacity, Kilowatts(capacity.value() * 2.0));
+    let production = ProductionModel::two_tier(capacity);
     assert!(
         PeakDetector::default()
             .detect(&predicted, &production)

@@ -1,16 +1,18 @@
 //! Property-based tests (proptest) on the core invariants:
 //! the §3.1 monotonic concession protocol, the §6 reward formula, the
-//! §3.2.1 categorized offer, and deterministic replay of the
-//! distributed runtime.
+//! §3.2.1 categorized offer, and message conservation and
+//! deterministic replay over the simulated network.
 
 use loadbal::core::beta::BetaPolicy;
 use loadbal::core::category::{categorized_offers, consumption_categories, optimized_categories};
 use loadbal::core::concession::{verify_announcements, verify_bids};
 use loadbal::core::customer_agent::{decide_offer, rfb_step};
 use loadbal::core::distributed::run_distributed;
+use loadbal::core::execution::DEFAULT_DEADLINE_TICKS;
 use loadbal::core::market::demand_response;
 use loadbal::core::methods::AnnouncementMethod;
 use loadbal::core::preferences::CustomerPreferences;
+use loadbal::core::resilience::FaultClass;
 use loadbal::core::reward::{
     overuse_fraction, predicted_use_with_cutdown, RewardFormula, RewardTable, DEFAULT_LEVELS,
 };
@@ -563,6 +565,46 @@ proptest! {
     fn overuse_fraction_definition(total in 0.0f64..500.0, normal in 0.1f64..500.0) {
         let f = overuse_fraction(KilowattHours(total), KilowattHours(normal));
         prop_assert!((f - (total - normal) / normal).abs() < 1e-9);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Message conservation over every faulty network: each message
+    /// handed to the network is lost, delivered once, or duplicated and
+    /// delivered twice, and the run drains until all of them land. Every
+    /// round arms one deadline, which fires even after its round
+    /// concluded, so timers fired bound the deadline-forced rounds. The
+    /// same seed replays the same outcome, counters included.
+    #[test]
+    fn distributed_runs_conserve_messages(
+        customers in 2usize..30,
+        seed in 0u64..10_000,
+        method_ix in 0usize..3,
+        network_ix in 0usize..5,
+    ) {
+        let method = AnnouncementMethod::all()[method_ix];
+        let scenario = ScenarioBuilder::random(customers, 0.35, seed).method(method).build();
+        let network = match FaultClass::all().get(network_ix) {
+            Some(class) => class.network(),
+            None => NetworkModel::uniform(1, 15)
+                .with_drop_probability(0.15)
+                .with_duplicate_probability(0.15)
+                .with_reordering(0.25, 30),
+        };
+        let deadline = SimDuration::from_ticks(DEFAULT_DEADLINE_TICKS);
+        let outcome = run_distributed(&scenario, network.clone(), seed, deadline);
+        let t = outcome.traffic;
+        prop_assert_eq!(t.negotiations, 1);
+        prop_assert_eq!(
+            t.messages_delivered,
+            t.messages_sent - t.messages_dropped + t.messages_duplicated,
+            "{} over network {}", method, network_ix
+        );
+        prop_assert!(t.timers_fired >= t.deadline_forced_rounds, "{:?}", t);
+        prop_assert_eq!(t.timers_fired, outcome.report.rounds().len() as u64);
+        prop_assert_eq!(outcome, run_distributed(&scenario, network, seed, deadline));
     }
 }
 
