@@ -16,7 +16,10 @@
 use loadbal::core::campaign::{
     CampaignBuilder, CampaignReport, ClosedLoop, FixedPredictor, MarginalCostStop,
 };
+use loadbal::core::distributed::run_distributed;
 use loadbal::core::session::{NegotiationReport, ReportTier, Scenario};
+use loadbal::massim::clock::SimDuration;
+use loadbal::massim::network::NetworkModel;
 use loadbal::prelude::*;
 use powergrid::calendar::Horizon;
 use powergrid::prediction::MovingAverage;
@@ -365,4 +368,96 @@ fn golden_corpus_is_replayable() {
         assert_eq!(a, b, "{name}: re-run diverged");
         assert_eq!(render(&a), render(&b), "{name}: rendering diverged");
     }
+}
+
+/// Renders `values` bit for bit: each distinct bit pattern once, in
+/// order of first appearance, then every value as its index into that
+/// list.
+fn render_bits(out: &mut String, label: &str, values: impl IntoIterator<Item = f64>) {
+    let mut distinct: Vec<u64> = Vec::new();
+    let mut indices: Vec<String> = Vec::new();
+    for bits in values.into_iter().map(f64::to_bits) {
+        let index = distinct.iter().position(|&d| d == bits).unwrap_or_else(|| {
+            distinct.push(bits);
+            distinct.len() - 1
+        });
+        indices.push(index.to_string());
+    }
+    let patterns: Vec<String> = distinct.iter().map(|b| format!("{b:016x}")).collect();
+    writeln!(
+        out,
+        "  {label}: [{}] {}",
+        patterns.join(" "),
+        indices.join(" ")
+    )
+    .unwrap();
+}
+
+#[test]
+fn wire_order_matches_golden() {
+    // Every event the simulated network orders — deliveries, duplicate
+    // copies, held-back messages and round deadlines — shows up in the
+    // wire counters, the virtual end time and the settlements. A
+    // 10-tick deadline equals the stock maximum latency, so deadlines
+    // and deliveries share ticks and the scheduling-sequence tie-break
+    // decides their order; 3 ticks forces most rounds, 300 forces none
+    // on a lossless network.
+    let scenario = ScenarioBuilder::random(40, 0.35, 7).build();
+    let mut networks: Vec<(String, NetworkModel)> = FaultClass::all()
+        .into_iter()
+        .map(|class| (class.name().to_string(), class.network()))
+        .collect();
+    networks.push((
+        "mixed".to_string(),
+        NetworkModel::uniform(1, 10)
+            .with_drop_probability(0.1)
+            .with_duplicate_probability(0.15)
+            .with_reordering(0.2, 12),
+    ));
+    let mut out = String::new();
+    for (name, network) in &networks {
+        for deadline in [3, 10, 300] {
+            for method in AnnouncementMethod::all() {
+                let scenario = Scenario {
+                    method,
+                    ..scenario.clone()
+                };
+                let outcome = run_distributed(
+                    &scenario,
+                    network.clone(),
+                    7,
+                    SimDuration::from_ticks(deadline),
+                );
+                let report = &outcome.report;
+                let t = &outcome.traffic;
+                writeln!(
+                    out,
+                    "{name} deadline={deadline} {method}: negotiations={} sent={} delivered={} \
+                     dropped={} duplicated={} timers={} forced={} end_time={} status={} rounds={}",
+                    t.negotiations,
+                    t.messages_sent,
+                    t.messages_delivered,
+                    t.messages_dropped,
+                    t.messages_duplicated,
+                    t.timers_fired,
+                    t.deadline_forced_rounds,
+                    outcome.end_time.ticks(),
+                    report.status(),
+                    report.rounds().len()
+                )
+                .unwrap();
+                let last = report.rounds().last().expect("a settled run has rounds");
+                render_bits(&mut out, "bids", last.bids.iter().map(|b| b.value()));
+                render_bits(
+                    &mut out,
+                    "settlements",
+                    report
+                        .settlements()
+                        .iter()
+                        .flat_map(|s| [s.cutdown.value(), s.reward.value()]),
+                );
+            }
+        }
+    }
+    check_rendered("wire-order", &out);
 }
