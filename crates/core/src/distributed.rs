@@ -15,6 +15,20 @@
 //! events run in `(tick, scheduling sequence)` order: the order is
 //! total, so a run is a pure function of its scenario, network, seed
 //! and deadline.
+//!
+//! The loop keeps its pending events in a [`DeliveryRing`] held by the
+//! [`NegotiationScratch`], so its buffers outlive each negotiation. A
+//! message is scheduled at most [`NetworkModel::max_delay`] ticks after
+//! the tick it was sent at, so every pending delivery lies within
+//! `max_delay + 1` ticks of the present: the ring keeps one FIFO per
+//! tick of that window, and a FIFO fills in scheduling order. Every
+//! round deadline is the same delay after its announcement, so
+//! deadlines come due in the order they were scheduled and wait in one
+//! FIFO beside the ring. The next event is the earlier of the first
+//! delivery of the first non-empty tick and the first deadline, a tie
+//! on the tick going to the lower scheduling sequence; with no delivery
+//! pending the loop jumps straight to the next deadline. That is
+//! exactly the `(tick, sequence)` order a priority queue would give.
 
 use crate::engine::{CustomerEngine, Effect, Input, Peer, ReportAssembler, UtilityEngine};
 use crate::execution::NetworkTraffic;
@@ -25,8 +39,7 @@ use massim::clock::{SimDuration, SimTime};
 use massim::network::{Delivery, NetworkModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// Events one negotiation may process before it is declared a message
 /// loop — orders of magnitude above any terminating negotiation.
@@ -45,8 +58,8 @@ pub struct DistributedOutcome {
     pub end_time: SimTime,
 }
 
-/// What a scheduled event does when its tick comes.
-#[derive(Clone)]
+/// What an event does when its tick comes.
+#[derive(Debug, Clone)]
 enum Event {
     /// A message from the Utility Agent reaches customer `i`.
     ToCustomer(usize, Msg),
@@ -56,33 +69,69 @@ enum Event {
     Deadline(u64),
 }
 
-/// An event at virtual tick `at`. `seq` counts the events scheduled
-/// before it, so two events never tie. Equality and ordering ignore the
-/// payload ([`Msg`] carries `f64`s), and the order is reversed so that
-/// the max-heap [`BinaryHeap`] pops the earliest event first.
-struct Scheduled {
-    at: SimTime,
-    seq: u64,
-    event: Event,
+/// The pending events of a distributed run: a ring of per-tick delivery
+/// FIFOs over the network's delay window, and the round deadlines in
+/// scheduling order. Each entry carries its scheduling sequence, which
+/// orders a delivery and a deadline due on the same tick.
+#[derive(Debug, Default)]
+pub(crate) struct DeliveryRing {
+    /// Slot `tick & (window - 1)` holds the deliveries due at `tick`.
+    slots: Vec<VecDeque<(u64, Event)>>,
+    /// The slots in use: `max_delay + 1` rounded up to a power of two.
+    window: usize,
+    /// Deliveries waiting in `slots`.
+    pending: usize,
+    /// `(tick, sequence, token)` of each armed deadline.
+    deadlines: VecDeque<(SimTime, u64, u64)>,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
+impl DeliveryRing {
+    /// Empties the ring and sizes its window for `network`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network's delay window does not fit in memory.
+    fn reset(&mut self, network: &NetworkModel) {
+        self.window = usize::try_from(network.max_delay())
+            .ok()
+            .and_then(|delay| delay.checked_add(1)?.checked_next_power_of_two())
+            .expect("the network's maximum delay exceeds the delivery ring");
+        if self.slots.len() < self.window {
+            self.slots.resize_with(self.window, VecDeque::new);
+        }
+        for slot in &mut self.slots {
+            slot.clear();
+        }
+        self.pending = 0;
+        self.deadlines.clear();
     }
-}
 
-impl Eq for Scheduled {}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+    fn slot(&mut self, at: SimTime) -> &mut VecDeque<(u64, Event)> {
+        // Truncation is the point: the slot is the tick modulo the window.
+        &mut self.slots[at.ticks() as usize & (self.window - 1)]
     }
-}
 
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    /// Removes and returns the earliest event at or after `now`, the
+    /// tick of the last event taken.
+    fn pop(&mut self, now: SimTime) -> Option<(SimTime, Event)> {
+        if self.pending == 0 {
+            let (at, _, token) = self.deadlines.pop_front()?;
+            return Some((at, Event::Deadline(token)));
+        }
+        let mut at = now;
+        while self.slot(at).is_empty() {
+            at = at + SimDuration::from_ticks(1);
+        }
+        if let Some(&(due, seq, token)) = self.deadlines.front() {
+            let (first, _) = self.slot(at).front().expect("found non-empty above");
+            if (due, seq) < (at, *first) {
+                self.deadlines.pop_front();
+                return Some((due, Event::Deadline(token)));
+            }
+        }
+        self.pending -= 1;
+        let (_, event) = self.slot(at).pop_front().expect("found non-empty above");
+        Some((at, event))
     }
 }
 
@@ -94,18 +143,18 @@ struct Wire<'a> {
     deadline: SimDuration,
     now: SimTime,
     scheduled: u64,
-    events: BinaryHeap<Scheduled>,
+    ring: &'a mut DeliveryRing,
     traffic: NetworkTraffic,
 }
 
 impl Wire<'_> {
+    /// Queues a delivery `after` ticks from now (at least one tick, so
+    /// it lands inside the ring's window ahead of the present).
     fn schedule(&mut self, after: SimDuration, event: Event) {
-        self.events.push(Scheduled {
-            at: self.now + after,
-            seq: self.scheduled,
-            event,
-        });
+        let seq = self.scheduled;
         self.scheduled += 1;
+        self.ring.pending += 1;
+        self.ring.slot(self.now + after).push_back((seq, event));
     }
 
     /// Hands one message to the network: a single
@@ -147,7 +196,11 @@ impl Wire<'_> {
                     }
                 }
                 Some(Effect::SetTimer { token }) => {
-                    self.schedule(self.deadline, Event::Deadline(token));
+                    let seq = self.scheduled;
+                    self.scheduled += 1;
+                    self.ring
+                        .deadlines
+                        .push_back((self.now + self.deadline, seq, token));
                 }
                 _ => {}
             }
@@ -214,6 +267,7 @@ impl NegotiationScratch {
     ) -> DistributedOutcome {
         let mut utility = self.checkout(scenario);
         let customers: &mut [CustomerEngine] = &mut self.customers;
+        self.ring.reset(network);
         let mut assembler = ReportAssembler::for_engine_at(&utility, tier);
         let mut wire = Wire {
             model: network,
@@ -221,7 +275,7 @@ impl NegotiationScratch {
             deadline,
             now: SimTime::ZERO,
             scheduled: 0,
-            events: BinaryHeap::new(),
+            ring: &mut self.ring,
             traffic: NetworkTraffic {
                 negotiations: 1,
                 ..NetworkTraffic::ZERO
@@ -230,7 +284,7 @@ impl NegotiationScratch {
         utility.handle(Input::Start);
         wire.pump(&mut utility, &mut assembler, customers.len());
         let mut budget = EVENT_BUDGET;
-        while let Some(Scheduled { at, event, .. }) = wire.events.pop() {
+        while let Some((at, event)) = wire.ring.pop(wire.now) {
             assert!(
                 budget > 0,
                 "negotiation exhausted its budget of {EVENT_BUDGET} events (message loop?)"
@@ -283,6 +337,55 @@ mod tests {
 
     fn deadline() -> SimDuration {
         SimDuration::from_ticks(100)
+    }
+
+    #[test]
+    fn ring_pops_in_tick_then_sequence_order() {
+        // Random interleavings of deliveries (1..=max_delay ticks ahead),
+        // deadlines (a fixed delay ahead, sometimes on a delivery's tick)
+        // and pops: every pop must be the smallest pending
+        // (tick, sequence) pair, as a priority queue would give.
+        use rand::Rng;
+        let network = NetworkModel::uniform(1, 10).with_reordering(0.5, 3);
+        let mut ring = DeliveryRing::default();
+        for (seed, deadline) in [(1u64, 13u64), (2, 10), (3, 1), (4, 0)] {
+            ring.reset(&network);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut now = SimTime::ZERO;
+            let mut seq = 0u64;
+            let mut reference: Vec<(SimTime, u64)> = Vec::new();
+            for step in 0..5_000 {
+                let pop = step > 4_000 || rng.gen_range(0..3) == 0;
+                if !pop {
+                    if rng.gen_range(0..4) == 0 {
+                        let due = now + SimDuration::from_ticks(deadline);
+                        ring.deadlines.push_back((due, seq, seq));
+                        reference.push((due, seq));
+                    } else {
+                        let delay = rng.gen_range(1..=network.max_delay());
+                        let at = now + SimDuration::from_ticks(delay);
+                        let msg = Msg::RequestBids { round: 1 };
+                        ring.pending += 1;
+                        ring.slot(at)
+                            .push_back((seq, Event::ToUtility(seq as usize, msg)));
+                        reference.push((at, seq));
+                    }
+                    seq += 1;
+                    continue;
+                }
+                let expected = reference.iter().copied().min();
+                let popped = ring.pop(now).map(|(at, event)| match event {
+                    Event::Deadline(token) => (at, token),
+                    Event::ToUtility(i, _) => (at, i as u64),
+                    Event::ToCustomer(..) => unreachable!("none scheduled"),
+                });
+                assert_eq!(popped, expected, "seed {seed} step {step}");
+                if let Some(next) = expected {
+                    reference.retain(|&e| e != next);
+                    now = next.0;
+                }
+            }
+        }
     }
 
     #[test]

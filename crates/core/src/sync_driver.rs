@@ -17,6 +17,7 @@
 //! scratch; the sweep/campaign/fleet hot loops thread one scratch per
 //! worker, exactly like `powergrid`'s `DemandScratch`.
 
+use crate::distributed::DeliveryRing;
 use crate::engine::{CustomerEngine, Effect, Input, Peer, ReportAssembler, UtilityEngine};
 use crate::message::Msg;
 use crate::session::{NegotiationReport, ReportTier, Scenario};
@@ -104,6 +105,9 @@ pub struct NegotiationScratch {
     utility: Option<UtilityEngine>,
     /// One engine per customer of the scenario last checked out.
     pub(crate) customers: Vec<CustomerEngine>,
+    /// The distributed transport's pending events, kept so their
+    /// buffers serve every negotiation.
+    pub(crate) ring: DeliveryRing,
     /// Negotiations run through this scratch (diagnostics).
     negotiations: u64,
 }

@@ -167,6 +167,15 @@ impl NetworkModel {
         (self.reorder_probability, self.reorder_extra)
     }
 
+    /// The longest a message can take: the largest latency plus the
+    /// reordering hold-back, in ticks. Every copy [`route_at`](Self::route_at)
+    /// delivers arrives between one and `max_delay` ticks after it was
+    /// sent, so a driver that queues deliveries by tick needs a window of
+    /// `max_delay + 1` ticks.
+    pub fn max_delay(&self) -> u64 {
+        self.max_latency + self.reorder_extra
+    }
+
     /// Decides the fate of one message sent at `now`. An outage window
     /// drops it without a draw; otherwise loss, the latency (with its
     /// reordering hold-back) and duplication (with the second copy's
@@ -310,6 +319,8 @@ mod tests {
         assert!((net.drop_probability() - 0.05).abs() < 1e-12);
         assert!((net.duplicate_probability() - 0.1).abs() < 1e-12);
         assert_eq!(net.reordering(), (0.2, 7));
+        assert_eq!(net.max_delay(), 11);
+        assert_eq!(NetworkModel::uniform(1, 10).max_delay(), 10);
     }
 
     #[test]
@@ -360,6 +371,27 @@ mod tests {
             (300..700).contains(&held_back),
             "≈half the messages held back, got {held_back}"
         );
+    }
+
+    #[test]
+    fn every_copy_arrives_within_the_maximum_delay() {
+        let net = NetworkModel::uniform(2, 9)
+            .with_duplicate_probability(0.3)
+            .with_reordering(0.4, 6);
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut longest = 0;
+        for _ in 0..2000 {
+            let copies = match route(&net, &mut rng) {
+                Delivery::After(d) => vec![d],
+                Delivery::Duplicate(a, b) => vec![a, b],
+                Delivery::Drop => panic!("lossless network dropped a message"),
+            };
+            for d in copies {
+                assert!((1..=net.max_delay()).contains(&d.ticks()), "delay {d:?}");
+                longest = longest.max(d.ticks());
+            }
+        }
+        assert_eq!(longest, net.max_delay(), "the bound is reached");
     }
 
     #[test]
