@@ -21,6 +21,10 @@ pub struct CustomerAgentState {
     preferences: CustomerPreferences,
     previous_bid: Fraction,
     bids_made: u32,
+    /// The grid levels still open to a bid, as
+    /// [`CustomerPreferences::open_levels`] gives them for the previous
+    /// bid: kept, so a round reads them instead of comparing levels.
+    open: u8,
 }
 
 impl CustomerAgentState {
@@ -30,6 +34,8 @@ impl CustomerAgentState {
             preferences,
             previous_bid: Fraction::ZERO,
             bids_made: 0,
+            // Six grid levels fit in a byte.
+            open: preferences.open_levels(Fraction::ZERO) as u8,
         }
     }
 
@@ -48,17 +54,17 @@ impl CustomerAgentState {
         self.bids_made
     }
 
-    /// Responds to an announced reward table: the highest acceptable
-    /// cut-down, never below the previous bid (§3.1, §6.2).
-    pub fn respond(&mut self, table: &RewardTable) -> Fraction {
-        let bid = self.preferences.respond(table, self.previous_bid);
-        debug_assert!(
-            bid >= self.previous_bid,
-            "monotonic concession on the CA side"
-        );
-        self.previous_bid = bid;
+    /// Responds to an announced reward table (§3.1, §6.2): the position
+    /// in `table` of the cut-down now bid, the highest acceptable one,
+    /// or `None` when none exceeds the previous bid, which then stands.
+    pub fn respond(&mut self, table: &RewardTable) -> Option<usize> {
         self.bids_made += 1;
-        bid
+        let k = self.preferences.best_level(table, u32::from(self.open))?;
+        let position = table.grid().position(k);
+        self.previous_bid = table.entries()[position].0;
+        // Only the levels above the new bid stay open.
+        self.open &= !((2u32 << k) - 1) as u8;
+        Some(position)
     }
 }
 
@@ -176,15 +182,17 @@ mod tests {
         let t1 = table(17.0);
         let t2 = t1.updated(&formula, 0.323, 2.0);
         let t3 = t2.updated(&formula, 0.242, 2.0);
-        let b1 = ca.respond(&t1);
-        assert_eq!(b1, fr(0.2));
-        let b2 = ca.respond(&t2);
-        assert_eq!(b2, fr(0.4), "round 2: reward(0.4) ≈ 21.76 ≥ 21");
-        let b3 = ca.respond(&t3);
-        assert_eq!(b3, fr(0.4));
-        assert!(b2 >= b1 && b3 >= b2);
-        assert_eq!(ca.bids_made(), 3);
+        assert_eq!(ca.respond(&t1), Some(2), "the 0.2 entry");
+        assert_eq!(ca.previous_bid(), fr(0.2));
+        assert_eq!(
+            ca.respond(&t2),
+            Some(4),
+            "round 2: reward(0.4) ≈ 21.76 ≥ 21"
+        );
         assert_eq!(ca.previous_bid(), fr(0.4));
+        assert_eq!(ca.respond(&t3), None, "0.4 stands");
+        assert_eq!(ca.previous_bid(), fr(0.4));
+        assert_eq!(ca.bids_made(), 3);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! total, so a run is a pure function of its scenario, network, seed
 //! and deadline.
 //!
-//! The loop keeps its pending events in a [`DeliveryRing`] held by the
+//! The loop keeps its pending events in a delivery ring held by the
 //! [`NegotiationScratch`], so its buffers outlive each negotiation. A
 //! message is scheduled at most [`NetworkModel::max_delay`] ticks after
 //! the tick it was sent at, so every pending delivery lies within
@@ -61,6 +61,9 @@ pub struct DistributedOutcome {
 /// What an event does when its tick comes.
 #[derive(Debug, Clone)]
 enum Event {
+    /// Customer `i`'s copy of the run's `b`-th broadcast reaches it: the
+    /// message itself is kept once, in [`DeliveryRing::broadcasts`].
+    Broadcast(usize, usize),
     /// A message from the Utility Agent reaches customer `i`.
     ToCustomer(usize, Msg),
     /// Customer `i`'s reply reaches the Utility Agent.
@@ -83,6 +86,8 @@ pub(crate) struct DeliveryRing {
     pending: usize,
     /// `(tick, sequence, token)` of each armed deadline.
     deadlines: VecDeque<(SimTime, u64, u64)>,
+    /// The run's broadcasts, which every customer reads by reference.
+    broadcasts: Vec<Msg>,
 }
 
 impl DeliveryRing {
@@ -104,6 +109,7 @@ impl DeliveryRing {
         }
         self.pending = 0;
         self.deadlines.clear();
+        self.broadcasts.clear();
     }
 
     fn slot(&mut self, at: SimTime) -> &mut VecDeque<(u64, Event)> {
@@ -191,8 +197,10 @@ impl Wire<'_> {
                     msg,
                 }) => self.send(Event::ToCustomer(i, msg)),
                 Some(Effect::Broadcast { msg }) => {
+                    let b = self.ring.broadcasts.len();
+                    self.ring.broadcasts.push(msg);
                     for i in 0..customers {
-                        self.send(Event::ToCustomer(i, msg.clone()));
+                        self.send(Event::Broadcast(i, b));
                     }
                 }
                 Some(Effect::SetTimer { token }) => {
@@ -292,22 +300,21 @@ impl NegotiationScratch {
             budget -= 1;
             wire.now = at;
             match event {
+                Event::Broadcast(i, b) => {
+                    wire.traffic.messages_delivered += 1;
+                    if let Some(reply) = customers[i].answer(&wire.ring.broadcasts[b]) {
+                        wire.send(Event::ToUtility(i, reply));
+                    }
+                }
                 Event::ToCustomer(i, msg) => {
                     wire.traffic.messages_delivered += 1;
-                    let reply = customers[i].handle(Input::Received {
-                        from: Peer::Utility,
-                        msg,
-                    });
-                    if let Some(reply) = reply {
+                    if let Some(reply) = customers[i].answer(&msg) {
                         wire.send(Event::ToUtility(i, reply));
                     }
                 }
                 Event::ToUtility(i, msg) => {
                     wire.traffic.messages_delivered += 1;
-                    utility.handle(Input::Received {
-                        from: Peer::Customer(i),
-                        msg,
-                    });
+                    utility.receive(i, msg);
                     wire.pump(&mut utility, &mut assembler, customers.len());
                 }
                 Event::Deadline(token) => {
@@ -377,7 +384,9 @@ mod tests {
                 let popped = ring.pop(now).map(|(at, event)| match event {
                     Event::Deadline(token) => (at, token),
                     Event::ToUtility(i, _) => (at, i as u64),
-                    Event::ToCustomer(..) => unreachable!("none scheduled"),
+                    Event::Broadcast(..) | Event::ToCustomer(..) => {
+                        unreachable!("none scheduled")
+                    }
                 });
                 assert_eq!(popped, expected, "seed {seed} step {step}");
                 if let Some(next) = expected {

@@ -13,24 +13,36 @@
 //!
 //! * [`UtilityEngine`] — the Utility Agent half, parameterized by
 //!   [`AnnouncementMethod`]; reuses [`RewardTableNegotiator`] (the §6
-//!   reward/concession logic) and
-//!   [`assess_bids_in_place`](crate::utility_agent::cooperation::assess_bids_in_place()).
-//!   Each round's announcement is one [`Effect::Broadcast`] to every
-//!   customer (§6.1: all Customer Agents get the same announcement);
-//!   awards are per-customer [`Effect::Send`]s.
+//!   reward/concession logic). Each round's announcement is one
+//!   [`Effect::Broadcast`] to every customer (§6.1: all Customer Agents
+//!   get the same announcement); awards are per-customer
+//!   [`Effect::Send`]s. A reward-table round lives in per-customer
+//!   columns of level indices — this round's bid and the last accepted
+//!   one — since a negotiation's tables all share their levels: a bid
+//!   off the network is mapped to its level once, on receipt (one the
+//!   table never announced is rejected to zero cut-down), and the
+//!   round concludes in one pass over the columns that yields each
+//!   accepted level, the predicted total, the stop rule's outlay and the
+//!   settlements by index reads.
 //! * [`CustomerEngine`] — the Customer Agent half; reuses
 //!   [`CustomerAgentState`] and the §3.2.1/§3.2.2 decision functions of
-//!   [`crate::customer_agent`]. A customer answers each input with at
-//!   most one message, so [`CustomerEngine::handle`] simply *returns*
-//!   its reply to the Utility Agent: the engine is a fixed-size value
-//!   that owns no heap buffer, so the customer side of a city-scale
-//!   negotiation is one flat vector of engines.
+//!   [`crate::customer_agent`], and answers a reward table with the
+//!   position of the level it bids, read off the levels of the
+//!   Figure-8 grid it can still bid
+//!   ([`CustomerAgentState::respond`]). A customer answers each
+//!   input with at most one message, so [`CustomerEngine::handle`]
+//!   simply *returns* its reply to the Utility Agent: the engine is a
+//!   fixed-size value that owns no heap buffer, so the customer side of
+//!   a city-scale negotiation is one flat vector of engines.
 //!
 //! Three drivers ship with the crate:
 //!
 //! 1. [`NegotiationScratch::run`](crate::sync_driver::NegotiationScratch::run)
-//!    — in-process message pump, behind
-//!    [`Scenario::run`](crate::session::Scenario::run);
+//!    — in-process direct exchange, behind
+//!    [`Scenario::run`](crate::session::Scenario::run): a reward-table
+//!    announcement reaches each customer by reference and its bid, a
+//!    table position, goes straight into the round's columns, with no
+//!    message in between;
 //! 2. [`NegotiationScratch::run_distributed`](crate::sync_driver::NegotiationScratch::run_distributed)
 //!    in [`crate::distributed`] — the same engines over a seeded
 //!    simulated network, with round deadlines in virtual time;
@@ -52,7 +64,6 @@ use crate::methods::AnnouncementMethod;
 use crate::preferences::CustomerPreferences;
 use crate::reward::{overuse_fraction, predicted_use_with_cutdown, RewardTable};
 use crate::session::{RoundRecord, Scenario, Settlement};
-use crate::utility_agent::cooperation::assess_bids_in_place;
 use crate::utility_agent::{RewardTableNegotiator, UaDecision, UtilityAgentConfig};
 use powergrid::tariff::Tariff;
 use powergrid::units::{Fraction, KilowattHours, Money};
@@ -142,6 +153,96 @@ enum MethodState {
     RequestForBids { round: u32 },
 }
 
+/// Marks a customer not yet heard from in the current round.
+const UNHEARD: u32 = u32::MAX;
+
+/// A reward-table negotiation's bids as level indices, one column entry
+/// per customer. Index 0 is a zero cut-down the table does not list and
+/// index `j + 1` the table's `j`-th level; a negotiation's tables share
+/// their levels, so an index names the same cut-down in every round and
+/// a round concludes by reading its columns.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct LevelColumns {
+    /// The cut-down each index stands for, with the reward the table
+    /// last [priced](LevelColumns::price) pays for it.
+    levels: Vec<(Fraction, Money)>,
+    /// The index of a zero cut-down: its table level's, or 0.
+    zero: u32,
+    /// This round's bid per customer, already held to the customer's
+    /// floor; [`UNHEARD`] until one arrives.
+    responses: Vec<u32>,
+    /// Each customer's accepted level after the last concluded round —
+    /// the floor a missing responder keeps (monotonic concession).
+    accepted: Vec<u32>,
+}
+
+impl LevelColumns {
+    /// Aims the columns at a negotiation over `table`'s levels with
+    /// `customers` customers, every one at zero cut-down; `None` empties
+    /// them for a method without reward tables.
+    fn reset(&mut self, table: Option<&RewardTable>, customers: usize) {
+        self.levels.clear();
+        self.responses.clear();
+        self.accepted.clear();
+        let Some(table) = table else {
+            return;
+        };
+        self.levels.extend(
+            std::iter::once((Fraction::ZERO, Money::ZERO)).chain(table.entries().iter().copied()),
+        );
+        self.zero = self.index_of(Fraction::ZERO).unwrap_or(0);
+        self.responses.resize(customers, UNHEARD);
+        self.accepted.resize(customers, self.zero);
+    }
+
+    /// The index of the first level at `cutdown`, if the table lists one.
+    fn index_of(&self, cutdown: Fraction) -> Option<u32> {
+        self.levels[1..]
+            .iter()
+            .position(|&(c, _)| c == cutdown)
+            .map(|j| j as u32 + 1)
+    }
+
+    /// Customer `i`'s bid of `cutdown` off the network, as a level. A bid
+    /// above the customer's floor takes its level, and one the table
+    /// does not list is rejected to zero cut-down; otherwise the floor
+    /// stands.
+    fn level_of_bid(&self, i: usize, cutdown: Fraction) -> u32 {
+        let floor = self.accepted[i];
+        if cutdown > self.levels[floor as usize].0 {
+            self.index_of(cutdown).unwrap_or(self.zero)
+        } else {
+            floor
+        }
+    }
+
+    /// Records customer `i`'s bid for this round; true if it is the
+    /// customer's first this round.
+    fn record(&mut self, i: usize, level: u32) -> bool {
+        let first = self.responses[i] == UNHEARD;
+        self.responses[i] = level;
+        first
+    }
+
+    /// Loads `table`'s reward for each index (a zero cut-down off the
+    /// table keeps earning nothing).
+    fn price(&mut self, table: &RewardTable) {
+        for (level, &(_, reward)) in self.levels[1..].iter_mut().zip(table.entries()) {
+            level.1 = reward;
+        }
+    }
+
+    /// What `table` pays for the accepted levels, summed in customer
+    /// order.
+    fn outlay(&mut self, table: &RewardTable) -> Money {
+        self.price(table);
+        self.accepted
+            .iter()
+            .map(|&level| self.levels[level as usize].1)
+            .sum()
+    }
+}
+
 /// The Utility Agent as a sans-io state machine.
 ///
 /// Feed it [`Input`]s, drain [`Effect`]s; it never blocks, allocates per
@@ -161,18 +262,23 @@ pub struct UtilityEngine {
     initial_total: KilowattHours,
     state: MethodState,
     /// The shared snapshot of the current round's announced reward
-    /// table (reward-table method only): taken once in
-    /// [`announce_round`](UtilityEngine::handle), reused by every
-    /// announcement message *and* the round record — one table clone
-    /// per round, total.
+    /// table (reward-table method only): the negotiator's own table,
+    /// shared by every announcement message *and* the round record —
+    /// never copied.
     announced: Option<Arc<RewardTable>>,
-    /// Responses received for the current round (index = customer).
+    /// Responses received for the current round (index = customer) —
+    /// offer and request-for-bids; a reward-table round keeps its own
+    /// in `levels`.
     responses: Vec<Option<Fraction>>,
     /// Distinct customers heard from this round.
     responded: usize,
-    /// Accepted cut-down per customer after the last concluded round
-    /// (monotonic-concession floor for missing responders).
+    /// Request-for-bids' accepted cut-down per customer after the last
+    /// concluded round (monotonic-concession floor for missing
+    /// responders).
     last_bids: Vec<Fraction>,
+    /// A reward-table negotiation's rounds as per-customer columns of
+    /// level indices.
+    levels: LevelColumns,
     rounds_run: u32,
     concluded_round: u32,
     /// Rounds concluded by the response deadline firing rather than by
@@ -182,6 +288,21 @@ pub struct UtilityEngine {
     deadline_forced: u64,
     status: Option<NegotiationStatus>,
     effects: VecDeque<Effect>,
+    /// A settlement whose awards are still being polled.
+    awarding: Option<Awarding>,
+}
+
+/// A settled negotiation's award messages, polled one per customer in
+/// index order and then its [`Effect::Settled`]: made on demand from the
+/// settlements once every earlier effect is out, instead of queued,
+/// since a settlement awards every customer.
+#[derive(Debug, Clone, PartialEq)]
+struct Awarding {
+    round: u32,
+    /// The customer whose award is polled next.
+    next: usize,
+    status: NegotiationStatus,
+    settlements: Vec<Settlement>,
 }
 
 impl UtilityEngine {
@@ -199,38 +320,39 @@ impl UtilityEngine {
 
     /// An engine for `scenario`'s configured method.
     pub fn new(scenario: &Scenario) -> UtilityEngine {
-        let profiles: Vec<(KilowattHours, KilowattHours)> = scenario
-            .customers
-            .iter()
-            .map(|c| (c.predicted_use, c.allowed_use))
-            .collect();
-        let n = profiles.len();
-        UtilityEngine {
+        let mut engine = UtilityEngine {
             method: scenario.method,
             config: scenario.config.clone(),
             tariff: scenario.tariff,
-            profiles,
+            profiles: scenario
+                .customers
+                .iter()
+                .map(|c| (c.predicted_use, c.allowed_use))
+                .collect(),
             normal_use: scenario.normal_use,
             initial_total: scenario.initial_total(),
-            state: UtilityEngine::initial_state(scenario, n),
+            state: UtilityEngine::initial_state(scenario, scenario.customers.len()),
             announced: None,
-            responses: vec![None; n],
+            responses: Vec::new(),
             responded: 0,
-            last_bids: vec![Fraction::ZERO; n],
+            last_bids: Vec::new(),
+            levels: LevelColumns::default(),
             rounds_run: 0,
             concluded_round: 0,
             deadline_forced: 0,
             status: None,
             effects: VecDeque::new(),
-        }
+            awarding: None,
+        };
+        engine.size_columns();
+        engine
     }
 
     /// Re-aims the engine at a fresh scenario, reusing every internal
-    /// buffer (profiles, response table, bid floor, effect queue) —
+    /// buffer (profiles, response columns, bid floor, effect queue) —
     /// behaviourally identical to [`UtilityEngine::new(scenario)`](UtilityEngine::new)
     /// without the per-negotiation allocations.
     pub fn reset(&mut self, scenario: &Scenario) {
-        let n = scenario.customers.len();
         self.method = scenario.method;
         self.config = scenario.config.clone();
         self.tariff = scenario.tariff;
@@ -243,18 +365,36 @@ impl UtilityEngine {
         );
         self.normal_use = scenario.normal_use;
         self.initial_total = scenario.initial_total();
-        self.state = UtilityEngine::initial_state(scenario, n);
+        self.state = UtilityEngine::initial_state(scenario, scenario.customers.len());
         self.announced = None;
-        self.responses.clear();
-        self.responses.resize(n, None);
+        self.size_columns();
         self.responded = 0;
-        self.last_bids.clear();
-        self.last_bids.resize(n, Fraction::ZERO);
         self.rounds_run = 0;
         self.concluded_round = 0;
         self.deadline_forced = 0;
         self.status = None;
         self.effects.clear();
+        self.awarding = None;
+    }
+
+    /// Sizes the columns the method keeps its bids in, one entry per
+    /// customer at zero cut-down, and empties the others.
+    fn size_columns(&mut self) {
+        let n = self.n();
+        let fraction_columns = match &self.state {
+            MethodState::RewardTables { negotiator } => {
+                self.levels.reset(Some(negotiator.current_table()), n);
+                0
+            }
+            _ => {
+                self.levels.reset(None, 0);
+                n
+            }
+        };
+        self.responses.clear();
+        self.responses.resize(fraction_columns, None);
+        self.last_bids.clear();
+        self.last_bids.resize(fraction_columns, Fraction::ZERO);
     }
 
     /// The announcement method being run.
@@ -306,7 +446,7 @@ impl UtilityEngine {
             Input::Received {
                 from: Peer::Customer(i),
                 msg,
-            } => self.on_message(i, msg),
+            } => self.receive(i, msg),
             Input::Received {
                 from: Peer::Utility,
                 ..
@@ -317,7 +457,31 @@ impl UtilityEngine {
 
     /// The next pending effect, if any.
     pub fn poll_effect(&mut self) -> Option<Effect> {
-        self.effects.pop_front()
+        if let Some(effect) = self.effects.pop_front() {
+            return Some(effect);
+        }
+        let awarding = self.awarding.as_mut()?;
+        if let Some(s) = awarding.settlements.get(awarding.next) {
+            let i = awarding.next;
+            awarding.next += 1;
+            return Some(Effect::Send {
+                to: Peer::Customer(i),
+                msg: Msg::Award {
+                    round: awarding.round,
+                    cutdown: s.cutdown,
+                    reward: s.reward,
+                },
+            });
+        }
+        let Awarding {
+            status,
+            settlements,
+            ..
+        } = self.awarding.take()?;
+        Some(Effect::Settled {
+            status,
+            settlements,
+        })
     }
 
     fn n(&self) -> usize {
@@ -327,15 +491,14 @@ impl UtilityEngine {
     /// Queues this round's announcement broadcast (plus the round
     /// deadline).
     ///
-    /// The reward-table method snapshots the current table **once** and
-    /// shares it between the broadcast (see [`Msg::Announce`]) and the
-    /// round record — one table clone per round, however many customers
-    /// receive it.
+    /// The reward-table method shares the negotiator's current table
+    /// between the broadcast (see [`Msg::Announce`]) and the round
+    /// record, however many customers receive it.
     fn announce_round(&mut self) {
         let round = self.current_round();
         let msg = match &self.state {
             MethodState::RewardTables { negotiator } => {
-                let table = Arc::new(negotiator.current_table().clone());
+                let table = negotiator.shared_table();
                 self.announced = Some(Arc::clone(&table));
                 Msg::Announce { round, table }
             }
@@ -350,37 +513,84 @@ impl UtilityEngine {
         });
     }
 
-    fn on_message(&mut self, from: usize, msg: Msg) {
+    /// Handles a message from customer `from`: a response to the
+    /// current round is recorded (a reward-table bid as its level), a
+    /// stale or off-protocol one is dropped.
+    pub(crate) fn receive(&mut self, from: usize, msg: Msg) {
         if self.status.is_some() || from >= self.n() {
             return;
         }
         let current = self.current_round();
-        let response = match (&self.state, msg) {
+        let first = match (&mut self.state, msg) {
             (MethodState::RewardTables { .. }, Msg::Bid { round, cutdown }) if round == current => {
-                Some(cutdown)
+                let level = self.levels.level_of_bid(from, cutdown);
+                self.levels.record(from, level)
             }
-            (MethodState::Offer { .. }, Msg::OfferReply { accept }) => {
-                if let MethodState::Offer { accepts } = &mut self.state {
-                    accepts[from] = Some(accept);
-                }
-                // Tracked separately; mark receipt with a placeholder.
-                Some(Fraction::ZERO)
+            (MethodState::Offer { accepts }, Msg::OfferReply { accept }) => {
+                accepts[from] = Some(accept);
+                // Tracked in `accepts`; mark receipt with a placeholder.
+                self.record(from, Fraction::ZERO)
             }
             (MethodState::RequestForBids { .. }, Msg::NeedBid { round, cutdown, .. })
                 if round == current =>
             {
-                Some(cutdown)
+                self.record(from, cutdown)
             }
-            _ => None, // stale round or off-protocol message
+            _ => return, // stale round or off-protocol message
         };
-        if let Some(cutdown) = response {
-            if self.responses[from].is_none() {
-                self.responded += 1;
-            }
-            self.responses[from] = Some(cutdown);
-            if self.responded == self.n() {
-                self.conclude_round();
-            }
+        self.heard(first);
+    }
+
+    /// Round `round`'s reward table, handed to every customer by the
+    /// synchronous driver: each customer decides on it directly
+    /// ([`CustomerEngine::bid_on`]) and its bid, a table position, goes
+    /// into this round's column as its [`Msg::Bid`] would, without the
+    /// message; then the round concludes.
+    pub(crate) fn exchange_round(
+        &mut self,
+        round: u32,
+        table: &RewardTable,
+        customers: &mut [CustomerEngine],
+    ) {
+        if self.status.is_some()
+            || round != self.current_round()
+            || customers.len() != self.n()
+            || customers.is_empty()
+            || !matches!(self.state, MethodState::RewardTables { .. })
+        {
+            return;
+        }
+        let columns = &mut self.levels;
+        for ((customer, response), &floor) in customers
+            .iter_mut()
+            .zip(&mut columns.responses)
+            .zip(&columns.accepted)
+        {
+            *response = match customer.bid_on(round, table) {
+                Some(position) => (position as u32 + 1).max(floor),
+                None => floor,
+            };
+        }
+        self.responded = customers.len();
+        self.conclude_round();
+    }
+
+    /// Records customer `from`'s offer or request-for-bids response;
+    /// true if it is the customer's first this round.
+    fn record(&mut self, from: usize, cutdown: Fraction) -> bool {
+        let first = self.responses[from].is_none();
+        self.responses[from] = Some(cutdown);
+        first
+    }
+
+    /// Counts a response (a customer heard again this round counts once)
+    /// and concludes the round once every customer is heard.
+    fn heard(&mut self, first: bool) {
+        if first {
+            self.responded += 1;
+        }
+        if self.responded == self.n() {
+            self.conclude_round();
         }
     }
 
@@ -422,7 +632,8 @@ impl UtilityEngine {
         self.effects.push_back(Effect::RoundComplete(record));
     }
 
-    /// Emits the award messages and the settled effect.
+    /// Settles: the award messages, polled on demand (see [`Awarding`]),
+    /// and then the settled effect.
     fn settle(
         &mut self,
         round: u32,
@@ -430,43 +641,49 @@ impl UtilityEngine {
         settlements: Vec<Settlement>,
         announce_awards: bool,
     ) {
-        if announce_awards {
-            for (i, s) in settlements.iter().enumerate() {
-                self.effects.push_back(Effect::Send {
-                    to: Peer::Customer(i),
-                    msg: Msg::Award {
-                        round,
-                        cutdown: s.cutdown,
-                        reward: s.reward,
-                    },
-                });
-            }
-        }
         self.status = Some(status);
-        self.effects.push_back(Effect::Settled {
-            status,
-            settlements,
-        });
+        if announce_awards {
+            self.awarding = Some(Awarding {
+                round,
+                next: 0,
+                status,
+                settlements,
+            });
+        } else {
+            self.effects.push_back(Effect::Settled {
+                status,
+                settlements,
+            });
+        }
     }
 
     fn conclude_reward_tables(&mut self, round: u32) {
         let n = self.n();
-        // The round record shares the announce-time snapshot — the one
-        // table clone this round ever makes.
+        // The round record shares the announce-time snapshot.
         let table = self
             .announced
             .clone()
             .expect("a reward-table round is announced before it concludes");
-        let mut accepted: Vec<Fraction> = Vec::with_capacity(n);
-        accepted.extend(
-            self.last_bids
-                .iter()
-                .enumerate()
-                .map(|(i, &last)| self.responses[i].unwrap_or(last).max(last)),
-        );
-        assess_bids_in_place(&table, &mut accepted);
-        self.last_bids.copy_from_slice(&accepted);
-        let predicted_total = self.predicted_total(&accepted);
+        let columns = &mut self.levels;
+        // One pass over the customers: each one's accepted level (this
+        // round's bid, or the floor a missing responder keeps), its
+        // cut-down for the round record, and the round's predicted use,
+        // summed in customer order.
+        let mut bids: Vec<Fraction> = Vec::with_capacity(n);
+        let mut predicted_total = KilowattHours::ZERO;
+        for ((response, accepted), &(predicted, allowed)) in columns
+            .responses
+            .iter_mut()
+            .zip(&mut columns.accepted)
+            .zip(&self.profiles)
+        {
+            if *response != UNHEARD {
+                *accepted = std::mem::replace(response, UNHEARD);
+            }
+            let (cutdown, _) = columns.levels[*accepted as usize];
+            predicted_total += predicted_use_with_cutdown(predicted, allowed, cutdown);
+            bids.push(cutdown);
+        }
         let overuse = overuse_fraction(predicted_total, self.normal_use);
         let MethodState::RewardTables { negotiator } = &mut self.state else {
             unreachable!("reward-table conclusion in reward-table state");
@@ -481,28 +698,28 @@ impl UtilityEngine {
         // candidate table at the bids customers have already committed
         // to (a floor on its cost — §3.1 bids never retreat).
         let remaining = (predicted_total - self.normal_use).clamp_non_negative();
-        let decision = negotiator.evaluate_with_outlay(overuse, remaining, |t| {
-            accepted.iter().map(|&b| t.reward_for(b)).sum()
-        });
-        // The settlement payload comes off the same owned vector that
-        // then moves into the round record — the accepted bids are
-        // never cloned.
+        let decision =
+            negotiator.evaluate_with_outlay(overuse, remaining, |next| columns.outlay(next));
         let settlements = match decision {
-            UaDecision::Converged(_) => Some(
-                accepted
-                    .iter()
-                    .map(|&cutdown| Settlement {
-                        cutdown,
-                        reward: table.reward_for(cutdown),
-                    })
-                    .collect::<Vec<Settlement>>(),
-            ),
+            UaDecision::Converged(_) => {
+                columns.price(&table);
+                Some(
+                    columns
+                        .accepted
+                        .iter()
+                        .map(|&level| {
+                            let (cutdown, reward) = columns.levels[level as usize];
+                            Settlement { cutdown, reward }
+                        })
+                        .collect::<Vec<Settlement>>(),
+                )
+            }
             UaDecision::NextTable => None,
         };
         self.push_round(RoundRecord {
             round,
             table: Some(table),
-            bids: accepted,
+            bids,
             predicted_total,
             messages: 2 * n as u64,
         });
@@ -541,7 +758,6 @@ impl UtilityEngine {
             bids.push(settlement.cutdown);
             settlements.push(settlement);
         }
-        self.last_bids.copy_from_slice(&bids);
         self.push_round(RoundRecord {
             round: 1,
             table: None,
@@ -760,19 +976,37 @@ impl CustomerEngine {
         let Input::Received { msg, .. } = input else {
             return None;
         };
-        match msg {
-            Msg::Announce { round, table } => {
-                // A duplicated *or reordered-stale* announcement
-                // (`round ≤` the newest answered) re-sends the recorded
-                // bid without conceding again — and never regresses the
-                // high-water mark, or a later duplicate of the newest
-                // round would re-concede too.
-                let cutdown = if round <= self.answered_announce_round {
-                    self.state.previous_bid()
-                } else {
-                    self.state.respond(&table)
+        self.answer(&msg)
+    }
+
+    /// This customer's answer to round `round`'s reward table: the
+    /// position in `table` of the cut-down it now bids, or `None` when
+    /// its previous bid stands. A duplicated *or reordered-stale*
+    /// announcement (`round ≤` the newest answered) concedes nothing and
+    /// never regresses the high-water mark, or a later duplicate of the
+    /// newest round would re-concede.
+    pub(crate) fn bid_on(&mut self, round: u32, table: &RewardTable) -> Option<usize> {
+        if round <= self.answered_announce_round {
+            return None;
+        }
+        self.answered_announce_round = round;
+        self.state.respond(table)
+    }
+
+    /// Records the settlement an award confirms.
+    pub(crate) fn award(&mut self, settlement: Settlement) {
+        self.awarded = Some(settlement);
+    }
+
+    /// The reply to one message from the Utility Agent, if it calls for
+    /// one.
+    pub(crate) fn answer(&mut self, msg: &Msg) -> Option<Msg> {
+        match *msg {
+            Msg::Announce { round, ref table } => {
+                let cutdown = match self.bid_on(round, table) {
+                    Some(position) => table.entries()[position].0,
+                    None => self.state.previous_bid(),
                 };
-                self.answered_announce_round = self.answered_announce_round.max(round);
                 Some(Msg::Bid { round, cutdown })
             }
             Msg::Offer { x_max } => Some(Msg::OfferReply {
@@ -809,7 +1043,7 @@ impl CustomerEngine {
             Msg::Award {
                 cutdown, reward, ..
             } => {
-                self.awarded = Some(Settlement { cutdown, reward });
+                self.award(Settlement { cutdown, reward });
                 None
             }
             _ => None,

@@ -24,22 +24,16 @@
 //! materialised table would store, so every decision is bit-identical
 //! to one over that table.
 
-use crate::reward::RewardTable;
+use crate::reward::{RewardTable, DEFAULT_LEVELS};
 use powergrid::units::{Fraction, Money};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 
-/// The Figure-8 customer's table at scale 1: `(cut-down, required
-/// reward)`, ascending.
-const BASE: [(f64, f64); 6] = [
-    (0.0, 0.0),
-    (0.1, 2.0),
-    (0.2, 4.0),
-    (0.3, 10.0),
-    (0.4, 21.0),
-    (0.5, 30.0),
-];
+/// The Figure-8 customer's required reward at scale 1 for each level of
+/// the prototype's grid, [`DEFAULT_LEVELS`]
+/// (`0, 0.1, …, 0.5`), ascending.
+const REQUIRED: [f64; DEFAULT_LEVELS.len()] = [0.0, 2.0, 4.0, 10.0, 21.0, 30.0];
 
 /// A customer's private required-reward thresholds per cut-down level:
 /// the Figure-8 table scaled by a reluctance factor, under a physical
@@ -118,19 +112,22 @@ impl CustomerPreferences {
             .collect()
     }
 
-    /// One base entry at this customer's scale.
-    fn scaled(self, (cutdown, reward): (f64, f64)) -> (Fraction, Money) {
-        (Fraction::clamped(cutdown), Money(reward * self.scale))
+    /// Grid level `k` and its threshold at this customer's scale.
+    fn threshold(self, k: usize) -> (Fraction, Money) {
+        (
+            Fraction::clamped(DEFAULT_LEVELS[k]),
+            Money(REQUIRED[k] * self.scale),
+        )
     }
 
     /// The thresholds, lazily, sorted by cut-down.
     fn entries(self) -> impl Iterator<Item = (Fraction, Money)> {
-        BASE.into_iter().map(move |entry| self.scaled(entry))
+        (0..REQUIRED.len()).map(move |k| self.threshold(k))
     }
 
     /// The thresholds, sorted by cut-down.
     pub fn thresholds(&self) -> [(Fraction, Money); 6] {
-        BASE.map(|entry| self.scaled(entry))
+        std::array::from_fn(|k| self.threshold(k))
     }
 
     /// The factor every Figure-8 threshold is multiplied by: with
@@ -172,29 +169,49 @@ impl CustomerPreferences {
     /// `previous_bid` (monotonic concession, §3.1).
     ///
     /// Decides as `cutdown > best && accepts(cutdown, offered)` over
-    /// every entry would, in one pass: the table's entries and the
-    /// base levels are both ascending, so the walk skips the levels
-    /// below each entry, matches a level by exact equality (as
-    /// [`required_for`](CustomerPreferences::required_for) does), and
-    /// stops at the first entry above the ceiling or past the last
-    /// level.
+    /// every entry would. Only a level of the Figure-8 grid can be
+    /// acceptable, and the table knows where each sits and what it pays
+    /// there, so the decision reads the grid levels above `previous_bid`
+    /// and within the ceiling by position — the same decision a
+    /// negotiating [`CustomerAgentState`](crate::customer_agent::CustomerAgentState)
+    /// makes — and the bid stands when none is accepted. A `-0.0` entry, which
+    /// [`accepts`](CustomerPreferences::accepts) treats as the grid's
+    /// `0.0`, is never above any bid, so leaving it out changes nothing.
     pub fn respond(&self, table: &RewardTable, previous_bid: Fraction) -> Fraction {
-        let mut best = previous_bid;
-        let mut levels = BASE.iter().peekable();
-        for &(cutdown, offered) in table.entries() {
-            if cutdown > self.max_cutdown {
-                break;
-            }
-            let c = cutdown.value();
-            while levels.next_if(|&&(level, _)| level < c).is_some() {}
-            let Some(&&(level, required)) = levels.peek() else {
-                break;
-            };
-            if level == c && cutdown > best && offered >= Money(required * self.scale) {
-                best = cutdown;
-            }
+        match self.best_level(table, self.open_levels(previous_bid)) {
+            Some(k) => table.entries()[table.grid().position(k)].0,
+            None => previous_bid,
         }
-        best
+    }
+
+    /// The grid levels this customer could bid above `previous_bid`: bit
+    /// `k` is set when level `k` of [`DEFAULT_LEVELS`] is above the bid
+    /// and within the ceiling.
+    pub(crate) fn open_levels(&self, previous_bid: Fraction) -> u32 {
+        // The order of `Fraction`s: `total_cmp` of their values.
+        let (bid, ceiling) = (previous_bid.value(), self.max_cutdown.value());
+        let mut open = 0;
+        for (k, level) in DEFAULT_LEVELS.iter().enumerate() {
+            let above = level.total_cmp(&bid).is_gt();
+            let within = level.total_cmp(&ceiling).is_le();
+            open |= u32::from(above & within) << k;
+        }
+        open
+    }
+
+    /// The highest of the `open` grid levels at which `table` pays at
+    /// least this customer's threshold — the same `base × scale`
+    /// product a materialised table would store. The six acceptance
+    /// tests, and the table's listing of each level, are combined as
+    /// masks, and the top bit wins.
+    pub(crate) fn best_level(&self, table: &RewardTable, open: u32) -> Option<usize> {
+        let grid = table.grid();
+        let mut accepted = 0;
+        for (k, &required) in REQUIRED.iter().enumerate() {
+            accepted |= u32::from(grid.reward(k) >= Money(required * self.scale)) << k;
+        }
+        let top = (accepted & open & grid.present()).checked_ilog2()?;
+        Some(top as usize)
     }
 
     /// Total "effort cost" the customer attaches to a cut-down — its own

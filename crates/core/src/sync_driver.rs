@@ -20,7 +20,7 @@
 use crate::distributed::DeliveryRing;
 use crate::engine::{CustomerEngine, Effect, Input, Peer, ReportAssembler, UtilityEngine};
 use crate::message::Msg;
-use crate::session::{NegotiationReport, ReportTier, Scenario};
+use crate::session::{NegotiationReport, ReportTier, Scenario, Settlement};
 
 /// Pumps a utility engine and its customers to completion and
 /// assembles the report at the given [`ReportTier`] — the single
@@ -43,15 +43,24 @@ fn pump(
         // the assembler; transport effects come back to be performed.
         // Timers never fire (all responses arrive).
         match assembler.observe(effect) {
+            Some(Effect::Broadcast {
+                msg: Msg::Announce { round, table },
+            }) => utility.exchange_round(round, &table, customers),
             Some(Effect::Broadcast { msg }) => {
                 for (i, customer) in customers.iter_mut().enumerate() {
-                    deliver(utility, customer, i, msg.clone());
+                    exchange(utility, customer, i, &msg);
                 }
             }
             Some(Effect::Send {
                 to: Peer::Customer(i),
+                msg: Msg::Award {
+                    cutdown, reward, ..
+                },
+            }) => customers[i].award(Settlement { cutdown, reward }),
+            Some(Effect::Send {
+                to: Peer::Customer(i),
                 msg,
-            }) => deliver(utility, &mut customers[i], i, msg),
+            }) => exchange(utility, &mut customers[i], i, &msg),
             _ => {}
         }
     }
@@ -64,16 +73,9 @@ fn pump(
 
 /// Hands `msg` to customer `i` and its reply, if any, straight back to
 /// the utility engine.
-fn deliver(utility: &mut UtilityEngine, customer: &mut CustomerEngine, i: usize, msg: Msg) {
-    let reply = customer.handle(Input::Received {
-        from: Peer::Utility,
-        msg,
-    });
-    if let Some(msg) = reply {
-        utility.handle(Input::Received {
-            from: Peer::Customer(i),
-            msg,
-        });
+fn exchange(utility: &mut UtilityEngine, customer: &mut CustomerEngine, i: usize, msg: &Msg) {
+    if let Some(reply) = customer.answer(msg) {
+        utility.receive(i, reply);
     }
 }
 

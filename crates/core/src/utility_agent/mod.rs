@@ -1,10 +1,10 @@
 //! The Utility Agent (UA): configuration and the reward-table negotiator
-//! state machine, plus the generic-agent-model task modules of Figures
-//! 2–3:
-//!
-//! * [`own_process_control`] — negotiation evaluation and the
-//!   experience-based tuning it feeds (Figure 2);
-//! * [`cooperation`] — bid assessment (Figure 3).
+//! state machine, plus [`own_process_control`] — negotiation evaluation
+//! and the experience-based tuning it feeds (Figure 2). Figure 3's bid
+//! assessment — a bid at a level the table never announced is rejected
+//! to zero cut-down — happens as each bid reaches the
+//! [`UtilityEngine`](crate::engine::UtilityEngine) and is mapped to its
+//! table level.
 //!
 //! The §5.1.2 agent-specific tasks — *determine predicted balance* and
 //! *evaluate prediction* — are
@@ -12,7 +12,6 @@
 //! [`powergrid::peak::PeakDetector::detect_all`], which campaigns call
 //! directly.
 
-pub mod cooperation;
 pub mod own_process_control;
 
 use crate::beta::BetaPolicy;
@@ -21,6 +20,7 @@ use crate::producer_agent::ProducerAgent;
 use crate::reward::{RewardFormula, RewardTable, DEFAULT_LEVELS};
 use powergrid::time::Interval;
 use powergrid::units::{Fraction, KilowattHours, Money, PricePerKwh};
+use std::sync::Arc;
 
 /// Shape of the initial reward table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,7 +201,9 @@ pub enum UaDecision {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RewardTableNegotiator {
     config: UtilityAgentConfig,
-    current: RewardTable,
+    /// Shared, so that each round's announcement and record take it
+    /// without copying it.
+    current: Arc<RewardTable>,
     round: u32,
     stall_rounds: u32,
     prev_overuse: Option<f64>,
@@ -211,7 +213,7 @@ impl RewardTableNegotiator {
     /// Starts a negotiation over `interval` with the initial table
     /// announced as round 1.
     pub fn new(config: UtilityAgentConfig, interval: Interval) -> RewardTableNegotiator {
-        let current = config.initial_table(interval);
+        let current = Arc::new(config.initial_table(interval));
         RewardTableNegotiator {
             config,
             current,
@@ -224,6 +226,12 @@ impl RewardTableNegotiator {
     /// The table announced for the current round.
     pub fn current_table(&self) -> &RewardTable {
         &self.current
+    }
+
+    /// The current round's table as a shared snapshot: a later round's
+    /// table replaces it and leaves the snapshot as it was.
+    pub(crate) fn shared_table(&self) -> Arc<RewardTable> {
+        Arc::clone(&self.current)
     }
 
     /// The current round number (1-based).
@@ -285,7 +293,7 @@ impl RewardTableNegotiator {
             }
         }
         debug_assert!(next.dominates(&self.current), "§3.1 monotonic concession");
-        self.current = next;
+        self.current = Arc::new(next);
         self.round += 1;
         UaDecision::NextTable
     }
