@@ -569,6 +569,9 @@ pub struct ScalingRow {
     pub distributed_us: u128,
     /// Virtual end-time of the distributed run (ticks).
     pub virtual_ticks: u64,
+    /// Whether the distributed report equals the synchronous one
+    /// (asserted: latency alone changes no outcome).
+    pub identical: bool,
 }
 
 /// Result of the scaling experiment.
@@ -579,7 +582,10 @@ pub struct ScalingResult {
 }
 
 /// E8: rounds, message volume and wall-clock versus population size, in
-/// both execution modes.
+/// both execution modes, asserting that the two reports are identical:
+/// the network only delays messages (1–10 ticks against a 100-tick
+/// deadline), so the synchronous direct exchange and the message path
+/// must settle alike at every size.
 ///
 /// Scenario construction (population synthesis — the embarrassingly
 /// parallel part) fans across cores with [`fan_out`]; the *measured*
@@ -610,6 +616,11 @@ pub fn scaling(sizes: &[usize], seed: u64) -> ScalingResult {
                 SimDuration::from_ticks(100),
             );
             let distributed_us = t1.elapsed().as_micros();
+            let identical = dist.report == sync;
+            assert!(
+                identical,
+                "{n} customers: the distributed report drifted from the synchronous one"
+            );
             ScalingRow {
                 customers: n,
                 rounds: sync.rounds().len(),
@@ -617,6 +628,7 @@ pub fn scaling(sizes: &[usize], seed: u64) -> ScalingResult {
                 sync_us,
                 distributed_us,
                 virtual_ticks: dist.end_time.ticks(),
+                identical,
             }
         })
         .collect();
@@ -628,14 +640,26 @@ impl fmt::Display for ScalingResult {
         writeln!(f, "E8 — scalability with population size")?;
         writeln!(
             f,
-            "  {:>9} {:>6} {:>10} {:>10} {:>13} {:>13}",
-            "customers", "rounds", "messages", "sync µs", "network µs", "virtual ticks"
+            "  {:>9} {:>6} {:>10} {:>10} {:>13} {:>13} {:>9}",
+            "customers",
+            "rounds",
+            "messages",
+            "sync µs",
+            "network µs",
+            "virtual ticks",
+            "identical"
         )?;
         for r in &self.rows {
             writeln!(
                 f,
-                "  {:>9} {:>6} {:>10} {:>10} {:>13} {:>13}",
-                r.customers, r.rounds, r.messages, r.sync_us, r.distributed_us, r.virtual_ticks
+                "  {:>9} {:>6} {:>10} {:>10} {:>13} {:>13} {:>9}",
+                r.customers,
+                r.rounds,
+                r.messages,
+                r.sync_us,
+                r.distributed_us,
+                r.virtual_ticks,
+                if r.identical { "yes" } else { "NO" }
             )?;
         }
         Ok(())
@@ -660,7 +684,9 @@ pub struct InvariantsResult {
 }
 
 /// E9: verifies the §3.1 monotonic-concession invariants over seeded
-/// random populations (the proptests cover the same ground generatively).
+/// random populations (the proptests cover the same ground generatively),
+/// and asserts that none is violated and every negotiation converges —
+/// release builds compile out the negotiator's own `debug_assert!`.
 pub fn invariants(populations: usize) -> InvariantsResult {
     let mut result = InvariantsResult {
         checked: populations,
@@ -688,6 +714,15 @@ pub fn invariants(populations: usize) -> InvariantsResult {
             result.non_convergent += 1;
         }
     }
+    assert_eq!(
+        (
+            result.announcement_violations,
+            result.bid_violations,
+            result.non_convergent
+        ),
+        (0, 0, 0),
+        "§3.1 violations (announcements, bids) or non-convergent negotiations"
+    );
     result
 }
 
@@ -2972,6 +3007,7 @@ mod tests {
         let per_n_large = large.messages as f64 / large.customers as f64;
         assert!(per_n_small > 0.0 && per_n_large > 0.0);
         assert!(large.messages > small.messages);
+        assert!(r.rows.iter().all(|row| row.identical));
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //! [`engine::Effect`]s. Three thin drivers execute it:
 //!
 //! 1. **Synchronous** ([`sync_driver::NegotiationScratch::run`], behind
-//!    [`session::Scenario::run`]) — an in-process message pump, used by
-//!    the experiment harness and the parallel [`sweep`] runner;
+//!    [`session::Scenario::run`]) — an in-process direct exchange with
+//!    no message per customer, used by the experiment harness and the
+//!    parallel [`sweep`] runner;
 //! 2. **Distributed** ([`distributed`], driven by
 //!    [`sync_driver::NegotiationScratch::run_distributed`]) — the same
 //!    engines exchanging [`message::Msg`] over a seeded, lossy

@@ -15,14 +15,18 @@
 //! [`CustomerPreferences`] stores just the two numbers
 //! ([`scale`](CustomerPreferences::scale) and
 //! [`max_cutdown`](CustomerPreferences::max_cutdown), which is also all
-//! a season archive writes) and reads the six levels from one static
-//! base table. A customer's preferences are
+//! a season archive writes) and reads the six levels — the prototype's
+//! grid, [`DEFAULT_LEVELS`] — with their base rewards from one static
+//! table. A customer's preferences are
 //! a 16-byte `Copy` value rather than a heap-allocated table, which is
 //! what lets a city-scale season materialise and negotiate with
 //! hundreds of thousands of customers without one heap object each.
 //! Each threshold is computed as the same `base × scale` product a
 //! materialised table would store, so every decision is bit-identical
-//! to one over that table.
+//! to one over that table. Since only the grid's levels carry
+//! thresholds, a customer decides by reading an announced table at the
+//! grid's positions, which the table found when it was built
+//! ([`CustomerPreferences::respond`]).
 
 use crate::reward::{RewardTable, DEFAULT_LEVELS};
 use powergrid::units::{Fraction, Money};

@@ -1,12 +1,19 @@
-//! The synchronous driver: an in-process message pump over the sans-io
+//! The synchronous driver: an in-process exchange over the sans-io
 //! engine.
 //!
 //! This is the fastest of the three execution modes — no simulated
 //! network, no kernel rounds, just function calls — and what
 //! [`Scenario::run`](crate::session::Scenario::run) and the experiment
 //! harness use. Every round trip is a direct exchange between the
-//! [`UtilityEngine`] and each [`CustomerEngine`]; timers are ignored
-//! because every response always arrives.
+//! [`UtilityEngine`] and each [`CustomerEngine`], with no message
+//! between them: a reward-table announcement reaches each customer by
+//! reference, and the customer's bid, the position of its level in the
+//! table, goes straight into the engine's column for the round, which
+//! concludes once every customer has answered — the same conclusion a
+//! round of [`Msg::Bid`]s reaches. An offer or a bid request reaches
+//! each customer by reference too and its reply goes straight to the
+//! engine; an award is recorded on the customer directly. Timers are
+//! ignored because every response always arrives.
 //!
 //! [`NegotiationScratch`] is the one driver of this pump and of the
 //! [distributed](crate::distributed) transport: it holds the engines

@@ -6,7 +6,6 @@
 
 use crate::time::{Interval, TimeAxis};
 use crate::units::KilowattHours;
-use std::fmt;
 use std::ops::{Add, Index, Mul, Sub};
 
 /// A time series with one value per slot of its [`TimeAxis`].
@@ -27,27 +26,6 @@ pub struct Series {
     axis: TimeAxis,
     values: Vec<f64>,
 }
-
-/// Error returned when combining series defined on different axes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AxisMismatchError {
-    /// Slot length of the left-hand series.
-    pub left_slot_minutes: u32,
-    /// Slot length of the right-hand series.
-    pub right_slot_minutes: u32,
-}
-
-impl fmt::Display for AxisMismatchError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "time axes differ: {}-minute vs {}-minute slots",
-            self.left_slot_minutes, self.right_slot_minutes
-        )
-    }
-}
-
-impl std::error::Error for AxisMismatchError {}
 
 impl Series {
     /// Creates a series from raw per-slot values.
@@ -180,21 +158,18 @@ impl Series {
 
     /// Pointwise combination of two series on the same axis.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`AxisMismatchError`] if the axes differ.
-    fn zip_with(
-        &self,
-        other: &Series,
-        mut f: impl FnMut(f64, f64) -> f64,
-    ) -> Result<Series, AxisMismatchError> {
-        if self.axis != other.axis {
-            return Err(AxisMismatchError {
-                left_slot_minutes: self.axis.slot_minutes(),
-                right_slot_minutes: other.axis.slot_minutes(),
-            });
-        }
-        Ok(Series {
+    /// Panics if the axes differ.
+    fn zip_with(&self, other: &Series, mut f: impl FnMut(f64, f64) -> f64) -> Series {
+        assert_eq!(
+            self.axis,
+            other.axis,
+            "time axes differ: {}-minute vs {}-minute slots",
+            self.axis.slot_minutes(),
+            other.axis.slot_minutes()
+        );
+        Series {
             axis: self.axis,
             values: self
                 .values
@@ -202,7 +177,7 @@ impl Series {
                 .zip(&other.values)
                 .map(|(&a, &b)| f(a, b))
                 .collect(),
-        })
+        }
     }
 
     /// Adds `other` into this series in place.
@@ -292,7 +267,6 @@ impl Add<&Series> for &Series {
     /// Panics if the axes differ.
     fn add(self, rhs: &Series) -> Series {
         self.zip_with(rhs, |a, b| a + b)
-            .expect("series axes must match for +")
     }
 }
 
@@ -303,7 +277,6 @@ impl Sub<&Series> for &Series {
     /// Panics if the axes differ.
     fn sub(self, rhs: &Series) -> Series {
         self.zip_with(rhs, |a, b| a - b)
-            .expect("series axes must match for -")
     }
 }
 
@@ -368,7 +341,7 @@ mod tests {
         let a = Series::constant(axis(), 2.0);
         let b = Series::constant(axis(), 3.0);
         assert_eq!(a.scale(2.0).sum(), 96.0);
-        let c = a.zip_with(&b, |x, y| x * y).unwrap();
+        let c = a.zip_with(&b, |x, y| x * y);
         assert_eq!(c[0], 6.0);
         let d = &a + &b;
         assert_eq!(d.sum(), 120.0);
@@ -379,11 +352,11 @@ mod tests {
     }
 
     #[test]
-    fn axis_mismatch_error() {
+    #[should_panic(expected = "time axes differ: 60-minute vs 15-minute slots")]
+    fn axis_mismatch_panics() {
         let a = Series::zeros(TimeAxis::hourly());
         let b = Series::zeros(TimeAxis::quarter_hourly());
-        let err = a.zip_with(&b, |x, _| x).unwrap_err();
-        assert!(err.to_string().contains("60-minute"));
+        let _ = &a + &b;
     }
 
     #[test]
