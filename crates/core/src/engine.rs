@@ -456,6 +456,7 @@ impl UtilityEngine {
     }
 
     /// The next pending effect, if any.
+    #[inline]
     pub fn poll_effect(&mut self) -> Option<Effect> {
         if let Some(effect) = self.effects.pop_front() {
             return Some(effect);
@@ -1118,6 +1119,7 @@ impl ReportAssembler {
     /// into the digest, then moved into the report under construction
     /// or dropped, as the tier dictates. Transport effects come back
     /// out for the driver to perform.
+    #[inline]
     pub fn observe(&mut self, effect: Effect) -> Option<Effect> {
         match effect {
             Effect::RoundComplete(record) => {

@@ -212,7 +212,9 @@ impl CustomerPreferences {
         let grid = table.grid();
         let mut accepted = 0;
         for (k, &required) in REQUIRED.iter().enumerate() {
-            accepted |= u32::from(grid.reward(k) >= Money(required * self.scale)) << k;
+            // `Money`'s order is its value's; comparing the values keeps
+            // the test free of branches.
+            accepted |= u32::from(grid.reward(k).value() >= required * self.scale) << k;
         }
         let top = (accepted & open & grid.present()).checked_ilog2()?;
         Some(top as usize)
