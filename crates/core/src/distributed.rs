@@ -7,9 +7,10 @@
 //! loop over a [`NetworkModel`] — latency, loss, duplication,
 //! reordering, outages and response deadlines included. The loop
 //! contains **no protocol logic**: it carries engine [`Effect`]s over
-//! the network and hands what arrives back to the engines as
-//! [`Input`]s, so on a perfect network the outcome is identical to
-//! [`Scenario::run`] by construction.
+//! the network and hands what arrives to the engines, so on a perfect
+//! network the outcome is identical to [`Scenario::run`] by
+//! construction. A broadcast is kept once per run and every customer's
+//! copy reads it by reference.
 //!
 //! Every message and every deadline is an event at a virtual tick, and
 //! events run in `(tick, scheduling sequence)` order: the order is
@@ -64,7 +65,8 @@ enum Event {
     /// Customer `i`'s copy of the run's `b`-th broadcast reaches it: the
     /// message itself is kept once, in [`DeliveryRing::broadcasts`].
     Broadcast(usize, usize),
-    /// A message from the Utility Agent reaches customer `i`.
+    /// A message the Utility Agent addressed to customer `i` alone (an
+    /// award) reaches it.
     ToCustomer(usize, Msg),
     /// Customer `i`'s reply reaches the Utility Agent.
     ToUtility(usize, Msg),

@@ -58,16 +58,13 @@ fn pump(
                     exchange(utility, customer, i, &msg);
                 }
             }
+            // The engine addresses one customer only to award it.
             Some(Effect::Send {
                 to: Peer::Customer(i),
                 msg: Msg::Award {
                     cutdown, reward, ..
                 },
             }) => customers[i].award(Settlement { cutdown, reward }),
-            Some(Effect::Send {
-                to: Peer::Customer(i),
-                msg,
-            }) => exchange(utility, &mut customers[i], i, &msg),
             _ => {}
         }
     }
