@@ -5,7 +5,7 @@
 //! through [`powergrid::slab::interval_flexibility_slab`] into each
 //! customer's cut-down ceiling.
 
-use crate::preferences::CustomerPreferences;
+use crate::preferences::{CustomerPreferences, GridOffer};
 use crate::reward::RewardTable;
 use powergrid::tariff::Tariff;
 use powergrid::units::{Fraction, KilowattHours, Money};
@@ -49,18 +49,19 @@ impl CustomerAgentState {
         self.previous_bid
     }
 
-    /// How many bids [`respond`](CustomerAgentState::respond) has made.
+    /// How many reward tables the customer has answered.
     pub fn bids_made(&self) -> u32 {
         self.bids_made
     }
 
-    /// Responds to an announced reward table (§3.1, §6.2): the position
-    /// in `table` of the cut-down now bid, the highest acceptable one,
-    /// or `None` when none exceeds the previous bid, which then stands.
-    pub fn respond(&mut self, table: &RewardTable) -> Option<usize> {
+    /// Responds to an announced reward table (§3.1, §6.2), read at the
+    /// grid as `offer`: the position in `table` of the cut-down now bid,
+    /// the highest acceptable one, or `None` when none exceeds the
+    /// previous bid, which then stands.
+    pub(crate) fn respond(&mut self, table: &RewardTable, offer: &GridOffer) -> Option<usize> {
         self.bids_made += 1;
-        let k = self.preferences.best_level(table, u32::from(self.open))?;
-        let position = table.grid().position(k);
+        let k = self.preferences.best_level(offer, u32::from(self.open))?;
+        let position = offer.position(k);
         self.previous_bid = table.entries()[position].0;
         // Only the levels above the new bid stay open.
         self.open &= !((2u32 << k) - 1) as u8;
@@ -182,15 +183,17 @@ mod tests {
         let t1 = table(17.0);
         let t2 = t1.updated(&formula, 0.323, 2.0);
         let t3 = t2.updated(&formula, 0.242, 2.0);
-        assert_eq!(ca.respond(&t1), Some(2), "the 0.2 entry");
+        let respond =
+            |ca: &mut CustomerAgentState, t: &RewardTable| ca.respond(t, &GridOffer::of(t));
+        assert_eq!(respond(&mut ca, &t1), Some(2), "the 0.2 entry");
         assert_eq!(ca.previous_bid(), fr(0.2));
         assert_eq!(
-            ca.respond(&t2),
+            respond(&mut ca, &t2),
             Some(4),
             "round 2: reward(0.4) ≈ 21.76 ≥ 21"
         );
         assert_eq!(ca.previous_bid(), fr(0.4));
-        assert_eq!(ca.respond(&t3), None, "0.4 stands");
+        assert_eq!(respond(&mut ca, &t3), None, "0.4 stands");
         assert_eq!(ca.previous_bid(), fr(0.4));
         assert_eq!(ca.bids_made(), 3);
     }

@@ -10,7 +10,8 @@
 //! the network and hands what arrives to the engines, so on a perfect
 //! network the outcome is identical to [`Scenario::run`] by
 //! construction. A broadcast is kept once per run and every customer's
-//! copy reads it by reference.
+//! copy reads it by reference; an announced table is read at the
+//! customers' Figure-8 grid once, for all of them.
 //!
 //! Every message and every deadline is an event at a virtual tick, and
 //! events run in `(tick, scheduling sequence)` order: the order is
@@ -34,6 +35,7 @@
 use crate::engine::{CustomerEngine, Effect, Input, Peer, ReportAssembler, UtilityEngine};
 use crate::execution::NetworkTraffic;
 use crate::message::Msg;
+use crate::preferences::GridOffer;
 use crate::session::{NegotiationReport, ReportTier, Scenario};
 use crate::sync_driver::NegotiationScratch;
 use massim::clock::{SimDuration, SimTime};
@@ -88,8 +90,9 @@ pub(crate) struct DeliveryRing {
     pending: usize,
     /// `(tick, sequence, token)` of each armed deadline.
     deadlines: VecDeque<(SimTime, u64, u64)>,
-    /// The run's broadcasts, which every customer reads by reference.
-    broadcasts: Vec<Msg>,
+    /// The run's broadcasts, which every customer reads by reference,
+    /// each announced table read at the grid once for all of them.
+    broadcasts: Vec<(Msg, Option<GridOffer>)>,
 }
 
 impl DeliveryRing {
@@ -200,7 +203,11 @@ impl Wire<'_> {
                 }) => self.send(Event::ToCustomer(i, msg)),
                 Some(Effect::Broadcast { msg }) => {
                     let b = self.ring.broadcasts.len();
-                    self.ring.broadcasts.push(msg);
+                    let offer = match &msg {
+                        Msg::Announce { table, .. } => Some(GridOffer::of(table)),
+                        _ => None,
+                    };
+                    self.ring.broadcasts.push((msg, offer));
                     for i in 0..customers {
                         self.send(Event::Broadcast(i, b));
                     }
@@ -304,7 +311,13 @@ impl NegotiationScratch {
             match event {
                 Event::Broadcast(i, b) => {
                     wire.traffic.messages_delivered += 1;
-                    if let Some(reply) = customers[i].answer(&wire.ring.broadcasts[b]) {
+                    let reply = match &wire.ring.broadcasts[b] {
+                        (Msg::Announce { round, table }, Some(offer)) => {
+                            Some(customers[i].bid_message(*round, table, offer))
+                        }
+                        (msg, _) => customers[i].answer(msg),
+                    };
+                    if let Some(reply) = reply {
                         wire.send(Event::ToUtility(i, reply));
                     }
                 }

@@ -27,9 +27,10 @@
 //! * [`CustomerEngine`] — the Customer Agent half; reuses
 //!   [`CustomerAgentState`] and the §3.2.1/§3.2.2 decision functions of
 //!   [`crate::customer_agent`], and answers a reward table with the
-//!   position of the level it bids, read off the levels of the
-//!   Figure-8 grid it can still bid
-//!   ([`CustomerAgentState::respond`]). A customer answers each
+//!   position of the level it bids, reading the table once at the
+//!   Figure-8 grid and deciding over the grid levels it can still bid
+//!   ([`CustomerPreferences::respond`] makes the same decision). A
+//!   customer answers each
 //!   input with at most one message, so [`CustomerEngine::handle`]
 //!   simply *returns* its reply to the Utility Agent: the engine is a
 //!   fixed-size value that owns no heap buffer, so the customer side of
@@ -61,7 +62,7 @@ use crate::concession::{NegotiationStatus, TerminationReason};
 use crate::customer_agent::{decide_offer, rfb_step, y_min_for, CustomerAgentState};
 use crate::message::Msg;
 use crate::methods::AnnouncementMethod;
-use crate::preferences::CustomerPreferences;
+use crate::preferences::{CustomerPreferences, GridOffer};
 use crate::reward::{overuse_fraction, predicted_use_with_cutdown, RewardTable};
 use crate::session::{RoundRecord, Scenario, Settlement};
 use crate::utility_agent::{RewardTableNegotiator, UaDecision, UtilityAgentConfig};
@@ -561,13 +562,15 @@ impl UtilityEngine {
         {
             return;
         }
+        // The table is read at the grid once, for every customer.
+        let offer = GridOffer::of(table);
         let columns = &mut self.levels;
         for ((customer, response), &floor) in customers
             .iter_mut()
             .zip(&mut columns.responses)
             .zip(&columns.accepted)
         {
-            *response = match customer.bid_on(round, table) {
+            *response = match customer.bid_on(round, table, &offer) {
                 Some(position) => (position as u32 + 1).max(floor),
                 None => floor,
             };
@@ -980,18 +983,40 @@ impl CustomerEngine {
         self.answer(&msg)
     }
 
-    /// This customer's answer to round `round`'s reward table: the
-    /// position in `table` of the cut-down it now bids, or `None` when
+    /// This customer's answer to round `round`'s reward table, read at
+    /// the grid as `offer`: the position in `table` of the cut-down it
+    /// now bids, or `None` when
     /// its previous bid stands. A duplicated *or reordered-stale*
     /// announcement (`round ≤` the newest answered) concedes nothing and
     /// never regresses the high-water mark, or a later duplicate of the
     /// newest round would re-concede.
-    pub(crate) fn bid_on(&mut self, round: u32, table: &RewardTable) -> Option<usize> {
+    pub(crate) fn bid_on(
+        &mut self,
+        round: u32,
+        table: &RewardTable,
+        offer: &GridOffer,
+    ) -> Option<usize> {
         if round <= self.answered_announce_round {
             return None;
         }
         self.answered_announce_round = round;
-        self.state.respond(table)
+        self.state.respond(table, offer)
+    }
+
+    /// The [`Msg::Bid`] answering round `round`'s reward table, read at
+    /// the grid as `offer`: the cut-down [`bid_on`](CustomerEngine::bid_on)
+    /// picks, or the previous bid where it stands.
+    pub(crate) fn bid_message(
+        &mut self,
+        round: u32,
+        table: &RewardTable,
+        offer: &GridOffer,
+    ) -> Msg {
+        let cutdown = match self.bid_on(round, table, offer) {
+            Some(position) => table.entries()[position].0,
+            None => self.state.previous_bid(),
+        };
+        Msg::Bid { round, cutdown }
     }
 
     /// Records the settlement an award confirms.
@@ -1004,11 +1029,7 @@ impl CustomerEngine {
     pub(crate) fn answer(&mut self, msg: &Msg) -> Option<Msg> {
         match *msg {
             Msg::Announce { round, ref table } => {
-                let cutdown = match self.bid_on(round, table) {
-                    Some(position) => table.entries()[position].0,
-                    None => self.state.previous_bid(),
-                };
-                Some(Msg::Bid { round, cutdown })
+                Some(self.bid_message(round, table, &GridOffer::of(table)))
             }
             Msg::Offer { x_max } => Some(Msg::OfferReply {
                 accept: decide_offer(

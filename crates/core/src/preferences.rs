@@ -25,8 +25,8 @@
 //! materialised table would store, so every decision is bit-identical
 //! to one over that table. Since only the grid's levels carry
 //! thresholds, a customer decides by reading an announced table at the
-//! grid's positions, which the table found when it was built
-//! ([`CustomerPreferences::respond`]).
+//! grid's levels, found once per table and read by every customer that
+//! decides on it ([`CustomerPreferences::respond`]).
 
 use crate::reward::{RewardTable, DEFAULT_LEVELS};
 use powergrid::units::{Fraction, Money};
@@ -38,6 +38,51 @@ use std::fmt;
 /// the prototype's grid, [`DEFAULT_LEVELS`]
 /// (`0, 0.1, …, 0.5`), ascending.
 const REQUIRED: [f64; DEFAULT_LEVELS.len()] = [0.0, 2.0, 4.0, 10.0, 21.0, 30.0];
+
+/// An announced reward table read at the grid: for each level of
+/// [`DEFAULT_LEVELS`], the entry at exactly that cut-down (matched by
+/// bit pattern, so a `-0.0` entry is not the grid's `0.0`) and the
+/// reward it pays, or `f64::NEG_INFINITY`, which no threshold accepts,
+/// where the table does not list the level. Found once per table, in
+/// one pass over its ascending entries, and read by every customer that
+/// decides on it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct GridOffer {
+    rewards: [f64; DEFAULT_LEVELS.len()],
+    positions: [usize; DEFAULT_LEVELS.len()],
+}
+
+impl GridOffer {
+    /// Reads `table` at the grid.
+    pub(crate) fn of(table: &RewardTable) -> GridOffer {
+        let mut offer = GridOffer {
+            rewards: [f64::NEG_INFINITY; DEFAULT_LEVELS.len()],
+            positions: [0; DEFAULT_LEVELS.len()],
+        };
+        // Both the entries and the grid ascend in the order of `Fraction`s
+        // (`total_cmp` of their values), so one merge finds every level.
+        let mut k = 0;
+        for (position, &(cutdown, reward)) in table.entries().iter().enumerate() {
+            let c = cutdown.value();
+            while k < DEFAULT_LEVELS.len() && DEFAULT_LEVELS[k].total_cmp(&c).is_lt() {
+                k += 1;
+            }
+            if k == DEFAULT_LEVELS.len() {
+                break;
+            }
+            if DEFAULT_LEVELS[k].to_bits() == c.to_bits() {
+                offer.rewards[k] = reward.value();
+                offer.positions[k] = position;
+            }
+        }
+        offer
+    }
+
+    /// The table position of grid level `k`, which the table lists.
+    pub(crate) fn position(&self, k: usize) -> usize {
+        self.positions[k]
+    }
+}
 
 /// A customer's private required-reward thresholds per cut-down level:
 /// the Figure-8 table scaled by a reluctance factor, under a physical
@@ -174,16 +219,18 @@ impl CustomerPreferences {
     ///
     /// Decides as `cutdown > best && accepts(cutdown, offered)` over
     /// every entry would. Only a level of the Figure-8 grid can be
-    /// acceptable, and the table knows where each sits and what it pays
-    /// there, so the decision reads the grid levels above `previous_bid`
-    /// and within the ceiling by position — the same decision a
-    /// negotiating [`CustomerAgentState`](crate::customer_agent::CustomerAgentState)
-    /// makes — and the bid stands when none is accepted. A `-0.0` entry, which
-    /// [`accepts`](CustomerPreferences::accepts) treats as the grid's
-    /// `0.0`, is never above any bid, so leaving it out changes nothing.
+    /// acceptable, so the decision reads the table once at the grid and
+    /// then takes the grid levels above `previous_bid` and within the
+    /// ceiling by position — the same decision a negotiating
+    /// [`CustomerAgentState`](crate::customer_agent::CustomerAgentState)
+    /// makes — and the bid stands when none is accepted. A `-0.0` entry,
+    /// which [`accepts`](CustomerPreferences::accepts) treats as the
+    /// grid's `0.0`, is never above any bid, so leaving it out changes
+    /// nothing.
     pub fn respond(&self, table: &RewardTable, previous_bid: Fraction) -> Fraction {
-        match self.best_level(table, self.open_levels(previous_bid)) {
-            Some(k) => table.entries()[table.grid().position(k)].0,
+        let offer = GridOffer::of(table);
+        match self.best_level(&offer, self.open_levels(previous_bid)) {
+            Some(k) => table.entries()[offer.position(k)].0,
             None => previous_bid,
         }
     }
@@ -203,20 +250,18 @@ impl CustomerPreferences {
         open
     }
 
-    /// The highest of the `open` grid levels at which `table` pays at
+    /// The highest of the `open` grid levels at which `offer` pays at
     /// least this customer's threshold — the same `base × scale`
     /// product a materialised table would store. The six acceptance
-    /// tests, and the table's listing of each level, are combined as
-    /// masks, and the top bit wins.
-    pub(crate) fn best_level(&self, table: &RewardTable, open: u32) -> Option<usize> {
-        let grid = table.grid();
+    /// tests are combined as a mask, and the top bit wins.
+    pub(crate) fn best_level(&self, offer: &GridOffer, open: u32) -> Option<usize> {
         let mut accepted = 0;
-        for (k, &required) in REQUIRED.iter().enumerate() {
+        for (k, (&offered, &required)) in offer.rewards.iter().zip(&REQUIRED).enumerate() {
             // `Money`'s order is its value's; comparing the values keeps
             // the test free of branches.
-            accepted |= u32::from(grid.reward(k).value() >= required * self.scale) << k;
+            accepted |= u32::from(offered >= required * self.scale) << k;
         }
-        let top = (accepted & open & grid.present()).checked_ilog2()?;
+        let top = (accepted & open).checked_ilog2()?;
         Some(top as usize)
     }
 

@@ -108,12 +108,7 @@ pub fn overuse_fraction(total_predicted: KilowattHours, normal_use: KilowattHour
 /// A reward table: cut-down levels with their rewards, over an interval.
 ///
 /// Entries are kept sorted by cut-down; rewards are non-decreasing in the
-/// cut-down (a bigger saving never pays less). A table also knows where
-/// the prototype's cut-down grid ([`DEFAULT_LEVELS`]) sits among its
-/// entries and what it pays there: the positions are found once when
-/// it is built and kept by every [`updated`](RewardTable::updated)
-/// table, so a Customer Agent reads the rewards at its own levels by
-/// position.
+/// cut-down (a bigger saving never pays less).
 ///
 /// # Example
 ///
@@ -130,65 +125,6 @@ pub fn overuse_fraction(total_predicted: KilowattHours, normal_use: KilowattHour
 pub struct RewardTable {
     interval: Interval,
     entries: Vec<(Fraction, Money)>,
-    grid: GridPositions,
-}
-
-/// Where each level of [`DEFAULT_LEVELS`] sits in a table's entries and
-/// what the table pays there: level `k` is the entry at `positions[k]`
-/// when bit `k` of `present` is set (a level matches by bit pattern, so
-/// a `-0.0` entry is not the grid's `0.0`). An absent level reads
-/// position 0 and reward 0.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct GridPositions {
-    positions: [u32; DEFAULT_LEVELS.len()],
-    rewards: [Money; DEFAULT_LEVELS.len()],
-    present: u8,
-}
-
-impl GridPositions {
-    fn of(entries: &[(Fraction, Money)]) -> GridPositions {
-        let mut grid = GridPositions {
-            positions: [0; DEFAULT_LEVELS.len()],
-            rewards: [Money::ZERO; DEFAULT_LEVELS.len()],
-            present: 0,
-        };
-        for (position, &(cutdown, reward)) in entries.iter().enumerate() {
-            let bits = cutdown.value().to_bits();
-            if let Some(k) = DEFAULT_LEVELS.iter().position(|l| l.to_bits() == bits) {
-                // A table of 2^32 entries would not fit in memory.
-                grid.positions[k] = position as u32;
-                grid.rewards[k] = reward;
-                grid.present |= 1 << k;
-            }
-        }
-        grid
-    }
-
-    /// The same levels, read at `entries`' rewards.
-    fn repriced(mut self, entries: &[(Fraction, Money)]) -> GridPositions {
-        for k in 0..DEFAULT_LEVELS.len() {
-            if self.present >> k & 1 == 1 {
-                self.rewards[k] = entries[self.positions[k] as usize].1;
-            }
-        }
-        self
-    }
-
-    /// The grid levels the table lists, as a mask (bit `k` for level
-    /// `k`).
-    pub(crate) fn present(&self) -> u32 {
-        u32::from(self.present)
-    }
-
-    /// The reward the table pays at grid level `k`.
-    pub(crate) fn reward(&self, k: usize) -> Money {
-        self.rewards[k]
-    }
-
-    /// The entry of grid level `k`, which the table lists.
-    pub(crate) fn position(&self, k: usize) -> usize {
-        self.positions[k] as usize
-    }
 }
 
 impl RewardTable {
@@ -219,12 +155,7 @@ impl RewardTable {
                 window[0].1
             );
         }
-        let grid = GridPositions::of(&entries);
-        RewardTable {
-            interval,
-            entries,
-            grid,
-        }
+        RewardTable { interval, entries }
     }
 
     /// A table whose reward grows *quadratically* in the cut-down, pinned
@@ -293,11 +224,6 @@ impl RewardTable {
         self.entries.iter().map(|&(c, _)| c)
     }
 
-    /// Where the [`DEFAULT_LEVELS`] grid sits among the entries.
-    pub(crate) fn grid(&self) -> &GridPositions {
-        &self.grid
-    }
-
     /// The reward for an exact cut-down level (zero if the level is not
     /// in the table — customers choose *from* the table, §3.2.3).
     pub fn reward_for(&self, cutdown: Fraction) -> Money {
@@ -311,14 +237,13 @@ impl RewardTable {
     /// Applies the §6 update rule to every entry, producing the next
     /// round's table.
     pub fn updated(&self, formula: &RewardFormula, overuse: f64, beta: f64) -> RewardTable {
-        let entries: Vec<(Fraction, Money)> = self
+        let entries = self
             .entries
             .iter()
             .map(|&(c, r)| (c, formula.next_reward(r, overuse, beta)))
             .collect();
         RewardTable {
             interval: self.interval,
-            grid: self.grid.repriced(&entries),
             entries,
         }
     }
