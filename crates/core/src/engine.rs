@@ -1408,6 +1408,33 @@ mod tests {
     }
 
     #[test]
+    fn off_table_bids_are_rejected_to_zero() {
+        // Bid assessment: a cut-down the announced table never listed
+        // counts as no cut-down at all.
+        let scenario = ScenarioBuilder::random(3, 0.35, 1).build();
+        let mut ua = UtilityEngine::new(&scenario);
+        ua.handle(Input::Start);
+        while ua.poll_effect().is_some() {}
+        for (i, cutdown) in [(0, 0.4), (1, 0.15), (2, 0.0)] {
+            ua.handle(Input::Received {
+                from: Peer::Customer(i),
+                msg: Msg::Bid {
+                    round: 1,
+                    cutdown: Fraction::clamped(cutdown),
+                },
+            });
+        }
+        let record = std::iter::from_fn(|| ua.poll_effect())
+            .find_map(|e| match e {
+                Effect::RoundComplete(r) => Some(r),
+                _ => None,
+            })
+            .expect("every customer answered round 1");
+        let expected = [0.4, 0.0, 0.0].map(Fraction::clamped);
+        assert_eq!(record.bids, expected);
+    }
+
+    #[test]
     fn stale_bids_are_ignored() {
         let scenario = ScenarioBuilder::paper_figure_6().build();
         let mut ua = UtilityEngine::new(&scenario);
