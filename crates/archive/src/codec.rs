@@ -10,6 +10,9 @@
 //! monotone reward tables, ordered tariffs, non-inverted intervals) is
 //! validated first so the constructor's own assertion can never fire on
 //! attacker- or bitrot-shaped bytes.
+//! The levels format v2 stores with each Utility Agent configuration
+//! and reward table are the cut-down grid's, [`LEVELS`]: any other count
+//! or bit pattern (`-0.0` is not `0.0`) is corrupt.
 
 use crate::error::{corrupt, truncated, ArchiveError};
 use loadbal_core::beta::BetaPolicy;
@@ -17,7 +20,7 @@ use loadbal_core::campaign::{CampaignEconomics, DayOutcome, IntervalOutcome};
 use loadbal_core::concession::{NegotiationStatus, TerminationReason};
 use loadbal_core::methods::AnnouncementMethod;
 use loadbal_core::preferences::CustomerPreferences;
-use loadbal_core::reward::{RewardFormula, RewardTable};
+use loadbal_core::reward::{RewardFormula, RewardTable, LEVELS};
 use loadbal_core::session::{
     CustomerProfile, NegotiationReport, ReportTier, RoundDigest, RoundRecord, Scenario, Settlement,
 };
@@ -335,51 +338,57 @@ fn status(d: &mut Dec) -> Result<NegotiationStatus, ArchiveError> {
 }
 
 // ---------------------------------------------------------------------
-// Reward tables: monotone (cutdown, reward) entries
+// The cut-down grid and reward tables
 // ---------------------------------------------------------------------
 
-fn put_entries(buf: &mut Vec<u8>, entries: &[(Fraction, Money)]) {
-    put_u32(buf, entries.len() as u32);
-    for (c, m) in entries {
+/// Checks a stored level count: the grid's six.
+fn grid_count(d: &mut Dec) -> Result<(), ArchiveError> {
+    if d.u32()? as usize == LEVELS.len() {
+        Ok(())
+    } else {
+        Err(corrupt("level count is not the cut-down grid's"))
+    }
+}
+
+/// Checks a stored level against grid level `level`, bit for bit.
+fn grid_level(d: &mut Dec, level: f64) -> Result<(), ArchiveError> {
+    if d.f64()?.to_bits() == level.to_bits() {
+        Ok(())
+    } else {
+        Err(corrupt("level off the cut-down grid"))
+    }
+}
+
+/// A table goes on the wire as its interval and its six `(cutdown,
+/// reward)` entries behind their count.
+fn put_reward_table(buf: &mut Vec<u8>, t: &RewardTable) {
+    put_interval(buf, t.interval());
+    put_u32(buf, LEVELS.len() as u32);
+    for (c, m) in t.entries() {
         put_fraction(buf, *c);
         put_f64(buf, m.value());
     }
 }
 
-/// Decodes and validates the invariants `RewardTable::new` asserts:
-/// non-empty, strictly increasing cut-downs, non-decreasing rewards.
-fn entries(d: &mut Dec) -> Result<Vec<(Fraction, Money)>, ArchiveError> {
-    let n = d.count(16)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push((fraction(d)?, Money(d.f64()?)));
+/// Decodes a table, checking its levels against the grid and its
+/// rewards for the order `RewardTable::new` asserts: non-decreasing.
+fn reward_table(d: &mut Dec) -> Result<RewardTable, ArchiveError> {
+    let interval = interval(d)?;
+    grid_count(d)?;
+    let mut rewards = [Money::ZERO; LEVELS.len()];
+    for (reward, level) in rewards.iter_mut().zip(LEVELS) {
+        grid_level(d, level)?;
+        *reward = Money(d.f64()?);
     }
-    if out.is_empty() {
-        return Err(corrupt("empty cutdown/reward table"));
-    }
-    for (a, b) in out.iter().zip(out.iter().skip(1)) {
-        if a.0 >= b.0 {
-            return Err(corrupt("cutdown/reward table not strictly increasing"));
-        }
-        // NaN rewards must fail too (the core constructors assert
+    for (prev, next) in rewards.iter().zip(rewards.iter().skip(1)) {
+        // NaN rewards must fail too (the core constructor asserts
         // `prev <= next`, which NaN violates).
-        let (prev, next) = (a.1.value(), b.1.value());
+        let (prev, next) = (prev.value(), next.value());
         if prev.is_nan() || next.is_nan() || prev > next {
             return Err(corrupt("cutdown/reward table rewards decrease"));
         }
     }
-    Ok(out)
-}
-
-fn put_reward_table(buf: &mut Vec<u8>, t: &RewardTable) {
-    put_interval(buf, t.interval());
-    put_entries(buf, t.entries());
-}
-
-fn reward_table(d: &mut Dec) -> Result<RewardTable, ArchiveError> {
-    let interval = interval(d)?;
-    let entries = entries(d)?;
-    Ok(RewardTable::new(interval, entries))
+    Ok(RewardTable::new(interval, rewards))
 }
 
 // ---------------------------------------------------------------------
@@ -568,9 +577,9 @@ fn put_ua_config(buf: &mut Vec<u8>, c: &UtilityAgentConfig) {
     put_f64(buf, c.formula.epsilon.value());
     put_beta_policy(buf, &c.beta_policy);
     put_f64(buf, c.max_allowed_overuse);
-    put_u32(buf, c.levels.len() as u32);
-    for &l in &c.levels {
-        put_f64(buf, l);
+    put_u32(buf, LEVELS.len() as u32);
+    for level in LEVELS {
+        put_f64(buf, level);
     }
     put_f64(buf, c.initial_reward_at.value());
     put_fraction(buf, c.pin);
@@ -600,10 +609,9 @@ fn ua_config(d: &mut Dec) -> Result<UtilityAgentConfig, ArchiveError> {
     };
     let beta_policy = beta_policy(d)?;
     let max_allowed_overuse = d.f64()?;
-    let n = d.count(8)?;
-    let mut levels = Vec::with_capacity(n);
-    for _ in 0..n {
-        levels.push(d.f64()?);
+    grid_count(d)?;
+    for level in LEVELS {
+        grid_level(d, level)?;
     }
     let initial_reward_at = Money(d.f64()?);
     let pin = fraction(d)?;
@@ -625,7 +633,6 @@ fn ua_config(d: &mut Dec) -> Result<UtilityAgentConfig, ArchiveError> {
         formula,
         beta_policy,
         max_allowed_overuse,
-        levels,
         initial_reward_at,
         pin,
         table_shape,
@@ -905,11 +912,15 @@ mod tests {
         bytes
     }
 
-    fn decode_preferences(bytes: &[u8]) -> Result<CustomerPreferences, ArchiveError> {
-        let mut d = Dec::new(bytes, "preferences");
-        let p = preferences(&mut d)?;
+    /// Decodes `bytes` as one whole block with `decode`.
+    fn decode_all<T>(
+        bytes: &[u8],
+        decode: fn(&mut Dec) -> Result<T, ArchiveError>,
+    ) -> Result<T, ArchiveError> {
+        let mut d = Dec::new(bytes, "block");
+        let value = decode(&mut d)?;
         d.finish()?;
-        Ok(p)
+        Ok(value)
     }
 
     fn decode_bids(bytes: &[u8]) -> Result<Vec<Fraction>, ArchiveError> {
@@ -924,7 +935,11 @@ mod tests {
         for (k, ceiling) in [(1.0, 0.5), (0.6, 0.3), (2.8, 0.0), (0.0, 1.0), (1.7, 0.4)] {
             let bytes = preference_bytes(k, ceiling);
             let expected = CustomerPreferences::from_base_scaled(k, Fraction::clamped(ceiling));
-            assert_eq!(decode_preferences(&bytes).ok(), Some(expected), "k = {k}");
+            assert_eq!(
+                decode_all(&bytes, preferences).ok(),
+                Some(expected),
+                "k = {k}"
+            );
             // And the encoder writes exactly those bytes.
             let mut written = Vec::new();
             put_preferences(&mut written, &expected);
@@ -936,7 +951,7 @@ mod tests {
     fn out_of_range_scales_and_ceilings_are_typed_errors() {
         let is_corrupt = |scale: f64, ceiling: f64| {
             matches!(
-                decode_preferences(&preference_bytes(scale, ceiling)),
+                decode_all(&preference_bytes(scale, ceiling), preferences),
                 Err(ArchiveError::Corrupt { .. })
             )
         };
@@ -971,6 +986,98 @@ mod tests {
             assert!(
                 matches!(decode_bids(&bytes), Err(ArchiveError::Corrupt { .. })),
                 "index {index}"
+            );
+        }
+    }
+
+    /// Little-endian `f64` bit patterns, as the codec writes them.
+    fn f64_bytes(values: &[f64]) -> Vec<u8> {
+        values
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect()
+    }
+
+    /// Format-v2 bytes of the paper's UA configuration written out by
+    /// hand, storing `levels`: the formula (β, max reward, ε), a
+    /// constant-β policy (tag 0, β), the allowed overuse, the level count
+    /// and levels, the initial reward and pin, a quadratic shape (0),
+    /// `x_max`, the round budget and no economic stop (0).
+    fn paper_config_bytes(levels: &[f64]) -> Vec<u8> {
+        let mut bytes = f64_bytes(&[2.0, 30.0, 1.0]);
+        bytes.push(0);
+        bytes.extend(f64_bytes(&[2.0, 0.15]));
+        bytes.extend((levels.len() as u32).to_le_bytes());
+        bytes.extend(f64_bytes(levels));
+        bytes.extend(f64_bytes(&[17.0, 0.4]));
+        bytes.push(0);
+        bytes.extend(f64_bytes(&[0.8]));
+        bytes.extend(50u32.to_le_bytes());
+        bytes.push(0);
+        bytes
+    }
+
+    /// Format-v2 bytes of a reward table over slots 72..80 written out by
+    /// hand: the interval, the entry count, then each `(cutdown, reward)`.
+    fn table_bytes(entries: &[(f64, f64)]) -> Vec<u8> {
+        let mut bytes: Vec<u8> = [72u64, 80].iter().flat_map(|b| b.to_le_bytes()).collect();
+        bytes.extend((entries.len() as u32).to_le_bytes());
+        for &(cutdown, reward) in entries {
+            bytes.extend(f64_bytes(&[cutdown, reward]));
+        }
+        bytes
+    }
+
+    #[test]
+    fn stored_configuration_levels_must_be_the_grid() {
+        let paper = UtilityAgentConfig::paper();
+        let mut written = Vec::new();
+        put_ua_config(&mut written, &paper);
+        assert_eq!(written, paper_config_bytes(&LEVELS));
+        assert_eq!(decode_all(&written, ua_config).ok(), Some(paper));
+        // A level count other than six, then levels off the grid's bits.
+        let off_grid: [&[f64]; 5] = [
+            &LEVELS[..5],
+            &[0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
+            &[0.0, 0.15, 0.2, 0.3, 0.4, 0.5],
+            &[-0.0, 0.1, 0.2, 0.3, 0.4, 0.5],
+            &[0.0, 0.1, 0.2, 0.3, 0.5, 0.4],
+        ];
+        for levels in off_grid {
+            let decoded = decode_all(&paper_config_bytes(levels), ua_config);
+            assert!(
+                matches!(decoded, Err(ArchiveError::Corrupt { .. })),
+                "{levels:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn stored_table_levels_must_be_the_grid() {
+        let table =
+            RewardTable::quadratic(Interval::new(72, 80), Money(17.0), Fraction::clamped(0.4));
+        let entries: Vec<(f64, f64)> = table
+            .entries()
+            .iter()
+            .map(|&(c, r)| (c.value(), r.value()))
+            .collect();
+        let mut written = Vec::new();
+        put_reward_table(&mut written, &table);
+        assert_eq!(written, table_bytes(&entries));
+        assert_eq!(decode_all(&written, reward_table).ok(), Some(table));
+        // A level count other than six, then levels off the grid's bits.
+        let mut off_grid = vec![entries[..5].to_vec(); 4];
+        off_grid[1] = entries.clone();
+        off_grid[1][1].0 = 0.15;
+        off_grid[2] = entries.clone();
+        off_grid[2][0].0 = -0.0;
+        off_grid[3] = entries.clone();
+        off_grid[3][5].0 = 0.6;
+        for entries in off_grid {
+            let decoded = decode_all(&table_bytes(&entries), reward_table);
+            assert!(
+                matches!(decoded, Err(ArchiveError::Corrupt { .. })),
+                "{entries:?}"
             );
         }
     }

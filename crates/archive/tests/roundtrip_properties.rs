@@ -10,7 +10,7 @@ use loadbal_core::concession::{NegotiationStatus, TerminationReason};
 use loadbal_core::fleet::{CellReport, FleetReport};
 use loadbal_core::methods::AnnouncementMethod;
 use loadbal_core::preferences::CustomerPreferences;
-use loadbal_core::reward::{RewardFormula, RewardTable};
+use loadbal_core::reward::{RewardFormula, RewardTable, LEVELS};
 use loadbal_core::session::{
     CustomerProfile, NegotiationReport, ReportTier, RoundDigest, RoundRecord, Scenario, Settlement,
 };
@@ -37,20 +37,15 @@ fn arb_interval() -> impl Strategy<Value = Interval> {
     (0usize..96, 1usize..12).prop_map(|(s, len)| Interval::new(s, s + len))
 }
 
-/// Strictly increasing cut-downs with non-decreasing rewards, built
-/// from positive increments so the core constructors' assertions hold.
-fn arb_entries() -> impl Strategy<Value = Vec<(Fraction, Money)>> {
-    prop::collection::vec((0.01f64..0.15, 0.0f64..8.0), 1..6).prop_map(|increments| {
-        let mut cutdown = 0.0;
+/// One non-decreasing reward per grid level, built from non-negative
+/// increments so the core constructor's assertion holds.
+fn arb_rewards() -> impl Strategy<Value = [Money; LEVELS.len()]> {
+    prop::collection::vec(0.0f64..8.0, LEVELS.len()).prop_map(|increments| {
         let mut reward = 0.0;
-        increments
-            .into_iter()
-            .map(|(dc, dr)| {
-                cutdown += dc;
-                reward += dr;
-                (Fraction::clamped(cutdown), Money(reward))
-            })
-            .collect()
+        std::array::from_fn(|k| {
+            reward += increments[k];
+            Money(reward)
+        })
     })
 }
 
@@ -62,7 +57,7 @@ fn arb_preferences() -> impl Strategy<Value = CustomerPreferences> {
 }
 
 fn arb_table() -> impl Strategy<Value = RewardTable> {
-    (arb_interval(), arb_entries()).prop_map(|(i, e)| RewardTable::new(i, e))
+    (arb_interval(), arb_rewards()).prop_map(|(i, r)| RewardTable::new(i, r))
 }
 
 fn arb_tariff() -> impl Strategy<Value = Tariff> {
@@ -137,31 +132,22 @@ fn arb_config() -> impl Strategy<Value = UtilityAgentConfig> {
         1u32..40,
         0.0f64..0.5,
     );
-    (
-        formula,
-        arb_beta_policy(),
-        shape,
-        stop,
-        prop::collection::vec(0.05f64..1.0, 1..8),
-        scalars,
+    (formula, arb_beta_policy(), shape, stop, scalars).prop_map(
+        |(formula, beta_policy, table_shape, economic_stop, scalars)| {
+            let (pin, reward_at, offer_x_max, max_rounds, max_allowed_overuse) = scalars;
+            UtilityAgentConfig {
+                formula,
+                beta_policy,
+                max_allowed_overuse,
+                initial_reward_at: Money(reward_at),
+                pin,
+                table_shape,
+                offer_x_max,
+                max_rounds,
+                economic_stop,
+            }
+        },
     )
-        .prop_map(
-            |(formula, beta_policy, table_shape, economic_stop, levels, scalars)| {
-                let (pin, reward_at, offer_x_max, max_rounds, max_allowed_overuse) = scalars;
-                UtilityAgentConfig {
-                    formula,
-                    beta_policy,
-                    max_allowed_overuse,
-                    levels,
-                    initial_reward_at: Money(reward_at),
-                    pin,
-                    table_shape,
-                    offer_x_max,
-                    max_rounds,
-                    economic_stop,
-                }
-            },
-        )
 }
 
 fn arb_customer() -> impl Strategy<Value = CustomerProfile> {

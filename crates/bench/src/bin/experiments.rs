@@ -204,10 +204,10 @@ fn run(id: &str, json: bool) -> bool {
             // (12 B), so a return of per-household field or device
             // copies breaks the footprint bound. Negotiation state is
             // fixed-size values per customer, so the one-thread season's
-            // own heap high-water reads the same 159 B per household on
-            // every run; per-customer heap objects (tables, queues,
-            // histories) read ≈ 440, and any growth of more than ~32 B
-            // per household breaks the season bound.
+            // own heap high-water reads the same 105 B per household
+            // (5,238,048 B) on every run; per-customer heap objects
+            // (tables, queues, histories) read ≈ 440, and any growth of
+            // more than ~32 B per household breaks the season bound.
             let r = experiments::city_scale(50_000, 2, 5, 42);
             println!("{r}");
             assert!(

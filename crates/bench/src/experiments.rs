@@ -1798,7 +1798,7 @@ pub fn report_tiers(cells: usize, households: usize, days: u64, seed: u64) -> Re
             let runner = CampaignBuilder::new(homes, &weather, &horizon)
                 .predictor(FixedPredictor(WeatherRegression::calibrated()))
                 .feedback(ClosedLoop)
-                .ua_config(ua.clone())
+                .ua_config(ua)
                 .report_tier(tier)
                 .build();
             fleet = fleet.cell(format!("cell{i}"), runner);

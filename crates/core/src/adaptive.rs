@@ -103,7 +103,7 @@ impl TuningPolicy for StaticTuning {
         _control: &OwnProcessControl,
         current: &UtilityAgentConfig,
     ) -> UtilityAgentConfig {
-        current.clone()
+        *current
     }
 }
 
@@ -123,7 +123,7 @@ impl TuningPolicy for AdaptiveTuning {
         control: &OwnProcessControl,
         current: &UtilityAgentConfig,
     ) -> UtilityAgentConfig {
-        control.tune(current.clone())
+        control.tune(*current)
     }
 }
 
@@ -190,11 +190,6 @@ impl RenegotiateResidual {
         RenegotiateResidual {
             rule: RenegotiationRule::new(max_passes, threshold),
         }
-    }
-
-    /// The configured rule.
-    pub fn rule(&self) -> RenegotiationRule {
-        self.rule
     }
 }
 
@@ -271,11 +266,6 @@ impl RollingWindow {
         &self.candidates
     }
 
-    /// The sliding-window length, in days.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
     /// [`select_best`] over the last `window` days of the given aligned
     /// history/weather series (`None` if the tail is too short to
     /// split).
@@ -340,7 +330,7 @@ mod tests {
         assert_eq!(StaticTuning.next_config(&control, &config), config);
         assert_eq!(
             AdaptiveTuning.next_config(&control, &config),
-            control.tune(config.clone())
+            control.tune(config)
         );
     }
 
@@ -359,8 +349,8 @@ mod tests {
     #[test]
     fn renegotiate_residual_feeds_back_like_closed_loop() {
         let policy = RenegotiateResidual::new(2, 0.005);
-        assert_eq!(policy.rule().max_passes, 2);
-        assert!(policy.renegotiate().is_some());
+        let rule = policy.renegotiate().expect("a renegotiation rule");
+        assert_eq!(rule.max_passes, 2);
         let actual = Series::constant(TimeAxis::hourly(), 5.0);
         // With no outcomes the entry is the actual series untouched —
         // exactly ClosedLoop's behaviour.

@@ -660,7 +660,6 @@ impl CampaignRunner<'_> {
             ));
             let ua_config = self
                 .base_ua_config
-                .clone()
                 .with_economic_stop(self.stop.economic_stop(&producer));
             Prepared {
                 actuals,
@@ -723,7 +722,7 @@ impl CampaignRunner<'_> {
             history: prepared.actuals[..warmup].to_vec(),
             scratch: DemandScratch::new(&self.axis),
             next_index: warmup as u64,
-            ua_config: prepared.ua_config.clone(),
+            ua_config: prepared.ua_config,
             control: OwnProcessControl::new(),
             pending: None,
             outcomes: Vec::new(),
@@ -903,23 +902,6 @@ impl CampaignProgress<'_> {
         let peaks = self
             .detector
             .detect_all(&predicted, self.prepared.producer.production());
-        let scenarios = peaks
-            .iter()
-            .map(|peak| {
-                let scenario = ScenarioBuilder::from_peak(
-                    self.runner.population.view(),
-                    &self.runner.axis,
-                    self.prepared.weathers[d].mean(),
-                    peak,
-                    day.index,
-                    day.day_type.intensity_factor(),
-                    &mut self.scratch,
-                )
-                .config(self.ua_config.clone())
-                .build();
-                (format!("day{}/{}", day.index, peak.interval), scenario)
-            })
-            .collect();
         self.pending = Some(PendingDay {
             day,
             predicted,
@@ -928,15 +910,7 @@ impl CampaignProgress<'_> {
             passes_done: 0,
             staged: Vec::new(),
         });
-        Some(DayPlan {
-            day,
-            peaks,
-            scenarios,
-            tier: self.runner.report_tier,
-            mode: self.runner.execution.clone(),
-            seed_base: 0,
-            traffic: Cell::new(NetworkTraffic::ZERO),
-        })
+        Some(self.plan(day, peaks, std::iter::repeat(1.0), self.ua_config, "", 0))
     }
 
     /// Materialises the staged renegotiation pass, if any: the residual
@@ -963,32 +937,48 @@ impl CampaignProgress<'_> {
             .feedback
             .renegotiate()
             .expect("staged residual peaks imply a renegotiation rule");
+        let config = self.ua_config.with_max_allowed_overuse(rule.threshold);
+        let (peaks, scales): (Vec<Peak>, Vec<f64>) = staged.into_iter().unzip();
+        let suffix = format!("#r{pass}");
+        Some(self.plan(day, peaks, scales, config, &suffix, seed_base))
+    }
+
+    /// One pass over `day`'s `peaks`: each peak's scenario materialised
+    /// at its demand scale (a factor on the day type's intensity; 1.0 on
+    /// the primary pass) and negotiated with `config`, labelled
+    /// `day<index>/<interval>` plus `suffix`.
+    fn plan(
+        &mut self,
+        day: CalendarDay,
+        peaks: Vec<Peak>,
+        scales: impl IntoIterator<Item = f64>,
+        config: UtilityAgentConfig,
+        suffix: &str,
+        seed_base: u64,
+    ) -> DayPlan {
         let d = day.index as usize;
-        let config = self
-            .ua_config
-            .clone()
-            .with_max_allowed_overuse(rule.threshold);
-        let mut peaks = Vec::with_capacity(staged.len());
-        let mut scenarios = Vec::with_capacity(staged.len());
-        for (peak, scale) in staged {
-            let scenario = ScenarioBuilder::from_peak(
-                self.runner.population.view(),
-                &self.runner.axis,
-                self.prepared.weathers[d].mean(),
-                &peak,
-                day.index,
-                day.day_type.intensity_factor() * scale,
-                &mut self.scratch,
-            )
-            .config(config.clone())
-            .build();
-            scenarios.push((
-                format!("day{}/{}#r{pass}", day.index, peak.interval),
-                scenario,
-            ));
-            peaks.push(peak);
-        }
-        Some(DayPlan {
+        let scenarios = peaks
+            .iter()
+            .zip(scales)
+            .map(|(peak, scale)| {
+                let scenario = ScenarioBuilder::from_peak(
+                    self.runner.population.view(),
+                    &self.runner.axis,
+                    self.prepared.weathers[d].mean(),
+                    peak,
+                    day.index,
+                    day.day_type.intensity_factor() * scale,
+                    &mut self.scratch,
+                )
+                .config(config)
+                .build();
+                (
+                    format!("day{}/{}{suffix}", day.index, peak.interval),
+                    scenario,
+                )
+            })
+            .collect();
+        DayPlan {
             day,
             peaks,
             scenarios,
@@ -996,7 +986,7 @@ impl CampaignProgress<'_> {
             mode: self.runner.execution.clone(),
             seed_base,
             traffic: Cell::new(NetworkTraffic::ZERO),
-        })
+        }
     }
 
     /// The Utility Agent configuration the next plan's scenarios will

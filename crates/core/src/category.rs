@@ -161,7 +161,7 @@ pub fn categorized_offers(scenario: &Scenario, categories: &[Category]) -> Vec<S
             normal_use: scenario.normal_use,
             interval: scenario.interval,
             customers,
-            config: scenario.config.clone().with_offer_x_max(category.x_max),
+            config: scenario.config.with_offer_x_max(category.x_max),
             method: AnnouncementMethod::Offer,
             tariff: scenario.tariff,
         })

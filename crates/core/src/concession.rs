@@ -169,7 +169,7 @@ pub fn verify_bids(rounds: &[Vec<Fraction>]) -> Result<(), ConcessionViolation> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reward::{RewardFormula, DEFAULT_LEVELS};
+    use crate::reward::RewardFormula;
     use powergrid::time::Interval;
     use powergrid::units::Money;
 
@@ -178,12 +178,7 @@ mod tests {
     }
 
     fn table(reward_at: f64) -> RewardTable {
-        RewardTable::quadratic(
-            Interval::new(0, 8),
-            &DEFAULT_LEVELS,
-            Money(reward_at),
-            fr(0.4),
-        )
+        RewardTable::quadratic(Interval::new(0, 8), Money(reward_at), fr(0.4))
     }
 
     #[test]

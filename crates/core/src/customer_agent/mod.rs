@@ -5,7 +5,7 @@
 //! through [`powergrid::slab::interval_flexibility_slab`] into each
 //! customer's cut-down ceiling.
 
-use crate::preferences::{CustomerPreferences, GridOffer};
+use crate::preferences::CustomerPreferences;
 use crate::reward::RewardTable;
 use powergrid::tariff::Tariff;
 use powergrid::units::{Fraction, KilowattHours, Money};
@@ -54,18 +54,16 @@ impl CustomerAgentState {
         self.bids_made
     }
 
-    /// Responds to an announced reward table (§3.1, §6.2), read at the
-    /// grid as `offer`: the position in `table` of the cut-down now bid,
-    /// the highest acceptable one, or `None` when none exceeds the
-    /// previous bid, which then stands.
-    pub(crate) fn respond(&mut self, table: &RewardTable, offer: &GridOffer) -> Option<usize> {
+    /// Responds to an announced reward table (§3.1, §6.2): the grid
+    /// index of the cut-down now bid, the highest acceptable one, or
+    /// `None` when none exceeds the previous bid, which then stands.
+    pub(crate) fn respond(&mut self, table: &RewardTable) -> Option<usize> {
         self.bids_made += 1;
-        let k = self.preferences.best_level(offer, u32::from(self.open))?;
-        let position = offer.position(k);
-        self.previous_bid = table.entries()[position].0;
+        let k = self.preferences.best_level(table, u32::from(self.open))?;
+        self.previous_bid = table.entries()[k].0;
         // Only the levels above the new bid stay open.
         self.open &= !((2u32 << k) - 1) as u8;
-        Some(position)
+        Some(k)
     }
 }
 
@@ -158,7 +156,7 @@ pub fn settlement_gain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reward::{RewardTable, DEFAULT_LEVELS};
+    use crate::reward::RewardTable;
     use powergrid::time::Interval;
 
     fn fr(v: f64) -> Fraction {
@@ -166,12 +164,7 @@ mod tests {
     }
 
     fn table(reward_at: f64) -> RewardTable {
-        RewardTable::quadratic(
-            Interval::new(0, 8),
-            &DEFAULT_LEVELS,
-            Money(reward_at),
-            fr(0.4),
-        )
+        RewardTable::quadratic(Interval::new(0, 8), Money(reward_at), fr(0.4))
     }
 
     #[test]
@@ -183,17 +176,15 @@ mod tests {
         let t1 = table(17.0);
         let t2 = t1.updated(&formula, 0.323, 2.0);
         let t3 = t2.updated(&formula, 0.242, 2.0);
-        let respond =
-            |ca: &mut CustomerAgentState, t: &RewardTable| ca.respond(t, &GridOffer::of(t));
-        assert_eq!(respond(&mut ca, &t1), Some(2), "the 0.2 entry");
+        assert_eq!(ca.respond(&t1), Some(2), "the 0.2 level");
         assert_eq!(ca.previous_bid(), fr(0.2));
         assert_eq!(
-            respond(&mut ca, &t2),
+            ca.respond(&t2),
             Some(4),
             "round 2: reward(0.4) ≈ 21.76 ≥ 21"
         );
         assert_eq!(ca.previous_bid(), fr(0.4));
-        assert_eq!(respond(&mut ca, &t3), None, "0.4 stands");
+        assert_eq!(ca.respond(&t3), None, "0.4 stands");
         assert_eq!(ca.previous_bid(), fr(0.4));
         assert_eq!(ca.bids_made(), 3);
     }

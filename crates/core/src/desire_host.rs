@@ -15,7 +15,7 @@
 
 use crate::engine::{CustomerEngine, Effect, Input, Peer, ReportAssembler, UtilityEngine};
 use crate::message::Msg;
-use crate::reward::RewardTable;
+use crate::reward::{RewardTable, LEVELS};
 use crate::session::{NegotiationReport, ReportTier, Scenario};
 use desire::component::{Component, FnCalculation};
 use desire::engine::{FactBase, TruthValue};
@@ -24,6 +24,7 @@ use desire::link::{Endpoint, InfoLink};
 use desire::system::System;
 use desire::task_control::TaskControl;
 use desire::term::{Atom, Term};
+use powergrid::time::Interval;
 use powergrid::units::{Fraction, Money};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -252,8 +253,10 @@ fn table_to_facts(round: u32, table: &RewardTable) -> Vec<(Atom, TruthValue)> {
     facts
 }
 
-fn facts_to_table(facts: &FactBase, round: u32, template: &RewardTable) -> Option<RewardTable> {
-    let mut entries = Vec::new();
+/// The table announced for `round`: one reward per grid level, or
+/// `None` unless every level of the grid is announced.
+fn facts_to_table(facts: &FactBase, round: u32, interval: Interval) -> Option<RewardTable> {
+    let mut rewards = [None; LEVELS.len()];
     for (atom, value) in facts.with_predicate(&"announced".into()) {
         if value != TruthValue::True || atom.args.len() != 3 {
             continue;
@@ -266,14 +269,13 @@ fn facts_to_table(facts: &FactBase, round: u32, template: &RewardTable) -> Optio
             continue;
         };
         if (r - f64::from(round)).abs() < 1e-9 {
-            entries.push((Fraction::clamped(c), Money(reward)));
+            if let Some(k) = LEVELS.iter().position(|&level| level == c) {
+                rewards[k] = Some(Money(reward));
+            }
         }
     }
-    if entries.is_empty() {
-        None
-    } else {
-        Some(RewardTable::new(template.interval(), entries))
-    }
+    let rewards: Vec<Money> = rewards.into_iter().collect::<Option<_>>()?;
+    Some(RewardTable::new(interval, rewards.try_into().ok()?))
 }
 
 /// Runs the reward-table negotiation inside the DESIRE kernel.
@@ -385,7 +387,7 @@ pub fn run_hosted_traced(scenario: &Scenario) -> (NegotiationReport, desire::tra
     let mut engines: Vec<CustomerEngine> = (0..scenario.customers.len())
         .map(|i| CustomerEngine::for_customer(scenario, i))
         .collect();
-    let template = scenario.config.initial_table(scenario.interval);
+    let interval = scenario.interval;
     let mut responded_round = 0u32;
     let ca_calc = FnCalculation::new("ca_respond", move |input: &FactBase| {
         // Highest announced round not yet answered.
@@ -400,7 +402,7 @@ pub fn run_hosted_traced(scenario: &Scenario) -> (NegotiationReport, desire::tra
         if latest == 0 || latest <= responded_round {
             return Vec::new();
         }
-        let Some(table) = facts_to_table(input, latest, &template) else {
+        let Some(table) = facts_to_table(input, latest, interval) else {
             return Vec::new();
         };
         // One shared snapshot for every customer's announcement.

@@ -17,24 +17,26 @@
 //!   [`Effect::Broadcast`] to every customer (§6.1: all Customer Agents
 //!   get the same announcement); awards are per-customer
 //!   [`Effect::Send`]s. A reward-table round lives in per-customer
-//!   columns of level indices — this round's bid and the last accepted
-//!   one — since a negotiation's tables all share their levels: a bid
-//!   off the network is mapped to its level once, on receipt (one the
-//!   table never announced is rejected to zero cut-down), and the
+//!   columns of grid indices — this round's bid and the last accepted
+//!   one — since every table prices the levels of the one cut-down grid,
+//!   [`LEVELS`]: a bid off the network is mapped to its grid index once,
+//!   on receipt (an off-grid bid is rejected to zero cut-down), and the
 //!   round concludes in one pass over the columns that yields each
 //!   accepted level, the predicted total, the stop rule's outlay and the
-//!   settlements by index reads.
+//!   settlements by reading the table at those indices.
 //! * [`CustomerEngine`] — the Customer Agent half; reuses
 //!   [`CustomerAgentState`] and the §3.2.1/§3.2.2 decision functions of
 //!   [`crate::customer_agent`], and answers a reward table with the
-//!   position of the level it bids, reading the table once at the
-//!   Figure-8 grid and deciding over the grid levels it can still bid
+//!   grid index of the level it bids, reading the table's six rewards
+//!   and deciding over the grid levels it can still bid
 //!   ([`CustomerPreferences::respond`] makes the same decision). A
-//!   customer answers each
-//!   input with at most one message, so [`CustomerEngine::handle`]
-//!   simply *returns* its reply to the Utility Agent: the engine is a
-//!   fixed-size value that owns no heap buffer, so the customer side of
-//!   a city-scale negotiation is one flat vector of engines.
+//!   customer answers each input with at most one message, so
+//!   [`CustomerEngine::handle`] simply *returns* its reply to the Utility
+//!   Agent: the engine is a fixed-size value that owns no heap buffer,
+//!   so the customer side of a city-scale negotiation is one flat vector
+//!   of engines.
+//!
+//! [`CustomerPreferences::respond`]: crate::preferences::CustomerPreferences::respond
 //!
 //! Three drivers ship with the crate:
 //!
@@ -42,7 +44,7 @@
 //!    — in-process direct exchange, behind
 //!    [`Scenario::run`](crate::session::Scenario::run): a reward-table
 //!    announcement reaches each customer by reference and its bid, a
-//!    table position, goes straight into the round's columns, with no
+//!    grid index, goes straight into the round's columns, with no
 //!    message in between;
 //! 2. [`NegotiationScratch::run_distributed`](crate::sync_driver::NegotiationScratch::run_distributed)
 //!    in [`crate::distributed`] — the same engines over a seeded
@@ -62,14 +64,12 @@ use crate::concession::{NegotiationStatus, TerminationReason};
 use crate::customer_agent::{decide_offer, rfb_step, y_min_for, CustomerAgentState};
 use crate::message::Msg;
 use crate::methods::AnnouncementMethod;
-use crate::preferences::{CustomerPreferences, GridOffer};
-use crate::reward::{overuse_fraction, predicted_use_with_cutdown, RewardTable};
+use crate::reward::{overuse_fraction, predicted_use_with_cutdown, RewardTable, LEVELS};
 use crate::session::{RoundRecord, Scenario, Settlement};
 use crate::utility_agent::{RewardTableNegotiator, UaDecision, UtilityAgentConfig};
 use powergrid::tariff::Tariff;
 use powergrid::units::{Fraction, KilowattHours, Money};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// The counterparty an engine addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,18 +157,13 @@ enum MethodState {
 /// Marks a customer not yet heard from in the current round.
 const UNHEARD: u32 = u32::MAX;
 
-/// A reward-table negotiation's bids as level indices, one column entry
-/// per customer. Index 0 is a zero cut-down the table does not list and
-/// index `j + 1` the table's `j`-th level; a negotiation's tables share
-/// their levels, so an index names the same cut-down in every round and
-/// a round concludes by reading its columns.
+/// A reward-table negotiation's bids as grid indices, one column entry
+/// per customer: index `k` is level `k` of the cut-down grid,
+/// [`LEVELS`], which every table of the negotiation prices, so an index
+/// names the same cut-down in every round and a round concludes by
+/// reading its table at its columns.
 #[derive(Debug, Clone, PartialEq, Default)]
 struct LevelColumns {
-    /// The cut-down each index stands for, with the reward the table
-    /// last [priced](LevelColumns::price) pays for it.
-    levels: Vec<(Fraction, Money)>,
-    /// The index of a zero cut-down: its table level's, or 0.
-    zero: u32,
     /// This round's bid per customer, already held to the customer's
     /// floor; [`UNHEARD`] until one arrives.
     responses: Vec<u32>,
@@ -178,40 +173,27 @@ struct LevelColumns {
 }
 
 impl LevelColumns {
-    /// Aims the columns at a negotiation over `table`'s levels with
-    /// `customers` customers, every one at zero cut-down; `None` empties
-    /// them for a method without reward tables.
-    fn reset(&mut self, table: Option<&RewardTable>, customers: usize) {
-        self.levels.clear();
+    /// Aims the columns at a negotiation with `customers` customers,
+    /// every one at zero cut-down (grid index 0); a method without
+    /// reward tables keeps them empty.
+    fn reset(&mut self, customers: usize) {
         self.responses.clear();
         self.accepted.clear();
-        let Some(table) = table else {
-            return;
-        };
-        self.levels.extend(
-            std::iter::once((Fraction::ZERO, Money::ZERO)).chain(table.entries().iter().copied()),
-        );
-        self.zero = self.index_of(Fraction::ZERO).unwrap_or(0);
         self.responses.resize(customers, UNHEARD);
-        self.accepted.resize(customers, self.zero);
+        self.accepted.resize(customers, 0);
     }
 
-    /// The index of the first level at `cutdown`, if the table lists one.
-    fn index_of(&self, cutdown: Fraction) -> Option<u32> {
-        self.levels[1..]
-            .iter()
-            .position(|&(c, _)| c == cutdown)
-            .map(|j| j as u32 + 1)
-    }
-
-    /// Customer `i`'s bid of `cutdown` off the network, as a level. A bid
-    /// above the customer's floor takes its level, and one the table
-    /// does not list is rejected to zero cut-down; otherwise the floor
-    /// stands.
+    /// Customer `i`'s bid of `cutdown` off the network, as a grid index.
+    /// A bid above the customer's floor takes its level, and one off the
+    /// grid is rejected to zero cut-down; otherwise the floor stands.
     fn level_of_bid(&self, i: usize, cutdown: Fraction) -> u32 {
         let floor = self.accepted[i];
-        if cutdown > self.levels[floor as usize].0 {
-            self.index_of(cutdown).unwrap_or(self.zero)
+        let cutdown = cutdown.value();
+        if cutdown > LEVELS[floor as usize] {
+            LEVELS
+                .iter()
+                .position(|&level| level == cutdown)
+                .map_or(0, |k| k as u32)
         } else {
             floor
         }
@@ -225,21 +207,13 @@ impl LevelColumns {
         first
     }
 
-    /// Loads `table`'s reward for each index (a zero cut-down off the
-    /// table keeps earning nothing).
-    fn price(&mut self, table: &RewardTable) {
-        for (level, &(_, reward)) in self.levels[1..].iter_mut().zip(table.entries()) {
-            level.1 = reward;
-        }
-    }
-
     /// What `table` pays for the accepted levels, summed in customer
     /// order.
-    fn outlay(&mut self, table: &RewardTable) -> Money {
-        self.price(table);
+    fn outlay(&self, table: &RewardTable) -> Money {
+        let entries = table.entries();
         self.accepted
             .iter()
-            .map(|&level| self.levels[level as usize].1)
+            .map(|&level| entries[level as usize].1)
             .sum()
     }
 }
@@ -262,11 +236,6 @@ pub struct UtilityEngine {
     normal_use: KilowattHours,
     initial_total: KilowattHours,
     state: MethodState,
-    /// The shared snapshot of the current round's announced reward
-    /// table (reward-table method only): the negotiator's own table,
-    /// shared by every announcement message *and* the round record —
-    /// never copied.
-    announced: Option<Arc<RewardTable>>,
     /// Responses received for the current round (index = customer) —
     /// offer and request-for-bids; a reward-table round keeps its own
     /// in `levels`.
@@ -310,7 +279,7 @@ impl UtilityEngine {
     fn initial_state(scenario: &Scenario, n: usize) -> MethodState {
         match scenario.method {
             AnnouncementMethod::RewardTables => MethodState::RewardTables {
-                negotiator: RewardTableNegotiator::new(scenario.config.clone(), scenario.interval),
+                negotiator: RewardTableNegotiator::new(scenario.config, scenario.interval),
             },
             AnnouncementMethod::Offer => MethodState::Offer {
                 accepts: vec![None; n],
@@ -323,7 +292,7 @@ impl UtilityEngine {
     pub fn new(scenario: &Scenario) -> UtilityEngine {
         let mut engine = UtilityEngine {
             method: scenario.method,
-            config: scenario.config.clone(),
+            config: scenario.config,
             tariff: scenario.tariff,
             profiles: scenario
                 .customers
@@ -333,7 +302,6 @@ impl UtilityEngine {
             normal_use: scenario.normal_use,
             initial_total: scenario.initial_total(),
             state: UtilityEngine::initial_state(scenario, scenario.customers.len()),
-            announced: None,
             responses: Vec::new(),
             responded: 0,
             last_bids: Vec::new(),
@@ -355,7 +323,7 @@ impl UtilityEngine {
     /// without the per-negotiation allocations.
     pub fn reset(&mut self, scenario: &Scenario) {
         self.method = scenario.method;
-        self.config = scenario.config.clone();
+        self.config = scenario.config;
         self.tariff = scenario.tariff;
         self.profiles.clear();
         self.profiles.extend(
@@ -367,7 +335,6 @@ impl UtilityEngine {
         self.normal_use = scenario.normal_use;
         self.initial_total = scenario.initial_total();
         self.state = UtilityEngine::initial_state(scenario, scenario.customers.len());
-        self.announced = None;
         self.size_columns();
         self.responded = 0;
         self.rounds_run = 0;
@@ -382,16 +349,11 @@ impl UtilityEngine {
     /// customer at zero cut-down, and empties the others.
     fn size_columns(&mut self) {
         let n = self.n();
-        let fraction_columns = match &self.state {
-            MethodState::RewardTables { negotiator } => {
-                self.levels.reset(Some(negotiator.current_table()), n);
-                0
-            }
-            _ => {
-                self.levels.reset(None, 0);
-                n
-            }
+        let (level_columns, fraction_columns) = match self.state {
+            MethodState::RewardTables { .. } => (n, 0),
+            _ => (0, n),
         };
+        self.levels.reset(level_columns);
         self.responses.clear();
         self.responses.resize(fraction_columns, None);
         self.last_bids.clear();
@@ -499,11 +461,10 @@ impl UtilityEngine {
     fn announce_round(&mut self) {
         let round = self.current_round();
         let msg = match &self.state {
-            MethodState::RewardTables { negotiator } => {
-                let table = negotiator.shared_table();
-                self.announced = Some(Arc::clone(&table));
-                Msg::Announce { round, table }
-            }
+            MethodState::RewardTables { negotiator } => Msg::Announce {
+                round,
+                table: negotiator.shared_table(),
+            },
             MethodState::Offer { .. } => Msg::Offer {
                 x_max: self.config.offer_x_max,
             },
@@ -545,8 +506,8 @@ impl UtilityEngine {
 
     /// Round `round`'s reward table, handed to every customer by the
     /// synchronous driver: each customer decides on it directly
-    /// ([`CustomerEngine::bid_on`]) and its bid, a table position, goes
-    /// into this round's column as its [`Msg::Bid`] would, without the
+    /// ([`CustomerEngine::bid_on`]) and its bid, a grid index, goes into
+    /// this round's column as its [`Msg::Bid`] would, without the
     /// message; then the round concludes.
     pub(crate) fn exchange_round(
         &mut self,
@@ -562,16 +523,14 @@ impl UtilityEngine {
         {
             return;
         }
-        // The table is read at the grid once, for every customer.
-        let offer = GridOffer::of(table);
         let columns = &mut self.levels;
         for ((customer, response), &floor) in customers
             .iter_mut()
             .zip(&mut columns.responses)
             .zip(&columns.accepted)
         {
-            *response = match customer.bid_on(round, table, &offer) {
-                Some(position) => (position as u32 + 1).max(floor),
+            *response = match customer.bid_on(round, table) {
+                Some(level) => (level as u32).max(floor),
                 None => floor,
             };
         }
@@ -663,11 +622,13 @@ impl UtilityEngine {
 
     fn conclude_reward_tables(&mut self, round: u32) {
         let n = self.n();
-        // The round record shares the announce-time snapshot.
-        let table = self
-            .announced
-            .clone()
-            .expect("a reward-table round is announced before it concludes");
+        let MethodState::RewardTables { negotiator } = &mut self.state else {
+            unreachable!("reward-table conclusion in reward-table state");
+        };
+        // The announced table, until the negotiator moves on below; the
+        // round record shares it.
+        let table = negotiator.shared_table();
+        let entries = table.entries();
         let columns = &mut self.levels;
         // One pass over the customers: each one's accepted level (this
         // round's bid, or the floor a missing responder keeps), its
@@ -684,19 +645,11 @@ impl UtilityEngine {
             if *response != UNHEARD {
                 *accepted = std::mem::replace(response, UNHEARD);
             }
-            let (cutdown, _) = columns.levels[*accepted as usize];
+            let (cutdown, _) = entries[*accepted as usize];
             predicted_total += predicted_use_with_cutdown(predicted, allowed, cutdown);
             bids.push(cutdown);
         }
         let overuse = overuse_fraction(predicted_total, self.normal_use);
-        let MethodState::RewardTables { negotiator } = &mut self.state else {
-            unreachable!("reward-table conclusion in reward-table state");
-        };
-        debug_assert_eq!(
-            negotiator.current_table(),
-            &*table,
-            "the announced snapshot is this round's table"
-        );
         // The economic context for the marginal-cost stop rule: the
         // energy still predicted above capacity, and a pricer for the
         // candidate table at the bids customers have already committed
@@ -705,19 +658,16 @@ impl UtilityEngine {
         let decision =
             negotiator.evaluate_with_outlay(overuse, remaining, |next| columns.outlay(next));
         let settlements = match decision {
-            UaDecision::Converged(_) => {
-                columns.price(&table);
-                Some(
-                    columns
-                        .accepted
-                        .iter()
-                        .map(|&level| {
-                            let (cutdown, reward) = columns.levels[level as usize];
-                            Settlement { cutdown, reward }
-                        })
-                        .collect::<Vec<Settlement>>(),
-                )
-            }
+            UaDecision::Converged(_) => Some(
+                columns
+                    .accepted
+                    .iter()
+                    .map(|&level| {
+                        let (cutdown, reward) = entries[level as usize];
+                        Settlement { cutdown, reward }
+                    })
+                    .collect::<Vec<Settlement>>(),
+            ),
             UaDecision::NextTable => None,
         };
         self.push_round(RoundRecord {
@@ -904,8 +854,9 @@ fn offer_outcome(
 /// logic, and records its award.
 ///
 /// A fixed-size value that owns no heap buffer: its preferences are a
-/// `Copy` [`CustomerPreferences`], and [`CustomerEngine::handle`]
-/// returns the (at most one) reply instead of queueing it.
+/// `Copy` [`CustomerPreferences`](crate::preferences::CustomerPreferences),
+/// and [`CustomerEngine::handle`] returns the (at most one) reply
+/// instead of queueing it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CustomerEngine {
     state: CustomerAgentState,
@@ -933,26 +884,11 @@ impl CustomerEngine {
     /// Panics if `index` is out of range.
     pub fn for_customer(scenario: &Scenario, index: usize) -> CustomerEngine {
         let c = &scenario.customers[index];
-        CustomerEngine::new(
-            c.preferences,
-            c.predicted_use,
-            c.allowed_use,
-            scenario.tariff,
-        )
-    }
-
-    /// An engine from explicit parts.
-    pub fn new(
-        preferences: CustomerPreferences,
-        predicted_use: KilowattHours,
-        allowed_use: KilowattHours,
-        tariff: Tariff,
-    ) -> CustomerEngine {
         CustomerEngine {
-            state: CustomerAgentState::new(preferences),
-            predicted_use,
-            allowed_use,
-            tariff,
+            state: CustomerAgentState::new(c.preferences),
+            predicted_use: c.predicted_use,
+            allowed_use: c.allowed_use,
+            tariff: scenario.tariff,
             commitment: Fraction::ZERO,
             answered_rfb_round: 0,
             answered_announce_round: 0,
@@ -983,40 +919,18 @@ impl CustomerEngine {
         self.answer(&msg)
     }
 
-    /// This customer's answer to round `round`'s reward table, read at
-    /// the grid as `offer`: the position in `table` of the cut-down it
-    /// now bids, or `None` when
-    /// its previous bid stands. A duplicated *or reordered-stale*
-    /// announcement (`round ≤` the newest answered) concedes nothing and
-    /// never regresses the high-water mark, or a later duplicate of the
-    /// newest round would re-concede.
-    pub(crate) fn bid_on(
-        &mut self,
-        round: u32,
-        table: &RewardTable,
-        offer: &GridOffer,
-    ) -> Option<usize> {
+    /// This customer's answer to round `round`'s reward table: the grid
+    /// index of the cut-down it now bids, or `None` when its previous bid
+    /// stands. A duplicated *or reordered-stale* announcement (`round ≤`
+    /// the newest answered) concedes nothing and never regresses the
+    /// high-water mark, or a later duplicate of the newest round would
+    /// re-concede.
+    pub(crate) fn bid_on(&mut self, round: u32, table: &RewardTable) -> Option<usize> {
         if round <= self.answered_announce_round {
             return None;
         }
         self.answered_announce_round = round;
-        self.state.respond(table, offer)
-    }
-
-    /// The [`Msg::Bid`] answering round `round`'s reward table, read at
-    /// the grid as `offer`: the cut-down [`bid_on`](CustomerEngine::bid_on)
-    /// picks, or the previous bid where it stands.
-    pub(crate) fn bid_message(
-        &mut self,
-        round: u32,
-        table: &RewardTable,
-        offer: &GridOffer,
-    ) -> Msg {
-        let cutdown = match self.bid_on(round, table, offer) {
-            Some(position) => table.entries()[position].0,
-            None => self.state.previous_bid(),
-        };
-        Msg::Bid { round, cutdown }
+        self.state.respond(table)
     }
 
     /// Records the settlement an award confirms.
@@ -1029,7 +943,10 @@ impl CustomerEngine {
     pub(crate) fn answer(&mut self, msg: &Msg) -> Option<Msg> {
         match *msg {
             Msg::Announce { round, ref table } => {
-                Some(self.bid_message(round, table, &GridOffer::of(table)))
+                // Bid the new level, or the previous bid where it stands.
+                self.bid_on(round, table);
+                let cutdown = self.state.previous_bid();
+                Some(Msg::Bid { round, cutdown })
             }
             Msg::Offer { x_max } => Some(Msg::OfferReply {
                 accept: decide_offer(
@@ -1201,6 +1118,7 @@ impl ReportAssembler {
 mod tests {
     use super::*;
     use crate::session::ScenarioBuilder;
+    use std::sync::Arc;
 
     #[test]
     fn utility_engine_starts_by_announcing_to_everyone() {
@@ -1409,8 +1327,8 @@ mod tests {
 
     #[test]
     fn off_table_bids_are_rejected_to_zero() {
-        // Bid assessment: a cut-down the announced table never listed
-        // counts as no cut-down at all.
+        // Bid assessment: a cut-down off the grid, which the announced
+        // table never lists, counts as no cut-down at all.
         let scenario = ScenarioBuilder::random(3, 0.35, 1).build();
         let mut ua = UtilityEngine::new(&scenario);
         ua.handle(Input::Start);

@@ -14,6 +14,11 @@
 //!   with the Section-6 update rule
 //!   `new_reward = reward + β · overuse · (1 − reward/max_reward) · reward`.
 //!
+//! The Utility Agent's reward tables and the customers' cut-down-reward
+//! tables share one grid of cut-downs, [`reward::LEVELS`] (0, 0.1, …,
+//! 0.5): a table is six rewards over the grid, and customers read an
+//! announced table's rewards by grid index.
+//!
 //! The protocol itself lives in **one place**: the sans-io [`engine`]
 //! ([`engine::UtilityEngine`] / [`engine::CustomerEngine`]), a pure
 //! state machine fed with [`engine::Input`]s and drained of

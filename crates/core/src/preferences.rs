@@ -15,74 +15,27 @@
 //! [`CustomerPreferences`] stores just the two numbers
 //! ([`scale`](CustomerPreferences::scale) and
 //! [`max_cutdown`](CustomerPreferences::max_cutdown), which is also all
-//! a season archive writes) and reads the six levels — the prototype's
-//! grid, [`DEFAULT_LEVELS`] — with their base rewards from one static
-//! table. A customer's preferences are
-//! a 16-byte `Copy` value rather than a heap-allocated table, which is
-//! what lets a city-scale season materialise and negotiate with
-//! hundreds of thousands of customers without one heap object each.
-//! Each threshold is computed as the same `base × scale` product a
-//! materialised table would store, so every decision is bit-identical
-//! to one over that table. Since only the grid's levels carry
-//! thresholds, a customer decides by reading an announced table at the
-//! grid's levels, found once per table and read by every customer that
-//! decides on it ([`CustomerPreferences::respond`]).
+//! a season archive writes) and reads the six levels — the cut-down
+//! grid, [`LEVELS`] — with their base rewards from one static table. A
+//! customer's preferences are a 16-byte `Copy` value rather than a
+//! heap-allocated table, which is what lets a city-scale season
+//! materialise and negotiate with hundreds of thousands of customers
+//! without one heap object each. Each threshold is computed as the same
+//! `base × scale` product a materialised table would store, so every
+//! decision is bit-identical to one over that table. An announced
+//! [`RewardTable`] pays one reward per level of the same grid, so a
+//! customer decides by reading the table's six rewards by grid index
+//! ([`CustomerPreferences::respond`]).
 
-use crate::reward::{RewardTable, DEFAULT_LEVELS};
+use crate::reward::{RewardTable, LEVELS};
 use powergrid::units::{Fraction, Money};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 
 /// The Figure-8 customer's required reward at scale 1 for each level of
-/// the prototype's grid, [`DEFAULT_LEVELS`]
-/// (`0, 0.1, …, 0.5`), ascending.
-const REQUIRED: [f64; DEFAULT_LEVELS.len()] = [0.0, 2.0, 4.0, 10.0, 21.0, 30.0];
-
-/// An announced reward table read at the grid: for each level of
-/// [`DEFAULT_LEVELS`], the entry at exactly that cut-down (matched by
-/// bit pattern, so a `-0.0` entry is not the grid's `0.0`) and the
-/// reward it pays, or `f64::NEG_INFINITY`, which no threshold accepts,
-/// where the table does not list the level. Found once per table, in
-/// one pass over its ascending entries, and read by every customer that
-/// decides on it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct GridOffer {
-    rewards: [f64; DEFAULT_LEVELS.len()],
-    positions: [usize; DEFAULT_LEVELS.len()],
-}
-
-impl GridOffer {
-    /// Reads `table` at the grid.
-    pub(crate) fn of(table: &RewardTable) -> GridOffer {
-        let mut offer = GridOffer {
-            rewards: [f64::NEG_INFINITY; DEFAULT_LEVELS.len()],
-            positions: [0; DEFAULT_LEVELS.len()],
-        };
-        // Both the entries and the grid ascend in the order of `Fraction`s
-        // (`total_cmp` of their values), so one merge finds every level.
-        let mut k = 0;
-        for (position, &(cutdown, reward)) in table.entries().iter().enumerate() {
-            let c = cutdown.value();
-            while k < DEFAULT_LEVELS.len() && DEFAULT_LEVELS[k].total_cmp(&c).is_lt() {
-                k += 1;
-            }
-            if k == DEFAULT_LEVELS.len() {
-                break;
-            }
-            if DEFAULT_LEVELS[k].to_bits() == c.to_bits() {
-                offer.rewards[k] = reward.value();
-                offer.positions[k] = position;
-            }
-        }
-        offer
-    }
-
-    /// The table position of grid level `k`, which the table lists.
-    pub(crate) fn position(&self, k: usize) -> usize {
-        self.positions[k]
-    }
-}
+/// the cut-down grid, [`LEVELS`] (`0, 0.1, …, 0.5`), ascending.
+const REQUIRED: [f64; LEVELS.len()] = [0.0, 2.0, 4.0, 10.0, 21.0, 30.0];
 
 /// A customer's private required-reward thresholds per cut-down level:
 /// the Figure-8 table scaled by a reluctance factor, under a physical
@@ -164,18 +117,18 @@ impl CustomerPreferences {
     /// Grid level `k` and its threshold at this customer's scale.
     fn threshold(self, k: usize) -> (Fraction, Money) {
         (
-            Fraction::clamped(DEFAULT_LEVELS[k]),
+            Fraction::clamped(LEVELS[k]),
             Money(REQUIRED[k] * self.scale),
         )
     }
 
     /// The thresholds, lazily, sorted by cut-down.
     fn entries(self) -> impl Iterator<Item = (Fraction, Money)> {
-        (0..REQUIRED.len()).map(move |k| self.threshold(k))
+        (0..LEVELS.len()).map(move |k| self.threshold(k))
     }
 
     /// The thresholds, sorted by cut-down.
-    pub fn thresholds(&self) -> [(Fraction, Money); 6] {
+    pub fn thresholds(&self) -> [(Fraction, Money); LEVELS.len()] {
         std::array::from_fn(|k| self.threshold(k))
     }
 
@@ -218,31 +171,26 @@ impl CustomerPreferences {
     /// `previous_bid` (monotonic concession, §3.1).
     ///
     /// Decides as `cutdown > best && accepts(cutdown, offered)` over
-    /// every entry would. Only a level of the Figure-8 grid can be
-    /// acceptable, so the decision reads the table once at the grid and
-    /// then takes the grid levels above `previous_bid` and within the
-    /// ceiling by position — the same decision a negotiating
+    /// every entry would: the table's levels are the grid's, so the
+    /// decision takes the grid levels above `previous_bid` and within the
+    /// ceiling by index — the same decision a negotiating
     /// [`CustomerAgentState`](crate::customer_agent::CustomerAgentState)
-    /// makes — and the bid stands when none is accepted. A `-0.0` entry,
-    /// which [`accepts`](CustomerPreferences::accepts) treats as the
-    /// grid's `0.0`, is never above any bid, so leaving it out changes
-    /// nothing.
+    /// makes — and the bid stands when none is accepted.
     pub fn respond(&self, table: &RewardTable, previous_bid: Fraction) -> Fraction {
-        let offer = GridOffer::of(table);
-        match self.best_level(&offer, self.open_levels(previous_bid)) {
-            Some(k) => table.entries()[offer.position(k)].0,
+        match self.best_level(table, self.open_levels(previous_bid)) {
+            Some(k) => table.entries()[k].0,
             None => previous_bid,
         }
     }
 
     /// The grid levels this customer could bid above `previous_bid`: bit
-    /// `k` is set when level `k` of [`DEFAULT_LEVELS`] is above the bid
-    /// and within the ceiling.
+    /// `k` is set when level `k` of [`LEVELS`] is above the bid and
+    /// within the ceiling.
     pub(crate) fn open_levels(&self, previous_bid: Fraction) -> u32 {
         // The order of `Fraction`s: `total_cmp` of their values.
         let (bid, ceiling) = (previous_bid.value(), self.max_cutdown.value());
         let mut open = 0;
-        for (k, level) in DEFAULT_LEVELS.iter().enumerate() {
+        for (k, level) in LEVELS.iter().enumerate() {
             let above = level.total_cmp(&bid).is_gt();
             let within = level.total_cmp(&ceiling).is_le();
             open |= u32::from(above & within) << k;
@@ -250,16 +198,16 @@ impl CustomerPreferences {
         open
     }
 
-    /// The highest of the `open` grid levels at which `offer` pays at
+    /// The highest of the `open` grid levels at which `table` pays at
     /// least this customer's threshold — the same `base × scale`
     /// product a materialised table would store. The six acceptance
     /// tests are combined as a mask, and the top bit wins.
-    pub(crate) fn best_level(&self, offer: &GridOffer, open: u32) -> Option<usize> {
+    pub(crate) fn best_level(&self, table: &RewardTable, open: u32) -> Option<usize> {
         let mut accepted = 0;
-        for (k, (&offered, &required)) in offer.rewards.iter().zip(&REQUIRED).enumerate() {
+        for (k, (&(_, offered), &required)) in table.entries().iter().zip(&REQUIRED).enumerate() {
             // `Money`'s order is its value's; comparing the values keeps
             // the test free of branches.
-            accepted |= u32::from(offered >= required * self.scale) << k;
+            accepted |= u32::from(offered.value() >= required * self.scale) << k;
         }
         let top = (accepted & open).checked_ilog2()?;
         Some(top as usize)
@@ -304,7 +252,7 @@ impl fmt::Display for CustomerPreferences {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reward::{RewardTable, DEFAULT_LEVELS};
+    use crate::reward::RewardTable;
     use powergrid::time::Interval;
 
     fn fr(v: f64) -> Fraction {
@@ -312,7 +260,7 @@ mod tests {
     }
 
     fn round1_table() -> RewardTable {
-        RewardTable::quadratic(Interval::new(72, 80), &DEFAULT_LEVELS, Money(17.0), fr(0.4))
+        RewardTable::quadratic(Interval::new(72, 80), Money(17.0), fr(0.4))
     }
 
     #[test]
@@ -340,14 +288,7 @@ mod tests {
         let p = CustomerPreferences::paper_figure_8();
         let table = RewardTable::new(
             Interval::new(72, 80),
-            vec![
-                (fr(0.0), Money(0.0)),
-                (fr(0.1), Money(2.1)),
-                (fr(0.2), Money(9.1)),
-                (fr(0.3), Money(17.4)),
-                (fr(0.4), Money(24.8)),
-                (fr(0.5), Money(29.2)),
-            ],
+            [0.0, 2.1, 9.1, 17.4, 24.8, 29.2].map(Money),
         );
         let bid = p.respond(&table, fr(0.2));
         assert_eq!(bid, fr(0.4));
@@ -358,16 +299,14 @@ mod tests {
         let p = CustomerPreferences::paper_figure_8();
         // Previous bid 0.4; a table paying less than needed cannot pull
         // the bid back down.
-        let stingy =
-            RewardTable::quadratic(Interval::new(72, 80), &DEFAULT_LEVELS, Money(1.0), fr(0.4));
+        let stingy = RewardTable::quadratic(Interval::new(72, 80), Money(1.0), fr(0.4));
         assert_eq!(p.respond(&stingy, fr(0.4)), fr(0.4));
     }
 
     #[test]
     fn physical_ceiling_caps_bids() {
         let p = CustomerPreferences::from_base_scaled(0.1, fr(0.3));
-        let generous =
-            RewardTable::quadratic(Interval::new(72, 80), &DEFAULT_LEVELS, Money(30.0), fr(0.4));
+        let generous = RewardTable::quadratic(Interval::new(72, 80), Money(30.0), fr(0.4));
         let bid = p.respond(&generous, Fraction::ZERO);
         assert_eq!(bid, fr(0.3), "cannot exceed physical ceiling");
     }

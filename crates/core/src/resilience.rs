@@ -313,29 +313,18 @@ pub struct ResilienceReport {
 }
 
 impl ResilienceReport {
-    /// Runs the benchmark: `run` executes the fleet plan under the
-    /// [`ExecutionMode`] it is handed (build the fleet inside the
-    /// closure, handing the mode to each cell's
+    /// Runs the benchmark against a clean baseline the caller ran under
+    /// [`ExecutionMode::distributed_clean`] with `base_seed` (E18 keeps
+    /// the clean [`FleetReport`] to assert it equal to a sync run). `run`
+    /// executes the fleet plan under the [`ExecutionMode`] it is handed
+    /// (build the fleet inside the closure, handing the mode to each cell's
     /// [`CampaignBuilder::execution`](crate::campaign::CampaignBuilder::execution),
     /// then call
     /// [`run_instrumented`](crate::fleet::FleetRunner::run_instrumented))
-    /// and returns the report plus per-cell traffic. Called once with
-    /// the clean mode, then once per class in `classes`, every mode
-    /// carrying the same `base_seed` so clean and faulty runs share
-    /// per-peak seeds and the whole report is reproducible.
-    pub fn measure<F>(base_seed: u64, classes: &[FaultClass], mut run: F) -> ResilienceReport
-    where
-        F: FnMut(ExecutionMode) -> (FleetReport, Vec<NetworkTraffic>),
-    {
-        let (clean, clean_traffic) = run(ExecutionMode::distributed_clean().with_seed(base_seed));
-        ResilienceReport::against_baseline(&clean, &clean_traffic, base_seed, classes, run)
-    }
-
-    /// [`ResilienceReport::measure`] with the clean baseline already
-    /// run — for callers (the E18 experiment) that need the clean
-    /// [`FleetReport`] itself, e.g. to assert it byte-identical to a
-    /// sync run. `run` is called once per class; every mode must carry
-    /// the same `base_seed` the clean run used.
+    /// and returns the report plus per-cell traffic. It is called once
+    /// per class in `classes`, every mode carrying the same `base_seed`,
+    /// so clean and faulty runs share per-peak seeds and the whole
+    /// report is reproducible.
     pub fn against_baseline<F>(
         clean: &FleetReport,
         clean_traffic: &[NetworkTraffic],
@@ -403,7 +392,7 @@ mod tests {
         let weather = WeatherModel::winter();
         let horizon = Horizon::new(4, 0, Season::Winter);
         let homes = PopulationBuilder::new().households(12).build(5);
-        ResilienceReport::measure(7, &[FaultClass::Drop, FaultClass::Duplicate], |mode| {
+        let run = |mode: ExecutionMode| {
             let runner = CampaignBuilder::new(&homes, &weather, &horizon)
                 .warmup_days(2)
                 .predictor(FixedPredictor(MovingAverage::new(2)))
@@ -412,7 +401,15 @@ mod tests {
                 .execution(mode)
                 .build();
             FleetRunner::new().cell("solo", runner).run_instrumented()
-        })
+        };
+        let (clean, clean_traffic) = run(ExecutionMode::distributed_clean().with_seed(7));
+        ResilienceReport::against_baseline(
+            &clean,
+            &clean_traffic,
+            7,
+            &[FaultClass::Drop, FaultClass::Duplicate],
+            run,
+        )
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //!
 //! The reward "increases more when the predicted overuse is higher ... and
 //! never exceeds the maximal reward, due to the logistic factor".
+//!
+//! The prototype's reward tables (§3.2.3, Figures 6–9) and every
+//! customer's cut-down-reward table (§6.2) share one grid of cut-downs,
+//! [`LEVELS`]: 0, 0.1, …, 0.5. A [`RewardTable`] is six rewards over the
+//! grid, and both agents name a level by its grid index.
 
 use powergrid::time::Interval;
 use powergrid::units::{Fraction, KilowattHours, Money};
@@ -105,10 +110,17 @@ pub fn overuse_fraction(total_predicted: KilowattHours, normal_use: KilowattHour
     (total_predicted - normal_use) / normal_use
 }
 
-/// A reward table: cut-down levels with their rewards, over an interval.
+/// The cut-down grid, 0, 0.1, …, 0.5, ascending: every
+/// [`RewardTable`] pays one reward per grid level, and a customer can
+/// only bid a grid level.
+pub const LEVELS: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
+
+/// A reward table: one reward per level of the cut-down grid
+/// ([`LEVELS`]), over an interval.
 ///
-/// Entries are kept sorted by cut-down; rewards are non-decreasing in the
-/// cut-down (a bigger saving never pays less).
+/// Rewards are non-decreasing in the cut-down (a bigger saving never
+/// pays less). The six `(cut-down, reward)` pairs are kept inline, so a
+/// table is one fixed-size value.
 ///
 /// # Example
 ///
@@ -117,35 +129,26 @@ pub fn overuse_fraction(total_predicted: KilowattHours, normal_use: KilowattHour
 /// use powergrid::time::Interval;
 /// use powergrid::units::{Fraction, Money};
 ///
-/// let table = RewardTable::quadratic(Interval::new(72, 80), &[0.0, 0.1, 0.2, 0.3, 0.4, 0.5], Money(17.0), Fraction::clamped(0.4));
+/// let table = RewardTable::quadratic(Interval::new(72, 80), Money(17.0), Fraction::clamped(0.4));
 /// assert_eq!(table.reward_for(Fraction::clamped(0.4)), Money(17.0));
 /// assert!(table.reward_for(Fraction::clamped(0.3)) < Money(10.0));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RewardTable {
     interval: Interval,
-    entries: Vec<(Fraction, Money)>,
+    entries: [(Fraction, Money); LEVELS.len()],
 }
 
 impl RewardTable {
-    /// Creates a table from `(cutdown, reward)` pairs.
+    /// Creates a table paying `rewards[k]` for grid level `k`.
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is empty, contains duplicate cut-downs, or has
-    /// rewards that decrease as cut-downs increase.
-    pub fn new(interval: Interval, mut entries: Vec<(Fraction, Money)>) -> RewardTable {
-        assert!(
-            !entries.is_empty(),
-            "a reward table needs at least one entry"
-        );
-        entries.sort_by_key(|e| e.0);
+    /// Panics if the rewards decrease as cut-downs increase.
+    pub fn new(interval: Interval, rewards: [Money; LEVELS.len()]) -> RewardTable {
+        let entries: [(Fraction, Money); LEVELS.len()] =
+            std::array::from_fn(|k| (Fraction::clamped(LEVELS[k]), rewards[k]));
         for window in entries.windows(2) {
-            assert!(
-                window[0].0 < window[1].0,
-                "duplicate cut-down {} in reward table",
-                window[1].0
-            );
             assert!(
                 window[0].1 <= window[1].1,
                 "reward for cut-down {} ({}) lower than for smaller cut-down {} ({})",
@@ -167,23 +170,16 @@ impl RewardTable {
     ///
     /// # Panics
     ///
-    /// Panics if `pin` is zero or `levels` is empty.
-    pub fn quadratic(
-        interval: Interval,
-        levels: &[f64],
-        reward_at: Money,
-        pin: Fraction,
-    ) -> RewardTable {
+    /// Panics if `pin` is zero.
+    pub fn quadratic(interval: Interval, reward_at: Money, pin: Fraction) -> RewardTable {
         assert!(pin.value() > 0.0, "pin cut-down must be positive");
-        let entries = levels
-            .iter()
-            .map(|&c| {
-                let f = Fraction::clamped(c);
-                let ratio = f.value() / pin.value();
-                (f, Money(reward_at.value() * ratio * ratio))
-            })
-            .collect();
-        RewardTable::new(interval, entries)
+        RewardTable::new(
+            interval,
+            LEVELS.map(|c| {
+                let ratio = c / pin.value();
+                Money(reward_at.value() * ratio * ratio)
+            }),
+        )
     }
 
     /// A table with rewards *linear* in the cut-down, pinned like
@@ -191,22 +187,13 @@ impl RewardTable {
     ///
     /// # Panics
     ///
-    /// Panics if `pin` is zero or `levels` is empty.
-    pub fn linear(
-        interval: Interval,
-        levels: &[f64],
-        reward_at: Money,
-        pin: Fraction,
-    ) -> RewardTable {
+    /// Panics if `pin` is zero.
+    pub fn linear(interval: Interval, reward_at: Money, pin: Fraction) -> RewardTable {
         assert!(pin.value() > 0.0, "pin cut-down must be positive");
-        let entries = levels
-            .iter()
-            .map(|&c| {
-                let f = Fraction::clamped(c);
-                (f, Money(reward_at.value() * f.value() / pin.value()))
-            })
-            .collect();
-        RewardTable::new(interval, entries)
+        RewardTable::new(
+            interval,
+            LEVELS.map(|c| Money(reward_at.value() * c / pin.value())),
+        )
     }
 
     /// The interval during which cut-downs apply.
@@ -214,18 +201,13 @@ impl RewardTable {
         self.interval
     }
 
-    /// The `(cutdown, reward)` entries, sorted by cut-down.
-    pub fn entries(&self) -> &[(Fraction, Money)] {
+    /// The `(cutdown, reward)` entries, one per grid level, ascending.
+    pub fn entries(&self) -> &[(Fraction, Money); LEVELS.len()] {
         &self.entries
     }
 
-    /// The cut-down levels.
-    pub fn levels(&self) -> impl Iterator<Item = Fraction> + '_ {
-        self.entries.iter().map(|&(c, _)| c)
-    }
-
-    /// The reward for an exact cut-down level (zero if the level is not
-    /// in the table — customers choose *from* the table, §3.2.3).
+    /// The reward for an exact cut-down level (zero off the grid —
+    /// customers choose *from* the table, §3.2.3).
     pub fn reward_for(&self, cutdown: Fraction) -> Money {
         self.entries
             .iter()
@@ -237,14 +219,11 @@ impl RewardTable {
     /// Applies the §6 update rule to every entry, producing the next
     /// round's table.
     pub fn updated(&self, formula: &RewardFormula, overuse: f64, beta: f64) -> RewardTable {
-        let entries = self
-            .entries
-            .iter()
-            .map(|&(c, r)| (c, formula.next_reward(r, overuse, beta)))
-            .collect();
         RewardTable {
             interval: self.interval,
-            entries,
+            entries: self
+                .entries
+                .map(|(c, r)| (c, formula.next_reward(r, overuse, beta))),
         }
     }
 
@@ -252,26 +231,17 @@ impl RewardTable {
     /// `previous` for the same cut-down — the monotonic concession
     /// requirement on announcements.
     pub fn dominates(&self, previous: &RewardTable) -> bool {
-        if self.entries.len() != previous.entries.len() {
-            return false;
-        }
         self.entries
             .iter()
             .zip(&previous.entries)
-            .all(|(&(c1, r1), &(c2, r2))| c1 == c2 && r1 >= r2)
+            .all(|(&(_, r1), &(_, r2))| r1 >= r2)
     }
 
-    /// The largest absolute reward change versus `previous` (∞ if the
-    /// levels differ) — compared against ε for termination.
+    /// The largest absolute reward change versus `previous` — compared
+    /// against ε for termination.
     pub fn max_delta(&self, previous: &RewardTable) -> Money {
-        if self.entries.len() != previous.entries.len() {
-            return Money(f64::INFINITY);
-        }
         let mut delta: f64 = 0.0;
-        for (&(c1, r1), &(c2, r2)) in self.entries.iter().zip(&previous.entries) {
-            if c1 != c2 {
-                return Money(f64::INFINITY);
-            }
+        for (&(_, r1), &(_, r2)) in self.entries.iter().zip(&previous.entries) {
             delta = delta.max((r1 - r2).abs().value());
         }
         Money(delta)
@@ -287,9 +257,6 @@ impl fmt::Display for RewardTable {
         Ok(())
     }
 }
-
-/// The default cut-down levels used by the prototype: 0, 0.1, ..., 0.5.
-pub const DEFAULT_LEVELS: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
 
 #[cfg(test)]
 mod tests {
@@ -374,7 +341,7 @@ mod tests {
 
     #[test]
     fn quadratic_table_matches_figure_6() {
-        let t = RewardTable::quadratic(interval(), &DEFAULT_LEVELS, Money(17.0), fr(0.4));
+        let t = RewardTable::quadratic(interval(), Money(17.0), fr(0.4));
         assert_eq!(t.reward_for(fr(0.4)), Money(17.0));
         assert!((t.reward_for(fr(0.3)).value() - 9.5625).abs() < 1e-9);
         assert!((t.reward_for(fr(0.2)).value() - 4.25).abs() < 1e-9);
@@ -383,20 +350,20 @@ mod tests {
 
     #[test]
     fn linear_table() {
-        let t = RewardTable::linear(interval(), &DEFAULT_LEVELS, Money(17.0), fr(0.4));
+        let t = RewardTable::linear(interval(), Money(17.0), fr(0.4));
         assert!((t.reward_for(fr(0.2)).value() - 8.5).abs() < 1e-9);
     }
 
     #[test]
     fn reward_for_unknown_level_is_zero() {
-        let t = RewardTable::quadratic(interval(), &DEFAULT_LEVELS, Money(17.0), fr(0.4));
+        let t = RewardTable::quadratic(interval(), Money(17.0), fr(0.4));
         assert_eq!(t.reward_for(fr(0.15)), Money::ZERO);
     }
 
     #[test]
     fn updated_table_dominates_and_converges() {
         let formula = RewardFormula::paper();
-        let t0 = RewardTable::quadratic(interval(), &DEFAULT_LEVELS, Money(17.0), fr(0.4));
+        let t0 = RewardTable::quadratic(interval(), Money(17.0), fr(0.4));
         let t1 = t0.updated(&formula, 0.35, formula.beta);
         assert!(t1.dominates(&t0));
         assert!(!t0.dominates(&t1) || t1 == t0);
@@ -417,41 +384,16 @@ mod tests {
     }
 
     #[test]
-    fn dominates_rejects_mismatched_levels() {
-        let a = RewardTable::quadratic(interval(), &[0.0, 0.2], Money(10.0), fr(0.4));
-        let b = RewardTable::quadratic(interval(), &[0.0, 0.3], Money(10.0), fr(0.4));
-        assert!(!a.dominates(&b));
-        assert_eq!(a.max_delta(&b), Money(f64::INFINITY));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one entry")]
-    fn empty_table_panics() {
-        let _ = RewardTable::new(interval(), vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate cut-down")]
-    fn duplicate_levels_panic() {
-        let _ = RewardTable::new(
-            interval(),
-            vec![(fr(0.2), Money(1.0)), (fr(0.2), Money(2.0))],
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "lower than for smaller")]
     fn decreasing_rewards_panic() {
-        let _ = RewardTable::new(
-            interval(),
-            vec![(fr(0.1), Money(5.0)), (fr(0.2), Money(2.0))],
-        );
+        let _ = RewardTable::new(interval(), [0.0, 5.0, 2.0, 6.0, 7.0, 8.0].map(Money));
     }
 
     #[test]
     fn display_shows_entries() {
-        let t = RewardTable::quadratic(interval(), &[0.0, 0.4], Money(17.0), fr(0.4));
+        let t = RewardTable::quadratic(interval(), Money(17.0), fr(0.4));
         let s = t.to_string();
         assert!(s.contains("0.40→17.0"), "{s}");
+        assert_eq!(s.matches('→').count(), LEVELS.len(), "{s}");
     }
 }

@@ -606,12 +606,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Overrides the tariff.
-    pub fn tariff(mut self, tariff: Tariff) -> ScenarioBuilder {
-        self.tariff = tariff;
-        self
-    }
-
     /// Overrides the normal-use capacity.
     pub fn normal_use(mut self, normal_use: KilowattHours) -> ScenarioBuilder {
         self.normal_use = normal_use;

@@ -14,8 +14,6 @@ pub struct NegotiationContext {
     pub rounds_available: u32,
     /// Predicted relative overuse (e.g. `0.35`).
     pub overuse: f64,
-    /// Number of Customer Agents involved.
-    pub customers: usize,
 }
 
 /// Selects an announcement method for the context, with the §3.2.4
@@ -57,7 +55,6 @@ mod tests {
         let (m, why) = select_method(NegotiationContext {
             rounds_available: 1,
             overuse: 0.4,
-            customers: 1000,
         });
         assert_eq!(m, AnnouncementMethod::Offer);
         assert!(why.contains("one-round"));
@@ -68,7 +65,6 @@ mod tests {
         let (m, _) = select_method(NegotiationContext {
             rounds_available: 20,
             overuse: 0.1,
-            customers: 100,
         });
         assert_eq!(m, AnnouncementMethod::RequestForBids);
     }
@@ -78,14 +74,12 @@ mod tests {
         let (m, _) = select_method(NegotiationContext {
             rounds_available: 5,
             overuse: 0.35,
-            customers: 100,
         });
         assert_eq!(m, AnnouncementMethod::RewardTables);
         // Severe peak with lots of time still avoids the slow method.
         let (m2, _) = select_method(NegotiationContext {
             rounds_available: 20,
             overuse: 0.5,
-            customers: 100,
         });
         assert_eq!(m2, AnnouncementMethod::RewardTables);
     }

@@ -7,8 +7,8 @@
 //! harness use. Every round trip is a direct exchange between the
 //! [`UtilityEngine`] and each [`CustomerEngine`], with no message
 //! between them: a reward-table announcement reaches each customer by
-//! reference, and the customer's bid, the position of its level in the
-//! table, goes straight into the engine's column for the round, which
+//! reference, and the customer's bid, the grid index of its level, goes
+//! straight into the engine's column for the round, which
 //! concludes once every customer has answered — the same conclusion a
 //! round of [`Msg::Bid`]s reaches. An offer or a bid request reaches
 //! each customer by reference too and its reply goes straight to the

@@ -1,10 +1,10 @@
 //! The Utility Agent (UA): configuration and the reward-table negotiator
 //! state machine, plus [`own_process_control`] — negotiation evaluation
 //! and the experience-based tuning it feeds (Figure 2). Figure 3's bid
-//! assessment — a bid at a level the table never announced is rejected
-//! to zero cut-down — happens as each bid reaches the
+//! assessment — a bid off the cut-down grid, which no table announces,
+//! is rejected to zero cut-down — happens as each bid reaches the
 //! [`UtilityEngine`](crate::engine::UtilityEngine) and is mapped to its
-//! table level.
+//! grid index.
 //!
 //! The §5.1.2 agent-specific tasks — *determine predicted balance* and
 //! *evaluate prediction* — are
@@ -17,7 +17,7 @@ pub mod own_process_control;
 use crate::beta::BetaPolicy;
 use crate::concession::TerminationReason;
 use crate::producer_agent::ProducerAgent;
-use crate::reward::{RewardFormula, RewardTable, DEFAULT_LEVELS};
+use crate::reward::{RewardFormula, RewardTable};
 use powergrid::time::Interval;
 use powergrid::units::{Fraction, KilowattHours, Money, PricePerKwh};
 use std::sync::Arc;
@@ -87,7 +87,10 @@ impl EconomicStopRule {
 /// assert_eq!(config.max_allowed_overuse, 0.15);
 /// assert!(config.economic_stop.is_none());
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Its tables price the cut-down grid, [`LEVELS`](crate::reward::LEVELS),
+/// so the configuration is a small `Copy` value.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UtilityAgentConfig {
     /// The §6 update rule parameters.
     pub formula: RewardFormula,
@@ -96,8 +99,6 @@ pub struct UtilityAgentConfig {
     /// "The maximal allowed overuse": the relative overuse the UA will
     /// accept without further negotiation.
     pub max_allowed_overuse: f64,
-    /// Cut-down levels offered in reward tables.
-    pub levels: Vec<f64>,
     /// Reward pinned at [`UtilityAgentConfig::pin`] in the initial table.
     pub initial_reward_at: Money,
     /// The cut-down level the initial reward is pinned to.
@@ -121,7 +122,6 @@ impl UtilityAgentConfig {
             formula: RewardFormula::paper(),
             beta_policy: BetaPolicy::paper(),
             max_allowed_overuse: 0.15,
-            levels: DEFAULT_LEVELS.to_vec(),
             initial_reward_at: Money(17.0),
             pin: Fraction::clamped(0.4),
             table_shape: TableShape::Quadratic,
@@ -164,11 +164,9 @@ impl UtilityAgentConfig {
     pub fn initial_table(&self, interval: Interval) -> RewardTable {
         match self.table_shape {
             TableShape::Quadratic => {
-                RewardTable::quadratic(interval, &self.levels, self.initial_reward_at, self.pin)
+                RewardTable::quadratic(interval, self.initial_reward_at, self.pin)
             }
-            TableShape::Linear => {
-                RewardTable::linear(interval, &self.levels, self.initial_reward_at, self.pin)
-            }
+            TableShape::Linear => RewardTable::linear(interval, self.initial_reward_at, self.pin),
         }
     }
 }
@@ -186,7 +184,7 @@ pub enum UaDecision {
     Converged(TerminationReason),
     /// Continue: announce the (dominating) table now current on the
     /// negotiator — read it through
-    /// [`RewardTableNegotiator::current_table`]; the decision itself
+    /// [`RewardTableNegotiator::shared_table`]; the decision itself
     /// stays allocation-free.
     NextTable,
 }
@@ -223,25 +221,16 @@ impl RewardTableNegotiator {
         }
     }
 
-    /// The table announced for the current round.
-    pub fn current_table(&self) -> &RewardTable {
-        &self.current
-    }
-
-    /// The current round's table as a shared snapshot: a later round's
-    /// table replaces it and leaves the snapshot as it was.
-    pub(crate) fn shared_table(&self) -> Arc<RewardTable> {
+    /// The table announced for the current round, as a shared
+    /// snapshot: a later round's table replaces it and leaves the
+    /// snapshot as it was.
+    pub fn shared_table(&self) -> Arc<RewardTable> {
         Arc::clone(&self.current)
     }
 
     /// The current round number (1-based).
     pub fn round(&self) -> u32 {
         self.round
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &UtilityAgentConfig {
-        &self.config
     }
 
     /// Evaluates the predicted relative overuse after this round's bids
@@ -318,7 +307,7 @@ mod tests {
         let n = RewardTableNegotiator::new(UtilityAgentConfig::paper(), interval());
         assert_eq!(n.round(), 1);
         assert_eq!(
-            n.current_table().reward_for(Fraction::clamped(0.4)),
+            n.shared_table().reward_for(Fraction::clamped(0.4)),
             Money(17.0)
         );
     }
@@ -336,10 +325,10 @@ mod tests {
     #[test]
     fn high_overuse_announces_dominating_table() {
         let mut n = RewardTableNegotiator::new(UtilityAgentConfig::paper(), interval());
-        let first = n.current_table().clone();
+        let first = n.shared_table();
         match evaluate(&mut n, 0.35) {
             UaDecision::NextTable => {
-                assert!(n.current_table().dominates(&first));
+                assert!(n.shared_table().dominates(&first));
                 assert_eq!(n.round(), 2);
             }
             other => panic!("expected next table, got {other:?}"),

@@ -203,7 +203,7 @@ mod tests {
             });
         }
         let base = UtilityAgentConfig::paper();
-        let tuned = opc.tune(base.clone());
+        let tuned = opc.tune(base);
         assert!(tuned.formula.beta > base.formula.beta);
         assert!(
             tuned.beta_policy.base_beta() > base.beta_policy.base_beta(),
@@ -223,7 +223,7 @@ mod tests {
             });
         }
         let base = UtilityAgentConfig::paper();
-        let tuned = opc.tune(base.clone());
+        let tuned = opc.tune(base);
         assert!(tuned.formula.beta < base.formula.beta);
     }
 
@@ -242,7 +242,7 @@ mod tests {
             });
         }
         let base = UtilityAgentConfig::paper().with_max_allowed_overuse(0.0);
-        let tuned = opc.tune(base.clone());
+        let tuned = opc.tune(base);
         assert!(tuned.formula.beta > base.formula.beta);
         assert!(tuned.beta_policy.base_beta() > base.beta_policy.base_beta());
     }
@@ -251,7 +251,7 @@ mod tests {
     fn tuning_without_history_is_identity() {
         let opc = OwnProcessControl::new();
         let base = UtilityAgentConfig::paper();
-        assert_eq!(opc.tune(base.clone()), base);
+        assert_eq!(opc.tune(base), base);
     }
 
     fn long_negotiation() -> NegotiationEvaluation {
@@ -304,7 +304,7 @@ mod tests {
             });
         }
         let base = UtilityAgentConfig::paper().with_max_allowed_overuse(0.08);
-        let tuned = opc.tune(base.clone());
+        let tuned = opc.tune(base);
         assert_eq!(tuned.formula.beta, base.formula.beta);
         assert!((tuned.max_allowed_overuse - 0.06).abs() < 1e-12);
         // Converging toward the achieved residual, never past BAND_MAX.

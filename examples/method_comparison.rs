@@ -45,7 +45,6 @@ fn main() {
         let (method, rationale) = select_method(NegotiationContext {
             rounds_available,
             overuse: peak.overuse_fraction(),
-            customers: homes.len(),
         });
         println!("  {rounds_available:>2} rounds available → {method}: {rationale}");
     }

@@ -258,7 +258,7 @@ proptest! {
             .enumerate()
             .filter(|(i, (_, (_, _, _, early)))| *early || *i == 0)
             .map(|(i, ((_, runner), _))| {
-                (i, runner.production().clone(), runner.ua_config().clone())
+                (i, runner.production().clone(), *runner.ua_config())
             })
             .collect();
         let reference = build_fleet().run_sequential();

@@ -14,7 +14,7 @@ use loadbal::core::methods::AnnouncementMethod;
 use loadbal::core::preferences::CustomerPreferences;
 use loadbal::core::resilience::FaultClass;
 use loadbal::core::reward::{
-    overuse_fraction, predicted_use_with_cutdown, RewardFormula, RewardTable, DEFAULT_LEVELS,
+    overuse_fraction, predicted_use_with_cutdown, RewardFormula, RewardTable, LEVELS,
 };
 use loadbal::core::session::{CustomerProfile, Scenario, ScenarioBuilder};
 use loadbal::core::utility_agent::UtilityAgentConfig;
@@ -183,23 +183,22 @@ fn money_bits(m: Option<Money>) -> Option<u64> {
     m.map(|m| m.value().to_bits())
 }
 
-/// Cut-downs a table or probe may use: every Figure-8 level plus
-/// levels between and beyond them.
+/// Cut-downs a probe may use: every grid level plus levels between and
+/// beyond them.
 const CANDIDATE_LEVELS: [f64; 11] = [0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.35, 0.4, 0.5, 0.6, 0.8];
 
-/// A monotone reward table over a random subset of the candidate
-/// levels (always non-empty).
+/// A monotone reward table: the grid's levels with rewards rising by
+/// random steps.
 fn arb_reward_table() -> impl Strategy<Value = RewardTable> {
-    prop::collection::vec((any::<bool>(), 0.0f64..12.0), CANDIDATE_LEVELS.len()).prop_map(|picks| {
+    prop::collection::vec(0.0f64..12.0, LEVELS.len()).prop_map(|steps| {
         let mut reward = 0.0;
-        let mut entries = Vec::new();
-        for (&level, (keep, step)) in CANDIDATE_LEVELS.iter().zip(picks) {
-            reward += step;
-            if keep || level == 0.4 {
-                entries.push((Fraction::clamped(level), Money(reward)));
-            }
-        }
-        RewardTable::new(Interval::new(0, 8), entries)
+        RewardTable::new(
+            Interval::new(0, 8),
+            std::array::from_fn(|k| {
+                reward += steps[k];
+                Money(reward)
+            }),
+        )
     })
 }
 
@@ -305,8 +304,8 @@ fn respond_entry_by_entry(
     best
 }
 
-/// Levels for the one-pass response: `-0.0`, every Figure-8 level,
-/// levels between them and levels above the grid's 0.5.
+/// Ceilings and previous bids for the one-pass response: `-0.0`, every
+/// grid level, levels between them and levels above the grid's 0.5.
 const RESPONSE_LEVELS: [f64; 15] = [
     -0.0, 0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.8, 1.0,
 ];
@@ -320,48 +319,27 @@ fn arb_response_level() -> impl Strategy<Value = Fraction> {
     ]
 }
 
-/// A scale and a monotone table over a random subset of the response
-/// levels plus up to two arbitrary fractions. Rewards rise by random
+/// A scale and a monotone table over the grid. Rewards rise by random
 /// steps, and some sit exactly on the scaled Figure-8 threshold of
 /// their level, so `offered >= required` is probed at equality.
 fn arb_scaled_response_table() -> impl Strategy<Value = (f64, RewardTable)> {
     (
         prop_oneof![Just(0.0), Just(1.0), 0.0f64..5.0],
-        prop::collection::vec(
-            (any::<bool>(), any::<bool>(), 0.0f64..15.0),
-            RESPONSE_LEVELS.len(),
-        ),
-        prop::collection::vec(0.0f64..=1.0, 0..3),
+        prop::collection::vec((any::<bool>(), 0.0f64..15.0), LEVELS.len()),
     )
-        .prop_map(|(scale, picks, extra)| {
-            let mut levels: Vec<f64> = RESPONSE_LEVELS
-                .iter()
-                .zip(&picks)
-                .filter(|(_, &(keep, _, _))| keep)
-                .map(|(&level, _)| level)
-                .chain(extra)
-                .collect();
-            if levels.is_empty() {
-                levels.push(0.4);
-            }
-            levels.sort_by(f64::total_cmp);
-            levels.dedup_by(|a, b| a.to_bits() == b.to_bits());
+        .prop_map(|(scale, picks)| {
             let at_scale = CustomerPreferences::from_base_scaled(scale, Fraction::ONE);
             let mut reward = 0.0f64;
-            let entries = levels
-                .iter()
-                .zip(picks.iter().cycle())
-                .map(|(&level, &(_, exact, step))| {
-                    let level = Fraction::clamped(level);
-                    let candidate = match at_scale.required_for(level) {
-                        Some(required) if exact => required.value(),
-                        _ => reward + step,
-                    };
-                    reward = reward.max(candidate);
-                    (level, Money(reward))
-                })
-                .collect();
-            (scale, RewardTable::new(Interval::new(0, 8), entries))
+            let rewards = std::array::from_fn(|k| {
+                let (exact, step) = picks[k];
+                let candidate = match at_scale.required_for(Fraction::clamped(LEVELS[k])) {
+                    Some(required) if exact => required.value(),
+                    _ => reward + step,
+                };
+                reward = reward.max(candidate);
+                Money(reward)
+            });
+            (scale, RewardTable::new(Interval::new(0, 8), rewards))
         })
 }
 
@@ -369,9 +347,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The one-pass response walk decides exactly as checking every
-    /// entry through `accepts`, bit for bit — on and off the Figure-8
-    /// grid, with `-0.0` levels, ceilings and bids, and levels above
-    /// the grid.
+    /// entry through `accepts`, bit for bit — with ceilings and previous
+    /// bids on and off the grid, `-0.0` and above the grid included.
     #[test]
     fn one_pass_response_matches_the_entry_by_entry_decision(
         (scale, table) in arb_scaled_response_table(),
@@ -471,7 +448,7 @@ proptest! {
             let report = part.run();
             let uniform = Scenario {
                 method: AnnouncementMethod::Offer,
-                config: scenario.config.clone().with_offer_x_max(x_max),
+                config: scenario.config.with_offer_x_max(x_max),
                 ..scenario.clone()
             }
             .run();
@@ -534,17 +511,13 @@ proptest! {
         prev in 0.0f64..0.5,
     ) {
         let prefs = CustomerPreferences::from_base_scaled(k, Fraction::clamped(ceiling));
-        let table = RewardTable::quadratic(
-            Interval::new(0, 8),
-            &DEFAULT_LEVELS,
-            Money(reward_at),
-            Fraction::clamped(0.4),
-        );
+        let table =
+            RewardTable::quadratic(Interval::new(0, 8), Money(reward_at), Fraction::clamped(0.4));
         let prev = Fraction::clamped((prev * 10.0).round() / 10.0);
         let bid = prefs.respond(&table, prev);
         prop_assert!(bid >= prev);
         if bid > prev {
-            prop_assert!(table.levels().any(|l| l == bid));
+            prop_assert!(table.entries().iter().any(|&(l, _)| l == bid));
             prop_assert!(bid <= prefs.max_cutdown());
         }
     }
@@ -622,7 +595,6 @@ fn scenario_clone_equality() {
 fn reward_table_clone_equality() {
     let t = RewardTable::quadratic(
         Interval::new(72, 80),
-        &DEFAULT_LEVELS,
         powergrid::units::Money(17.0),
         Fraction::clamped(0.4),
     );
