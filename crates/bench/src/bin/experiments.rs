@@ -199,8 +199,9 @@ fn run(id: &str, json: bool) -> bool {
         "city_scale_smoke" => {
             // The CI shape: 50k households across 2 shards — exercises
             // the identical machinery (sharding, settlement season,
-            // kernel-vs-reference demand agreement) in seconds rather
-            // than minutes. A household is an id and a template index
+            // kernel-vs-reference demand agreement, the interval
+            // flexibility kernel against its per-slot sweep) in seconds
+            // rather than minutes. A household is an id and a template index
             // (12 B), so a return of per-household field or device
             // copies breaks the footprint bound. Negotiation state is
             // fixed-size values per customer, so the one-thread season's

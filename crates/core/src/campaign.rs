@@ -720,7 +720,7 @@ impl CampaignRunner<'_> {
                 .choose(&prepared.actuals[..warmup], &prepared.weathers[..warmup]),
             detector: PeakDetector::new(PEAK_THRESHOLD),
             history: prepared.actuals[..warmup].to_vec(),
-            scratch: DemandScratch::new(&self.axis),
+            scratch: DemandScratch::new(),
             next_index: warmup as u64,
             ua_config: prepared.ua_config,
             control: OwnProcessControl::new(),

@@ -1,6 +1,8 @@
 //! The Customer Agent (CA): negotiation state and decision logic (§5.2,
 //! §6.2). What its Resource Consumer Agents can shed (§5.2.2) is the
-//! household's saving potential over the interval, read by
+//! household's saving potential over the interval — each device's
+//! flexible share of its energy there, that energy being the device's
+//! power times its kind's duty integral over the interval — read by
 //! [`ScenarioBuilder::from_peak`](crate::session::ScenarioBuilder::from_peak)
 //! through [`powergrid::slab::interval_flexibility_slab`] into each
 //! customer's cut-down ceiling.

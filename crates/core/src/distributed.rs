@@ -275,7 +275,7 @@ impl NegotiationScratch {
         seed: u64,
         deadline: SimDuration,
     ) -> DistributedOutcome {
-        let mut utility = self.checkout(scenario);
+        let mut utility = self.checkout(scenario, tier);
         let customers: &mut [CustomerEngine] = &mut self.customers;
         self.ring.reset(network);
         let mut assembler = ReportAssembler::for_engine_at(&utility, tier);

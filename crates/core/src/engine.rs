@@ -249,6 +249,11 @@ pub struct UtilityEngine {
     /// A reward-table negotiation's rounds as per-customer columns of
     /// level indices.
     levels: LevelColumns,
+    /// Whether each round record carries every customer's cut-down
+    /// ([`RoundRecord::bids`]); a report below
+    /// [`ReportTier::FullTrace`](crate::session::ReportTier::FullTrace)
+    /// drops the records, so its driver spares the engine building them.
+    keep_bids: bool,
     rounds_run: u32,
     concluded_round: u32,
     /// Rounds concluded by the response deadline firing rather than by
@@ -306,6 +311,7 @@ impl UtilityEngine {
             responded: 0,
             last_bids: Vec::new(),
             levels: LevelColumns::default(),
+            keep_bids: true,
             rounds_run: 0,
             concluded_round: 0,
             deadline_forced: 0,
@@ -336,6 +342,7 @@ impl UtilityEngine {
         self.initial_total = scenario.initial_total();
         self.state = UtilityEngine::initial_state(scenario, scenario.customers.len());
         self.size_columns();
+        self.keep_bids = true;
         self.responded = 0;
         self.rounds_run = 0;
         self.concluded_round = 0;
@@ -358,6 +365,13 @@ impl UtilityEngine {
         self.responses.resize(fraction_columns, None);
         self.last_bids.clear();
         self.last_bids.resize(fraction_columns, Fraction::ZERO);
+    }
+
+    /// Whether the round records carry the customers' bids: on for a
+    /// new or reset engine, off for a driver whose report does not keep
+    /// round records.
+    pub(crate) fn keep_bids(&mut self, keep: bool) {
+        self.keep_bids = keep;
     }
 
     /// The announcement method being run.
@@ -595,6 +609,16 @@ impl UtilityEngine {
         self.effects.push_back(Effect::RoundComplete(record));
     }
 
+    /// A round record's bids: `cutdowns`, collected only when the
+    /// record keeps them.
+    fn round_bids(&self, cutdowns: impl Iterator<Item = Fraction>) -> Vec<Fraction> {
+        if self.keep_bids {
+            cutdowns.collect()
+        } else {
+            Vec::new()
+        }
+    }
+
     /// Settles: the award messages, polled on demand (see [`Awarding`]),
     /// and then the settled effect.
     fn settle(
@@ -631,10 +655,8 @@ impl UtilityEngine {
         let entries = table.entries();
         let columns = &mut self.levels;
         // One pass over the customers: each one's accepted level (this
-        // round's bid, or the floor a missing responder keeps), its
-        // cut-down for the round record, and the round's predicted use,
-        // summed in customer order.
-        let mut bids: Vec<Fraction> = Vec::with_capacity(n);
+        // round's bid, or the floor a missing responder keeps) and the
+        // round's predicted use, summed in customer order.
         let mut predicted_total = KilowattHours::ZERO;
         for ((response, accepted), &(predicted, allowed)) in columns
             .responses
@@ -647,7 +669,6 @@ impl UtilityEngine {
             }
             let (cutdown, _) = entries[*accepted as usize];
             predicted_total += predicted_use_with_cutdown(predicted, allowed, cutdown);
-            bids.push(cutdown);
         }
         let overuse = overuse_fraction(predicted_total, self.normal_use);
         // The economic context for the marginal-cost stop rule: the
@@ -670,6 +691,12 @@ impl UtilityEngine {
             ),
             UaDecision::NextTable => None,
         };
+        let bids = self.round_bids(
+            self.levels
+                .accepted
+                .iter()
+                .map(|&level| entries[level as usize].0),
+        );
         self.push_round(RoundRecord {
             round,
             table: Some(table),
@@ -700,7 +727,6 @@ impl UtilityEngine {
         };
         let x_max = self.config.offer_x_max;
         let n = self.n();
-        let mut bids = Vec::with_capacity(n);
         let mut settlements = Vec::with_capacity(n);
         let mut predicted_total = KilowattHours::ZERO;
         for (i, &(predicted, allowed)) in self.profiles.iter().enumerate() {
@@ -709,9 +735,9 @@ impl UtilityEngine {
             let (new_use, settlement) =
                 offer_outcome(predicted, allowed, x_max, &self.tariff, accept);
             predicted_total += new_use;
-            bids.push(settlement.cutdown);
             settlements.push(settlement);
         }
+        let bids = self.round_bids(settlements.iter().map(|s| s.cutdown));
         self.push_round(RoundRecord {
             round: 1,
             table: None,
@@ -730,16 +756,15 @@ impl UtilityEngine {
     fn conclude_request_for_bids(&mut self, round: u32) {
         let n = self.n();
         let mut moved = false;
-        let mut bids: Vec<Fraction> = Vec::with_capacity(n);
-        bids.extend(self.last_bids.iter().enumerate().map(|(i, &last)| {
-            let next = self.responses[i].unwrap_or(last).max(last);
-            if next > last {
+        for (last, response) in self.last_bids.iter_mut().zip(&self.responses) {
+            let next = response.unwrap_or(*last).max(*last);
+            if next > *last {
                 moved = true;
             }
-            next
-        }));
-        self.last_bids.copy_from_slice(&bids);
-        let predicted_total = self.predicted_total(&bids);
+            *last = next;
+        }
+        let bids = &self.last_bids;
+        let predicted_total = self.predicted_total(bids);
         let overuse = overuse_fraction(predicted_total, self.normal_use);
         let status = if overuse <= self.config.max_allowed_overuse {
             Some(NegotiationStatus::Converged(
@@ -757,12 +782,10 @@ impl UtilityEngine {
         } else {
             None
         };
-        // Settlements come off the bid vector before it moves into the
-        // round record — no clone of the bids.
         let settlements = status.map(|_| {
             self.profiles
                 .iter()
-                .zip(&bids)
+                .zip(bids)
                 .map(|(&(predicted, allowed), &cutdown)| {
                     if cutdown == Fraction::ZERO {
                         return Settlement {
@@ -781,6 +804,7 @@ impl UtilityEngine {
                 })
                 .collect::<Vec<Settlement>>()
         });
+        let bids = self.round_bids(bids.iter().copied());
         self.push_round(RoundRecord {
             round,
             table: None,
@@ -1370,6 +1394,57 @@ mod tests {
             "bid for a future round must be dropped"
         );
         assert_eq!(ua.current_round(), 1);
+    }
+
+    /// Drives `ua` to settlement with `scenario`'s own customers, every
+    /// message delivered in order, and returns its round records.
+    fn round_records(scenario: &Scenario, ua: &mut UtilityEngine) -> Vec<RoundRecord> {
+        let mut customers: Vec<CustomerEngine> = (0..scenario.customers.len())
+            .map(|i| CustomerEngine::for_customer(scenario, i))
+            .collect();
+        let mut rounds = Vec::new();
+        ua.handle(Input::Start);
+        while let Some(effect) = ua.poll_effect() {
+            match effect {
+                Effect::RoundComplete(record) => rounds.push(record),
+                Effect::Broadcast { msg } => {
+                    for (i, customer) in customers.iter_mut().enumerate() {
+                        if let Some(reply) = customer.answer(&msg) {
+                            ua.receive(i, reply);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        assert!(ua.is_settled());
+        rounds
+    }
+
+    #[test]
+    fn an_engine_not_keeping_bids_records_the_same_rounds_without_them() {
+        for method in AnnouncementMethod::all() {
+            let scenario = ScenarioBuilder::random(12, 0.35, 3).method(method).build();
+            let kept = round_records(&scenario, &mut UtilityEngine::new(&scenario));
+            let mut ua = UtilityEngine::new(&scenario);
+            ua.keep_bids(false);
+            let skipped = round_records(&scenario, &mut ua);
+            assert_eq!(kept.len(), skipped.len(), "{method}");
+            for (k, s) in kept.iter().zip(&skipped) {
+                assert_eq!(k.bids.len(), scenario.customers.len(), "{method}");
+                assert_eq!(
+                    *s,
+                    RoundRecord {
+                        bids: Vec::new(),
+                        ..k.clone()
+                    },
+                    "{method}"
+                );
+            }
+            // A reset engine keeps the bids again, as a new one does.
+            ua.reset(&scenario);
+            assert_eq!(round_records(&scenario, &mut ua), kept, "{method}");
+        }
     }
 
     #[test]

@@ -239,10 +239,13 @@
 //! hot path underneath — the [`powergrid::slab`] kernels — sweeps the
 //! slab's contiguous columns against one reusable
 //! [`powergrid::slab::DemandScratch`] per campaign stage (duty shapes
-//! computed once per resolution, per-household accumulators reused),
-//! so neither horizon synthesis nor scenario derivation allocates per
-//! device per household per day (E20 times the kernel against the
-//! allocating `Household` reference fold).
+//! computed once per resolution), so neither horizon synthesis nor
+//! scenario derivation allocates per device per household per day:
+//! both fold per device kind, and scenario derivation integrates each
+//! kind's duty over the peak once and then makes one pass per household
+//! (E20 times the demand kernel against the allocating per-slot
+//! `Household` fold, and holds both kernels within 1e-12 relative of
+//! the per-slot physics).
 //!
 //! The full pipeline: grid → prediction → peaks → scenarios → campaign
 //! → fleet → **tiered report / archive**.

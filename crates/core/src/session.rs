@@ -537,9 +537,15 @@ impl ScenarioBuilder {
     /// understate the demand that caused the peak.
     ///
     /// Each household's `(usage, potential)` comes from the batched
-    /// [`interval_flexibility_slab`] kernel, swept over the peak's slots
-    /// only, against a `scratch` the caller reuses across peaks and days
-    /// (a campaign keeps one per cell).
+    /// [`interval_flexibility_slab`] kernel in one pass over its device
+    /// entries (each kind's duty is integrated over the peak once per
+    /// call), against a `scratch` the caller reuses across peaks and
+    /// days (a campaign keeps one per cell). A household whose prorated
+    /// allowance falls below its usage `u` gets `allowed_use = u`, so
+    /// an offer's implied cut-down `(u − x_max·u) / u` falls within a
+    /// few ulps of the grid level `1 − x_max`, on either side as `u`'s
+    /// last bits fall, and one ulp above a level is charged the next
+    /// level's effort.
     #[allow(clippy::too_many_arguments)]
     pub fn from_peak(
         population: SlabView<'_>,
@@ -743,7 +749,7 @@ mod tests {
             normal_use: KilowattHours(100.0),
         };
         // One scratch across consecutive peaks, as a campaign reuses it.
-        let mut scratch = DemandScratch::new(&axis);
+        let mut scratch = DemandScratch::new();
         let mut from_peak = |scale| {
             ScenarioBuilder::from_peak(slab.view(), &axis, -4.0, &peak, 9, scale, &mut scratch)
                 .build()
@@ -768,9 +774,13 @@ mod tests {
         assert_eq!(a.normal_use, peak.normal_use);
         assert_eq!(a.interval, interval);
         for (c, h) in a.customers.iter().zip(&homes) {
-            // Predicted use is the household's physical demand over the peak.
-            let expected = h.demand_profile(&axis, -4.0, 9).energy_over(interval);
-            assert_eq!(c.predicted_use, expected);
+            // Predicted use is the household's demand over the peak: bit
+            // for bit its per-kind reference, and within 1e-12 relative
+            // of its per-slot physical demand.
+            let (usage, _) = h.interval_flexibility(&axis, -4.0, 9, interval);
+            assert_eq!(c.predicted_use, usage);
+            let physical = h.demand_profile(&axis, -4.0, 9).energy_over(interval);
+            assert!((usage - physical).value().abs() <= 1e-12 * physical.value());
             // The preference ceiling is the household's physical max cut-down.
             assert_eq!(
                 c.preferences.max_cutdown(),

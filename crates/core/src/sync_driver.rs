@@ -144,7 +144,7 @@ impl NegotiationScratch {
     /// impossible for the shipped announcement methods, whose
     /// termination the concession protocol guarantees.
     pub fn run(&mut self, scenario: &Scenario, tier: ReportTier) -> NegotiationReport {
-        let mut utility = self.checkout(scenario);
+        let mut utility = self.checkout(scenario, tier);
         let report = pump(&mut utility, &mut self.customers, tier);
         self.check_in(utility);
         report
@@ -153,21 +153,24 @@ impl NegotiationScratch {
     /// Re-aims the customer engines at `scenario` and hands out the
     /// utility engine re-aimed too (reset in place, or built on first
     /// use) — by value, so a run can borrow it beside the customer
-    /// engines. Pair with [`NegotiationScratch::check_in`] so the next
-    /// negotiation reuses its buffers.
-    pub(crate) fn checkout(&mut self, scenario: &Scenario) -> UtilityEngine {
+    /// engines. The engine builds round records' bids only if `tier`
+    /// keeps the records. Pair with [`NegotiationScratch::check_in`] so
+    /// the next negotiation reuses its buffers.
+    pub(crate) fn checkout(&mut self, scenario: &Scenario, tier: ReportTier) -> UtilityEngine {
         self.negotiations += 1;
         self.customers.clear();
         self.customers.extend(
             (0..scenario.customers.len()).map(|i| CustomerEngine::for_customer(scenario, i)),
         );
-        match self.utility.take() {
+        let mut engine = match self.utility.take() {
             Some(mut engine) => {
                 engine.reset(scenario);
                 engine
             }
             None => UtilityEngine::new(scenario),
-        }
+        };
+        engine.keep_bids(tier.keeps_rounds());
+        engine
     }
 
     /// Returns the engine previously [checked out](NegotiationScratch::checkout).

@@ -175,7 +175,7 @@ pub fn simulate_horizon(
     horizon: &crate::calendar::Horizon,
     axis: &TimeAxis,
 ) -> Vec<(DemandCurve, Series)> {
-    let mut scratch = DemandScratch::new(axis);
+    let mut scratch = DemandScratch::new();
     horizon
         .days()
         .map(|day| {

@@ -149,6 +149,28 @@ impl DeviceKind {
     }
 }
 
+/// The energy (kWh) one kilowatt of rated power draws over `interval`
+/// under the duty shape `shape` (one value per slot of a day whose
+/// slots last `slot_hours`): `Σ duty × slot hours` over the interval's
+/// slots within the day, summed left to right. Interval demand is
+/// linear in device power, so a device's energy over the interval is
+/// its power times this integral. The one definition that
+/// [`Household::interval_flexibility`] and the slab kernel
+/// [`interval_flexibility_slab`] share, which keeps the two bit for bit
+/// equal.
+///
+/// [`Household::interval_flexibility`]: crate::household::Household::interval_flexibility
+/// [`interval_flexibility_slab`]: crate::slab::interval_flexibility_slab
+pub(crate) fn duty_integral(shape: &[f64], slot_hours: f64, interval: Interval) -> f64 {
+    let n = shape.len();
+    let clipped = interval.intersect(Interval::new(0, n));
+    // An interval entirely beyond the day clips to an empty range whose
+    // bounds still sit past `n`; clamp so the slice stays in range.
+    shape[clipped.start().min(n)..clipped.end().min(n)]
+        .iter()
+        .fold(0.0, |acc, &duty| acc + duty * slot_hours)
+}
+
 impl std::fmt::Display for DeviceKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {

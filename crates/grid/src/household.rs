@@ -4,7 +4,7 @@
 //! `allowed_use` is the contracted consumption that cut-down fractions in
 //! the paper's formulae refer to (`(1 - cutdown(c)) * allowed_use(c)`).
 
-use crate::device::{Device, DeviceKind};
+use crate::device::{duty_integral, Device, DeviceKind};
 use crate::series::Series;
 use crate::time::{Interval, TimeAxis};
 use crate::units::{Fraction, KilowattHours};
@@ -211,12 +211,46 @@ impl Household {
     /// Interval demand and saving potential in one pass over the
     /// devices, returning `(usage, potential)`.
     ///
-    /// Byte-identical to calling [`Household::demand_profile`] (then
-    /// [`Series::energy_over`]) and [`Household::saving_potential`]
-    /// separately — the reference the scenario-derivation kernel
+    /// Interval demand is linear in device power, so each device's
+    /// energy over the interval is its power times its kind's duty
+    /// integral (`Σ duty × slot hours` over the interval's slots within
+    /// the day); usage sums those energies and potential their
+    /// flexible shares, both in device-list order. This is the
+    /// reference the scenario-derivation kernel
     /// [`interval_flexibility_slab`](crate::slab::interval_flexibility_slab)
-    /// is pinned against.
+    /// is pinned byte-identical to (both take the integral from one
+    /// definition), and it stays within 1e-12 relative of the per-slot
+    /// physics, [`Household::interval_flexibility_per_slot`].
     pub fn interval_flexibility(
+        &self,
+        axis: &TimeAxis,
+        mean_temp: f64,
+        seed: u64,
+        interval: Interval,
+    ) -> (KilowattHours, KilowattHours) {
+        let slot_hours = axis.slot_hours();
+        let mut duty = vec![0.0; axis.slots_per_day()];
+        let mut usage = KilowattHours::ZERO;
+        let mut potential = KilowattHours::ZERO;
+        for (dev, intensity) in self.jittered_devices(seed) {
+            dev.kind().duty_shape_into(&mut duty);
+            let integral = duty_integral(&duty, slot_hours, interval);
+            let energy = KilowattHours(dev.power(mean_temp, intensity) * integral);
+            usage += energy;
+            potential += dev.flexibility() * energy;
+        }
+        (usage, potential)
+    }
+
+    /// The per-slot physics that [`Household::interval_flexibility`]
+    /// factorises, returning `(usage, potential)`: one allocated
+    /// [`Device::load_profile`] per device, usage the household's
+    /// summed profile over the interval
+    /// ([`Household::demand_profile`], then [`Series::energy_over`])
+    /// and potential each device's [`Device::saving_potential`], summed
+    /// in device-list order. The readable oracle the proptests and E20
+    /// hold the per-kind pair within 1e-12 relative of.
+    pub fn interval_flexibility_per_slot(
         &self,
         axis: &TimeAxis,
         mean_temp: f64,
@@ -332,12 +366,22 @@ mod tests {
     }
 
     #[test]
-    fn interval_flexibility_matches_the_two_pass_computation() {
+    fn interval_flexibility_agrees_with_the_per_slot_physics() {
         let h = Household::standard(HouseholdId(7), 3);
         let iv = evening(axis());
         let (usage, potential) = h.interval_flexibility(&axis(), -4.0, 7, iv);
-        assert_eq!(usage, h.demand_profile(&axis(), -4.0, 7).energy_over(iv));
         assert_eq!(potential, h.saving_potential(&axis(), -4.0, 7, iv));
+        let (slot_usage, slot_potential) = h.interval_flexibility_per_slot(&axis(), -4.0, 7, iv);
+        assert_eq!(
+            slot_usage,
+            h.demand_profile(&axis(), -4.0, 7).energy_over(iv)
+        );
+        for (a, b) in [(usage, slot_usage), (potential, slot_potential)] {
+            assert!(
+                (a.value() - b.value()).abs() <= 1e-12 * b.value().abs(),
+                "{a} vs {b}"
+            );
+        }
     }
 
     #[test]

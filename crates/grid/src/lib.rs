@@ -43,11 +43,14 @@
 //!   folds demand per device kind, as the slab kernel does, and is
 //!   pinned byte for byte (same jitter streams, same per-kind powers
 //!   in the same order, same eight products per slot).
-//!   [`household::Household::interval_flexibility`] is pinned byte for
-//!   byte to the per-slot flexibility kernel. Summing
+//!   [`household::Household::interval_flexibility`] integrates each
+//!   device kind's duty over the interval, as the flexibility kernel
+//!   does, and is pinned byte for byte. Summing
 //!   [`household::Household::demand_profile`] slot by slot is the
 //!   physics oracle: the per-kind demand stays within 1e-12 relative
-//!   of it per slot.
+//!   of it per slot, and the per-kind interval flexibility within
+//!   1e-12 relative of the per-slot sweep
+//!   [`household::Household::interval_flexibility_per_slot`].
 //!
 //! [`PopulationBuilder::build`]: population::PopulationBuilder::build
 //! [`PopulationBuilder::build_slab`]: population::PopulationBuilder::build_slab

@@ -16,8 +16,10 @@
 //!   each kind's power over the population and builds every slot from
 //!   eight products (kind power × duty),
 //! * [`interval_flexibility_slab`] — per-household `(usage, potential)`
-//!   over a peak interval (the scenario-derivation hot path, swept slot
-//!   by slot over the clipped interval only),
+//!   over a peak interval (the scenario-derivation hot path): interval
+//!   demand is linear in device power too, so the kernel integrates
+//!   each kind's duty over the interval once per call and makes one
+//!   pass per household over its entries,
 //! * [`saving_potential_slab`] — aggregate shed capacity over an
 //!   interval.
 //!
@@ -28,17 +30,19 @@
 //! [`aggregate_demand`](crate::demand::aggregate_demand) (powers per
 //! kind in household, entry order, then kinds per slot), and agrees
 //! with the per-slot physics — summing [`Household::demand_profile`] —
-//! within 1e-12 relative per slot. Interval flexibility is still per
-//! slot, pinned to [`Household::interval_flexibility`] (per device,
-//! then per household). The proptests in `tests/slab_properties.rs`
-//! pin both, which is why campaigns read only slabs without
-//! re-blessing a single golden report.
+//! within 1e-12 relative per slot. Interval flexibility is pinned to
+//! [`Household::interval_flexibility`] (each device's power times its
+//! kind's duty integral, one definition both call), and agrees with
+//! the per-slot sweep,
+//! [`Household::interval_flexibility_per_slot`], within 1e-12
+//! relative per household. The proptests in `tests/slab_properties.rs`
+//! pin all four.
 //!
 //! Shards for fleet work come from [`PopulationSlab::shards`]: borrowed
 //! [`SlabView`]s over contiguous household ranges, no copying.
 
 use crate::demand::DemandCurve;
-use crate::device::{Device, DeviceKind};
+use crate::device::{duty_integral, Device, DeviceKind};
 use crate::household::{jitter_rng, Household, HouseholdId};
 use crate::series::Series;
 use crate::time::{Interval, TimeAxis};
@@ -396,38 +400,49 @@ impl<'a> SlabView<'a> {
 /// outside the loop: each device kind's duty shape (the transcendental
 /// time-of-day math, a pure function of kind and resolution) is
 /// computed once and shared across households, days and peaks. Demand
-/// synthesis reads only the shapes; interval flexibility also reuses a
-/// per-household slot accumulator. A campaign keeps one scratch for its
-/// horizon synthesis and one for its scenario derivation.
+/// synthesis reads the shapes slot by slot; interval flexibility
+/// integrates each over the interval once per call. A campaign keeps
+/// one scratch for its horizon synthesis and one for its scenario
+/// derivation.
 ///
-/// The buffers follow the axis they are used with, so one scratch can
+/// The shapes follow the axis they are used with, so one scratch can
 /// serve axes of different resolutions; a change of resolution
-/// recomputes the shapes.
+/// recomputes them.
 #[derive(Debug, Clone, Default)]
 pub struct DemandScratch {
-    /// One household's demand over the swept slots (kWh per slot), for
-    /// [`interval_flexibility_slab`].
-    total: Vec<f64>,
-    /// One duty shape per [`DeviceKind::all`] entry at the resolution of
-    /// `total`; empty until a kernel first needs them.
+    /// One duty shape per [`DeviceKind::all`] entry, at the resolution
+    /// of the axis last used; empty until a kernel first needs them.
     shapes: Vec<Vec<f64>>,
 }
 
 impl DemandScratch {
-    /// Scratch buffers sized for `axis`.
-    pub fn new(axis: &TimeAxis) -> DemandScratch {
-        DemandScratch {
-            total: vec![0.0; axis.slots_per_day()],
-            shapes: Vec::new(),
-        }
+    /// An empty scratch; the shapes are computed on first use.
+    pub fn new() -> DemandScratch {
+        DemandScratch::default()
     }
 
-    /// Sizes the buffers for `n` slots per day, dropping shapes cached
-    /// at another resolution.
-    fn ensure(&mut self, n: usize) {
-        if self.total.len() != n {
-            self.total.resize(n, 0.0);
+    /// The per-kind tables for a day of `n` slots with mean outdoor
+    /// temperature `mean_temp` °C. The duty shapes are computed on first
+    /// use at this resolution (their values are pure functions of
+    /// `(kind, n)`, so caching never changes an output); the
+    /// temperature factors are the ones [`Device::load_profile`]
+    /// applies.
+    ///
+    /// [`Device::load_profile`]: crate::device::Device::load_profile
+    fn tables(&mut self, mean_temp: f64, n: usize) -> KindTables<'_> {
+        let kinds = DeviceKind::all();
+        if self.shapes.first().map(Vec::len) != Some(n) {
             self.shapes.clear();
+            self.shapes.extend(kinds.iter().map(|kind| {
+                let mut shape = vec![0.0; n];
+                kind.duty_shape_into(&mut shape);
+                shape
+            }));
+        }
+        let shapes = &self.shapes;
+        KindTables {
+            temp_factor: kinds.map(|kind| kind.temperature_factor(mean_temp)),
+            shapes: std::array::from_fn(|k| shapes[k].as_slice()),
         }
     }
 }
@@ -437,28 +452,6 @@ impl DemandScratch {
 struct KindTables<'s> {
     temp_factor: [f64; 8],
     shapes: [&'s [f64]; 8],
-}
-
-/// Computes the duty shapes into the scratch on first use at this
-/// resolution (their values are pure functions of `(kind, n)`, so
-/// caching never changes an output) and snapshots the per-kind
-/// temperature factors [`Device::load_profile`] applies.
-///
-/// [`Device::load_profile`]: crate::device::Device::load_profile
-fn kind_tables(shapes: &mut Vec<Vec<f64>>, mean_temp: f64, n: usize) -> KindTables<'_> {
-    let kinds = DeviceKind::all();
-    if shapes.is_empty() {
-        shapes.extend(kinds.iter().map(|kind| {
-            let mut shape = vec![0.0; n];
-            kind.duty_shape_into(&mut shape);
-            shape
-        }));
-    }
-    let shapes: &Vec<Vec<f64>> = shapes;
-    KindTables {
-        temp_factor: kinds.map(|kind| kind.temperature_factor(mean_temp)),
-        shapes: std::array::from_fn(move |k| shapes[k].as_slice()),
-    }
 }
 
 /// One day of aggregate demand over a slab view — the batched form of
@@ -471,8 +464,7 @@ pub fn aggregate_demand_slab(
     axis: &TimeAxis,
     seed: u64,
 ) -> DemandCurve {
-    let mut scratch = DemandScratch::new(axis);
-    aggregate_demand_slab_with(view, weather, axis, seed, &mut scratch)
+    aggregate_demand_slab_with(view, weather, axis, seed, &mut DemandScratch::new())
 }
 
 /// [`aggregate_demand_slab`] against a reusable [`DemandScratch`] (for
@@ -492,9 +484,7 @@ pub fn aggregate_demand_slab_with(
     seed: u64,
     scratch: &mut DemandScratch,
 ) -> DemandCurve {
-    let n = axis.slots_per_day();
-    scratch.ensure(n);
-    let tables = kind_tables(&mut scratch.shapes, weather.mean(), n);
+    let tables = scratch.tables(weather.mean(), axis.slots_per_day());
     let slab = view.slab;
     let mut per_kind = [0.0f64; 8];
     for h in view.start..view.end {
@@ -527,9 +517,15 @@ pub fn aggregate_demand_slab_with(
 /// batched form of [`Household::interval_flexibility`], byte-identical
 /// to calling it per household.
 ///
-/// Only the interval's slots are swept (the outputs never read the
-/// rest of the day), so scenario derivation over a 2-hour peak does a
-/// twelfth of the full-day work.
+/// Interval demand is linear in device power, so the kernel integrates
+/// each kind's duty shape over the interval once per call (`Σ duty ×
+/// slot hours` over the interval's slots within the day), then makes
+/// one pass per household over its template entries: each entry's
+/// energy is its power (one jitter draw per entry, in device-list
+/// order) times its kind's integral, usage sums the energies and
+/// potential their flexible shares, in entry order. A household costs
+/// its jitter draws and a few products per entry, whatever the
+/// interval's length.
 pub fn interval_flexibility_slab(
     view: SlabView<'_>,
     axis: &TimeAxis,
@@ -539,42 +535,28 @@ pub fn interval_flexibility_slab(
     scratch: &mut DemandScratch,
     mut sink: impl FnMut(usize, KilowattHours, KilowattHours),
 ) {
-    let n = axis.slots_per_day();
-    scratch.ensure(n);
     let slot_hours = axis.slot_hours();
-    let clipped = interval.intersect(Interval::new(0, n));
-    // An interval entirely beyond the day clips to an empty range whose
-    // bounds still sit past `n`; clamp so the slices stay in range.
-    let (lo, hi) = (clipped.start().min(n), clipped.end().min(n));
-    let DemandScratch { total, shapes, .. } = scratch;
-    let tables = kind_tables(shapes, mean_temp, n);
+    let tables = scratch.tables(mean_temp, axis.slots_per_day());
+    let integral = tables
+        .shapes
+        .map(|shape| duty_integral(shape, slot_hours, interval));
     let slab = view.slab;
-    let house = &mut total[lo..hi];
     for (local, h) in (view.start..view.end).enumerate() {
         let mut rng = jitter_rng(seed, slab.ids[h]);
         let template = slab.template_of(h);
         let intensity = template.intensity;
-        house.fill(0.0);
-        let mut potential = KilowattHours::ZERO;
+        let (mut usage, mut potential) = (0.0, 0.0);
         for e in template.entries() {
             let jitter = rng.gen_range(0.85..1.15);
             let kind = slab.kind_index[e] as usize;
+            // Left-associated exactly as `Device::power`, then × the
+            // kind's integral, as the household reference computes it.
             let power = slab.rated_power[e] * (intensity * jitter) * tables.temp_factor[kind];
-            let shape = &tables.shapes[kind][lo..hi];
-            // One fused pass per entry: the reference fold materialises
-            // the device profile once and reads it twice (potential,
-            // then total); the load value and both accumulation orders
-            // are bit-for-bit the same.
-            let mut entry_sum = 0.0;
-            for (slot, &duty) in house.iter_mut().zip(shape) {
-                let load = (power * duty) * slot_hours;
-                entry_sum += load;
-                *slot += load;
-            }
-            potential += KilowattHours(slab.flexibility[e] * entry_sum);
+            let energy = power * integral[kind];
+            usage += energy;
+            potential += slab.flexibility[e] * energy;
         }
-        let usage = KilowattHours(house.iter().sum());
-        sink(local, usage, potential);
+        sink(local, KilowattHours(usage), KilowattHours(potential));
     }
 }
 
@@ -688,7 +670,7 @@ mod tests {
         let homes = PopulationBuilder::new().households(40).build(11);
         let slab = PopulationSlab::from_households(&homes);
         let iv = evening(axis());
-        let mut scratch = DemandScratch::new(&axis());
+        let mut scratch = DemandScratch::new();
         let mut got = Vec::new();
         interval_flexibility_slab(
             slab.view(),
@@ -712,7 +694,7 @@ mod tests {
         let homes = PopulationBuilder::new().households(30).build(7);
         let slab = PopulationSlab::from_households(&homes);
         let iv = evening(axis());
-        let mut scratch = DemandScratch::new(&axis());
+        let mut scratch = DemandScratch::new();
         let batched = saving_potential_slab(slab.view(), &axis(), -4.0, 7, iv, &mut scratch);
         let mut object = KilowattHours::ZERO;
         for h in &homes {
@@ -725,7 +707,7 @@ mod tests {
     fn one_scratch_serves_every_axis_in_turn() {
         let homes = PopulationBuilder::new().households(12).build(4);
         let slab = PopulationSlab::from_households(&homes);
-        let mut scratch = DemandScratch::new(&TimeAxis::hourly());
+        let mut scratch = DemandScratch::new();
         for axis in [
             TimeAxis::hourly(),
             TimeAxis::quarter_hourly(),
@@ -793,7 +775,7 @@ mod tests {
     #[test]
     fn empty_interval_yields_zero_flexibility() {
         let slab = PopulationBuilder::new().households(5).build(1).pipe_slab();
-        let mut scratch = DemandScratch::new(&axis());
+        let mut scratch = DemandScratch::new();
         let p = saving_potential_slab(
             slab.view(),
             &axis(),
@@ -812,7 +794,7 @@ mod tests {
         // it as empty rather than slice out of bounds.
         let slab = PopulationBuilder::new().households(5).build(1).pipe_slab();
         let n = axis().slots_per_day();
-        let mut scratch = DemandScratch::new(&axis());
+        let mut scratch = DemandScratch::new();
         let p = saving_potential_slab(
             slab.view(),
             &axis(),

@@ -52,7 +52,7 @@ fn main() {
     // Materialise the peak over the households' demand on the forecast
     // day (6) and compare methods.
     let slab = PopulationSlab::from_households(&homes);
-    let mut scratch = DemandScratch::new(&axis);
+    let mut scratch = DemandScratch::new();
     let scenario = ScenarioBuilder::from_peak(
         slab.view(),
         &axis,

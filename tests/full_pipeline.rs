@@ -41,7 +41,7 @@ fn grid_to_negotiation_pipeline_shaves_the_peak() {
     // Materialise the detected peak over the households' day-6 demand
     // and negotiate it.
     let slab = PopulationSlab::from_households(&homes);
-    let mut scratch = DemandScratch::new(&axis);
+    let mut scratch = DemandScratch::new();
     let scenario = ScenarioBuilder::from_peak(
         slab.view(),
         &axis,
@@ -113,7 +113,7 @@ fn all_methods_work_on_household_derived_scenarios() {
         normal_use: KilowattHours::ZERO,
     };
     let slab = PopulationSlab::from_households(&homes);
-    let mut scratch = DemandScratch::new(&axis);
+    let mut scratch = DemandScratch::new();
     let mut scenario = ScenarioBuilder::from_peak(
         slab.view(),
         &axis,

@@ -2,10 +2,11 @@
 //! claim: for any population, axis, weather and seed, the batched slab
 //! kernels produce **byte-identical** results to their allocating
 //! `Household` references — the per-kind `aggregate_demand` fold for
-//! demand synthesis, the per-slot folds for interval flexibility and
-//! saving potential — and the per-kind demand stays within 1e-12
-//! relative per slot of the per-slot physics (the sum of
-//! `Household::demand_profile`). Every slab accessor returns the
+//! demand synthesis, the per-kind `Household::interval_flexibility`
+//! fold for interval flexibility and saving potential — and both stay
+//! within 1e-12 relative of the per-slot physics (the sum of
+//! `Household::demand_profile` per slot, and
+//! `Household::interval_flexibility_per_slot` per household). Every slab accessor returns the
 //! household's own field bits, and a whole negotiated season is the
 //! same whether a cell borrows a slab shard or converts its own
 //! households, at any thread count.
@@ -200,9 +201,9 @@ proptest! {
     }
 
     /// Interval flexibility and saving potential: per household, the
-    /// fused clipped-interval sweep delivers exactly the `(usage,
-    /// potential)` pair the reference fold computes, and the slab fold
-    /// equals the household fold.
+    /// per-kind kernel delivers exactly the `(usage, potential)` pair
+    /// the reference fold computes, and the slab fold equals the
+    /// household fold.
     #[test]
     fn slab_flexibility_is_byte_identical_per_household(
         homes in arb_households(),
@@ -212,7 +213,7 @@ proptest! {
         interval in arb_interval(96),
     ) {
         let slab = PopulationSlab::from_households(&homes);
-        let mut scratch = DemandScratch::new(&axis);
+        let mut scratch = DemandScratch::new();
         let mut pairs = Vec::with_capacity(homes.len());
         interval_flexibility_slab(
             slab.view(), &axis, mean_temp, seed, interval, &mut scratch,
@@ -233,6 +234,42 @@ proptest! {
             acc + h.saving_potential(&axis, mean_temp, seed, interval)
         });
         prop_assert_eq!(slab_total.value().to_bits(), object_total.value().to_bits());
+    }
+
+    /// The per-kind interval fold against the physics it factorises:
+    /// every household's `(usage, potential)` from the kernel is within
+    /// 1e-12 relative of the per-slot sweep (one load per device per
+    /// slot, summed over the interval). Every load is ≥ 0, so nothing
+    /// cancels and a zero must match exactly.
+    #[test]
+    fn slab_flexibility_is_within_1e_12_of_the_per_slot_physics(
+        homes in arb_households(),
+        axis in arb_axis(),
+        mean_temp in -12.0f64..22.0,
+        seed in 0u64..1000,
+        interval in arb_interval(96),
+    ) {
+        let slab = PopulationSlab::from_households(&homes);
+        let mut pairs = Vec::with_capacity(homes.len());
+        interval_flexibility_slab(
+            slab.view(), &axis, mean_temp, seed, interval, &mut DemandScratch::new(),
+            |_, usage, potential| pairs.push((usage, potential)),
+        );
+        prop_assert_eq!(pairs.len(), homes.len());
+        for (h, (usage, potential)) in homes.iter().zip(pairs) {
+            let (slot_usage, slot_potential) =
+                h.interval_flexibility_per_slot(&axis, mean_temp, seed, interval);
+            for (what, a, b) in [
+                ("usage", usage, slot_usage),
+                ("potential", potential, slot_potential),
+            ] {
+                let (a, b) = (a.value(), b.value());
+                prop_assert!(
+                    (a - b).abs() <= 1e-12 * b.abs(),
+                    "{} {}: per-kind {} vs per-slot {}", h.id(), what, a, b
+                );
+            }
+        }
     }
 
     /// Every `SlabView` accessor returns the object household's field
