@@ -543,9 +543,9 @@ impl ScenarioBuilder {
     /// days (a campaign keeps one per cell). A household whose prorated
     /// allowance falls below its usage `u` gets `allowed_use = u`, so
     /// an offer's implied cut-down `(u − x_max·u) / u` falls within a
-    /// few ulps of the grid level `1 − x_max`, on either side as `u`'s
-    /// last bits fall, and one ulp above a level is charged the next
-    /// level's effort.
+    /// few ulps of `1 − x_max` (the grid level 0.2 at the default
+    /// `x_max` of 0.8), on either side as `u`'s last bits fall, and one
+    /// ulp above a grid level is charged the next level's effort.
     #[allow(clippy::too_many_arguments)]
     pub fn from_peak(
         population: SlabView<'_>,
