@@ -7,12 +7,14 @@
 //! every count is checked against the bytes that remain before anything
 //! is allocated, every enum tag is matched exhaustively, and every
 //! value range a core constructor asserts (fractions in `[0, 1]`,
-//! monotone reward tables, ordered tariffs, non-inverted intervals) is
-//! validated first so the constructor's own assertion can never fire on
-//! attacker- or bitrot-shaped bytes.
+//! monotone reward tables, non-inverted intervals) is validated first
+//! so the constructor's own assertion can never fire on attacker- or
+//! bitrot-shaped bytes.
 //! The levels format v2 stores with each Utility Agent configuration
-//! and reward table are the cut-down grid's, [`LEVELS`]: any other count
-//! or bit pattern (`-0.0` is not `0.0`) is corrupt.
+//! and reward table are the cut-down grid's, [`LEVELS`], and the tariff
+//! it stores with each scenario is the §3.2 tariff,
+//! [`Tariff::default_scheme`]: any other count or bit pattern (`-0.0` is
+//! not `0.0`) is corrupt.
 
 use crate::error::{corrupt, truncated, ArchiveError};
 use loadbal_core::beta::BetaPolicy;
@@ -194,26 +196,20 @@ pub(crate) fn interval(d: &mut Dec) -> Result<Interval, ArchiveError> {
     Ok(Interval::new(start, end))
 }
 
-fn put_tariff(buf: &mut Vec<u8>, t: &Tariff) {
-    put_f64(buf, t.lower().value());
-    put_f64(buf, t.normal().value());
-    put_f64(buf, t.higher().value());
+/// Checks that the next stored `f64` is `value`, bit for bit.
+fn fixed(d: &mut Dec, value: f64, context: &'static str) -> Result<(), ArchiveError> {
+    if d.f64()?.to_bits() == value.to_bits() {
+        Ok(())
+    } else {
+        Err(corrupt(context))
+    }
 }
 
-fn tariff(d: &mut Dec) -> Result<Tariff, ArchiveError> {
-    let lower = d.f64()?;
-    let normal = d.f64()?;
-    let higher = d.f64()?;
-    // Replicates Tariff::new's assertions as checks (NaN fails both).
-    let ordered = lower >= 0.0 && lower <= normal && normal <= higher;
-    if !ordered {
-        return Err(corrupt("tariff prices unordered or negative"));
-    }
-    Ok(Tariff::new(
-        PricePerKwh(lower),
-        PricePerKwh(normal),
-        PricePerKwh(higher),
-    ))
+/// The lower, normal and higher prices format v2 stores with each
+/// scenario: those of the one §3.2 tariff, [`Tariff::default_scheme`].
+fn tariff_prices() -> [f64; 3] {
+    let t = Tariff::default_scheme();
+    [t.lower(), t.normal(), t.higher()].map(|price| price.value())
 }
 
 pub(crate) fn put_calendar_day(buf: &mut Vec<u8>, day: CalendarDay) {
@@ -350,15 +346,6 @@ fn grid_count(d: &mut Dec) -> Result<(), ArchiveError> {
     }
 }
 
-/// Checks a stored level against grid level `level`, bit for bit.
-fn grid_level(d: &mut Dec, level: f64) -> Result<(), ArchiveError> {
-    if d.f64()?.to_bits() == level.to_bits() {
-        Ok(())
-    } else {
-        Err(corrupt("level off the cut-down grid"))
-    }
-}
-
 /// A table goes on the wire as its interval and its six `(cutdown,
 /// reward)` entries behind their count.
 fn put_reward_table(buf: &mut Vec<u8>, t: &RewardTable) {
@@ -377,7 +364,7 @@ fn reward_table(d: &mut Dec) -> Result<RewardTable, ArchiveError> {
     grid_count(d)?;
     let mut rewards = [Money::ZERO; LEVELS.len()];
     for (reward, level) in rewards.iter_mut().zip(LEVELS) {
-        grid_level(d, level)?;
+        fixed(d, level, "level off the cut-down grid")?;
         *reward = Money(d.f64()?);
     }
     for (prev, next) in rewards.iter().zip(rewards.iter().skip(1)) {
@@ -611,7 +598,7 @@ fn ua_config(d: &mut Dec) -> Result<UtilityAgentConfig, ArchiveError> {
     let max_allowed_overuse = d.f64()?;
     grid_count(d)?;
     for level in LEVELS {
-        grid_level(d, level)?;
+        fixed(d, level, "level off the cut-down grid")?;
     }
     let initial_reward_at = Money(d.f64()?);
     let pin = fraction(d)?;
@@ -653,7 +640,9 @@ fn put_scenario(buf: &mut Vec<u8>, s: &Scenario) {
     }
     put_ua_config(buf, &s.config);
     put_method(buf, s.method);
-    put_tariff(buf, &s.tariff);
+    for price in tariff_prices() {
+        put_f64(buf, price);
+    }
 }
 
 fn scenario(d: &mut Dec) -> Result<Scenario, ArchiveError> {
@@ -668,14 +657,17 @@ fn scenario(d: &mut Dec) -> Result<Scenario, ArchiveError> {
             preferences: preferences(d)?,
         });
     }
-    Ok(Scenario {
+    let scenario = Scenario {
         normal_use,
         interval,
         customers,
         config: ua_config(d)?,
         method: method(d)?,
-        tariff: tariff(d)?,
-    })
+    };
+    for price in tariff_prices() {
+        fixed(d, price, "tariff is not the §3.2 tariff")?;
+    }
+    Ok(scenario)
 }
 
 // ---------------------------------------------------------------------
@@ -903,6 +895,7 @@ pub(crate) fn economics(d: &mut Dec) -> Result<CampaignEconomics, ArchiveError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use loadbal_core::session::ScenarioBuilder;
 
     /// Format-v2 preference bytes written out by hand: the scale, then
     /// the ceiling, each as a little-endian `f64` bit pattern.
@@ -1078,6 +1071,32 @@ mod tests {
             assert!(
                 matches!(decoded, Err(ArchiveError::Corrupt { .. })),
                 "{entries:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_stored_tariff_must_be_the_one_tariff() {
+        let paper = ScenarioBuilder::paper_figure_6().build();
+        let mut bytes = Vec::new();
+        put_scenario(&mut bytes, &paper);
+        assert_eq!(decode_all(&bytes, scenario).ok(), Some(paper));
+        // A scenario ends in its tariff's three prices, the §3.2
+        // tariff's; any other, written by hand, is corrupt.
+        let prices = bytes.len() - 24;
+        assert_eq!(bytes[prices..], f64_bytes(&[0.6, 1.0, 1.8]));
+        for tariff in [
+            [0.5, 1.0, 1.8],
+            [0.6, 1.0, 2.0],
+            [1.8, 1.0, 0.6],
+            [0.6, f64::NAN, 1.8],
+        ] {
+            bytes.truncate(prices);
+            bytes.extend(f64_bytes(&tariff));
+            let decoded = decode_all(&bytes, scenario);
+            assert!(
+                matches!(decoded, Err(ArchiveError::Corrupt { .. })),
+                "{tariff:?}"
             );
         }
     }

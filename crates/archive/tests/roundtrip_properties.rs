@@ -17,7 +17,6 @@ use loadbal_core::session::{
 use loadbal_core::utility_agent::{EconomicStopRule, TableShape, UtilityAgentConfig};
 use powergrid::calendar::{CalendarDay, DayType};
 use powergrid::peak::Peak;
-use powergrid::tariff::Tariff;
 use powergrid::time::Interval;
 use powergrid::units::{Fraction, KilowattHours, Money, PricePerKwh};
 use powergrid::weather::Season;
@@ -58,18 +57,6 @@ fn arb_preferences() -> impl Strategy<Value = CustomerPreferences> {
 
 fn arb_table() -> impl Strategy<Value = RewardTable> {
     (arb_interval(), arb_rewards()).prop_map(|(i, r)| RewardTable::new(i, r))
-}
-
-fn arb_tariff() -> impl Strategy<Value = Tariff> {
-    (0.0f64..2.0, 0.0f64..2.0, 0.0f64..2.0).prop_map(|(a, b, c)| {
-        let mut prices = [a, b, c];
-        prices.sort_by(f64::total_cmp);
-        Tariff::new(
-            PricePerKwh(prices[0]),
-            PricePerKwh(prices[1]),
-            PricePerKwh(prices[2]),
-        )
-    })
 }
 
 fn arb_method() -> impl Strategy<Value = AnnouncementMethod> {
@@ -167,18 +154,14 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
         prop::collection::vec(arb_customer(), 1..4),
         arb_config(),
         arb_method(),
-        arb_tariff(),
     )
-        .prop_map(
-            |(normal, interval, customers, config, method, tariff)| Scenario {
-                normal_use: KilowattHours(normal),
-                interval,
-                customers,
-                config,
-                method,
-                tariff,
-            },
-        )
+        .prop_map(|(normal, interval, customers, config, method)| Scenario {
+            normal_use: KilowattHours(normal),
+            interval,
+            customers,
+            config,
+            method,
+        })
 }
 
 /// Half the draws hold a handful of items, as a small cell's rounds

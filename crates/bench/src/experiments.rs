@@ -698,16 +698,10 @@ pub fn invariants(populations: usize) -> InvariantsResult {
         let report = ScenarioBuilder::random(40, 0.3 + (seed % 3) as f64 * 0.1, seed)
             .build()
             .run();
-        let tables: Vec<_> = report
-            .rounds()
-            .iter()
-            .filter_map(|r| r.table.as_deref().cloned())
-            .collect();
-        if verify_announcements(&tables).is_err() {
+        if verify_announcements(report.rounds()).is_err() {
             result.announcement_violations += 1;
         }
-        let bids: Vec<_> = report.rounds().iter().map(|r| r.bids.clone()).collect();
-        if verify_bids(&bids).is_err() {
+        if verify_bids(report.rounds()).is_err() {
             result.bid_violations += 1;
         }
         if !report.converged() {

@@ -606,6 +606,9 @@ struct Prepared {
     actuals: Vec<Series>,
     /// Temperature series per horizon day, aligned with `actuals`.
     weathers: Vec<Series>,
+    /// The duty shapes the horizon was synthesised with, which each
+    /// [`CampaignProgress`] shares for its scenario derivation.
+    scratch: DemandScratch,
     /// Producer with capacity sized from the warmup days.
     producer: ProducerAgent,
     /// The UA configuration with the stop policy's rule installed.
@@ -637,11 +640,13 @@ impl CampaignRunner<'_> {
     /// first call only, on the calling thread.
     fn prepared(&self) -> &Prepared {
         self.prepared.get_or_init(|| {
+            let mut scratch = DemandScratch::new();
             let (actuals, weathers): (Vec<Series>, Vec<Series>) = simulate_horizon(
                 self.population.view(),
                 &self.weather_model,
                 &self.horizon,
                 &self.axis,
+                &mut scratch,
             )
             .into_iter()
             .map(|(curve, weather)| (curve.into_series(), weather))
@@ -664,6 +669,7 @@ impl CampaignRunner<'_> {
             Prepared {
                 actuals,
                 weathers,
+                scratch,
                 producer,
                 ua_config,
             }
@@ -720,7 +726,7 @@ impl CampaignRunner<'_> {
                 .choose(&prepared.actuals[..warmup], &prepared.weathers[..warmup]),
             detector: PeakDetector::new(PEAK_THRESHOLD),
             history: prepared.actuals[..warmup].to_vec(),
-            scratch: DemandScratch::new(),
+            scratch: prepared.scratch.clone(),
             next_index: warmup as u64,
             ua_config: prepared.ua_config,
             control: OwnProcessControl::new(),
@@ -823,7 +829,9 @@ impl DayPlan {
 ///
 /// One [`DemandScratch`] lives inside the progress and is reused across
 /// every household of every peak of every day — the campaign's scenario
-/// derivation allocates no per-device series.
+/// derivation allocates no per-device series. It is a clone of the one
+/// the horizon was synthesised with, sharing its duty shapes, so they
+/// are computed once per campaign.
 ///
 /// The progress also owns the campaign's **adaptive state** — the
 /// current [`UtilityAgentConfig`], the [`OwnProcessControl`] recording

@@ -16,6 +16,7 @@
 use crate::customer_agent::decide_offer;
 use crate::methods::AnnouncementMethod;
 use crate::session::Scenario;
+use powergrid::tariff::Tariff;
 use powergrid::units::{Fraction, KilowattHours};
 
 /// A consumption category: all customers whose predicted use falls in
@@ -93,6 +94,7 @@ pub fn optimized_categories(
     candidates: &[Fraction],
 ) -> Vec<Category> {
     assert!(!candidates.is_empty(), "need candidate x_max values");
+    let tariff = Tariff::default_scheme();
     let mut categories = consumption_categories(scenario, buckets);
     for category in &mut categories {
         let members: Vec<_> = scenario
@@ -110,7 +112,7 @@ pub fn optimized_categories(
                         c.predicted_use,
                         c.allowed_use,
                         x_max,
-                        &scenario.tariff,
+                        &tariff,
                     );
                     if accept {
                         (c.predicted_use - c.predicted_use.min(x_max * c.allowed_use))
@@ -132,8 +134,8 @@ pub fn optimized_categories(
 /// Splits a categorized offer into one [`AnnouncementMethod::Offer`]
 /// scenario per non-empty category, in category order. Each part holds
 /// the category's customers in scenario order, offers the category's
-/// `x_max`, and keeps the whole scenario's capacity, interval and tariff
-/// (an offer decision never reads the capacity). A customer belongs to
+/// `x_max`, and keeps the whole scenario's capacity and interval (an
+/// offer decision never reads the capacity). A customer belongs to
 /// the first category that contains it.
 ///
 /// # Panics
@@ -163,7 +165,6 @@ pub fn categorized_offers(scenario: &Scenario, categories: &[Category]) -> Vec<S
             customers,
             config: scenario.config.with_offer_x_max(category.x_max),
             method: AnnouncementMethod::Offer,
-            tariff: scenario.tariff,
         })
         .collect()
 }

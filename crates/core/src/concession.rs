@@ -6,10 +6,11 @@
 //! than before, and customer bids never shrink. "The strength of this
 //! protocol is that the negotiation process always converges."
 //!
-//! This module provides the protocol-level bookkeeping and validators;
-//! the E9 experiment property-tests them over random populations.
+//! This module provides the protocol-level bookkeeping and validators,
+//! which read a report's rounds; the E9 experiment runs them over
+//! random populations.
 
-use crate::reward::RewardTable;
+use crate::session::RoundRecord;
 use powergrid::units::Fraction;
 use std::fmt;
 
@@ -118,25 +119,27 @@ impl fmt::Display for ConcessionViolation {
 
 impl std::error::Error for ConcessionViolation {}
 
-/// Verifies that a sequence of announcements is monotone (each dominates
-/// its predecessor).
+/// Verifies that a report's announcements are monotone: each round's
+/// reward table dominates the one announced in the round before.
 ///
 /// # Errors
 ///
 /// Returns the first [`ConcessionViolation::AnnouncementRegressed`].
-pub fn verify_announcements(tables: &[RewardTable]) -> Result<(), ConcessionViolation> {
-    for (i, pair) in tables.windows(2).enumerate() {
-        if !pair[1].dominates(&pair[0]) {
-            return Err(ConcessionViolation::AnnouncementRegressed { round: i + 2 });
+pub fn verify_announcements(rounds: &[RoundRecord]) -> Result<(), ConcessionViolation> {
+    for pair in rounds.windows(2) {
+        if let (Some(previous), Some(next)) = (&pair[0].table, &pair[1].table) {
+            if !next.dominates(previous) {
+                return Err(ConcessionViolation::AnnouncementRegressed {
+                    round: pair[1].round as usize,
+                });
+            }
         }
     }
     Ok(())
 }
 
-/// Verifies that per-customer bid sequences never retreat.
-///
-/// `rounds[r][c]` is customer `c`'s bid in round `r`; all rounds must
-/// have the same number of customers.
+/// Verifies that no customer's bid retreats from one round of a report
+/// to the next.
 ///
 /// # Errors
 ///
@@ -144,18 +147,19 @@ pub fn verify_announcements(tables: &[RewardTable]) -> Result<(), ConcessionViol
 ///
 /// # Panics
 ///
-/// Panics if rounds have inconsistent customer counts.
-pub fn verify_bids(rounds: &[Vec<Fraction>]) -> Result<(), ConcessionViolation> {
-    for (r, pair) in rounds.windows(2).enumerate() {
+/// Panics if two rounds' bids cover different numbers of customers.
+pub fn verify_bids(rounds: &[RoundRecord]) -> Result<(), ConcessionViolation> {
+    for pair in rounds.windows(2) {
+        let (previous, next) = (&pair[0], &pair[1]);
         assert_eq!(
-            pair[0].len(),
-            pair[1].len(),
+            previous.bids.len(),
+            next.bids.len(),
             "bid rounds must cover the same customers"
         );
-        for (c, (&prev, &cur)) in pair[0].iter().zip(&pair[1]).enumerate() {
+        for (c, (&prev, &cur)) in previous.bids.iter().zip(&next.bids).enumerate() {
             if cur < prev {
                 return Err(ConcessionViolation::BidRetreated {
-                    round: r + 2,
+                    round: next.round as usize,
                     customer: c,
                     previous: prev,
                     current: cur,
@@ -169,9 +173,10 @@ pub fn verify_bids(rounds: &[Vec<Fraction>]) -> Result<(), ConcessionViolation> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reward::RewardFormula;
+    use crate::reward::{RewardFormula, RewardTable};
     use powergrid::time::Interval;
-    use powergrid::units::Money;
+    use powergrid::units::{KilowattHours, Money};
+    use std::sync::Arc;
 
     fn fr(v: f64) -> Fraction {
         Fraction::clamped(v)
@@ -181,35 +186,60 @@ mod tests {
         RewardTable::quadratic(Interval::new(0, 8), Money(reward_at), fr(0.4))
     }
 
+    /// Round records numbered from 1, one per table announced.
+    fn announced(tables: Vec<RewardTable>) -> Vec<RoundRecord> {
+        tables
+            .into_iter()
+            .zip(1..)
+            .map(|(table, round)| RoundRecord {
+                round,
+                table: Some(Arc::new(table)),
+                bids: Vec::new(),
+                predicted_total: KilowattHours::ZERO,
+                messages: 0,
+            })
+            .collect()
+    }
+
+    /// Round records numbered from 1, one per round of bids.
+    fn bid(rounds: &[&[f64]]) -> Vec<RoundRecord> {
+        rounds
+            .iter()
+            .zip(1..)
+            .map(|(bids, round)| RoundRecord {
+                round,
+                table: None,
+                bids: bids.iter().map(|&b| fr(b)).collect(),
+                predicted_total: KilowattHours::ZERO,
+                messages: 0,
+            })
+            .collect()
+    }
+
     #[test]
     fn monotone_announcements_pass() {
         let t0 = table(17.0);
         let t1 = t0.updated(&RewardFormula::paper(), 0.3, 2.0);
         let t2 = t1.updated(&RewardFormula::paper(), 0.2, 2.0);
-        assert!(verify_announcements(&[t0, t1, t2]).is_ok());
+        assert!(verify_announcements(&announced(vec![t0, t1, t2])).is_ok());
     }
 
     #[test]
     fn regressed_announcement_detected() {
-        let err = verify_announcements(&[table(20.0), table(17.0)]).unwrap_err();
+        let err = verify_announcements(&announced(vec![table(20.0), table(17.0)])).unwrap_err();
         assert_eq!(err, ConcessionViolation::AnnouncementRegressed { round: 2 });
         assert!(err.to_string().contains("round 2"));
     }
 
     #[test]
     fn monotone_bids_pass() {
-        let rounds = vec![
-            vec![fr(0.0), fr(0.2)],
-            vec![fr(0.1), fr(0.2)],
-            vec![fr(0.1), fr(0.4)],
-        ];
+        let rounds = bid(&[&[0.0, 0.2], &[0.1, 0.2], &[0.1, 0.4]]);
         assert!(verify_bids(&rounds).is_ok());
     }
 
     #[test]
     fn retreating_bid_detected() {
-        let rounds = vec![vec![fr(0.3)], vec![fr(0.2)]];
-        let err = verify_bids(&rounds).unwrap_err();
+        let err = verify_bids(&bid(&[&[0.3], &[0.2]])).unwrap_err();
         assert!(matches!(
             err,
             ConcessionViolation::BidRetreated {
@@ -223,8 +253,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "same customers")]
     fn inconsistent_rounds_panic() {
-        let rounds = vec![vec![fr(0.1)], vec![fr(0.1), fr(0.2)]];
-        let _ = verify_bids(&rounds);
+        let _ = verify_bids(&bid(&[&[0.1], &[0.1, 0.2]]));
     }
 
     #[test]
@@ -242,8 +271,8 @@ mod tests {
     #[test]
     fn empty_and_singleton_sequences_are_monotone() {
         assert!(verify_announcements(&[]).is_ok());
-        assert!(verify_announcements(&[table(17.0)]).is_ok());
+        assert!(verify_announcements(&announced(vec![table(17.0)])).is_ok());
         assert!(verify_bids(&[]).is_ok());
-        assert!(verify_bids(&[vec![fr(0.2)]]).is_ok());
+        assert!(verify_bids(&bid(&[&[0.2]])).is_ok());
     }
 }

@@ -1,5 +1,11 @@
-//! The Customer Agent (CA): negotiation state and decision logic (§5.2,
-//! §6.2). What its Resource Consumer Agents can shed (§5.2.2) is the
+//! The Customer Agent (CA): its decisions on offers and bid requests
+//! (§3.2.1, §3.2.2) and its gain from a settled deal (§5.2, §6.2). A
+//! negotiating CA is a [`CustomerEngine`](crate::engine::CustomerEngine),
+//! which keeps its preferences and the grid index of its bid, answers a
+//! reward table from the preferences, and answers offers and bid
+//! requests with the functions here under the one §3.2 tariff.
+//!
+//! What its Resource Consumer Agents can shed (§5.2.2) is the
 //! household's saving potential over the interval — each device's
 //! flexible share of its energy there, that energy being the device's
 //! power times its kind's duty integral over the interval — read by
@@ -8,66 +14,8 @@
 //! customer's cut-down ceiling.
 
 use crate::preferences::CustomerPreferences;
-use crate::reward::RewardTable;
 use powergrid::tariff::Tariff;
 use powergrid::units::{Fraction, KilowattHours, Money};
-
-/// The CA's per-negotiation state: its preferences and what the
-/// monotonic concession protocol obliges it to respect — the previous
-/// bid, which no later bid may undercut. A fixed-size value: the rounds'
-/// bids themselves are kept by the report
-/// ([`RoundRecord::bids`](crate::session::RoundRecord::bids) at
-/// [`ReportTier::FullTrace`](crate::session::ReportTier::FullTrace)).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CustomerAgentState {
-    preferences: CustomerPreferences,
-    previous_bid: Fraction,
-    bids_made: u32,
-    /// The grid levels still open to a bid, as
-    /// [`CustomerPreferences::open_levels`] gives them for the previous
-    /// bid: kept, so a round reads them instead of comparing levels.
-    open: u8,
-}
-
-impl CustomerAgentState {
-    /// Starts a fresh negotiation.
-    pub fn new(preferences: CustomerPreferences) -> CustomerAgentState {
-        CustomerAgentState {
-            preferences,
-            previous_bid: Fraction::ZERO,
-            bids_made: 0,
-            // Six grid levels fit in a byte.
-            open: preferences.open_levels(Fraction::ZERO) as u8,
-        }
-    }
-
-    /// The customer's preferences.
-    pub fn preferences(&self) -> &CustomerPreferences {
-        &self.preferences
-    }
-
-    /// The most recent bid (zero before the first response).
-    pub fn previous_bid(&self) -> Fraction {
-        self.previous_bid
-    }
-
-    /// How many reward tables the customer has answered.
-    pub fn bids_made(&self) -> u32 {
-        self.bids_made
-    }
-
-    /// Responds to an announced reward table (§3.1, §6.2): the grid
-    /// index of the cut-down now bid, the highest acceptable one, or
-    /// `None` when none exceeds the previous bid, which then stands.
-    pub(crate) fn respond(&mut self, table: &RewardTable) -> Option<usize> {
-        self.bids_made += 1;
-        let k = self.preferences.best_level(table, u32::from(self.open))?;
-        self.previous_bid = table.entries()[k].0;
-        // Only the levels above the new bid stay open.
-        self.open &= !((2u32 << k) - 1) as u8;
-        Some(k)
-    }
-}
 
 /// The CA's yes/no decision for the offer method (§3.2.1).
 ///
@@ -158,37 +106,9 @@ pub fn settlement_gain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reward::RewardTable;
-    use powergrid::time::Interval;
 
     fn fr(v: f64) -> Fraction {
         Fraction::clamped(v)
-    }
-
-    fn table(reward_at: f64) -> RewardTable {
-        RewardTable::quadratic(Interval::new(0, 8), Money(reward_at), fr(0.4))
-    }
-
-    #[test]
-    fn state_tracks_bid_history_monotonically() {
-        // Tables evolve via the §6 logistic update (quadratic
-        // extrapolation would overpay the 0.5 level and distort bids).
-        let formula = crate::reward::RewardFormula::paper();
-        let mut ca = CustomerAgentState::new(CustomerPreferences::paper_figure_8());
-        let t1 = table(17.0);
-        let t2 = t1.updated(&formula, 0.323, 2.0);
-        let t3 = t2.updated(&formula, 0.242, 2.0);
-        assert_eq!(ca.respond(&t1), Some(2), "the 0.2 level");
-        assert_eq!(ca.previous_bid(), fr(0.2));
-        assert_eq!(
-            ca.respond(&t2),
-            Some(4),
-            "round 2: reward(0.4) ≈ 21.76 ≥ 21"
-        );
-        assert_eq!(ca.previous_bid(), fr(0.4));
-        assert_eq!(ca.respond(&t3), None, "0.4 stands");
-        assert_eq!(ca.previous_bid(), fr(0.4));
-        assert_eq!(ca.bids_made(), 3);
     }
 
     #[test]

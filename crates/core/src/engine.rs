@@ -16,25 +16,31 @@
 //!   reward/concession logic). Each round's announcement is one
 //!   [`Effect::Broadcast`] to every customer (§6.1: all Customer Agents
 //!   get the same announcement); awards are per-customer
-//!   [`Effect::Send`]s. A reward-table round lives in per-customer
-//!   columns of grid indices — this round's bid and the last accepted
-//!   one — since every table prices the levels of the one cut-down grid,
-//!   [`LEVELS`]: a bid off the network is mapped to its grid index once,
-//!   on receipt (an off-grid bid is rejected to zero cut-down), and the
-//!   round concludes in one pass over the columns that yields each
-//!   accepted level, the predicted total, the stop rule's outlay and the
-//!   settlements by reading the table at those indices.
-//! * [`CustomerEngine`] — the Customer Agent half; reuses
-//!   [`CustomerAgentState`] and the §3.2.1/§3.2.2 decision functions of
-//!   [`crate::customer_agent`], and answers a reward table with the
-//!   grid index of the level it bids, reading the table's six rewards
-//!   and deciding over the grid levels it can still bid
-//!   ([`CustomerPreferences::respond`] makes the same decision). A
-//!   customer answers each input with at most one message, so
-//!   [`CustomerEngine::handle`] simply *returns* its reply to the Utility
-//!   Agent: the engine is a fixed-size value that owns no heap buffer,
-//!   so the customer side of a city-scale negotiation is one flat vector
-//!   of engines.
+//!   [`Effect::Send`]s. A customer of either iterated method bids a
+//!   level of the one cut-down grid, [`LEVELS`], whether it answers a
+//!   reward table or a request for bids, so both keep their rounds in
+//!   per-customer columns of grid indices — this round's bid and the
+//!   last accepted one. A bid off the network is mapped to its grid
+//!   index once, on receipt (a bid off the grid leaves the customer's
+//!   floor in place), and one pass over the columns concludes a round
+//!   with each accepted level, the predicted total and whether any
+//!   level moved; a reward-table round then reads the stop rule's
+//!   outlay and the settlements from its table at those indices.
+//! * [`CustomerEngine`] — the Customer Agent half: its preferences, the
+//!   grid index of its bid (a reward-table bid and a request-for-bids
+//!   commitment alike) behind one answered-round guard, and the
+//!   §3.2.1/§3.2.2 decision functions of [`crate::customer_agent`]. It
+//!   answers a reward table with the grid index of the level it bids,
+//!   reading the table's six rewards and deciding over the grid levels
+//!   it can still bid ([`CustomerPreferences::respond`] makes the same
+//!   decision). A customer answers each input with at most one message,
+//!   so [`CustomerEngine::handle`] simply *returns* its reply to the
+//!   Utility Agent: the engine is a 64-byte value that owns no heap
+//!   buffer, so the customer side of a city-scale negotiation is one
+//!   flat vector of engines.
+//!
+//! Offers and bid requests settle under the one §3.2 tariff,
+//! [`Tariff::default_scheme`], which both engines read rather than copy.
 //!
 //! [`CustomerPreferences::respond`]: crate::preferences::CustomerPreferences::respond
 //!
@@ -61,10 +67,13 @@
 //! property `tests/cross_mode.rs` checks over random scenarios.
 
 use crate::concession::{NegotiationStatus, TerminationReason};
-use crate::customer_agent::{decide_offer, rfb_step, y_min_for, CustomerAgentState};
+use crate::customer_agent::{decide_offer, rfb_step, y_min_for};
 use crate::message::Msg;
 use crate::methods::AnnouncementMethod;
-use crate::reward::{overuse_fraction, predicted_use_with_cutdown, RewardTable, LEVELS};
+use crate::preferences::CustomerPreferences;
+use crate::reward::{
+    grid_index, overuse_fraction, predicted_use_with_cutdown, RewardTable, LEVELS,
+};
 use crate::session::{RoundRecord, Scenario, Settlement};
 use crate::utility_agent::{RewardTableNegotiator, UaDecision, UtilityAgentConfig};
 use powergrid::tariff::Tariff;
@@ -157,11 +166,12 @@ enum MethodState {
 /// Marks a customer not yet heard from in the current round.
 const UNHEARD: u32 = u32::MAX;
 
-/// A reward-table negotiation's bids as grid indices, one column entry
-/// per customer: index `k` is level `k` of the cut-down grid,
-/// [`LEVELS`], which every table of the negotiation prices, so an index
-/// names the same cut-down in every round and a round concludes by
-/// reading its table at its columns.
+/// An iterated negotiation's bids as grid indices, one column entry per
+/// customer: index `k` is level `k` of the cut-down grid, [`LEVELS`].
+/// Every reward table of a negotiation prices the grid's levels and a
+/// request-for-bids customer commits to one of them, so an index names
+/// the same cut-down in every round and a round concludes by reading
+/// its columns.
 #[derive(Debug, Clone, PartialEq, Default)]
 struct LevelColumns {
     /// This round's bid per customer, already held to the customer's
@@ -174,8 +184,7 @@ struct LevelColumns {
 
 impl LevelColumns {
     /// Aims the columns at a negotiation with `customers` customers,
-    /// every one at zero cut-down (grid index 0); a method without
-    /// reward tables keeps them empty.
+    /// every one at zero cut-down (grid index 0).
     fn reset(&mut self, customers: usize) {
         self.responses.clear();
         self.accepted.clear();
@@ -183,19 +192,15 @@ impl LevelColumns {
         self.accepted.resize(customers, 0);
     }
 
-    /// Customer `i`'s bid of `cutdown` off the network, as a grid index.
-    /// A bid above the customer's floor takes its level, and one off the
-    /// grid is rejected to zero cut-down; otherwise the floor stands.
+    /// Customer `i`'s bid of `cutdown` off the network, as a grid index:
+    /// a grid level above the customer's floor takes its level, and any
+    /// other bid — at or below the floor, or off the grid — leaves the
+    /// floor in place.
     fn level_of_bid(&self, i: usize, cutdown: Fraction) -> u32 {
         let floor = self.accepted[i];
-        let cutdown = cutdown.value();
-        if cutdown > LEVELS[floor as usize] {
-            LEVELS
-                .iter()
-                .position(|&level| level == cutdown)
-                .map_or(0, |k| k as u32)
-        } else {
-            floor
+        match grid_index(cutdown) {
+            Some(k) if k as u32 > floor => k as u32,
+            _ => floor,
         }
     }
 
@@ -205,6 +210,38 @@ impl LevelColumns {
         let first = self.responses[i] == UNHEARD;
         self.responses[i] = level;
         first
+    }
+
+    /// Closes a round in one pass over the customers: each one heard
+    /// from accepts this round's bid, and a missing responder keeps its
+    /// floor. Returns the round's predicted use, summed in customer
+    /// order, and whether any accepted level moved.
+    fn conclude(&mut self, profiles: &[(KilowattHours, KilowattHours)]) -> (KilowattHours, bool) {
+        let levels = LEVELS.map(Fraction::clamped);
+        let mut predicted_total = KilowattHours::ZERO;
+        let mut moved = false;
+        for ((response, accepted), &(predicted, allowed)) in self
+            .responses
+            .iter_mut()
+            .zip(&mut self.accepted)
+            .zip(profiles)
+        {
+            if *response != UNHEARD {
+                moved |= *response != *accepted;
+                *accepted = std::mem::replace(response, UNHEARD);
+            }
+            let cutdown = levels[*accepted as usize];
+            predicted_total += predicted_use_with_cutdown(predicted, allowed, cutdown);
+        }
+        (predicted_total, moved)
+    }
+
+    /// The accepted levels' cut-downs, in customer order.
+    fn cutdowns(&self) -> impl Iterator<Item = Fraction> + '_ {
+        let levels = LEVELS.map(Fraction::clamped);
+        self.accepted
+            .iter()
+            .map(move |&level| levels[level as usize])
     }
 
     /// What `table` pays for the accepted levels, summed in customer
@@ -230,24 +267,15 @@ impl LevelColumns {
 pub struct UtilityEngine {
     method: AnnouncementMethod,
     config: UtilityAgentConfig,
-    tariff: Tariff,
     /// `(predicted_use, allowed_use)` per customer, scenario order.
     profiles: Vec<(KilowattHours, KilowattHours)>,
     normal_use: KilowattHours,
     initial_total: KilowattHours,
     state: MethodState,
-    /// Responses received for the current round (index = customer) —
-    /// offer and request-for-bids; a reward-table round keeps its own
-    /// in `levels`.
-    responses: Vec<Option<Fraction>>,
     /// Distinct customers heard from this round.
     responded: usize,
-    /// Request-for-bids' accepted cut-down per customer after the last
-    /// concluded round (monotonic-concession floor for missing
-    /// responders).
-    last_bids: Vec<Fraction>,
-    /// A reward-table negotiation's rounds as per-customer columns of
-    /// level indices.
+    /// The iterated methods' rounds as per-customer columns of grid
+    /// indices.
     levels: LevelColumns,
     /// Whether each round record carries every customer's cut-down
     /// ([`RoundRecord::bids`]); a report below
@@ -281,35 +309,17 @@ struct Awarding {
 }
 
 impl UtilityEngine {
-    fn initial_state(scenario: &Scenario, n: usize) -> MethodState {
-        match scenario.method {
-            AnnouncementMethod::RewardTables => MethodState::RewardTables {
-                negotiator: RewardTableNegotiator::new(scenario.config, scenario.interval),
-            },
-            AnnouncementMethod::Offer => MethodState::Offer {
-                accepts: vec![None; n],
-            },
-            AnnouncementMethod::RequestForBids => MethodState::RequestForBids { round: 1 },
-        }
-    }
-
-    /// An engine for `scenario`'s configured method.
+    /// An engine for `scenario`'s configured method: an engine with no
+    /// customers, [reset](UtilityEngine::reset) onto the scenario.
     pub fn new(scenario: &Scenario) -> UtilityEngine {
         let mut engine = UtilityEngine {
-            method: scenario.method,
-            config: scenario.config,
-            tariff: scenario.tariff,
-            profiles: scenario
-                .customers
-                .iter()
-                .map(|c| (c.predicted_use, c.allowed_use))
-                .collect(),
-            normal_use: scenario.normal_use,
-            initial_total: scenario.initial_total(),
-            state: UtilityEngine::initial_state(scenario, scenario.customers.len()),
-            responses: Vec::new(),
+            method: AnnouncementMethod::RequestForBids,
+            config: UtilityAgentConfig::default(),
+            profiles: Vec::new(),
+            normal_use: KilowattHours::ZERO,
+            initial_total: KilowattHours::ZERO,
+            state: MethodState::RequestForBids { round: 1 },
             responded: 0,
-            last_bids: Vec::new(),
             levels: LevelColumns::default(),
             keep_bids: true,
             rounds_run: 0,
@@ -319,18 +329,18 @@ impl UtilityEngine {
             effects: VecDeque::new(),
             awarding: None,
         };
-        engine.size_columns();
+        engine.reset(scenario);
         engine
     }
 
     /// Re-aims the engine at a fresh scenario, reusing every internal
-    /// buffer (profiles, response columns, bid floor, effect queue) —
-    /// behaviourally identical to [`UtilityEngine::new(scenario)`](UtilityEngine::new)
+    /// buffer (profiles, level columns, effect queue) — behaviourally
+    /// identical to [`UtilityEngine::new(scenario)`](UtilityEngine::new)
     /// without the per-negotiation allocations.
     pub fn reset(&mut self, scenario: &Scenario) {
+        let n = scenario.customers.len();
         self.method = scenario.method;
         self.config = scenario.config;
-        self.tariff = scenario.tariff;
         self.profiles.clear();
         self.profiles.extend(
             scenario
@@ -340,8 +350,16 @@ impl UtilityEngine {
         );
         self.normal_use = scenario.normal_use;
         self.initial_total = scenario.initial_total();
-        self.state = UtilityEngine::initial_state(scenario, scenario.customers.len());
-        self.size_columns();
+        self.state = match scenario.method {
+            AnnouncementMethod::RewardTables => MethodState::RewardTables {
+                negotiator: RewardTableNegotiator::new(scenario.config, scenario.interval),
+            },
+            AnnouncementMethod::Offer => MethodState::Offer {
+                accepts: vec![None; n],
+            },
+            AnnouncementMethod::RequestForBids => MethodState::RequestForBids { round: 1 },
+        };
+        self.levels.reset(n);
         self.keep_bids = true;
         self.responded = 0;
         self.rounds_run = 0;
@@ -350,21 +368,6 @@ impl UtilityEngine {
         self.status = None;
         self.effects.clear();
         self.awarding = None;
-    }
-
-    /// Sizes the columns the method keeps its bids in, one entry per
-    /// customer at zero cut-down, and empties the others.
-    fn size_columns(&mut self) {
-        let n = self.n();
-        let (level_columns, fraction_columns) = match self.state {
-            MethodState::RewardTables { .. } => (n, 0),
-            _ => (0, n),
-        };
-        self.levels.reset(level_columns);
-        self.responses.clear();
-        self.responses.resize(fraction_columns, None);
-        self.last_bids.clear();
-        self.last_bids.resize(fraction_columns, Fraction::ZERO);
     }
 
     /// Whether the round records carry the customers' bids: on for a
@@ -491,27 +494,23 @@ impl UtilityEngine {
     }
 
     /// Handles a message from customer `from`: a response to the
-    /// current round is recorded (a reward-table bid as its level), a
-    /// stale or off-protocol one is dropped.
+    /// current round is recorded (a bid as its grid level), a stale or
+    /// off-protocol one is dropped.
     pub(crate) fn receive(&mut self, from: usize, msg: Msg) {
         if self.status.is_some() || from >= self.n() {
             return;
         }
         let current = self.current_round();
         let first = match (&mut self.state, msg) {
-            (MethodState::RewardTables { .. }, Msg::Bid { round, cutdown }) if round == current => {
+            (MethodState::RewardTables { .. }, Msg::Bid { round, cutdown })
+            | (MethodState::RequestForBids { .. }, Msg::NeedBid { round, cutdown, .. })
+                if round == current =>
+            {
                 let level = self.levels.level_of_bid(from, cutdown);
                 self.levels.record(from, level)
             }
             (MethodState::Offer { accepts }, Msg::OfferReply { accept }) => {
-                accepts[from] = Some(accept);
-                // Tracked in `accepts`; mark receipt with a placeholder.
-                self.record(from, Fraction::ZERO)
-            }
-            (MethodState::RequestForBids { .. }, Msg::NeedBid { round, cutdown, .. })
-                if round == current =>
-            {
-                self.record(from, cutdown)
+                accepts[from].replace(accept).is_none()
             }
             _ => return, // stale round or off-protocol message
         };
@@ -552,14 +551,6 @@ impl UtilityEngine {
         self.conclude_round();
     }
 
-    /// Records customer `from`'s offer or request-for-bids response;
-    /// true if it is the customer's first this round.
-    fn record(&mut self, from: usize, cutdown: Fraction) -> bool {
-        let first = self.responses[from].is_none();
-        self.responses[from] = Some(cutdown);
-        first
-    }
-
     /// Counts a response (a customer heard again this round counts once)
     /// and concludes the round once every customer is heard.
     fn heard(&mut self, first: bool) {
@@ -591,18 +582,7 @@ impl UtilityEngine {
             MethodState::Offer { .. } => self.conclude_offer(),
             MethodState::RequestForBids { .. } => self.conclude_request_for_bids(round),
         }
-        for slot in &mut self.responses {
-            *slot = None;
-        }
         self.responded = 0;
-    }
-
-    fn predicted_total(&self, bids: &[Fraction]) -> KilowattHours {
-        self.profiles
-            .iter()
-            .zip(bids)
-            .map(|(&(pred, allowed), &b)| predicted_use_with_cutdown(pred, allowed, b))
-            .sum()
     }
 
     fn push_round(&mut self, record: RoundRecord) {
@@ -654,22 +634,7 @@ impl UtilityEngine {
         let table = negotiator.shared_table();
         let entries = table.entries();
         let columns = &mut self.levels;
-        // One pass over the customers: each one's accepted level (this
-        // round's bid, or the floor a missing responder keeps) and the
-        // round's predicted use, summed in customer order.
-        let mut predicted_total = KilowattHours::ZERO;
-        for ((response, accepted), &(predicted, allowed)) in columns
-            .responses
-            .iter_mut()
-            .zip(&mut columns.accepted)
-            .zip(&self.profiles)
-        {
-            if *response != UNHEARD {
-                *accepted = std::mem::replace(response, UNHEARD);
-            }
-            let (cutdown, _) = entries[*accepted as usize];
-            predicted_total += predicted_use_with_cutdown(predicted, allowed, cutdown);
-        }
+        let (predicted_total, _) = columns.conclude(&self.profiles);
         let overuse = overuse_fraction(predicted_total, self.normal_use);
         // The economic context for the marginal-cost stop rule: the
         // energy still predicted above capacity, and a pricer for the
@@ -691,12 +656,7 @@ impl UtilityEngine {
             ),
             UaDecision::NextTable => None,
         };
-        let bids = self.round_bids(
-            self.levels
-                .accepted
-                .iter()
-                .map(|&level| entries[level as usize].0),
-        );
+        let bids = self.round_bids(self.levels.cutdowns());
         self.push_round(RoundRecord {
             round,
             table: Some(table),
@@ -726,14 +686,14 @@ impl UtilityEngine {
             unreachable!("offer conclusion in offer state");
         };
         let x_max = self.config.offer_x_max;
+        let tariff = Tariff::default_scheme();
         let n = self.n();
         let mut settlements = Vec::with_capacity(n);
         let mut predicted_total = KilowattHours::ZERO;
-        for (i, &(predicted, allowed)) in self.profiles.iter().enumerate() {
+        for (accept, &(predicted, allowed)) in accepts.iter().zip(&self.profiles) {
             // A reply lost in transit counts as a decline.
-            let accept = accepts[i].unwrap_or(false);
             let (new_use, settlement) =
-                offer_outcome(predicted, allowed, x_max, &self.tariff, accept);
+                offer_outcome(predicted, allowed, x_max, &tariff, accept.unwrap_or(false));
             predicted_total += new_use;
             settlements.push(settlement);
         }
@@ -755,16 +715,7 @@ impl UtilityEngine {
 
     fn conclude_request_for_bids(&mut self, round: u32) {
         let n = self.n();
-        let mut moved = false;
-        for (last, response) in self.last_bids.iter_mut().zip(&self.responses) {
-            let next = response.unwrap_or(*last).max(*last);
-            if next > *last {
-                moved = true;
-            }
-            *last = next;
-        }
-        let bids = &self.last_bids;
-        let predicted_total = self.predicted_total(bids);
+        let (predicted_total, moved) = self.levels.conclude(&self.profiles);
         let overuse = overuse_fraction(predicted_total, self.normal_use);
         let status = if overuse <= self.config.max_allowed_overuse {
             Some(NegotiationStatus::Converged(
@@ -783,10 +734,11 @@ impl UtilityEngine {
             None
         };
         let settlements = status.map(|_| {
+            let tariff = Tariff::default_scheme();
             self.profiles
                 .iter()
-                .zip(bids)
-                .map(|(&(predicted, allowed), &cutdown)| {
+                .zip(self.levels.cutdowns())
+                .map(|(&(predicted, allowed), cutdown)| {
                     if cutdown == Fraction::ZERO {
                         return Settlement {
                             cutdown,
@@ -795,8 +747,8 @@ impl UtilityEngine {
                     }
                     let y_min = cutdown.complement() * allowed;
                     let committed_use = predicted.min(y_min);
-                    let reward = self.tariff.bill_normal(predicted)
-                        - self.tariff.bill_with_limit(committed_use, y_min);
+                    let reward = tariff.bill_normal(predicted)
+                        - tariff.bill_with_limit(committed_use, y_min);
                     Settlement {
                         cutdown,
                         reward: reward.max(Money::ZERO),
@@ -804,7 +756,7 @@ impl UtilityEngine {
                 })
                 .collect::<Vec<Settlement>>()
         });
-        let bids = self.round_bids(bids.iter().copied());
+        let bids = self.round_bids(self.levels.cutdowns());
         self.push_round(RoundRecord {
             round,
             table: None,
@@ -877,27 +829,30 @@ fn offer_outcome(
 /// announcements, offers and bid requests with the §5.2/§6.2 decision
 /// logic, and records its award.
 ///
-/// A fixed-size value that owns no heap buffer: its preferences are a
-/// `Copy` [`CustomerPreferences`](crate::preferences::CustomerPreferences),
-/// and [`CustomerEngine::handle`] returns the (at most one) reply
-/// instead of queueing it.
+/// A 64-byte value that owns no heap buffer: its preferences are a
+/// `Copy` [`CustomerPreferences`], its bid is a grid index, and
+/// [`CustomerEngine::handle`] returns the (at most one) reply instead of
+/// queueing it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CustomerEngine {
-    state: CustomerAgentState,
+    preferences: CustomerPreferences,
     predicted_use: KilowattHours,
     allowed_use: KilowattHours,
-    tariff: Tariff,
-    /// Current request-for-bids commitment.
-    commitment: Fraction,
-    /// Highest request-for-bids round already answered (0 = none). A
-    /// duplicated or reordered-stale `RequestBids` (at-least-once,
-    /// out-of-order transport) must re-send the same commitment, not
-    /// concede another step.
-    answered_rfb_round: u32,
-    /// Highest reward-table round already answered (0 = none), for the
-    /// same idempotency under duplicated or stale announcements.
-    answered_announce_round: u32,
     awarded: Option<Settlement>,
+    /// The newest round answered (0 = none). A duplicated or
+    /// reordered-stale announcement or bid request (at-least-once,
+    /// out-of-order transport) must re-send the bid, not concede
+    /// another step.
+    answered: u32,
+    /// The grid index of the cut-down bid so far — a reward-table bid
+    /// or a request-for-bids commitment, which monotonic concession
+    /// (§3.1) never lets a later bid undercut; zero before the first.
+    bid: u8,
+    /// The grid levels still open to a bid, as
+    /// [`CustomerPreferences::open_levels`] gives them for the bid:
+    /// kept, so a reward-table round reads them instead of comparing
+    /// levels.
+    open: u8,
 }
 
 impl CustomerEngine {
@@ -909,27 +864,20 @@ impl CustomerEngine {
     pub fn for_customer(scenario: &Scenario, index: usize) -> CustomerEngine {
         let c = &scenario.customers[index];
         CustomerEngine {
-            state: CustomerAgentState::new(c.preferences),
+            preferences: c.preferences,
             predicted_use: c.predicted_use,
             allowed_use: c.allowed_use,
-            tariff: scenario.tariff,
-            commitment: Fraction::ZERO,
-            answered_rfb_round: 0,
-            answered_announce_round: 0,
             awarded: None,
+            answered: 0,
+            bid: 0,
+            // Six grid levels fit in a byte.
+            open: c.preferences.open_levels(Fraction::ZERO) as u8,
         }
     }
 
     /// The settlement awarded at the end, if any arrived.
     pub fn awarded(&self) -> Option<&Settlement> {
         self.awarded.as_ref()
-    }
-
-    /// How many reward-table bids this customer has made so far — one
-    /// per announced round, however often that round's announcement was
-    /// delivered.
-    pub fn bids_made(&self) -> u32 {
-        self.state.bids_made()
     }
 
     /// Feeds one input and returns the customer's reply to the Utility
@@ -943,18 +891,39 @@ impl CustomerEngine {
         self.answer(&msg)
     }
 
-    /// This customer's answer to round `round`'s reward table: the grid
-    /// index of the cut-down it now bids, or `None` when its previous bid
-    /// stands. A duplicated *or reordered-stale* announcement (`round ≤`
-    /// the newest answered) concedes nothing and never regresses the
+    /// The cut-down bid so far.
+    fn cutdown(&self) -> Fraction {
+        Fraction::clamped(LEVELS[usize::from(self.bid)])
+    }
+
+    /// Whether round `round` is newer than every round answered, which
+    /// it then becomes. A duplicated *or reordered-stale* round (`round
+    /// ≤` the newest answered) concedes nothing and never regresses the
     /// high-water mark, or a later duplicate of the newest round would
     /// re-concede.
+    fn first_answer(&mut self, round: u32) -> bool {
+        let first = round > self.answered;
+        self.answered = self.answered.max(round);
+        first
+    }
+
+    /// Bids grid level `k`: only the levels above it stay open.
+    fn concede(&mut self, k: usize) {
+        self.bid = k as u8;
+        self.open &= !((2u32 << k) - 1) as u8;
+    }
+
+    /// This customer's answer to round `round`'s reward table (§3.1,
+    /// §6.2): the grid index of the cut-down it now bids, the highest
+    /// acceptable one, or `None` when none exceeds its bid, which then
+    /// stands, or when it has answered this round already.
     pub(crate) fn bid_on(&mut self, round: u32, table: &RewardTable) -> Option<usize> {
-        if round <= self.answered_announce_round {
+        if !self.first_answer(round) {
             return None;
         }
-        self.answered_announce_round = round;
-        self.state.respond(table)
+        let k = self.preferences.best_level(table, u32::from(self.open))?;
+        self.concede(k);
+        Some(k)
     }
 
     /// Records the settlement an award confirms.
@@ -969,38 +938,39 @@ impl CustomerEngine {
             Msg::Announce { round, ref table } => {
                 // Bid the new level, or the previous bid where it stands.
                 self.bid_on(round, table);
-                let cutdown = self.state.previous_bid();
-                Some(Msg::Bid { round, cutdown })
+                Some(Msg::Bid {
+                    round,
+                    cutdown: self.cutdown(),
+                })
             }
             Msg::Offer { x_max } => Some(Msg::OfferReply {
                 accept: decide_offer(
-                    self.state.preferences(),
+                    &self.preferences,
                     self.predicted_use,
                     self.allowed_use,
                     x_max,
-                    &self.tariff,
+                    &Tariff::default_scheme(),
                 ),
             }),
             Msg::RequestBids { round } => {
-                // Same duplicate/stale guard as for announcements: only
-                // a round *beyond* the newest answered one concedes.
-                let next = if round <= self.answered_rfb_round {
-                    self.commitment
-                } else {
-                    rfb_step(
-                        self.state.preferences(),
-                        self.commitment,
+                if self.first_answer(round) {
+                    let next = rfb_step(
+                        &self.preferences,
+                        self.cutdown(),
                         self.predicted_use,
                         self.allowed_use,
-                        &self.tariff,
-                    )
-                };
-                self.answered_rfb_round = self.answered_rfb_round.max(round);
-                self.commitment = next;
+                        &Tariff::default_scheme(),
+                    );
+                    // A step lands on a grid level.
+                    if let Some(k) = grid_index(next) {
+                        self.concede(k);
+                    }
+                }
+                let cutdown = self.cutdown();
                 Some(Msg::NeedBid {
                     round,
-                    y_min: y_min_for(next, self.allowed_use),
-                    cutdown: next,
+                    y_min: y_min_for(cutdown, self.allowed_use),
+                    cutdown,
                 })
             }
             Msg::Award {
@@ -1198,6 +1168,21 @@ mod tests {
     }
 
     #[test]
+    fn customer_engine_bids_rise_monotonically() {
+        // The Figure 8/9 customer under tables the §6 logistic update
+        // raises (quadratic extrapolation would overpay the 0.5 level).
+        let scenario = ScenarioBuilder::paper_figure_6().build();
+        let mut ca = CustomerEngine::for_customer(&scenario, 0);
+        let t1 = scenario.config.initial_table(scenario.interval);
+        let t2 = t1.updated(&scenario.config.formula, 0.323, 2.0);
+        let t3 = t2.updated(&scenario.config.formula, 0.242, 2.0);
+        assert_eq!(ca.bid_on(1, &t1), Some(2), "the 0.2 level");
+        assert_eq!(ca.bid_on(2, &t2), Some(4), "reward(0.4) ≈ 21.76 ≥ 21");
+        assert_eq!(ca.bid_on(3, &t3), None, "0.4 stands");
+        assert_eq!(ca.cutdown(), Fraction::clamped(0.4));
+    }
+
+    #[test]
     fn duplicated_announcements_are_idempotent() {
         let scenario = ScenarioBuilder::paper_figure_6().build();
         let table = Arc::new(scenario.config.initial_table(scenario.interval));
@@ -1213,13 +1198,14 @@ mod tests {
                 })
             })
             .collect();
-        // Three replies, all identical, and a single concession.
+        // Three replies, all identical, from a single concession:
+        // round 1 stays answered.
         let bid = Some(Msg::Bid {
             round: 1,
             cutdown: Fraction::clamped(0.2),
         });
         assert_eq!(replies, vec![bid; 3]);
-        assert_eq!(ca.bids_made(), 1);
+        assert_eq!(ca.bid_on(1, &table), None);
     }
 
     #[test]
@@ -1299,10 +1285,10 @@ mod tests {
         let b2 = announce(&mut ca, 2);
         let stale = announce(&mut ca, 1);
         assert_eq!(stale, b2, "stale announcement re-sends the current bid");
-        assert_eq!(ca.bids_made(), 2, "no concession on stale rounds");
+        assert_eq!(ca.answered, 2, "no concession on stale rounds");
         let dup = announce(&mut ca, 2);
         assert_eq!(dup, b2);
-        assert_eq!(ca.bids_made(), 2);
+        assert_eq!(ca.answered, 2);
         let _ = b1;
     }
 
@@ -1351,29 +1337,44 @@ mod tests {
 
     #[test]
     fn off_table_bids_are_rejected_to_zero() {
-        // Bid assessment: a cut-down off the grid, which the announced
-        // table never lists, counts as no cut-down at all.
-        let scenario = ScenarioBuilder::random(3, 0.35, 1).build();
-        let mut ua = UtilityEngine::new(&scenario);
-        ua.handle(Input::Start);
-        while ua.poll_effect().is_some() {}
-        for (i, cutdown) in [(0, 0.4), (1, 0.15), (2, 0.0)] {
-            ua.handle(Input::Received {
-                from: Peer::Customer(i),
-                msg: Msg::Bid {
-                    round: 1,
-                    cutdown: Fraction::clamped(cutdown),
-                },
-            });
+        // Bid assessment, in both methods whose customers bid grid
+        // levels: a cut-down off the grid, which no table lists, counts
+        // as no cut-down at all in round 1 and leaves a customer's floor
+        // in place later, so it can never make a bid retreat (§3.1).
+        for method in [
+            AnnouncementMethod::RewardTables,
+            AnnouncementMethod::RequestForBids,
+        ] {
+            let scenario = ScenarioBuilder::random(3, 0.35, 1).method(method).build();
+            let mut ua = UtilityEngine::new(&scenario);
+            ua.handle(Input::Start);
+            let mut bid_round = |round, cutdowns: [f64; 3]| {
+                for (i, cutdown) in cutdowns.map(Fraction::clamped).into_iter().enumerate() {
+                    let msg = match method {
+                        AnnouncementMethod::RewardTables => Msg::Bid { round, cutdown },
+                        _ => Msg::NeedBid {
+                            round,
+                            y_min: KilowattHours::ZERO,
+                            cutdown,
+                        },
+                    };
+                    ua.receive(i, msg);
+                }
+                std::iter::from_fn(|| ua.poll_effect())
+                    .find_map(|e| match e {
+                        Effect::RoundComplete(r) => Some(r),
+                        _ => None,
+                    })
+                    .expect("every customer answered the round")
+            };
+            let rounds = [
+                bid_round(1, [0.3, 0.15, 0.0]),
+                bid_round(2, [0.35, 0.15, 0.2]),
+            ];
+            assert_eq!(rounds[0].bids, [0.3, 0.0, 0.0].map(Fraction::clamped));
+            assert_eq!(rounds[1].bids, [0.3, 0.0, 0.2].map(Fraction::clamped));
+            assert_eq!(crate::concession::verify_bids(&rounds), Ok(()), "{method}");
         }
-        let record = std::iter::from_fn(|| ua.poll_effect())
-            .find_map(|e| match e {
-                Effect::RoundComplete(r) => Some(r),
-                _ => None,
-            })
-            .expect("every customer answered round 1");
-        let expected = [0.4, 0.0, 0.0].map(Fraction::clamped);
-        assert_eq!(record.bids, expected);
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //!
 //! The Utility Agent's reward tables and the customers' cut-down-reward
 //! tables share one grid of cut-downs, [`reward::LEVELS`] (0, 0.1, …,
-//! 0.5): a table is six rewards over the grid, and customers read an
-//! announced table's rewards by grid index.
+//! 0.5): a table is six rewards over the grid, customers read an
+//! announced table's rewards by grid index, and a bid in either
+//! iterated method is a grid level. Offers and bid requests settle
+//! under one §3.2 tariff, [`powergrid::tariff::Tariff::default_scheme`].
 //!
 //! The protocol itself lives in **one place**: the sans-io [`engine`]
 //! ([`engine::UtilityEngine`] / [`engine::CustomerEngine`]), a pure
@@ -232,14 +234,15 @@
 //! fixed-size values with no heap part: a
 //! [`preferences::CustomerPreferences`] is a `Copy` scale and ceiling
 //! over the static Figure-8 table, a [`session::CustomerProfile`] is
-//! 32 bytes, and an [`engine::CustomerEngine`] returns its one reply
-//! instead of queueing it — so a scenario's customers are one vector,
-//! and so are the scratch's customer engines (E20 bounds the season's
-//! heap high-water per household). The demand
+//! 32 bytes, and an [`engine::CustomerEngine`] is 64: it keeps its bid
+//! as one grid index, reads the one §3.2 tariff instead of copying it,
+//! and returns its one reply instead of queueing it — so a scenario's
+//! customers are one vector, and so are the scratch's customer engines
+//! (E20 bounds the season's heap high-water per household). The demand
 //! hot path underneath — the [`powergrid::slab`] kernels — sweeps the
-//! slab's contiguous columns against one reusable
-//! [`powergrid::slab::DemandScratch`] per campaign stage (duty shapes
-//! computed once per resolution), so neither horizon synthesis nor
+//! slab's contiguous columns against a reusable
+//! [`powergrid::slab::DemandScratch`] (duty shapes computed once per
+//! campaign, by its horizon synthesis), so neither horizon synthesis nor
 //! scenario derivation allocates per device per household per day:
 //! both fold per device kind, and scenario derivation integrates each
 //! kind's duty over the peak once and then makes one pass per household

@@ -35,9 +35,7 @@ mod tests {
             .method(AnnouncementMethod::RequestForBids)
             .build()
             .run();
-        let bid_rounds: Vec<Vec<Fraction>> =
-            report.rounds().iter().map(|r| r.bids.clone()).collect();
-        assert!(verify_bids(&bid_rounds).is_ok());
+        assert!(verify_bids(report.rounds()).is_ok());
     }
 
     #[test]

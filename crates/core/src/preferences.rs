@@ -174,8 +174,8 @@ impl CustomerPreferences {
     /// every entry would: the table's levels are the grid's, so the
     /// decision takes the grid levels above `previous_bid` and within the
     /// ceiling by index — the same decision a negotiating
-    /// [`CustomerAgentState`](crate::customer_agent::CustomerAgentState)
-    /// makes — and the bid stands when none is accepted.
+    /// [`CustomerEngine`](crate::engine::CustomerEngine) makes — and the
+    /// bid stands when none is accepted.
     pub fn respond(&self, table: &RewardTable, previous_bid: Fraction) -> Fraction {
         match self.best_level(table, self.open_levels(previous_bid)) {
             Some(k) => table.entries()[k].0,
@@ -349,6 +349,7 @@ mod tests {
         copy::<CustomerPreferences>();
         assert_eq!(std::mem::size_of::<CustomerPreferences>(), 16);
         assert_eq!(std::mem::size_of::<crate::session::CustomerProfile>(), 32);
+        assert!(std::mem::size_of::<crate::engine::CustomerEngine>() <= 64);
     }
 
     #[test]

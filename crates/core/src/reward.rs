@@ -115,6 +115,11 @@ pub fn overuse_fraction(total_predicted: KilowattHours, normal_use: KilowattHour
 /// only bid a grid level.
 pub const LEVELS: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
 
+/// The grid index of `cutdown`, if it is a level of [`LEVELS`].
+pub(crate) fn grid_index(cutdown: Fraction) -> Option<usize> {
+    LEVELS.iter().position(|&level| level == cutdown.value())
+}
+
 /// A reward table: one reward per level of the cut-down grid
 /// ([`LEVELS`]), over an interval.
 ///

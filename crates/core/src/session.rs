@@ -2,9 +2,9 @@
 //! reports.
 //!
 //! A [`Scenario`] fixes everything a negotiation needs — the normal-use
-//! capacity, the customer population, the Utility Agent configuration,
-//! the tariff — and [`Scenario::run`] executes the configured
-//! announcement method round by round, producing a [`NegotiationReport`]
+//! capacity, the customer population, the Utility Agent configuration
+//! and the announcement method — and [`Scenario::run`] executes that
+//! method round by round, producing a [`NegotiationReport`]
 //! with the full per-round history (exactly the quantities the paper's
 //! GUI screenshots in Figures 6–9 display).
 
@@ -14,7 +14,6 @@ use crate::preferences::CustomerPreferences;
 use crate::reward::{overuse_fraction, RewardTable};
 use crate::utility_agent::UtilityAgentConfig;
 use powergrid::slab::{interval_flexibility_slab, DemandScratch, SlabView};
-use powergrid::tariff::Tariff;
 use powergrid::time::Interval;
 use powergrid::units::{Fraction, KilowattHours, Money};
 use rand::rngs::StdRng;
@@ -50,10 +49,10 @@ pub struct Scenario {
     /// Utility Agent configuration.
     pub config: UtilityAgentConfig,
     /// The announcement method to use — the only place a negotiation
-    /// names it: every run path reads it from here.
+    /// names it: every run path reads it from here. An offer or a
+    /// request for bids settles under the one §3.2 tariff,
+    /// [`Tariff::default_scheme`](powergrid::tariff::Tariff::default_scheme).
     pub method: AnnouncementMethod,
-    /// The three-level tariff (offer and request-for-bids settlement).
-    pub tariff: Tariff,
 }
 
 impl Scenario {
@@ -443,7 +442,6 @@ pub struct ScenarioBuilder {
     customers: Vec<CustomerProfile>,
     config: UtilityAgentConfig,
     method: AnnouncementMethod,
-    tariff: Tariff,
 }
 
 impl ScenarioBuilder {
@@ -455,7 +453,6 @@ impl ScenarioBuilder {
             customers: Vec::new(),
             config: UtilityAgentConfig::paper(),
             method: AnnouncementMethod::RewardTables,
-            tariff: Tariff::default_scheme(),
         }
     }
 
@@ -637,7 +634,6 @@ impl ScenarioBuilder {
             customers: self.customers,
             config: self.config,
             method: self.method,
-            tariff: self.tariff,
         }
     }
 }

@@ -165,8 +165,9 @@ impl DemandCurve {
 /// Simulates the viewed households' demand over a multi-day
 /// [`Horizon`](crate::calendar::Horizon): one curve per day, with
 /// weekday/weekend intensity factors applied and the day index seeding
-/// per-day weather and jitter. One [`DemandScratch`] serves every day,
-/// so the duty shapes are computed once per horizon.
+/// per-day weather and jitter. The caller's [`DemandScratch`] serves
+/// every day, so the duty shapes are computed at most once per horizon,
+/// and the caller keeps them for its next kernel.
 ///
 /// Returns `(demand, weather)` series pairs, one per day.
 pub fn simulate_horizon(
@@ -174,14 +175,13 @@ pub fn simulate_horizon(
     model: &WeatherModel,
     horizon: &crate::calendar::Horizon,
     axis: &TimeAxis,
+    scratch: &mut DemandScratch,
 ) -> Vec<(DemandCurve, Series)> {
-    let mut scratch = DemandScratch::new();
     horizon
         .days()
         .map(|day| {
             let weather = model.temperatures(axis, day.index);
-            let base =
-                aggregate_demand_slab_with(population, &weather, axis, day.index, &mut scratch);
+            let base = aggregate_demand_slab_with(population, &weather, axis, day.index, scratch);
             let curve = DemandCurve::new(base.series().scale(day.day_type.intensity_factor()));
             (curve, weather)
         })
@@ -278,8 +278,9 @@ mod tests {
         let axis = TimeAxis::hourly();
         let builder = PopulationBuilder::new().households(20);
         let slab = builder.build_slab(5);
-        let horizon = Horizon::new(7, 0, Season::Winter);
-        let days = simulate_horizon(slab.view(), &WeatherModel::winter(), &horizon, &axis);
+        let (horizon, model) = (Horizon::new(7, 0, Season::Winter), WeatherModel::winter());
+        let mut scratch = DemandScratch::new();
+        let days = simulate_horizon(slab.view(), &model, &horizon, &axis, &mut scratch);
         assert_eq!(days.len(), 7);
         for (curve, weather) in &days {
             assert_eq!(curve.len(), 24);
@@ -299,9 +300,11 @@ mod tests {
         let builder = PopulationBuilder::new().households(10);
         let slab = builder.build_slab(1);
         let homes = builder.build(1);
-        let horizon = Horizon::new(3, 2, Season::Autumn);
-        let a = simulate_horizon(slab.view(), &WeatherModel::winter(), &horizon, &axis);
-        let b = simulate_horizon(slab.view(), &WeatherModel::winter(), &horizon, &axis);
+        let (horizon, model) = (Horizon::new(3, 2, Season::Autumn), WeatherModel::winter());
+        let mut scratch = DemandScratch::new();
+        let a = simulate_horizon(slab.view(), &model, &horizon, &axis, &mut scratch);
+        // Again, over the scratch the first run filled.
+        let b = simulate_horizon(slab.view(), &model, &horizon, &axis, &mut scratch);
         assert_eq!(a, b);
         // One scratch threaded through every day leaks nothing between
         // them: each day is the household reference's curve, scaled.

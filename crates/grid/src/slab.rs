@@ -51,6 +51,7 @@ use rand::Rng;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// The position of `kind` in [`DeviceKind::all`] — the slab's per-entry
 /// kind encoding.
@@ -401,9 +402,10 @@ impl<'a> SlabView<'a> {
 /// time-of-day math, a pure function of kind and resolution) is
 /// computed once and shared across households, days and peaks. Demand
 /// synthesis reads the shapes slot by slot; interval flexibility
-/// integrates each over the interval once per call. A campaign keeps
-/// one scratch for its horizon synthesis and one for its scenario
-/// derivation.
+/// integrates each over the interval once per call. A clone shares its
+/// shapes instead of copying them, so a campaign computes them once:
+/// its horizon synthesis fills a scratch, and its scenario derivation
+/// starts from a clone.
 ///
 /// The shapes follow the axis they are used with, so one scratch can
 /// serve axes of different resolutions; a change of resolution
@@ -412,7 +414,7 @@ impl<'a> SlabView<'a> {
 pub struct DemandScratch {
     /// One duty shape per [`DeviceKind::all`] entry, at the resolution
     /// of the axis last used; empty until a kernel first needs them.
-    shapes: Vec<Vec<f64>>,
+    shapes: Vec<Arc<[f64]>>,
 }
 
 impl DemandScratch {
@@ -431,18 +433,18 @@ impl DemandScratch {
     /// [`Device::load_profile`]: crate::device::Device::load_profile
     fn tables(&mut self, mean_temp: f64, n: usize) -> KindTables<'_> {
         let kinds = DeviceKind::all();
-        if self.shapes.first().map(Vec::len) != Some(n) {
+        if self.shapes.first().map(|shape| shape.len()) != Some(n) {
             self.shapes.clear();
             self.shapes.extend(kinds.iter().map(|kind| {
                 let mut shape = vec![0.0; n];
                 kind.duty_shape_into(&mut shape);
-                shape
+                Arc::from(shape)
             }));
         }
         let shapes = &self.shapes;
         KindTables {
             temp_factor: kinds.map(|kind| kind.temperature_factor(mean_temp)),
-            shapes: std::array::from_fn(|k| shapes[k].as_slice()),
+            shapes: std::array::from_fn(|k| &*shapes[k]),
         }
     }
 }

@@ -60,15 +60,9 @@ fn main() {
     }
 
     println!("\n=== Protocol invariants (§3.1) ===");
-    let tables: Vec<_> = report
-        .rounds()
-        .iter()
-        .filter_map(|r| r.table.as_deref().cloned())
-        .collect();
-    let bids: Vec<_> = report.rounds().iter().map(|r| r.bids.clone()).collect();
     println!(
         "announcements monotone: {}",
-        if verify_announcements(&tables).is_ok() {
+        if verify_announcements(report.rounds()).is_ok() {
             "yes"
         } else {
             "VIOLATED"
@@ -76,7 +70,7 @@ fn main() {
     );
     println!(
         "bids never retreat:     {}",
-        if verify_bids(&bids).is_ok() {
+        if verify_bids(report.rounds()).is_ok() {
             "yes"
         } else {
             "VIOLATED"

@@ -384,10 +384,8 @@ proptest! {
         }
         let report = builder.build().run();
         prop_assert!(report.converged());
-        let tables: Vec<_> = report.rounds().iter().filter_map(|r| r.table.as_deref().cloned()).collect();
-        prop_assert!(verify_announcements(&tables).is_ok());
-        let bids: Vec<_> = report.rounds().iter().map(|r| r.bids.clone()).collect();
-        prop_assert!(verify_bids(&bids).is_ok());
+        prop_assert!(verify_announcements(report.rounds()).is_ok());
+        prop_assert!(verify_bids(report.rounds()).is_ok());
         // Overuse is non-increasing round over round.
         let mut prev = f64::INFINITY;
         for r in report.rounds() {
