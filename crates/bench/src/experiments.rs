@@ -1881,7 +1881,7 @@ pub fn report_tiers(cells: usize, households: usize, days: u64, seed: u64) -> Re
         }
         assert!(
             tier.keeps_rounds() || rounds_stored == 0,
-            "{tier}: the assembler stored {rounds_stored} round records below full-trace"
+            "{tier}: the engine stored {rounds_stored} round records below full-trace"
         );
         assert!(
             tier.keeps_rounds() || scenarios_stored == 0,

@@ -13,10 +13,10 @@
 //!   calculation components exchanging facts over information links —
 //!   and is cross-validated against the native synchronous session.
 
-use crate::engine::{CustomerEngine, Effect, Input, Peer, ReportAssembler, UtilityEngine};
+use crate::engine::{CustomerEngine, Effect, Input, UtilityEngine};
 use crate::message::Msg;
 use crate::reward::{RewardTable, LEVELS};
-use crate::session::{NegotiationReport, ReportTier, Scenario};
+use crate::session::{NegotiationReport, Scenario};
 use desire::component::{Component, FnCalculation};
 use desire::engine::{FactBase, TruthValue};
 use desire::kb::KnowledgeBase;
@@ -316,14 +316,11 @@ pub fn run_hosted_traced(scenario: &Scenario) -> (NegotiationReport, desire::tra
         method: crate::methods::AnnouncementMethod::RewardTables,
         ..scenario.clone()
     };
-    let mut engine = UtilityEngine::new(scenario);
-    let assembler = Rc::new(RefCell::new(ReportAssembler::for_engine_at(
-        &engine,
-        ReportTier::FullTrace,
-    )));
-    let ua_assembler = Rc::clone(&assembler);
+    let engine = Rc::new(RefCell::new(UtilityEngine::new(scenario)));
+    let ua_engine = Rc::clone(&engine);
     let mut started = false;
     let ua_calc = FnCalculation::new("ua_round", move |input: &FactBase| {
+        let mut engine = ua_engine.borrow_mut();
         if engine.is_settled() {
             return Vec::new();
         }
@@ -346,7 +343,7 @@ pub fn run_hosted_traced(scenario: &Scenario) -> (NegotiationReport, desire::tra
                     continue;
                 };
                 engine.handle(Input::Received {
-                    from: Peer::Customer(i as usize),
+                    from: i as usize,
                     msg: Msg::Bid {
                         round: r as u32,
                         cutdown: Fraction::clamped(c),
@@ -356,27 +353,25 @@ pub fn run_hosted_traced(scenario: &Scenario) -> (NegotiationReport, desire::tra
         }
         let mut out = Vec::new();
         while let Some(effect) = engine.poll_effect() {
-            // Settlement is consumed by the assembler below; note it
-            // first so the ended-fact still goes out.
-            if matches!(effect, Effect::Settled { .. }) {
-                out.push((
-                    Atom::new(
-                        "negotiation_ended",
-                        vec![Term::number(f64::from(engine.current_round()))],
-                    ),
-                    TruthValue::True,
-                ));
-            }
             // A round's announcement broadcast becomes one round of
             // table facts, which the link carries to every customer.
-            // Award sends are counted by the assembler; timers are
+            // Awards are counted in the engine's report; timers are
             // meaningless under the kernel's quiescence semantics.
-            if let Some(Effect::Broadcast {
+            if let Effect::Broadcast {
                 msg: Msg::Announce { round, table },
-            }) = ua_assembler.borrow_mut().observe(effect)
+            } = effect
             {
                 out.extend(table_to_facts(round, &table));
             }
+        }
+        if engine.is_settled() {
+            out.push((
+                Atom::new(
+                    "negotiation_ended",
+                    vec![Term::number(f64::from(engine.current_round()))],
+                ),
+                TruthValue::True,
+            ));
         }
         out
     });
@@ -405,20 +400,17 @@ pub fn run_hosted_traced(scenario: &Scenario) -> (NegotiationReport, desire::tra
         let Some(table) = facts_to_table(input, latest, interval) else {
             return Vec::new();
         };
-        // One shared snapshot for every customer's announcement.
-        let table = std::sync::Arc::new(table);
+        // One announcement, which every customer reads.
+        let announce = Msg::Announce {
+            round: latest,
+            table: std::sync::Arc::new(table),
+        };
         responded_round = latest;
         engines
             .iter_mut()
             .enumerate()
             .filter_map(|(i, engine)| {
-                let Some(Msg::Bid { round, cutdown }) = engine.handle(Input::Received {
-                    from: Peer::Utility,
-                    msg: Msg::Announce {
-                        round: latest,
-                        table: table.clone(),
-                    },
-                }) else {
+                let Some(Msg::Bid { round, cutdown }) = engine.answer(&announce) else {
                     return None;
                 };
                 Some((
@@ -465,7 +457,7 @@ pub fn run_hosted_traced(scenario: &Scenario) -> (NegotiationReport, desire::tra
         .run()
         .expect("DESIRE-hosted negotiation reaches quiescence");
 
-    let report = assembler.borrow().clone().finish();
+    let report = engine.borrow_mut().take_report();
     (report, system.trace().clone())
 }
 

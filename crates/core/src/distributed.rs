@@ -7,7 +7,8 @@
 //! loop over a [`NetworkModel`] — latency, loss, duplication,
 //! reordering, outages and response deadlines included. The loop
 //! contains **no protocol logic**: it carries engine [`Effect`]s over
-//! the network and hands what arrives to the engines, so on a perfect
+//! the network, hands what arrives to the engines and, once the network
+//! falls quiet, takes the utility engine's report, so on a perfect
 //! network the outcome is identical to [`Scenario::run`] by
 //! construction. A broadcast is kept once per run and every customer's
 //! copy reads it by reference.
@@ -31,7 +32,7 @@
 //! pending the loop jumps straight to the next deadline. That is
 //! exactly the `(tick, sequence)` order a priority queue would give.
 
-use crate::engine::{CustomerEngine, Effect, Input, Peer, ReportAssembler, UtilityEngine};
+use crate::engine::{Effect, Input, UtilityEngine};
 use crate::execution::NetworkTraffic;
 use crate::message::Msg;
 use crate::session::{NegotiationReport, ReportTier, Scenario};
@@ -182,37 +183,27 @@ impl Wire<'_> {
     }
 
     /// Performs the utility engine's pending effects in the order they
-    /// come. Observations move into the assembler; a broadcast goes out
-    /// as one send per customer in index order, so the network draws
-    /// latencies and losses in that order; a timer arms the round's
-    /// deadline.
-    fn pump(
-        &mut self,
-        utility: &mut UtilityEngine,
-        assembler: &mut ReportAssembler,
-        customers: usize,
-    ) {
+    /// come: a broadcast goes out as one send per customer in index
+    /// order, so the network draws latencies and losses in that order;
+    /// a timer arms the round's deadline.
+    fn pump(&mut self, utility: &mut UtilityEngine, customers: usize) {
         while let Some(effect) = utility.poll_effect() {
-            match assembler.observe(effect) {
-                Some(Effect::Send {
-                    to: Peer::Customer(i),
-                    msg,
-                }) => self.send(Event::ToCustomer(i, msg)),
-                Some(Effect::Broadcast { msg }) => {
+            match effect {
+                Effect::Send { to, msg } => self.send(Event::ToCustomer(to, msg)),
+                Effect::Broadcast { msg } => {
                     let b = self.ring.broadcasts.len();
                     self.ring.broadcasts.push(msg);
                     for i in 0..customers {
                         self.send(Event::Broadcast(i, b));
                     }
                 }
-                Some(Effect::SetTimer { token }) => {
+                Effect::SetTimer { token } => {
                     let seq = self.scheduled;
                     self.scheduled += 1;
                     self.ring
                         .deadlines
                         .push_back((self.now + self.deadline, seq, token));
                 }
-                _ => {}
             }
         }
     }
@@ -275,10 +266,9 @@ impl NegotiationScratch {
         seed: u64,
         deadline: SimDuration,
     ) -> DistributedOutcome {
-        let mut utility = self.checkout(scenario, tier);
-        let customers: &mut [CustomerEngine] = &mut self.customers;
+        self.reset(scenario, tier);
+        let (utility, customers) = (&mut self.utility, &mut self.customers[..]);
         self.ring.reset(network);
-        let mut assembler = ReportAssembler::for_engine_at(&utility, tier);
         let mut wire = Wire {
             model: network,
             rng: StdRng::seed_from_u64(seed),
@@ -292,7 +282,7 @@ impl NegotiationScratch {
             },
         };
         utility.handle(Input::Start);
-        wire.pump(&mut utility, &mut assembler, customers.len());
+        wire.pump(utility, customers.len());
         let mut budget = EVENT_BUDGET;
         while let Some((at, event)) = wire.ring.pop(wire.now) {
             assert!(
@@ -317,23 +307,21 @@ impl NegotiationScratch {
                 Event::ToUtility(i, msg) => {
                     wire.traffic.messages_delivered += 1;
                     utility.receive(i, msg);
-                    wire.pump(&mut utility, &mut assembler, customers.len());
+                    wire.pump(utility, customers.len());
                 }
                 Event::Deadline(token) => {
                     wire.traffic.timers_fired += 1;
                     utility.handle(Input::TimerFired { token });
-                    wire.pump(&mut utility, &mut assembler, customers.len());
+                    wire.pump(utility, customers.len());
                 }
             }
         }
         let mut traffic = wire.traffic;
         traffic.deadline_forced_rounds = utility.deadline_forced_rounds();
-        let end_time = wire.now;
-        self.check_in(utility);
         DistributedOutcome {
-            report: assembler.finish(),
+            report: utility.take_report(),
             traffic,
-            end_time,
+            end_time: wire.now,
         }
     }
 }
@@ -511,8 +499,8 @@ mod tests {
     #[test]
     fn scratch_distributed_matches_fresh_engines() {
         // One scratch across mixed sizes, methods and networks — the
-        // checked-out/recovered engines must behave exactly like fresh
-        // ones, faults included.
+        // reset engines must behave exactly like fresh ones, faults
+        // included.
         let mut scratch = NegotiationScratch::new();
         let nets = [
             NetworkModel::perfect(),

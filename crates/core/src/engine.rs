@@ -9,7 +9,9 @@
 //! crates: no clocks, no sockets, no threads — callers feed [`Input`]s
 //! with [`UtilityEngine::handle`] and drain [`Effect`]s with
 //! [`UtilityEngine::poll_effect`], and the *driver* decides what a
-//! "send", a "broadcast" or a "timer" physically means.
+//! "send", a "broadcast" or a "timer" physically means. The effects are
+//! only the wire: the engine reports its own negotiation, and a driver
+//! ends by taking the report with [`UtilityEngine::take_report`].
 //!
 //! * [`UtilityEngine`] — the Utility Agent half, parameterized by
 //!   [`AnnouncementMethod`]; reuses [`RewardTableNegotiator`] (the §6
@@ -33,8 +35,8 @@
 //!   answers a reward table with the grid index of the level it bids,
 //!   reading the table's six rewards and deciding over the grid levels
 //!   it can still bid ([`CustomerPreferences::respond`] makes the same
-//!   decision). A customer answers each input with at most one message,
-//!   so [`CustomerEngine::handle`] simply *returns* its reply to the
+//!   decision). A customer answers each message with at most one,
+//!   so [`CustomerEngine::answer`] simply *returns* its reply to the
 //!   Utility Agent: the engine is a 64-byte value that owns no heap
 //!   buffer, so the customer side of a city-scale negotiation is one
 //!   flat vector of engines.
@@ -61,10 +63,10 @@
 //! [`Scenario::method`](crate::session::Scenario::method): the engine
 //! is built and reset from the scenario alone.
 //!
-//! All three produce their
-//! [`NegotiationReport`](crate::session::NegotiationReport) through the shared
-//! [`ReportAssembler`], so outcomes agree *by construction* — the
-//! property `tests/cross_mode.rs` checks over random scenarios.
+//! All three take their
+//! [`NegotiationReport`] from the engine they drive, so outcomes agree
+//! *by construction* — the property `tests/cross_mode.rs` checks over
+//! random scenarios.
 
 use crate::concession::{NegotiationStatus, TerminationReason};
 use crate::customer_agent::{decide_offer, rfb_step, y_min_for};
@@ -74,30 +76,27 @@ use crate::preferences::CustomerPreferences;
 use crate::reward::{
     grid_index, overuse_fraction, predicted_use_with_cutdown, RewardTable, LEVELS,
 };
-use crate::session::{RoundRecord, Scenario, Settlement};
+use crate::session::{
+    NegotiationReport, ReportTier, RoundDigest, RoundRecord, Scenario, Settlement,
+};
 use crate::utility_agent::{RewardTableNegotiator, UaDecision, UtilityAgentConfig};
 use powergrid::tariff::Tariff;
 use powergrid::units::{Fraction, KilowattHours, Money};
 use std::collections::VecDeque;
+use std::ops::Range;
+use std::sync::Arc;
 
-/// The counterparty an engine addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Peer {
-    /// The (single) Utility Agent.
-    Utility,
-    /// Customer `i`, in scenario order.
-    Customer(usize),
-}
-
-/// Everything the outside world can tell an engine.
+/// Everything the outside world can tell a [`UtilityEngine`]. A
+/// [`CustomerEngine`] is purely reactive: it only hears the Utility
+/// Agent's messages, which it [answers](CustomerEngine::answer).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Input {
-    /// Begin the negotiation (Utility side only; customers are reactive).
+    /// Begin the negotiation.
     Start,
-    /// A protocol message arrived from `from`.
+    /// A protocol message arrived from customer `from`.
     Received {
-        /// The message's sender.
-        from: Peer,
+        /// The sender's customer index, in scenario order.
+        from: usize,
         /// The message.
         msg: Msg,
     },
@@ -108,17 +107,17 @@ pub enum Input {
     },
 }
 
-/// Everything the [`UtilityEngine`] can ask the outside world to do.
-///
-/// `Send`, `Broadcast` and `SetTimer` are *transport* effects the driver
-/// must perform; `RoundComplete` and `Settled` are *observations* it
-/// feeds to a [`ReportAssembler`].
+/// Everything the [`UtilityEngine`] can ask the outside world to do:
+/// only the wire, which the driver performs. What the negotiation
+/// concludes goes into the engine's own report
+/// ([`UtilityEngine::take_report`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Effect {
-    /// Deliver `msg` to `to`.
+    /// Deliver `msg` to customer `to` alone — the engine addresses one
+    /// customer only to award it.
     Send {
-        /// The recipient.
-        to: Peer,
+        /// The recipient's customer index, in scenario order.
+        to: usize,
         /// The message.
         msg: Msg,
     },
@@ -134,17 +133,6 @@ pub enum Effect {
     SetTimer {
         /// Token identifying the round; echoed in [`Input::TimerFired`].
         token: u64,
-    },
-    /// One negotiation round concluded.
-    RoundComplete(RoundRecord),
-    /// The negotiation is over.
-    Settled {
-        /// Protocol outcome.
-        status: NegotiationStatus,
-        /// Per-customer settlements (the monetary
-        /// [`SettlementSummary`](crate::outcome::SettlementSummary) is
-        /// derived from these by [`crate::outcome`]).
-        settlements: Vec<Settlement>,
     },
 }
 
@@ -259,8 +247,12 @@ impl LevelColumns {
 ///
 /// Feed it [`Input`]s, drain [`Effect`]s; it never blocks, allocates per
 /// round only what the round records need, and is identical under every
-/// driver. A finished engine can be [`UtilityEngine::reset`] onto the
-/// next scenario, reusing its internal buffers — what the
+/// driver. It reports its own negotiation at the [`ReportTier`] it is
+/// reset with: each concluded round folds into the report's
+/// [`RoundDigest`], a [`RoundRecord`] is built only when the tier keeps
+/// rounds, and a driver ends with [`UtilityEngine::take_report`]. A
+/// finished engine can be [`UtilityEngine::reset`] onto the next
+/// scenario, reusing its internal buffers — what the
 /// [`NegotiationScratch`](crate::sync_driver::NegotiationScratch) hot
 /// path does for every peak of a campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -277,12 +269,6 @@ pub struct UtilityEngine {
     /// The iterated methods' rounds as per-customer columns of grid
     /// indices.
     levels: LevelColumns,
-    /// Whether each round record carries every customer's cut-down
-    /// ([`RoundRecord::bids`]); a report below
-    /// [`ReportTier::FullTrace`](crate::session::ReportTier::FullTrace)
-    /// drops the records, so its driver spares the engine building them.
-    keep_bids: bool,
-    rounds_run: u32,
     concluded_round: u32,
     /// Rounds concluded by the response deadline firing rather than by
     /// every customer answering — always zero under the synchronous
@@ -291,28 +277,29 @@ pub struct UtilityEngine {
     deadline_forced: u64,
     status: Option<NegotiationStatus>,
     effects: VecDeque<Effect>,
-    /// A settlement whose awards are still being polled.
-    awarding: Option<Awarding>,
-}
-
-/// A settled negotiation's award messages, polled one per customer in
-/// index order and then its [`Effect::Settled`]: made on demand from the
-/// settlements once every earlier effect is out, instead of queued,
-/// since a settlement awards every customer.
-#[derive(Debug, Clone, PartialEq)]
-struct Awarding {
-    round: u32,
-    /// The customer whose award is polled next.
-    next: usize,
-    status: NegotiationStatus,
+    /// What the report retains.
+    tier: ReportTier,
+    /// The report's scalars, folded as rounds conclude and the
+    /// negotiation settles.
+    digest: RoundDigest,
+    /// The report's round records, built only when the tier keeps
+    /// rounds.
+    rounds: Vec<RoundRecord>,
+    /// The settlements once settled: the awards read them, and the
+    /// report keeps them when the tier does.
     settlements: Vec<Settlement>,
+    /// The customers whose awards are still to be polled. A settlement
+    /// of an iterated method awards every customer, so the awards are
+    /// made on demand from the settlements instead of queued; the
+    /// range's end counts them.
+    awards: Range<usize>,
 }
 
-impl UtilityEngine {
-    /// An engine for `scenario`'s configured method: an engine with no
-    /// customers, [reset](UtilityEngine::reset) onto the scenario.
-    pub fn new(scenario: &Scenario) -> UtilityEngine {
-        let mut engine = UtilityEngine {
+impl Default for UtilityEngine {
+    /// An engine with no customers, to be
+    /// [reset](UtilityEngine::reset) onto a scenario.
+    fn default() -> UtilityEngine {
+        UtilityEngine {
             method: AnnouncementMethod::RequestForBids,
             config: UtilityAgentConfig::default(),
             profiles: Vec::new(),
@@ -321,23 +308,36 @@ impl UtilityEngine {
             state: MethodState::RequestForBids { round: 1 },
             responded: 0,
             levels: LevelColumns::default(),
-            keep_bids: true,
-            rounds_run: 0,
             concluded_round: 0,
             deadline_forced: 0,
             status: None,
             effects: VecDeque::new(),
-            awarding: None,
-        };
-        engine.reset(scenario);
+            tier: ReportTier::FullTrace,
+            digest: RoundDigest::starting_at(KilowattHours::ZERO),
+            rounds: Vec::new(),
+            settlements: Vec::new(),
+            awards: 0..0,
+        }
+    }
+}
+
+impl UtilityEngine {
+    /// An engine for `scenario`'s configured method, reporting at
+    /// [`ReportTier::FullTrace`]: an engine with no customers,
+    /// [reset](UtilityEngine::reset) onto the scenario.
+    pub fn new(scenario: &Scenario) -> UtilityEngine {
+        let mut engine = UtilityEngine::default();
+        engine.reset(scenario, ReportTier::FullTrace);
         engine
     }
 
-    /// Re-aims the engine at a fresh scenario, reusing every internal
-    /// buffer (profiles, level columns, effect queue) — behaviourally
-    /// identical to [`UtilityEngine::new(scenario)`](UtilityEngine::new)
-    /// without the per-negotiation allocations.
-    pub fn reset(&mut self, scenario: &Scenario) {
+    /// Re-aims the engine at a fresh scenario, reporting at `tier`, and
+    /// reuses every internal buffer (profiles, level columns, effect
+    /// queue) — behaviourally identical to
+    /// [`UtilityEngine::new(scenario)`](UtilityEngine::new) at
+    /// [`ReportTier::FullTrace`], without the per-negotiation
+    /// allocations.
+    pub fn reset(&mut self, scenario: &Scenario, tier: ReportTier) {
         let n = scenario.customers.len();
         self.method = scenario.method;
         self.config = scenario.config;
@@ -360,36 +360,42 @@ impl UtilityEngine {
             AnnouncementMethod::RequestForBids => MethodState::RequestForBids { round: 1 },
         };
         self.levels.reset(n);
-        self.keep_bids = true;
         self.responded = 0;
-        self.rounds_run = 0;
         self.concluded_round = 0;
         self.deadline_forced = 0;
         self.status = None;
         self.effects.clear();
-        self.awarding = None;
+        self.tier = tier;
+        self.digest = RoundDigest::starting_at(self.initial_total);
+        // A report's vectors are its own: they start unallocated, never
+        // with an earlier report's capacity.
+        self.rounds = Vec::new();
+        self.settlements = Vec::new();
+        self.awards = 0..0;
     }
 
-    /// Whether the round records carry the customers' bids: on for a
-    /// new or reset engine, off for a driver whose report does not keep
-    /// round records.
-    pub(crate) fn keep_bids(&mut self, keep: bool) {
-        self.keep_bids = keep;
-    }
-
-    /// The announcement method being run.
-    pub fn method(&self) -> AnnouncementMethod {
-        self.method
-    }
-
-    /// The normal-use capacity.
-    pub fn normal_use(&self) -> KilowattHours {
-        self.normal_use
-    }
-
-    /// Total predicted consumption before negotiation.
-    pub fn initial_total(&self) -> KilowattHours {
-        self.initial_total
+    /// The negotiation's report at the tier the engine was reset with.
+    /// It moves the round records and settlements out, so take it once,
+    /// after the engine settles and its effects are drained; an
+    /// unsettled engine (a driver stopping a simulation early) reports
+    /// [`NegotiationStatus::MaxRoundsExceeded`] with no settlements.
+    pub fn take_report(&mut self) -> NegotiationReport {
+        let settlements = std::mem::take(&mut self.settlements);
+        NegotiationReport::from_parts(
+            self.method,
+            self.normal_use,
+            self.initial_total,
+            self.tier,
+            self.digest,
+            std::mem::take(&mut self.rounds),
+            self.status.unwrap_or(NegotiationStatus::MaxRoundsExceeded),
+            if self.tier.keeps_settlements() {
+                settlements
+            } else {
+                Vec::new()
+            },
+            self.awards.end as u64,
+        )
     }
 
     /// The negotiation round currently being collected (1-based).
@@ -413,7 +419,7 @@ impl UtilityEngine {
         self.deadline_forced
     }
 
-    /// True once a [`Effect::Settled`] has been emitted.
+    /// True once the negotiation has settled.
     pub fn is_settled(&self) -> bool {
         self.status.is_some()
     }
@@ -423,45 +429,27 @@ impl UtilityEngine {
     pub fn handle(&mut self, input: Input) {
         match input {
             Input::Start => self.announce_round(),
-            Input::Received {
-                from: Peer::Customer(i),
-                msg,
-            } => self.receive(i, msg),
-            Input::Received {
-                from: Peer::Utility,
-                ..
-            } => {}
+            Input::Received { from, msg } => self.receive(from, msg),
             Input::TimerFired { token } => self.on_timer(token),
         }
     }
 
-    /// The next pending effect, if any.
+    /// The next pending effect, if any: the queued ones, and then each
+    /// customer's award once every earlier effect is out.
     #[inline]
     pub fn poll_effect(&mut self) -> Option<Effect> {
         if let Some(effect) = self.effects.pop_front() {
             return Some(effect);
         }
-        let awarding = self.awarding.as_mut()?;
-        if let Some(s) = awarding.settlements.get(awarding.next) {
-            let i = awarding.next;
-            awarding.next += 1;
-            return Some(Effect::Send {
-                to: Peer::Customer(i),
-                msg: Msg::Award {
-                    round: awarding.round,
-                    cutdown: s.cutdown,
-                    reward: s.reward,
-                },
-            });
-        }
-        let Awarding {
-            status,
-            settlements,
-            ..
-        } = self.awarding.take()?;
-        Some(Effect::Settled {
-            status,
-            settlements,
+        let to = self.awards.next()?;
+        let Settlement { cutdown, reward } = *self.settlements.get(to)?;
+        Some(Effect::Send {
+            to,
+            msg: Msg::Award {
+                round: self.concluded_round,
+                cutdown,
+                reward,
+            },
         })
     }
 
@@ -576,7 +564,6 @@ impl UtilityEngine {
     fn conclude_round(&mut self) {
         let round = self.current_round();
         self.concluded_round = round;
-        self.rounds_run += 1;
         match &self.state {
             MethodState::RewardTables { .. } => self.conclude_reward_tables(round),
             MethodState::Offer { .. } => self.conclude_offer(),
@@ -585,54 +572,48 @@ impl UtilityEngine {
         self.responded = 0;
     }
 
-    fn push_round(&mut self, record: RoundRecord) {
-        self.effects.push_back(Effect::RoundComplete(record));
-    }
-
-    /// A round record's bids: `cutdowns`, collected only when the
-    /// record keeps them.
-    fn round_bids(&self, cutdowns: impl Iterator<Item = Fraction>) -> Vec<Fraction> {
-        if self.keep_bids {
-            cutdowns.collect()
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Settles: the award messages, polled on demand (see [`Awarding`]),
-    /// and then the settled effect.
-    fn settle(
+    /// Folds concluded round `round` into the report: into the digest
+    /// always, and as a round record, with `table` and the bids `bids`
+    /// reads, only when the tier keeps rounds.
+    fn report_round(
         &mut self,
         round: u32,
-        status: NegotiationStatus,
-        settlements: Vec<Settlement>,
-        announce_awards: bool,
+        table: Option<Arc<RewardTable>>,
+        predicted_total: KilowattHours,
+        bids: impl FnOnce(&LevelColumns) -> Vec<Fraction>,
     ) {
-        self.status = Some(status);
-        if announce_awards {
-            self.awarding = Some(Awarding {
+        let messages = 2 * self.n() as u64;
+        self.digest.observe_round(messages, predicted_total);
+        if self.tier.keeps_rounds() {
+            self.rounds.push(RoundRecord {
                 round,
-                next: 0,
-                status,
-                settlements,
-            });
-        } else {
-            self.effects.push_back(Effect::Settled {
-                status,
-                settlements,
+                table,
+                bids: bids(&self.levels),
+                predicted_total,
+                messages,
             });
         }
+    }
+
+    /// Settles with `settlements`, folding them into the digest; an
+    /// iterated method then awards every customer
+    /// ([`UtilityEngine::poll_effect`]).
+    fn settle(&mut self, status: NegotiationStatus, settlements: Vec<Settlement>, award: bool) {
+        self.status = Some(status);
+        self.digest.observe_settlements(&settlements);
+        if award {
+            self.awards = 0..settlements.len();
+        }
+        self.settlements = settlements;
     }
 
     fn conclude_reward_tables(&mut self, round: u32) {
-        let n = self.n();
         let MethodState::RewardTables { negotiator } = &mut self.state else {
             unreachable!("reward-table conclusion in reward-table state");
         };
         // The announced table, until the negotiator moves on below; the
         // round record shares it.
         let table = negotiator.shared_table();
-        let entries = table.entries();
         let columns = &mut self.levels;
         let (predicted_total, _) = columns.conclude(&self.profiles);
         let overuse = overuse_fraction(predicted_total, self.normal_use);
@@ -641,44 +622,33 @@ impl UtilityEngine {
         // candidate table at the bids customers have already committed
         // to (a floor on its cost — §3.1 bids never retreat).
         let remaining = (predicted_total - self.normal_use).clamp_non_negative();
-        let decision =
-            negotiator.evaluate_with_outlay(overuse, remaining, |next| columns.outlay(next));
-        let settlements = match decision {
-            UaDecision::Converged(_) => Some(
-                columns
+        match negotiator.evaluate_with_outlay(overuse, remaining, |next| columns.outlay(next)) {
+            UaDecision::Converged(reason) => {
+                let entries = table.entries();
+                let settlements = columns
                     .accepted
                     .iter()
                     .map(|&level| {
                         let (cutdown, reward) = entries[level as usize];
                         Settlement { cutdown, reward }
                     })
-                    .collect::<Vec<Settlement>>(),
-            ),
-            UaDecision::NextTable => None,
-        };
-        let bids = self.round_bids(self.levels.cutdowns());
-        self.push_round(RoundRecord {
-            round,
-            table: Some(table),
-            bids,
-            predicted_total,
-            messages: 2 * n as u64,
-        });
-        match decision {
-            UaDecision::Converged(reason) => {
+                    .collect();
                 // The round budget is a backstop, not a protocol rule:
                 // report it as such when the peak is still too high.
-                let status = if self.rounds_run >= self.config.max_rounds
+                let status = if round >= self.config.max_rounds
                     && overuse > self.config.max_allowed_overuse
                 {
                     NegotiationStatus::MaxRoundsExceeded
                 } else {
                     NegotiationStatus::Converged(reason)
                 };
-                self.settle(round, status, settlements.expect("built above"), true);
+                self.settle(status, settlements, true);
             }
             UaDecision::NextTable => self.announce_round(),
         }
+        self.report_round(round, Some(table), predicted_total, |levels| {
+            levels.cutdowns().collect()
+        });
     }
 
     fn conclude_offer(&mut self) {
@@ -697,16 +667,10 @@ impl UtilityEngine {
             predicted_total += new_use;
             settlements.push(settlement);
         }
-        let bids = self.round_bids(settlements.iter().map(|s| s.cutdown));
-        self.push_round(RoundRecord {
-            round: 1,
-            table: None,
-            bids,
-            predicted_total,
-            messages: 2 * n as u64,
+        self.report_round(1, None, predicted_total, |_| {
+            settlements.iter().map(|s| s.cutdown).collect()
         });
         self.settle(
-            1,
             NegotiationStatus::Converged(TerminationReason::SingleRound),
             settlements,
             false,
@@ -714,14 +678,13 @@ impl UtilityEngine {
     }
 
     fn conclude_request_for_bids(&mut self, round: u32) {
-        let n = self.n();
         let (predicted_total, moved) = self.levels.conclude(&self.profiles);
         let overuse = overuse_fraction(predicted_total, self.normal_use);
         let status = if overuse <= self.config.max_allowed_overuse {
             Some(NegotiationStatus::Converged(
                 TerminationReason::OveruseAcceptable,
             ))
-        } else if !moved && self.responded == n {
+        } else if !moved && self.responded == self.n() {
             // Unanimous stand-still, with every customer heard from. A
             // missing reply (lost on the network, deadline fired) is
             // indistinguishable from a concession we did not see, so a
@@ -733,40 +696,34 @@ impl UtilityEngine {
         } else {
             None
         };
-        let settlements = status.map(|_| {
-            let tariff = Tariff::default_scheme();
-            self.profiles
-                .iter()
-                .zip(self.levels.cutdowns())
-                .map(|(&(predicted, allowed), cutdown)| {
-                    if cutdown == Fraction::ZERO {
-                        return Settlement {
-                            cutdown,
-                            reward: Money::ZERO,
-                        };
-                    }
-                    let y_min = cutdown.complement() * allowed;
-                    let committed_use = predicted.min(y_min);
-                    let reward = tariff.bill_normal(predicted)
-                        - tariff.bill_with_limit(committed_use, y_min);
-                    Settlement {
-                        cutdown,
-                        reward: reward.max(Money::ZERO),
-                    }
-                })
-                .collect::<Vec<Settlement>>()
-        });
-        let bids = self.round_bids(self.levels.cutdowns());
-        self.push_round(RoundRecord {
-            round,
-            table: None,
-            bids,
-            predicted_total,
-            messages: 2 * n as u64,
+        self.report_round(round, None, predicted_total, |levels| {
+            levels.cutdowns().collect()
         });
         match status {
             Some(status) => {
-                self.settle(round, status, settlements.expect("built above"), true);
+                let tariff = Tariff::default_scheme();
+                let settlements = self
+                    .profiles
+                    .iter()
+                    .zip(self.levels.cutdowns())
+                    .map(|(&(predicted, allowed), cutdown)| {
+                        if cutdown == Fraction::ZERO {
+                            return Settlement {
+                                cutdown,
+                                reward: Money::ZERO,
+                            };
+                        }
+                        let y_min = cutdown.complement() * allowed;
+                        let committed_use = predicted.min(y_min);
+                        let reward = tariff.bill_normal(predicted)
+                            - tariff.bill_with_limit(committed_use, y_min);
+                        Settlement {
+                            cutdown,
+                            reward: reward.max(Money::ZERO),
+                        }
+                    })
+                    .collect();
+                self.settle(status, settlements, true);
             }
             None => {
                 let MethodState::RequestForBids { round } = &mut self.state else {
@@ -831,7 +788,7 @@ fn offer_outcome(
 ///
 /// A 64-byte value that owns no heap buffer: its preferences are a
 /// `Copy` [`CustomerPreferences`], its bid is a grid index, and
-/// [`CustomerEngine::handle`] returns the (at most one) reply instead of
+/// [`CustomerEngine::answer`] returns the (at most one) reply instead of
 /// queueing it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CustomerEngine {
@@ -880,17 +837,6 @@ impl CustomerEngine {
         self.awarded.as_ref()
     }
 
-    /// Feeds one input and returns the customer's reply to the Utility
-    /// Agent, if the input calls for one. Customers are purely reactive:
-    /// only [`Input::Received`] announcements, offers and bid requests
-    /// are answered.
-    pub fn handle(&mut self, input: Input) -> Option<Msg> {
-        let Input::Received { msg, .. } = input else {
-            return None;
-        };
-        self.answer(&msg)
-    }
-
     /// The cut-down bid so far.
     fn cutdown(&self) -> Fraction {
         Fraction::clamped(LEVELS[usize::from(self.bid)])
@@ -926,14 +872,10 @@ impl CustomerEngine {
         Some(k)
     }
 
-    /// Records the settlement an award confirms.
-    pub(crate) fn award(&mut self, settlement: Settlement) {
-        self.awarded = Some(settlement);
-    }
-
-    /// The reply to one message from the Utility Agent, if it calls for
-    /// one.
-    pub(crate) fn answer(&mut self, msg: &Msg) -> Option<Msg> {
+    /// This customer's reply to one message from the Utility Agent, if
+    /// it calls for one: a bid to an announcement or a bid request, and
+    /// a yes or no to an offer. An award is recorded, not answered.
+    pub fn answer(&mut self, msg: &Msg) -> Option<Msg> {
         match *msg {
             Msg::Announce { round, ref table } => {
                 // Bid the new level, or the previous bid where it stands.
@@ -976,7 +918,7 @@ impl CustomerEngine {
             Msg::Award {
                 cutdown, reward, ..
             } => {
-                self.award(Settlement { cutdown, reward });
+                self.awarded = Some(Settlement { cutdown, reward });
                 None
             }
             _ => None,
@@ -984,135 +926,17 @@ impl CustomerEngine {
     }
 }
 
-// ---------------------------------------------------------------------
-// Shared report assembly
-// ---------------------------------------------------------------------
-
-/// Folds the observation effects of a [`UtilityEngine`] into the
-/// [`NegotiationReport`](crate::session::NegotiationReport) every driver
-/// returns — the tier-aware sink of the reporting subsystem.
-///
-/// Drivers pass each polled effect through [`ReportAssembler::observe`],
-/// which **consumes** the observation effects (round records and
-/// settlements move straight into the report — they are never cloned)
-/// and hands the transport effects back for the driver to perform.
-/// Call [`ReportAssembler::finish`] once the engine settles.
-///
-/// The assembler enforces the
-/// [`ReportTier`](crate::session::ReportTier) *at the source*: every
-/// observation is folded into the running
-/// [`RoundDigest`](crate::session::RoundDigest), but a round record is
-/// only *stored* at [`ReportTier::FullTrace`] and settlements only at
-/// [`ReportTier::Settlement`] or above — below those tiers the payloads
-/// are dropped on the spot, so a `Settlement`-tier season never
-/// accumulates per-round storage at all (pinned by the `report_tiers`
-/// bench experiment's allocation guard).
-///
-/// [`ReportTier`]: crate::session::ReportTier
-/// [`ReportTier::FullTrace`]: crate::session::ReportTier::FullTrace
-/// [`ReportTier::Settlement`]: crate::session::ReportTier::Settlement
-#[derive(Debug, Clone)]
-pub struct ReportAssembler {
-    method: AnnouncementMethod,
-    normal_use: KilowattHours,
-    initial_total: KilowattHours,
-    tier: crate::session::ReportTier,
-    digest: crate::session::RoundDigest,
-    rounds: Vec<RoundRecord>,
-    outcome: Option<(NegotiationStatus, Vec<Settlement>)>,
-    award_messages: u64,
-}
-
-impl ReportAssembler {
-    /// An assembler for the given engine retaining only what `tier`
-    /// keeps.
-    pub fn for_engine_at(
-        engine: &UtilityEngine,
-        tier: crate::session::ReportTier,
-    ) -> ReportAssembler {
-        let initial_total = engine.initial_total();
-        ReportAssembler {
-            method: engine.method(),
-            normal_use: engine.normal_use(),
-            initial_total,
-            tier,
-            digest: crate::session::RoundDigest::starting_at(initial_total),
-            rounds: Vec::new(),
-            outcome: None,
-            award_messages: 0,
-        }
-    }
-
-    /// Records what an effect means for the report (awards count as the
-    /// extra confirmation messages of §3.2.3).
-    ///
-    /// Observation effects ([`Effect::RoundComplete`],
-    /// [`Effect::Settled`]) are consumed — their payloads are folded
-    /// into the digest, then moved into the report under construction
-    /// or dropped, as the tier dictates. Transport effects come back
-    /// out for the driver to perform.
-    #[inline]
-    pub fn observe(&mut self, effect: Effect) -> Option<Effect> {
-        match effect {
-            Effect::RoundComplete(record) => {
-                self.digest.observe_round(&record);
-                if self.tier.keeps_rounds() {
-                    self.rounds.push(record);
-                }
-                None
-            }
-            Effect::Settled {
-                status,
-                settlements,
-            } => {
-                self.digest.observe_settlements(&settlements);
-                let settlements = if self.tier.keeps_settlements() {
-                    settlements
-                } else {
-                    Vec::new()
-                };
-                self.outcome = Some((status, settlements));
-                None
-            }
-            effect => {
-                if let Effect::Send {
-                    msg: Msg::Award { .. },
-                    ..
-                } = &effect
-                {
-                    self.award_messages += 1;
-                }
-                Some(effect)
-            }
-        }
-    }
-
-    /// Builds the report. An unsettled engine (e.g. a driver stopping a
-    /// simulation early) reports [`NegotiationStatus::MaxRoundsExceeded`]
-    /// with empty settlements.
-    pub fn finish(self) -> crate::session::NegotiationReport {
-        let (status, settlements) = self
-            .outcome
-            .unwrap_or((NegotiationStatus::MaxRoundsExceeded, Vec::new()));
-        crate::session::NegotiationReport::from_parts(
-            self.method,
-            self.normal_use,
-            self.initial_total,
-            self.tier,
-            self.digest,
-            self.rounds,
-            status,
-            settlements,
-            self.award_messages,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::ScenarioBuilder;
-    use std::sync::Arc;
+
+    #[test]
+    fn effects_carry_only_the_wire() {
+        // Every announcement and timer passes through the effect queue;
+        // an observation payload put back on it would grow every effect.
+        assert!(std::mem::size_of::<Effect>() <= 32);
+    }
 
     #[test]
     fn utility_engine_starts_by_announcing_to_everyone() {
@@ -1143,10 +967,7 @@ mod tests {
         let scenario = ScenarioBuilder::paper_figure_6().build();
         let table = Arc::new(scenario.config.initial_table(scenario.interval));
         let mut ca = CustomerEngine::for_customer(&scenario, 0);
-        let reply = ca.handle(Input::Received {
-            from: Peer::Utility,
-            msg: Msg::Announce { round: 1, table },
-        });
+        let reply = ca.answer(&Msg::Announce { round: 1, table });
         let Some(Msg::Bid { round: 1, cutdown }) = reply else {
             panic!("expected a bid, got {reply:?}");
         };
@@ -1158,13 +979,7 @@ mod tests {
             cutdown,
             reward: Money(4.0),
         };
-        assert_eq!(
-            ca.handle(Input::Received {
-                from: Peer::Utility,
-                msg: award,
-            }),
-            None
-        );
+        assert_eq!(ca.answer(&award), None);
     }
 
     #[test]
@@ -1187,17 +1002,11 @@ mod tests {
         let scenario = ScenarioBuilder::paper_figure_6().build();
         let table = Arc::new(scenario.config.initial_table(scenario.interval));
         let mut ca = CustomerEngine::for_customer(&scenario, 0);
-        let replies: Vec<Option<Msg>> = (0..3)
-            .map(|_| {
-                ca.handle(Input::Received {
-                    from: Peer::Utility,
-                    msg: Msg::Announce {
-                        round: 1,
-                        table: Arc::clone(&table),
-                    },
-                })
-            })
-            .collect();
+        let announce = Msg::Announce {
+            round: 1,
+            table: Arc::clone(&table),
+        };
+        let replies: Vec<Option<Msg>> = (0..3).map(|_| ca.answer(&announce)).collect();
         // Three replies, all identical, from a single concession:
         // round 1 stays answered.
         let bid = Some(Msg::Bid {
@@ -1215,10 +1024,7 @@ mod tests {
             .build();
         let mut ca = CustomerEngine::for_customer(&scenario, 0);
         let reply = |ca: &mut CustomerEngine, round: u32| {
-            let Some(Msg::NeedBid { cutdown, .. }) = ca.handle(Input::Received {
-                from: Peer::Utility,
-                msg: Msg::RequestBids { round },
-            }) else {
+            let Some(Msg::NeedBid { cutdown, .. }) = ca.answer(&Msg::RequestBids { round }) else {
                 panic!("expected a NeedBid reply");
             };
             cutdown
@@ -1246,10 +1052,7 @@ mod tests {
             .build();
         let mut ca = CustomerEngine::for_customer(&scenario, 0);
         let reply = |ca: &mut CustomerEngine, round: u32| {
-            let Some(Msg::NeedBid { cutdown, .. }) = ca.handle(Input::Received {
-                from: Peer::Utility,
-                msg: Msg::RequestBids { round },
-            }) else {
+            let Some(Msg::NeedBid { cutdown, .. }) = ca.answer(&Msg::RequestBids { round }) else {
                 panic!("expected a NeedBid reply");
             };
             cutdown
@@ -1270,12 +1073,9 @@ mod tests {
         let table = Arc::new(rt.config.initial_table(rt.interval));
         let mut ca = CustomerEngine::for_customer(&rt, 0);
         let announce = |ca: &mut CustomerEngine, round: u32| {
-            let Some(Msg::Bid { cutdown, .. }) = ca.handle(Input::Received {
-                from: Peer::Utility,
-                msg: Msg::Announce {
-                    round,
-                    table: Arc::clone(&table),
-                },
+            let Some(Msg::Bid { cutdown, .. }) = ca.answer(&Msg::Announce {
+                round,
+                table: Arc::clone(&table),
             }) else {
                 panic!("expected a bid");
             };
@@ -1303,7 +1103,7 @@ mod tests {
         // are heard, and with the same bids a single delivery produces.
         for _ in 0..3 {
             ua.handle(Input::Received {
-                from: Peer::Customer(0),
+                from: 0,
                 msg: Msg::Bid {
                     round: 1,
                     cutdown: Fraction::clamped(0.2),
@@ -1311,28 +1111,25 @@ mod tests {
             });
         }
         assert!(
-            std::iter::from_fn(|| ua.poll_effect()).all(|e| !matches!(e, Effect::RoundComplete(_))),
+            ua.clone().take_report().rounds().is_empty(),
             "duplicates of one customer must not conclude the round"
         );
         for i in 1..4 {
             ua.handle(Input::Received {
-                from: Peer::Customer(i),
+                from: i,
                 msg: Msg::Bid {
                     round: 1,
                     cutdown: Fraction::ZERO,
                 },
             });
         }
-        let mut rounds = 0;
-        let mut first_bid = None;
-        while let Some(e) = ua.poll_effect() {
-            if let Effect::RoundComplete(r) = e {
-                rounds += 1;
-                first_bid = Some(r.bids[0]);
-            }
-        }
-        assert_eq!(rounds, 1, "exactly one conclusion despite duplicates");
-        assert_eq!(first_bid, Some(Fraction::clamped(0.2)));
+        let report = ua.take_report();
+        assert_eq!(
+            report.rounds().len(),
+            1,
+            "exactly one conclusion despite duplicates"
+        );
+        assert_eq!(report.rounds()[0].bids[0], Fraction::clamped(0.2));
     }
 
     #[test]
@@ -1360,20 +1157,15 @@ mod tests {
                     };
                     ua.receive(i, msg);
                 }
-                std::iter::from_fn(|| ua.poll_effect())
-                    .find_map(|e| match e {
-                        Effect::RoundComplete(r) => Some(r),
-                        _ => None,
-                    })
-                    .expect("every customer answered the round")
             };
-            let rounds = [
-                bid_round(1, [0.3, 0.15, 0.0]),
-                bid_round(2, [0.35, 0.15, 0.2]),
-            ];
+            bid_round(1, [0.3, 0.15, 0.0]);
+            bid_round(2, [0.35, 0.15, 0.2]);
+            let report = ua.take_report();
+            let rounds = report.rounds();
+            assert_eq!(rounds.len(), 2, "every customer answered both rounds");
             assert_eq!(rounds[0].bids, [0.3, 0.0, 0.0].map(Fraction::clamped));
             assert_eq!(rounds[1].bids, [0.3, 0.0, 0.2].map(Fraction::clamped));
-            assert_eq!(crate::concession::verify_bids(&rounds), Ok(()), "{method}");
+            assert_eq!(crate::concession::verify_bids(rounds), Ok(()), "{method}");
         }
     }
 
@@ -1384,7 +1176,7 @@ mod tests {
         ua.handle(Input::Start);
         while ua.poll_effect().is_some() {}
         ua.handle(Input::Received {
-            from: Peer::Customer(0),
+            from: 0,
             msg: Msg::Bid {
                 round: 7,
                 cutdown: Fraction::clamped(0.4),
@@ -1398,16 +1190,14 @@ mod tests {
     }
 
     /// Drives `ua` to settlement with `scenario`'s own customers, every
-    /// message delivered in order, and returns its round records.
-    fn round_records(scenario: &Scenario, ua: &mut UtilityEngine) -> Vec<RoundRecord> {
+    /// message delivered in order, and takes its report.
+    fn drive(scenario: &Scenario, ua: &mut UtilityEngine) -> NegotiationReport {
         let mut customers: Vec<CustomerEngine> = (0..scenario.customers.len())
             .map(|i| CustomerEngine::for_customer(scenario, i))
             .collect();
-        let mut rounds = Vec::new();
         ua.handle(Input::Start);
         while let Some(effect) = ua.poll_effect() {
             match effect {
-                Effect::RoundComplete(record) => rounds.push(record),
                 Effect::Broadcast { msg } => {
                     for (i, customer) in customers.iter_mut().enumerate() {
                         if let Some(reply) = customer.answer(&msg) {
@@ -1415,36 +1205,33 @@ mod tests {
                         }
                     }
                 }
-                _ => {}
+                Effect::Send { to, msg } => assert_eq!(customers[to].answer(&msg), None),
+                Effect::SetTimer { .. } => {}
             }
         }
         assert!(ua.is_settled());
-        rounds
+        ua.take_report()
     }
 
     #[test]
-    fn an_engine_not_keeping_bids_records_the_same_rounds_without_them() {
+    fn an_engine_reports_at_the_tier_it_is_reset_with() {
         for method in AnnouncementMethod::all() {
             let scenario = ScenarioBuilder::random(12, 0.35, 3).method(method).build();
-            let kept = round_records(&scenario, &mut UtilityEngine::new(&scenario));
+            let full = drive(&scenario, &mut UtilityEngine::new(&scenario));
+            assert_eq!(full.tier(), ReportTier::FullTrace, "{method}");
+            assert_eq!(full.rounds().len() as u32, full.digest().rounds, "{method}");
+            assert_eq!(full.settlements().len(), scenario.customers.len());
+            // One engine reset through every tier, cheapest first: the
+            // last reset, at full trace, reports what a new engine does.
             let mut ua = UtilityEngine::new(&scenario);
-            ua.keep_bids(false);
-            let skipped = round_records(&scenario, &mut ua);
-            assert_eq!(kept.len(), skipped.len(), "{method}");
-            for (k, s) in kept.iter().zip(&skipped) {
-                assert_eq!(k.bids.len(), scenario.customers.len(), "{method}");
+            for tier in ReportTier::all() {
+                ua.reset(&scenario, tier);
                 assert_eq!(
-                    *s,
-                    RoundRecord {
-                        bids: Vec::new(),
-                        ..k.clone()
-                    },
-                    "{method}"
+                    drive(&scenario, &mut ua),
+                    full.at_tier(tier),
+                    "{method} {tier}"
                 );
             }
-            // A reset engine keeps the bids again, as a new one does.
-            ua.reset(&scenario);
-            assert_eq!(round_records(&scenario, &mut ua), kept, "{method}");
         }
     }
 
@@ -1456,33 +1243,31 @@ mod tests {
         while ua.poll_effect().is_some() {}
         // Only customer 0 answers; the deadline closes the round anyway.
         ua.handle(Input::Received {
-            from: Peer::Customer(0),
+            from: 0,
             msg: Msg::Bid {
                 round: 1,
                 cutdown: Fraction::clamped(0.2),
             },
         });
         ua.handle(Input::TimerFired { token: 1 });
-        let mut saw_round = None;
-        while let Some(e) = ua.poll_effect() {
-            if let Effect::RoundComplete(r) = e {
-                saw_round = Some(r);
-            }
-        }
-        let r = saw_round.expect("round concluded on deadline");
+        assert_eq!(
+            ua.clone().take_report().rounds().len(),
+            1,
+            "round concluded on deadline"
+        );
+        // A late timer for the same round is a no-op.
+        ua.handle(Input::TimerFired { token: 1 });
+        let report = ua.take_report();
+        let [r] = report.rounds() else {
+            panic!(
+                "duplicate deadline must not re-conclude: {:?}",
+                report.rounds()
+            );
+        };
         assert_eq!(r.round, 1);
         assert_eq!(r.bids[0], Fraction::clamped(0.2));
         // Missing responders keep their previous (zero) bid.
         assert!(r.bids[1..].iter().all(|&b| b == Fraction::ZERO));
-        // A late timer for the same round is a no-op.
-        ua.handle(Input::TimerFired { token: 1 });
-        let leftover: Vec<Effect> = std::iter::from_fn(|| ua.poll_effect()).collect();
-        assert!(
-            leftover
-                .iter()
-                .all(|e| !matches!(e, Effect::RoundComplete(_))),
-            "duplicate deadline must not re-conclude: {leftover:?}"
-        );
     }
 
     #[test]
@@ -1518,7 +1303,7 @@ mod tests {
         // A partial round — one stand-still reply, four lost — is not
         // unanimity either: the lost replies may have been concessions.
         ua.handle(Input::Received {
-            from: Peer::Customer(0),
+            from: 0,
             msg: Msg::NeedBid {
                 round: 2,
                 y_min: KilowattHours(1.0),
@@ -1539,7 +1324,7 @@ mod tests {
         while ua2.poll_effect().is_some() {}
         for i in 0..5 {
             ua2.handle(Input::Received {
-                from: Peer::Customer(i),
+                from: i,
                 msg: Msg::NeedBid {
                     round: 1,
                     y_min: KilowattHours(1.0),
@@ -1563,30 +1348,27 @@ mod tests {
             .method(AnnouncementMethod::Offer)
             .build();
         let mut ua = UtilityEngine::new(&scenario);
-        let mut assembler =
-            ReportAssembler::for_engine_at(&ua, crate::session::ReportTier::FullTrace);
         ua.handle(Input::Start);
         let mut offers = 0;
         while let Some(e) = ua.poll_effect() {
-            match assembler.observe(e) {
-                Some(Effect::Broadcast {
+            match e {
+                Effect::Broadcast {
                     msg: Msg::Offer { .. },
-                }) => offers += 1,
-                Some(Effect::SetTimer { .. }) => {}
+                } => offers += 1,
+                Effect::SetTimer { .. } => {}
                 other => panic!("unexpected effect {other:?}"),
             }
         }
         assert_eq!(offers, 1, "one broadcast offers every customer");
         for i in 0..20 {
             ua.handle(Input::Received {
-                from: Peer::Customer(i),
+                from: i,
                 msg: Msg::OfferReply { accept: false },
             });
         }
-        while let Some(e) = ua.poll_effect() {
-            let _ = assembler.observe(e);
-        }
-        let report = assembler.finish();
+        let leftover: Vec<Effect> = std::iter::from_fn(|| ua.poll_effect()).collect();
+        assert_eq!(leftover, [], "no award confirmations for the offer method");
+        let report = ua.take_report();
         assert_eq!(report.rounds().len(), 1);
         assert_eq!(
             report.total_messages(),

@@ -24,7 +24,9 @@
 //! The protocol itself lives in **one place**: the sans-io [`engine`]
 //! ([`engine::UtilityEngine`] / [`engine::CustomerEngine`]), a pure
 //! state machine fed with [`engine::Input`]s and drained of
-//! [`engine::Effect`]s. Three thin drivers execute it:
+//! [`engine::Effect`]s, which reports its own negotiation
+//! ([`engine::UtilityEngine::take_report`]). Three thin drivers execute
+//! it:
 //!
 //! 1. **Synchronous** ([`sync_driver::NegotiationScratch::run`], behind
 //!    [`session::Scenario::run`]) — an in-process direct exchange with
@@ -68,27 +70,25 @@
 //!     .collect();
 //!
 //! utility.handle(Input::Start);
-//! let mut settled = false;
 //! while let Some(effect) = utility.poll_effect() {
 //!     // Each customer answers at most once per message it receives.
-//!     let mut deliver = |utility: &mut UtilityEngine, i: usize, msg: Msg| {
-//!         if let Some(reply) = customers[i].handle(Input::Received { from: Peer::Utility, msg }) {
-//!             utility.handle(Input::Received { from: Peer::Customer(i), msg: reply });
+//!     let mut deliver = |utility: &mut UtilityEngine, i: usize, msg: &Msg| {
+//!         if let Some(reply) = customers[i].answer(msg) {
+//!             utility.handle(Input::Received { from: i, msg: reply });
 //!         }
 //!     };
 //!     match effect {
 //!         // A round's announcement reaches every customer, in order.
 //!         Effect::Broadcast { msg } => {
 //!             for i in 0..scenario.customers.len() {
-//!                 deliver(&mut utility, i, msg.clone());
+//!                 deliver(&mut utility, i, &msg);
 //!             }
 //!         }
-//!         Effect::Send { to: Peer::Customer(i), msg } => deliver(&mut utility, i, msg),
-//!         Effect::Settled { status, .. } => settled = status.is_converged(),
-//!         _ => {} // timers are unnecessary when every reply arrives
+//!         Effect::Send { to, msg } => deliver(&mut utility, to, &msg),
+//!         Effect::SetTimer { .. } => {} // unnecessary when every reply arrives
 //!     }
 //! }
-//! assert!(settled);
+//! assert!(utility.take_report().converged());
 //! ```
 //!
 //! Fanning a scenario grid across cores:
@@ -208,7 +208,8 @@
 //! 10. **Report** — how much of all that a season *retains* is a policy,
 //!     not a constant: a [`session::ReportTier`] chosen per campaign
 //!     ([`campaign::CampaignBuilder::report_tier`]) and enforced at the
-//!     source in the report assembler. [`session::ReportTier::Aggregate`] keeps digest
+//!     source, in the engine's own report.
+//!     [`session::ReportTier::Aggregate`] keeps digest
 //!     scalars only, [`session::ReportTier::Settlement`] adds per-customer
 //!     settlements and economics, [`session::ReportTier::FullTrace`] keeps
 //!     every round, table and bid. Lower tiers never *store* the dropped
@@ -350,7 +351,7 @@ pub mod prelude {
         OpenLoop, PredictorPolicy, StopPolicy, Unconditional,
     };
     pub use crate::concession::{NegotiationStatus, TerminationReason};
-    pub use crate::engine::{CustomerEngine, Effect, Input, Peer, UtilityEngine};
+    pub use crate::engine::{CustomerEngine, Effect, Input, UtilityEngine};
     pub use crate::execution::{ExecutionMode, NetworkTraffic};
     pub use crate::fleet::{CellReport, FleetReport, FleetRunner};
     pub use crate::message::Msg;

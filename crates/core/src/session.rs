@@ -81,24 +81,24 @@ impl Scenario {
 /// The tier never changes what is negotiated — every scalar accessor
 /// ([`NegotiationReport::final_total`],
 /// [`NegotiationReport::total_rewards`], …) answers identically at every
-/// tier, because the [`ReportAssembler`](crate::engine::ReportAssembler)
-/// folds each observation into the [`RoundDigest`] as it streams past.
-/// What differs is the storage kept behind the accessors:
+/// tier, because the [`UtilityEngine`](crate::engine::UtilityEngine)
+/// folds each concluded round and its settlement into the
+/// [`RoundDigest`] as the negotiation runs. What differs is the storage
+/// kept behind the accessors:
 ///
 /// * [`ReportTier::Aggregate`] — per-negotiation scalars only (the
 ///   digest); no round records, no settlements, no scenario.
 /// * [`ReportTier::Settlement`] — the digest plus the final per-customer
 ///   [`Settlement`]s; no round records, no scenario.
-/// * [`ReportTier::FullTrace`] — everything, byte-identical to the
-///   pre-tier behaviour: every [`RoundRecord`] (tables, bids) and, in a
-///   campaign, the materialised [`Scenario`].
+/// * [`ReportTier::FullTrace`] — everything: every [`RoundRecord`]
+///   (tables, bids) and, in a campaign, the materialised [`Scenario`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum ReportTier {
     /// Per-day/per-peak scalars only.
     Aggregate,
     /// Final settlements and economics, no round records.
     Settlement,
-    /// Today's behaviour: the complete per-round history.
+    /// The complete per-round history.
     #[default]
     FullTrace,
 }
@@ -175,15 +175,16 @@ impl RoundDigest {
         }
     }
 
-    /// Folds one completed round into the digest.
-    pub fn observe_round(&mut self, record: &RoundRecord) {
+    /// Folds one completed round, of `messages` messages and with
+    /// predicted total `predicted_total`, into the digest.
+    pub(crate) fn observe_round(&mut self, messages: u64, predicted_total: KilowattHours) {
         self.rounds += 1;
-        self.messages += record.messages;
-        self.final_total = record.predicted_total;
+        self.messages += messages;
+        self.final_total = predicted_total;
     }
 
     /// Folds the final settlements into the digest.
-    pub fn observe_settlements(&mut self, settlements: &[Settlement]) {
+    pub(crate) fn observe_settlements(&mut self, settlements: &[Settlement]) {
         self.total_rewards = settlements.iter().map(|s| s.reward).sum();
         self.customers = settlements.len() as u32;
     }

@@ -12,67 +12,57 @@
 //! concludes once every customer has answered — the same conclusion a
 //! round of [`Msg::Bid`]s reaches. An offer or a bid request reaches
 //! each customer by reference too and its reply goes straight to the
-//! engine; an award is recorded on the customer directly. Timers are
-//! ignored because every response always arrives.
+//! engine; an award reaches its customer the same way and is recorded
+//! without a reply. Timers are ignored because every response always
+//! arrives. Once the engine settles, the pump takes its report
+//! ([`UtilityEngine::take_report`]).
 //!
 //! [`NegotiationScratch`] is the one driver of this pump and of the
 //! [distributed](crate::distributed) transport: it holds the engines
 //! across negotiations and [resets](UtilityEngine::reset) them per
-//! scenario, so a campaign worker negotiating thousands of peaks reuses
+//! scenario, the utility engine at the run's report tier, so a campaign worker negotiating thousands of peaks reuses
 //! its buffers instead of allocating per peak. A one-shot
 //! [`Scenario::run`](crate::session::Scenario::run) is simply a fresh
 //! scratch; the sweep/campaign/fleet hot loops thread one scratch per
 //! worker, exactly like `powergrid`'s `DemandScratch`.
 
 use crate::distributed::DeliveryRing;
-use crate::engine::{CustomerEngine, Effect, Input, Peer, ReportAssembler, UtilityEngine};
+use crate::engine::{CustomerEngine, Effect, Input, UtilityEngine};
 use crate::message::Msg;
-use crate::session::{NegotiationReport, ReportTier, Scenario, Settlement};
+use crate::session::{NegotiationReport, ReportTier, Scenario};
 
-/// Pumps a utility engine and its customers to completion and
-/// assembles the report at the given [`ReportTier`] — the single
-/// synchronous execution loop behind [`NegotiationScratch::run`].
+/// Pumps a utility engine and its customers to completion and takes
+/// the engine's report — the single synchronous execution loop behind
+/// [`NegotiationScratch::run`].
 ///
 /// # Panics
 ///
 /// Panics if the engine stops emitting effects before settling —
 /// impossible for the shipped announcement methods, whose termination
 /// the concession protocol guarantees.
-fn pump(
-    utility: &mut UtilityEngine,
-    customers: &mut [CustomerEngine],
-    tier: ReportTier,
-) -> NegotiationReport {
-    let mut assembler = ReportAssembler::for_engine_at(utility, tier);
+fn pump(utility: &mut UtilityEngine, customers: &mut [CustomerEngine]) -> NegotiationReport {
     utility.handle(Input::Start);
+    // Timers never fire (all responses arrive).
     while let Some(effect) = utility.poll_effect() {
-        // Observation effects (round records, settlements) move into
-        // the assembler; transport effects come back to be performed.
-        // Timers never fire (all responses arrive).
-        match assembler.observe(effect) {
-            Some(Effect::Broadcast {
+        match effect {
+            Effect::Broadcast {
                 msg: Msg::Announce { round, table },
-            }) => utility.exchange_round(round, &table, customers),
-            Some(Effect::Broadcast { msg }) => {
+            } => utility.exchange_round(round, &table, customers),
+            Effect::Broadcast { msg } => {
                 for (i, customer) in customers.iter_mut().enumerate() {
                     exchange(utility, customer, i, &msg);
                 }
             }
-            // The engine addresses one customer only to award it.
-            Some(Effect::Send {
-                to: Peer::Customer(i),
-                msg: Msg::Award {
-                    cutdown, reward, ..
-                },
-            }) => customers[i].award(Settlement { cutdown, reward }),
-            _ => {}
+            // An award, which the customer records without a reply.
+            Effect::Send { to, msg } => exchange(utility, &mut customers[to], to, &msg),
+            Effect::SetTimer { .. } => {}
         }
     }
     assert!(
         utility.is_settled(),
         "engine ran out of effects before settling"
     );
-    assembler.finish()
+    utility.take_report()
 }
 
 /// Hands `msg` to customer `i` and its reply, if any, straight back to
@@ -108,8 +98,9 @@ fn exchange(utility: &mut UtilityEngine, customer: &mut CustomerEngine, i: usize
 /// [`fan_out`]: crate::sweep::fan_out
 #[derive(Debug, Default)]
 pub struct NegotiationScratch {
-    utility: Option<UtilityEngine>,
-    /// One engine per customer of the scenario last checked out.
+    /// The utility engine, reset onto each scenario.
+    pub(crate) utility: UtilityEngine,
+    /// One engine per customer of the scenario last negotiated.
     pub(crate) customers: Vec<CustomerEngine>,
     /// The distributed transport's pending events, kept so their
     /// buffers serve every negotiation.
@@ -133,8 +124,8 @@ impl NegotiationScratch {
     /// [`method`](crate::session::Scenario::method)) through the
     /// synchronous pump, reusing the scratch's engines, and retains only
     /// what `tier` keeps — the negotiation itself is identical at every
-    /// tier; the [`ReportAssembler`] simply stops storing what the tier
-    /// drops. Byte-identical to a fresh scratch, so at
+    /// tier; the engine simply stops storing what the tier drops.
+    /// Byte-identical to a fresh scratch, so at
     /// [`ReportTier::FullTrace`] to
     /// [`Scenario::run`](crate::session::Scenario::run).
     ///
@@ -144,38 +135,19 @@ impl NegotiationScratch {
     /// impossible for the shipped announcement methods, whose
     /// termination the concession protocol guarantees.
     pub fn run(&mut self, scenario: &Scenario, tier: ReportTier) -> NegotiationReport {
-        let mut utility = self.checkout(scenario, tier);
-        let report = pump(&mut utility, &mut self.customers, tier);
-        self.check_in(utility);
-        report
+        self.reset(scenario, tier);
+        pump(&mut self.utility, &mut self.customers)
     }
 
-    /// Re-aims the customer engines at `scenario` and hands out the
-    /// utility engine re-aimed too (reset in place, or built on first
-    /// use) — by value, so a run can borrow it beside the customer
-    /// engines. The engine builds round records' bids only if `tier`
-    /// keeps the records. Pair with [`NegotiationScratch::check_in`] so
-    /// the next negotiation reuses its buffers.
-    pub(crate) fn checkout(&mut self, scenario: &Scenario, tier: ReportTier) -> UtilityEngine {
+    /// Re-aims the customer engines and the utility engine, which then
+    /// reports at `tier`, at `scenario`, reusing their buffers.
+    pub(crate) fn reset(&mut self, scenario: &Scenario, tier: ReportTier) {
         self.negotiations += 1;
         self.customers.clear();
         self.customers.extend(
             (0..scenario.customers.len()).map(|i| CustomerEngine::for_customer(scenario, i)),
         );
-        let mut engine = match self.utility.take() {
-            Some(mut engine) => {
-                engine.reset(scenario);
-                engine
-            }
-            None => UtilityEngine::new(scenario),
-        };
-        engine.keep_bids(tier.keeps_rounds());
-        engine
-    }
-
-    /// Returns the engine previously [checked out](NegotiationScratch::checkout).
-    pub(crate) fn check_in(&mut self, utility: UtilityEngine) {
-        self.utility = Some(utility);
+        self.utility.reset(scenario, tier);
     }
 }
 

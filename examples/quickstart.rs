@@ -3,9 +3,9 @@
 //!
 //! `Scenario::run()` negotiates on a fresh `NegotiationScratch`, which
 //! pumps `Effect`s between one sans-io `UtilityEngine` and the
-//! `CustomerEngine`s. The distributed and DESIRE-hosted modes drive the
-//! very same engines, so what this example prints is what every mode
-//! produces.
+//! `CustomerEngine`s and takes the report the utility engine builds. The
+//! distributed and DESIRE-hosted modes drive the very same engines, so
+//! what this example prints is what every mode produces.
 //!
 //! ```text
 //! cargo run --example quickstart
@@ -33,11 +33,7 @@ fn main() {
     while let Some(effect) = utility.poll_effect() {
         if let Effect::Broadcast { msg } = effect {
             println!("engine: UA → CA0   {msg}");
-            let reply = first_customer.handle(Input::Received {
-                from: Peer::Utility,
-                msg,
-            });
-            if let Some(msg) = reply {
+            if let Some(msg) = first_customer.answer(&msg) {
                 println!("engine: CA0 → UA   {msg}");
             }
         }

@@ -166,14 +166,10 @@ fn short_deadline_still_terminates() {
 
 /// Hands `msg` to customer `i` and its reply, if any, straight back to
 /// the Utility Agent — one step of the crate-doc hand pump.
-fn deliver(utility: &mut UtilityEngine, customer: &mut CustomerEngine, i: usize, msg: Msg) {
-    let reply = customer.handle(Input::Received {
-        from: Peer::Utility,
-        msg,
-    });
-    if let Some(reply) = reply {
+fn deliver(utility: &mut UtilityEngine, customer: &mut CustomerEngine, i: usize, msg: &Msg) {
+    if let Some(reply) = customer.answer(msg) {
         utility.handle(Input::Received {
-            from: Peer::Customer(i),
+            from: i,
             msg: reply,
         });
     }
@@ -187,20 +183,17 @@ fn crashed_customers_do_not_block_the_negotiation() {
     // missing. The UA's deadline mechanism must carry the negotiation to
     // a proper termination regardless, keeping each crashed customer's
     // last bid (monotonic concession allows that).
-    use loadbal::core::engine::ReportAssembler;
-
     let scenario = ScenarioBuilder::random(30, 0.35, 6).build();
     let mut utility = UtilityEngine::new(&scenario);
     let mut customers: Vec<CustomerEngine> = (0..scenario.customers.len())
         .map(|i| CustomerEngine::for_customer(&scenario, i))
         .collect();
     let crashed = |i: usize, round: u32| i.is_multiple_of(3) && round > 1;
-    let mut assembler = ReportAssembler::for_engine_at(&utility, ReportTier::FullTrace);
     let mut replies_missing = false;
     utility.handle(Input::Start);
     while let Some(effect) = utility.poll_effect() {
-        match assembler.observe(effect) {
-            Some(Effect::Broadcast { msg }) => {
+        match effect {
+            Effect::Broadcast { msg } => {
                 let Msg::Announce { round, .. } = msg else {
                     panic!("reward-table rounds announce tables, got {msg}");
                 };
@@ -209,23 +202,20 @@ fn crashed_customers_do_not_block_the_negotiation() {
                     if crashed(i, round) {
                         replies_missing = true;
                     } else {
-                        deliver(&mut utility, customer, i, msg.clone());
+                        deliver(&mut utility, customer, i, &msg);
                     }
                 }
             }
             // The round's deadline follows its broadcast; it fires only
             // when some reply never came.
-            Some(Effect::SetTimer { token }) if replies_missing => {
+            Effect::SetTimer { token } if replies_missing => {
                 utility.handle(Input::TimerFired { token });
             }
-            Some(Effect::Send {
-                to: Peer::Customer(i),
-                msg,
-            }) => deliver(&mut utility, &mut customers[i], i, msg),
+            Effect::Send { to, msg } => deliver(&mut utility, &mut customers[to], to, &msg),
             _ => {}
         }
     }
-    let report = assembler.finish();
+    let report = utility.take_report();
     assert!(report.converged(), "{report}");
     let rounds = report.rounds();
     assert!(rounds.len() > 1, "the crash must outlive round 1");
@@ -327,7 +317,7 @@ fn equal_treatment_all_customers_see_identical_announcements() {
     let mut customers: Vec<CustomerEngine> = (0..scenario.customers.len())
         .map(|i| CustomerEngine::for_customer(&scenario, i))
         .collect();
-    let (mut announced, mut concluded, mut awards) = (Vec::new(), 0u32, 0);
+    let (mut announced, mut awards) = (Vec::new(), 0);
     utility.handle(Input::Start);
     while let Some(effect) = utility.poll_effect() {
         match effect {
@@ -336,26 +326,23 @@ fn equal_treatment_all_customers_see_identical_announcements() {
                     announced.push(round);
                 }
                 for (i, customer) in customers.iter_mut().enumerate() {
-                    deliver(&mut utility, customer, i, msg.clone());
+                    deliver(&mut utility, customer, i, &msg);
                 }
             }
-            Effect::Send {
-                to: Peer::Customer(i),
-                msg,
-            } => {
+            Effect::Send { to, msg } => {
                 assert!(
                     matches!(msg, Msg::Award { .. }),
-                    "customer {i} was sent {msg} on its own"
+                    "customer {to} was sent {msg} on its own"
                 );
                 awards += 1;
-                deliver(&mut utility, &mut customers[i], i, msg);
+                deliver(&mut utility, &mut customers[to], to, &msg);
             }
-            Effect::RoundComplete(_) => concluded += 1,
-            _ => {}
+            Effect::SetTimer { .. } => {}
         }
     }
     assert!(utility.is_settled());
     // One broadcast announcement per round, for every round concluded.
+    let concluded = utility.take_report().rounds().len() as u32;
     assert_eq!(announced, (1..=concluded).collect::<Vec<_>>());
     assert_eq!(awards, customers.len(), "every customer is awarded once");
 }
