@@ -206,7 +206,7 @@ fn run(id: &str, json: bool) -> bool {
             // copies breaks the footprint bound. Negotiation state is
             // fixed-size values per customer (a 64-B customer engine), so
             // the one-thread season's own heap high-water reads the same
-            // 77 B per household (3,836,824 B) on every run; per-customer
+            // 77 B per household (3,836,728 B) on every run; per-customer
             // heap objects (tables, queues, histories) read ≈ 440, and
             // any growth of more than ~73 B per household breaks the
             // season bound.
